@@ -24,8 +24,7 @@ from .centering import (TracelessHermitian, center, eigenbasis_potential,
 from .conversion import (conversion_polynomials, fs_monomial_integral,
                          polynomiality_criterion, admissible_eigenvalue_scan,
                          variation_series_eigen)
-from .density import (RadialMetric, RadialProfile, bergman_density, first_variation,
-                      section_norms)
+from .density import RadialMetric, RadialProfile, bergman_density, first_variation
 from .errors import ComputationError, NonConvergenceError
 from .fitting import fit_expansion, load_samples_csv, vanishing_report
 from .projective import first_eigenbasis
@@ -141,6 +140,22 @@ def _cmd_polynomiality(cfg) -> str:
     return _json_payload({"n": n, "k0_max": int(cfg["k0_max"]), "table": rows})
 
 
+def _max_abs(err) -> float:
+    """max |err|, with a NaN counted as an infinite error so no check passes on it."""
+    err = np.abs(np.asarray(err, dtype=float))
+    return math.inf if np.isnan(err).any() else float(np.max(err))
+
+
+def _fs_norm_rel_error(log_norms, m: int) -> float:
+    """Largest relative error of section norms against the Beta values j! (m-j)! / (m+1)!.
+
+    Compared through logs: past m of about 1000 the norms are below the
+    float range, where a linear ratio is 0/0.
+    """
+    beta = np.array([math.lgamma(j + 1) + math.lgamma(m - j + 1) for j in range(m + 1)])
+    return _max_abs(np.expm1(np.asarray(log_norms) - (beta - math.lgamma(m + 2))))
+
+
 def _cmd_fs_check(cfg) -> str:
     n = int(cfg["n"])
     m_max = int(cfg["m_max"])
@@ -151,12 +166,8 @@ def _cmd_fs_check(cfg) -> str:
         worst_norm = 0.0
         for m in range(m_max + 1):
             res = bergman_density(fs, m, grid, tol=1e-13)
-            worst_density = max(worst_density, float(np.max(np.abs(res.values - (m + 1)))))
-            exact = np.array([
-                math.factorial(j) * math.factorial(m - j) / math.factorial(m + 1)
-                for j in range(m + 1)
-            ])
-            worst_norm = max(worst_norm, float(np.max(np.abs(res.norms / exact - 1.0))))
+            worst_density = max(worst_density, _max_abs(res.values - (m + 1)))
+            worst_norm = max(worst_norm, _fs_norm_rel_error(res.log_norms, m))
         payload = {
             "n": 1,
             "m_max": m_max,

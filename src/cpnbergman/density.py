@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DerivativeUnavailableError, PositivityError, StepUnderflowError
 from .jets import Jet
-from .quadrature import cp1_integral, integrate_half_line
+from .quadrature import cp1_integral, integrate_interval
 
 
 def _horner(coeffs, p):
@@ -28,6 +28,22 @@ def _horner(coeffs, p):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _divided_difference(coeffs, p, q):
+    """D(p, q) with P(p) - P(q) = (p - q) D(p, q), so D(q, q) = P'(q).
+
+    P has the given coefficients; p and q broadcast against each other.
+    Evaluating D and multiplying by p - q keeps the rounding error of
+    P(p) - P(q) proportional to the difference itself.
+    """
+    d = np.zeros(np.broadcast_shapes(np.shape(p), np.shape(q)))
+    a = 0.0
+    for c in reversed(coeffs):
+        d *= p
+        d += a
+        a = a * q + c
+    return d
 
 
 class RadialProfile:
@@ -197,44 +213,95 @@ class RadialMetric:
 
 
 def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarray:
-    """Squared L^2 norms of the monomial sections 1, z, ..., z^m.
+    """Logs of the squared L^2 norms of the monomial sections 1, z, ..., z^m.
 
-    N_j = int s^j h(s)^m w(s) ds, evaluated in log space so large m
-    costs nothing in range.  For Fubini-Study this is the Beta value
-    j! (m-j)! / (m+1)!.
+    N_j = int_0^inf s^j h(s)^m w(s) ds.  In x = s/(1+s) = 1 - p the
+    integrand is x^j (1-x)^(m-j) e^{-m u(p)} v(p): a Beta integrand times
+    a factor that does not depend on j.  For Fubini-Study (u = 0, v = 1)
+    N_j is the Beta value j! (m-j)! / (m+1)!.
+
+    Each exponent is centred at the Beta mode x* = j/m, with log1p and a
+    divided difference for u, so its rounding error scales with its
+    distance from the peak rather than with m.  A per-j shift (the
+    smooth factor's log at x* plus a second-order estimate of how far it
+    lifts the peak) brings every integrand's maximum near 1.  One
+    vector-valued adaptive pass then integrates all m+1 of them to
+    relative tolerance tol each, and the constants are added back in
+    log space, where nothing underflows however large m is.
     """
-    norms = np.empty(m + 1)
-    for j in range(m + 1):
-        def integrand(s, j=j):
-            s = np.asarray(s, dtype=float)
-            expo = m * metric.h_log(s)
-            if j:
-                expo = expo + j * np.log(s)
-            return np.exp(expo) * metric.w(s)
+    u, v = metric.profile.coeffs, metric._v_coeffs
+    j = np.arange(m + 1, dtype=float)
+    k = m - j
+    xs = j / max(m, 1)
+    ps = 1.0 - xs
+    # -1/x* and 1/(1-x*), zeroed where the matching power vanishes
+    neg_inv_x = np.divide(-1.0, xs, out=np.zeros_like(xs), where=j > 0)[:, None]
+    inv_1mx = np.divide(1.0, ps, out=np.zeros_like(xs), where=k > 0)[:, None]
+    jc, kc, xc, pc = j[:, None], k[:, None], xs[:, None], ps[:, None]
+    v_star = _horner(v, ps)
+    log_v_star = np.log(v_star)
+    # d/dx of log(e^{-m u} v) at x*; the Beta part curves by m / (x*(1-x*))
+    slope = m * _divided_difference(u, ps, ps) - _divided_difference(v, ps, ps) / v_star
+    lift = slope * slope * xs * ps / (2 * max(m, 1))
+    offset = (log_v_star + lift)[:, None]
 
-        norms[j] = integrate_half_line(integrand, rtol=tol)
-    if np.any(norms <= 0.0):
+    def integrand(x):
+        # in place: at most three (m+1) x nodes arrays are alive at once
+        p = 1.0 - x
+        dp = xc - x
+        expo = np.multiply(dp, inv_1mx)
+        np.log1p(expo, out=expo)
+        expo *= kc
+        if u:
+            d = _divided_difference(u, p, pc)
+            d *= dp
+            d *= m
+            expo -= d
+        t = dp  # dp is not needed past here: reuse its buffer for the j term
+        t *= neg_inv_x
+        np.log1p(t, out=t)
+        t *= jc
+        expo += t
+        expo += np.log(_horner(v, p))
+        expo -= offset
+        return np.exp(expo, out=expo)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = integrate_interval(integrand, 0.0, 1.0, rtol=tol)
+    if np.any(total <= 0.0):
         raise PositivityError("section norm came out nonpositive")
-    return norms
+    peak = (j * np.log(np.where(j > 0, xs, 1.0))
+            + k * np.log(np.where(k > 0, ps, 1.0)))
+    shift = log_v_star - m * metric.profile.value_p(ps) + lift
+    return peak + shift + np.log(total)
 
 
 @dataclass
 class DensityResult:
+    """Density values on the grid, with the log section norms behind them."""
+
     m: int
     grid: np.ndarray
     values: np.ndarray
-    norms: np.ndarray
+    log_norms: np.ndarray
+
+    @property
+    def norms(self) -> np.ndarray:
+        """Linear section norms, out of float range past m of about 1000; never raises."""
+        with np.errstate(under="ignore", over="ignore"):
+            return np.exp(self.log_norms)
 
 
 def bergman_density(metric: RadialMetric, m: int, grid, tol: float = 1e-12) -> DensityResult:
     """Density of states sum_j |z^j|^2_{h^m} / N_j on a grid of s values.
 
-    Terms are combined by max-subtraction in log space: s^j h^m itself
-    overflows well before m = 60 at moderate s.
+    Each term is exp(a_j) with a_j = j log s + m log h(s) - log N_j, and
+    the terms are combined by max-subtraction in log space: s^j h^m
+    overflows well before m = 60 at moderate s, and N_j underflows past
+    m of about 1000.  tol is the relative tolerance of each section norm.
     """
     grid = np.asarray(grid, dtype=float)
-    norms = section_norms(metric, m, tol)
-    logn = np.log(norms)
+    logn = section_norms(metric, m, tol)
     hl = metric.h_log(grid)
     zero = grid <= 0.0
     logs = np.where(zero, 0.0, np.log(np.where(zero, 1.0, grid)))
@@ -244,7 +311,7 @@ def bergman_density(metric: RadialMetric, m: int, grid, tol: float = 1e-12) -> D
         a[1:, zero] = -np.inf
     mx = np.max(a, axis=0)
     values = np.exp(mx) * np.sum(np.exp(a - mx), axis=0)
-    return DensityResult(m, grid, values, norms)
+    return DensityResult(m, grid, values, logn)
 
 
 def density_with_potential(metric: RadialMetric, phi: RadialProfile, t: float, m: int,

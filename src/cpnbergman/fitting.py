@@ -76,12 +76,10 @@ def fit_expansion(samples: Sequence[Tuple], n: int, K: int) -> FitResult:
         ys = [Fraction(v) / Fraction(m) ** n for m, v in pairs]
         poly = RationalPolynomial.interpolate(xs, ys)
         coeffs = tuple(poly.coefficient(k) for k in range(K + 1))
-        residual = 0.0
     else:
         y = np.array([float(v) / float(m) ** n for m, v in pairs])
         sol, *_ = np.linalg.lstsq(design / scale, y, rcond=None)
         coeffs = tuple(float(c) for c in sol / scale)
-        residual = 0.0
 
     model = [
         sum(Fraction(c) * Fraction(m) ** (n - k) if exact else float(c) * float(m) ** (n - k)

@@ -9,7 +9,7 @@ until two successive values agree.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -27,11 +27,13 @@ def _gl(order: int):
     return nodes
 
 
-def _panel(f, a: float, b: float, order: int) -> float:
+def _panel(f, a: float, b: float, order: int):
     x, w = _gl(order)
     half = 0.5 * (b - a)
     vals = f(0.5 * (a + b) + half * x)
-    return half * float(np.dot(w, vals))
+    if vals.ndim == 1:
+        return half * float(np.dot(w, vals))
+    return half * (vals @ w)
 
 
 def integrate_interval(
@@ -42,40 +44,75 @@ def integrate_interval(
     atol: float = 0.0,
     order: int = 15,
     max_panels: int = 4096,
-) -> float:
+) -> Union[float, np.ndarray]:
     """Adaptive panel integration of f over [a, b].
 
     A panel's error is estimated by comparing its single-rule value with
     the sum over its two halves; the worst panel is split until the summed
-    error estimate meets max(rtol * |total|, atol).
+    error estimate meets max(rtol * |total|, atol).  The half-panel rules
+    are kept, so a split costs two new rules for each child, not three.
+
+    f may instead return shape (k, len(x)): k integrands sharing one set
+    of panels.  The result is then a (k,) array, and splitting goes on
+    until every component j meets max(rtol * |total_j|, atol).  A panel's
+    priority is then its largest error across components, each relative
+    to that component's bound at the time the panel is made: a scale
+    fixed from a single early rule would trust totals that miss narrow
+    peaks entirely.  A non-finite vector integrand raises QuadratureError.
     """
     if not b > a:
         raise ValueError("need b > a")
 
-    def make(lo: float, hi: float):
-        coarse = _panel(f, lo, hi, order)
+    def split(lo: float, hi: float, coarse=None):
+        if coarse is None:
+            coarse = _panel(f, lo, hi, order)
         mid = 0.5 * (lo + hi)
-        fine = _panel(f, lo, mid, order) + _panel(f, mid, hi, order)
-        return -abs(fine - coarse), lo, hi, fine
+        left = _panel(f, lo, mid, order)
+        right = _panel(f, mid, hi, order)
+        return left, right, abs(left + right - coarse)
 
-    heap = [make(a, b)]
-    total = heap[0][3]
-    err = -heap[0][0]
+    floor = max(atol, np.finfo(float).tiny)
+
+    def bound(total):
+        return np.maximum(rtol * np.abs(total), floor)
+
+    left, right, err = split(a, b)
+    total = left + right
+    if isinstance(total, float):
+        def priority(e, total):
+            return e
+
+        def unmet(err, total):
+            return err > max(rtol * abs(total), atol)
+    else:
+        def priority(e, total):
+            return float(np.max(e / bound(total)))
+
+        def unmet(err, total):
+            if not np.all(np.isfinite(err)):
+                raise QuadratureError("integrand is not finite on [%g, %g]" % (a, b))
+            return bool(np.any(err > bound(total)))
+
+    heap = [(-priority(err, total), a, b, left, right, err)]
     count = 1
-    while err > max(rtol * abs(total), atol):
+    while unmet(err, total):
         if count >= max_panels:
+            errs, totals = np.ravel(err), np.ravel(total)
+            j = int(np.argmax(errs / bound(totals)))
             raise QuadratureError(
                 "quadrature budget exhausted: %d panels, error estimate %.3e "
-                "on total %.3e" % (count, err, total)
+                "on total %.3e" % (count, errs[j], totals[j])
             )
-        neg, lo, hi, fine = heapq.heappop(heap)
-        total -= fine
-        err += neg
+        _, lo, hi, left, right, e = heapq.heappop(heap)
+        total = total - (left + right)
+        err = err - e
         mid = 0.5 * (lo + hi)
-        for child in (make(lo, mid), make(mid, hi)):
-            heapq.heappush(heap, child)
-            total += child[3]
-            err -= child[0]
+        children = [(lo, mid) + split(lo, mid, left), (mid, hi) + split(mid, hi, right)]
+        for _, _, cleft, cright, ce in children:
+            total = total + (cleft + cright)
+            err = err + ce
+        for child in children:
+            heapq.heappush(heap, (-priority(child[4], total),) + child)
         count += 1
     return total
 

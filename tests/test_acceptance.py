@@ -1,4 +1,4 @@
-"""Acceptance suite: ten headline checks, one PASS/FAIL line each.
+"""Acceptance suite: eleven headline checks, one PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the report lines.
 """
@@ -253,3 +253,27 @@ def test_criterion_10_centering():
             ok = ok and state.A.norm == 0.0 and state.iteration == 0
         details.append("%s: %d iters, res %.1e" % (name, state.iteration, state.residual_norm))
     _report(10, "centering contraction solver", ok, "; ".join(details))
+
+
+def test_criterion_11_perturbed_a2_extraction():
+    # a2 = Delta rho / 3 (Lu 2000) needs m far past the linear-norm range:
+    # a fit over m <= 60 misses it by about 4e-2
+    start = time.time()
+    ms = list(range(200, 1001, 100))
+    grid = [0.0, 0.25, 0.5, 1.0, 2.0]
+    worst = 0.0
+    for eps in (0.05, 0.1):
+        met = RadialMetric(RadialProfile.eigenfunction_bump(eps))
+        densities = {m: bergman_density(met, m, grid) for m in ms}
+        for i, s in enumerate(grid):
+            samples = [(float(m), float(densities[m].values[i])) for m in ms]
+            fit = fit_expansion(samples, 1, 4)
+            a2 = scalar_curvature(met, s).a2
+            worst = max(worst, abs(float(fit.coeffs[2]) - a2))
+    elapsed = time.time() - start
+    _report(
+        11,
+        "perturbed a2 extraction",
+        worst < 1e-4 and elapsed < 300.0,
+        "worst |fit - Delta rho/3| %.2e, %.2fs" % (worst, elapsed),
+    )

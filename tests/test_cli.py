@@ -1,10 +1,15 @@
-"""End-to-end command line checks via subprocess."""
+"""End-to-end command line checks via subprocess, plus the fs-check comparison."""
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from cpnbergman import RadialMetric, bergman_density
+from cpnbergman.cli import _fs_norm_rel_error, _max_abs
 
 
 def run_cli(*args, cwd=None):
@@ -58,6 +63,23 @@ class TestFsCheck:
         payload = json.loads(proc.stdout)
         assert payload["pass"] is True
         assert payload["max_density_deviation"] < 1e-9
+
+    def test_norm_error_in_log_space_past_underflow(self):
+        # at m = 1120 the smallest Beta norms are 0.0 as floats, so a linear
+        # ratio is 0/0; the log-space comparison still sees the error
+        m = 1120
+        res = bergman_density(RadialMetric.fubini_study(), m, [0.0])
+        assert np.exp(res.log_norms).min() == 0.0
+        assert _fs_norm_rel_error(res.log_norms, m) < 1e-10
+        skewed = res.log_norms.copy()
+        skewed[m // 2] += 1e-6
+        assert _fs_norm_rel_error(skewed, m) == pytest.approx(1e-6, rel=1e-3)
+
+    def test_nan_fails_the_check(self):
+        m = 1120
+        logn = np.full(m + 1, np.nan)
+        assert _fs_norm_rel_error(logn, m) == math.inf
+        assert max(0.0, _max_abs([0.0, np.nan])) == math.inf
 
     def test_cp2_monomial_identity(self):
         proc = run_cli("fs-check", "--n", "2", "--m-max", "3")

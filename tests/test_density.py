@@ -122,24 +122,83 @@ class TestRadialMetric:
         assert fs.h_log(3.0) == pytest.approx(-math.log(4.0), rel=1e-15)
 
 
+def lgamma_log_beta(m):
+    """log of the Fubini-Study norms j! (m-j)! / (m+1)!, for every j."""
+    return np.array([math.lgamma(j + 1) + math.lgamma(m - j + 1) for j in range(m + 1)]) \
+        - math.lgamma(m + 2)
+
+
 class TestSectionNorms:
     def test_fs_m2(self):
-        norms = section_norms(RadialMetric.fubini_study(), 2)
+        norms = np.exp(section_norms(RadialMetric.fubini_study(), 2))
         assert norms == pytest.approx([1 / 3, 1 / 6, 1 / 3], rel=1e-11)
 
     def test_fs_m0(self):
-        norms = section_norms(RadialMetric.fubini_study(), 0)
+        norms = np.exp(section_norms(RadialMetric.fubini_study(), 0))
         assert norms == pytest.approx([1.0], rel=1e-12)
 
     def test_fs_m30_stress(self):
-        norms = section_norms(RadialMetric.fubini_study(), 30)
+        norms = np.exp(section_norms(RadialMetric.fubini_study(), 30))
         for j in range(31):
             exact = float(beta_norm(30, j))
             assert abs(norms[j] - exact) < 1e-10 * exact, j
 
     def test_perturbed_norms_positive(self):
         met = RadialMetric(RadialProfile.rational_bump(0.3))
-        assert all(n > 0 for n in section_norms(met, 8))
+        assert all(n > 0 for n in np.exp(section_norms(met, 8)))
+
+    @pytest.mark.parametrize("m", [1060, 2000, 5000])
+    def test_fs_log_norms_past_underflow(self, m):
+        # the smallest norms are below the float range here (2^-m / (m+1))
+        fs = RadialMetric.fubini_study()
+        res = bergman_density(fs, m, GRID + [1e4])
+        assert np.max(np.abs(res.log_norms - lgamma_log_beta(m))) < 5e-11
+        assert np.max(np.abs(res.values - (m + 1))) < 1e-9 * (m + 1)
+
+    def test_norms_property_underflows_without_raising(self):
+        res = bergman_density(RadialMetric.fubini_study(), 1120, [0.0])
+        assert np.all(np.isfinite(res.log_norms))
+        assert res.norms.min() == 0.0
+        assert res.norms[0] == pytest.approx(1.0 / 1121, rel=1e-12)
+
+    @pytest.mark.parametrize("prof", [RadialProfile.zero(), RadialProfile.eigenfunction_bump(0.1)],
+                             ids=["fs", "eigenfunction-bump"])
+    def test_converges_where_the_linear_form_did(self, prof):
+        # the linear-space quadrature accepted tol 1e-14 up to m = 200 and
+        # tol 1e-13 up to m = 1000; the log-space pass must too
+        met = RadialMetric(prof)
+        for m in range(201):
+            logn = section_norms(met, m, tol=1e-14)
+            if prof.is_zero:
+                assert np.max(np.abs(logn - lgamma_log_beta(m))) < 1e-12, m
+        for m in list(range(210, 1000, 30)) + [999, 1000]:
+            logn = section_norms(met, m, tol=1e-13)
+            if prof.is_zero:
+                assert np.max(np.abs(logn - lgamma_log_beta(m))) < 1e-11, m
+
+    def test_no_overflow_near_the_positivity_limit(self):
+        # eps = 0.45 lifts the middle integrands' peaks by about m eps^2 / 2
+        # above their value at the Beta mode: e^900 at m = 8000 unless the
+        # per-j shift accounts for it
+        met = RadialMetric(RadialProfile.eigenfunction_bump(0.45))
+        m = 8000
+        grid = [1.0, 3.0]
+        res = bergman_density(met, m, grid)
+        assert np.all(np.isfinite(res.log_norms))
+        reps = [scalar_curvature(met, s) for s in grid]
+        model = np.array([m + r.a1 + r.a2 / m for r in reps])
+        assert m * m * np.max(np.abs(res.values - model)) <= 32.0
+
+    def test_eigenfunction_bump_past_underflow(self):
+        # m + a1 + a2/m predicts the density to O(1/m^2) at m = 1060, where
+        # linear-space norms gave m^2 residuals near 3e4
+        met = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
+        m = 1060
+        grid = [0.0, 0.25, 1.0, 3.0, 1e3]
+        res = bergman_density(met, m, grid)
+        reps = [scalar_curvature(met, s) for s in grid]
+        model = np.array([m + r.a1 + r.a2 / m for r in reps])
+        assert m * m * np.max(np.abs(res.values - model)) <= 32.0
 
 
 class TestBergmanDensity:

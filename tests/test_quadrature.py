@@ -47,6 +47,30 @@ class TestInterval:
         val = integrate_interval(needle, 0.0, 1.0, rtol=1e-12)
         assert val == pytest.approx(math.sqrt(math.pi / 1e4), rel=1e-10)
 
+    def test_vector_matches_scalar_calls(self):
+        # components of very different size and width share one set of panels
+        c = 0.1234567
+        parts = [
+            np.exp,
+            lambda x: x**3,
+            lambda x: np.exp(-((x - c) ** 2) * 1e4),
+            lambda x: 1e-30 * np.sqrt(x),
+        ]
+        vec = integrate_interval(lambda x: np.stack([f(x) for f in parts]), 0.0, 1.0,
+                                 rtol=1e-12)
+        assert vec.shape == (len(parts),)
+        for f, got in zip(parts, vec):
+            want = integrate_interval(f, 0.0, 1.0, rtol=1e-12)
+            assert isinstance(want, float)
+            assert got == pytest.approx(want, rel=1e-11)
+
+    def test_vector_nonfinite_raises(self):
+        def f(x):
+            return np.stack([np.ones_like(x), np.where(x > 0.5, np.inf, 1.0)])
+
+        with np.errstate(invalid="ignore"), pytest.raises(QuadratureError):
+            integrate_interval(f, 0.0, 1.0)
+
 
 class TestHalfLine:
     def test_unit_volume_weight(self):
