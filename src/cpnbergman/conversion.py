@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from .ratpoly import InverseMSeries, RationalPolynomial
+from .ratpoly import InverseMSeries, RationalPolynomial, _frac
 
 
 class MultiIndex:
@@ -261,30 +261,33 @@ class ConversionTable:
         }
 
 
+def _conversion_rows(n: int, K: int) -> List[List[int]]:
+    """Integer rows a_{k,l}, l = 0..k, of the conversion recursion, k = 1..K."""
+    if n < 1 or K < 1:
+        raise ValueError("need n >= 1 and K >= 1")
+    rows = [[0, 1]]
+    for k in range(1, K):
+        prev = rows[-1] + [0, 0]
+        rows.append([0] + [
+            prev[l - 1]
+            + l * (2 * l + n - 1) * prev[l]
+            + l * l * (l + 1) * (l + n) * prev[l + 1]
+            for l in range(1, k + 2)
+        ])
+    return rows
+
+
 def conversion_polynomials(n: int, K: int) -> ConversionTable:
     """Build rows 1..K of the a_{k,l} recursion.
 
     a_{k+1,l} = a_{k,l-1} + l(2l+n-1) a_{k,l} + l^2 (l+1)(l+n) a_{k,l+1},
-    with a_{k,0} = 0 and a_{k,k} = 1.
+    with a_{k,0} = 0 and a_{k,k} = 1.  The entries are integers; they are
+    computed as such and wrapped as Fractions on return.
     """
-    if n < 1 or K < 1:
-        raise ValueError("need n >= 1 and K >= 1")
-    rows: List[Tuple[Fraction, ...]] = [(Fraction(0), Fraction(1))]
-    for k in range(1, K):
-        prev = rows[-1]
-
-        def a(l):
-            return prev[l] if 0 <= l < len(prev) else Fraction(0)
-
-        row = [Fraction(0)]
-        for l in range(1, k + 2):
-            row.append(
-                a(l - 1)
-                + l * (2 * l + n - 1) * a(l)
-                + l * l * (l + 1) * (l + n) * a(l + 1)
-            )
-        rows.append(tuple(row))
-    return ConversionTable(n=n, rows=tuple(rows))
+    rows = _conversion_rows(n, K)
+    return ConversionTable(
+        n=n, rows=tuple(tuple(Fraction(a) for a in row) for row in rows)
+    )
 
 
 def eigen_delta_c_values(n: int, K: int) -> List[RationalPolynomial]:
@@ -293,19 +296,22 @@ def eigen_delta_c_values(n: int, K: int) -> List[RationalPolynomial]:
     For radial phi with Delta phi = -lambda phi and phi(0) = 1, the values
     delta_l = Delta_c^l phi(0) satisfy (-lambda)^k = sum_l a_{k,l} delta_l.
     The system is unit triangular (a_{k,k} = 1), so each delta_k is a
-    polynomial in lambda of degree k.  Returns [delta_0, ..., delta_K].
+    polynomial in lambda of degree k, with integer coefficients: they are
+    solved for over the integer conversion table and wrapped as
+    RationalPolynomial on return.  Returns [delta_0, ..., delta_K].
+    variation_series_eigen does not use these polynomials; it solves the
+    same system for the values delta_k(lambda) at one lambda.
     """
-    table = conversion_polynomials(n, K) if K >= 1 else None
-    deltas = [RationalPolynomial([1])]
-    neg_lam = RationalPolynomial([0, -1])
-    power = RationalPolynomial([1])
+    rows = _conversion_rows(n, K) if K >= 1 else None
+    deltas = [[1]]  # coefficients in lambda, low degree first
     for k in range(1, K + 1):
-        power = power * neg_lam
-        acc = power
+        acc = [0] * k + [(-1) ** k]
         for l in range(1, k):
-            acc = acc - table.coefficient(k, l) * deltas[l]
+            a = rows[k - 1][l]
+            for i, c in enumerate(deltas[l]):
+                acc[i] -= a * c
         deltas.append(acc)
-    return deltas
+    return [RationalPolynomial(d) for d in deltas]
 
 
 def _rising_factors(first: int, last: int) -> RationalPolynomial:
@@ -313,11 +319,79 @@ def _rising_factors(first: int, last: int) -> RationalPolynomial:
     return RationalPolynomial.from_roots([-i for i in range(first, last + 1)])
 
 
-def variation_prefactor(n: int, J: int) -> InverseMSeries:
-    """The raw assembled prefactor -((m+n)!/m!)^2 / n! as an exact series."""
-    Q = _rising_factors(1, n)
-    poly = (Q * Q) * Fraction(-1, factorial(n))
-    return InverseMSeries.from_polynomial(poly, J)
+def _mul_trunc(a: Sequence[int], b: Sequence[int], size: int) -> List[int]:
+    """First `size` coefficients of the product of two integer polynomials."""
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in enumerate(b[: size - i]):
+                out[i + j] += x * y
+    return out
+
+
+class _VariationEngine:
+    """The lambda-independent part of variation_series_eigen at fixed (n, J).
+
+    In x = 1/m, every factorial ratio of the variation is m^d times a
+    power series in x with integer coefficients:
+      1/prod_{i=-k+1}^{n} (m+i) = m^{-(n+k)} R_k(x),
+      (m+n)!/m! = m^n Q(x),  Q(x) = prod_{i=1}^{n} (1 + i x).
+    R_0 comes from n geometric-series passes (division by 1 + i x), and
+    R_k from R_{k-1} by one pass dividing by 1 - (k-1) x, i.e. by
+    m - k + 1; R_k is kept to order J - k, all the sum needs.  Building
+    these once lets every lambda share them; only the deltas and one
+    weighted sum depend on lambda.
+    """
+
+    def __init__(self, n: int, J: int):
+        if J < 1:
+            raise ValueError("J must be >= 1")
+        self.n, self.J = n, J
+        self.rows = _conversion_rows(n, J)
+        Q = [1]
+        R = [1] + [0] * J
+        for i in range(1, n + 1):
+            Q = _mul_trunc(Q, [1, i], len(Q) + 1)
+            for j in range(1, J + 1):
+                R[j] -= i * R[j - 1]
+        self.Q = Q
+        self.Q2 = _mul_trunc(Q, Q, 2 * n + 1)
+        self.R = [R]
+        for k in range(1, J + 1):
+            R = R[: J - k + 1]
+            for j in range(1, len(R)):
+                R[j] += (k - 1) * R[j - 1]
+            self.R.append(R)
+
+    def series(self, lam, centered: bool = False, normalized: bool = True) -> InverseMSeries:
+        lam = _frac(lam)
+        p, q = lam.numerator, lam.denominator
+        n, J = self.n, self.J
+        q_pow = [q**i for i in range(J + 1)]
+        # D_k = q^k delta_k(lambda), solved from the unit-triangular system
+        D = [1]
+        for k in range(1, J + 1):
+            row = self.rows[k - 1]
+            D.append((-p) ** k - sum(row[l] * D[l] * q_pow[k - l] for l in range(1, k)))
+        # S(x) = sum_k delta_k/k! x^k R_k(x) = N(x) / (J! q^J)
+        N = [0] * (J + 1)
+        ratio = 1  # J!/k!
+        for k in range(J, -1, -1):
+            w = D[k] * q_pow[J - k] * ratio
+            if w:
+                for j, r in enumerate(self.R[k]):
+                    N[k + j] += w * r
+            ratio *= k
+        # -(Q^2/n!) (m + lambda) S (+ Q m/n! when centered) is m^{n+1} times
+        # -(Q(x)^2 (q + p x) N(x) [- den Q(x)]) / (n! den), den = q J! q^J
+        den = q * factorial(J) * q_pow[J]
+        U = _mul_trunc(_mul_trunc(self.Q2, [q, p], 2 * n + 2), N, J + 1)
+        if centered:
+            for j, c in enumerate(self.Q[: J + 1]):
+                U[j] -= den * c
+        scale = factorial(n) * den
+        result = InverseMSeries(n + 1, [Fraction(-u, scale) for u in U])
+        return result.normalized() if normalized else result
 
 
 def variation_series_eigen(
@@ -336,33 +410,20 @@ def variation_series_eigen(
     together with ((m+n)!/m!)^2 and -1/n!.  All factorial ratios are expanded
     exactly to relative order J.
 
+    The arithmetic is in plain integers: the conversion rows, the series of
+    each factorial ratio in 1/m (see _VariationEngine), and the values
+    q^k delta_k(p/q) from the unit-triangular system; the sum is formed
+    over one common denominator and becomes Fractions only at the end.
+    lambda must be exact (an int, a Fraction, or a string such as "7/3");
+    a float raises TypeError, since Fraction(0.1) is a different eigenvalue.
+
     The raw assembly takes phi itself as the perturbation.  The variation
     formula is stated for potentials vanishing at the base point; passing
     centered=True subtracts the constant phi(0) contribution, which cancels
     the two leading orders (the returned centered series therefore carries
     relative order J-2).
     """
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    lam = Fraction(lam)
-    deltas = eigen_delta_c_values(n, J)
-    series = InverseMSeries.zero(-n - J)
-    for k in range(J + 1):
-        dk = deltas[k](lam)
-        if dk == 0:
-            continue
-        Pk = _rising_factors(-k + 1, n)
-        term = InverseMSeries.from_polynomial(Pk, J).reciprocal()
-        series = series + term * Fraction(dk, factorial(k))
-    m_plus_lam = InverseMSeries.from_polynomial(RationalPolynomial([lam, 1]), J)
-    result = variation_prefactor(n, J) * m_plus_lam * series
-    if centered:
-        Q = _rising_factors(1, n)
-        back = (Q * RationalPolynomial.x()) * Fraction(1, factorial(n))
-        result = result + InverseMSeries.from_polynomial(back, J)
-    if normalized:
-        result = result.normalized()
-    return result
+    return _VariationEngine(n, J).series(lam, centered, normalized)
 
 
 def variation_order1_polynomial(n: int) -> RationalPolynomial:
@@ -372,11 +433,10 @@ def variation_order1_polynomial(n: int) -> RationalPolynomial:
     is its leading behavior.  Only delta_0..delta_2 reach this order, hence
     the degree is at most 2; five interpolation nodes overdetermine it.
     """
+    engine = _VariationEngine(n, 4)
     xs = [Fraction(v) for v in range(5)]
-    ys = []
-    for lam in xs:
-        c = variation_series_eigen(n, lam, J=4, centered=True, normalized=False)
-        ys.append(c.coefficient_at(n - 1))
+    ys = [engine.series(lam, centered=True, normalized=False).coefficient_at(n - 1)
+          for lam in xs]
     return RationalPolynomial.interpolate(xs, ys)
 
 
@@ -398,11 +458,16 @@ def admissible_eigenvalue_scan(n: int, k_max: int, J: int) -> Set[int]:
     """Levels k <= k_max whose variation series is polynomial through order J.
 
     Keeps k when the series for lambda = k(k+n) has coefficient zero at
-    every order j with n < j <= J.
+    every order j with n < j <= J.  One _VariationEngine is built for the
+    call and shared by every level, so each level costs only its integer
+    deltas and one weighted sum.
     """
     out: Set[int] = set()
+    if k_max < 1:
+        return out
+    engine = _VariationEngine(n, J)
     for k in range(1, k_max + 1):
-        series = variation_series_eigen(n, k * (k + n), J)
-        if all(series.leading_coefficients(J + 1)[j] == 0 for j in range(n + 1, J + 1)):
+        coeffs = engine.series(k * (k + n)).leading_coefficients(J + 1)
+        if all(c == 0 for c in coeffs[n + 1:]):
             out.add(k)
     return out

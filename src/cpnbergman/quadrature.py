@@ -16,6 +16,12 @@ import numpy as np
 from .errors import QuadratureError
 
 _GL_CACHE = {}
+# Stall test of integrate_interval.  Converging section-norm passes halve
+# their worst error/bound ratio at least every 3 splits; passes whose tol
+# is below the rounding level stall with error estimates of 75 to 800
+# ulps of their totals (eigenfunction bumps 0.1-0.45, m = 5000, tol 1e-14).
+_FLOOR_ULPS = 1000
+_STALL_SPLITS = 32
 
 
 def _gl(order: int):
@@ -59,6 +65,15 @@ def integrate_interval(
     to that component's bound at the time the panel is made: a scale
     fixed from a single early rule would trust totals that miss narrow
     peaks entirely.  A non-finite vector integrand raises QuadratureError.
+
+    When the tolerance sits below the integrand's rounding level,
+    splitting no longer lowers the estimate.  So once every component
+    still short of its bound has an error estimate within _FLOOR_ULPS
+    ulps of its total, and _STALL_SPLITS splits in a row (counted from
+    split _STALL_SPLITS on) have not halved the worst error-to-bound
+    ratio, QuadratureError is raised instead of
+    spending the rest of the panel budget.  The check adds no integrand
+    evaluations and does not change which panels are split.
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -78,12 +93,19 @@ def integrate_interval(
 
     left, right, err = split(a, b)
     total = left + right
+    rounding = _FLOOR_ULPS * np.finfo(float).eps
     if isinstance(total, float):
         def priority(e, total):
             return e
 
         def unmet(err, total):
             return err > max(rtol * abs(total), atol)
+
+        def floor_ratio(err, total):
+            limit = max(rtol * abs(total), atol)
+            if err <= limit or err > rounding * abs(total):
+                return None
+            return err / limit
     else:
         def priority(e, total):
             return float(np.max(e / bound(total)))
@@ -93,16 +115,26 @@ def integrate_interval(
                 raise QuadratureError("integrand is not finite on [%g, %g]" % (a, b))
             return bool(np.any(err > bound(total)))
 
+        def floor_ratio(err, total):
+            ratio = err / bound(total)
+            short = ratio > 1.0
+            if not np.any(short) or np.any(err[short] > rounding * np.abs(total[short])):
+                return None
+            return float(np.max(ratio))
+
+    def fail(reason):
+        errs, totals = np.ravel(err), np.ravel(total)
+        j = int(np.argmax(errs / bound(totals)))
+        return QuadratureError("%s: %d panels, error estimate %.3e on total %.3e"
+                               % (reason, count, errs[j], totals[j]))
+
     heap = [(-priority(err, total), a, b, left, right, err)]
     count = 1
+    # worst error/bound ratio while stuck at the rounding level, and when it was set
+    mark, marked_at = None, count
     while unmet(err, total):
         if count >= max_panels:
-            errs, totals = np.ravel(err), np.ravel(total)
-            j = int(np.argmax(errs / bound(totals)))
-            raise QuadratureError(
-                "quadrature budget exhausted: %d panels, error estimate %.3e "
-                "on total %.3e" % (count, errs[j], totals[j])
-            )
+            raise fail("quadrature budget exhausted")
         _, lo, hi, left, right, e = heapq.heappop(heap)
         total = total - (left + right)
         err = err - e
@@ -114,6 +146,13 @@ def integrate_interval(
         for child in children:
             heapq.heappush(heap, (-priority(child[4], total),) + child)
         count += 1
+        # passes that converge within _STALL_SPLITS splits skip the test
+        ratio = floor_ratio(err, total) if count > _STALL_SPLITS else None
+        if ratio is None or mark is None or ratio <= 0.5 * mark:
+            mark, marked_at = ratio, count
+        elif count - marked_at >= _STALL_SPLITS:
+            raise fail("error estimate stalled at the rounding level for %d splits"
+                       % _STALL_SPLITS)
     return total
 
 

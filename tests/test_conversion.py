@@ -9,6 +9,7 @@ with zbar treated as an independent variable.
 import itertools
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 import sympy as sp
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from cpnbergman import (
     ConversionTable,
+    InverseMSeries,
     MultiIndex,
     RationalPolynomial,
     admissible_eigenvalue_scan,
@@ -27,6 +29,7 @@ from cpnbergman import (
     laplacian_power_at_zero,
     mixed_laplacian_power_at_zero,
     polynomiality_criterion,
+    sigma_prime_closed_form,
     variation_order1_polynomial,
     variation_series_eigen,
 )
@@ -253,6 +256,68 @@ class TestVariationSeries:
         assert c != 0
         expected = RationalPolynomial.from_roots([0, n + 1]) * RationalPolynomial([c])
         assert (p - expected).is_zero()
+
+
+def _reference_variation(n, J, lams):
+    """variation_series_eigen built straight from its definition.
+
+    -((m+n)!/m!)^2/n! (m + lambda) sum_k delta_k/k! (m-k)!/(m+n)!, plus
+    (m+n)!/m! m/n! when centered, in RationalPolynomial/InverseMSeries
+    arithmetic; delta_k solves (-lambda)^k = sum_l a_{k,l} delta_l.
+    Yields (lambda, centered, series, normalized series).
+    """
+    table = conversion_polynomials(n, J)
+
+    def rising(first, last):
+        return RationalPolynomial.from_roots([-i for i in range(first, last + 1)])
+
+    recips = [InverseMSeries.from_polynomial(rising(1 - k, n), J).reciprocal()
+              for k in range(J + 1)]
+    Q = rising(1, n)
+    prefactor = InverseMSeries.from_polynomial(Q * Q * Fraction(-1, factorial(n)), J)
+    back = InverseMSeries.from_polynomial(
+        Q * RationalPolynomial.x() * Fraction(1, factorial(n)), J)
+    for lam in lams:
+        lam = Fraction(lam)
+        deltas = [Fraction(1)]
+        for k in range(1, J + 1):
+            deltas.append((-lam) ** k - sum(table.coefficient(k, l) * deltas[l]
+                                            for l in range(1, k)))
+        S = InverseMSeries.zero(-n - J)
+        for k, d in enumerate(deltas):
+            S = S + recips[k] * (d / factorial(k))
+        raw = prefactor * InverseMSeries.from_polynomial(RationalPolynomial([lam, 1]), J) * S
+        for centered in (False, True):
+            series = raw + back if centered else raw
+            yield lam, centered, series, series.normalized()
+
+
+class TestVariationEngine:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_definition(self, n):
+        lams = [0, 1, Fraction(7, 3), -2] + [k * (k + n) for k in (1, 2, 3)]
+        for J in (1, 2, 3, 7, 20):
+            for lam, centered, raw, norm in _reference_variation(n, J, lams):
+                got = variation_series_eigen(n, lam, J, centered=centered, normalized=False)
+                assert got == raw, (n, J, lam, centered)
+                assert variation_series_eigen(n, lam, J, centered=centered) == norm, \
+                    (n, J, lam, centered)
+
+    @pytest.mark.parametrize("J", [40, 60])
+    def test_resonant_levels_match_closed_form(self, J):
+        for n in (1, 2, 3):
+            for k in (1, 2, 3):
+                got = variation_series_eigen(n, k * (k + n), J)
+                assert got == sigma_prime_closed_form(n, k, J), (n, k, J)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_scan_at_order_40(self, n):
+        assert admissible_eigenvalue_scan(n, 3, 40) == {1}
+
+    def test_rejects_float_eigenvalue(self):
+        with pytest.raises(TypeError):
+            variation_series_eigen(1, 0.1, 4)
+        assert variation_series_eigen(1, "1/10", 4) == variation_series_eigen(1, Fraction(1, 10), 4)
 
 
 class TestPolynomialityScan:

@@ -18,6 +18,7 @@ from cpnbergman import (
     DerivativeUnavailableError,
     PhiK,
     PositivityError,
+    QuadratureError,
     RadialMetric,
     RadialProfile,
     StepUnderflowError,
@@ -188,6 +189,14 @@ class TestSectionNorms:
         reps = [scalar_curvature(met, s) for s in grid]
         model = np.array([m + r.a1 + r.a2 / m for r in reps])
         assert m * m * np.max(np.abs(res.values - model)) <= 32.0
+
+    def test_tolerance_below_rounding_fails_fast(self):
+        # tol 1e-14 is outside the perturbed domain at m = 5000: the error
+        # estimate stalls near 1.2e-14 relative, which once took the whole
+        # 4096-panel budget (about 100 s) before raising
+        met = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
+        with pytest.raises(QuadratureError, match="stalled"):
+            section_norms(met, 5000, tol=1e-14)
 
     def test_eigenfunction_bump_past_underflow(self):
         # m + a1 + a2/m predicts the density to O(1/m^2) at m = 1060, where

@@ -38,6 +38,22 @@ class TestInterval:
         with pytest.raises(QuadratureError):
             integrate_interval(kink, 0.0, 1.0, rtol=1e-15, max_panels=2)
 
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_noise_floor_stalls_before_budget(self, vector):
+        # a ripple of about 45 ulps that no panel can resolve: rtol 1e-16 is
+        # below what splitting can certify, so it stops long before the
+        # 4096-panel budget and its 16383 integrand calls
+        calls = []
+
+        def noisy(x):
+            calls.append(x.size)
+            ripple = 1.0 + 1e-14 * np.sin(1e7 * x)
+            return np.stack([np.exp(x), ripple]) if vector else ripple
+
+        with pytest.raises(QuadratureError, match="stalled"):
+            integrate_interval(noisy, 0.0, 1.0, rtol=1e-16)
+        assert len(calls) < 1000
+
     def test_needle_resolved_with_budget(self):
         c = 0.1234567
 
