@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from functools import lru_cache
+from typing import Callable, List
 
 import numpy as np
 
 from .errors import (DivergenceError, NonConvergenceError, SingularMatrixError,
                      UnsupportedDimensionError)
-from .projective import (EigenBasisFunction, HermitianRational, canonical_p_basis,
+from .projective import (EigenBasisFunction, canonical_p_basis,
                          chart_lift, first_eigenbasis, hermitian_pairing)
 from .quadrature import cp1_integral, fs_weight
 
@@ -85,7 +86,7 @@ def rho_potential(A: TracelessHermitian, z):
     """Automorphism potential log(|e^A Z|^2 / |Z|^2) at chart point(s) z."""
     E = A.expm()
     Z = chart_lift(A.n, z)
-    W = np.einsum("ij,j...->i...", E, Z)
+    W = np.tensordot(E, Z, 1)
     num = np.sum(np.abs(W) ** 2, axis=0)
     den = np.sum(np.abs(Z) ** 2, axis=0)
     return np.log(num / den)
@@ -119,28 +120,36 @@ def eigenbasis_potential(fn: EigenBasisFunction, scale: float) -> Callable:
 @dataclass(frozen=True)
 class LMap:
     """Coordinate map from canonical traceless-Hermitian coordinates to
-    coefficients in the orthonormal first-eigenspace basis."""
+    coefficients in the orthonormal first-eigenspace basis.
+
+    p_matrices stacks the canonical basis and theta_matrices the
+    normalized eigenspace basis as complex matrices.  Every array is
+    read-only, because build_L shares one LMap per n."""
 
     n: int
     matrix: np.ndarray
     inverse: np.ndarray
     p_basis: tuple
     theta_basis: tuple
+    p_matrices: np.ndarray
+    theta_matrices: np.ndarray
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
 
+@lru_cache(maxsize=None)
 def build_L(n: int) -> LMap:
     """Matrix of A -> <theta_A, theta_hat_i> with exact pairings.
 
     Entries come from the closed-form eigenspace pairing, so the only
-    floating step is the normalization square root.
+    floating step is the normalization square root.  The map is exact
+    and depends on n only, so it is built once per n and shared.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    theta = tuple(first_eigenbasis(n))
+    theta = first_eigenbasis(n)
     pbasis = tuple(canonical_p_basis(n))
     s = len(pbasis)
     L = np.empty((s, s))
@@ -152,29 +161,41 @@ def build_L(n: int) -> LMap:
         raise SingularMatrixError(
             f"coordinate map is numerically singular (sigma_min/sigma_max = {sv[-1]/sv[0]:.3e})"
         )
-    return LMap(n, L, np.linalg.inv(L), pbasis, theta)
+    inverse = np.linalg.inv(L)
+    p_matrices = np.array([B.to_numpy() for B in pbasis])
+    theta_matrices = np.array([th.normalization * th.exact.to_numpy() for th in theta])
+    for array in (L, inverse, p_matrices, theta_matrices):
+        array.flags.writeable = False
+    return LMap(n, L, inverse, pbasis, theta, p_matrices, theta_matrices)
 
 
 def _p_matrix(L: LMap, coords: np.ndarray) -> TracelessHermitian:
     M = np.zeros((L.n + 1, L.n + 1), dtype=complex)
-    for c, B in zip(coords, L.p_basis):
-        M += c * B.to_numpy()
+    for c, B in zip(coords, L.p_matrices):
+        M += c * B
     return TracelessHermitian(M)
 
 
 def centering_residual(A: TracelessHermitian, phi: Callable, L: LMap,
                        rtol: float = 1e-10) -> np.ndarray:
-    """The s centering integrals v_i(A) = int (phi - rho_{-A}) theta_i dV_0."""
+    """The s centering integrals v_i(A) = int (phi - rho_{-A}) theta_i dV_0.
+
+    phi - rho_{-A} is evaluated once per point and multiplied by all s
+    basis functions, so the s integrals share one vector-valued
+    cp1_integral call (one radial pass per doubling step).
+    """
     if L.n != 1:
         raise UnsupportedDimensionError("centering integrals are implemented for n = 1 only")
     rho = AutomorphismPotential(A.scaled(-1.0))
-    out = np.empty(L.size)
-    for i, th in enumerate(L.theta_basis):
-        def F(z, th=th):
-            return (phi(z) - rho(z)) * th.evaluate_lifts(chart_lift(1, z))
 
-        out[i] = cp1_integral(F, fs_weight, rtol=rtol, atol=1e-13)
-    return out
+    def F(z):
+        # theta_i = <T_i Z, Z> / |Z|^2 at Z = (1, z), with T_i Hermitian
+        T = L.theta_matrices.reshape((L.size, 4) + (1,) * np.ndim(z))
+        s = np.abs(z) ** 2
+        quad = T[:, 0].real + T[:, 3].real * s + 2.0 * (T[:, 1] * z).real
+        return (phi(z) - rho(z)) * quad / (1.0 + s)
+
+    return cp1_integral(F, fs_weight, rtol=rtol, atol=1e-13)
 
 
 def t_step(A: TracelessHermitian, phi: Callable, rtol: float = 1e-10,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Callable, List, Sequence, Tuple
 
@@ -193,10 +194,6 @@ def hermitian_pairing(A: HermitianRational, B: HermitianRational, n: int) -> Fra
     return (A.trace_product(B) + A.trace() * B.trace()) / ((n + 1) * (n + 2))
 
 
-def _unit(i, j, size):
-    return [[1 if (r, c) == (i, j) else 0 for c in range(size)] for r in range(size)]
-
-
 class EigenBasisFunction:
     """One orthonormalized member of the first Laplace eigenspace.
 
@@ -217,6 +214,7 @@ class EigenBasisFunction:
         self.norm_sq = norm_sq
         self.normalization = 1.0 / float(norm_sq) ** 0.5
         self._np = exact.to_numpy()
+        self._np.flags.writeable = False
 
     def evaluate_lifts(self, Z: np.ndarray) -> np.ndarray:
         """Value on homogeneous lifts; Z has shape (n+1, ...)."""
@@ -239,46 +237,44 @@ def chart_lift(n: int, z) -> np.ndarray:
     return np.stack([np.ones_like(z[0])] + z)
 
 
-def first_eigenbasis(n: int) -> List[EigenBasisFunction]:
+def _raw_diagonal(n: int, i: int) -> HermitianRational:
+    """E_ii - E_00: the i-th diagonal member before orthogonalization."""
+    re = [[0] * (n + 1) for _ in range(n + 1)]
+    re[i][i] = 1
+    re[0][0] = -1
+    return HermitianRational(re)
+
+
+@lru_cache(maxsize=None)
+def first_eigenbasis(n: int) -> Tuple[EigenBasisFunction, ...]:
     """Orthonormal real basis of the first eigenspace, (n+1)^2 - 1 functions.
 
     Off-diagonal real and imaginary parts are orthogonal as given; the n
     diagonal functions have Gram (I + ones)/((n+1)(n+2)) and are
-    Gram-Schmidt orthogonalized exactly.
+    Gram-Schmidt orthogonalized exactly.  The basis is exact and depends
+    on n only, so it is built once per n and shared: the tuple and the
+    functions' numpy matrices are read-only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     size = n + 1
     funcs: List[EigenBasisFunction] = []
-    for i in range(size):
-        for j in range(i + 1, size):
-            re = [
-                [1 if (r, c) in ((i, j), (j, i)) else 0 for c in range(size)]
-                for r in range(size)
-            ]
-            A = HermitianRational(re)
-            funcs.append(
-                EigenBasisFunction(n, "re", (i, j), A, hermitian_pairing(A, A, n))
-            )
-    for i in range(size):
-        for j in range(i + 1, size):
-            im = [
-                [
-                    -1 if (r, c) == (i, j) else (1 if (r, c) == (j, i) else 0)
-                    for c in range(size)
-                ]
-                for r in range(size)
-            ]
-            A = HermitianRational([[0] * size for _ in range(size)], im)
-            funcs.append(
-                EigenBasisFunction(n, "im", (i, j), A, hermitian_pairing(A, A, n))
-            )
+    for kind in ("re", "im"):
+        for i in range(size):
+            for j in range(i + 1, size):
+                unit = [[0] * size for _ in range(size)]
+                if kind == "re":
+                    unit[i][j] = unit[j][i] = 1
+                    A = HermitianRational(unit)
+                else:
+                    unit[i][j], unit[j][i] = -1, 1
+                    A = HermitianRational([[0] * size for _ in range(size)], unit)
+                funcs.append(
+                    EigenBasisFunction(n, kind, (i, j), A, hermitian_pairing(A, A, n))
+                )
     orth: List[HermitianRational] = []
     for i in range(1, size):
-        re = [[0] * size for _ in range(size)]
-        re[i][i] = 1
-        re[0][0] = -1
-        D = HermitianRational(re)
+        D = _raw_diagonal(n, i)
         for v in orth:
             coef = hermitian_pairing(D, v, n) / hermitian_pairing(v, v, n)
             D = D.minus(v, coef)
@@ -286,37 +282,14 @@ def first_eigenbasis(n: int) -> List[EigenBasisFunction]:
         funcs.append(
             EigenBasisFunction(n, "diag", (i,), D, hermitian_pairing(D, D, n))
         )
-    return funcs
+    return tuple(funcs)
 
 
 def canonical_p_basis(n: int) -> List[HermitianRational]:
     """Canonical basis of the traceless Hermitian matrices, matching the
     ordering of first_eigenbasis but with raw (non-orthogonalized) diagonals."""
-    size = n + 1
-    out: List[HermitianRational] = []
-    for i in range(size):
-        for j in range(i + 1, size):
-            re = [
-                [1 if (r, c) in ((i, j), (j, i)) else 0 for c in range(size)]
-                for r in range(size)
-            ]
-            out.append(HermitianRational(re))
-    for i in range(size):
-        for j in range(i + 1, size):
-            im = [
-                [
-                    -1 if (r, c) == (i, j) else (1 if (r, c) == (j, i) else 0)
-                    for c in range(size)
-                ]
-                for r in range(size)
-            ]
-            out.append(HermitianRational([[0] * size for _ in range(size)], im))
-    for i in range(1, size):
-        re = [[0] * size for _ in range(size)]
-        re[i][i] = 1
-        re[0][0] = -1
-        out.append(HermitianRational(re))
-    return out
+    out = [f.exact for f in first_eigenbasis(n) if f.kind != "diag"]
+    return out + [_raw_diagonal(n, i) for i in range(1, n + 1)]
 
 
 def numeric_fs_laplacian(f: Callable, z, n: int, h: float = 0.04,

@@ -22,6 +22,11 @@ _GL_CACHE = {}
 # ulps of their totals (eigenfunction bumps 0.1-0.45, m = 5000, tol 1e-14).
 _FLOOR_ULPS = 1000
 _STALL_SPLITS = 32
+# cp1_integral skips a doubling step whose first radial split shows a
+# coarse/fine gap above this multiple of the tolerance plus both rows'
+# error estimates.  Past 2 the step fails even if the estimates are exact
+# bounds; a discontinuous angular profile shows 5.05 at every step.
+_SCREEN_FACTOR = 4.0
 
 
 def _gl(order: int):
@@ -50,6 +55,7 @@ def integrate_interval(
     atol: float = 0.0,
     order: int = 15,
     max_panels: int = 4096,
+    screen: Optional[Callable] = None,
 ) -> Union[float, np.ndarray]:
     """Adaptive panel integration of f over [a, b].
 
@@ -74,6 +80,10 @@ def integrate_interval(
     ratio, QuadratureError is raised instead of
     spending the rest of the panel budget.  The check adds no integrand
     evaluations and does not change which panels are split.
+
+    screen, if given, is called once as screen(total, err) with the first
+    split's total and error estimate, before any refinement; it may raise
+    to abandon the pass.
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -93,6 +103,8 @@ def integrate_interval(
 
     left, right, err = split(a, b)
     total = left + right
+    if screen is not None:
+        screen(total, err)
     rounding = _FLOOR_ULPS * np.finfo(float).eps
     if isinstance(total, float):
         def priority(e, total):
@@ -162,22 +174,23 @@ def integrate_half_line(
     atol: float = 0.0,
     order: int = 15,
     max_panels: int = 4096,
-) -> float:
-    """Integral of f over [0, infinity) via the substitution s = x/(1-x)."""
+    screen: Optional[Callable] = None,
+) -> Union[float, np.ndarray]:
+    """Integral of f over [0, infinity) via the substitution s = x/(1-x).
+
+    f may return shape (k, len(s)); see integrate_interval.
+    """
 
     def g(x: np.ndarray) -> np.ndarray:
         om = 1.0 - x
         return f(x / om) / om**2
 
     return integrate_interval(g, 0.0, 1.0, rtol=rtol, atol=atol, order=order,
-                              max_panels=max_panels)
+                              max_panels=max_panels, screen=screen)
 
 
-def angular_values(F, s: np.ndarray, n_theta: int) -> np.ndarray:
-    """Mean over the circle of F(sqrt(s) e^{i theta}) for each s."""
-    theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    z = np.sqrt(np.asarray(s, dtype=float))[:, None] * np.exp(1j * theta)[None, :]
-    return np.mean(F(z), axis=1)
+class _Unsettled(Exception):
+    """Raised by cp1_integral's screen to abandon a doubling step early."""
 
 
 def cp1_integral(
@@ -189,31 +202,59 @@ def cp1_integral(
     n_theta_max: int = 1024,
     order: int = 15,
     max_panels: int = 4096,
-) -> float:
+) -> Union[float, np.ndarray]:
     """Integral over CP^1 of F against radial_weight(s) ds after averaging.
 
     Computes int_0^inf radial_weight(s) * mean_theta F(sqrt(s) e^{i theta}) ds.
     With radial_weight = (1+s)^{-2} this is the integral against the
-    unit-volume Fubini-Study form.  F must broadcast over complex arrays.
-    The trapezoid angular rule is spectrally accurate for smooth F; its
-    resolution doubles until two successive values agree within tolerance.
+    unit-volume Fubini-Study form.  F must broadcast over complex arrays;
+    it may return shape (k,) + z.shape for k integrands, and the result
+    is then a (k,) array instead of a float.
+
+    The trapezoid angular rule is spectrally accurate for smooth F.  Each
+    doubling step is one adaptive radial pass that evaluates F once on a
+    2 nt-point circle and integrates two rows per component: the nt-point
+    mean (the even nodes) and the 2 nt-point mean.  The 2 nt value is
+    returned once every component's two rows agree within
+    max(rtol |I|, atol); otherwise nt doubles, so the steps are (64, 128),
+    (128, 256), ... up to n_theta_max.  A step whose first radial split
+    already shows a gap far beyond the tolerance plus both rows' error
+    estimates moves on without refining; no value is accepted from an
+    unrefined pass.
     """
+    vector = False  # whether F returns k stacked integrands; set by radial
 
-    def value(nt: int) -> float:
+    def bound(value):
+        return np.maximum(rtol * np.abs(value), atol)
+
+    def screen(total, err):
+        k = len(total) // 2
+        gap = np.abs(total[k:] - total[:k])
+        if np.any(gap > _SCREEN_FACTOR * (bound(total[k:]) + err[:k] + err[k:])):
+            raise _Unsettled
+
+    nt = n_theta
+    while 2 * nt <= n_theta_max:
+        circle = np.exp(1j * np.pi / nt * np.arange(2 * nt))
+
         def radial(s: np.ndarray) -> np.ndarray:
-            return radial_weight(s) * angular_values(F, s, nt)
+            nonlocal vector
+            vals = F(np.sqrt(s)[:, None] * circle)
+            vector = vals.ndim > 2
+            coarse = vals[..., ::2].mean(axis=-1).reshape(-1, len(s))
+            fine = vals.mean(axis=-1).reshape(-1, len(s))
+            return radial_weight(s) * np.concatenate([coarse, fine])
 
-        return integrate_half_line(radial, rtol=rtol, atol=atol, order=order,
-                                   max_panels=max_panels)
-
-    prev = value(n_theta)
-    nt = n_theta * 2
-    while nt <= n_theta_max:
-        cur = value(nt)
-        if abs(cur - prev) <= max(rtol * abs(cur), atol):
-            return cur
-        prev = cur
         nt *= 2
+        try:
+            total = integrate_half_line(radial, rtol=rtol, atol=atol, order=order,
+                                        max_panels=max_panels, screen=screen)
+        except _Unsettled:
+            continue
+        k = len(total) // 2
+        coarse, fine = total[:k], total[k:]
+        if np.all(np.abs(fine - coarse) <= bound(fine)):
+            return fine if vector else float(fine[0])
     raise QuadratureError(
         "angular refinement did not stabilize below n_theta = %d" % n_theta_max
     )
@@ -228,7 +269,9 @@ def monomial_kernel_quadrature(n: int, m: int, P, rtol: float = 1e-10) -> float:
     """(1/pi^n) int |z^P|^2 (1+|z|^2)^{-(m+n+1)} dV by nested quadrature.
 
     Radial reduction gives an n-fold iterated integral; n = 1 and n = 2 are
-    supported, matching the numeric validation scope.  The exact rational
+    supported, matching the numeric validation scope.  For n = 2 the inner
+    integrals at all nodes of an outer rule are one vector-valued
+    half-line pass, each row held to 0.1 rtol.  The exact rational
     counterpart is fs_monomial_integral.
     """
     P = tuple(int(p) for p in P)
@@ -254,7 +297,10 @@ def monomial_kernel_quadrature(n: int, m: int, P, rtol: float = 1e-10) -> float:
     if n == 2:
         p1, p2 = P
 
-        def inner(a: float) -> float:
+        def inner(s1: np.ndarray) -> np.ndarray:
+            # one vector pass: row i is int_0^inf t^p2 (a_i + t)^{-(m+3)} dt
+            a = 1.0 + s1[:, None]
+
             def g(t: np.ndarray) -> np.ndarray:
                 with np.errstate(divide="ignore"):
                     logt = np.where(t > 0, np.log(np.maximum(t, 1e-300)), -np.inf)
@@ -269,11 +315,7 @@ def monomial_kernel_quadrature(n: int, m: int, P, rtol: float = 1e-10) -> float:
             return integrate_half_line(g, rtol=0.1 * rtol)
 
         def outer(s1: np.ndarray) -> np.ndarray:
-            vals = np.empty_like(s1)
-            for i, s in enumerate(s1):
-                w = inner(1.0 + float(s))
-                vals[i] = (float(s) ** p1 if p1 else 1.0) * w
-            return vals
+            return (s1 ** p1 if p1 else 1.0) * inner(s1)
 
         return integrate_half_line(outer, rtol=rtol)
     raise ValueError("nested monomial quadrature implemented for n in {1, 2}")

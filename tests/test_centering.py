@@ -14,10 +14,13 @@ from cpnbergman import (
     UnsupportedDimensionError,
     build_L,
     center,
+    chart_lift,
+    cp1_integral,
     centering_residual,
     eigenbasis_potential,
     estimate_contraction,
     first_eigenbasis,
+    fs_weight,
     gauge_potential,
     rho_potential,
     t_step,
@@ -98,6 +101,53 @@ class TestLMap:
         cond = np.linalg.cond(L.matrix)
         assert np.isfinite(cond)
         assert np.allclose(L.inverse @ L.matrix, np.eye(8), atol=1e-10)
+
+
+class TestCachedMaps:
+    def test_built_once_per_n(self):
+        assert build_L(1) is build_L(1)
+        assert first_eigenbasis(1) is first_eigenbasis(1)
+        assert build_L(1).theta_basis is first_eigenbasis(1)
+
+    def test_shared_arrays_are_read_only(self):
+        L = build_L(1)
+        for array in (L.matrix, L.inverse, L.p_matrices, L.theta_matrices):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            first_eigenbasis(1)[0]._np[0, 0] = 1.0
+        assert np.allclose(L.inverse @ L.matrix, np.eye(3), atol=1e-12)
+
+
+def _residual_per_component(A, phi, L, rtol=1e-10):
+    """The centering integrals as one scalar cp1_integral call per basis function."""
+    rho = AutomorphismPotential(A.scaled(-1.0))
+    out = np.empty(L.size)
+    for i, th in enumerate(L.theta_basis):
+        def F(z, th=th):
+            return (phi(z) - rho(z)) * th.evaluate_lifts(chart_lift(1, z))
+
+        out[i] = cp1_integral(F, fs_weight, rtol=rtol, atol=1e-13)
+    return out
+
+
+class TestResidual:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_component_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        basis = first_eigenbasis(1)
+        w = rng.normal(size=3)
+        w *= 0.05 / np.linalg.norm(w)
+        pots = [eigenbasis_potential(fn, float(wi)) for fn, wi in zip(basis, w)]
+        M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        A = TracelessHermitian(M)
+        A = A.scaled(0.04 / A.norm)
+        for phi in (lambda z: sum(p(z) for p in pots), gauge_potential(A.scaled(0.5))):
+            L = build_L(1)
+            got = centering_residual(A, phi, L)
+            want = _residual_per_component(A, phi, L)
+            assert np.max(np.abs(got - want)) < 1e-12
+            assert np.max(np.abs(want)) > 1e-3
 
 
 class TestStepMap:

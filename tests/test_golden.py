@@ -1,8 +1,12 @@
 """Byte-exact CLI outputs pinned under tests/golden/.
 
 The CLI is documented as byte-deterministic; these files hold the stdout
-of each command as it was before the integer variation engine, so any
-change to the printed numbers or their layout fails here.
+of each command, so any change to the printed numbers or their layout
+fails here.  The exact commands (convert-poly, variation, polynomiality)
+were pinned before the integer variation engine; fs-check --n 1 and
+density before the single-pass cp1_integral, which they never reach.
+center, first-variation and fs-check --n 2 were pinned after it: their
+last digits moved with it (by at most 1.9e-16 in A).
 """
 
 import subprocess
@@ -22,6 +26,17 @@ CASES = {
     "variation_n2_lambda7-3_J12_centered.json": ["variation", "--n", "2", "--lambda", "7/3",
                                                  "--J", "12", "--centered"],
     "polynomiality_n1_k0max6.json": ["polynomiality", "--n", "1", "--k0-max", "6"],
+    "fs-check_n1_mmax30.json": ["fs-check", "--n", "1", "--m-max", "30"],
+    "density_eigenfunction-bump_eps0.1.csv": ["density", "--metric", "eigenfunction-bump",
+                                              "--eps", "0.1", "--m-list", "20,30,40,50,60",
+                                              "--grid", "0,0.5,1,2"],
+    "fs-check_n2_mmax6.json": ["fs-check", "--n", "2", "--m-max", "6"],
+    "center_gauge-diag_0.05.json": ["center", "--potential", "gauge-diag", "--scale", "0.05"],
+    "center_eigenbasis-diag_0.05.json": ["center", "--potential", "eigenbasis-diag",
+                                         "--scale", "0.05"],
+    "first-variation_eigenfunction-bump_eps1_m20.json": ["first-variation", "--phi",
+                                                         "eigenfunction-bump", "--eps", "1.0",
+                                                         "--m", "20"],
 }
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cpnbergman import quadrature
 from cpnbergman import (
     QuadratureError,
     cp1_integral,
@@ -128,12 +129,76 @@ class TestCP1Integral:
         assert cp1_integral(lambda z: np.zeros_like(z, dtype=float), fs_weight) == 0.0
 
     def test_angular_refinement_failure(self):
-        # discontinuous angular profile never stabilizes under doubling
+        # discontinuous angular profile never stabilizes under doubling; each
+        # step is abandoned on its first split (3 rules), instead of spending
+        # a radial pass's whole panel budget
+        calls = []
+
         def F(z):
+            calls.append(z.size)
             return (np.cos(np.angle(z)) ** 2 > 0.5).astype(float)
 
         with pytest.raises(QuadratureError):
             cp1_integral(F, fs_weight, rtol=1e-12, atol=0.0)
+        assert len(calls) == 12
+
+    def test_vector_matches_scalar_calls(self):
+        parts = [
+            lambda z: np.abs(z) ** 2,
+            lambda z: np.real(z**2) ** 2,
+            lambda z: np.imag(z) / (1.0 + np.abs(z) ** 2),
+            lambda z: np.exp(-np.abs(z - 0.5) ** 2),
+        ]
+
+        def w(s):
+            return (1.0 + s) ** (-6)
+
+        vec = cp1_integral(lambda z: np.stack([f(z) for f in parts]), w)
+        assert vec.shape == (len(parts),)
+        for f, got in zip(parts, vec):
+            want = cp1_integral(f, w)
+            assert isinstance(want, float)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
+
+    @pytest.fixture
+    def radial_passes(self, monkeypatch):
+        passes = []
+        half_line = quadrature.integrate_half_line
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return half_line(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_half_line", counted)
+        return passes
+
+    def test_vector_oracles_in_one_radial_pass(self, radial_passes):
+        # Beta moments and Re(z^2)^2 together; smooth rows settle on the
+        # first (64, 128) pair, so a single radial pass does all the work
+        m = 8
+
+        def F(z):
+            moments = [np.abs(z) ** (2 * j) for j in range(m + 1)]
+            return np.stack(moments + [np.real(z**2) ** 2 * (1.0 + np.abs(z) ** 2) ** (m - 3)])
+
+        got = cp1_integral(F, lambda s: (1.0 + s) ** (-(m + 2)))
+        exact = [math.factorial(j) * math.factorial(m - j) / math.factorial(m + 1)
+                 for j in range(m + 1)]
+        assert got[:-1] == pytest.approx(exact, rel=1e-10)
+        assert got[-1] == pytest.approx(1.0 / 24.0, rel=1e-10)
+        assert len(radial_passes) == 1
+
+    def test_aliased_first_pair_moves_on(self, radial_passes):
+        # cos(64 theta) aliases to 1 on the 64-point circle and averages to 0
+        # on finer ones: the (64, 128) pass is abandoned on its first split
+        # and the value comes from the refined (128, 256) pass
+        def F(z):
+            return 1.0 + np.cos(64.0 * np.angle(z)) + np.abs(z) ** 2 / (1.0 + np.abs(z) ** 4)
+
+        got = cp1_integral(F, fs_weight)
+        # int_0^inf s/(1+s^2) (1+s)^-2 ds = (pi/2 - 1)/2
+        assert got == pytest.approx(1.0 + (math.pi / 2.0 - 1.0) / 2.0, rel=1e-10)
+        assert len(radial_passes) == 2
 
 
 class TestMonomialKernel:
@@ -148,6 +213,15 @@ class TestMonomialKernel:
                 exact = float(fs_monomial_integral(n, m, P))
                 got = monomial_kernel_quadrature(n, m, P)
                 assert got == pytest.approx(exact, rel=1e-9), (n, m, P)
+
+    def test_n2_matches_exact_over_bench_range(self):
+        # the inner integrals of an outer rule form one vector pass
+        for m in range(4, 32):
+            degree = m % 7
+            for p1 in range(degree + 1):
+                P = (p1, degree - p1)
+                exact = float(fs_monomial_integral(2, m, P))
+                assert monomial_kernel_quadrature(2, m, P) == pytest.approx(exact, rel=1e-9), (m, P)
 
     def test_rejects_unsupported_dimension(self):
         with pytest.raises(ValueError):
