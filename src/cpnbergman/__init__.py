@@ -6,7 +6,7 @@ metrics, TYZ coefficient extraction, and the centering contraction
 solver.
 """
 
-from .conversion import (ConversionTable, MonomialMeasure, MultiIndex,
+from .conversion import (ConversionTable, MultiIndex,
                          admissible_eigenvalue_scan, conversion_polynomials,
                          delta_c_power_at_zero, eigen_delta_c_values,
                          fs_monomial_integral, laplacian_power_at_zero,
@@ -18,9 +18,8 @@ from .centering import (AutomorphismPotential, CenteringState, LMap,
                         rho_potential, t_step, zero_potential)
 from .density import (CurvatureReport, DensityResult, FirstVariationResult,
                       RadialMetric, RadialProfile, bergman_density,
-                      density_with_potential, first_variation, scalar_curvature,
-                      section_norms)
-from .errors import (ComputationError, DerivativeUnavailableError, DivergenceError,
+                      first_variation, scalar_curvature, section_norms)
+from .errors import (ComputationError, DivergenceError,
                      InsufficientSamplesError, NonConvergenceError, PoleError,
                      PositivityError, QuadratureError, SingularMatrixError,
                      StepUnderflowError, UnsupportedDimensionError)

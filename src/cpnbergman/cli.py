@@ -90,7 +90,7 @@ def _profile_from(family: str, eps, coeffs) -> RadialProfile:
     if family == "rational-bump":
         return RadialProfile.rational_bump(float(_need(eps, "eps")))
     if family == "phi1-poly":
-        return RadialProfile.from_phi1_poly(_parse_floats(_need(coeffs, "coeffs")))
+        return RadialProfile(_parse_floats(_need(coeffs, "coeffs")))
     raise ValueError(f"unknown profile family {family!r}")
 
 

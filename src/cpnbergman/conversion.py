@@ -9,6 +9,7 @@ polynomiality criterion that singles out the first eigenvalue.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -42,16 +43,6 @@ class MultiIndex:
             out *= factorial(p)
         return out
 
-    def add_unit(self, i: int) -> "MultiIndex":
-        e = list(self.exponents)
-        e[i] += 1
-        return MultiIndex(e)
-
-    def sub_unit(self, i: int) -> "MultiIndex":
-        e = list(self.exponents)
-        e[i] -= 1
-        return MultiIndex(e)
-
     def _key(self):
         return (self.degree, self.exponents)
 
@@ -84,82 +75,48 @@ def _as_multi_index(P, n: int) -> MultiIndex:
     return mi
 
 
-class MonomialMeasure:
-    """Finite sum sum_P c_P |z^P|^2 as a sparse map, closed under Delta.
+def _laplacian_rewrite_at_zero(P: Tuple[int, ...], k: int) -> Fraction:
+    """Delta^k |z^P|^2 at the origin, computed in integers.
 
-    The Fubini-Study Laplacian sends a squared monomial to a combination
-    of squared monomials of degree shifted by -1, 0 and +1, so iterating
-    the rewrite stays inside this class.
+    One step of the rewrite is
+      Delta|z^A|^2 = sum_{i: a_i>0} a_i^2 (|z^{A-e_i}|^2 + sum_j |z^{A-e_i+e_j}|^2)
+                     + |A|^2 (|z^A|^2 + sum_j |z^{A+e_j}|^2),
+    so every coefficient stays a positive integer.  A step moves the
+    degree by at most one, so a term whose degree exceeds the steps left
+    cannot reach the constant term and is dropped.  The integer result
+    becomes a Fraction only on return.
     """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Dict[MultiIndex, Fraction] = None):
-        self.n = n
-        self.terms: Dict[MultiIndex, Fraction] = {}
-        if terms:
-            for P, c in terms.items():
-                self._add(P, c)
-
-    def _add(self, P: MultiIndex, c: Fraction):
-        if c == 0:
-            return
-        cur = self.terms.get(P)
-        if cur is None:
-            self.terms[P] = c
-        else:
-            cur += c
-            if cur == 0:
-                del self.terms[P]
-            else:
-                self.terms[P] = cur
-
-    @classmethod
-    def monomial(cls, n: int, P) -> "MonomialMeasure":
-        mm = cls(n)
-        mm._add(_as_multi_index(P, n), Fraction(1))
-        return mm
-
-    def constant_term(self) -> Fraction:
-        zero = MultiIndex((0,) * self.n)
-        return self.terms.get(zero, Fraction(0))
-
-    def apply_fs_laplacian(self) -> "MonomialMeasure":
-        """One step of the rewrite for Delta |z^P|^2.
-
-        Delta|z^P|^2 = sum_{i: p_i>0} p_i^2 (|z^{P-e_i}|^2
-                       + sum_k |z^{P-e_i+e_k}|^2)
-                       + |P|^2 (|z^P|^2 + sum_k |z^{P+e_k}|^2).
-        Terms with p_i = 0 are dropped; their coefficient vanishes anyway.
-        """
-        out = MonomialMeasure(self.n)
-        for P, c in self.terms.items():
-            d = P.degree
-            for i in range(self.n):
-                pi = P[i]
-                if pi == 0:
-                    continue
-                w = c * pi * pi
-                lower = P.sub_unit(i)
-                out._add(lower, w)
-                for k in range(self.n):
-                    out._add(lower.add_unit(k), w)
-            if d:
+    n = len(P)
+    state = {P: 1}
+    for left in range(k - 1, -1, -1):
+        nxt: Dict[Tuple[int, ...], int] = defaultdict(int)
+        for A, c in state.items():
+            d = sum(A)
+            if d > left + 1:
+                continue
+            for i, a in enumerate(A):
+                if a:
+                    w = c * a * a
+                    low = A[:i] + (a - 1,) + A[i + 1:]
+                    nxt[low] += w
+                    if d <= left:
+                        for j in range(n):
+                            nxt[low[:j] + (low[j] + 1,) + low[j + 1:]] += w
+            if 0 < d <= left:
                 w = c * d * d
-                out._add(P, w)
-                for k in range(self.n):
-                    out._add(P.add_unit(k), w)
-        return out
+                nxt[A] += w
+                if d < left:
+                    for j in range(n):
+                        nxt[A[:j] + (A[j] + 1,) + A[j + 1:]] += w
+        state = nxt
+    return Fraction(state.get((0,) * n, 0))
 
 
 def laplacian_power_at_zero(n: int, P, k: int) -> Fraction:
     """Delta^k |z^P|^2 evaluated at the origin, exactly."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    mm = MonomialMeasure.monomial(n, P)
-    for _ in range(k):
-        mm = mm.apply_fs_laplacian()
-    return mm.constant_term()
+    return _laplacian_rewrite_at_zero(_as_multi_index(P, n).exponents, k)
 
 
 def mixed_laplacian_power_at_zero(n: int, P, Q, k: int) -> Fraction:
@@ -169,41 +126,15 @@ def mixed_laplacian_power_at_zero(n: int, P, Q, k: int) -> Fraction:
                         + sum_k z^{P-e_i+e_k} zbar^{Q-e_i+e_k})
                         + |P||Q| (z^P zbar^Q + sum_k z^{P+e_k} zbar^{Q+e_k}).
     The rewrite preserves P - Q, so for P != Q the constant term can
-    never appear and the result is 0 for every k.
+    never appear and the result is 0 for every k; for P = Q it is
+    laplacian_power_at_zero.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     Pm = _as_multi_index(P, n)
-    Qm = _as_multi_index(Q, n)
-    state: Dict[Tuple[MultiIndex, MultiIndex], Fraction] = {(Pm, Qm): Fraction(1)}
-    for _ in range(k):
-        nxt: Dict[Tuple[MultiIndex, MultiIndex], Fraction] = {}
-
-        def add(key, c):
-            cur = nxt.get(key)
-            tot = c if cur is None else cur + c
-            if tot == 0:
-                nxt.pop(key, None)
-            else:
-                nxt[key] = tot
-
-        for (A, B), c in state.items():
-            for i in range(n):
-                w = c * A[i] * B[i]
-                if w == 0:
-                    continue
-                la, lb = A.sub_unit(i), B.sub_unit(i)
-                add((la, lb), w)
-                for j in range(n):
-                    add((la.add_unit(j), lb.add_unit(j)), w)
-            w = c * A.degree * B.degree
-            if w != 0:
-                add((A, B), w)
-                for j in range(n):
-                    add((A.add_unit(j), B.add_unit(j)), w)
-        state = nxt
-    zero = MultiIndex((0,) * n)
-    return state.get((zero, zero), Fraction(0))
+    if Pm != _as_multi_index(Q, n):
+        return Fraction(0)
+    return _laplacian_rewrite_at_zero(Pm.exponents, k)
 
 
 def delta_c_power_at_zero(l: int, P) -> Fraction:

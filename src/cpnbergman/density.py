@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DerivativeUnavailableError, PositivityError, StepUnderflowError
+from .errors import PositivityError, StepUnderflowError
 from .jets import Jet
 from .quadrature import cp1_integral, integrate_interval
 
@@ -46,6 +46,18 @@ def _divided_difference(coeffs, p, q):
     return d
 
 
+def _extremum_candidates(coeffs) -> np.ndarray:
+    """Points of [0, 1] among which a polynomial in p attains its extrema.
+
+    0, 1, and the real parts of the derivative's roots, clipped to [0, 1];
+    real parts of complex roots are kept so that a double critical point
+    split by rounding into a conjugate pair is not lost.
+    """
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    roots = np.roots(deriv[::-1])  # np.roots takes the highest degree first
+    return np.concatenate(([0.0, 1.0], np.clip(roots.real, 0.0, 1.0)))
+
+
 class RadialProfile:
     """Real radial function u(s) = sum_k c_k / (1+s)^k."""
 
@@ -68,10 +80,6 @@ class RadialProfile:
     def rational_bump(cls, eps: float) -> "RadialProfile":
         # eps * s/(1+s)^2
         return cls((0.0, eps, -eps))
-
-    @classmethod
-    def from_phi1_poly(cls, coeffs) -> "RadialProfile":
-        return cls(coeffs)
 
     @property
     def is_zero(self) -> bool:
@@ -132,10 +140,8 @@ class RadialProfile:
         return out
 
     def sup_norm(self) -> float:
-        if self.is_zero:
-            return 0.0
-        grid = np.linspace(0.0, 1.0, 2049)
-        return float(np.max(np.abs(_horner(self.coeffs, grid))))
+        """max |u| over s >= 0, i.e. over p in [0, 1], at its critical points."""
+        return float(np.max(np.abs(_horner(self.coeffs, _extremum_candidates(self.coeffs)))))
 
     def scaled(self, t: float) -> "RadialProfile":
         return RadialProfile([t * c for c in self.coeffs])
@@ -157,12 +163,12 @@ class RadialMetric:
     """Kahler form with local potential psi = log(1+s) + u(s), unit volume.
 
     The density in the chart is w = psi' + s psi'' = p^2 * v(p) with
-    v a polynomial; positivity of v on [0, 1] is the metric condition
-    and is checked on a dense grid at construction (profile degrees
-    stay in the single digits here, so sampling is reliable).
+    v a polynomial; positivity of v on [0, 1] is the metric condition.
+    It is checked at construction where v can attain its minimum: the
+    endpoints and the critical points of v.
     """
 
-    def __init__(self, profile: RadialProfile, validate: bool = True):
+    def __init__(self, profile: RadialProfile):
         self.profile = profile
         deg = len(profile.coeffs) - 1
         v = [0.0] * max(deg + 2, 1)
@@ -173,15 +179,14 @@ class RadialMetric:
             v[k - 1] += c * k * k
             v[k] -= c * k * (k + 1)
         self._v_coeffs = tuple(v)
-        if validate:
-            grid = np.linspace(0.0, 1.0, 4097)
-            vals = _horner(self._v_coeffs, grid)
-            i = int(np.argmin(vals))
-            if vals[i] <= 0.0:
-                s = 1.0 / grid[i] - 1.0 if grid[i] > 0 else math.inf
-                raise PositivityError(
-                    f"metric density is not positive (min {vals[i]:.3e} near s = {s:.4g})"
-                )
+        points = _extremum_candidates(self._v_coeffs)
+        vals = _horner(self._v_coeffs, points)
+        i = int(np.argmin(vals))
+        if vals[i] <= 0.0:
+            s = 1.0 / points[i] - 1.0 if points[i] > 0 else math.inf
+            raise PositivityError(
+                f"metric density is not positive (min {vals[i]:.3e} near s = {s:.4g})"
+            )
 
     @classmethod
     def fubini_study(cls) -> "RadialMetric":
@@ -314,12 +319,6 @@ def bergman_density(metric: RadialMetric, m: int, grid, tol: float = 1e-12) -> D
     return DensityResult(m, grid, values, logn)
 
 
-def density_with_potential(metric: RadialMetric, phi: RadialProfile, t: float, m: int,
-                           grid, tol: float = 1e-12) -> DensityResult:
-    """Density after moving the potential by t along phi (u -> u - t phi)."""
-    return bergman_density(metric.with_potential(phi, t), m, grid, tol)
-
-
 @dataclass
 class CurvatureReport:
     s: float
@@ -337,10 +336,6 @@ def scalar_curvature(metric: RadialMetric, s: float) -> CurvatureReport:
     for the round metric this gives (2, 0, 1, 0).
     """
     order = 6
-    if not hasattr(metric.profile, "jet_at"):
-        raise DerivativeUnavailableError(
-            "profile does not expose Taylor jets up to order 6"
-        )
     x = Jet.variable(float(s), order)
     psi = (x + 1.0).log() + metric.profile.jet_at(float(s), order)
 
@@ -413,13 +408,11 @@ def first_variation(metric: RadialMetric, phi: RadialProfile, m: int, s: float =
         integral = cp1_integral(integrand, weight, rtol=tol, atol=1e-14)
         formula = -((m + 1) ** 2) * integral
 
-    plus = density_with_potential(metric, phi, t, m, [s]).values[0]
-    minus = density_with_potential(metric, phi, -t, m, [s]).values[0]
+    plus = bergman_density(metric.with_potential(phi, t), m, [s]).values[0]
+    minus = bergman_density(metric.with_potential(phi, -t), m, [s]).values[0]
     fd = (plus - minus) / (2.0 * t)
 
-    grid = np.linspace(0.0, 1.0, 2049)
-    sup = float(np.max(np.abs(_horner(pcoeffs, grid) - phi0))) if pcoeffs else 0.0
-    floor = m * m * t * sup
+    floor = m * m * t * (phi - RadialProfile([phi0])).sup_norm()
     den = max(abs(formula), abs(fd), floor)
     rel = abs(formula - fd) / den if den > 0 else 0.0
     return FirstVariationResult(m, s, t, formula, fd, rel)

@@ -17,10 +17,6 @@ class PoleError(ComputationError):
     """Evaluation lands exactly on a resonant pole."""
 
 
-class DerivativeUnavailableError(ComputationError):
-    """A metric profile does not supply derivatives of the requested order."""
-
-
 class StepUnderflowError(ComputationError):
     """Finite-difference step too small for the working precision."""
 

@@ -10,6 +10,7 @@ import itertools
 import json
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -33,6 +34,8 @@ from cpnbergman import (
     variation_order1_polynomial,
     variation_series_eigen,
 )
+
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def _sympy_laplacian_power(n, P, Q, k):
@@ -66,8 +69,6 @@ class TestMultiIndex:
         P = MultiIndex((2, 1))
         assert P.degree == 3
         assert P.factorial() == 2
-        assert P.add_unit(1)[1] == 2
-        assert P.sub_unit(0)[0] == 1
 
     def test_ordering_is_total(self):
         idx = sorted(MultiIndex(P) for P in _all_indices(2, 2))
@@ -102,14 +103,40 @@ class TestLaplacianPowers:
                     n, P, Q, k
                 ) == _sympy_laplacian_power(n, P, Q, k), (n, P, Q, k)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_mixed_monomials_vanish_at_origin(self, n):
         for P in _all_indices(n, 2):
             for Q in _all_indices(n, 2):
                 if P == Q:
                     continue
-                for k in range(5):
+                for k in range(7 if n <= 2 else 5):
                     assert mixed_laplacian_power_at_zero(n, P, Q, k) == 0
+
+    def test_matches_pinned_values(self):
+        # n = 1..4, |P| <= 3, k <= 6 (k <= 4 for n >= 3), pinned from the
+        # Fraction rewrite this integer engine replaced
+        rows = json.loads((GOLDEN / "laplacian_power_at_zero.json").read_text())
+        assert len(rows) == 69
+        for row in rows:
+            n, P = row["n"], tuple(row["P"])
+            for k, want in enumerate(row["k_values"]):
+                assert laplacian_power_at_zero(n, P, k) == want, (n, P, k)
+                assert mixed_laplacian_power_at_zero(n, P, P, k) == want, (n, P, k)
+
+    @pytest.mark.parametrize("bad", [(1,), (1, 2, 3), (1, -1)])
+    def test_rejects_malformed_index(self, bad):
+        with pytest.raises(ValueError):
+            laplacian_power_at_zero(2, bad, 1)
+        with pytest.raises(ValueError):
+            mixed_laplacian_power_at_zero(2, bad, (0, 0), 1)
+        with pytest.raises(ValueError):
+            mixed_laplacian_power_at_zero(2, (0, 0), bad, 1)
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            laplacian_power_at_zero(2, (1, 0), -1)
+        with pytest.raises(ValueError):
+            mixed_laplacian_power_at_zero(2, (1, 0), (0, 1), -1)
 
     def test_diagonal_consistency(self):
         for P in _all_indices(2, 3):

@@ -7,7 +7,6 @@ sympy differentiation of the radial curvature formulas
 """
 
 import math
-import types
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +14,6 @@ import pytest
 import sympy as sp
 
 from cpnbergman import (
-    DerivativeUnavailableError,
     PhiK,
     PositivityError,
     QuadratureError,
@@ -23,7 +21,6 @@ from cpnbergman import (
     RadialProfile,
     StepUnderflowError,
     bergman_density,
-    density_with_potential,
     first_variation,
     scalar_curvature,
     section_norms,
@@ -56,7 +53,7 @@ class TestRadialProfile:
         assert RadialProfile.zero().is_zero
 
     def test_phi1_poly_constructor(self):
-        u = RadialProfile.from_phi1_poly([0.0, 0.0, 1.0])
+        u = RadialProfile([0.0, 0.0, 1.0])
         assert u.value(1.0) == pytest.approx(0.25)
 
     def test_laplacian_matches_eigenfunction_family(self):
@@ -117,6 +114,13 @@ class TestRadialMetric:
     def test_positivity_enforced(self):
         with pytest.raises(PositivityError):
             RadialMetric(RadialProfile.eigenfunction_bump(0.6))
+
+    def test_narrow_dip_rejected(self):
+        # v(p) dips to about -1e-9 at p = 0.30001 (s = 2.333), between the
+        # nodes of a 4097-point grid in p; the critical-point check finds it
+        prof = RadialProfile([0.0, -0.27019795241713407, -1.3513951806398625])
+        with pytest.raises(PositivityError, match=r"near s = 2\.333"):
+            RadialMetric(prof)
 
     def test_h_log_fubini_study(self):
         fs = RadialMetric.fubini_study()
@@ -262,14 +266,14 @@ class TestDensityWithPotential:
     def test_zero_step_identical(self):
         met = RadialMetric(RadialProfile.rational_bump(0.2))
         phi = RadialProfile.eigenfunction_bump(1.0)
-        a = density_with_potential(met, phi, 0.0, 6, GRID)
+        a = bergman_density(met.with_potential(phi, 0.0), 6, GRID)
         b = bergman_density(met, 6, GRID)
         assert np.array_equal(a.values, b.values)
 
     def test_constant_potential_invariant(self):
         met = RadialMetric.fubini_study()
         phi = RadialProfile([2.0])
-        a = density_with_potential(met, phi, 0.3, 6, GRID)
+        a = bergman_density(met.with_potential(phi, 0.3), 6, GRID)
         assert np.all(np.abs(a.values - 7.0) < 1e-9)
 
     def test_first_order_magnitude(self):
@@ -278,12 +282,12 @@ class TestDensityWithPotential:
         # the first-eigenspace direction is an automorphism pullback:
         # its first-order density change vanishes, only O((tm)^2) remains
         phi = RadialProfile.eigenfunction_bump(1.0)
-        res = density_with_potential(met, phi, t, m, GRID)
+        res = bergman_density(met.with_potential(phi, t), m, GRID)
         dev = np.max(np.abs(res.values - (m + 1)))
         assert dev < t * m
         # a level-2 direction moves the density at first order in t
         phi2 = RadialProfile([0.0, 0.0, 1.0])
-        res2 = density_with_potential(met, phi2, t, m, GRID)
+        res2 = bergman_density(met.with_potential(phi2, t), m, GRID)
         dev2 = np.max(np.abs(res2.values - (m + 1)))
         assert 1e-4 < dev2 < 5 * t * m
 
@@ -330,13 +334,6 @@ class TestScalarCurvature:
         for sv in (0.0, 0.8, 3.0):
             rep = scalar_curvature(met, sv)
             assert rep.a2 == pytest.approx(rep.lap_rho / 3.0, rel=1e-12, abs=1e-14)
-
-    def test_derivative_unavailable(self):
-        met = RadialMetric.fubini_study()
-        broken = types.SimpleNamespace(profile=types.SimpleNamespace())
-        broken.w = met.w
-        with pytest.raises(DerivativeUnavailableError):
-            scalar_curvature(broken, 0.5)
 
 
 class TestFirstVariation:

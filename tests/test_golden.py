@@ -6,7 +6,9 @@ fails here.  The exact commands (convert-poly, variation, polynomiality)
 were pinned before the integer variation engine; fs-check --n 1 and
 density before the single-pass cp1_integral, which they never reach.
 center, first-variation and fs-check --n 2 were pinned after it: their
-last digits moved with it (by at most 1.9e-16 in A).
+last digits moved with it (by at most 1.9e-16 in A).  The phi1-poly and
+rational-bump densities, fit and the center --trace-out CSV were pinned
+before the exact positivity check and the single Laplacian rewrite.
 """
 
 import subprocess
@@ -37,12 +39,33 @@ CASES = {
     "first-variation_eigenfunction-bump_eps1_m20.json": ["first-variation", "--phi",
                                                          "eigenfunction-bump", "--eps", "1.0",
                                                          "--m", "20"],
+    "density_phi1-poly_0_0.05_-0.02.csv": ["density", "--metric", "phi1-poly",
+                                           "--coeffs", "0,0.05,-0.02", "--m-list", "20,40",
+                                           "--grid", "0,1"],
+    "density_rational-bump_eps0.2.csv": ["density", "--metric", "rational-bump",
+                                         "--eps", "0.2", "--m-list", "20,40,60",
+                                         "--grid", "0,0.5,1,2"],
+    "fit_eigenfunction-bump_eps0.1_s0.5_K2.json": [
+        "fit", "--samples", str(GOLDEN / "density_eigenfunction-bump_eps0.1.csv"),
+        "--at-s", "0.5", "--K", "2"],
 }
+
+
+def _run(args):
+    proc = subprocess.run([sys.executable, "-m", "cpnbergman", *args],
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name):
-    proc = subprocess.run([sys.executable, "-m", "cpnbergman", *CASES[name]],
-                          capture_output=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / name).read_bytes()
+    assert _run(CASES[name]) == (GOLDEN / name).read_bytes()
+
+
+def test_center_trace_out_matches_golden(tmp_path):
+    trace = tmp_path / "trace.csv"
+    stdout = _run(["center", "--potential", "gauge-diag", "--scale", "0.05",
+                   "--trace-out", str(trace)])
+    assert stdout == (GOLDEN / "center_gauge-diag_0.05.json").read_bytes()
+    assert trace.read_bytes() == (GOLDEN / "center_gauge-diag_0.05_trace.csv").read_bytes()
