@@ -42,9 +42,28 @@ def _panel(f, a: float, b: float, order: int):
     x, w = _gl(order)
     half = 0.5 * (b - a)
     vals = f(0.5 * (a + b) + half * x)
+    if isinstance(vals, tuple):
+        k, start, rows = vals
+        return k, start, half * (rows @ w)
     if vals.ndim == 1:
         return half * float(np.dot(w, vals))
     return half * (vals @ w)
+
+
+def _pad(part, start: int, size: int) -> np.ndarray:
+    """Rows start .. start + size - 1 of a banded value, zeros outside its window."""
+    _, s, vals = part
+    if s == start and len(vals) == size:
+        return vals
+    out = np.zeros(size)
+    out[s - start:s - start + len(vals)] = vals
+    return out
+
+
+def _hull(*parts):
+    """(start, size) of the smallest row window holding every part's window."""
+    start = min(p[1] for p in parts)
+    return start, max(p[1] + len(p[2]) for p in parts) - start
 
 
 def integrate_interval(
@@ -72,6 +91,22 @@ def integrate_interval(
     fixed from a single early rule would trust totals that miss narrow
     peaks entirely.  A non-finite vector integrand raises QuadratureError.
 
+    A banded vector integrand returns a triple (k, j0, values) instead,
+    values holding rows j0 .. j0 + len(values) - 1 of the k; the rows it
+    leaves out count as exact zeros on those nodes.  This is for rows
+    that each matter only near their own peak, and the integrand must
+    certify what it leaves out: a row below a cut on every node gives a
+    rule value below the panel width times that cut.  section_norms does
+    so with a cut of 1e-30 of each row's own scale, never an absolute
+    one: its row j is log-concave in t = log s times a factor v(p) <=
+    v_max, so a tangent line in t, with v_max / v, bounds it outside a
+    support computed once per row.  Each panel carries the hull of its
+    three rules' row windows; its error estimate and its share of the
+    totals are added into the dense (k,) vectors on that window alone,
+    and where a window covers every row the arithmetic is the dense one,
+    in the same order.  Panels, priorities and the result are as for the
+    shape (k, len(x)) form.
+
     When the tolerance sits below the integrand's rounding level,
     splitting no longer lowers the estimate.  So once every component
     still short of its bound has an error estimate within _FLOOR_ULPS
@@ -88,21 +123,61 @@ def integrate_interval(
     if not b > a:
         raise ValueError("need b > a")
 
-    def split(lo: float, hi: float, coarse=None):
-        if coarse is None:
-            coarse = _panel(f, lo, hi, order)
+    coarse = _panel(f, a, b, order)
+    if isinstance(coarse, tuple):
+        # banded values (k, start, values), combined on the hull of their windows
+        k = coarse[0]
+
+        def pair(left, right):
+            start, size = _hull(left, right)
+            return k, start, _pad(left, start, size) + _pad(right, start, size)
+
+        def diff(left, right, coarse):
+            start, size = _hull(left, right, coarse)
+            return k, start, np.abs(_pad(left, start, size) + _pad(right, start, size)
+                                    - _pad(coarse, start, size))
+
+        def add(acc, part, sign):
+            _, start, vals = part
+            rows = acc[start:start + len(vals)]
+            if sign > 0:
+                rows += vals
+            else:
+                rows -= vals
+            return acc
+
+        def on_window(total, e):
+            _, start, vals = e
+            return total[start:start + len(vals)], vals
+    else:
+        def pair(left, right):
+            return left + right
+
+        def diff(left, right, coarse):
+            return abs(left + right - coarse)
+
+        def add(acc, part, sign):
+            return acc + part if sign > 0 else acc - part
+
+        def on_window(total, e):
+            return total, e
+
+    def split(lo: float, hi: float, coarse):
         mid = 0.5 * (lo + hi)
         left = _panel(f, lo, mid, order)
         right = _panel(f, mid, hi, order)
-        return left, right, abs(left + right - coarse)
+        return left, right, diff(left, right, coarse)
 
     floor = max(atol, np.finfo(float).tiny)
 
     def bound(total):
         return np.maximum(rtol * np.abs(total), floor)
 
-    left, right, err = split(a, b)
-    total = left + right
+    left, right, err = split(a, b, coarse)
+    root = (a, b, left, right, err)
+    total = pair(left, right)
+    if isinstance(coarse, tuple):
+        total, err = add(np.zeros(k), total, 1), add(np.zeros(k), err, 1)
     if screen is not None:
         screen(total, err)
     rounding = _FLOOR_ULPS * np.finfo(float).eps
@@ -120,7 +195,8 @@ def integrate_interval(
             return err / limit
     else:
         def priority(e, total):
-            return float(np.max(e / bound(total)))
+            total, e = on_window(total, e)
+            return float(np.max(e / bound(total), initial=0.0))
 
         def unmet(err, total):
             if not np.all(np.isfinite(err)):
@@ -140,7 +216,7 @@ def integrate_interval(
         return QuadratureError("%s: %d panels, error estimate %.3e on total %.3e"
                                % (reason, count, errs[j], totals[j]))
 
-    heap = [(-priority(err, total), a, b, left, right, err)]
+    heap = [(-priority(root[4], total),) + root]
     count = 1
     # worst error/bound ratio while stuck at the rounding level, and when it was set
     mark, marked_at = None, count
@@ -148,13 +224,13 @@ def integrate_interval(
         if count >= max_panels:
             raise fail("quadrature budget exhausted")
         _, lo, hi, left, right, e = heapq.heappop(heap)
-        total = total - (left + right)
-        err = err - e
+        total = add(total, pair(left, right), -1)
+        err = add(err, e, -1)
         mid = 0.5 * (lo + hi)
         children = [(lo, mid) + split(lo, mid, left), (mid, hi) + split(mid, hi, right)]
         for _, _, cleft, cright, ce in children:
-            total = total + (cleft + cright)
-            err = err + ce
+            total = add(total, pair(cleft, cright), 1)
+            err = add(err, ce, 1)
         for child in children:
             heapq.heappush(heap, (-priority(child[4], total),) + child)
         count += 1

@@ -306,11 +306,6 @@ class InverseMSeries:
         c0 = self.coeffs[0]
         return InverseMSeries(self.lead, [c / c0 for c in self.coeffs])
 
-    def truncate(self, order: int) -> "InverseMSeries":
-        if order >= self.order:
-            return self
-        return InverseMSeries(self.lead, self.coeffs[: order + 1])
-
     def evaluate(self, m):
         """Evaluate at a concrete m; exact when m is int/Fraction."""
         inv = Fraction(1, 1) / Fraction(m) if not isinstance(m, float) else 1.0 / m

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import cpnbergman.density as density_module
 from cpnbergman import (
     PhiK,
     PositivityError,
@@ -214,6 +215,103 @@ class TestSectionNorms:
         assert m * m * np.max(np.abs(res.values - model)) <= 32.0
 
 
+    @pytest.mark.parametrize("m", [10000, 20000])
+    def test_fs_log_norms_at_large_m(self, m):
+        # past the dense pass's reach (4 s at m = 20000): the banded pass
+        # meets lgamma's own rounding, 3.4e-11 and 6.0e-11 in log
+        res = bergman_density(RadialMetric.fubini_study(), m, GRID + [1e4], tol=1e-13)
+        assert np.max(np.abs(res.log_norms - lgamma_log_beta(m))) < 1e-10
+        assert np.max(np.abs(res.values - (m + 1))) < 1e-10 * (m + 1)
+
+    def test_eigenfunction_bump_at_m_20000(self):
+        # m^2 residuals measured 1.3, 3.1, 6.8, 25 and 58 on this grid: at
+        # m = 20000 they sit at the rounding of exponents as large as
+        # m log(1+s) (1.4e5 at s = 1e3), times m^2, not at the a3 term
+        met = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
+        m = 20000
+        grid = [0.0, 0.25, 1.0, 3.0, 1e3]
+        res = bergman_density(met, m, grid, tol=1e-12)
+        reps = [scalar_curvature(met, s) for s in grid]
+        model = np.array([m + r.a1 + r.a2 / m for r in reps])
+        assert m * m * np.max(np.abs(res.values - model)) <= 100.0
+
+    def test_tolerance_below_rounding_fails_fast_at_m_20000(self):
+        met = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
+        with pytest.raises(QuadratureError, match="stalled"):
+            section_norms(met, 20000, tol=1e-13)
+
+
+BANDED_METRICS = {
+    "fs": RadialProfile.zero(),
+    "eigenfunction-bump-0.1": RadialProfile.eigenfunction_bump(0.1),
+    "eigenfunction-bump-0.45": RadialProfile.eigenfunction_bump(0.45),
+    "rational-bump-0.2": RadialProfile.rational_bump(0.2),
+    "phi1-poly": RadialProfile([0.0, 0.05, -0.02]),
+}
+
+
+class TestBandedSectionNorms:
+    @staticmethod
+    def norms(monkeypatch, met, m, banded):
+        monkeypatch.setattr(density_module, "_banding_pays", lambda *args: banded)
+        return section_norms(met, m)
+
+    @pytest.mark.parametrize("m", [20, 60, 200, 1060, 5000])
+    @pytest.mark.parametrize("name", sorted(BANDED_METRICS))
+    def test_banded_equals_dense(self, monkeypatch, name, m):
+        met = RadialMetric(BANDED_METRICS[name])
+        dense = self.norms(monkeypatch, met, m, False)
+        banded = self.norms(monkeypatch, met, m, True)
+        assert np.max(np.abs(banded - dense)) <= 1e-12
+
+    def test_banding_switches_on_with_m(self):
+        # the cut leaves out half of the row x node values from m of about 380
+        for m, expected in ((0, False), (2, False), (200, False), (370, False),
+                            (390, True), (1060, True)):
+            xs = np.arange(m + 1) / max(m, 1)
+            assert density_module._banding_pays(m, xs, 1.0 - xs, np.ones(m + 1)) is expected
+
+    def test_cut_is_relative_to_each_row(self, monkeypatch):
+        # eigenfunction bump 0.45 at m = 5000: some shifted rows integrate
+        # to far below 1e-30, so an absolute cut would drop whole rows
+        met = RadialMetric(RadialProfile.eigenfunction_bump(0.45))
+        m = 5000
+        totals = []
+        quadrature = density_module.integrate_interval
+
+        def spy(f, a, b, **kwargs):
+            totals.append(quadrature(f, a, b, **kwargs))
+            return totals[-1]
+
+        monkeypatch.setattr(density_module, "integrate_interval", spy)
+        dense = self.norms(monkeypatch, met, m, False)
+        assert totals[0].min() < 1e-40
+        assert np.max(np.abs(self.norms(monkeypatch, met, m, True) - dense)) <= 1e-12
+
+        # each row over its value at x* = j/m, from u and v directly
+        u, v = met.profile, np.polynomial.Polynomial(met._v_coeffs)
+
+        def log_row(j, x):
+            xs = j / m
+            with np.errstate(divide="ignore"):
+                out = (j * (np.log(x) - math.log(xs)) if j else 0.0) + \
+                    ((m - j) * (np.log1p(-x) - math.log1p(-xs)) if j < m else 0.0)
+            return out - m * (u.value_p(1 - x) - u.value_p(1 - xs)) \
+                + np.log(v(1 - x) / v(1 - xs))
+
+        lower, upper = density_module._row_supports(met, m)
+        assert np.all(np.diff(lower) >= 0) and np.all(np.diff(upper) >= 0)
+        assert np.all(lower < upper)
+        for j in range(0, m + 1, 125):
+            inside = np.append(np.linspace(lower[j], upper[j], 4001), j / m)
+            scale = np.max(log_row(j, inside))  # the row's own scale, >= its value at x*
+            # an end of 0 or 1 is no cut at all: no node lies beyond it
+            outside = np.concatenate([np.linspace(0.0, lower[j], 200) if lower[j] > 0 else [],
+                                      np.linspace(upper[j], 1.0, 200) if upper[j] < 1 else []])
+            if len(outside):
+                assert np.max(log_row(j, outside)) <= math.log(1e-30) + scale, j
+
+
 class TestBergmanDensity:
     def test_fs_constant(self):
         res = bergman_density(RadialMetric.fubini_study(), 3, GRID + [1e4])
@@ -315,7 +413,7 @@ class TestScalarCurvature:
     )
     def test_against_symbolic_oracle(self, u_maker, u_sym):
         eps = 0.2
-        s = sp.symbols("s", positive=True)
+        s = sp.symbols("s")
         rho_expr, lap_expr = sympy_curvature(u_sym(eps, s), s)
         met = RadialMetric(u_maker(eps))
         for sv in (0.01, 0.3, 1.0, 2.7, 10.0):
