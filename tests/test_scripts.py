@@ -1,4 +1,4 @@
-"""The driver scripts under scripts/ as their CI steps run them."""
+"""The experiment scripts under scripts/, run with the arguments CI gives them."""
 
 import importlib.util
 from pathlib import Path
