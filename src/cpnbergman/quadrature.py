@@ -124,7 +124,8 @@ def integrate_interval(
         raise ValueError("need b > a")
 
     coarse = _panel(f, a, b, order)
-    if isinstance(coarse, tuple):
+    banded = isinstance(coarse, tuple)
+    if banded:
         # banded values (k, start, values), combined on the hull of their windows
         k = coarse[0]
 
@@ -176,7 +177,7 @@ def integrate_interval(
     left, right, err = split(a, b, coarse)
     root = (a, b, left, right, err)
     total = pair(left, right)
-    if isinstance(coarse, tuple):
+    if banded:
         total, err = add(np.zeros(k), total, 1), add(np.zeros(k), err, 1)
     if screen is not None:
         screen(total, err)

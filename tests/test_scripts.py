@@ -1,4 +1,4 @@
-"""The experiment scripts under scripts/, run with the arguments CI gives them."""
+"""The experiment scripts under scripts/, called through their main()."""
 
 import importlib.util
 from pathlib import Path
