@@ -291,7 +291,8 @@ def _row_supports(metric: RadialMetric, m: int):
     return np.minimum.accumulate(lower[::-1])[::-1], np.maximum.accumulate(upper)
 
 
-def _banding_pays(m: int, xs: np.ndarray, ps: np.ndarray, v_star: np.ndarray) -> bool:
+def _banding_pays(m: int, xs: np.ndarray, ps: np.ndarray, v_star: np.ndarray,
+                  v_max: float) -> bool:
     """Whether the cut leaves out at least half of the row x node values.
 
     With L = log(1/_ROW_CUT), row j's support is about
@@ -301,7 +302,10 @@ def _banding_pays(m: int, xs: np.ndarray, ps: np.ndarray, v_star: np.ndarray) ->
     half from m = 376 on.  Below that the supports and the window lookups
     cost more than banding saves: forced banding measured 30% slower at
     m = 100 and 8-13% slower at m = 200, but 10% faster at m = 300.
+    The exponential width alone, at least 2 L / (m v_max), settles small m.
     """
+    if 4.0 * -math.log(_ROW_CUT) >= max(m, 1) * v_max:
+        return False
     drop = -math.log(_ROW_CUT) / (max(m, 1) * v_star)
     width = np.maximum(np.sqrt(8.0 * drop * xs * ps), 2.0 * drop)
     return bool(np.mean(np.minimum(width, 1.0)) < 0.5)
@@ -376,7 +380,7 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
         expo -= offset
         return np.exp(expo, out=expo)
 
-    if _banding_pays(m, xs, ps, v_star):
+    if _banding_pays(m, xs, ps, v_star, metric._v_range[1]):
         lower, upper = _row_supports(metric, m)
 
         def integrand(x):

@@ -197,7 +197,7 @@ def integrate_interval(
     else:
         def priority(e, total):
             total, e = on_window(total, e)
-            return float(np.max(e / bound(total), initial=0.0))
+            return float((e / bound(total)).max(initial=0.0))
 
         def unmet(err, total):
             if not np.all(np.isfinite(err)):

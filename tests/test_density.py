@@ -269,7 +269,7 @@ class TestBandedSectionNorms:
         for m, expected in ((0, False), (2, False), (200, False), (370, False),
                             (390, True), (1060, True)):
             xs = np.arange(m + 1) / max(m, 1)
-            assert density_module._banding_pays(m, xs, 1.0 - xs, np.ones(m + 1)) is expected
+            assert density_module._banding_pays(m, xs, 1.0 - xs, np.ones(m + 1), 1.0) is expected
 
     def test_cut_is_relative_to_each_row(self, monkeypatch):
         # eigenfunction bump 0.45 at m = 5000: some shifted rows integrate
