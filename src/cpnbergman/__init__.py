@@ -29,8 +29,7 @@ from .projective import (EigenBasisFunction, HermitianRational, PhiK,
                          canonical_p_basis, chart_lift, eigenfunction_pairing_closed_form,
                          eigenfunction_pairing_product, first_eigenbasis,
                          fs_density_exact, fs_laplacian_radial, hermitian_pairing,
-                         numeric_fs_laplacian, pairing_step, phi_k_laplacian_residual,
-                         sigma_prime_closed_form)
+                         pairing_step, phi_k_laplacian_residual, sigma_prime_closed_form)
 from .quadrature import (cp1_integral, fs_weight, integrate_half_line,
                          integrate_interval, monomial_kernel_quadrature)
 from .ratpoly import InverseMSeries, RationalPolynomial

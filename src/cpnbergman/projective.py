@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -290,68 +290,3 @@ def canonical_p_basis(n: int) -> List[HermitianRational]:
     ordering of first_eigenbasis but with raw (non-orthogonalized) diagonals."""
     out = [f.exact for f in first_eigenbasis(n) if f.kind != "diag"]
     return out + [_raw_diagonal(n, i) for i in range(1, n + 1)]
-
-
-def numeric_fs_laplacian(f: Callable, z, n: int, h: float = 0.04,
-                         levels: int = 3) -> float:
-    """Fubini-Study Laplacian by Richardson-extrapolated central differences.
-
-    Delta = (1+|z|^2) sum_ij (delta_ij + z_i zbar_j) d^2/dz_i dzbar_j.
-    f takes a chart point (complex scalar for n=1, tuple for n >= 2).
-    """
-    zv = np.array([z] if n == 1 else list(z), dtype=complex)
-
-    def call(w: np.ndarray) -> float:
-        return f(complex(w[0])) if n == 1 else f(tuple(w))
-
-    def hessian(step: float) -> np.ndarray:
-        # mixed complex derivatives from real-coordinate second differences
-        H = np.zeros((n, n), dtype=complex)
-        e = np.eye(n)
-        f0 = call(zv)
-        for i in range(n):
-            for j in range(n):
-                dxi = e[i] * step
-                dxj = e[j] * step
-                dyi = 1j * e[i] * step
-                dyj = 1j * e[j] * step
-                if i == j:
-                    dxx = (call(zv + dxi) + call(zv - dxi) - 2 * f0) / step**2
-                    dyy = (call(zv + dyi) + call(zv - dyi) - 2 * f0) / step**2
-                    dxy = (
-                        call(zv + dxi + dyj) - call(zv + dxi - dyj)
-                        - call(zv - dxi + dyj) + call(zv - dxi - dyj)
-                    ) / (4 * step**2)
-                    H[i, j] = 0.25 * (dxx + dyy)  # i(dxy - dyx) = 0 for i = j
-                else:
-                    dxx = (
-                        call(zv + dxi + dxj) - call(zv + dxi - dxj)
-                        - call(zv - dxi + dxj) + call(zv - dxi - dxj)
-                    ) / (4 * step**2)
-                    dyy = (
-                        call(zv + dyi + dyj) - call(zv + dyi - dyj)
-                        - call(zv - dyi + dyj) + call(zv - dyi - dyj)
-                    ) / (4 * step**2)
-                    dxy = (
-                        call(zv + dxi + dyj) - call(zv + dxi - dyj)
-                        - call(zv - dxi + dyj) + call(zv - dxi - dyj)
-                    ) / (4 * step**2)
-                    dyx = (
-                        call(zv + dyi + dxj) - call(zv + dyi - dxj)
-                        - call(zv - dyi + dxj) + call(zv - dyi - dxj)
-                    ) / (4 * step**2)
-                    H[i, j] = 0.25 * (dxx + dyy + 1j * (dxy - dyx))
-        return H
-
-    # Richardson on h, h/2, h/4: central differences have even error series
-    tableau = [hessian(h / 2**lev) for lev in range(levels)]
-    for col in range(1, levels):
-        fac = 4.0**col
-        tableau = [
-            (fac * tableau[r + 1] - tableau[r]) / (fac - 1.0)
-            for r in range(len(tableau) - 1)
-        ]
-    H = tableau[0]
-    s = float(np.sum(np.abs(zv) ** 2))
-    ginv = np.eye(n, dtype=complex) + np.outer(zv, np.conj(zv))
-    return float(np.real((1.0 + s) * np.sum(ginv * H)))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cpnbergman import centering
 from cpnbergman import (
     AutomorphismPotential,
     DivergenceError,
@@ -148,6 +149,111 @@ class TestResidual:
             want = _residual_per_component(A, phi, L)
             assert np.max(np.abs(got - want)) < 1e-12
             assert np.max(np.abs(want)) > 1e-3
+
+
+def _uncached_residual(A, phi, L, rtol=1e-10):
+    """The centering integrals with every factor recomputed from z on every call.
+
+    The integrand as it stood before the node cache; center and
+    estimate_contraction pass their cache in place of phi, so unwrap it.
+    """
+    phi = getattr(phi, "phi", phi)
+    E = A.scaled(-1.0).expm()
+
+    def F(z):
+        T = L.theta_matrices.reshape((L.size, 4) + (1,) * np.ndim(z))
+        s = np.abs(z) ** 2
+        quad = T[:, 0].real + T[:, 3].real * s + 2.0 * (T[:, 1] * z).real
+        Z = chart_lift(1, z)
+        W = np.tensordot(E, Z, 1)
+        num = np.sum(np.abs(W) ** 2, axis=0)
+        den = np.sum(np.abs(Z) ** 2, axis=0)
+        return (phi(z) - np.log(num / den)) * quad / (1.0 + s)
+
+    return cp1_integral(F, fs_weight, rtol=rtol, atol=1e-13)
+
+
+def _mix_potential():
+    pots = [eigenbasis_potential(fn, w)
+            for fn, w in zip(first_eigenbasis(1), (0.03, -0.025, 0.02))]
+    return lambda z: sum(p(z) for p in pots)
+
+
+_BITWISE_POTENTIALS = {
+    "gauge": lambda: gauge_potential(TracelessHermitian(
+        np.array([[0.03, 0.02 - 0.01j], [0.02 + 0.01j, -0.03]]))),
+    "eigenbasis-mix": _mix_potential,
+    "zero": lambda: zero_potential,
+    "scalar-lambda": lambda: (lambda z: 0.02),
+}
+
+
+class TestNodeCache:
+    def test_phi_once_per_node_set(self):
+        nodes = []
+        gauge = gauge_potential(DIAG.scaled(0.05 / math.sqrt(2)))
+
+        def phi(z):
+            nodes.append(z.tobytes())
+            return gauge(z)
+
+        state = center(phi)
+        assert state.converged and state.iteration == 4
+        # the C0 grid, then one call per distinct node array: without the
+        # cache each of the 5 residuals would evaluate phi on all 3 rules
+        assert len(nodes) == 1 + 3
+        assert len(set(nodes)) == len(nodes)
+
+    def test_cached_arrays_are_read_only(self):
+        own = np.zeros((15, 128))
+
+        def phi(z):
+            return own
+
+        nodes = centering._NodeCache(phi, build_L(1))
+        z = np.linspace(0.1, 2.0, 15)[:, None] * np.exp(1j * np.linspace(0.0, 6.0, 128))
+        factors = nodes.factors(z)
+        assert nodes.factors(z.copy()) is factors
+        for array in factors:
+            with pytest.raises(ValueError):
+                array.flat[0] = 1.0
+        own[0, 0] = 1.0  # phi's own array stays writable
+        assert factors[0][0, 0] == 1.0
+
+    def test_nodes_match_exactly(self):
+        nodes = centering._NodeCache(zero_potential, build_L(1))
+        z = np.linspace(0.1, 2.0, 15)[:, None] * np.exp(1j * np.linspace(0.0, 6.0, 128))
+        moved = z.copy()
+        moved[-1, -1] *= 1.0 + 1e-16 * 4  # past the leading key bytes, one ulp off
+        assert moved.tobytes() != z.tobytes()
+        assert nodes.factors(moved) is not nodes.factors(z)
+        assert nodes.factors(z.astype(np.complex64)) is not nodes.factors(z)
+
+    def test_full_cache_computes_without_storing(self, monkeypatch):
+        monkeypatch.setattr(centering, "_CACHE_BYTES", 0)
+        nodes = centering._NodeCache(zero_potential, build_L(1))
+        z = np.linspace(0.1, 2.0, 15)[:, None] * np.exp(1j * np.linspace(0.0, 6.0, 128))
+        first, again = nodes.factors(z), nodes.factors(z)
+        assert first is not again
+        for a, b in zip(first, again):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_BITWISE_POTENTIALS))
+    def test_center_bitwise_equal_to_uncached(self, name, monkeypatch):
+        phi = _BITWISE_POTENTIALS[name]()
+        A = TracelessHermitian(np.array([[0.02, -0.01 + 0.015j], [-0.01 - 0.015j, -0.02]]))
+        L = build_L(1)
+        got = center(phi)
+        residual = centering_residual(A, phi, L)
+        contraction = estimate_contraction(phi, n_pairs=2)
+        monkeypatch.setattr(centering, "centering_residual", _uncached_residual)
+        want = center(phi)
+        assert got.iteration == want.iteration
+        assert got.A.matrix.tobytes() == want.A.matrix.tobytes()
+        assert got.residual.tobytes() == want.residual.tobytes()
+        assert got.trace == want.trace
+        assert residual.tobytes() == _uncached_residual(A, phi, L).tobytes()
+        assert contraction == estimate_contraction(phi, n_pairs=2)
 
 
 class TestStepMap:

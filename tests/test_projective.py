@@ -20,12 +20,12 @@ from cpnbergman import (
     fs_density_exact,
     fs_weight,
     hermitian_pairing,
-    numeric_fs_laplacian,
     pairing_step,
     phi_k_laplacian_residual,
     sigma_prime_closed_form,
     variation_series_eigen,
 )
+from fd_laplacian import numeric_fs_laplacian
 
 
 class TestDensityConstant:
