@@ -12,10 +12,9 @@ from .conversion import (ConversionTable, MultiIndex,
                          fs_monomial_integral, laplacian_power_at_zero,
                          mixed_laplacian_power_at_zero, polynomiality_criterion,
                          variation_order1_polynomial, variation_series_eigen)
-from .centering import (AutomorphismPotential, CenteringState, LMap,
-                        TracelessHermitian, build_L, center, centering_residual,
-                        eigenbasis_potential, estimate_contraction, gauge_potential,
-                        rho_potential, t_step, zero_potential)
+from .centering import (CenteringState, LMap, TracelessHermitian, build_L, center,
+                        centering_residual, eigenbasis_potential, estimate_contraction,
+                        gauge_potential, rho_potential, t_step, zero_potential)
 from .density import (CurvatureReport, DensityResult, FirstVariationResult,
                       RadialMetric, RadialProfile, bergman_density,
                       first_variation, scalar_curvature, section_norms)

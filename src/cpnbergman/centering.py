@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, List
 
 import numpy as np
@@ -99,18 +99,9 @@ def rho_potential(A: TracelessHermitian, z):
     return _log_ratio(A.expm(), Z, np.sum(np.abs(Z) ** 2, axis=0))
 
 
-class AutomorphismPotential:
-    """rho_A as a chart potential; rho_0 is identically zero."""
-
-    def __init__(self, A: TracelessHermitian):
-        self.A = A
-
-    def __call__(self, z):
-        return rho_potential(self.A, z)
-
-
-def gauge_potential(B: TracelessHermitian) -> AutomorphismPotential:
-    return AutomorphismPotential(B)
+def gauge_potential(B: TracelessHermitian) -> Callable:
+    """rho_B as a chart potential of z; rho_0 is identically zero."""
+    return partial(rho_potential, B)
 
 
 def zero_potential(z):
@@ -352,11 +343,12 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *, n: int = 1,
         nodes.clear()
 
 
-def _sup_norm_estimate(phi: Callable, n_radial: int = 81, n_theta: int = 32) -> float:
-    p = np.linspace(1e-4, 1.0, n_radial, endpoint=False)
+def _sup_norm_estimate(phi: Callable) -> float:
+    # max |phi| on an 81 x 32 chart grid reaching towards both poles
+    p = np.linspace(1e-4, 1.0, 81, endpoint=False)
     s = 1.0 / p - 1.0
     radius = np.sqrt(s)
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
     z = np.outer(radius, np.exp(1j * theta)).ravel()
     vals = np.abs(np.asarray(phi(z), dtype=float))
     return float(np.max(vals)) if vals.size else 0.0

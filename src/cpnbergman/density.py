@@ -107,15 +107,6 @@ class RadialProfile:
     def fs_laplacian(self, s):
         return _horner(self.fs_laplacian_coeffs(), 1.0 / (1.0 + np.asarray(s, dtype=float)))
 
-    def derivative_coeffs(self):
-        out = [0.0] * (len(self.coeffs) + 1)
-        for k, c in enumerate(self.coeffs):
-            out[k + 1] = -k * c
-        return tuple(out)
-
-    def derivative(self, s):
-        return _horner(self.derivative_coeffs(), 1.0 / (1.0 + np.asarray(s, dtype=float)))
-
     def inverted_chart(self) -> "RadialProfile":
         """The same function read in the chart s' = 1/s.
 
@@ -170,14 +161,9 @@ class RadialMetric:
 
     def __init__(self, profile: RadialProfile):
         self.profile = profile
-        deg = len(profile.coeffs) - 1
-        v = [0.0] * max(deg + 2, 1)
-        v[0] = 1.0
-        for k in range(1, deg + 1):
-            c = profile.coeffs[k]
-            # w-contribution of c p^k: k p^{k+1} (k - (k+1) p), shifted by p^-2
-            v[k - 1] += c * k * k
-            v[k] -= c * k * (k + 1)
+        # w = p^2 (1 + Delta u), Delta the Fubini-Study Laplacian
+        v = list(profile.fs_laplacian_coeffs()) or [0.0]
+        v[0] += 1.0
         self._v_coeffs = tuple(v)
         points = _extremum_candidates(self._v_coeffs)
         vals = _horner(self._v_coeffs, points)
@@ -201,11 +187,6 @@ class RadialMetric:
         """log of the fibre weight h = e^{-u}/(1+s)."""
         s = np.asarray(s, dtype=float)
         return -np.log1p(s) - self.profile.value(s)
-
-    def w(self, s):
-        s = np.asarray(s, dtype=float)
-        p = 1.0 / (1.0 + s)
-        return p * p * _horner(self._v_coeffs, p)
 
     def volume(self) -> float:
         # int_0^inf w ds = int_0^1 v(p) dp, exactly

@@ -154,13 +154,6 @@ class HermitianRational:
                 s += self.re[i][j] * other.re[j][i] - self.im[i][j] * other.im[j][i]
         return s
 
-    def scaled(self, c: Fraction) -> "HermitianRational":
-        c = Fraction(c)
-        return HermitianRational(
-            [[c * x for x in row] for row in self.re],
-            [[c * x for x in row] for row in self.im],
-        )
-
     def minus(self, other: "HermitianRational", c: Fraction) -> "HermitianRational":
         # self - c * other
         c = Fraction(c)

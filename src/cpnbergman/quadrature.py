@@ -9,13 +9,19 @@ until two successive values agree.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import QuadratureError
 
-_GL_CACHE = {}
+# Gauss-Legendre order of every rule, and the panel budget of one pass
+_ORDER = 15
+_MAX_PANELS = 4096
+# cp1_integral's angular steps: (64, 128), (128, 256), ... up to 1024 points
+_N_THETA = 64
+_N_THETA_MAX = 1024
 # Stall test of integrate_interval.  Converging section-norm passes halve
 # their worst error/bound ratio at least every 3 splits; passes whose tol
 # is below the rounding level stall with error estimates of 75 to 800
@@ -29,24 +35,19 @@ _STALL_SPLITS = 32
 _SCREEN_FACTOR = 4.0
 
 
-def _gl(order: int):
-    nodes = _GL_CACHE.get(order)
-    if nodes is None:
-        x, w = np.polynomial.legendre.leggauss(order)
-        nodes = (x, w)
-        _GL_CACHE[order] = nodes
-    return nodes
+@lru_cache(maxsize=None)
+def _gl():
+    # computed on first use: leggauss loads LAPACK, which most imports never need
+    return np.polynomial.legendre.leggauss(_ORDER)
 
 
-def _panel(f, a: float, b: float, order: int):
-    x, w = _gl(order)
+def _panel(f, a: float, b: float):
+    x, w = _gl()
     half = 0.5 * (b - a)
     vals = f(0.5 * (a + b) + half * x)
     if isinstance(vals, tuple):
         k, start, rows = vals
         return k, start, half * (rows @ w)
-    if vals.ndim == 1:
-        return half * float(np.dot(w, vals))
     return half * (vals @ w)
 
 
@@ -72,24 +73,26 @@ def integrate_interval(
     b: float,
     rtol: float = 1e-12,
     atol: float = 0.0,
-    order: int = 15,
-    max_panels: int = 4096,
     screen: Optional[Callable] = None,
 ) -> Union[float, np.ndarray]:
     """Adaptive panel integration of f over [a, b].
 
-    A panel's error is estimated by comparing its single-rule value with
-    the sum over its two halves; the worst panel is split until the summed
-    error estimate meets max(rtol * |total|, atol).  The half-panel rules
-    are kept, so a split costs two new rules for each child, not three.
+    Every rule is Gauss-Legendre of order _ORDER.  A panel's error is
+    estimated by comparing its single-rule value with the sum over its
+    two halves; the worst panel is split until the summed error estimate
+    meets max(rtol * |total|, atol), and QuadratureError is raised once
+    _MAX_PANELS panels do not.  The half-panel rules are kept, so a split
+    costs two new rules for each child, not three.
 
     f may instead return shape (k, len(x)): k integrands sharing one set
     of panels.  The result is then a (k,) array, and splitting goes on
     until every component j meets max(rtol * |total_j|, atol).  A panel's
-    priority is then its largest error across components, each relative
-    to that component's bound at the time the panel is made: a scale
-    fixed from a single early rule would trust totals that miss narrow
-    peaks entirely.  A non-finite vector integrand raises QuadratureError.
+    priority is its largest error across components, each relative to
+    that component's bound at the time the panel is made: a scale fixed
+    from a single early rule would trust totals that miss narrow peaks
+    entirely.  A 1-D f, returning shape (len(x),), is integrated as the
+    one row of such a vector integrand and gives a float.  A non-finite
+    integrand raises QuadratureError.
 
     A banded vector integrand returns a triple (k, j0, values) instead,
     values holding rows j0 .. j0 + len(values) - 1 of the k; the rows it
@@ -123,8 +126,15 @@ def integrate_interval(
     if not b > a:
         raise ValueError("need b > a")
 
-    coarse = _panel(f, a, b, order)
+    coarse = _panel(f, a, b)
     banded = isinstance(coarse, tuple)
+    scalar = not banded and np.ndim(coarse) == 0
+    if scalar:
+        # a 1-D integrand is the one row of a dense vector integrand
+        row, coarse = f, np.array([coarse])
+
+        def f(x):
+            return row(x)[None]
     if banded:
         # banded values (k, start, values), combined on the hull of their windows
         k = coarse[0]
@@ -165,8 +175,8 @@ def integrate_interval(
 
     def split(lo: float, hi: float, coarse):
         mid = 0.5 * (lo + hi)
-        left = _panel(f, lo, mid, order)
-        right = _panel(f, mid, hi, order)
+        left = _panel(f, lo, mid)
+        right = _panel(f, mid, hi)
         return left, right, diff(left, right, coarse)
 
     floor = max(atol, np.finfo(float).tiny)
@@ -182,47 +192,34 @@ def integrate_interval(
     if screen is not None:
         screen(total, err)
     rounding = _FLOOR_ULPS * np.finfo(float).eps
-    if isinstance(total, float):
-        def priority(e, total):
-            return e
 
-        def unmet(err, total):
-            return err > max(rtol * abs(total), atol)
+    def priority(e, total):
+        total, e = on_window(total, e)
+        return float((e / bound(total)).max(initial=0.0))
 
-        def floor_ratio(err, total):
-            limit = max(rtol * abs(total), atol)
-            if err <= limit or err > rounding * abs(total):
-                return None
-            return err / limit
-    else:
-        def priority(e, total):
-            total, e = on_window(total, e)
-            return float((e / bound(total)).max(initial=0.0))
+    def unmet(err, total):
+        if not np.all(np.isfinite(err)):
+            raise QuadratureError("integrand is not finite on [%g, %g]" % (a, b))
+        return bool(np.any(err > bound(total)))
 
-        def unmet(err, total):
-            if not np.all(np.isfinite(err)):
-                raise QuadratureError("integrand is not finite on [%g, %g]" % (a, b))
-            return bool(np.any(err > bound(total)))
-
-        def floor_ratio(err, total):
-            ratio = err / bound(total)
-            short = ratio > 1.0
-            if not np.any(short) or np.any(err[short] > rounding * np.abs(total[short])):
-                return None
-            return float(np.max(ratio))
+    def floor_ratio(err, total):
+        ratio = err / bound(total)
+        short = ratio > 1.0
+        if not np.any(short) or np.any(err[short] > rounding * np.abs(total[short])):
+            return None
+        return float(np.max(ratio))
 
     def fail(reason):
-        errs, totals = np.ravel(err), np.ravel(total)
-        j = int(np.argmax(errs / bound(totals)))
+        j = int(np.argmax(err / bound(total)))
         return QuadratureError("%s: %d panels, error estimate %.3e on total %.3e"
-                               % (reason, count, errs[j], totals[j]))
+                               % (reason, count, err[j], total[j]))
 
     heap = [(-priority(root[4], total),) + root]
     count = 1
     # worst error/bound ratio while stuck at the rounding level, and when it was set
     mark, marked_at = None, count
     while unmet(err, total):
-        if count >= max_panels:
+        if count >= _MAX_PANELS:
             raise fail("quadrature budget exhausted")
         _, lo, hi, left, right, e = heapq.heappop(heap)
         total = add(total, pair(left, right), -1)
@@ -242,15 +239,13 @@ def integrate_interval(
         elif count - marked_at >= _STALL_SPLITS:
             raise fail("error estimate stalled at the rounding level for %d splits"
                        % _STALL_SPLITS)
-    return total
+    return float(total[0]) if scalar else total
 
 
 def integrate_half_line(
     f: Callable[[np.ndarray], np.ndarray],
     rtol: float = 1e-12,
     atol: float = 0.0,
-    order: int = 15,
-    max_panels: int = 4096,
     screen: Optional[Callable] = None,
 ) -> Union[float, np.ndarray]:
     """Integral of f over [0, infinity) via the substitution s = x/(1-x).
@@ -262,8 +257,7 @@ def integrate_half_line(
         om = 1.0 - x
         return f(x / om) / om**2
 
-    return integrate_interval(g, 0.0, 1.0, rtol=rtol, atol=atol, order=order,
-                              max_panels=max_panels, screen=screen)
+    return integrate_interval(g, 0.0, 1.0, rtol=rtol, atol=atol, screen=screen)
 
 
 class _Unsettled(Exception):
@@ -275,10 +269,6 @@ def cp1_integral(
     radial_weight: Callable[[np.ndarray], np.ndarray],
     rtol: float = 1e-10,
     atol: float = 1e-13,
-    n_theta: int = 64,
-    n_theta_max: int = 1024,
-    order: int = 15,
-    max_panels: int = 4096,
 ) -> Union[float, np.ndarray]:
     """Integral over CP^1 of F against radial_weight(s) ds after averaging.
 
@@ -294,7 +284,8 @@ def cp1_integral(
     mean (the even nodes) and the 2 nt-point mean.  The 2 nt value is
     returned once every component's two rows agree within
     max(rtol |I|, atol); otherwise nt doubles, so the steps are (64, 128),
-    (128, 256), ... up to n_theta_max.  A step whose first radial split
+    (128, 256), ... up to (512, 1024), after which QuadratureError is
+    raised.  A step whose first radial split
     already shows a gap far beyond the tolerance plus both rows' error
     estimates moves on without refining; no value is accepted from an
     unrefined pass.
@@ -310,8 +301,8 @@ def cp1_integral(
         if np.any(gap > _SCREEN_FACTOR * (bound(total[k:]) + err[:k] + err[k:])):
             raise _Unsettled
 
-    nt = n_theta
-    while 2 * nt <= n_theta_max:
+    nt = _N_THETA
+    while 2 * nt <= _N_THETA_MAX:
         circle = np.exp(1j * np.pi / nt * np.arange(2 * nt))
 
         def radial(s: np.ndarray) -> np.ndarray:
@@ -324,8 +315,7 @@ def cp1_integral(
 
         nt *= 2
         try:
-            total = integrate_half_line(radial, rtol=rtol, atol=atol, order=order,
-                                        max_panels=max_panels, screen=screen)
+            total = integrate_half_line(radial, rtol=rtol, atol=atol, screen=screen)
         except _Unsettled:
             continue
         k = len(total) // 2
@@ -333,7 +323,7 @@ def cp1_integral(
         if np.all(np.abs(fine - coarse) <= bound(fine)):
             return fine if vector else float(fine[0])
     raise QuadratureError(
-        "angular refinement did not stabilize below n_theta = %d" % n_theta_max
+        "angular refinement did not stabilize below n_theta = %d" % _N_THETA_MAX
     )
 
 

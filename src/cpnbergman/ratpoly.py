@@ -31,10 +31,6 @@ class RationalPolynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, c) -> "RationalPolynomial":
-        return cls([c])
-
-    @classmethod
     def x(cls) -> "RationalPolynomial":
         return cls([0, 1])
 
@@ -82,9 +78,6 @@ class RationalPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
@@ -140,12 +133,6 @@ class RationalPolynomial:
                 for j in range(d + 1):
                     rem[k - d + j] -= q * other.coeffs[j]
         return RationalPolynomial(quot), RationalPolynomial(rem[:d])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
         acc = RationalPolynomial()

@@ -7,7 +7,6 @@ import pytest
 
 from cpnbergman import centering
 from cpnbergman import (
-    AutomorphismPotential,
     DivergenceError,
     NonConvergenceError,
     SingularMatrixError,
@@ -76,7 +75,7 @@ class TestRhoPotential:
         assert rho_potential(A, 1.0) == pytest.approx(expected, rel=1e-13)
 
     def test_potential_object_broadcasts(self):
-        pot = AutomorphismPotential(DIAG.scaled(0.1))
+        pot = gauge_potential(DIAG.scaled(0.1))
         z = np.array([0.0 + 0j, 1.0 + 0j, 2.0 + 1j])
         vals = pot(z)
         assert vals.shape == (3,)
@@ -122,7 +121,7 @@ class TestCachedMaps:
 
 def _residual_per_component(A, phi, L, rtol=1e-10):
     """The centering integrals as one scalar cp1_integral call per basis function."""
-    rho = AutomorphismPotential(A.scaled(-1.0))
+    rho = gauge_potential(A.scaled(-1.0))
     out = np.empty(L.size)
     for i, th in enumerate(L.theta_basis):
         def F(z, th=th):

@@ -31,13 +31,14 @@ class TestInterval:
         with pytest.raises(ValueError):
             integrate_interval(np.exp, 1.0, 1.0)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
         # kink keeps the panel error estimate alive past a tiny budget
         def kink(x):
             return np.sqrt(np.abs(x - 1.0 / 3.0))
 
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
         with pytest.raises(QuadratureError):
-            integrate_interval(kink, 0.0, 1.0, rtol=1e-15, max_panels=2)
+            integrate_interval(kink, 0.0, 1.0, rtol=1e-15)
 
     @pytest.mark.parametrize("vector", [False, True])
     def test_noise_floor_stalls_before_budget(self, vector):
@@ -81,9 +82,11 @@ class TestInterval:
             assert isinstance(want, float)
             assert got == pytest.approx(want, rel=1e-11)
 
-    def test_vector_nonfinite_raises(self):
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_vector_nonfinite_raises(self, vector):
         def f(x):
-            return np.stack([np.ones_like(x), np.where(x > 0.5, np.inf, 1.0)])
+            bad = np.where(x > 0.5, np.inf, 1.0)
+            return np.stack([np.ones_like(x), bad]) if vector else bad
 
         with np.errstate(invalid="ignore"), pytest.raises(QuadratureError):
             integrate_interval(f, 0.0, 1.0)
