@@ -9,6 +9,9 @@ center, first-variation and fs-check --n 2 were pinned after it: their
 last digits moved with it (by at most 1.9e-16 in A).  The phi1-poly and
 rational-bump densities, fit and the center --trace-out CSV were pinned
 before the exact positivity check and the single Laplacian rewrite.
+The two fit --vanishing-tol cases, one on the exact path (K+1 rational
+samples, "num/den" coefficients) and one on the float path, were pinned
+before their JSON moved from the library into the CLI.
 """
 
 import subprocess
@@ -48,6 +51,12 @@ CASES = {
     "fit_eigenfunction-bump_eps0.1_s0.5_K2.json": [
         "fit", "--samples", str(GOLDEN / "density_eigenfunction-bump_eps0.1.csv"),
         "--at-s", "0.5", "--K", "2"],
+    "fit_eigenfunction-bump_eps0.1_s0.5_K2_vanishing1e-3.json": [
+        "fit", "--samples", str(GOLDEN / "density_eigenfunction-bump_eps0.1.csv"),
+        "--at-s", "0.5", "--K", "2", "--vanishing-tol", "1e-3"],
+    "fit_exact_m10-30_K2_vanishing1e-8.json": [
+        "fit", "--samples", str(GOLDEN / "fit_samples_m10-30_exact.csv"),
+        "--n", "1", "--K", "2", "--vanishing-tol", "1e-8"],
 }
 
 
