@@ -6,12 +6,12 @@ metrics, TYZ coefficient extraction, and the centering contraction
 solver.
 """
 
-from .conversion import (ConversionTable, MultiIndex,
-                         admissible_eigenvalue_scan, conversion_polynomials,
-                         delta_c_power_at_zero, eigen_delta_c_values,
-                         fs_monomial_integral, laplacian_power_at_zero,
-                         mixed_laplacian_power_at_zero, polynomiality_criterion,
-                         variation_order1_polynomial, variation_series_eigen)
+from .conversion import (ConversionTable, admissible_eigenvalue_scan,
+                         conversion_polynomials, delta_c_power_at_zero,
+                         eigen_delta_c_values, fs_monomial_integral,
+                         laplacian_power_at_zero, mixed_laplacian_power_at_zero,
+                         polynomiality_criterion, variation_order1_polynomial,
+                         variation_series_eigen)
 from .centering import (CenteringState, LMap, TracelessHermitian, build_L, center,
                         centering_residual, eigenbasis_potential, estimate_contraction,
                         gauge_potential, rho_potential, t_step, zero_potential)

@@ -127,7 +127,6 @@ class LMap:
     n: int
     matrix: np.ndarray
     inverse: np.ndarray
-    p_basis: tuple
     theta_basis: tuple
     p_matrices: np.ndarray
     theta_matrices: np.ndarray
@@ -164,7 +163,7 @@ def build_L(n: int) -> LMap:
     theta_matrices = np.array([th.normalization * th.exact.to_numpy() for th in theta])
     for array in (L, inverse, p_matrices, theta_matrices):
         array.flags.writeable = False
-    return LMap(n, L, inverse, pbasis, theta, p_matrices, theta_matrices)
+    return LMap(n, L, inverse, theta, p_matrices, theta_matrices)
 
 
 def _descend(A: TracelessHermitian, v: np.ndarray, L: LMap,

@@ -68,17 +68,10 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_floats(text: str):
-    values = [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
+def _parse_list(text: str, kind=float):
+    values = [kind(tok) for tok in str(text).split(",") if tok.strip() != ""]
     if not values:
         raise ValueError(f"expected a comma separated list of numbers, got {text!r}")
-    return values
-
-
-def _parse_ints(text: str):
-    values = [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
-    if not values:
-        raise ValueError(f"expected a comma separated list of integers, got {text!r}")
     return values
 
 
@@ -90,7 +83,7 @@ def _profile_from(family: str, eps, coeffs) -> RadialProfile:
     if family == "rational-bump":
         return RadialProfile.rational_bump(float(_need(eps, "eps")))
     if family == "phi1-poly":
-        return RadialProfile(_parse_floats(_need(coeffs, "coeffs")))
+        return RadialProfile(_parse_list(_need(coeffs, "coeffs")))
     raise ValueError(f"unknown profile family {family!r}")
 
 
@@ -104,13 +97,14 @@ def _need(value, name):
 
 def _cmd_convert_poly(cfg) -> str:
     table = conversion_polynomials(int(cfg["n"]), int(cfg["K"]))
-    return _json_payload(table.to_json_dict())
+    return _json_payload({"n": table.n,
+                          "rows": [[_frac_str(c) for c in row] for row in table.rows]})
 
 
 def _cmd_variation(cfg) -> str:
     n = int(cfg["n"])
     J = int(cfg["J"]) if cfg["J"] is not None else n + 4
-    lam = Fraction(str(cfg["lam"]))
+    lam = Fraction(str(cfg["lambda"]))
     series = variation_series_eigen(n, lam, J,
                                     centered=bool(cfg["centered"]),
                                     normalized=not bool(cfg["unnormalized"]))
@@ -199,8 +193,8 @@ def _cmd_fs_check(cfg) -> str:
 
 def _cmd_density(cfg) -> str:
     metric = RadialMetric(_profile_from(cfg["metric"], cfg["eps"], cfg["coeffs"]))
-    ms = _parse_ints(_need(cfg["m_list"], "m_list"))
-    grid = _parse_floats(_need(cfg["grid"], "grid"))
+    ms = _parse_list(_need(cfg["m_list"], "m_list"), int)
+    grid = _parse_list(_need(cfg["grid"], "grid"))
     tol = float(cfg["tol"])
     results = [bergman_density(metric, m, grid, tol=tol) for m in ms]
     header = ["s"] + [f"Pi_m{m}" for m in ms]
@@ -215,11 +209,20 @@ def _cmd_fit(cfg) -> str:
     else:
         samples = load_samples_csv(path)
     fit = fit_expansion(samples, int(cfg["n"]), int(cfg["K"]))
-    payload = fit.to_json_dict()
+    payload = {
+        "n": fit.n,
+        "K": fit.K,
+        "coeffs": [_frac_str(c) if isinstance(c, Fraction) else float(c) for c in fit.coeffs],
+        "residual": float(fit.residual),
+        "condition": float(fit.condition),
+    }
     if cfg["vanishing_tol"] is not None:
-        payload["vanishing"] = vanishing_report(
-            fit, int(cfg["n"]), float(cfg["vanishing_tol"])
-        ).to_json_dict()
+        report = vanishing_report(fit, int(cfg["n"]), float(cfg["vanishing_tol"]))
+        payload["vanishing"] = {
+            "entries": [{"k": k, "vanishes": bool(v)} for k, v in report.entries],
+            "residual": float(report.residual),
+            "tol": float(report.tol),
+        }
     return _json_payload(payload)
 
 
@@ -298,11 +301,14 @@ def _cmd_center(cfg) -> str:
     return _json_payload(payload)
 
 
+# Each command is declared once: its runner and the defaults of its
+# parameters.  A key k is the flag --k (underscores written as dashes)
+# and the config key k; a False default makes the flag a switch.
 _COMMANDS = {
     "convert-poly": (_cmd_convert_poly, {"n": 1, "K": 3}),
     "variation": (_cmd_variation,
-                  {"n": 1, "lam": "2", "J": None, "centered": None,
-                   "unnormalized": None, "k_max": 6}),
+                  {"n": 1, "lambda": "2", "J": None, "centered": False,
+                   "unnormalized": False, "k_max": 6}),
     "polynomiality": (_cmd_polynomiality, {"n": 1, "k0_max": 5}),
     "fs-check": (_cmd_fs_check, {"n": 1, "m_max": 30}),
     "density": (_cmd_density,
@@ -325,31 +331,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bergman density experiments on complex projective space",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, *specs):
+    for name, (_, defaults) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--out", default=None)
-        for flag, kwargs in specs:
-            p.add_argument(flag, **kwargs)
-        return p
-
-    add("convert-poly", ("--n", {}), ("--K", {}))
-    add("variation", ("--n", {}), ("--lambda", {"dest": "lam"}), ("--J", {}),
-        ("--centered", {"action": "store_true", "default": None}),
-        ("--unnormalized", {"action": "store_true", "default": None}),
-        ("--k-max", {"dest": "k_max"}))
-    add("polynomiality", ("--n", {}), ("--k0-max", {"dest": "k0_max"}))
-    add("fs-check", ("--n", {}), ("--m-max", {"dest": "m_max"}))
-    add("density", ("--metric", {}), ("--eps", {}), ("--coeffs", {}),
-        ("--m-list", {"dest": "m_list"}), ("--grid", {}), ("--tol", {}))
-    add("fit", ("--samples", {}), ("--n", {}), ("--K", {}),
-        ("--at-s", {"dest": "at_s"}), ("--vanishing-tol", {"dest": "vanishing_tol"}))
-    add("first-variation", ("--phi", {}), ("--eps", {}), ("--coeffs", {}),
-        ("--m", {}), ("--s", {}), ("--step", {}))
-    add("center", ("--potential", {}), ("--scale", {}), ("--tol", {}),
-        ("--max-iter", {"dest": "max_iter"}), ("--eta", {}), ("--damping", {}),
-        ("--trace-out", {"dest": "trace_out"}))
+        for key, default in defaults.items():
+            # flags default to None so that an unset flag leaves the config value
+            switch = {"action": "store_true", "default": None} if default is False else {}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **switch)
     return parser
 
 

@@ -12,67 +12,20 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from math import factorial, prod
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .ratpoly import InverseMSeries, RationalPolynomial, _frac
 
 
-class MultiIndex:
-    """Exponent tuple P of a monomial z^P, ordered by degree then lex."""
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents: Iterable[int]):
-        exps = tuple(int(p) for p in exponents)
-        if any(p < 0 for p in exps):
-            raise ValueError("multi-index components must be nonnegative")
-        self.exponents = exps
-
-    @property
-    def n(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def factorial(self) -> int:
-        out = 1
-        for p in self.exponents:
-            out *= factorial(p)
-        return out
-
-    def _key(self):
-        return (self.degree, self.exponents)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __eq__(self, other):
-        return isinstance(other, MultiIndex) and self.exponents == other.exponents
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __len__(self):
-        return len(self.exponents)
-
-    def __getitem__(self, i):
-        return self.exponents[i]
-
-    def __repr__(self):
-        return "MultiIndex%r" % (self.exponents,)
-
-
-def _as_multi_index(P, n: int) -> MultiIndex:
-    mi = P if isinstance(P, MultiIndex) else MultiIndex(P)
-    if mi.n != n:
-        raise ValueError("multi-index has %d components, expected %d" % (mi.n, n))
-    return mi
+def _exponents(P, n: Optional[int] = None) -> Tuple[int, ...]:
+    """Exponent tuple of the monomial z^P, checked nonnegative and, given n, of length n."""
+    exps = tuple(int(p) for p in P)
+    if any(p < 0 for p in exps):
+        raise ValueError("multi-index components must be nonnegative")
+    if n is not None and len(exps) != n:
+        raise ValueError("multi-index has %d components, expected %d" % (len(exps), n))
+    return exps
 
 
 def _laplacian_rewrite_at_zero(P: Tuple[int, ...], k: int) -> Fraction:
@@ -116,7 +69,7 @@ def laplacian_power_at_zero(n: int, P, k: int) -> Fraction:
     """Delta^k |z^P|^2 evaluated at the origin, exactly."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _laplacian_rewrite_at_zero(_as_multi_index(P, n).exponents, k)
+    return _laplacian_rewrite_at_zero(_exponents(P, n), k)
 
 
 def mixed_laplacian_power_at_zero(n: int, P, Q, k: int) -> Fraction:
@@ -131,20 +84,20 @@ def mixed_laplacian_power_at_zero(n: int, P, Q, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    Pm = _as_multi_index(P, n)
-    if Pm != _as_multi_index(Q, n):
+    P = _exponents(P, n)
+    if P != _exponents(Q, n):
         return Fraction(0)
-    return _laplacian_rewrite_at_zero(Pm.exponents, k)
+    return _laplacian_rewrite_at_zero(P, k)
 
 
 def delta_c_power_at_zero(l: int, P) -> Fraction:
     """Flat Laplacian powers of |z^P|^2 at 0: l! P! when l = |P|, else 0."""
     if l < 0:
         raise ValueError("l must be >= 0")
-    mi = P if isinstance(P, MultiIndex) else MultiIndex(P)
-    if l != mi.degree:
+    P = _exponents(P)
+    if l != sum(P):
         return Fraction(0)
-    return Fraction(factorial(l) * mi.factorial())
+    return Fraction(factorial(l) * prod(map(factorial, P)))
 
 
 def fs_monomial_integral(n: int, m: int, P) -> Fraction:
@@ -152,10 +105,11 @@ def fs_monomial_integral(n: int, m: int, P) -> Fraction:
 
     Equals P! (m-|P|)! / (m+n)!; the formula needs |P| <= m.
     """
-    mi = _as_multi_index(P, n)
-    if mi.degree > m:
-        raise ValueError("requires |P| <= m, got |P|=%d, m=%d" % (mi.degree, m))
-    return Fraction(mi.factorial() * factorial(m - mi.degree), factorial(m + n))
+    P = _exponents(P, n)
+    degree = sum(P)
+    if degree > m:
+        raise ValueError("requires |P| <= m, got |P|=%d, m=%d" % (degree, m))
+    return Fraction(prod(map(factorial, P)) * factorial(m - degree), factorial(m + n))
 
 
 @dataclass(frozen=True)
@@ -181,15 +135,6 @@ class ConversionTable:
         if not (1 <= k <= self.max_order):
             raise ValueError("row %d not computed" % k)
         return RationalPolynomial(self.rows[k - 1])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rows": [
-                ["%d/%d" % (c.numerator, c.denominator) for c in row]
-                for row in self.rows
-            ],
-        }
 
 
 def _conversion_rows(n: int, K: int) -> List[List[int]]:

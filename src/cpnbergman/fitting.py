@@ -29,23 +29,6 @@ class FitResult:
     residual: float
     condition: float
 
-    def coefficient(self, k: int):
-        return self.coeffs[k]
-
-    def to_json_dict(self) -> dict:
-        def enc(c):
-            if isinstance(c, Fraction):
-                return f"{c.numerator}/{c.denominator}"
-            return float(c)
-
-        return {
-            "n": self.n,
-            "K": self.K,
-            "coeffs": [enc(c) for c in self.coeffs],
-            "residual": float(self.residual),
-            "condition": float(self.condition),
-        }
-
 
 def _is_rational(x) -> bool:
     return isinstance(x, Rational)
@@ -101,22 +84,6 @@ class VanishingReport:
     entries: tuple
     residual: float
     tol: float
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "entries": [{"k": k, "vanishes": bool(v)} for k, v in self.entries],
-            "residual": float(self.residual),
-            "tol": float(self.tol),
-        }
 
 
 def vanishing_report(fit: FitResult, n: int, tol: float) -> VanishingReport:

@@ -1,15 +1,20 @@
 """End-to-end command line checks via subprocess, plus the fs-check comparison."""
 
+import argparse
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cpnbergman import RadialMetric, bergman_density
-from cpnbergman.cli import _fs_norm_rel_error, _max_abs
+from cpnbergman.cli import (_COMMANDS, _build_parser, _effective_config, _fs_norm_rel_error,
+                            _max_abs)
+
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def run_cli(*args, cwd=None):
@@ -176,6 +181,30 @@ class TestConfigMerge:
         proc = run_cli("convert-poly", "--config", str(cfg))
         payload = json.loads(proc.stdout)
         assert payload["n"] == 2
+
+    def test_every_flag_is_a_config_key(self, tmp_path):
+        # a config key is the flag name, written with dashes or underscores
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        cfg = tmp_path / "cfg.json"
+        for name, subparser in sub.choices.items():
+            for action in subparser._actions:
+                flag = action.option_strings[-1] if action.option_strings else ""
+                if not flag.startswith("--") or flag in ("--help", "--config", "--out"):
+                    continue
+                for key in (flag[2:], flag[2:].replace("-", "_")):
+                    cfg.write_text(json.dumps({key: "from-config"}))
+                    ns = parser.parse_args([name, "--config", str(cfg)])
+                    merged = _effective_config(ns, _COMMANDS[name][1])
+                    assert merged[action.dest] == "from-config", (name, key)
+
+    def test_lambda_config_key(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2, "lambda": "7/3", "J": 12, "centered": True}))
+        proc = run_cli("variation", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stdout
+        golden = GOLDEN / "variation_n2_lambda7-3_J12_centered.json"
+        assert proc.stdout == golden.read_text(encoding="utf-8")
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"

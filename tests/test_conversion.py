@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from cpnbergman import (
     ConversionTable,
     InverseMSeries,
-    MultiIndex,
     RationalPolynomial,
     admissible_eigenvalue_scan,
     conversion_polynomials,
@@ -64,15 +63,18 @@ def _all_indices(n, max_degree):
     return [P for P in itertools.product(*ranges) if sum(P) <= max_degree]
 
 
-class TestMultiIndex:
-    def test_basic(self):
-        P = MultiIndex((2, 1))
-        assert P.degree == 3
-        assert P.factorial() == 2
-
-    def test_ordering_is_total(self):
-        idx = sorted(MultiIndex(P) for P in _all_indices(2, 2))
-        assert len(set(idx)) == len(idx)
+@pytest.mark.parametrize("call", [
+    lambda: laplacian_power_at_zero(2, (1, -1), 1),
+    lambda: laplacian_power_at_zero(2, (1,), 1),
+    lambda: mixed_laplacian_power_at_zero(2, (1, 0), (1, 0, 0), 1),
+    lambda: fs_monomial_integral(2, 5, (-1, 2)),
+    lambda: fs_monomial_integral(2, 5, (0, 0, 1)),
+    lambda: delta_c_power_at_zero(0, (1, -1)),
+], ids=["laplacian-negative", "laplacian-short", "mixed-long", "fs-negative", "fs-long",
+        "flat-negative"])
+def test_malformed_multi_index_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestLaplacianPowers:
@@ -187,19 +189,12 @@ class TestConversionTable:
         K = 4
         t = conversion_polynomials(n, K)
         for P in _all_indices(n, K):
-            P = MultiIndex(P)
             for k in range(1, K + 1):
                 lhs = sum(
                     t.coefficient(k, l) * delta_c_power_at_zero(l, P)
                     for l in range(k + 1)
                 )
                 assert lhs == laplacian_power_at_zero(n, P, k), (n, P, k)
-
-    def test_json_round_trip(self):
-        t = conversion_polynomials(1, 3)
-        payload = json.loads(json.dumps(t.to_json_dict()))
-        assert payload["n"] == 1
-        assert payload["rows"][2] == ["0/1", "8/1", "10/1", "1/1"]
 
     def test_out_of_range_row(self):
         t = conversion_polynomials(1, 2)
@@ -213,7 +208,7 @@ class TestConversionTable:
     )
     @settings(max_examples=40, deadline=None)
     def test_conversion_identity_random(self, n, exps, k):
-        P = MultiIndex(tuple(exps[:n]) + (0,) * (n - len(exps)))
+        P = tuple(exps[:n]) + (0,) * (n - len(exps))
         t = conversion_polynomials(n, max(k, 1))
         rhs = laplacian_power_at_zero(n, P, k)
         if k == 0:

@@ -58,12 +58,6 @@ class TestExactPath:
         assert list(fit.coeffs) == coeffs
         assert fit.residual == 0
 
-    def test_coefficient_accessor_and_json(self):
-        fit = fit_expansion(model_samples([1, Fraction(1, 2)], 1, [5, 9]), 1, 1)
-        assert fit.coefficient(1) == Fraction(1, 2)
-        payload = fit.to_json_dict()
-        assert payload["coeffs"][1] == "1/2"
-
 
 class TestLeastSquaresPath:
     def test_overdetermined_exact_model(self):
