@@ -2,17 +2,22 @@
 """Drive the centering solver on the standard test potentials.
 
 Emits one convergence-trace CSV per potential (iteration, step norm,
-residual norm) and prints the fixed-point summary.
+residual norm) and prints the fixed-point summary.  Exits 1, naming the
+potential, when a solve does not converge, when a step above STEP_FLOOR
+is followed by one more than half its size, or when gauge_diag's fixed
+point misses -B by more than GAUGE_TOL.
 """
 
 import argparse
 import csv
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from cpnbergman import (
+    NonConvergenceError,
     TracelessHermitian,
     center,
     eigenbasis_potential,
@@ -21,28 +26,56 @@ from cpnbergman import (
     zero_potential,
 )
 
+# Steps at or below this size are rounding, so their ratios are not checked.
+STEP_FLOOR = 1e-13
+# Largest accepted max |A + B| for the gauge potential rho_B; the default
+# run measures 1.9e-13.
+GAUGE_TOL = 1e-9
+
 
 def potentials(scale: float):
+    """(name, phi, B) per potential, B being set where phi = rho_B."""
     basis = first_eigenbasis(1)
     b = scale / math.sqrt(2)
+    B = TracelessHermitian(np.diag([b, -b]))
     return [
-        ("zero", zero_potential),
-        ("eigenbasis_diag", eigenbasis_potential(basis[2], scale)),
-        ("gauge_diag", gauge_potential(TracelessHermitian(np.diag([b, -b])))),
+        ("zero", zero_potential, None),
+        ("eigenbasis_diag", eigenbasis_potential(basis[2], scale), None),
+        ("gauge_diag", gauge_potential(B), B),
     ]
 
 
-def main() -> int:
+def gate(state, B) -> str:
+    """Why a solve fails the contraction checks, or "" when it passes."""
+    if not state.converged:
+        return "not converged after %d iterations (residual %.3e)" % (
+            state.iteration, state.residual_norm)
+    steps = [row[1] for row in state.trace[1:]]
+    for prev, cur in zip(steps, steps[1:]):
+        if prev > STEP_FLOOR and cur > 0.5 * prev:
+            return "step ratio %.3f above 1/2" % (cur / prev)
+    if B is not None:
+        gap = float(np.max(np.abs(state.A.matrix + B.matrix)))
+        if not gap <= GAUGE_TOL:
+            return "A misses -B by %.3e" % gap
+    return ""
+
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scale", type=float, default=0.05)
     ap.add_argument("--tol", type=float, default=1e-8)
     ap.add_argument("--max-iter", type=int, default=50)
     ap.add_argument("--out-dir", type=Path, default=Path("results"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    for name, phi in potentials(args.scale):
-        state = center(phi, tol=args.tol, max_iter=args.max_iter)
+    failed = []
+    for name, phi, B in potentials(args.scale):
+        try:
+            state = center(phi, tol=args.tol, max_iter=args.max_iter)
+        except NonConvergenceError as exc:
+            state = exc.state
         path = args.out_dir / ("centering_trace_%s.csv" % name)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -59,7 +92,12 @@ def main() -> int:
                 path,
             )
         )
-    return 0
+        why = gate(state, B)
+        if why:
+            failed.append("%s: %s" % (name, why))
+    for line in failed:
+        print("centering failed for %s" % line, file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

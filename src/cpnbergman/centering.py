@@ -9,10 +9,12 @@ kills its component along the first Laplace eigenspace.  The step map
 fixes exactly the A for which the centering integrals vanish.  The
 integrals run against the fixed round measure: pulling the defining
 integral back through the automorphism turns rho_A into -rho_{-A} and
-leaves the measure alone, so the quadrature domain never moves.
-Because of that, a solve meets the same quadrature nodes on every
-iteration, and only rho_{-A} changes between them: phi and the theta
-factors are evaluated once per node array and reused, exactly.
+leaves the measure alone.  So v(A) = Phi - R(A) splits into
+Phi_i = int phi theta_i, which does not depend on A and is one
+quadrature per solve, and R_i(A) = int rho_{-A} theta_i, which on CP^1
+is a closed form in the eigenframe W = U* Z of A: by Archimedes'
+hat-box theorem (the n = 1 case of Duistermaat-Heckman) the moment map
+|W_1|^2 / |W|^2 is uniform under the round measure.
 
 Types are dimension-generic; the integrals (and hence t_step/center)
 are implemented for n = 1 only.
@@ -85,18 +87,12 @@ class TracelessHermitian:
         return f"TracelessHermitian({self.matrix.tolist()!r})"
 
 
-def _log_ratio(E: np.ndarray, Z: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """log(|E Z|^2 / den) for lifts Z stacked on axis 0, den = |Z|^2."""
-    # np.tensordot(E, Z, 1) is this dot on these operands, less its axis bookkeeping
-    W = np.dot(E, Z.reshape(len(Z), -1)).reshape(Z.shape)
-    num = np.sum(np.abs(W) ** 2, axis=0)
-    return np.log(num / den)
-
-
 def rho_potential(A: TracelessHermitian, z):
     """Automorphism potential log(|e^A Z|^2 / |Z|^2) at chart point(s) z."""
     Z = chart_lift(A.n, z)
-    return _log_ratio(A.expm(), Z, np.sum(np.abs(Z) ** 2, axis=0))
+    # np.tensordot(A.expm(), Z, 1) is this dot on these operands, less its axis bookkeeping
+    W = np.dot(A.expm(), Z.reshape(len(Z), -1)).reshape(Z.shape)
+    return np.log(np.sum(np.abs(W) ** 2, axis=0) / np.sum(np.abs(Z) ** 2, axis=0))
 
 
 def gauge_potential(B: TracelessHermitian) -> Callable:
@@ -175,85 +171,66 @@ def _descend(A: TracelessHermitian, v: np.ndarray, L: LMap,
     return A - TracelessHermitian(M)
 
 
-# Node arrays are looked up by shape, dtype and this many leading bytes,
-# then confirmed byte for byte: cheaper than hashing all of them.
-_KEY_BYTES = 256
-# Past this many stored bytes a node cache computes without storing, so a
-# potential that needs thousands of panels costs time, as it did without
-# the cache, instead of gigabytes.  Gauge and eigenbasis potentials of
-# norm 0.05 store 0.55 MB: three node arrays of 15 x 128 points.
-_CACHE_BYTES = 32 << 20
+def _hat_box_kernel(d: float) -> float:
+    """K(d) = (sinh d - d) / (2 (cosh d - 1)), within 3 ulps for every d >= 0.
 
-
-class _NodeCache:
-    """The A-independent factors of the centering integrand, per node array.
-
-    Only rho_{-A} depends on the iterate, so for a fixed phi the factors
-    phi(z), Z = (1, z), |Z|^2, the theta quadratic forms and 1 + |z|^2 are
-    computed the first time a node array z is met and reused whenever a
-    later residual meets the same nodes.  Nodes match byte for byte, never
-    within a tolerance, and a hit feeds the same arrays into the same
-    operations, so cached and fresh residuals agree bitwise.  The stored
-    arrays are read-only, and at most _CACHE_BYTES are kept.  center and
-    estimate_contraction hold one for the length of their call and pass
-    it to centering_residual in place of phi.
+    Below d = 2, K is d times the ratio of the positive Taylor sums of
+    (sinh d - d) / d^3 and (cosh d - 1) / d^2, so nothing cancels and
+    K(0) = 0.  Past that the form in e^{-d} cancels little and tends to
+    1/2 without overflow.
     """
+    if d < 2.0:
+        d2, t, num, den = d * d, 1.0, [], []
+        for j in range(2, 32, 2):  # the first term left out is d^30 / 32! < 1e-26
+            t /= j * (j - 1)  # d^(j-2) / j!
+            den.append(t)
+            num.append(t / (j + 1))
+            t *= d2
+        return d * math.fsum(num) / (2.0 * math.fsum(den))
+    e = math.exp(-d)
+    return 0.5 if e == 0.0 else (1.0 - e * (e + 2.0 * d)) / (2.0 * (1.0 - e) ** 2)
 
-    def __init__(self, phi: Callable, L: LMap):
-        if L.n != 1:
-            raise UnsupportedDimensionError("centering integrals are implemented for n = 1 only")
-        self.phi = phi
-        self.L = L
-        self._entries = {}
-        self._stored = 0
 
-    def factors(self, z: np.ndarray) -> tuple:
-        raw = z.tobytes()
-        key = (z.shape, z.dtype, raw[:_KEY_BYTES])
-        hit = self._entries.get(key)
-        if hit is not None and hit[0] == raw:
-            return hit[1]
-        phi_z = self.phi(z)
-        if isinstance(phi_z, np.ndarray):
-            phi_z = phi_z.view()  # a read-only view leaves phi's own array alone
+def _rho_moments(A: TracelessHermitian, L: LMap) -> np.ndarray:
+    """R_i(A) = int rho_{-A} theta_i dV_0 in closed form, for n = 1.
+
+    With A = U diag(lam_min, lam_max) U* and u the lam_min column,
+    rho_{-A} = log(e^{-2 lam_min} t + e^{-2 lam_max} (1 - t)) depends on
+    t = |<u, Z>|^2 / |Z|^2 alone.  At fixed t the fibre mean of theta_i is
+    (u* T_i u)(2t - 1), since T_i is traceless.  t is uniform under dV_0
+    (Archimedes' hat-box theorem), and integrating over t gives K(d) with
+    d = 2 (lam_max - lam_min).
+    """
+    w, U = np.linalg.eigh(A.matrix)
+    u = U[:, 0]
+    d = 2.0 * (float(w[1]) - float(w[0]))  # Python floats: inf past 1e308, no warning
+    return np.einsum("j,ijk,k->i", u.conj(), L.theta_matrices, u).real * _hat_box_kernel(d)
+
+
+def _phi_moments(phi: Callable, L: LMap, rtol: float) -> np.ndarray:
+    """Phi_i = int phi theta_i dV_0: one vector-valued cp1_integral pass."""
+    if L.n != 1:
+        raise UnsupportedDimensionError("centering integrals are implemented for n = 1 only")
+
+    def F(z):
         # theta_i = <T_i Z, Z> / |Z|^2 at Z = (1, z), with T_i Hermitian
-        T = self.L.theta_matrices.reshape((self.L.size, 4) + (1,) * np.ndim(z))
+        T = L.theta_matrices.reshape((L.size, 4) + (1,) * np.ndim(z))
         s = np.abs(z) ** 2
-        Z = chart_lift(1, z)
-        factors = (phi_z, Z, np.sum(np.abs(Z) ** 2, axis=0),
-                   T[:, 0].real + T[:, 3].real * s + 2.0 * (T[:, 1] * z).real, 1.0 + s)
-        arrays = [a for a in factors if isinstance(a, np.ndarray)]
-        for array in arrays:
-            array.flags.writeable = False
-        size = len(raw) + sum(a.nbytes for a in arrays)
-        if self._stored + size <= _CACHE_BYTES:
-            self._entries[key] = (raw, factors)
-            self._stored += size
-        return factors
+        quad = T[:, 0].real + T[:, 3].real * s + 2.0 * (T[:, 1] * z).real
+        return phi(z) * quad / (1.0 + s)
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self._stored = 0
+    return cp1_integral(F, fs_weight, rtol=rtol, atol=1e-13)
 
 
 def centering_residual(A: TracelessHermitian, phi: Callable, L: LMap,
                        rtol: float = 1e-10) -> np.ndarray:
     """The s centering integrals v_i(A) = int (phi - rho_{-A}) theta_i dV_0.
 
-    phi - rho_{-A} is evaluated once per point and multiplied by all s
-    basis functions, so the s integrals share one vector-valued
-    cp1_integral call (one radial pass per doubling step).  Everything but
-    rho_{-A} is independent of A; a solve passes its _NodeCache as phi so
-    those factors are computed once per node array across its iterations.
+    v(A) = Phi - R(A): Phi, the phi half, is one vector-valued
+    cp1_integral over all s basis functions at this rtol; R(A), the
+    rho_{-A} half, is exact (_rho_moments).
     """
-    nodes = phi if isinstance(phi, _NodeCache) else _NodeCache(phi, L)
-    E = A.scaled(-1.0).expm()
-
-    def F(z):
-        phi_z, Z, den, quad, one_plus_s = nodes.factors(z)
-        return (phi_z - _log_ratio(E, Z, den)) * quad / one_plus_s
-
-    return cp1_integral(F, fs_weight, rtol=rtol, atol=1e-13)
+    return _phi_moments(phi, L, rtol) - _rho_moments(A, L)
 
 
 def t_step(A: TracelessHermitian, phi: Callable, rtol: float = 1e-10,
@@ -291,9 +268,9 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *, n: int = 1,
     steps and NonConvergenceError past max_iter, with the partial state
     attached.
 
-    phi must be a pure function of the chart points z: the solve evaluates
-    it once per quadrature node array and reuses that value on every
-    iteration that meets the same nodes.
+    Only rho_{-A} changes between iterates, so phi is integrated once, in
+    Phi = int phi theta_i dV_0 at this rtol, and every iterate's residual
+    is Phi - R(A) with R(A) exact.
     """
     if n != 1:
         raise UnsupportedDimensionError("centering is implemented for n = 1 only")
@@ -303,43 +280,39 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *, n: int = 1,
             f"potential C0 norm estimate {sup:.4g} exceeds the contraction threshold {eta}"
         )
     L = build_L(n)
-    nodes = _NodeCache(phi, L)
-    try:
-        A = TracelessHermitian.zero(n)
-        r = centering_residual(A, nodes, L, rtol)
-        rnorm = float(np.linalg.norm(r))
-        trace = [(0, 0.0, rnorm)]
-        if rnorm < tol:
-            return CenteringState(0, A, r, 0.0, True, tuple(trace))
+    Phi = _phi_moments(phi, L, rtol)
+    A = TracelessHermitian.zero(n)
+    r = Phi - _rho_moments(A, L)
+    rnorm = float(np.linalg.norm(r))
+    trace = [(0, 0.0, rnorm)]
+    if rnorm < tol:
+        return CenteringState(0, A, r, 0.0, True, tuple(trace))
 
-        grow = 0
-        prev_step = None
-        for k in range(1, max_iter + 1):
-            newA = _descend(A, r, L, damping)
-            step = float(np.linalg.norm(newA.matrix - A.matrix))
-            if prev_step is not None and step > prev_step:
-                grow += 1
-            else:
-                grow = 0
-            prev_step = step
-            A = newA
-            r = centering_residual(A, nodes, L, rtol)
-            rnorm = float(np.linalg.norm(r))
-            trace.append((k, step, rnorm))
-            if grow >= 5:
-                state = CenteringState(k, A, r, step, False, tuple(trace))
-                raise DivergenceError(
-                    "step norms grew for 5 consecutive iterations", state=state
-                )
-            if rnorm < tol and step < tol:
-                return CenteringState(k, A, r, step, True, tuple(trace))
-        state = CenteringState(max_iter, A, r, prev_step or 0.0, False, tuple(trace))
-        raise NonConvergenceError(
-            f"no convergence within {max_iter} iterations (residual {rnorm:.3e})", state=state
-        )
-    finally:
-        # a raised error keeps this frame alive through its traceback
-        nodes.clear()
+    grow = 0
+    prev_step = None
+    for k in range(1, max_iter + 1):
+        newA = _descend(A, r, L, damping)
+        step = float(np.linalg.norm(newA.matrix - A.matrix))
+        if prev_step is not None and step > prev_step:
+            grow += 1
+        else:
+            grow = 0
+        prev_step = step
+        A = newA
+        r = Phi - _rho_moments(A, L)
+        rnorm = float(np.linalg.norm(r))
+        trace.append((k, step, rnorm))
+        if grow >= 5:
+            state = CenteringState(k, A, r, step, False, tuple(trace))
+            raise DivergenceError(
+                "step norms grew for 5 consecutive iterations", state=state
+            )
+        if rnorm < tol and step < tol:
+            return CenteringState(k, A, r, step, True, tuple(trace))
+    state = CenteringState(max_iter, A, r, prev_step or 0.0, False, tuple(trace))
+    raise NonConvergenceError(
+        f"no convergence within {max_iter} iterations (residual {rnorm:.3e})", state=state
+    )
 
 
 def _sup_norm_estimate(phi: Callable) -> float:
@@ -357,8 +330,8 @@ def estimate_contraction(phi: Callable, n_pairs: int = 5, radius: float = 0.05,
                          rtol: float = 1e-9, seed: int = 0, damping: float = 0.5) -> float:
     """Largest observed ||T(B)-T(A)|| / ||B-A|| over random pairs in the ball.
 
-    phi is fixed, so all 2 n_pairs steps share one node cache; phi must
-    be a pure function of z, as for center.
+    phi is fixed, so Phi = int phi theta_i dV_0 is integrated once at this
+    rtol and each of the 2 n_pairs steps descends along Phi - R(A).
     """
     L = build_L(1)
     rng = np.random.default_rng(seed)
@@ -368,14 +341,14 @@ def estimate_contraction(phi: Callable, n_pairs: int = 5, radius: float = 0.05,
         A = TracelessHermitian(M)
         return A.scaled(radius * rng.uniform(0.2, 1.0) / max(A.norm, 1e-30))
 
-    nodes = _NodeCache(phi, L)
+    Phi = _phi_moments(phi, L, rtol)
     worst = 0.0
     for _ in range(n_pairs):
         A, B = sample(), sample()
         gap = (B - A).norm
         if gap < 1e-12:
             continue
-        TA = t_step(A, nodes, rtol, damping, L)
-        TB = t_step(B, nodes, rtol, damping, L)
+        TA = _descend(A, Phi - _rho_moments(A, L), L, damping)
+        TB = _descend(B, Phi - _rho_moments(B, L), L, damping)
         worst = max(worst, (TB - TA).norm / gap)
     return worst

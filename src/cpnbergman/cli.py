@@ -93,28 +93,38 @@ def _need(value, name):
     return value
 
 
+def _int(cfg, key) -> int:
+    """cfg[key] as an integer: text goes through int(), which rejects "1.7"
+    from a flag, and a config number must be integral, not 1.7 or true."""
+    value = cfg[key]
+    if isinstance(value, str) or type(value) is int or (
+            type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
+
+
 # ------------------------------------------------------------------ commands
 
 def _cmd_convert_poly(cfg) -> str:
-    table = conversion_polynomials(int(cfg["n"]), int(cfg["K"]))
+    table = conversion_polynomials(_int(cfg, "n"), _int(cfg, "K"))
     return _json_payload({"n": table.n,
                           "rows": [[_frac_str(c) for c in row] for row in table.rows]})
 
 
 def _cmd_variation(cfg) -> str:
-    n = int(cfg["n"])
-    J = int(cfg["J"]) if cfg["J"] is not None else n + 4
+    n = _int(cfg, "n")
+    J = _int(cfg, "J") if cfg["J"] is not None else n + 4
     lam = Fraction(str(cfg["lambda"]))
     series = variation_series_eigen(n, lam, J,
-                                    centered=bool(cfg["centered"]),
-                                    normalized=not bool(cfg["unnormalized"]))
-    k_max = int(cfg["k_max"])
+                                    centered=cfg["centered"],
+                                    normalized=not cfg["unnormalized"])
+    k_max = _int(cfg, "k_max")
     scan = admissible_eigenvalue_scan(n, k_max, J)
     payload = {
         "n": n,
         "lambda": _frac_str(lam),
         "J": J,
-        "centered": bool(cfg["centered"]),
+        "centered": cfg["centered"],
         "series": _series_dict(series),
         "scan": {"k_max": k_max, "admissible": sorted(scan)},
     }
@@ -122,16 +132,16 @@ def _cmd_variation(cfg) -> str:
 
 
 def _cmd_polynomiality(cfg) -> str:
-    n = int(cfg["n"])
+    n = _int(cfg, "n")
     rows = []
-    for k0 in range(1, int(cfg["k0_max"]) + 1):
+    for k0 in range(1, _int(cfg, "k0_max") + 1):
         ok, remainder = polynomiality_criterion(n, k0)
         rows.append({
             "k0": k0,
             "polynomial": bool(ok),
             "remainder": _poly_dict(remainder),
         })
-    return _json_payload({"n": n, "k0_max": int(cfg["k0_max"]), "table": rows})
+    return _json_payload({"n": n, "k0_max": _int(cfg, "k0_max"), "table": rows})
 
 
 def _max_abs(err) -> float:
@@ -151,8 +161,8 @@ def _fs_norm_rel_error(log_norms, m: int) -> float:
 
 
 def _cmd_fs_check(cfg) -> str:
-    n = int(cfg["n"])
-    m_max = int(cfg["m_max"])
+    n = _int(cfg, "n")
+    m_max = _int(cfg, "m_max")
     if n == 1:
         grid = [0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1e4]
         fs = RadialMetric.fubini_study()
@@ -208,7 +218,7 @@ def _cmd_fit(cfg) -> str:
         samples = _density_csv_samples(path, float(cfg["at_s"]))
     else:
         samples = load_samples_csv(path)
-    fit = fit_expansion(samples, int(cfg["n"]), int(cfg["K"]))
+    fit = fit_expansion(samples, _int(cfg, "n"), _int(cfg, "K"))
     payload = {
         "n": fit.n,
         "K": fit.K,
@@ -217,7 +227,7 @@ def _cmd_fit(cfg) -> str:
         "condition": float(fit.condition),
     }
     if cfg["vanishing_tol"] is not None:
-        report = vanishing_report(fit, int(cfg["n"]), float(cfg["vanishing_tol"]))
+        report = vanishing_report(fit, _int(cfg, "n"), float(cfg["vanishing_tol"]))
         payload["vanishing"] = {
             "entries": [{"k": k, "vanishes": bool(v)} for k, v in report.entries],
             "residual": float(report.residual),
@@ -255,7 +265,7 @@ def _density_csv_samples(path, at_s: float):
 def _cmd_first_variation(cfg) -> str:
     metric = RadialMetric.fubini_study()
     phi = _profile_from(_need(cfg["phi"], "phi"), cfg["eps"], cfg["coeffs"])
-    res = first_variation(metric, phi, int(cfg["m"]), s=float(cfg["s"]),
+    res = first_variation(metric, phi, _int(cfg, "m"), s=float(cfg["s"]),
                           t=float(cfg["step"]))
     payload = {
         "m": res.m,
@@ -281,7 +291,7 @@ def _cmd_center(cfg) -> str:
         phi = gauge_potential(TracelessHermitian([[b, 0.0], [0.0, -b]]))
     else:
         raise ValueError(f"unknown potential {kind!r}")
-    state = center(phi, tol=float(cfg["tol"]), max_iter=int(cfg["max_iter"]),
+    state = center(phi, tol=float(cfg["tol"]), max_iter=_int(cfg, "max_iter"),
                    eta=float(cfg["eta"]), damping=float(cfg["damping"]))
     if cfg["trace_out"]:
         rows = [(str(k), _fmt(sn), _fmt(rn)) for k, sn, rn in state.trace]
@@ -353,6 +363,9 @@ def _effective_config(ns: argparse.Namespace, defaults: dict) -> dict:
             key = key.replace("-", "_")
             if key not in cfg:
                 raise ValueError(f"unknown config key {key!r}")
+            if defaults[key] is False and not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} is a switch: expected true or false, "
+                                 f"got {value!r}")
             cfg[key] = value
     for key in cfg:
         flag_value = getattr(ns, key, None)

@@ -151,12 +151,11 @@ class TestResidual:
 
 
 def _uncached_residual(A, phi, L, rtol=1e-10):
-    """The centering integrals with every factor recomputed from z on every call.
+    """The centering integrals with rho_{-A} integrated by quadrature alongside phi.
 
-    The integrand as it stood before the node cache; center and
-    estimate_contraction pass their cache in place of phi, so unwrap it.
+    The reference that the closed form R(A) and the once-integrated Phi
+    are checked against.
     """
-    phi = getattr(phi, "phi", phi)
     E = A.scaled(-1.0).expm()
 
     def F(z):
@@ -178,7 +177,7 @@ def _mix_potential():
     return lambda z: sum(p(z) for p in pots)
 
 
-_BITWISE_POTENTIALS = {
+_POTENTIALS = {
     "gauge": lambda: gauge_potential(TracelessHermitian(
         np.array([[0.03, 0.02 - 0.01j], [0.02 + 0.01j, -0.03]]))),
     "eigenbasis-mix": _mix_potential,
@@ -187,7 +186,14 @@ _BITWISE_POTENTIALS = {
 }
 
 
+def _random_traceless(rng, norm):
+    A = TracelessHermitian(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return A.scaled(norm / A.norm)
+
+
 class TestNodeCache:
+    """A solve meets one quadrature node set: phi is integrated once, in Phi."""
+
     def test_phi_once_per_node_set(self):
         nodes = []
         gauge = gauge_potential(DIAG.scaled(0.05 / math.sqrt(2)))
@@ -198,61 +204,88 @@ class TestNodeCache:
 
         state = center(phi)
         assert state.converged and state.iteration == 4
-        # the C0 grid, then one call per distinct node array: without the
-        # cache each of the 5 residuals would evaluate phi on all 3 rules
+        # the C0 grid, then the one Phi pass, one call per doubling step:
+        # integrating phi - rho_{-A} per iterate would take 5 such passes
         assert len(nodes) == 1 + 3
         assert len(set(nodes)) == len(nodes)
 
-    def test_cached_arrays_are_read_only(self):
-        own = np.zeros((15, 128))
-
-        def phi(z):
-            return own
-
-        nodes = centering._NodeCache(phi, build_L(1))
-        z = np.linspace(0.1, 2.0, 15)[:, None] * np.exp(1j * np.linspace(0.0, 6.0, 128))
-        factors = nodes.factors(z)
-        assert nodes.factors(z.copy()) is factors
-        for array in factors:
-            with pytest.raises(ValueError):
-                array.flat[0] = 1.0
-        own[0, 0] = 1.0  # phi's own array stays writable
-        assert factors[0][0, 0] == 1.0
-
-    def test_nodes_match_exactly(self):
-        nodes = centering._NodeCache(zero_potential, build_L(1))
-        z = np.linspace(0.1, 2.0, 15)[:, None] * np.exp(1j * np.linspace(0.0, 6.0, 128))
-        moved = z.copy()
-        moved[-1, -1] *= 1.0 + 1e-16 * 4  # past the leading key bytes, one ulp off
-        assert moved.tobytes() != z.tobytes()
-        assert nodes.factors(moved) is not nodes.factors(z)
-        assert nodes.factors(z.astype(np.complex64)) is not nodes.factors(z)
-
-    def test_full_cache_computes_without_storing(self, monkeypatch):
-        monkeypatch.setattr(centering, "_CACHE_BYTES", 0)
-        nodes = centering._NodeCache(zero_potential, build_L(1))
-        z = np.linspace(0.1, 2.0, 15)[:, None] * np.exp(1j * np.linspace(0.0, 6.0, 128))
-        first, again = nodes.factors(z), nodes.factors(z)
-        assert first is not again
-        for a, b in zip(first, again):
-            assert a.tobytes() == b.tobytes()
-
-    @pytest.mark.parametrize("name", sorted(_BITWISE_POTENTIALS))
-    def test_center_bitwise_equal_to_uncached(self, name, monkeypatch):
-        phi = _BITWISE_POTENTIALS[name]()
-        A = TracelessHermitian(np.array([[0.02, -0.01 + 0.015j], [-0.01 - 0.015j, -0.02]]))
+    @pytest.mark.parametrize("name", sorted(_POTENTIALS))
+    def test_center_residuals_match_quadrature(self, name):
+        phi = _POTENTIALS[name]()
         L = build_L(1)
-        got = center(phi)
-        residual = centering_residual(A, phi, L)
-        contraction = estimate_contraction(phi, n_pairs=2)
-        monkeypatch.setattr(centering, "centering_residual", _uncached_residual)
-        want = center(phi)
-        assert got.iteration == want.iteration
-        assert got.A.matrix.tobytes() == want.A.matrix.tobytes()
-        assert got.residual.tobytes() == want.residual.tobytes()
-        assert got.trace == want.trace
-        assert residual.tobytes() == _uncached_residual(A, phi, L).tobytes()
-        assert contraction == estimate_contraction(phi, n_pairs=2)
+        state = center(phi)
+        want = _uncached_residual(state.A, phi, L, rtol=1e-12)
+        assert np.max(np.abs(state.residual - want)) <= 1e-12
+        A = TracelessHermitian(np.array([[0.02, -0.01 + 0.015j], [-0.01 - 0.015j, -0.02]]))
+        got = centering_residual(A, phi, L)
+        assert np.max(np.abs(got - _uncached_residual(A, phi, L, rtol=1e-12))) <= 1e-12
+
+
+class TestClosedForm:
+    """R(A) = int rho_{-A} theta_i dV_0 = (u* T_i u) K(d) on CP^1."""
+
+    # both sides of the switch at d = 2, and the far range
+    KERNEL_POINTS = (1e-12, 1e-6, 0.1, 0.5, 1.0, 1.9999999999999998, 2.0,
+                     2.0000000000000004, 10.0, 1e3)
+
+    @pytest.mark.parametrize("d", KERNEL_POINTS)
+    def test_kernel_matches_mpmath(self, d):
+        self._assert_kernel_ulps([d])
+
+    def test_kernel_within_4_ulps_on_a_grid(self):
+        # the direct form in e^{-d} is up to 7 ulps off just below d = 2
+        self._assert_kernel_ulps(np.geomspace(1e-3, 40.0, 400))
+
+    @staticmethod
+    def _assert_kernel_ulps(ds):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            for d in ds:
+                x = mpmath.mpf(float(d))
+                want = (mpmath.sinh(x) - x) / (2 * (mpmath.cosh(x) - 1))
+                got = centering._hat_box_kernel(float(d))
+                assert abs(mpmath.mpf(got) - want) <= 4 * math.ulp(float(want)), d
+
+    def test_kernel_matches_its_series(self):
+        # K(d) = (x coth x)'/2 at x = d/2; the d^11 term is 6e-9 d^11
+        coeffs = (1 / 6, -1 / 180, 1 / 5040, -1 / 151200, 1 / 4790016)
+        for d in np.geomspace(1e-8, 0.1, 50):
+            series = math.fsum(c * d ** (2 * k + 1) for k, c in enumerate(coeffs))
+            assert abs(centering._hat_box_kernel(d) - series) <= 4 * math.ulp(series)
+
+    @pytest.mark.parametrize("d", [0.0, 5e-324, 1e-300, 745.0, 1e308, math.inf])
+    def test_kernel_finite_at_the_extremes(self, d):
+        got = centering._hat_box_kernel(d)
+        assert math.isfinite(got) and 0.0 <= got <= 0.5
+        assert got == (0.5 if d > 100 else pytest.approx(d / 6.0, rel=1e-15))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_quadrature(self, seed):
+        rng = np.random.default_rng(seed)
+        L = build_L(1)
+        # at |A| = 3 an A far from diagonal makes rho_{-A} too sharp for the
+        # 1024 angular nodes of cp1_integral, so that norm is checked on a
+        # diagonal A, where rho_{-A} is radial
+        cases = [_random_traceless(rng, norm) for norm in np.geomspace(1e-8, 2.5, 12)]
+        cases.append(DIAG.scaled(rng.choice((-3.0, 3.0)) / DIAG.norm))
+        for A in cases:
+            want = _uncached_residual(A, zero_potential, L, rtol=1e-12)
+            got = -centering._rho_moments(A, L)
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_finite_for_any_finite_A(self):
+        L = build_L(1)
+        assert not np.any(centering._rho_moments(TracelessHermitian.zero(1), L))
+        for scale in (1e-300, 1e-8, 1e10, 1e200, 8e307):
+            A = TracelessHermitian(np.array([[scale, scale / 3], [scale / 3, -scale]]))
+            assert np.all(np.isfinite(centering._rho_moments(A, L)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gauge_potential_centers_at_minus_B(self, seed):
+        B = _random_traceless(np.random.default_rng(seed), 0.05)
+        state = center(gauge_potential(B))
+        assert state.converged
+        assert np.max(np.abs(state.A.matrix + B.matrix)) <= 1e-12
 
 
 class TestStepMap:

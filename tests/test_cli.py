@@ -12,7 +12,7 @@ import pytest
 
 from cpnbergman import RadialMetric, bergman_density
 from cpnbergman.cli import (_COMMANDS, _build_parser, _effective_config, _fs_norm_rel_error,
-                            _max_abs)
+                            _max_abs, main)
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -192,11 +192,13 @@ class TestConfigMerge:
                 flag = action.option_strings[-1] if action.option_strings else ""
                 if not flag.startswith("--") or flag in ("--help", "--config", "--out"):
                     continue
+                # a switch takes only true or false from a config
+                value = True if action.const is True else "from-config"
                 for key in (flag[2:], flag[2:].replace("-", "_")):
-                    cfg.write_text(json.dumps({key: "from-config"}))
+                    cfg.write_text(json.dumps({key: value}))
                     ns = parser.parse_args([name, "--config", str(cfg)])
                     merged = _effective_config(ns, _COMMANDS[name][1])
-                    assert merged[action.dest] == "from-config", (name, key)
+                    assert merged[action.dest] == value, (name, key)
 
     def test_lambda_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -211,6 +213,33 @@ class TestConfigMerge:
         cfg.write_text(json.dumps({"bogus": 1}))
         proc = run_cli("convert-poly", "--config", str(cfg))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_switch_takes_only_a_boolean(self, tmp_path, capsys, value):
+        # bool("false") is True: a string must not turn the switch on
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"centered": value, "unnormalized": False}))
+        assert main(["variation", "--config", str(cfg)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert "'centered' is a switch" in error["message"]
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("convert-poly", "n", 1.7), ("convert-poly", "K", True),
+        ("variation", "J", 12.5), ("center", "max_iter", "4.0"), ("polynomiality", "k0_max", None),
+    ])
+    def test_integer_parameter_rejects_non_integers(self, tmp_path, capsys, command, key, value):
+        # int(1.7) would truncate to the n = 1 table, where --n 1.7 exits 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
+
+    def test_integral_config_numbers_are_integers(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 1.0, "K": "3"}))
+        assert main(["convert-poly", "--config", str(cfg)]) == 0
+        golden = GOLDEN / "convert-poly_n1_K3.json"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 class TestErrorChannels:

@@ -12,6 +12,19 @@ before the exact positivity check and the single Laplacian rewrite.
 The two fit --vanishing-tol cases, one on the exact path (K+1 rational
 samples, "num/den" coefficients) and one on the float path, were pinned
 before their JSON moved from the library into the CLI.
+The three center files were regenerated when the rho_{-A} half of the
+centering integrals became a closed form, after checking that the
+iteration count stayed at 4, that A moved by at most 1e-15 elementwise
+(measured 1.8e-16), and that gauge-diag's A stays within 2e-13 of the
+exact -B (measured 1.88e-13).  Every trace value moved by at most
+2.5e-16 absolute: values from 0.05 down to 3e-5 by at most 2.7e-12
+relative, the 5e-8 and 7e-8 values by 3.7e-9, the 1e-10 values by
+1.0e-6 and the 2e-13 residual by 8.4e-4.  A 1e-9 relative bound on the
+rows above 1e-12 cannot hold, since the old rows were further than that
+from the exact residual.
+Against the exact residual norm (mpmath, where Phi = R(-B)) every new
+row is closer than the old one: 3.1e-10 against 2.6e-9 relative on the
+5e-8 row, 4.8e-8 against 1.2e-7 on the 1e-10 row.
 """
 
 import subprocess

@@ -1,6 +1,7 @@
 """The experiment scripts under scripts/, called through their main()."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -29,3 +30,32 @@ class TestPerturbedA1:
         err = capsys.readouterr().err
         assert "eps=0.1 (3.763e-02)" in err
         assert "eps=0.05" not in err
+
+
+class TestCenteringTrace:
+    def test_default_run_passes_its_gate(self, tmp_path, capsys):
+        trace = _load("run_centering_trace")
+        assert trace.main(["--out-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "gauge_diag: converged=True iters=4" in captured.out
+        assert captured.err == ""
+        assert (tmp_path / "centering_trace_gauge_diag.csv").exists()
+
+    def test_unconverged_solve_fails_and_names_the_potential(self, tmp_path, capsys):
+        # zero is exact at A = 0; the other two need four iterations
+        trace = _load("run_centering_trace")
+        assert trace.main(["--out-dir", str(tmp_path), "--max-iter", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "eigenbasis_diag: not converged after 1 iterations" in err
+        assert "gauge_diag: not converged" in err
+        assert "zero" not in err
+        assert (tmp_path / "centering_trace_eigenbasis_diag.csv").exists()
+
+    def test_slow_steps_and_a_missed_fixed_point_fail(self):
+        trace = _load("run_centering_trace")
+        _, phi, B = trace.potentials(0.05)[2]
+        state = trace.center(phi)
+        assert trace.gate(state, B) == ""
+        slow = replace(state, trace=state.trace[:2] + ((2, 0.6 * state.trace[1][1], 0.0),))
+        assert trace.gate(slow, B) == "step ratio 0.600 above 1/2"
+        assert trace.gate(state, B.scaled(1.0 + 1e-7)).startswith("A misses -B by 3.5")
