@@ -75,15 +75,15 @@ def _parse_list(text: str, kind=float):
     return values
 
 
-def _profile_from(family: str, eps, coeffs) -> RadialProfile:
+def _profile_from(family: str, cfg) -> RadialProfile:
     if family == "fs" or family == "zero":
         return RadialProfile.zero()
     if family == "eigenfunction-bump":
-        return RadialProfile.eigenfunction_bump(float(_need(eps, "eps")))
+        return RadialProfile.eigenfunction_bump(_float(cfg, "eps"))
     if family == "rational-bump":
-        return RadialProfile.rational_bump(float(_need(eps, "eps")))
+        return RadialProfile.rational_bump(_float(cfg, "eps"))
     if family == "phi1-poly":
-        return RadialProfile(_parse_list(_need(coeffs, "coeffs")))
+        return RadialProfile(_parse_list(_need(cfg["coeffs"], "coeffs")))
     raise ValueError(f"unknown profile family {family!r}")
 
 
@@ -101,6 +101,14 @@ def _int(cfg, key) -> int:
             type(value) is float and value.is_integer()):
         return int(value)
     raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
+
+
+def _float(cfg, key) -> float:
+    """cfg[key] as a float: text or a number, not true or null."""
+    value = _need(cfg[key], key)
+    if isinstance(value, str) or type(value) in (int, float):
+        return float(value)
+    raise ValueError(f"parameter {key!r} must be a number, got {value!r}")
 
 
 # ------------------------------------------------------------------ commands
@@ -202,10 +210,10 @@ def _cmd_fs_check(cfg) -> str:
 
 
 def _cmd_density(cfg) -> str:
-    metric = RadialMetric(_profile_from(cfg["metric"], cfg["eps"], cfg["coeffs"]))
+    metric = RadialMetric(_profile_from(cfg["metric"], cfg))
     ms = _parse_list(_need(cfg["m_list"], "m_list"), int)
     grid = _parse_list(_need(cfg["grid"], "grid"))
-    tol = float(cfg["tol"])
+    tol = _float(cfg, "tol")
     results = [bergman_density(metric, m, grid, tol=tol) for m in ms]
     header = ["s"] + [f"Pi_m{m}" for m in ms]
     rows = [[s] + [res.values[i] for res in results] for i, s in enumerate(grid)]
@@ -215,7 +223,7 @@ def _cmd_density(cfg) -> str:
 def _cmd_fit(cfg) -> str:
     path = _need(cfg["samples"], "samples")
     if cfg["at_s"] is not None:
-        samples = _density_csv_samples(path, float(cfg["at_s"]))
+        samples = _density_csv_samples(path, _float(cfg, "at_s"))
     else:
         samples = load_samples_csv(path)
     fit = fit_expansion(samples, _int(cfg, "n"), _int(cfg, "K"))
@@ -227,7 +235,7 @@ def _cmd_fit(cfg) -> str:
         "condition": float(fit.condition),
     }
     if cfg["vanishing_tol"] is not None:
-        report = vanishing_report(fit, _int(cfg, "n"), float(cfg["vanishing_tol"]))
+        report = vanishing_report(fit, _int(cfg, "n"), _float(cfg, "vanishing_tol"))
         payload["vanishing"] = {
             "entries": [{"k": k, "vanishes": bool(v)} for k, v in report.entries],
             "residual": float(report.residual),
@@ -264,9 +272,9 @@ def _density_csv_samples(path, at_s: float):
 
 def _cmd_first_variation(cfg) -> str:
     metric = RadialMetric.fubini_study()
-    phi = _profile_from(_need(cfg["phi"], "phi"), cfg["eps"], cfg["coeffs"])
-    res = first_variation(metric, phi, _int(cfg, "m"), s=float(cfg["s"]),
-                          t=float(cfg["step"]))
+    phi = _profile_from(_need(cfg["phi"], "phi"), cfg)
+    res = first_variation(metric, phi, _int(cfg, "m"), s=_float(cfg, "s"),
+                          t=_float(cfg, "step"))
     payload = {
         "m": res.m,
         "s": res.s,
@@ -280,7 +288,7 @@ def _cmd_first_variation(cfg) -> str:
 
 def _cmd_center(cfg) -> str:
     kind = cfg["potential"]
-    scale = float(cfg["scale"])
+    scale = _float(cfg, "scale")
     if kind == "zero":
         phi = zero_potential
     elif kind == "eigenbasis-diag":
@@ -291,8 +299,8 @@ def _cmd_center(cfg) -> str:
         phi = gauge_potential(TracelessHermitian([[b, 0.0], [0.0, -b]]))
     else:
         raise ValueError(f"unknown potential {kind!r}")
-    state = center(phi, tol=float(cfg["tol"]), max_iter=_int(cfg, "max_iter"),
-                   eta=float(cfg["eta"]), damping=float(cfg["damping"]))
+    state = center(phi, tol=_float(cfg, "tol"), max_iter=_int(cfg, "max_iter"),
+                   eta=_float(cfg, "eta"), damping=_float(cfg, "damping"))
     if cfg["trace_out"]:
         rows = [(str(k), _fmt(sn), _fmt(rn)) for k, sn, rn in state.trace]
         text = _csv_text(["iteration", "step_norm", "residual_norm"], rows)

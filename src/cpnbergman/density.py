@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import PositivityError, StepUnderflowError
-from .jets import Jet
 from .quadrature import cp1_integral, integrate_interval
+from .ratpoly import RationalPolynomial
 
 
 def _horner(coeffs, p):
@@ -122,14 +124,6 @@ class RadialProfile:
             out[j] = (-1) ** j * acc
         return RadialProfile(out)
 
-    def jet_at(self, s: float, order: int) -> Jet:
-        x = Jet.variable(float(s), order)
-        p = (x + 1.0).reciprocal()
-        out = Jet.constant(0.0, order)
-        for c in reversed(self.coeffs):
-            out = out * p + c
-        return out
-
     def sup_norm(self) -> float:
         """max |u| over s >= 0, i.e. over p in [0, 1], at its critical points."""
         return float(np.max(np.abs(_horner(self.coeffs, _extremum_candidates(self.coeffs)))))
@@ -197,6 +191,28 @@ class RadialMetric:
 
     def inverted_chart(self) -> "RadialMetric":
         return RadialMetric(self.profile.inverted_chart())
+
+    @cached_property
+    def _curvature_numerators(self):
+        """p-coefficients of R and L: rho = R / v^3, Delta rho = L / v^6.
+
+        With E f = d/dp (p(1-p) f_p), (s f')' = p^2 E f and w = p^2 v give
+        rho = -E(log w) / v and Delta rho = E(rho) / v.  So with
+        N = 2(1-p) v + p(1-p) v', R = N v' - N' v, Q = p(1-p)(R' v - 3 R v')
+        and L = Q' v - 4 Q v'.  Exact in integers: v times 2^e, the common
+        denominator of its dyadic coefficients; R and L, of degree 2 and 4
+        in v, are scaled back by 2^(2e) and 2^(4e).  Built on first use.
+        """
+        scale = max(Fraction(c).denominator for c in self._v_coeffs)
+        v = RationalPolynomial([Fraction(c) * scale for c in self._v_coeffs])
+        dv = v.derivative()
+        pq = RationalPolynomial([0, 1, -1])  # p(1-p)
+        n = RationalPolynomial([2, -2]) * v + pq * dv
+        r = n * dv - n.derivative() * v
+        q = pq * (r.derivative() * v - r * dv * 3)
+        lap = q.derivative() * v - q * dv * 4
+        return (tuple(float(c / scale**2) for c in r.coeffs),
+                tuple(float(c / scale**4) for c in lap.coeffs))
 
 
 # A section-norm row is left out of a quadrature rule where a certified
@@ -433,23 +449,17 @@ class CurvatureReport:
 def scalar_curvature(metric: RadialMetric, s: float) -> CurvatureReport:
     """Scalar curvature, its Laplacian, and the induced expansion data.
 
-    All derivatives come from degree-6 Taylor jets of the potential, so
-    no finite differencing enters.  a1 = rho/2 and a2 = (Delta rho)/3;
-    for the round metric this gives (2, 0, 1, 0).
+    rho = R(p) / v^3 and Delta rho = L(p) / v^6 at p = 1/(1+s), with R and
+    L exact per metric (RadialMetric._curvature_numerators).  Horner on
+    p in [0, 1] loses no accuracy as s grows: the domain is every s in
+    [0, inf], the pole (p = 0) included.  a1 = rho/2 and
+    a2 = (Delta rho)/3; the round metric gives exactly (2, 0, 1, 0).
     """
-    order = 6
-    x = Jet.variable(float(s), order)
-    psi = (x + 1.0).log() + metric.profile.jet_at(float(s), order)
-
-    def radial(f: Jet) -> Jet:
-        f1 = f.derivative()
-        return f1 + x * f1.derivative()
-
-    g = radial(psi)                 # metric density, jet order 4
-    rho = -(radial(g.log()) / g)    # order 2
-    lap_rho = radial(rho) / g       # order 0
-    return CurvatureReport(float(s), rho.value, lap_rho.value,
-                           rho.value / 2.0, lap_rho.value / 3.0)
+    r, lap = metric._curvature_numerators
+    p = 1.0 / (1.0 + float(s))
+    v3 = _horner(metric._v_coeffs, p) ** 3
+    rho, lap_rho = _horner(r, p) / v3, _horner(lap, p) / (v3 * v3)
+    return CurvatureReport(float(s), rho, lap_rho, rho / 2.0, lap_rho / 3.0)
 
 
 @dataclass

@@ -9,11 +9,14 @@ promotes garbage coefficients to "known".
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 
 def _frac(x) -> Fraction:
+    if type(x) is Fraction:  # immutable: no copy needed
+        return x
     if isinstance(x, float):
         raise TypeError("exact arithmetic only: got float %r" % (x,))
     return Fraction(x)
@@ -29,10 +32,6 @@ class RationalPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def x(cls) -> "RationalPolynomial":
-        return cls([0, 1])
 
     @classmethod
     def from_roots(cls, roots: Iterable) -> "RationalPolynomial":
@@ -109,13 +108,16 @@ class RationalPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return RationalPolynomial([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
+        # integer convolution over common denominators, one reduction per coefficient
+        da = math.lcm(*(c.denominator for c in self.coeffs))
+        db = math.lcm(*(c.denominator for c in other.coeffs))
+        bs = [b.numerator * (db // b.denominator) for b in other.coeffs]
+        out = [0] * (len(self.coeffs) + len(bs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
+            a = a.numerator * (da // a.denominator)
+            for j, b in enumerate(bs):
                 out[i + j] += a * b
-        return RationalPolynomial(out)
+        return RationalPolynomial([Fraction(c, da * db) for c in out])
 
     __rmul__ = __mul__
 
@@ -133,12 +135,6 @@ class RationalPolynomial:
                 for j in range(d + 1):
                     rem[k - d + j] -= q * other.coeffs[j]
         return RationalPolynomial(quot), RationalPolynomial(rem[:d])
-
-    def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
-        acc = RationalPolynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + RationalPolynomial([c])
-        return acc
 
     def derivative(self) -> "RationalPolynomial":
         return RationalPolynomial(

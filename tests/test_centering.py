@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -238,7 +239,6 @@ class TestClosedForm:
 
     @staticmethod
     def _assert_kernel_ulps(ds):
-        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(80):
             for d in ds:
                 x = mpmath.mpf(float(d))

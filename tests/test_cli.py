@@ -234,6 +234,22 @@ class TestConfigMerge:
         assert main([command, "--config", str(cfg)]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("command,config,key", [
+        ("center", {"tol": True, "potential": "eigenbasis-diag"}, "tol"),
+        ("first-variation", {"phi": "eigenfunction-bump", "eps": False}, "eps"),
+        ("center", {"scale": None}, "scale"),
+        ("density", {"metric": "rational-bump", "eps": [0.1], "m_list": "5", "grid": "0"}, "eps"),
+        ("fit", {"samples": "unread.csv", "at_s": True}, "at_s"),
+    ])
+    def test_float_parameter_rejects_non_numbers(self, tmp_path, capsys, command, config, key):
+        # float(True) is 1.0: {"tol": true} once ran a solve at tol 1.0 and exited 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError"
+        assert repr(key) in error["message"]
+
     def test_integral_config_numbers_are_integers(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 1.0, "K": "3"}))

@@ -298,7 +298,7 @@ def _reference_variation(n, J, lams):
     Q = rising(1, n)
     prefactor = InverseMSeries.from_polynomial(Q * Q * Fraction(-1, factorial(n)), J)
     back = InverseMSeries.from_polynomial(
-        Q * RationalPolynomial.x() * Fraction(1, factorial(n)), J)
+        Q * RationalPolynomial([0, 1]) * Fraction(1, factorial(n)), J)
     for lam in lams:
         lam = Fraction(lam)
         deltas = [Fraction(1)]

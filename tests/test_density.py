@@ -390,38 +390,45 @@ class TestDensityWithPotential:
         assert 1e-4 < dev2 < 5 * t * m
 
 
+# (profile maker, sympy profile) pairs of the curvature oracle tests; eps
+# enters sympy as the exact dyadic value of the float the library reads
+CURVATURE_FAMILIES = [
+    (RadialProfile.eigenfunction_bump, lambda eps, s: eps * (1 - s) / (1 + s)),
+    (RadialProfile.rational_bump, lambda eps, s: eps * s / (1 + s) ** 2),
+    pytest.param(lambda eps: RadialProfile([0.0, eps / 2, -eps / 5]),
+                 lambda eps, s: eps / 2 / (1 + s) - eps / 5 / (1 + s) ** 2, id="phi1-poly"),
+]
+
+
 class TestScalarCurvature:
     def test_fubini_study_report(self):
-        rep = scalar_curvature(RadialMetric.fubini_study(), 1.7)
-        assert abs(rep.rho - 2.0) < 1e-10
-        assert abs(rep.lap_rho) < 1e-10
-        assert abs(rep.a1 - 1.0) < 1e-10
-        assert abs(rep.a2) < 1e-10
+        for s in (0.0, 1.7, 1e6, math.inf):
+            rep = scalar_curvature(RadialMetric.fubini_study(), s)
+            assert (rep.rho, rep.lap_rho, rep.a1, rep.a2) == (2.0, 0.0, 1.0, 0.0), s
 
-    @pytest.mark.parametrize(
-        "u_maker,u_sym",
-        [
-            (
-                RadialProfile.eigenfunction_bump,
-                lambda eps, s: eps * (1 - s) / (1 + s),
-            ),
-            (
-                RadialProfile.rational_bump,
-                lambda eps, s: eps * s / (1 + s) ** 2,
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("u_maker,u_sym", CURVATURE_FAMILIES)
     def test_against_symbolic_oracle(self, u_maker, u_sym):
-        eps = 0.2
-        s = sp.symbols("s")
+        # s enters as an exact rational too and the reference is evaluated
+        # to 30 digits, so it does not cancel at s = 1e6
+        s, eps = sp.symbols("s eps")
         rho_expr, lap_expr = sympy_curvature(u_sym(eps, s), s)
-        met = RadialMetric(u_maker(eps))
-        for sv in (0.01, 0.3, 1.0, 2.7, 10.0):
-            rep = scalar_curvature(met, sv)
-            assert rep.rho == pytest.approx(float(rho_expr.subs(s, sv)), rel=1e-10)
-            assert rep.lap_rho == pytest.approx(
-                float(lap_expr.subs(s, sv)), rel=1e-9, abs=1e-11
-            )
+        for e in (0.1, 0.2):
+            met = RadialMetric(u_maker(e))
+            for sv in (0.0, 0.01, 0.3, 1.0, 2.7, 10.0, 1e3, 1e6):
+                rep = scalar_curvature(met, sv)
+                at = {eps: sp.Rational(e), s: sp.Rational(sv)}
+                rho = float(rho_expr.subs(at).evalf(30))
+                lap = float(lap_expr.subs(at).evalf(30))
+                assert rep.rho == pytest.approx(rho, rel=1e-13), (e, sv)
+                assert rep.lap_rho == pytest.approx(lap, rel=1e-13, abs=1e-15), (e, sv)
+
+    @pytest.mark.parametrize("u_maker,u_sym", CURVATURE_FAMILIES)
+    def test_pole_through_the_inverted_chart(self, u_maker, u_sym):
+        met = RadialMetric(u_maker(0.1))
+        far = scalar_curvature(met, math.inf)
+        near = scalar_curvature(met.inverted_chart(), 0.0)
+        assert far.rho == pytest.approx(near.rho, rel=1e-14)
+        assert far.lap_rho == pytest.approx(near.lap_rho, rel=1e-14)
 
     def test_continuity_at_fubini_study(self):
         rep = scalar_curvature(RadialMetric(RadialProfile.eigenfunction_bump(1e-4)), 0.0)
