@@ -10,11 +10,13 @@ fixes exactly the A for which the centering integrals vanish.  The
 integrals run against the fixed round measure: pulling the defining
 integral back through the automorphism turns rho_A into -rho_{-A} and
 leaves the measure alone.  So v(A) = Phi - R(A) splits into
-Phi_i = int phi theta_i, which does not depend on A and is one
-quadrature per solve, and R_i(A) = int rho_{-A} theta_i, which on CP^1
-is a closed form in the eigenframe W = U* Z of A: by Archimedes'
-hat-box theorem (the n = 1 case of Duistermaat-Heckman) the moment map
-|W_1|^2 / |W|^2 is uniform under the round measure.
+Phi_i = int phi theta_i, which does not depend on A and is computed once
+per solve, and R_i(A) = int rho_{-A} theta_i, which on CP^1 is a closed
+form in the eigenframe W = U* Z of A: by Archimedes' hat-box theorem
+(the n = 1 case of Duistermaat-Heckman) the moment map |W_1|^2 / |W|^2
+is uniform under the round measure.  Phi is exact too for the gauge
+potentials rho_B (Phi = R(-B)) and the Hermitian forms <T Z, Z> / |Z|^2
+(Phi_i = tr(T T_i) / 6); any other callable phi costs one quadrature.
 
 Types are dimension-generic; the integrals (and hence t_step/center)
 are implemented for n = 1 only.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, List
 
 import numpy as np
@@ -95,20 +97,71 @@ def rho_potential(A: TracelessHermitian, z):
     return np.log(np.sum(np.abs(W) ** 2, axis=0) / np.sum(np.abs(Z) ** 2, axis=0))
 
 
-def gauge_potential(B: TracelessHermitian) -> Callable:
-    """rho_B as a chart potential of z; rho_0 is identically zero."""
-    return partial(rho_potential, B)
+@dataclass(frozen=True, eq=False)
+class GaugePotential:
+    """rho_B as a chart potential of z; rho_0 is identically zero.
+
+    rho_B lies between 2 lam_min(B) and 2 lam_max(B), and its moments are
+    R(-B), so both are exact (the moments on CP^1).
+    """
+
+    B: TracelessHermitian
+
+    def __call__(self, z):
+        return rho_potential(self.B, z)
+
+    def sup_norm(self) -> float:
+        return 2.0 * float(np.max(np.abs(np.linalg.eigvalsh(self.B.matrix))))
+
+    def moments(self, L: LMap) -> np.ndarray:
+        return _rho_moments(self.B.scaled(-1.0), L)
+
+
+@dataclass(frozen=True, eq=False)
+class FormPotential:
+    """<T Z, Z> / |Z|^2 on CP^1 for a traceless Hermitian 2 x 2 matrix T.
+
+    Its range is [lam_min(T), lam_max(T)], and its centering integrals
+    are the exact pairings tr(T T_i) / 6 with the basis matrices T_i.
+    """
+
+    matrix: np.ndarray
+
+    def __call__(self, z):
+        return _form_ratio(self.matrix, np.asarray(z))
+
+    def sup_norm(self) -> float:
+        return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
+
+    def moments(self, L: LMap) -> np.ndarray:
+        return np.einsum("jk,ikj->i", self.matrix, L.theta_matrices).real / 6.0
+
+
+def _form_ratio(T: np.ndarray, z) -> np.ndarray:
+    """<T Z, Z> / |Z|^2 = (a00 + a11 s + 2 Re(a01 z)) / (1 + s) at Z = (1, z).
+
+    T is Hermitian of shape (2, 2, ...); its trailing axes broadcast
+    against z, so a stack of matrices is evaluated in one pass.
+    """
+    s = z.real * z.real + z.imag * z.imag
+    a01 = T[0, 1]
+    return (T[0, 0].real + T[1, 1].real * s
+            + 2.0 * (a01.real * z.real - a01.imag * z.imag)) / (1.0 + s)
+
+
+def gauge_potential(B: TracelessHermitian) -> GaugePotential:
+    return GaugePotential(B)
 
 
 def zero_potential(z):
     return np.zeros(np.shape(z))
 
 
-def eigenbasis_potential(fn: EigenBasisFunction, scale: float) -> Callable:
-    def phi(z):
-        return scale * fn.evaluate_lifts(chart_lift(fn.n, z))
-
-    return phi
+def eigenbasis_potential(fn: EigenBasisFunction, scale: float) -> FormPotential:
+    """scale times the basis function fn of the first eigenspace of CP^1."""
+    if fn.n != 1:
+        raise UnsupportedDimensionError("eigenbasis potentials are implemented for n = 1 only")
+    return FormPotential(scale * fn.normalization * fn._np)
 
 
 @dataclass(frozen=True)
@@ -208,16 +261,16 @@ def _rho_moments(A: TracelessHermitian, L: LMap) -> np.ndarray:
 
 
 def _phi_moments(phi: Callable, L: LMap, rtol: float) -> np.ndarray:
-    """Phi_i = int phi theta_i dV_0: one vector-valued cp1_integral pass."""
+    """Phi_i = int phi theta_i dV_0: phi.moments(L) where phi has it, else
+    one vector-valued cp1_integral pass, within that function's domain."""
     if L.n != 1:
         raise UnsupportedDimensionError("centering integrals are implemented for n = 1 only")
+    if hasattr(phi, "moments"):
+        return phi.moments(L)
+    T = L.theta_matrices.transpose(1, 2, 0)
 
     def F(z):
-        # theta_i = <T_i Z, Z> / |Z|^2 at Z = (1, z), with T_i Hermitian
-        T = L.theta_matrices.reshape((L.size, 4) + (1,) * np.ndim(z))
-        s = np.abs(z) ** 2
-        quad = T[:, 0].real + T[:, 3].real * s + 2.0 * (T[:, 1] * z).real
-        return phi(z) * quad / (1.0 + s)
+        return phi(z) * _form_ratio(T.reshape(T.shape + (1,) * np.ndim(z)), z)
 
     return cp1_integral(F, fs_weight, rtol=rtol, atol=1e-13)
 
@@ -226,9 +279,8 @@ def centering_residual(A: TracelessHermitian, phi: Callable, L: LMap,
                        rtol: float = 1e-10) -> np.ndarray:
     """The s centering integrals v_i(A) = int (phi - rho_{-A}) theta_i dV_0.
 
-    v(A) = Phi - R(A): Phi, the phi half, is one vector-valued
-    cp1_integral over all s basis functions at this rtol; R(A), the
-    rho_{-A} half, is exact (_rho_moments).
+    v(A) = Phi - R(A): Phi, the phi half, from _phi_moments at this rtol;
+    R(A), the rho_{-A} half, exact (_rho_moments).
     """
     return _phi_moments(phi, L, rtol) - _rho_moments(A, L)
 
@@ -262,23 +314,23 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *, n: int = 1,
            eta: float = 0.1, damping: float = 0.5, rtol: float = 1e-10) -> CenteringState:
     """Iterate the centering map from A = 0 until the integrals vanish.
 
-    Requires the C0 norm of phi (estimated on a chart grid covering both
-    poles) to sit below eta, the calibrated contraction threshold; the
-    iteration raises DivergenceError after five consecutive growing
-    steps and NonConvergenceError past max_iter, with the partial state
-    attached.
+    Requires the C0 norm of phi (phi.sup_norm() where phi has it, else
+    estimated on a chart grid covering both poles) to sit below eta, the
+    calibrated contraction threshold; the iteration raises DivergenceError
+    after five consecutive growing steps and NonConvergenceError past
+    max_iter, with the partial state attached.
 
-    Only rho_{-A} changes between iterates, so phi is integrated once, in
-    Phi = int phi theta_i dV_0 at this rtol, and every iterate's residual
-    is Phi - R(A) with R(A) exact.
+    Only rho_{-A} changes between iterates, so Phi = int phi theta_i dV_0
+    is computed once (_phi_moments) and every iterate's residual is
+    Phi - R(A) with R(A) exact.
     """
     if n != 1:
         raise UnsupportedDimensionError("centering is implemented for n = 1 only")
-    sup = _sup_norm_estimate(phi)
+    exact = hasattr(phi, "sup_norm")
+    sup = phi.sup_norm() if exact else _sup_norm_estimate(phi)
     if sup > eta:
-        raise ValueError(
-            f"potential C0 norm estimate {sup:.4g} exceeds the contraction threshold {eta}"
-        )
+        raise ValueError(f"potential C0 norm {'' if exact else 'estimate '}{sup:.4g} "
+                         f"exceeds the contraction threshold {eta}")
     L = build_L(n)
     Phi = _phi_moments(phi, L, rtol)
     A = TracelessHermitian.zero(n)
@@ -316,7 +368,8 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *, n: int = 1,
 
 
 def _sup_norm_estimate(phi: Callable) -> float:
-    # max |phi| on an 81 x 32 chart grid reaching towards both poles
+    # max |phi| on an 81 x 32 chart grid reaching towards both poles, which
+    # can fall short of the sup (by 2e-4 relative for a diagonal form)
     p = np.linspace(1e-4, 1.0, 81, endpoint=False)
     s = 1.0 / p - 1.0
     radius = np.sqrt(s)
@@ -330,7 +383,7 @@ def estimate_contraction(phi: Callable, n_pairs: int = 5, radius: float = 0.05,
                          rtol: float = 1e-9, seed: int = 0, damping: float = 0.5) -> float:
     """Largest observed ||T(B)-T(A)|| / ||B-A|| over random pairs in the ball.
 
-    phi is fixed, so Phi = int phi theta_i dV_0 is integrated once at this
+    phi is fixed, so Phi = int phi theta_i dV_0 is computed once at this
     rtol and each of the 2 n_pairs steps descends along Phi - R(A).
     """
     L = build_L(1)

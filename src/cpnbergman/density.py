@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PositivityError, StepUnderflowError
-from .quadrature import cp1_integral, integrate_interval
+from .quadrature import integrate_interval
 from .ratpoly import RationalPolynomial
 
 
@@ -452,14 +452,18 @@ def scalar_curvature(metric: RadialMetric, s: float) -> CurvatureReport:
     rho = R(p) / v^3 and Delta rho = L(p) / v^6 at p = 1/(1+s), with R and
     L exact per metric (RadialMetric._curvature_numerators).  Horner on
     p in [0, 1] loses no accuracy as s grows: the domain is every s in
-    [0, inf], the pole (p = 0) included.  a1 = rho/2 and
+    [0, inf], the pole (p = 0) included; any other s (negative, nan)
+    raises ValueError.  a1 = rho/2 and
     a2 = (Delta rho)/3; the round metric gives exactly (2, 0, 1, 0).
     """
+    s = float(s)
+    if not 0.0 <= s <= math.inf:
+        raise ValueError(f"s = {s} is outside [0, inf]")
     r, lap = metric._curvature_numerators
-    p = 1.0 / (1.0 + float(s))
+    p = 1.0 / (1.0 + s)
     v3 = _horner(metric._v_coeffs, p) ** 3
     rho, lap_rho = _horner(r, p) / v3, _horner(lap, p) / (v3 * v3)
-    return CurvatureReport(float(s), rho, lap_rho, rho / 2.0, lap_rho / 3.0)
+    return CurvatureReport(s, rho, lap_rho, rho / 2.0, lap_rho / 3.0)
 
 
 @dataclass
@@ -473,7 +477,7 @@ class FirstVariationResult:
 
 
 def first_variation(metric: RadialMetric, phi: RadialProfile, m: int, s: float = 0.0,
-                    t: float = 1e-5, tol: float = 1e-11) -> FirstVariationResult:
+                    t: float = 1e-5) -> FirstVariationResult:
     """Derivative of the density at a point along the potential direction phi.
 
     The closed form (Fubini-Study background only) is
@@ -481,10 +485,11 @@ def first_variation(metric: RadialMetric, phi: RadialProfile, m: int, s: float =
         sigma'(0) = -(m+1)^2 * (1/pi) int (m phi~ - Delta phi~) (1+|z|^2)^{-(m+2)} dA
 
     with phi~ = phi - phi(base).  A base point off the origin is pulled
-    back to 0 by the Mobius map z -> (z + w)/(1 - w z), w = sqrt(s),
-    which preserves the round metric and commutes with its Laplacian;
-    the pulled-back integrand is no longer radial, so the angular
-    average is taken numerically.
+    back to 0 by the Mobius map G(z) = (z + w)/(1 - w z), w = sqrt(s),
+    which preserves the round metric and commutes with its Laplacian.
+    p o G = |1 - w z|^2 / ((1+s)(1+|z|^2)), so by Parseval and a Beta
+    integral the p^k term is (1+s)^{-k} sum_l C(k,l)^2 s^l / ((m+k+1) C(m+k,l)):
+    the formula is one Fraction sum over the float inputs, rounded once.
 
     The check value is a centred difference of the perturbed density at
     +-t.  Its relative gap is floored at m^2 t sup|phi~|, the step-noise
@@ -495,30 +500,21 @@ def first_variation(metric: RadialMetric, phi: RadialProfile, m: int, s: float =
         raise StepUnderflowError(f"difference step {t:.3e} is below the noise floor")
     if not metric.is_fubini_study:
         raise ValueError("closed-form first variation requires the Fubini-Study background")
-
     s = float(s)
-    w0 = math.sqrt(s)
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"base point s = {s} is outside [0, inf)")
+
+    S = Fraction(s)
+    P = 1 / (1 + S)
+    moments = [P**k * sum(Fraction(math.comb(k, l) ** 2, (m + k + 1) * math.comb(m + k, l)) * S**l
+                          for l in range(k + 1))
+               for k in range(len(phi.coeffs))]
+    # (m p^k - Delta p^k - m P^k) against the weight, for each coefficient c_k
+    integral = sum(Fraction(c) * ((m + k * (k + 1)) * moments[k] - m * P**k * moments[0]
+                                  - (k * k * moments[k - 1] if k else 0))
+                   for k, c in enumerate(phi.coeffs))
+    formula = float(-((m + 1) ** 2) * integral)
     phi0 = float(phi.value(s))
-    lap = phi.fs_laplacian_coeffs()
-    pcoeffs = phi.coeffs
-
-    def integrand(z):
-        # p = 1/(1 + |G(z)|^2) through the stable joint form
-        a = 1.0 - w0 * z
-        b = z + w0
-        d2 = (a * a.conjugate()).real
-        n2 = (b * b.conjugate()).real
-        p = d2 / (d2 + n2)
-        return m * (_horner(pcoeffs, p) - phi0) - _horner(lap, p)
-
-    def weight(sv):
-        return np.exp(-(m + 2) * np.log1p(np.asarray(sv, dtype=float)))
-
-    if phi.is_zero:
-        formula = 0.0
-    else:
-        integral = cp1_integral(integrand, weight, rtol=tol, atol=1e-14)
-        formula = -((m + 1) ** 2) * integral
 
     plus = bergman_density(metric.with_potential(phi, t), m, [s]).values[0]
     minus = bergman_density(metric.with_potential(phi, -t), m, [s]).values[0]

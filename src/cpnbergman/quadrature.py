@@ -274,9 +274,10 @@ def cp1_integral(
 
     Computes int_0^inf radial_weight(s) * mean_theta F(sqrt(s) e^{i theta}) ds.
     With radial_weight = (1+s)^{-2} this is the integral against the
-    unit-volume Fubini-Study form.  F must broadcast over complex arrays;
-    it may return shape (k,) + z.shape for k integrands, and the result
-    is then a (k,) array instead of a float.
+    unit-volume Fubini-Study form.  F must broadcast over complex arrays
+    and return real values (a complex dtype raises ValueError); it may
+    return shape (k,) + z.shape for k integrands, and the result is then
+    a (k,) array instead of a float.
 
     The trapezoid angular rule is spectrally accurate for smooth F.  Each
     doubling step is one adaptive radial pass that evaluates F once on a
@@ -285,7 +286,8 @@ def cp1_integral(
     returned once every component's two rows agree within
     max(rtol |I|, atol); otherwise nt doubles, so the steps are (64, 128),
     (128, 256), ... up to (512, 1024), after which QuadratureError is
-    raised.  A step whose first radial split
+    raised, naming n_theta and its cap: the domain is an F whose angular
+    means settle within 1024 nodes.  A step whose first radial split
     already shows a gap far beyond the tolerance plus both rows' error
     estimates moves on without refining; no value is accepted from an
     unrefined pass.
@@ -308,6 +310,8 @@ def cp1_integral(
         def radial(s: np.ndarray) -> np.ndarray:
             nonlocal vector
             vals = F(np.sqrt(s)[:, None] * circle)
+            if np.iscomplexobj(vals):
+                raise ValueError("cp1_integral needs a real-valued F, got %s values" % vals.dtype)
             vector = vals.ndim > 2
             coarse = vals[..., ::2].mean(axis=-1).reshape(-1, len(s))
             fine = vals.mean(axis=-1).reshape(-1, len(s))
@@ -323,7 +327,8 @@ def cp1_integral(
         if np.all(np.abs(fine - coarse) <= bound(fine)):
             return fine if vector else float(fine[0])
     raise QuadratureError(
-        "angular refinement did not stabilize below n_theta = %d" % _N_THETA_MAX
+        "angular refinement did not stabilize: n_theta = %d, the cap of cp1_integral, "
+        "is too few angles for this integrand" % _N_THETA_MAX
     )
 
 

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cpnbergman import centering
+from cpnbergman import centering, quadrature
 from cpnbergman import (
     DivergenceError,
     NonConvergenceError,
@@ -178,9 +178,17 @@ def _mix_potential():
     return lambda z: sum(p(z) for p in pots)
 
 
+def _callable(pot):
+    """pot as a plain callable, which takes the quadrature path."""
+    return lambda z: pot(z)
+
+
+_GAUGE = TracelessHermitian(np.array([[0.03, 0.02 - 0.01j], [0.02 + 0.01j, -0.03]]))
+
 _POTENTIALS = {
-    "gauge": lambda: gauge_potential(TracelessHermitian(
-        np.array([[0.03, 0.02 - 0.01j], [0.02 + 0.01j, -0.03]]))),
+    "gauge": lambda: gauge_potential(_GAUGE),
+    "gauge-callable": lambda: _callable(gauge_potential(_GAUGE)),
+    "eigenbasis": lambda: eigenbasis_potential(first_eigenbasis(1)[0], -0.04),
     "eigenbasis-mix": _mix_potential,
     "zero": lambda: zero_potential,
     "scalar-lambda": lambda: (lambda z: 0.02),
@@ -287,6 +295,83 @@ class TestClosedForm:
         assert state.converged
         assert np.max(np.abs(state.A.matrix + B.matrix)) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gauge_callable_centers_at_minus_B(self, seed):
+        # the same potential through the Phi quadrature and the grid sup
+        B = _random_traceless(np.random.default_rng(seed), 0.05)
+        state = center(_callable(gauge_potential(B)))
+        assert state.converged
+        assert np.max(np.abs(state.A.matrix + B.matrix)) <= 1e-12
+
+
+class TestHermitianPotentials:
+    """Gauge and eigenbasis potentials carry exact moments and sups."""
+
+    @staticmethod
+    def _cases(kind):
+        rng = np.random.default_rng({"form": 10, "gauge": 11}[kind])
+        for norm in np.geomspace(0.01, 1.0, 20):
+            T = _random_traceless(rng, norm)
+            yield (centering.FormPotential(T.matrix) if kind == "form"
+                   else gauge_potential(T))
+
+    @pytest.mark.parametrize("kind", ["form", "gauge"])
+    def test_moments_match_quadrature(self, kind):
+        L = build_L(1)
+        for pot in self._cases(kind):
+            got = pot.moments(L)
+            want = centering._phi_moments(_callable(pot), L, rtol=1e-12)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("kind", ["form", "gauge"])
+    def test_sup_is_exact(self, kind):
+        for pot in self._cases(kind):
+            sup = pot.sup_norm()
+            assert sup >= centering._sup_norm_estimate(pot)
+            # attained where Z is an eigenvector of the largest |eigenvalue|
+            w, U = np.linalg.eigh(pot.B.matrix if kind == "gauge" else pot.matrix)
+            u = U[:, int(np.argmax(np.abs(w)))]
+            assert abs(pot(u[1] / u[0])) == pytest.approx(sup, rel=1e-14)
+
+    def test_eigenbasis_potential_matches_the_basis_function(self):
+        z = np.concatenate([[0.0, 1e8], np.geomspace(1e-3, 1e3, 9) * np.exp(2.3j)])
+        for fn in first_eigenbasis(1):
+            want = 0.07 * fn.evaluate_lifts(chart_lift(1, z))
+            np.testing.assert_allclose(eigenbasis_potential(fn, 0.07)(z), want, rtol=1e-15, atol=0)
+
+    def test_eigenbasis_potential_needs_n_1(self):
+        with pytest.raises(UnsupportedDimensionError):
+            eigenbasis_potential(first_eigenbasis(2)[0], 0.05)
+
+    def test_just_above_eta_is_rejected(self):
+        # the chart grid stops short of the pole, where the diagonal form peaks
+        fn = first_eigenbasis(1)[2]
+        pot = eigenbasis_potential(fn, 1.0)
+        pot = eigenbasis_potential(fn, 0.1 * (1.0 + 1e-5) / pot.sup_norm())
+        assert centering._sup_norm_estimate(pot) < 0.1 < pot.sup_norm()
+        with pytest.raises(ValueError, match="C0 norm 0.1 exceeds"):
+            center(pot)
+        with pytest.raises(ValueError, match="C0 norm estimate"):
+            center(_callable(pot), eta=0.09)
+
+    def test_no_cp1_pass(self, monkeypatch):
+        passes = []
+        half_line = quadrature.integrate_half_line
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return half_line(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_half_line", counted)
+        for make in ("gauge", "eigenbasis"):
+            phi = _POTENTIALS[make]()
+            assert center(phi).converged
+            estimate_contraction(phi, n_pairs=2)
+            centering_residual(DIAG.scaled(0.01), phi, build_L(1))
+        assert not passes
+        center(_POTENTIALS["gauge-callable"]())
+        assert passes
+
 
 class TestStepMap:
     def test_fixed_point_at_origin(self):
@@ -339,10 +424,11 @@ class TestCenter:
     def test_gauge_potential_recovers_inverse(self):
         b = 0.05 / math.sqrt(2)
         B = TracelessHermitian(np.diag([b, -b]))
-        state = center(gauge_potential(B))
-        assert state.converged
-        assert state.residual_norm < 1e-8
-        assert (state.A + B).norm < 1e-6
+        for phi in (gauge_potential(B), _callable(gauge_potential(B))):
+            state = center(phi)
+            assert state.converged
+            assert state.residual_norm < 1e-8
+            assert (state.A + B).norm < 1e-6
 
     def test_mixed_potential(self):
         basis = first_eigenbasis(1)

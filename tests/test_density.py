@@ -1,9 +1,12 @@
 """Bergman densities, curvature reports and first variation on CP^1.
 
-Independent oracles: Beta integrals for Fubini-Study section norms, and
-sympy differentiation of the radial curvature formulas
+Independent oracles: Beta integrals for Fubini-Study section norms; the
+radial curvature formulas
     g = psi' + s psi'',  psi = log(1+s) + u,
-    rho = -(L' + s L'')/g with L = log g,   Delta rho = (rho' + s rho'')/g.
+    rho = -(L' + s L'')/g with L = log g,   Delta rho = (rho' + s rho'')/g,
+taken exactly in sympy's field of rational functions of p = 1/(1+s); and
+for the first variation, a quadrature of the pulled-back integrand and an
+exact sum obtained through the inverse Mobius map.
 """
 
 import math
@@ -14,6 +17,7 @@ import pytest
 import sympy as sp
 
 import cpnbergman.density as density_module
+from cpnbergman import quadrature
 from cpnbergman import (
     PhiK,
     PositivityError,
@@ -22,6 +26,7 @@ from cpnbergman import (
     RadialProfile,
     StepUnderflowError,
     bergman_density,
+    cp1_integral,
     first_variation,
     scalar_curvature,
     section_norms,
@@ -34,13 +39,26 @@ def beta_norm(m, j):
     return Fraction(math.factorial(j) * math.factorial(m - j), math.factorial(m + 1))
 
 
-def sympy_curvature(u_expr, s):
-    psi = sp.log(1 + s) + u_expr
-    g = sp.diff(psi, s) + s * sp.diff(psi, s, 2)
-    L = sp.log(g)
-    rho = -(sp.diff(L, s) + s * sp.diff(L, s, 2)) / g
-    lap_rho = (sp.diff(rho, s) + s * sp.diff(rho, s, 2)) / g
+# exact rational functions of p = 1/(1+s); d/ds = -p^2 d/dp turns the
+# s-form radial formulas into operations on them
+QP, P = sp.field("p", sp.QQ)
+
+
+def _d_ds(f):
+    return -P**2 * f.diff(P)
+
+
+def exact_curvature(g):
+    """rho and Delta rho of the metric density g = psi' + s psi'', in Q(p)."""
+    s = 1 / P - 1
+    dlog = _d_ds(g) / g
+    rho = -(dlog + s * _d_ds(dlog)) / g
+    lap_rho = (_d_ds(rho) + s * _d_ds(_d_ds(rho))) / g
     return rho, lap_rho
+
+
+def exact_at(f, p):
+    return f.numer(p) / f.denom(p)
 
 
 class TestRadialProfile:
@@ -390,8 +408,8 @@ class TestDensityWithPotential:
         assert 1e-4 < dev2 < 5 * t * m
 
 
-# (profile maker, sympy profile) pairs of the curvature oracle tests; eps
-# enters sympy as the exact dyadic value of the float the library reads
+# (profile maker, exact profile in s) pairs of the curvature oracle tests;
+# eps enters as the exact dyadic value of the float the library reads
 CURVATURE_FAMILIES = [
     (RadialProfile.eigenfunction_bump, lambda eps, s: eps * (1 - s) / (1 + s)),
     (RadialProfile.rational_bump, lambda eps, s: eps * s / (1 + s) ** 2),
@@ -407,20 +425,33 @@ class TestScalarCurvature:
             assert (rep.rho, rep.lap_rho, rep.a1, rep.a2) == (2.0, 0.0, 1.0, 0.0), s
 
     @pytest.mark.parametrize("u_maker,u_sym", CURVATURE_FAMILIES)
-    def test_against_symbolic_oracle(self, u_maker, u_sym):
-        # s enters as an exact rational too and the reference is evaluated
-        # to 30 digits, so it does not cancel at s = 1e6
-        s, eps = sp.symbols("s eps")
-        rho_expr, lap_expr = sympy_curvature(u_sym(eps, s), s)
+    def test_numerators_are_exact(self, u_maker, u_sym):
+        # R = rho v^3 and L = (Delta rho) v^6 for the metric's own float v:
+        # every coefficient is the exact one, rounded once
         for e in (0.1, 0.2):
             met = RadialMetric(u_maker(e))
-            for sv in (0.0, 0.01, 0.3, 1.0, 2.7, 10.0, 1e3, 1e6):
+            v = sum((sp.QQ(*c.as_integer_ratio()) * P**k
+                     for k, c in enumerate(met._v_coeffs)), QP(0))
+            rho, lap_rho = exact_curvature(P**2 * v)
+            for got, f in zip(met._curvature_numerators, (rho * v**3, lap_rho * v**6)):
+                assert f.denom.is_ground  # a polynomial in p
+                poly = sp.Poly(f.as_expr(), QP.symbols[0])
+                assert got == tuple(float(c) for c in reversed(poly.all_coeffs())), e
+
+    @pytest.mark.parametrize("u_maker,u_sym", CURVATURE_FAMILIES)
+    def test_against_symbolic_oracle(self, u_maker, u_sym):
+        # from the profile in s: psi = log(1+s) + u, g = psi' + s psi''
+        s = 1 / P - 1
+        for e in (0.1, 0.2):
+            dpsi = P + _d_ds(u_sym(sp.QQ(*e.as_integer_ratio()), s))
+            rho, lap_rho = exact_curvature(dpsi + s * _d_ds(dpsi))
+            met = RadialMetric(u_maker(e))
+            for sv in (0.0, 1.0, 1e3, 1e6):
                 rep = scalar_curvature(met, sv)
-                at = {eps: sp.Rational(e), s: sp.Rational(sv)}
-                rho = float(rho_expr.subs(at).evalf(30))
-                lap = float(lap_expr.subs(at).evalf(30))
-                assert rep.rho == pytest.approx(rho, rel=1e-13), (e, sv)
-                assert rep.lap_rho == pytest.approx(lap, rel=1e-13, abs=1e-15), (e, sv)
+                at = sp.QQ(1) / (1 + sp.QQ(*sv.as_integer_ratio()))
+                assert rep.rho == pytest.approx(float(exact_at(rho, at)), rel=1e-13), (e, sv)
+                assert rep.lap_rho == pytest.approx(float(exact_at(lap_rho, at)),
+                                                    rel=1e-13, abs=1e-15), (e, sv)
 
     @pytest.mark.parametrize("u_maker,u_sym", CURVATURE_FAMILIES)
     def test_pole_through_the_inverted_chart(self, u_maker, u_sym):
@@ -429,6 +460,12 @@ class TestScalarCurvature:
         near = scalar_curvature(met.inverted_chart(), 0.0)
         assert far.rho == pytest.approx(near.rho, rel=1e-14)
         assert far.lap_rho == pytest.approx(near.lap_rho, rel=1e-14)
+
+    @pytest.mark.parametrize("s", [-0.5, -1.0, math.nan, -math.inf])
+    def test_outside_the_domain(self, s):
+        met = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
+        with pytest.raises(ValueError, match="outside"):
+            scalar_curvature(met, s)
 
     def test_continuity_at_fubini_study(self):
         rep = scalar_curvature(RadialMetric(RadialProfile.eigenfunction_bump(1e-4)), 0.0)
@@ -439,6 +476,46 @@ class TestScalarCurvature:
         for sv in (0.0, 0.8, 3.0):
             rep = scalar_curvature(met, sv)
             assert rep.a2 == pytest.approx(rep.lap_rho / 3.0, rel=1e-12, abs=1e-14)
+
+
+def _pulled_back_quadrature(phi, m, s):
+    """The first-variation integral with the Mobius-pulled-back integrand
+    averaged by cp1_integral: (1/pi) int (m phi~ - Delta phi~) o G (1+|z|^2)^{-(m+2)} dA."""
+    w = math.sqrt(s)
+    phi0 = float(phi.value(s))
+    lap = RadialProfile(phi.fs_laplacian_coeffs())
+
+    def integrand(z):
+        # p o G = |1 - w z|^2 / (|1 - w z|^2 + |z + w|^2)
+        d2 = np.abs(1.0 - w * z) ** 2
+        p = d2 / (d2 + np.abs(z + w) ** 2)
+        return m * (phi.value_p(p) - phi0) - lap.value_p(p)
+
+    return cp1_integral(integrand, lambda sv: (1.0 + sv) ** (-(m + 2)), rtol=1e-13, atol=1e-15)
+
+
+def _exact_through_the_inverse(phi, m, s):
+    """-(m+1)^2 times the integral, exactly, pulling p^m back instead of phi.
+
+    The round measure is invariant, so the integral of f(p o G) p^m dV_0
+    is that of f(p) (p o G^{-1})^m dV_0, and p o G^{-1} =
+    |1 + w z|^2 / ((1+s)(1+|z|^2)).  Parseval and a Beta integral then
+    give a sum over l <= m rather than l <= k.
+    """
+    S = Fraction(s)
+    c = [Fraction(x) for x in phi.coeffs]
+    lap = [Fraction(0)] * len(c)
+    for k in range(1, len(c)):  # Delta p^k = k^2 p^(k-1) - k(k+1) p^k
+        lap[k - 1] += k * k * c[k]
+        lap[k] -= k * (k + 1) * c[k]
+    phi0 = sum(ck / (1 + S) ** k for k, ck in enumerate(c))
+    total = Fraction(0)
+    for k, (ck, lk) in enumerate(zip(c, lap)):
+        weight = m * (ck - (phi0 if k == 0 else 0)) - lk
+        moment = sum(Fraction(math.comb(m, l) ** 2, (m + k + 1) * math.comb(m + k, l)) * S**l
+                     for l in range(m + 1))
+        total += weight * moment / (1 + S) ** m
+    return -((m + 1) ** 2) * total
 
 
 class TestFirstVariation:
@@ -455,7 +532,7 @@ class TestFirstVariation:
         m = 20
         res = first_variation(self.FS, phi, m)
         exact = 12.0 * m * (m + 1) / ((m + 2) * (m + 3))
-        assert res.formula_value == pytest.approx(exact, rel=1e-6)
+        assert res.formula_value == pytest.approx(exact, rel=1e-14)
         assert res.rel_diff < 1e-3
 
     def test_projection_mix(self):
@@ -464,22 +541,57 @@ class TestFirstVariation:
         m = 20
         res = first_variation(self.FS, phi, m)
         exact = 2.0 * m * (m + 1) / ((m + 2) * (m + 3))
-        assert res.formula_value == pytest.approx(exact, rel=1e-6)
+        assert res.formula_value == pytest.approx(exact, rel=1e-14)
         assert res.rel_diff < 1e-3
 
     def test_first_eigenspace_is_silent(self):
-        # the automorphism direction: both routes collapse to zero
-        phi = RadialProfile([1.0, -2.0])
-        res = first_variation(self.FS, phi, 20)
-        assert abs(res.formula_value) < 1e-8
+        # the automorphism direction: the formula is exactly +0.0 at any base point
+        for s in (0.0, 0.75, 3.0):
+            res = first_variation(self.FS, RadialProfile([1.0, -2.0]), 20, s=s)
+            assert res.formula_value == 0.0 and math.copysign(1.0, res.formula_value) == 1.0
 
     def test_shifted_base_point(self):
         phi = RadialProfile([1.0, -6.0, 6.0])
         m, s = 20, 1.0
         res = first_variation(self.FS, phi, m, s=s)
         exact = phi.value(s) * 12.0 * m * (m + 1) / ((m + 2) * (m + 3))
-        assert res.formula_value == pytest.approx(exact, rel=1e-5)
+        assert res.formula_value == pytest.approx(exact, rel=1e-14)
         assert res.rel_diff < 1e-3
+
+    @pytest.mark.parametrize("m,s,coeffs", [
+        (20, 0.0, (1.0, -6.0, 6.0)),
+        (20, 0.5, (-1.0 / 3.0, 0.3, 1.0)),
+        (37, 1.25, (0.2, -0.7, 0.4, 0.9)),
+        (80, 1.9375, (0.5, 1.5, -4.0)),
+    ])
+    def test_matches_both_oracles(self, m, s, coeffs):
+        # dyadic s, so the Fraction oracle sees the base point the library reads
+        phi = RadialProfile(coeffs)
+        got = first_variation(self.FS, phi, m, s=s).formula_value
+        assert got == float(_exact_through_the_inverse(phi, m, s))
+        want = -((m + 1) ** 2) * _pulled_back_quadrature(phi, m, s)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_no_cp1_pass(self, monkeypatch):
+        # every cp1_integral pass is a half-line pass; section norms are not
+        passes = []
+        half_line = quadrature.integrate_half_line
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return half_line(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_half_line", counted)
+        phi = RadialProfile([1.0, -6.0, 6.0])
+        first_variation(self.FS, phi, 20, s=0.5)
+        assert not passes
+        _pulled_back_quadrature(phi, 20, 0.5)
+        assert passes
+
+    @pytest.mark.parametrize("s", [-0.25, math.nan, math.inf])
+    def test_base_point_outside_the_domain(self, s):
+        with pytest.raises(ValueError, match="outside"):
+            first_variation(self.FS, RadialProfile([1.0, -6.0, 6.0]), 20, s=s)
 
     def test_step_underflow(self):
         with pytest.raises(StepUnderflowError):

@@ -141,9 +141,16 @@ class TestCP1Integral:
             calls.append(z.size)
             return (np.cos(np.angle(z)) ** 2 > 0.5).astype(float)
 
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match="n_theta = 1024, the cap"):
             cp1_integral(F, fs_weight, rtol=1e-12, atol=0.0)
         assert len(calls) == 12
+
+    def test_complex_integrand_rejected(self):
+        # its real part used to be integrated with only a ComplexWarning
+        with pytest.raises(ValueError, match="real-valued"):
+            cp1_integral(lambda z: z, fs_weight)
+        with pytest.raises(ValueError, match="real-valued"):
+            cp1_integral(lambda z: np.stack([np.abs(z), z * 0]), fs_weight)
 
     def test_vector_matches_scalar_calls(self):
         parts = [
