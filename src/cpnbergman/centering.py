@@ -153,8 +153,8 @@ def gauge_potential(B: TracelessHermitian) -> GaugePotential:
     return GaugePotential(B)
 
 
-def zero_potential(z):
-    return np.zeros(np.shape(z))
+zero_potential = FormPotential(np.zeros((2, 2)))
+zero_potential.matrix.flags.writeable = False  # shared by every caller
 
 
 def eigenbasis_potential(fn: EigenBasisFunction, scale: float) -> FormPotential:

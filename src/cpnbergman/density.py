@@ -39,7 +39,7 @@ def _divided_difference(coeffs, p, q):
     Evaluating D and multiplying by p - q keeps the rounding error of
     P(p) - P(q) proportional to the difference itself.
     """
-    d = np.zeros(np.broadcast_shapes(np.shape(p), np.shape(q)))
+    d = np.zeros(np.broadcast(p, q).shape)
     a = 0.0
     for c in reversed(coeffs):
         d *= p
@@ -176,11 +176,6 @@ class RadialMetric:
     @property
     def is_fubini_study(self) -> bool:
         return self.profile.is_zero
-
-    def h_log(self, s):
-        """log of the fibre weight h = e^{-u}/(1+s)."""
-        s = np.asarray(s, dtype=float)
-        return -np.log1p(s) - self.profile.value(s)
 
     def volume(self) -> float:
         # int_0^inf w ds = int_0^1 v(p) dp, exactly
@@ -339,6 +334,11 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     eigenfunction bump 0.45 at m = 5000).  Where every row's support
     reaches a rule's nodes the pass does the dense arithmetic.
     """
+    return _section_norms(metric, m, tol)[0]
+
+
+def _section_norms(metric: RadialMetric, m: int, tol: float):
+    """section_norms, and each integrand row over its integral as a function of x."""
     u, v = metric.profile.coeffs, metric._v_coeffs
     j = np.arange(m + 1, dtype=float)
     k = m - j
@@ -393,10 +393,12 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
         total = integrate_interval(integrand, 0.0, 1.0, rtol=tol)
     if np.any(total <= 0.0):
         raise PositivityError("section norm came out nonpositive")
+    log_total = np.log(total)
     peak = (j * np.log(np.where(j > 0, xs, 1.0))
             + k * np.log(np.where(k > 0, ps, 1.0)))
     shift = log_v_star - m * metric.profile.value_p(ps) + lift
-    return peak + shift + np.log(total)
+    return (peak + shift + log_total,
+            lambda x: evaluate(x, *rows[:-1], offset + log_total[:, None]))
 
 
 @dataclass
@@ -416,24 +418,21 @@ class DensityResult:
 
 
 def bergman_density(metric: RadialMetric, m: int, grid, tol: float = 1e-12) -> DensityResult:
-    """Density of states sum_j |z^j|^2_{h^m} / N_j on a grid of s values.
+    """Density of states sum_j |z^j|^2_{h^m} / N_j on a grid of s values in [0, inf].
 
-    Each term is exp(a_j) with a_j = j log s + m log h(s) - log N_j, and
-    the terms are combined by max-subtraction in log space: s^j h^m
-    overflows well before m = 60 at moderate s, and N_j underflows past
-    m of about 1000.  tol is the relative tolerance of each section norm.
+    In x = s/(1+s) = 1 - p, w ds = v(p) dx and s^j h^m = x^j (1-x)^(m-j) e^{-m u(p)},
+    so Pi_m(s) = (1/v(p)) sum_j f_j(x) / T_j: each section-norm integrand row,
+    centred and shifted as section_norms integrates it, over its integral.  No
+    exponent grows with m or s, and s = inf is x = 1; a negative s or nan
+    raises ValueError.  tol is the relative tolerance of each section norm.
     """
     grid = np.asarray(grid, dtype=float)
-    logn = section_norms(metric, m, tol)
-    hl = metric.h_log(grid)
-    zero = grid <= 0.0
-    logs = np.where(zero, 0.0, np.log(np.where(zero, 1.0, grid)))
-    j = np.arange(m + 1)[:, None]
-    a = j * logs[None, :] + m * hl[None, :] - logn[:, None]
-    if zero.any():
-        a[1:, zero] = -np.inf
-    mx = np.max(a, axis=0)
-    values = np.exp(mx) * np.sum(np.exp(a - mx), axis=0)
+    if not (grid >= 0.0).all():
+        raise ValueError(f"density grid {grid[~(grid >= 0.0)]} is outside [0, inf]")
+    logn, terms = _section_norms(metric, m, tol)
+    p = 1.0 / (1.0 + grid)
+    with np.errstate(divide="ignore"):  # log1p(-1): a power of x or 1-x at a pole
+        values = np.sum(terms(1.0 - p), axis=0) / _horner(metric._v_coeffs, p)
     return DensityResult(m, grid, values, logn)
 
 

@@ -363,7 +363,7 @@ class TestHermitianPotentials:
             return half_line(*args, **kwargs)
 
         monkeypatch.setattr(quadrature, "integrate_half_line", counted)
-        for make in ("gauge", "eigenbasis"):
+        for make in ("gauge", "eigenbasis", "zero"):
             phi = _POTENTIALS[make]()
             assert center(phi).converged
             estimate_contraction(phi, n_pairs=2)

@@ -265,6 +265,14 @@ class TestErrorChannels:
         err = json.loads(proc.stdout or proc.stderr)
         assert "error" in err
 
+    def test_density_grid_outside_domain_exit_2(self, capsys):
+        # this grid once printed a number, nan and nan and exited 0
+        args = ["density", "--metric", "eigenfunction-bump", "--eps", "0.1", "--m-list", "30",
+                "--grid=-0.5,nan,inf"]
+        assert main(args) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError" and "outside [0, inf]" in error["message"]
+
     def test_computation_error_exit_3(self):
         proc = run_cli(
             "density", "--metric", "eigenfunction-bump", "--eps", "0.9", "--m-list", "5"

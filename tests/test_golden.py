@@ -35,6 +35,16 @@ within 2e-13 of -B (measured 1.876e-13).  Trace values moved by at most
 2.9e-17 absolute.  The first variation of the eigenfunction bump, a
 first-eigenspace direction, is exactly 0, and prints 0.0 (it was
 -1.6e-14); its rel_diff moved from 6.6615330e-08 to 6.6613381e-08.
+When bergman_density came to read each term off the section-norm
+integrand rows, seven files were regenerated after checking these
+bounds: the three density CSVs moved by at most 1e-14 relative
+(measured 6.4e-15); fs-check --n 1 kept its norm error byte for byte
+while max_density_deviation fell (8.2e-13 to 3.2e-14); the
+first-variation file kept formula_value 0.0, only its step-noise
+fields fd_value and rel_diff moving; and the two fit files, which read
+the regenerated eigenfunction-bump CSV, moved their coefficients by at
+most 1e-9 relative (measured 7.8e-11) and their residual by at most
+1e-7 relative (measured 3.7e-9).
 """
 
 import subprocess
