@@ -12,7 +12,7 @@ from .conversion import (ConversionTable, admissible_eigenvalue_scan,
                          laplacian_power_at_zero, mixed_laplacian_power_at_zero,
                          polynomiality_criterion, variation_order1_polynomial,
                          variation_series_eigen)
-from .centering import (CenteringState, LMap, TracelessHermitian, build_L, center,
+from .centering import (CenteringState, TracelessHermitian, build_L, center,
                         centering_residual, eigenbasis_potential, estimate_contraction,
                         gauge_potential, rho_potential, t_step, zero_potential)
 from .density import (CurvatureReport, DensityResult, FirstVariationResult,
@@ -20,12 +20,12 @@ from .density import (CurvatureReport, DensityResult, FirstVariationResult,
                       first_variation, scalar_curvature, section_norms)
 from .errors import (ComputationError, DivergenceError,
                      InsufficientSamplesError, NonConvergenceError, PoleError,
-                     PositivityError, QuadratureError, SingularMatrixError,
-                     StepUnderflowError, UnsupportedDimensionError)
+                     PositivityError, QuadratureError, StepUnderflowError,
+                     UnsupportedDimensionError)
 from .fitting import (FitResult, VanishingReport, fit_expansion, load_samples_csv,
                       vanishing_report)
 from .projective import (EigenBasisFunction, HermitianRational, PhiK,
-                         canonical_p_basis, chart_lift, eigenfunction_pairing_closed_form,
+                         chart_lift, eigenfunction_pairing_closed_form,
                          eigenfunction_pairing_product, first_eigenbasis,
                          fs_density_exact, fs_laplacian_radial, hermitian_pairing,
                          pairing_step, phi_k_laplacian_residual, sigma_prime_closed_form)

@@ -3,13 +3,15 @@
 A potential phi is centrally positioned once the automorphism pullback
 kills its component along the first Laplace eigenspace.  The step map
 
-    T(A) = A - damping * L^{-1} v(A),
+    T(A) = A - damping * sum_i v_i(A) T_i,
     v_i(A) = int (phi - rho_{-A}) theta_i  d(FS volume)
 
 fixes exactly the A for which the centering integrals vanish.  The
-integrals run against the fixed round measure: pulling the defining
-integral back through the automorphism turns rho_A into -rho_{-A} and
-leaves the measure alone.  So v(A) = Phi - R(A) splits into
+theta_i = <T_i Z, Z> / |Z|^2 are an orthonormal basis of the eigenspace,
+so sum_i v_i T_i is the paper's L^{-1} v, the A whose theta_A has
+coordinates v.  The integrals run against the fixed round measure:
+pulling the defining integral back through the automorphism turns rho_A
+into -rho_{-A} and leaves the measure alone.  So v(A) = Phi - R(A) splits into
 Phi_i = int phi theta_i, which does not depend on A and is computed once
 per solve, and R_i(A) = int rho_{-A} theta_i, which on CP^1 is a closed
 form in the eigenframe W = U* Z of A: by Archimedes' hat-box theorem
@@ -31,10 +33,8 @@ from typing import Callable, List
 
 import numpy as np
 
-from .errors import (DivergenceError, NonConvergenceError, SingularMatrixError,
-                     UnsupportedDimensionError)
-from .projective import (EigenBasisFunction, canonical_p_basis,
-                         chart_lift, first_eigenbasis, hermitian_pairing)
+from .errors import DivergenceError, NonConvergenceError, UnsupportedDimensionError
+from .projective import EigenBasisFunction, chart_lift, first_eigenbasis
 from .quadrature import cp1_integral, fs_weight
 
 
@@ -113,7 +113,7 @@ class GaugePotential:
     def sup_norm(self) -> float:
         return 2.0 * float(np.max(np.abs(np.linalg.eigvalsh(self.B.matrix))))
 
-    def moments(self, L: LMap) -> np.ndarray:
+    def moments(self, L: np.ndarray) -> np.ndarray:
         return _rho_moments(self.B.scaled(-1.0), L)
 
 
@@ -133,8 +133,8 @@ class FormPotential:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
 
-    def moments(self, L: LMap) -> np.ndarray:
-        return np.einsum("jk,ikj->i", self.matrix, L.theta_matrices).real / 6.0
+    def moments(self, L: np.ndarray) -> np.ndarray:
+        return np.einsum("jk,ikj->i", self.matrix, L).real / 6.0
 
 
 def _form_ratio(T: np.ndarray, z) -> np.ndarray:
@@ -164,64 +164,24 @@ def eigenbasis_potential(fn: EigenBasisFunction, scale: float) -> FormPotential:
     return FormPotential(scale * fn.normalization * fn._np)
 
 
-@dataclass(frozen=True)
-class LMap:
-    """Coordinate map from canonical traceless-Hermitian coordinates to
-    coefficients in the orthonormal first-eigenspace basis.
-
-    p_matrices stacks the canonical basis and theta_matrices the
-    normalized eigenspace basis as complex matrices.  Every array is
-    read-only, because build_L shares one LMap per n."""
-
-    n: int
-    matrix: np.ndarray
-    inverse: np.ndarray
-    theta_basis: tuple
-    p_matrices: np.ndarray
-    theta_matrices: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-
 @lru_cache(maxsize=None)
-def build_L(n: int) -> LMap:
-    """Matrix of A -> <theta_A, theta_hat_i> with exact pairings.
+def build_L(n: int) -> np.ndarray:
+    """L^{-1} as an array: the matrices T_i of the first-eigenspace basis.
 
-    Entries come from the closed-form eigenspace pairing, so the only
-    floating step is the normalization square root.  The map is exact
-    and depends on n only, so it is built once per n and shared.
+    L sends A to the coordinates of theta_A = <A Z, Z> / |Z|^2 in the
+    basis theta_i = <T_i Z, Z> / |Z|^2.  That basis is orthonormal, so
+    L^{-1} v = sum_i v_i T_i.  T depends on n only, so it is built once
+    per n and shared read-only.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    theta = first_eigenbasis(n)
-    pbasis = tuple(canonical_p_basis(n))
-    s = len(pbasis)
-    L = np.empty((s, s))
-    for i, th in enumerate(theta):
-        for b, B in enumerate(pbasis):
-            L[i, b] = float(hermitian_pairing(B, th.exact, n)) * th.normalization
-    sv = np.linalg.svd(L, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
-        raise SingularMatrixError(
-            f"coordinate map is numerically singular (sigma_min/sigma_max = {sv[-1]/sv[0]:.3e})"
-        )
-    inverse = np.linalg.inv(L)
-    p_matrices = np.array([B.to_numpy() for B in pbasis])
-    theta_matrices = np.array([th.normalization * th.exact.to_numpy() for th in theta])
-    for array in (L, inverse, p_matrices, theta_matrices):
-        array.flags.writeable = False
-    return LMap(n, L, inverse, theta, p_matrices, theta_matrices)
+    T = np.array([th.normalization * th._np for th in first_eigenbasis(n)])
+    T.flags.writeable = False
+    return T
 
 
-def _descend(A: TracelessHermitian, v: np.ndarray, L: LMap,
+def _descend(A: TracelessHermitian, v: np.ndarray, L: np.ndarray,
              damping: float) -> TracelessHermitian:
-    """A - damping * L^{-1} v, mapped back from canonical coordinates."""
-    M = np.zeros((L.n + 1, L.n + 1), dtype=complex)
-    for c, B in zip(damping * (L.inverse @ v), L.p_matrices):
-        M += c * B
-    return A - TracelessHermitian(M)
+    """A - damping * L^{-1} v = A - damping * sum_i v_i T_i."""
+    return A - TracelessHermitian(np.einsum("i,ijk->jk", damping * v, L))
 
 
 def _hat_box_kernel(d: float) -> float:
@@ -244,7 +204,7 @@ def _hat_box_kernel(d: float) -> float:
     return 0.5 if e == 0.0 else (1.0 - e * (e + 2.0 * d)) / (2.0 * (1.0 - e) ** 2)
 
 
-def _rho_moments(A: TracelessHermitian, L: LMap) -> np.ndarray:
+def _rho_moments(A: TracelessHermitian, L: np.ndarray) -> np.ndarray:
     """R_i(A) = int rho_{-A} theta_i dV_0 in closed form, for n = 1.
 
     With A = U diag(lam_min, lam_max) U* and u the lam_min column,
@@ -257,17 +217,17 @@ def _rho_moments(A: TracelessHermitian, L: LMap) -> np.ndarray:
     w, U = np.linalg.eigh(A.matrix)
     u = U[:, 0]
     d = 2.0 * (float(w[1]) - float(w[0]))  # Python floats: inf past 1e308, no warning
-    return np.einsum("j,ijk,k->i", u.conj(), L.theta_matrices, u).real * _hat_box_kernel(d)
+    return np.einsum("j,ijk,k->i", u.conj(), L, u).real * _hat_box_kernel(d)
 
 
-def _phi_moments(phi: Callable, L: LMap, rtol: float) -> np.ndarray:
+def _phi_moments(phi: Callable, L: np.ndarray, rtol: float) -> np.ndarray:
     """Phi_i = int phi theta_i dV_0: phi.moments(L) where phi has it, else
     one vector-valued cp1_integral pass, within that function's domain."""
-    if L.n != 1:
+    if L.shape[1] != 2:
         raise UnsupportedDimensionError("centering integrals are implemented for n = 1 only")
     if hasattr(phi, "moments"):
         return phi.moments(L)
-    T = L.theta_matrices.transpose(1, 2, 0)
+    T = L.transpose(1, 2, 0)
 
     def F(z):
         return phi(z) * _form_ratio(T.reshape(T.shape + (1,) * np.ndim(z)), z)
@@ -275,7 +235,7 @@ def _phi_moments(phi: Callable, L: LMap, rtol: float) -> np.ndarray:
     return cp1_integral(F, fs_weight, rtol=rtol, atol=1e-13)
 
 
-def centering_residual(A: TracelessHermitian, phi: Callable, L: LMap,
+def centering_residual(A: TracelessHermitian, phi: Callable, L: np.ndarray,
                        rtol: float = 1e-10) -> np.ndarray:
     """The s centering integrals v_i(A) = int (phi - rho_{-A}) theta_i dV_0.
 
@@ -286,8 +246,8 @@ def centering_residual(A: TracelessHermitian, phi: Callable, L: LMap,
 
 
 def t_step(A: TracelessHermitian, phi: Callable, rtol: float = 1e-10,
-           damping: float = 0.5, L: LMap = None) -> TracelessHermitian:
-    """One step of the centering map T(A) = A - damping * L^{-1} v(A)."""
+           damping: float = 0.5, L: np.ndarray = None) -> TracelessHermitian:
+    """One step of the centering map T(A) = A - damping * sum_i v_i(A) T_i."""
     if L is None:
         L = build_L(A.n)
     return _descend(A, centering_residual(A, phi, L, rtol), L, damping)
@@ -314,7 +274,8 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *, n: int = 1,
            eta: float = 0.1, damping: float = 0.5, rtol: float = 1e-10) -> CenteringState:
     """Iterate the centering map from A = 0 until the integrals vanish.
 
-    Requires the C0 norm of phi (phi.sup_norm() where phi has it, else
+    tol and damping must be positive (ValueError otherwise).  Requires
+    the C0 norm of phi (phi.sup_norm() where phi has it, else
     estimated on a chart grid covering both poles) to sit below eta, the
     calibrated contraction threshold; the iteration raises DivergenceError
     after five consecutive growing steps and NonConvergenceError past
@@ -326,6 +287,8 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *, n: int = 1,
     """
     if n != 1:
         raise UnsupportedDimensionError("centering is implemented for n = 1 only")
+    if not (tol > 0 and damping > 0):
+        raise ValueError(f"tol and damping must be positive, got {tol} and {damping}")
     exact = hasattr(phi, "sup_norm")
     sup = phi.sup_norm() if exact else _sup_norm_estimate(phi)
     if sup > eta:

@@ -171,6 +171,8 @@ def _fs_norm_rel_error(log_norms, m: int) -> float:
 def _cmd_fs_check(cfg) -> str:
     n = _int(cfg, "n")
     m_max = _int(cfg, "m_max")
+    if m_max < 0:
+        raise ValueError(f"m_max = {m_max} is negative")
     if n == 1:
         grid = [0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1e4]
         fs = RadialMetric.fubini_study()

@@ -318,7 +318,8 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     lifts the peak) brings every integrand's maximum near 1.  One
     vector-valued adaptive pass then integrates all m+1 of them to
     relative tolerance tol each, and the constants are added back in
-    log space, where nothing underflows however large m is.
+    log space, where nothing underflows however large m is.  A negative
+    m or a tol <= 0 raises ValueError.
 
     Where that pays (_banding_pays) the pass is banded, for row j only
     matters near its mode, where s psi'(s) = j/m.  Each row gets a
@@ -339,6 +340,8 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
 
 def _section_norms(metric: RadialMetric, m: int, tol: float):
     """section_norms, and each integrand row over its integral as a function of x."""
+    if m < 0 or not tol > 0:
+        raise ValueError(f"section norms need m >= 0 and tol > 0, got m = {m}, tol = {tol}")
     u, v = metric.profile.coeffs, metric._v_coeffs
     j = np.arange(m + 1, dtype=float)
     k = m - j
@@ -424,7 +427,8 @@ def bergman_density(metric: RadialMetric, m: int, grid, tol: float = 1e-12) -> D
     so Pi_m(s) = (1/v(p)) sum_j f_j(x) / T_j: each section-norm integrand row,
     centred and shifted as section_norms integrates it, over its integral.  No
     exponent grows with m or s, and s = inf is x = 1; a negative s or nan
-    raises ValueError.  tol is the relative tolerance of each section norm.
+    raises ValueError.  tol is the relative tolerance of each section norm;
+    m and tol are checked as in section_norms.
     """
     grid = np.asarray(grid, dtype=float)
     if not (grid >= 0.0).all():
@@ -499,6 +503,8 @@ def first_variation(metric: RadialMetric, phi: RadialProfile, m: int, s: float =
         raise StepUnderflowError(f"difference step {t:.3e} is below the noise floor")
     if not metric.is_fubini_study:
         raise ValueError("closed-form first variation requires the Fubini-Study background")
+    if m < 0:
+        raise ValueError(f"m = {m} is negative")
     s = float(s)
     if not 0.0 <= s < math.inf:
         raise ValueError(f"base point s = {s} is outside [0, inf)")

@@ -21,10 +21,6 @@ class StepUnderflowError(ComputationError):
     """Finite-difference step too small for the working precision."""
 
 
-class SingularMatrixError(ComputationError):
-    """A matrix required to be invertible is numerically rank deficient."""
-
-
 class UnsupportedDimensionError(ComputationError):
     """Operation is only implemented for specific dimensions."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -277,9 +277,3 @@ def first_eigenbasis(n: int) -> Tuple[EigenBasisFunction, ...]:
         )
     return tuple(funcs)
 
-
-def canonical_p_basis(n: int) -> List[HermitianRational]:
-    """Canonical basis of the traceless Hermitian matrices, matching the
-    ordering of first_eigenbasis but with raw (non-orthogonalized) diagonals."""
-    out = [f.exact for f in first_eigenbasis(n) if f.kind != "diag"]
-    return out + [_raw_diagonal(n, i) for i in range(1, n + 1)]

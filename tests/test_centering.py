@@ -10,7 +10,6 @@ from cpnbergman import centering, quadrature
 from cpnbergman import (
     DivergenceError,
     NonConvergenceError,
-    SingularMatrixError,
     TracelessHermitian,
     UnsupportedDimensionError,
     build_L,
@@ -83,48 +82,37 @@ class TestRhoPotential:
         assert vals[0] == pytest.approx(rho_potential(DIAG.scaled(0.1), 0.0))
 
 
-class TestLMap:
-    def test_dimension_one_is_diagonal(self):
-        L = build_L(1)
-        assert L.matrix.shape == (3, 3)
-        assert np.allclose(L.matrix, np.eye(3) / math.sqrt(3), atol=1e-14)
-        assert np.allclose(L.inverse @ L.matrix, np.eye(3), atol=1e-12)
-
-    def test_diagonal_direction_maps_purely(self):
-        L = build_L(1)
-        # diag(1,-1)/sqrt(2) excites only the diagonal basis member
-        coords = L.matrix @ np.array([0.0, 0.0, 1.0])
-        assert np.count_nonzero(np.abs(coords) > 1e-13) == 1
-
-    def test_dimension_two_invertible(self):
-        L = build_L(2)
-        assert L.matrix.shape == (8, 8)
-        cond = np.linalg.cond(L.matrix)
-        assert np.isfinite(cond)
-        assert np.allclose(L.inverse @ L.matrix, np.eye(8), atol=1e-10)
+class TestDescent:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_round_trip(self, n):
+        # D's pairing coordinates v_i = <theta_D, theta_i> descend to -D
+        rng = np.random.default_rng(n)
+        size = n + 1
+        D = TracelessHermitian(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+        T = build_L(n)
+        v = np.einsum("jk,ikj->i", D.matrix, T).real / ((n + 1) * (n + 2))
+        got = centering._descend(TracelessHermitian.zero(n), v, T, 1.0)
+        assert np.max(np.abs(got.matrix + D.matrix)) <= 1e-15
 
 
 class TestCachedMaps:
     def test_built_once_per_n(self):
         assert build_L(1) is build_L(1)
         assert first_eigenbasis(1) is first_eigenbasis(1)
-        assert build_L(1).theta_basis is first_eigenbasis(1)
 
     def test_shared_arrays_are_read_only(self):
-        L = build_L(1)
-        for array in (L.matrix, L.inverse, L.p_matrices, L.theta_matrices):
-            with pytest.raises(ValueError):
-                array[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            build_L(1)[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             first_eigenbasis(1)[0]._np[0, 0] = 1.0
-        assert np.allclose(L.inverse @ L.matrix, np.eye(3), atol=1e-12)
 
 
-def _residual_per_component(A, phi, L, rtol=1e-10):
+def _residual_per_component(A, phi, rtol=1e-10):
     """The centering integrals as one scalar cp1_integral call per basis function."""
     rho = gauge_potential(A.scaled(-1.0))
-    out = np.empty(L.size)
-    for i, th in enumerate(L.theta_basis):
+    basis = first_eigenbasis(1)
+    out = np.empty(len(basis))
+    for i, th in enumerate(basis):
         def F(z, th=th):
             return (phi(z) - rho(z)) * th.evaluate_lifts(chart_lift(1, z))
 
@@ -146,7 +134,7 @@ class TestResidual:
         for phi in (lambda z: sum(p(z) for p in pots), gauge_potential(A.scaled(0.5))):
             L = build_L(1)
             got = centering_residual(A, phi, L)
-            want = _residual_per_component(A, phi, L)
+            want = _residual_per_component(A, phi)
             assert np.max(np.abs(got - want)) < 1e-12
             assert np.max(np.abs(want)) > 1e-3
 
@@ -160,7 +148,7 @@ def _uncached_residual(A, phi, L, rtol=1e-10):
     E = A.scaled(-1.0).expm()
 
     def F(z):
-        T = L.theta_matrices.reshape((L.size, 4) + (1,) * np.ndim(z))
+        T = L.reshape((len(L), 4) + (1,) * np.ndim(z))
         s = np.abs(z) ** 2
         quad = T[:, 0].real + T[:, 3].real * s + 2.0 * (T[:, 1] * z).real
         Z = chart_lift(1, z)
@@ -476,10 +464,19 @@ class TestCenter:
         assert state.iteration == 2
 
     def test_divergence_detected(self):
-        # negative damping turns the contraction into an expansion
+        # near the fixed point a step multiplies the error by 1 - 2 damping,
+        # so damping 1.5 doubles it each step
         phi = eigenbasis_potential(first_eigenbasis(1)[2], 0.05)
         with pytest.raises(DivergenceError):
-            center(phi, damping=-0.6, max_iter=50)
+            center(phi, damping=1.5, max_iter=50)
+
+    @pytest.mark.parametrize("kwargs", [{"damping": 0.0}, {"damping": -0.6}, {"tol": 0.0},
+                                        {"tol": -1.0}, {"tol": math.nan}])
+    def test_nonpositive_tol_or_damping_rejected(self, kwargs):
+        # damping 0 and tol -1 once ran all 50 iterations before raising
+        phi = eigenbasis_potential(first_eigenbasis(1)[2], 0.05)
+        with pytest.raises(ValueError, match="must be positive"):
+            center(phi, **kwargs)
 
     def test_trace_rows_shape(self):
         phi = eigenbasis_potential(first_eigenbasis(1)[2], 0.05)

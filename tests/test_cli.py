@@ -273,6 +273,23 @@ class TestErrorChannels:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ValueError" and "outside [0, inf]" in error["message"]
 
+    @pytest.mark.parametrize("args", [
+        ["density", "--m-list", "-1", "--grid", "0"],
+        ["density", "--m-list", "5", "--grid", "0", "--tol", "0"],
+        ["density", "--m-list", "5", "--grid", "0", "--tol=-1"],
+        ["first-variation", "--phi", "fs", "--m=-3"],
+        ["fs-check", "--m-max=-1"],
+        ["fs-check", "--n", "2", "--m-max=-1"],
+        ["center", "--damping", "0"],
+        ["center", "--potential", "eigenbasis-diag", "--damping=-0.5"],
+        ["center", "--potential", "eigenbasis-diag", "--tol=-1"],
+    ])
+    def test_outside_the_domain_exit_2(self, capsys, args):
+        # each once exited 0 with zeros or "pass": true, or ran to exit 3 or 4
+        assert main(args) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError"
+
     def test_computation_error_exit_3(self):
         proc = run_cli(
             "density", "--metric", "eigenfunction-bump", "--eps", "0.9", "--m-list", "5"

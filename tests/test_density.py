@@ -157,6 +157,16 @@ class TestSectionNorms:
         norms = np.exp(section_norms(RadialMetric.fubini_study(), 0))
         assert norms == pytest.approx([1.0], rel=1e-12)
 
+    @pytest.mark.parametrize("m,tol", [(-1, 1e-12), (5, 0.0), (5, -1.0), (5, math.nan)])
+    def test_outside_the_domain(self, m, tol):
+        # m = -1 once gave no norms and a zero density, and tol 0 ran until
+        # the quadrature stalled
+        met = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
+        with pytest.raises(ValueError, match="m >= 0 and tol > 0"):
+            section_norms(met, m, tol=tol)
+        with pytest.raises(ValueError, match="m >= 0 and tol > 0"):
+            bergman_density(met, m, [0.0, 1.0], tol=tol)
+
     def test_fs_m30_stress(self):
         norms = np.exp(section_norms(RadialMetric.fubini_study(), 30))
         for j in range(31):
@@ -594,6 +604,12 @@ class TestFirstVariation:
     def test_base_point_outside_the_domain(self, s):
         with pytest.raises(ValueError, match="outside"):
             first_variation(self.FS, RadialProfile([1.0, -6.0, 6.0]), 20, s=s)
+
+    @pytest.mark.parametrize("phi", [RadialProfile.zero(), RadialProfile([1.0, -6.0, 6.0])])
+    def test_negative_m(self, phi):
+        # the zero direction once returned zeros at m = -3
+        with pytest.raises(ValueError, match="m = -3 is negative"):
+            first_variation(self.FS, phi, -3)
 
     def test_step_underflow(self):
         with pytest.raises(StepUnderflowError):

@@ -11,7 +11,6 @@ from cpnbergman import (
     HermitianRational,
     PhiK,
     PoleError,
-    canonical_p_basis,
     chart_lift,
     cp1_integral,
     eigenfunction_pairing_closed_form,
@@ -212,24 +211,6 @@ class TestFirstEigenbasis:
             assert th.evaluate_lifts(Z) == pytest.approx(
                 th.evaluate_lifts(c * Z), rel=1e-12
             )
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_canonical_p_basis(self, n):
-        # off-diagonal members are the eigenbasis matrices; the diagonal ones
-        # are E_ii - E_00 before orthogonalization
-        basis = canonical_p_basis(n)
-        eigen = first_eigenbasis(n)
-        assert len(basis) == len(eigen) == (n + 1) ** 2 - 1
-        for B, th in zip(basis, eigen):
-            assert B.trace() == 0
-            if th.kind != "diag":
-                assert (B.re, B.im) == (th.exact.re, th.exact.im)
-        for i, B in enumerate(basis[n * (n + 1):], start=1):
-            want = np.zeros((n + 1, n + 1))
-            want[i, i], want[0, 0] = 1.0, -1.0
-            assert np.array_equal(B.to_numpy(), want)
-        flat = np.array([B.to_numpy().ravel() for B in basis])
-        assert np.linalg.matrix_rank(np.concatenate([flat.real, flat.imag], axis=1)) == len(basis)
 
     def test_evaluate_matches_lifts(self):
         th = first_eigenbasis(1)[0]
