@@ -39,9 +39,13 @@ def _divided_difference(coeffs, p, q):
     Evaluating D and multiplying by p - q keeps the rounding error of
     P(p) - P(q) proportional to the difference itself.
     """
-    d = np.zeros(np.broadcast(p, q).shape)
-    a = 0.0
-    for c in reversed(coeffs):
+    shape = np.broadcast(p, q).shape
+    if len(coeffs) < 2:
+        return np.zeros(shape)
+    # Horner's first two steps from d = 0 leave d = c_top exactly
+    d = np.full(shape, float(coeffs[-1]))
+    a = coeffs[-1] * q + coeffs[-2]
+    for c in reversed(coeffs[:-2]):
         d *= p
         d += a
         a = a * q + c

@@ -1,6 +1,7 @@
 """Adaptive Gauss-Legendre quadrature on intervals, half-lines and CP^1.
 
-Integrands must accept numpy arrays of evaluation points.  The half-line
+Integrands must accept numpy arrays of evaluation points and be pointwise
+in them: one call may hold the nodes of up to four rules.  The half-line
 is compactified by s = x/(1-x); integrals over CP^1 combine an adaptive
 radial pass with a trapezoid angular average whose resolution is doubled
 until two successive values agree.
@@ -51,6 +52,21 @@ def _panel(f, a: float, b: float):
     return half * (vals @ w)
 
 
+def _panels(f, edges):
+    """Rule values on the consecutive panels between edges, from one call of f.
+
+    The panels' nodes reach f as one array, in panel order, and each
+    rule's value is half * (rows @ w) on its own columns, as _panel gives
+    it from a call on that panel alone.  f must not be banded.
+    """
+    x, w = _gl()
+    halves = [0.5 * (hi - lo) for lo, hi in zip(edges, edges[1:])]
+    vals = f(np.concatenate([0.5 * (lo + hi) + half * x
+                             for lo, hi, half in zip(edges, edges[1:], halves)]))
+    n = len(x)
+    return [half * (vals[..., i * n:(i + 1) * n] @ w) for i, half in enumerate(halves)]
+
+
 def _pad(part, start: int, size: int) -> np.ndarray:
     """Rows start .. start + size - 1 of a banded value, zeros outside its window."""
     _, s, vals = part
@@ -84,6 +100,14 @@ def integrate_interval(
     _MAX_PANELS panels do not.  The half-panel rules are kept, so a split
     costs two new rules for each child, not three.
 
+    f is called once per refinement step: on the coarse rule's nodes, on
+    the first split's two rules (2 _ORDER nodes), then on the four new
+    rules of each later split (4 _ORDER nodes), in rule order.  So f must
+    be pointwise in x, its value at a node not depending on the other
+    nodes of the call; each rule's value is then what a call on its own
+    nodes gives, bit for bit.  A banded f (below) is called on one rule at
+    a time, since a call's row window is the hull of its nodes' windows.
+
     f may instead return shape (k, len(x)): k integrands sharing one set
     of panels.  The result is then a (k,) array, and splitting goes on
     until every component j meets max(rtol * |total_j|, atol).  A panel's
@@ -106,9 +130,10 @@ def integrate_interval(
     support computed once per row.  Each panel carries the hull of its
     three rules' row windows; its error estimate and its share of the
     totals are added into the dense (k,) vectors on that window alone,
-    and where a window covers every row the arithmetic is the dense one,
-    in the same order.  Panels, priorities and the result are as for the
-    shape (k, len(x)) form.
+    and so is the count of components short of their bound, so a split
+    costs O(window), not O(k).  Where a window covers every row the
+    arithmetic is the dense one, in the same order.  Panels, priorities
+    and the result are as for the shape (k, len(x)) form.
 
     When the tolerance sits below the integrand's rounding level,
     splitting no longer lowers the estimate.  So once every component
@@ -139,6 +164,9 @@ def integrate_interval(
         # banded values (k, start, values), combined on the hull of their windows
         k = coarse[0]
 
+        def rules(edges):
+            return [_panel(f, lo, hi) for lo, hi in zip(edges, edges[1:])]
+
         def pair(left, right):
             start, size = _hull(left, right)
             return k, start, _pad(left, start, size) + _pad(right, start, size)
@@ -160,7 +188,14 @@ def integrate_interval(
         def on_window(total, e):
             _, start, vals = e
             return total[start:start + len(vals)], vals
+
+        window = _hull
     else:
+        k = len(coarse)
+
+        def rules(edges):
+            return _panels(f, edges)
+
         def pair(left, right):
             return left + right
 
@@ -173,19 +208,26 @@ def integrate_interval(
         def on_window(total, e):
             return total, e
 
-    def split(lo: float, hi: float, coarse):
-        mid = 0.5 * (lo + hi)
-        left = _panel(f, lo, mid)
-        right = _panel(f, mid, hi)
-        return left, right, diff(left, right, coarse)
+        def window(*parts):
+            return 0, k
+
+    def split(edges, parents):
+        # halve each panel between edges, in one integrand call for a dense f
+        fine = [edges[0]]
+        for lo, hi in zip(edges, edges[1:]):
+            fine += [0.5 * (lo + hi), hi]
+        halves = rules(fine)
+        return [(fine[2 * i], fine[2 * i + 2], halves[2 * i], halves[2 * i + 1],
+                 diff(halves[2 * i], halves[2 * i + 1], parent))
+                for i, parent in enumerate(parents)]
 
     floor = max(atol, np.finfo(float).tiny)
 
     def bound(total):
         return np.maximum(rtol * np.abs(total), floor)
 
-    left, right, err = split(a, b, coarse)
-    root = (a, b, left, right, err)
+    (root,) = split((a, b), [coarse])
+    _, _, left, right, err = root
     total = pair(left, right)
     if banded:
         total, err = add(np.zeros(k), total, 1), add(np.zeros(k), err, 1)
@@ -197,10 +239,17 @@ def integrate_interval(
         total, e = on_window(total, e)
         return float((e / bound(total)).max(initial=0.0))
 
-    def unmet(err, total):
-        if not np.all(np.isfinite(err)):
+    above = np.zeros(k, dtype=bool)  # components whose error is above their bound
+
+    def unmet(start, size):
+        # refresh above on components start .. start + size - 1; the change in its count
+        e = err[start:start + size]
+        if not np.all(np.isfinite(e)):
             raise QuadratureError("integrand is not finite on [%g, %g]" % (a, b))
-        return bool(np.any(err > bound(total)))
+        now, was = e > bound(total[start:start + size]), above[start:start + size]
+        change = int(np.count_nonzero(now)) - int(np.count_nonzero(was))
+        was[:] = now
+        return change
 
     def floor_ratio(err, total):
         ratio = err / bound(total)
@@ -216,19 +265,21 @@ def integrate_interval(
 
     heap = [(-priority(root[4], total),) + root]
     count = 1
+    # kept up to date on each split's row window, so a banded split is O(window)
+    n_unmet = unmet(0, k)
     # worst error/bound ratio while stuck at the rounding level, and when it was set
     mark, marked_at = None, count
-    while unmet(err, total):
+    while n_unmet:
         if count >= _MAX_PANELS:
             raise fail("quadrature budget exhausted")
         _, lo, hi, left, right, e = heapq.heappop(heap)
+        children = split((lo, 0.5 * (lo + hi), hi), (left, right))
         total = add(total, pair(left, right), -1)
         err = add(err, e, -1)
-        mid = 0.5 * (lo + hi)
-        children = [(lo, mid) + split(lo, mid, left), (mid, hi) + split(mid, hi, right)]
         for _, _, cleft, cright, ce in children:
             total = add(total, pair(cleft, cright), 1)
             err = add(err, ce, 1)
+        n_unmet += unmet(*window(e, children[0][4], children[1][4]))
         for child in children:
             heapq.heappush(heap, (-priority(child[4], total),) + child)
         count += 1
@@ -250,7 +301,9 @@ def integrate_half_line(
 ) -> Union[float, np.ndarray]:
     """Integral of f over [0, infinity) via the substitution s = x/(1-x).
 
-    f may return shape (k, len(s)); see integrate_interval.
+    f may return shape (k, len(s)); see integrate_interval.  f gets up to
+    four rules' nodes per call and must be pointwise in s; a banded f gets
+    one rule per call.
     """
 
     def g(x: np.ndarray) -> np.ndarray:
@@ -277,7 +330,9 @@ def cp1_integral(
     unit-volume Fubini-Study form.  F must broadcast over complex arrays
     and return real values (a complex dtype raises ValueError); it may
     return shape (k,) + z.shape for k integrands, and the result is then
-    a (k,) array instead of a float.
+    a (k,) array instead of a float.  One call of F covers the circles at
+    up to four radial rules' nodes, z of shape (15 r, 2 nt) for r rules,
+    so F must be pointwise in z.
 
     The trapezoid angular rule is spectrally accurate for smooth F.  Each
     doubling step is one adaptive radial pass that evaluates F once on a
@@ -342,9 +397,9 @@ def monomial_kernel_quadrature(n: int, m: int, P, rtol: float = 1e-10) -> float:
 
     Radial reduction gives an n-fold iterated integral; n = 1 and n = 2 are
     supported, matching the numeric validation scope.  For n = 2 the inner
-    integrals at all nodes of an outer rule are one vector-valued
-    half-line pass, each row held to 0.1 rtol.  The exact rational
-    counterpart is fs_monomial_integral.
+    integrals at all nodes of an outer refinement step (up to four rules)
+    are one vector-valued half-line pass, each row held to 0.1 rtol.  The
+    exact rational counterpart is fs_monomial_integral.
     """
     P = tuple(int(p) for p in P)
     if len(P) != n:

@@ -201,9 +201,10 @@ class TestNodeCache:
 
         state = center(phi)
         assert state.converged and state.iteration == 4
-        # the C0 grid, then the one Phi pass, one call per doubling step:
-        # integrating phi - rho_{-A} per iterate would take 5 such passes
-        assert len(nodes) == 1 + 3
+        # the C0 grid, then the one Phi pass: its coarse rule, then its first
+        # split in one call; integrating phi - rho_{-A} per iterate would take
+        # 5 such passes
+        assert len(nodes) == 1 + 2
         assert len(set(nodes)) == len(nodes)
 
     @pytest.mark.parametrize("name", sorted(_POTENTIALS))

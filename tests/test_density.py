@@ -114,6 +114,21 @@ class TestRadialProfile:
         assert u.scaled(0.5).value(3.0) == pytest.approx(0.5 * u.value(3.0))
         assert (u - u).is_zero
 
+    @pytest.mark.parametrize("degree", range(-1, 6))
+    def test_divided_difference_matches_horner_from_zero(self, degree):
+        # started at the top coefficient, the loop skips two steps that
+        # leave d = c_top exactly: bit for bit the Horner loop from d = 0
+        rng = np.random.default_rng(degree + 7)
+        coeffs = tuple(rng.normal(size=degree + 1))
+        p, q = rng.uniform(size=(9, 1)), rng.uniform(size=5)
+        want = np.zeros((9, 5))
+        a = 0.0
+        for c in reversed(coeffs):
+            want = want * p + a
+            a = a * q + c
+        got = density_module._divided_difference(coeffs, p, q)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestRadialMetric:
     def test_volume_is_one_to_rounding(self):

@@ -1,20 +1,24 @@
 """Adaptive quadrature on intervals, the half-line, and CP^1."""
 
+import heapq
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cpnbergman import quadrature
+from cpnbergman import density, quadrature
 from cpnbergman import (
     QuadratureError,
+    RadialMetric,
     cp1_integral,
     fs_monomial_integral,
     fs_weight,
     integrate_half_line,
     integrate_interval,
     monomial_kernel_quadrature,
+    section_norms,
 )
 
 
@@ -92,6 +96,54 @@ class TestInterval:
             integrate_interval(f, 0.0, 1.0)
 
 
+class TestSchedule:
+    """A dense pass calls f once per refinement step, a banded pass once per rule."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        popped = []
+
+        def heappop(heap):
+            popped.append(1)
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(quadrature, "heapq",
+                            SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+        return popped
+
+    def test_dense_vector_pass(self, splits):
+        # the coarse rule, the first split's two rules, then four rules a split
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.stack([np.exp(x), np.exp(-((x - 0.1234567) ** 2) * 1e4)])
+
+        integrate_interval(f, 0.0, 1.0, rtol=1e-12)
+        assert len(splits) > 0
+        assert sizes == [15, 30] + [60] * len(splits)
+        assert sum(sizes) == 15 * (3 + 4 * len(splits))
+
+    def test_banded_section_norms(self, splits, monkeypatch):
+        # a banded rule's row window is that of its own nodes
+        sizes, banded = [], []
+
+        def counted(f, *args, **kwargs):
+            def g(x):
+                sizes.append(x.size)
+                out = f(x)
+                banded.append(isinstance(out, tuple))
+                return out
+
+            return integrate_interval(g, *args, **kwargs)
+
+        monkeypatch.setattr(density, "integrate_interval", counted)
+        section_norms(RadialMetric.fubini_study(), 1060)
+        assert all(banded) and len(splits) > 0
+        assert sizes == [15] * (3 + 4 * len(splits))
+        assert sum(sizes) == 15 * (3 + 4 * len(splits))
+
+
 class TestHalfLine:
     def test_unit_volume_weight(self):
         assert integrate_half_line(fs_weight) == pytest.approx(1.0, abs=1e-13)
@@ -133,8 +185,8 @@ class TestCP1Integral:
 
     def test_angular_refinement_failure(self):
         # discontinuous angular profile never stabilizes under doubling; each
-        # step is abandoned on its first split (3 rules), instead of spending
-        # a radial pass's whole panel budget
+        # step is abandoned on its first split (3 rules in 2 calls), instead
+        # of spending a radial pass's whole panel budget
         calls = []
 
         def F(z):
@@ -143,7 +195,9 @@ class TestCP1Integral:
 
         with pytest.raises(QuadratureError, match="n_theta = 1024, the cap"):
             cp1_integral(F, fs_weight, rtol=1e-12, atol=0.0)
-        assert len(calls) == 12
+        assert len(calls) == 8
+        # 12 rules of 15 radial nodes on circles of 128, 256, 512 and 1024 points
+        assert sum(calls) == 3 * 15 * (128 + 256 + 512 + 1024)
 
     def test_complex_integrand_rejected(self):
         # its real part used to be integrated with only a ComplexWarning
