@@ -246,10 +246,9 @@ def centering_residual(A: TracelessHermitian, phi: Callable, L: np.ndarray,
 
 
 def t_step(A: TracelessHermitian, phi: Callable, rtol: float = 1e-10,
-           damping: float = 0.5, L: np.ndarray = None) -> TracelessHermitian:
+           damping: float = 0.5) -> TracelessHermitian:
     """One step of the centering map T(A) = A - damping * sum_i v_i(A) T_i."""
-    if L is None:
-        L = build_L(A.n)
+    L = build_L(A.n)
     return _descend(A, centering_residual(A, phi, L, rtol), L, damping)
 
 
@@ -270,7 +269,7 @@ class CenteringState:
         return [("iteration", "step_norm", "residual_norm")] + list(self.trace)
 
 
-def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *, n: int = 1,
+def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *,
            eta: float = 0.1, damping: float = 0.5, rtol: float = 1e-10) -> CenteringState:
     """Iterate the centering map from A = 0 until the integrals vanish.
 
@@ -285,8 +284,6 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *, n: int = 1,
     is computed once (_phi_moments) and every iterate's residual is
     Phi - R(A) with R(A) exact.
     """
-    if n != 1:
-        raise UnsupportedDimensionError("centering is implemented for n = 1 only")
     if not (tol > 0 and damping > 0):
         raise ValueError(f"tol and damping must be positive, got {tol} and {damping}")
     exact = hasattr(phi, "sup_norm")
@@ -294,9 +291,9 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *, n: int = 1,
     if sup > eta:
         raise ValueError(f"potential C0 norm {'' if exact else 'estimate '}{sup:.4g} "
                          f"exceeds the contraction threshold {eta}")
-    L = build_L(n)
+    L = build_L(1)
     Phi = _phi_moments(phi, L, rtol)
-    A = TracelessHermitian.zero(n)
+    A = TracelessHermitian.zero(1)
     r = Phi - _rho_moments(A, L)
     rnorm = float(np.linalg.norm(r))
     trace = [(0, 0.0, rnorm)]

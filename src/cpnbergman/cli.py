@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 computation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -277,15 +278,7 @@ def _cmd_first_variation(cfg) -> str:
     phi = _profile_from(_need(cfg["phi"], "phi"), cfg)
     res = first_variation(metric, phi, _int(cfg, "m"), s=_float(cfg, "s"),
                           t=_float(cfg, "step"))
-    payload = {
-        "m": res.m,
-        "s": res.s,
-        "step": res.step,
-        "formula_value": res.formula_value,
-        "fd_value": res.fd_value,
-        "rel_diff": res.rel_diff,
-    }
-    return _json_payload(payload)
+    return _json_payload(dataclasses.asdict(res))
 
 
 def _cmd_center(cfg) -> str:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .projective import _resonant_ratio
 from .ratpoly import InverseMSeries, RationalPolynomial, _frac
 
 
@@ -190,11 +191,6 @@ def eigen_delta_c_values(n: int, K: int) -> List[RationalPolynomial]:
     return [RationalPolynomial(d) for d in deltas]
 
 
-def _rising_factors(first: int, last: int) -> RationalPolynomial:
-    # product of (m + i) for i in [first, last]
-    return RationalPolynomial.from_roots([-i for i in range(first, last + 1)])
-
-
 def _mul_trunc(a: Sequence[int], b: Sequence[int], size: int) -> List[int]:
     """First `size` coefficients of the product of two integer polynomials."""
     out = [0] * size
@@ -324,8 +320,7 @@ def polynomiality_criterion(n: int, k0: int):
     """
     if k0 < 1:
         raise ValueError("k0 must be >= 1")
-    numer = _rising_factors(-k0 + 1, n) * RationalPolynomial([k0 * (k0 + n), 1])
-    denom = _rising_factors(n + 1, n + k0)
+    numer, denom = _resonant_ratio(n, k0)
     _, rem = divmod(numer, denom)
     return rem.is_zero(), rem
 

@@ -105,6 +105,16 @@ def eigenfunction_pairing_closed_form(n: int, k0: int, m: int) -> Fraction:
     )
 
 
+def _resonant_ratio(n: int, k0: int) -> Tuple[RationalPolynomial, RationalPolynomial]:
+    """Numerator (m+n)...(m-k0+1)(m+k0(k0+n)) and denominator
+    (m+k0+n)...(m+n+1) of the variation at lambda = k0(k0+n), in m."""
+    numer = RationalPolynomial.from_roots(
+        [-i for i in range(-k0 + 1, n + 1)] + [-k0 * (k0 + n)]
+    )
+    denom = RationalPolynomial.from_roots([-i for i in range(n + 1, n + k0 + 1)])
+    return numer, denom
+
+
 def sigma_prime_closed_form(n: int, k0: int, J: int) -> InverseMSeries:
     """1/m expansion of (m+n)...(m-k0+1)(m+k0(k0+n)) / ((m+k0+n)...(m+n+1)).
 
@@ -113,10 +123,7 @@ def sigma_prime_closed_form(n: int, k0: int, J: int) -> InverseMSeries:
     """
     if k0 < 1 or J < 1:
         raise ValueError("need k0 >= 1 and J >= 1")
-    numer = RationalPolynomial.from_roots(
-        [-i for i in range(-k0 + 1, n + 1)] + [-k0 * (k0 + n)]
-    )
-    denom = RationalPolynomial.from_roots([-i for i in range(n + 1, n + k0 + 1)])
+    numer, denom = _resonant_ratio(n, k0)
     series = InverseMSeries.from_polynomial(numer, J) * InverseMSeries.from_polynomial(
         denom, J
     ).reciprocal()
@@ -154,20 +161,6 @@ class HermitianRational:
                 s += self.re[i][j] * other.re[j][i] - self.im[i][j] * other.im[j][i]
         return s
 
-    def minus(self, other: "HermitianRational", c: Fraction) -> "HermitianRational":
-        # self - c * other
-        c = Fraction(c)
-        return HermitianRational(
-            [
-                [self.re[i][j] - c * other.re[i][j] for j in range(self.size)]
-                for i in range(self.size)
-            ],
-            [
-                [self.im[i][j] - c * other.im[i][j] for j in range(self.size)]
-                for i in range(self.size)
-            ],
-        )
-
     def to_numpy(self) -> np.ndarray:
         return np.array(
             [
@@ -194,8 +187,8 @@ class EigenBasisFunction:
     with an exact traceless Hermitian coefficient matrix.  The index
     order matches the linearization of the automorphism potentials
     (rho_A ~ 2<A Z, Z>/|Z|^2), which fixes the sign of the 'im' members.
-    kind is one of 're', 'im', 'diag' (orthogonalized combination of
-    (|Z_i|^2 - |Z_0|^2)/|Z|^2).
+    kind is one of 're', 'im', 'diag' (member l is
+    (|Z_l|^2 - (1/l) sum_{i<l} |Z_i|^2)/|Z|^2).
     """
 
     def __init__(self, n: int, kind: str, indices: Tuple[int, ...],
@@ -230,22 +223,15 @@ def chart_lift(n: int, z) -> np.ndarray:
     return np.stack([np.ones_like(z[0])] + z)
 
 
-def _raw_diagonal(n: int, i: int) -> HermitianRational:
-    """E_ii - E_00: the i-th diagonal member before orthogonalization."""
-    re = [[0] * (n + 1) for _ in range(n + 1)]
-    re[i][i] = 1
-    re[0][0] = -1
-    return HermitianRational(re)
-
-
 @lru_cache(maxsize=None)
 def first_eigenbasis(n: int) -> Tuple[EigenBasisFunction, ...]:
     """Orthonormal real basis of the first eigenspace, (n+1)^2 - 1 functions.
 
-    Off-diagonal real and imaginary parts are orthogonal as given; the n
-    diagonal functions have Gram (I + ones)/((n+1)(n+2)) and are
-    Gram-Schmidt orthogonalized exactly.  The basis is exact and depends
-    on n only, so it is built once per n and shared: the tuple and the
+    Off-diagonal real and imaginary parts are orthogonal as given.
+    Diagonal member l = 1..n is D_l = E_ll - (1/l) sum_{i<l} E_ii, the
+    exact Gram-Schmidt orthogonalization of the E_ii - E_00, with
+    norm_sq (1 + 1/l)/((n+1)(n+2)).  The basis is exact and depends on n
+    only, so it is built once per n and shared: the tuple and the
     functions' numpy matrices are read-only.
     """
     if n < 1:
@@ -265,15 +251,14 @@ def first_eigenbasis(n: int) -> Tuple[EigenBasisFunction, ...]:
                 funcs.append(
                     EigenBasisFunction(n, kind, (i, j), A, hermitian_pairing(A, A, n))
                 )
-    orth: List[HermitianRational] = []
-    for i in range(1, size):
-        D = _raw_diagonal(n, i)
-        for v in orth:
-            coef = hermitian_pairing(D, v, n) / hermitian_pairing(v, v, n)
-            D = D.minus(v, coef)
-        orth.append(D)
+    for l in range(1, size):
+        re = [[0] * size for _ in range(size)]
+        re[l][l] = 1
+        for i in range(l):
+            re[i][i] = Fraction(-1, l)
+        D = HermitianRational(re)
         funcs.append(
-            EigenBasisFunction(n, "diag", (i,), D, hermitian_pairing(D, D, n))
+            EigenBasisFunction(n, "diag", (l,), D, hermitian_pairing(D, D, n))
         )
     return tuple(funcs)
 

@@ -392,14 +392,28 @@ def fs_weight(s: np.ndarray) -> np.ndarray:
     return (1.0 + s) ** (-2)
 
 
+def _power_kernel(p: int, a, e: int) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> t^p (a + t)^(-e), through logs; t > 0, as at every quadrature node."""
+
+    def kernel(t: np.ndarray) -> np.ndarray:
+        expo = -e * np.log(a + t)
+        if p > 0:
+            expo = expo + p * np.log(t)
+        return np.exp(expo)
+
+    return kernel
+
+
 def monomial_kernel_quadrature(n: int, m: int, P, rtol: float = 1e-10) -> float:
     """(1/pi^n) int |z^P|^2 (1+|z|^2)^{-(m+n+1)} dV by nested quadrature.
 
-    Radial reduction gives an n-fold iterated integral; n = 1 and n = 2 are
-    supported, matching the numeric validation scope.  For n = 2 the inner
-    integrals at all nodes of an outer refinement step (up to four rules)
-    are one vector-valued half-line pass, each row held to 0.1 rtol.  The
-    exact rational counterpart is fs_monomial_integral.
+    Radial reduction gives an n-fold iterated integral of the power kernel
+    t^p (a + t)^(-e) (_power_kernel); n = 1 and n = 2 are supported,
+    matching the numeric validation scope.  n = 1 integrates the kernel
+    with a = 1, e = m + 2.  For n = 2 the inner integrals, with a = 1 + s1
+    and e = m + 3, at all nodes of an outer refinement step (up to four
+    rules) are one vector-valued half-line pass, each row held to
+    0.1 rtol.  The exact rational counterpart is fs_monomial_integral.
     """
     P = tuple(int(p) for p in P)
     if len(P) != n:
@@ -407,42 +421,14 @@ def monomial_kernel_quadrature(n: int, m: int, P, rtol: float = 1e-10) -> float:
     if sum(P) > m:
         raise ValueError("requires |P| <= m")
     if n == 1:
-        p = P[0]
-
-        def f(s: np.ndarray) -> np.ndarray:
-            with np.errstate(divide="ignore"):
-                logs = np.where(s > 0, np.log(np.maximum(s, 1e-300)), -np.inf)
-            expo = p * logs - (m + 2) * np.log1p(s)
-            out = np.exp(expo)
-            if p == 0:
-                out = np.where(s > 0, out, np.exp(-(m + 2) * np.log1p(s)))
-            else:
-                out = np.where(s > 0, out, 0.0)
-            return out
-
-        return integrate_half_line(f, rtol=rtol)
+        return integrate_half_line(_power_kernel(P[0], 1.0, m + 2), rtol=rtol)
     if n == 2:
         p1, p2 = P
 
-        def inner(s1: np.ndarray) -> np.ndarray:
-            # one vector pass: row i is int_0^inf t^p2 (a_i + t)^{-(m+3)} dt
-            a = 1.0 + s1[:, None]
-
-            def g(t: np.ndarray) -> np.ndarray:
-                with np.errstate(divide="ignore"):
-                    logt = np.where(t > 0, np.log(np.maximum(t, 1e-300)), -np.inf)
-                expo = p2 * logt - (m + 3) * np.log(a + t)
-                out = np.exp(expo)
-                if p2 == 0:
-                    out = np.where(t > 0, out, a ** (-(m + 3.0)))
-                else:
-                    out = np.where(t > 0, out, 0.0)
-                return out
-
-            return integrate_half_line(g, rtol=0.1 * rtol)
-
         def outer(s1: np.ndarray) -> np.ndarray:
-            return (s1 ** p1 if p1 else 1.0) * inner(s1)
+            # one vector pass: row i is int_0^inf t^p2 (1 + s1_i + t)^{-(m+3)} dt
+            inner = _power_kernel(p2, 1.0 + s1[:, None], m + 3)
+            return (s1 ** p1 if p1 else 1.0) * integrate_half_line(inner, rtol=0.1 * rtol)
 
         return integrate_half_line(outer, rtol=rtol)
     raise ValueError("nested monomial quadrature implemented for n in {1, 2}")

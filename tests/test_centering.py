@@ -451,10 +451,6 @@ class TestCenter:
         with pytest.raises(ValueError):
             center(phi)
 
-    def test_unsupported_dimension(self):
-        with pytest.raises(UnsupportedDimensionError):
-            center(zero_potential, n=2)
-
     def test_nonconvergence_carries_state(self):
         phi = eigenbasis_potential(first_eigenbasis(1)[2], 0.05)
         with pytest.raises(NonConvergenceError) as info:

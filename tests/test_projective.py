@@ -21,6 +21,7 @@ from cpnbergman import (
     hermitian_pairing,
     pairing_step,
     phi_k_laplacian_residual,
+    polynomiality_criterion,
     sigma_prime_closed_form,
     variation_series_eigen,
 )
@@ -132,6 +133,16 @@ class TestSigmaPrimeClosedForm:
         with pytest.raises(ValueError):
             sigma_prime_closed_form(1, 0, 4)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_polynomial_exactly_when_division_is_exact(self, n):
+        # the series has lead n + 1, so index n + 1 holds m^0; a nonzero
+        # remainder shows by index n + k0 + 4
+        for k0 in range(1, 6):
+            J = n + k0 + 4
+            coeffs = sigma_prime_closed_form(n, k0, J).leading_coefficients(J + 1)
+            exact, _ = polynomiality_criterion(n, k0)
+            assert exact == all(c == 0 for c in coeffs[n + 2:]), (n, k0)
+
 
 class TestHermitianRational:
     def test_requires_square_symmetric(self):
@@ -172,6 +183,21 @@ class TestFirstEigenbasis:
                     assert a.norm_sq > 0
                 else:
                     assert pair == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_diagonal_members_closed_form(self, n):
+        # member l is E_ll - (1/l) sum_{i<l} E_ii
+        diag = [th for th in first_eigenbasis(n) if th.kind == "diag"]
+        assert [th.indices for th in diag] == [(l,) for l in range(1, n + 1)]
+        for th in diag:
+            l = th.indices[0]
+            want = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+            want[l][l] = Fraction(1)
+            for i in range(l):
+                want[i][i] = Fraction(-1, l)
+            assert th.exact.re == tuple(map(tuple, want))
+            assert all(x == 0 for row in th.exact.im for x in row)
+            assert th.norm_sq == (1 + Fraction(1, l)) / ((n + 1) * (n + 2))
 
     def test_traceless(self):
         for th in first_eigenbasis(2):
