@@ -26,7 +26,7 @@ def scan_dimension(n: int, k_max: int, J: int) -> dict:
     levels = []
     for k in range(1, k_max + 1):
         lam = k * (k + n)
-        series = variation_series_eigen(n, lam, J).normalized()
+        series = variation_series_eigen(n, lam, J)
         closed = sigma_prime_closed_form(n, k, J)
         is_poly, rem = polynomiality_criterion(n, k)
         assert series.leading_coefficients(J + 1) == closed.leading_coefficients(J + 1)
@@ -39,10 +39,12 @@ def scan_dimension(n: int, k_max: int, J: int) -> dict:
                 "coeffs": [frac(c) for c in series.leading_coefficients(J + 1)],
             }
         )
+    admissible = admissible_eigenvalue_scan(n, k_max, J)
+    assert admissible == {level["k"] for level in levels if level["polynomial"]}
     return {
         "n": n,
         "J": J,
-        "admissible": sorted(admissible_eigenvalue_scan(n, k_max, J)),
+        "admissible": sorted(admissible),
         "levels": levels,
     }
 

@@ -1,10 +1,11 @@
 """Exact Laplacian combinatorics at the Fubini-Study base point.
 
-Everything in this module is arbitrary-precision rational arithmetic:
-multi-index monomials, the Laplacian rewrite on |z^P|^2, the conversion
-polynomials f_k relating Fubini-Study Laplacian powers at the origin to
-flat ones, the eigenfunction variation series in 1/m, and the
-polynomiality criterion that singles out the first eigenvalue.
+Everything in this module is exact, in Python integers that become
+Fractions on return: multi-index monomials, the Laplacian rewrite on
+|z^P|^2, the conversion polynomials f_k relating Fubini-Study Laplacian
+powers at the origin to flat ones, the eigenfunction variation series
+in 1/m, and the polynomiality criterion that singles out the first
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .projective import _resonant_ratio
-from .ratpoly import InverseMSeries, RationalPolynomial, _frac
+from .ratpoly import InverseMSeries, RationalPolynomial, _frac, factor_ratio_series
 
 
 def _exponents(P, n: Optional[int] = None) -> Tuple[int, ...]:
@@ -191,16 +192,6 @@ def eigen_delta_c_values(n: int, K: int) -> List[RationalPolynomial]:
     return [RationalPolynomial(d) for d in deltas]
 
 
-def _mul_trunc(a: Sequence[int], b: Sequence[int], size: int) -> List[int]:
-    """First `size` coefficients of the product of two integer polynomials."""
-    out = [0] * size
-    for i, x in enumerate(a[:size]):
-        if x:
-            for j, y in enumerate(b[: size - i]):
-                out[i + j] += x * y
-    return out
-
-
 class _VariationEngine:
     """The lambda-independent part of variation_series_eigen at fixed (n, J).
 
@@ -208,11 +199,10 @@ class _VariationEngine:
     power series in x with integer coefficients:
       1/prod_{i=-k+1}^{n} (m+i) = m^{-(n+k)} R_k(x),
       (m+n)!/m! = m^n Q(x),  Q(x) = prod_{i=1}^{n} (1 + i x).
-    R_0 comes from n geometric-series passes (division by 1 + i x), and
-    R_k from R_{k-1} by one pass dividing by 1 - (k-1) x, i.e. by
-    m - k + 1; R_k is kept to order J - k, all the sum needs.  Building
-    these once lets every lambda share them; only the deltas and one
-    weighted sum depend on lambda.
+    All are factor_ratio_series: Q and R_0 of 1..n, and R_k is R_{k-1}
+    divided by 1 - (k-1) x, i.e. by m - k + 1, kept to order J - k, all
+    the sum needs.  Building these once lets every lambda share them;
+    only the deltas and one weighted sum depend on lambda.
     """
 
     def __init__(self, n: int, J: int):
@@ -220,22 +210,13 @@ class _VariationEngine:
             raise ValueError("J must be >= 1")
         self.n, self.J = n, J
         self.rows = _conversion_rows(n, J)
-        Q = [1]
-        R = [1] + [0] * J
-        for i in range(1, n + 1):
-            Q = _mul_trunc(Q, [1, i], len(Q) + 1)
-            for j in range(1, J + 1):
-                R[j] -= i * R[j - 1]
-        self.Q = Q
-        self.Q2 = _mul_trunc(Q, Q, 2 * n + 1)
-        self.R = [R]
+        self.Q = factor_ratio_series(range(1, n + 1), (), n)
+        self.R = [factor_ratio_series((), range(1, n + 1), J)]
         for k in range(1, J + 1):
-            R = R[: J - k + 1]
-            for j in range(1, len(R)):
-                R[j] += (k - 1) * R[j - 1]
-            self.R.append(R)
+            self.R.append(factor_ratio_series((), [1 - k], J - k, self.R[-1]))
 
-    def series(self, lam, centered: bool = False, normalized: bool = True) -> InverseMSeries:
+    def numerators(self, lam, centered: bool = False) -> Tuple[List[int], int]:
+        """Integers U and scale with the series m^{n+1} sum_j (U_j / scale) / m^j."""
         lam = _frac(lam)
         p, q = lam.numerator, lam.denominator
         n, J = self.n, self.J
@@ -255,15 +236,20 @@ class _VariationEngine:
                     N[k + j] += w * r
             ratio *= k
         # -(Q^2/n!) (m + lambda) S (+ Q m/n! when centered) is m^{n+1} times
-        # -(Q(x)^2 (q + p x) N(x) [- den Q(x)]) / (n! den), den = q J! q^J
+        # (Q(x)^2 (-q - p x) N(x) [+ den Q(x)]) / (n! den), den = q J! q^J
         den = q * factorial(J) * q_pow[J]
-        U = _mul_trunc(_mul_trunc(self.Q2, [q, p], 2 * n + 2), N, J + 1)
+        U = factor_ratio_series(2 * list(range(1, n + 1)), (), J,
+                                [-q * a - p * b for a, b in zip(N, [0] + N)])
         if centered:
             for j, c in enumerate(self.Q[: J + 1]):
-                U[j] -= den * c
-        scale = factorial(n) * den
-        result = InverseMSeries(n + 1, [Fraction(-u, scale) for u in U])
-        return result.normalized() if normalized else result
+                U[j] += den * c
+        return U, factorial(n) * den
+
+    def series(self, lam, centered: bool = False, normalized: bool = True) -> InverseMSeries:
+        U, scale = self.numerators(lam, centered)
+        if normalized:  # over the first nonzero numerator; the zero series stays zero
+            scale = next((u for u in U if u), scale)
+        return InverseMSeries(self.n + 1, [Fraction(u, scale) for u in U])
 
 
 def variation_series_eigen(
@@ -316,12 +302,19 @@ def polynomiality_criterion(n: int, k0: int):
     """Exact division test for the closed-form variation at lambda = k0(k0+n).
 
     Numerator (m+n)...(m-k0+1) (m + k0(k0+n)), denominator
-    (m+k0+n)...(m+n+1).  Returns (remainder is zero, remainder).
+    (m+k0+n)...(m+n+1): monic, with integer roots, so the division is
+    synthetic and in integers.  Returns (remainder is zero, remainder).
     """
     if k0 < 1:
         raise ValueError("k0 must be >= 1")
-    numer, denom = _resonant_ratio(n, k0)
-    _, rem = divmod(numer, denom)
+    up, down = _resonant_ratio(n, k0)
+    d = len(down)
+    # prod (m + i) over d roots is m^d prod (1 + i/m): coefficients highest degree first
+    rem, denom = factor_ratio_series(up, (), len(up)), factor_ratio_series(down, (), d)
+    for k in range(len(rem) - d):
+        for j in range(1, d + 1):
+            rem[k + j] -= rem[k] * denom[j]
+    rem = RationalPolynomial(rem[::-1][:d])
     return rem.is_zero(), rem
 
 
@@ -331,14 +324,14 @@ def admissible_eigenvalue_scan(n: int, k_max: int, J: int) -> Set[int]:
     Keeps k when the series for lambda = k(k+n) has coefficient zero at
     every order j with n < j <= J.  One _VariationEngine is built for the
     call and shared by every level, so each level costs only its integer
-    deltas and one weighted sum.
+    deltas and one weighted sum; the test reads its integer numerators.
     """
     out: Set[int] = set()
     if k_max < 1:
         return out
     engine = _VariationEngine(n, J)
     for k in range(1, k_max + 1):
-        coeffs = engine.series(k * (k + n)).leading_coefficients(J + 1)
-        if all(c == 0 for c in coeffs[n + 1:]):
+        nonzero = [j for j, u in enumerate(engine.numerators(k * (k + n))[0]) if u]
+        if not nonzero or nonzero[-1] - nonzero[0] <= n:
             out.add(k)
     return out

@@ -18,7 +18,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import PoleError
-from .ratpoly import InverseMSeries, RationalPolynomial
+from .ratpoly import InverseMSeries, factor_ratio_series
 
 
 def fs_density_exact(n: int, m: int) -> Fraction:
@@ -105,14 +105,11 @@ def eigenfunction_pairing_closed_form(n: int, k0: int, m: int) -> Fraction:
     )
 
 
-def _resonant_ratio(n: int, k0: int) -> Tuple[RationalPolynomial, RationalPolynomial]:
-    """Numerator (m+n)...(m-k0+1)(m+k0(k0+n)) and denominator
-    (m+k0+n)...(m+n+1) of the variation at lambda = k0(k0+n), in m."""
-    numer = RationalPolynomial.from_roots(
-        [-i for i in range(-k0 + 1, n + 1)] + [-k0 * (k0 + n)]
-    )
-    denom = RationalPolynomial.from_roots([-i for i in range(n + 1, n + k0 + 1)])
-    return numer, denom
+def _resonant_ratio(n: int, k0: int) -> Tuple[List[int], List[int]]:
+    """Integers i of the factors m + i of the numerator (m+n)...(m-k0+1)
+    (m+k0(k0+n)) and the denominator (m+k0+n)...(m+n+1) of the variation
+    at lambda = k0(k0+n)."""
+    return list(range(-k0 + 1, n + 1)) + [k0 * (k0 + n)], list(range(n + 1, n + k0 + 1))
 
 
 def sigma_prime_closed_form(n: int, k0: int, J: int) -> InverseMSeries:
@@ -120,14 +117,12 @@ def sigma_prime_closed_form(n: int, k0: int, J: int) -> InverseMSeries:
 
     This is the closed form of the variation series at the resonant
     eigenvalue lambda = k0(k0+n), normalized to leading coefficient 1.
+    Both sides are monic with integer roots, so the series is computed
+    in plain integers and becomes Fractions only on return.
     """
     if k0 < 1 or J < 1:
         raise ValueError("need k0 >= 1 and J >= 1")
-    numer, denom = _resonant_ratio(n, k0)
-    series = InverseMSeries.from_polynomial(numer, J) * InverseMSeries.from_polynomial(
-        denom, J
-    ).reciprocal()
-    return series.normalized()
+    return InverseMSeries(n + 1, factor_ratio_series(*_resonant_ratio(n, k0), J))
 
 
 class HermitianRational:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, List, Sequence
 
 
 def _frac(x) -> Fraction:
@@ -20,6 +20,22 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("exact arithmetic only: got float %r" % (x,))
     return Fraction(x)
+
+
+def factor_ratio_series(up: Iterable[int], down: Iterable[int], J: int,
+                        start: Sequence[int] = (1,)) -> List[int]:
+    """First J + 1 coefficients, in x, of start(x) prod_up (1 + i x) / prod_down (1 + i x).
+
+    In integers: times 1 + i x is a descending pass, over it an ascending one.
+    """
+    c = list(start[:J + 1]) + [0] * (J + 1 - len(start))
+    for d, i in enumerate(up, len(start)):
+        for j in range(min(d, J), 0, -1):
+            c[j] += i * c[j - 1]
+    for i in down:
+        for j in range(1, J + 1):
+            c[j] -= i * c[j - 1]
+    return c
 
 
 class RationalPolynomial:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpnbergman import (
@@ -336,6 +336,19 @@ class TestVariationEngine:
     def test_scan_at_order_40(self, n):
         assert admissible_eigenvalue_scan(n, 3, 40) == {1}
 
+    @given(
+        n=st.integers(min_value=1, max_value=4),
+        lam=st.fractions(min_value=-40, max_value=40, max_denominator=9),
+        J=st.integers(min_value=1, max_value=12),
+        centered=st.booleans(),
+    )
+    @example(n=1, lam=Fraction(0), J=3, centered=True)  # the zero series
+    @example(n=2, lam=Fraction(3), J=6, centered=True)  # three leading orders cancel
+    @settings(max_examples=60, deadline=None)
+    def test_normalized_is_raw_series_normalized(self, n, lam, J, centered):
+        raw = variation_series_eigen(n, lam, J, centered=centered, normalized=False)
+        assert variation_series_eigen(n, lam, J, centered=centered) == raw.normalized()
+
     def test_rejects_float_eigenvalue(self):
         with pytest.raises(TypeError):
             variation_series_eigen(1, 0.1, 4)
@@ -366,6 +379,14 @@ class TestPolynomialityScan:
         assert admissible_eigenvalue_scan(1, 5, 6) == {1}
         assert admissible_eigenvalue_scan(2, 5, 7) == {1}
         assert admissible_eigenvalue_scan(1, 0, 6) == set()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_scan_matches_series_zero_test(self, n):
+        for J in range(1, 41):
+            want = {k for k in range(1, 7)
+                    if all(c == 0 for c in variation_series_eigen(n, k * (k + n), J)
+                           .leading_coefficients(J + 1)[n + 1:])}
+            assert admissible_eigenvalue_scan(n, 6, J) == want, (n, J)
 
     def test_scan_matches_division_criterion(self):
         for n in (1, 2):

@@ -9,8 +9,10 @@ import sympy as sp
 from cpnbergman import (
     EigenBasisFunction,
     HermitianRational,
+    InverseMSeries,
     PhiK,
     PoleError,
+    RationalPolynomial,
     chart_lift,
     cp1_integral,
     eigenfunction_pairing_closed_form,
@@ -142,6 +144,35 @@ class TestSigmaPrimeClosedForm:
             coeffs = sigma_prime_closed_form(n, k0, J).leading_coefficients(J + 1)
             exact, _ = polynomiality_criterion(n, k0)
             assert exact == all(c == 0 for c in coeffs[n + 2:]), (n, k0)
+
+
+def _resonant_polynomials(n, k0):
+    """Numerator and denominator of the resonant variation, built from roots in Fractions."""
+    numer = RationalPolynomial.from_roots(
+        [-i for i in range(-k0 + 1, n + 1)] + [-k0 * (k0 + n)])
+    denom = RationalPolynomial.from_roots([-i for i in range(n + 1, n + k0 + 1)])
+    return numer, denom
+
+
+class TestResonantFractionOracles:
+    """The integer closed form and division test against Fraction arithmetic."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closed_form_matches_series_division(self, n):
+        for k0 in range(1, 7):
+            numer, denom = _resonant_polynomials(n, k0)
+            for J in range(1, 41):
+                want = (InverseMSeries.from_polynomial(numer, J)
+                        * InverseMSeries.from_polynomial(denom, J).reciprocal()).normalized()
+                got = sigma_prime_closed_form(n, k0, J)
+                assert got == want and got.lead == n + 1, (n, k0, J)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_remainder_matches_polynomial_divmod(self, n):
+        for k0 in range(1, 7):
+            _, want = divmod(*_resonant_polynomials(n, k0))
+            exact, rem = polynomiality_criterion(n, k0)
+            assert rem == want and exact == want.is_zero(), (n, k0)
 
 
 class TestHermitianRational:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpnbergman import InverseMSeries, RationalPolynomial
+from cpnbergman.ratpoly import factor_ratio_series
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -176,3 +177,24 @@ class TestInverseMSeries:
         else:
             for k in range(sc.lead, sc.lead - 4, -1):
                 assert prod.coefficient_at(k) == sc.coefficient_at(k)
+
+
+class TestFactorRatioSeries:
+    roots = st.lists(st.integers(min_value=-9, max_value=9), max_size=5)
+
+    @given(up=roots, down=roots, J=st.integers(min_value=0, max_value=10))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_series_division(self, up, down, J):
+        def series(roots):
+            return InverseMSeries.from_polynomial(
+                RationalPolynomial.from_roots([-i for i in roots]), J)
+
+        want = series(up) * series(down).reciprocal()
+        assert want.lead == len(up) - len(down)
+        assert factor_ratio_series(up, down, J) == want.leading_coefficients(J + 1)
+
+    @given(up=roots)
+    @settings(max_examples=30, deadline=None)
+    def test_lists_polynomial_coefficients(self, up):
+        coeffs = factor_ratio_series(up, (), len(up))
+        assert RationalPolynomial(coeffs[::-1]) == RationalPolynomial.from_roots([-i for i in up])
