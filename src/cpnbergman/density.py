@@ -325,6 +325,13 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     log space, where nothing underflows however large m is.  A negative
     m or a tol <= 0 raises ValueError.
 
+    Every row peaks with a width of about 1/(2 sqrt(m)) in theta, where
+    x = sin^2(theta).  So from m = 38 the pass starts from floor(sqrt(m) / 1.5)
+    panels uniform in theta, with edges on the 2^-24 grid: each half spans
+    the 2.4 widths that bisection from [0, 1] settles on.  Below that, rows
+    near Fubini-Study are close to polynomials of degree m, and bisection
+    from [0, 1] needs at most one split: 7 rules, against 3 per panel.
+
     Where that pays (_banding_pays) the pass is banded, for row j only
     matters near its mode, where s psi'(s) = j/m.  Each row gets a
     support [lower_j, upper_j] once, from tangent lines of its exponent,
@@ -396,8 +403,12 @@ def _section_norms(metric: RadialMetric, m: int, tol: float):
         def integrand(x):
             return evaluate(x, *rows)
 
+    # floor(sqrt(m) / 1.5) panels uniform in theta.  Off the dyadic grid a rounded
+    # midpoint moves a panel's rules by an ulp, about m ulps of an end row's total
+    theta = np.linspace(0.0, 0.5 * np.pi, math.isqrt(4 * m) // 3 + 1) if m >= 38 else None
+    edges = None if theta is None else (np.round(np.sin(theta) ** 2 * 2.0**24) / 2.0**24).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        total = integrate_interval(integrand, 0.0, 1.0, rtol=tol)
+        total = integrate_interval(integrand, 0.0, 1.0, rtol=tol, edges=edges)
     if np.any(total <= 0.0):
         raise PositivityError("section norm came out nonpositive")
     log_total = np.log(total)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,12 +53,14 @@ def _panel(f, a: float, b: float):
 
 
 def _panels(f, edges):
-    """Rule values on the consecutive panels between edges, from one call of f.
+    """Rule values on the consecutive panels between edges, four panels a call of f.
 
     The panels' nodes reach f as one array, in panel order, and each
     rule's value is half * (rows @ w) on its own columns, as _panel gives
     it from a call on that panel alone.  f must not be banded.
     """
+    if len(edges) > 5:
+        return _panels(f, edges[:5]) + _panels(f, edges[4:])
     x, w = _gl()
     halves = [0.5 * (hi - lo) for lo, hi in zip(edges, edges[1:])]
     vals = f(np.concatenate([0.5 * (lo + hi) + half * x
@@ -90,6 +92,7 @@ def integrate_interval(
     rtol: float = 1e-12,
     atol: float = 0.0,
     screen: Optional[Callable] = None,
+    edges: Optional[Sequence[float]] = None,
 ) -> Union[float, np.ndarray]:
     """Adaptive panel integration of f over [a, b].
 
@@ -97,16 +100,25 @@ def integrate_interval(
     estimated by comparing its single-rule value with the sum over its
     two halves; the worst panel is split until the summed error estimate
     meets max(rtol * |total|, atol), and QuadratureError is raised once
-    _MAX_PANELS panels do not.  The half-panel rules are kept, so a split
-    costs two new rules for each child, not three.
+    _MAX_PANELS panels, the initial ones included, do not.  The
+    half-panel rules are kept, so a split costs two new rules for each
+    child, not three.
 
-    f is called once per refinement step: on the coarse rule's nodes, on
-    the first split's two rules (2 _ORDER nodes), then on the four new
-    rules of each later split (4 _ORDER nodes), in rule order.  So f must
-    be pointwise in x, its value at a node not depending on the other
-    nodes of the call; each rule's value is then what a call on its own
-    nodes gives, bit for bit.  A banded f (below) is called on one rule at
-    a time, since a call's row window is the hull of its nodes' windows.
+    The initial panels lie between edges, increasing from a to b, by
+    default (a, b); the initial step evaluates each one's coarse rule and
+    its two halves.  Edges at f's kinks, or spaced like its features,
+    spare the splits that bisection from [a, b] would spend finding them.
+    Dyadic edges keep every panel's midpoint and half-width exact, as
+    bisection's are; a rounded one moves the rules off their panel.
+
+    f is called on at most four rules (4 _ORDER nodes) at a time, in rule
+    order: the first coarse rule alone, the other coarse rules and the
+    half rules four at a time, then once per split on its four new rules.
+    So f must be pointwise in x, its value at a node not depending
+    on the other nodes of the call; each rule's value is then what a call
+    on its own nodes gives, bit for bit.  A banded f (below) is called on
+    one rule at a time, since a call's row window is the hull of its
+    nodes' windows.
 
     f may instead return shape (k, len(x)): k integrands sharing one set
     of panels.  The result is then a (k,) array, and splitting goes on
@@ -139,19 +151,23 @@ def integrate_interval(
     splitting no longer lowers the estimate.  So once every component
     still short of its bound has an error estimate within _FLOOR_ULPS
     ulps of its total, and _STALL_SPLITS splits in a row (counted from
-    split _STALL_SPLITS on) have not halved the worst error-to-bound
-    ratio, QuadratureError is raised instead of
+    split _STALL_SPLITS after the initial step on) have not halved the
+    worst error-to-bound ratio, QuadratureError is raised instead of
     spending the rest of the panel budget.  The check adds no integrand
     evaluations and does not change which panels are split.
 
-    screen, if given, is called once as screen(total, err) with the first
-    split's total and error estimate, before any refinement; it may raise
-    to abandon the pass.
+    screen, if given, is called once as screen(total, err) with the
+    initial step's total and error estimate, before any refinement; it
+    may raise to abandon the pass.
     """
     if not b > a:
         raise ValueError("need b > a")
+    if edges is None:
+        edges = (a, b)
+    elif edges[0] != a or edges[-1] != b or any(hi <= lo for lo, hi in zip(edges, edges[1:])):
+        raise ValueError("edges must increase from a to b")
 
-    coarse = _panel(f, a, b)
+    coarse = _panel(f, edges[0], edges[1])
     banded = isinstance(coarse, tuple)
     scalar = not banded and np.ndim(coarse) == 0
     if scalar:
@@ -212,7 +228,7 @@ def integrate_interval(
             return 0, k
 
     def split(edges, parents):
-        # halve each panel between edges, in one integrand call for a dense f
+        # halve each panel between edges, four rules a call for a dense f
         fine = [edges[0]]
         for lo, hi in zip(edges, edges[1:]):
             fine += [0.5 * (lo + hi), hi]
@@ -226,11 +242,13 @@ def integrate_interval(
     def bound(total):
         return np.maximum(rtol * np.abs(total), floor)
 
-    (root,) = split((a, b), [coarse])
-    _, _, left, right, err = root
+    roots = split(edges, [coarse] + rules(edges[1:]) if len(edges) > 2 else [coarse])
+    (_, _, left, right, err), rest = roots[0], roots[1:]
     total = pair(left, right)
     if banded:
         total, err = add(np.zeros(k), total, 1), add(np.zeros(k), err, 1)
+    for _, _, left, right, e in rest:
+        total, err = add(total, pair(left, right), 1), add(err, e, 1)
     if screen is not None:
         screen(total, err)
     rounding = _FLOOR_ULPS * np.finfo(float).eps
@@ -263,8 +281,9 @@ def integrate_interval(
         return QuadratureError("%s: %d panels, error estimate %.3e on total %.3e"
                                % (reason, count, err[j], total[j]))
 
-    heap = [(-priority(root[4], total),) + root]
-    count = 1
+    heap = sorted((-priority(root[4], total),) + root for root in roots)  # a sorted list is a heap
+    count = len(roots)
+    stall_from = count - 1 + _STALL_SPLITS  # count > stall_from once _STALL_SPLITS splits are done
     # kept up to date on each split's row window, so a banded split is O(window)
     n_unmet = unmet(0, k)
     # worst error/bound ratio while stuck at the rounding level, and when it was set
@@ -284,7 +303,7 @@ def integrate_interval(
             heapq.heappush(heap, (-priority(child[4], total),) + child)
         count += 1
         # passes that converge within _STALL_SPLITS splits skip the test
-        ratio = floor_ratio(err, total) if count > _STALL_SPLITS else None
+        ratio = floor_ratio(err, total) if count > stall_from else None
         if ratio is None or mark is None or ratio <= 0.5 * mark:
             mark, marked_at = ratio, count
         elif count - marked_at >= _STALL_SPLITS:

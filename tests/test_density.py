@@ -278,6 +278,13 @@ class TestSectionNorms:
         with pytest.raises(QuadratureError, match="stalled"):
             section_norms(met, 20000, tol=1e-13)
 
+    @pytest.mark.parametrize("m", [1060, 2000, 5000])
+    def test_fs_log_norms_at_tol_1e14(self, m):
+        # the edge of the Fubini-Study domain; a start from sin^2 edges off the
+        # dyadic grid stalled here, its end rows m ulps off at x = 0 and 1
+        logn = section_norms(RadialMetric.fubini_study(), m, tol=1e-14)
+        assert np.max(np.abs(logn - lgamma_log_beta(m))) < 5e-11
+
 
 BANDED_METRICS = {
     "fs": RadialProfile.zero(),
@@ -348,6 +355,46 @@ class TestBandedSectionNorms:
                                       np.linspace(upper[j], 1.0, 200) if upper[j] < 1 else []])
             if len(outside):
                 assert np.max(log_row(j, outside)) <= math.log(1e-30) + scale, j
+
+
+class TestGradedStart:
+    """From m = 38 the pass starts from panels uniform in theta, x = sin^2(theta)."""
+
+    @staticmethod
+    def run(monkeypatch, met, m, tol, graded):
+        """The pass's shifted integrals T_j and the log norms, from either start."""
+        quad, totals = density_module.integrate_interval, []
+
+        def spy(f, a, b, edges, **kwargs):
+            totals.append(quad(f, a, b, edges=edges if graded else None, **kwargs))
+            return totals[-1]
+
+        monkeypatch.setattr(density_module, "integrate_interval", spy)
+        logn = section_norms(met, m, tol)
+        return totals[0], logn
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13])
+    @pytest.mark.parametrize("m", [30, 38, 60, 200, 1060, 5000])
+    @pytest.mark.parametrize("name", ["fs", "eigenfunction-bump-0.1", "rational-bump-0.2",
+                                      "phi1-poly"])
+    def test_agrees_with_one_panel_start(self, monkeypatch, name, m, tol):
+        # each T_j is certified within tol of its integral, so the two starts
+        # may differ by 2 tol; measured at most 1.03 tol, on row 4999 of both
+        # bumps at m = 5000, tol 1e-13.  For the eigenfunction bump a 40-digit
+        # integral puts the one-panel start 1.3e-13 off there, the graded 1.4e-14
+        met = RadialMetric(BANDED_METRICS[name])
+        one_total, one = self.run(monkeypatch, met, m, tol, False)
+        total, logn = self.run(monkeypatch, met, m, tol, True)
+        assert np.max(np.abs(total - one_total) / one_total) <= 2 * tol
+        # log N_j adds log T_j to its Beta peak and shift, rounded at |log N_j|
+        assert np.all(np.abs(logn - one) <= 2 * tol + 2 * np.spacing(np.abs(one)))
+
+    @pytest.mark.parametrize("name", sorted(BANDED_METRICS))
+    def test_one_panel_below_m_38(self, monkeypatch, name):
+        met = RadialMetric(BANDED_METRICS[name])
+        for m in range(38):
+            _, one = self.run(monkeypatch, met, m, 1e-12, False)
+            assert np.array_equal(self.run(monkeypatch, met, m, 1e-12, True)[1], one), m
 
 
 class TestBergmanDensity:

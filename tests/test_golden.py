@@ -50,6 +50,16 @@ call, fs-check --n 2 was regenerated after checking max_rel_error
 <= 1e-15 and pass true: the nested inner pass now spans the nodes of up
 to four outer rules (60 rows), and max_rel_error moved from 3.3e-16 to
 5.6e-16.  Every other file stayed byte-identical.
+When section_norms came to start its pass from panels uniform in theta,
+x = sin^2(theta), for m >= 38, the files that pass through it at such m
+were regenerated after checking these bounds: the three density CSVs
+moved by at most 1e-14 relative (measured 9.3e-16), and the two fit
+files, which read the eigenfunction-bump CSV, moved their coefficients
+by at most 1e-10 relative (measured 6.9e-12).  fs-check --n 1 stops at
+m = 30 and stayed byte-identical.  The m = 1060 eigenfunction-bump
+density, the first golden of a banded pass, was pinned then, after
+checking it against the one-panel start within 1e-13 relative (measured
+1.5e-14, at s = inf).  Every other file stayed byte-identical.
 """
 
 import subprocess
@@ -73,6 +83,9 @@ CASES = {
     "density_eigenfunction-bump_eps0.1.csv": ["density", "--metric", "eigenfunction-bump",
                                               "--eps", "0.1", "--m-list", "20,30,40,50,60",
                                               "--grid", "0,0.5,1,2"],
+    "density_eigenfunction-bump_eps0.1_m1060.csv": ["density", "--metric",
+                                                    "eigenfunction-bump", "--eps", "0.1",
+                                                    "--m-list", "1060", "--grid", "0,1,inf"],
     "fs-check_n2_mmax6.json": ["fs-check", "--n", "2", "--m-max", "6"],
     "center_gauge-diag_0.05.json": ["center", "--potential", "gauge-diag", "--scale", "0.05"],
     "center_eigenbasis-diag_0.05.json": ["center", "--potential", "eigenbasis-diag",

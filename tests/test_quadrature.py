@@ -124,24 +124,81 @@ class TestSchedule:
         assert sizes == [15, 30] + [60] * len(splits)
         assert sum(sizes) == 15 * (3 + 4 * len(splits))
 
-    def test_banded_section_norms(self, splits, monkeypatch):
-        # a banded rule's row window is that of its own nodes
-        sizes, banded = [], []
+    def test_dense_pass_from_a_partition(self, splits):
+        # the initial step evaluates each panel's coarse rule and its two
+        # halves: the first coarse rule alone, then at most four rules a call
+        sizes = []
 
-        def counted(f, *args, **kwargs):
+        def f(x):
+            sizes.append(x.size)
+            return np.stack([np.exp(x), np.exp(-((x - 0.1234567) ** 2) * 1e4)])
+
+        got = integrate_interval(f, 0.0, 1.0, rtol=1e-12, edges=np.linspace(0.0, 1.0, 8))
+        assert len(splits) > 0 and max(sizes) == 60
+        # 7 panels: coarse rules 1 + 4 + 2, half rules 4 + 4 + 4 + 2
+        assert sizes == [15, 60, 30, 60, 60, 60, 30] + [60] * len(splits)
+        assert sum(sizes) == 15 * (3 * 7 + 4 * len(splits))
+        assert got == pytest.approx(integrate_interval(f, 0.0, 1.0, rtol=1e-12), rel=2e-12)
+
+    def test_breakpoint_at_a_kink(self, splits):
+        # |x - 1/3| is linear on either side of its kink: with an edge there
+        # the initial panels are exact, while bisection has to close in on it
+        def kink(x):
+            return np.abs(x - 1.0 / 3.0)
+
+        exact = 5.0 / 18.0
+        assert integrate_interval(kink, 0.0, 1.0, rtol=1e-12) == pytest.approx(exact, rel=1e-12)
+        bisected = 1 + len(splits)
+        splits.clear()
+        got = integrate_interval(kink, 0.0, 1.0, rtol=1e-12, edges=(0.0, 1.0 / 3.0, 1.0))
+        assert got == pytest.approx(exact, rel=1e-12)
+        assert 2 + len(splits) < bisected
+
+    @pytest.mark.parametrize("edges", [(0.5, 1.0), (0.0, 0.5), (0.0, 0.5, 0.5, 1.0),
+                                       (0.0, 0.7, 0.5, 1.0)])
+    def test_rejects_bad_partition(self, edges):
+        with pytest.raises(ValueError, match="edges"):
+            integrate_interval(np.exp, 0.0, 1.0, edges=edges)
+
+    @staticmethod
+    def banded_pass(monkeypatch, m, tol):
+        """Node counts per call, and the edges, of a section_norms pass."""
+        sizes, banded, starts = [], [], []
+
+        def counted(f, *args, edges, **kwargs):
+            starts.append(edges)
+
             def g(x):
                 sizes.append(x.size)
                 out = f(x)
                 banded.append(isinstance(out, tuple))
                 return out
 
-            return integrate_interval(g, *args, **kwargs)
+            return integrate_interval(g, *args, edges=edges, **kwargs)
 
         monkeypatch.setattr(density, "integrate_interval", counted)
-        section_norms(RadialMetric.fubini_study(), 1060)
-        assert all(banded) and len(splits) > 0
-        assert sizes == [15] * (3 + 4 * len(splits))
-        assert sum(sizes) == 15 * (3 + 4 * len(splits))
+        section_norms(RadialMetric.fubini_study(), m, tol)
+        assert all(banded)
+        return sizes, np.array(starts[0])
+
+    def test_banded_section_norms(self, splits, monkeypatch):
+        # a banded rule's row window is that of its own nodes, so each call
+        # holds one rule: 3 for each of the P initial panels, 4 a split.  At
+        # m = 1060 and tol 1e-12 the partition needs no split at all
+        sizes, edges = self.banded_pass(monkeypatch, 1060, 1e-12)
+        P = int(math.sqrt(1060) / 1.5)
+        assert P == 21 and len(edges) == P + 1
+        # uniform in theta, x = sin^2(theta), on the 2^-24 grid
+        theta = np.arcsin(np.sqrt(edges))
+        assert np.allclose(np.diff(theta), np.pi / (2 * P), atol=1e-6)
+        assert np.array_equal(np.round(edges * 2.0**24), edges * 2.0**24)
+        assert len(splits) == 0
+        assert sizes == [15] * (3 * P + 4 * len(splits))
+
+    def test_banded_refinement_after_the_partition(self, splits, monkeypatch):
+        sizes, edges = self.banded_pass(monkeypatch, 1060, 1e-14)
+        assert len(edges) == 22 and len(splits) > 0
+        assert sizes == [15] * (3 * 21 + 4 * len(splits))
 
 
 class TestHalfLine:
