@@ -219,6 +219,18 @@ class RadialMetric:
 _ROW_CUT = 1e-30
 
 
+def _modes(m: int):
+    """j = 0..m, k = m - j, and the Beta modes x* = j/m and p* = 1 - x*.
+
+    x* is rounded to a multiple of 2^-53, so p* = 1 - x* holds exactly:
+    k log1p((x* - x) / p*) is then k log((1 - x) / p*), where a rounded
+    x* + p* would add k (x* + p* - 1), about m 2^-54, to every exponent.
+    """
+    j = np.arange(m + 1, dtype=float)
+    xs = np.round(j / max(m, 1) * 2.0**53) / 2.0**53
+    return j, m - j, xs, 1.0 - xs
+
+
 def _row_supports(metric: RadialMetric, m: int):
     """Certified supports (lower_j, upper_j) in x of the section-norm rows.
 
@@ -246,10 +258,7 @@ def _row_supports(metric: RadialMetric, m: int):
     u, v = metric.profile.coeffs, metric._v_coeffs
     v_min, v_max = metric._v_range
     du = [i * c for i, c in enumerate(u)][1:]
-    j = np.arange(m + 1.0)[:, None]
-    k = m - j
-    xs = j / m
-    ps = 1.0 - xs
+    j, k, xs, ps = (a[:, None] for a in _modes(m))
     inv_1mx = np.divide(1.0, ps, out=np.zeros_like(ps), where=k > 0)
     neg_inv_x = np.divide(-1.0, xs, out=np.zeros_like(xs), where=j > 0)
 
@@ -315,9 +324,9 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     a factor that does not depend on j.  For Fubini-Study (u = 0, v = 1)
     N_j is the Beta value j! (m-j)! / (m+1)!.
 
-    Each exponent is centred at the Beta mode x* = j/m, with log1p and a
-    divided difference for u, so its rounding error scales with its
-    distance from the peak rather than with m.  A per-j shift (the
+    Each exponent is centred at the Beta mode x* = j/m (_modes), with
+    log1p and a divided difference for u, so its rounding error scales
+    with its distance from the peak rather than with m.  A per-j shift (the
     smooth factor's log at x* plus a second-order estimate of how far it
     lifts the peak) brings every integrand's maximum near 1.  One
     vector-valued adaptive pass then integrates all m+1 of them to
@@ -327,10 +336,11 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
 
     Every row peaks with a width of about 1/(2 sqrt(m)) in theta, where
     x = sin^2(theta).  So from m = 38 the pass starts from floor(sqrt(m) / 1.5)
-    panels uniform in theta, with edges on the 2^-24 grid: each half spans
-    the 2.4 widths that bisection from [0, 1] settles on.  Below that, rows
-    near Fubini-Study are close to polynomials of degree m, and bisection
-    from [0, 1] needs at most one split: 7 rules, against 3 per panel.
+    panels uniform in theta, with edges on the 2^-24 grid: each spans about
+    4.8 widths, where one Gauss-Kronrod rule meets the default tol.  Below
+    that, rows near Fubini-Study are close to polynomials of degree m, and
+    bisection from [0, 1] needs at most one split: 3 rules, against the
+    partition's 3 or 4 for Fubini-Study at m = 30..37.
 
     Where that pays (_banding_pays) the pass is banded, for row j only
     matters near its mode, where s psi'(s) = j/m.  Each row gets a
@@ -354,10 +364,7 @@ def _section_norms(metric: RadialMetric, m: int, tol: float):
     if m < 0 or not tol > 0:
         raise ValueError(f"section norms need m >= 0 and tol > 0, got m = {m}, tol = {tol}")
     u, v = metric.profile.coeffs, metric._v_coeffs
-    j = np.arange(m + 1, dtype=float)
-    k = m - j
-    xs = j / max(m, 1)
-    ps = 1.0 - xs
+    j, k, xs, ps = _modes(m)
     # -1/x* and 1/(1-x*), zeroed where the matching power vanishes
     neg_inv_x = np.divide(-1.0, xs, out=np.zeros_like(xs), where=j > 0)[:, None]
     inv_1mx = np.divide(1.0, ps, out=np.zeros_like(xs), where=k > 0)[:, None]
@@ -404,7 +411,7 @@ def _section_norms(metric: RadialMetric, m: int, tol: float):
             return evaluate(x, *rows)
 
     # floor(sqrt(m) / 1.5) panels uniform in theta.  Off the dyadic grid a rounded
-    # midpoint moves a panel's rules by an ulp, about m ulps of an end row's total
+    # midpoint moves a panel's rule by an ulp, about m ulps of an end row's total
     theta = np.linspace(0.0, 0.5 * np.pi, math.isqrt(4 * m) // 3 + 1) if m >= 38 else None
     edges = None if theta is None else (np.round(np.sin(theta) ** 2 * 2.0**24) / 2.0**24).tolist()
     with np.errstate(over="ignore", invalid="ignore"):

@@ -201,10 +201,10 @@ class TestNodeCache:
 
         state = center(phi)
         assert state.converged and state.iteration == 4
-        # the C0 grid, then the one Phi pass: its coarse rule, then its first
-        # split in one call; integrating phi - rho_{-A} per iterate would take
-        # 5 such passes
-        assert len(nodes) == 1 + 2
+        # the C0 grid, then the one Phi pass, which meets its tolerance on
+        # its initial panel; integrating phi - rho_{-A} per iterate would
+        # take 5 such passes
+        assert len(nodes) == 1 + 1
         assert len(set(nodes)) == len(nodes)
 
     @pytest.mark.parametrize("name", sorted(_POTENTIALS))

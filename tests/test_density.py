@@ -12,6 +12,7 @@ exact sum obtained through the inverse Mobius map.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -274,9 +275,67 @@ class TestSectionNorms:
         assert m * m * np.max(np.abs(res.values - model)) <= 3.0
 
     def test_tolerance_below_rounding_fails_fast_at_m_20000(self):
+        # tol 1e-13 converges here (test_eigenfunction_bump_end_rows_at_m_20000)
         met = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
         with pytest.raises(QuadratureError, match="stalled"):
-            section_norms(met, 20000, tol=1e-13)
+            section_norms(met, 20000, tol=1e-14)
+
+    def test_eigenfunction_bump_end_rows_at_m_20000(self):
+        # u = eps (2p - 1), v = 1 + 2 eps - 4 eps p: each N_j is two Kummer
+        # functions, N_j = e^{m eps} sum_l c_l B(j+1, k+1) e^{-a} 1F1(j+1; j+k+2; a)
+        # with k = m - j + l and a = 2 m eps (all terms positive, 50 digits)
+        eps, m, tol = 0.1, 20000, 1e-13
+        logn = section_norms(RadialMetric(RadialProfile.eigenfunction_bump(eps)), m, tol)
+        with mpmath.workdps(50):
+            e, a = mpmath.mpf(eps), 2 * m * mpmath.mpf(eps)
+
+            def exact(j):
+                parts = [mpmath.beta(j + 1, m - j + l + 1) * mpmath.exp(-a)
+                         * mpmath.hyp1f1(j + 1, m + l + 2, a) for l in (0, 1)]
+                return mpmath.log(mpmath.exp(m * e) * ((1 + 2 * e) * parts[0] - 4 * e * parts[1]))
+
+            errs = {j: abs(float(mpmath.mpf(logn[j]) - exact(j))) for j in (0, 1, m // 2, m - 1, m)}
+        # rows 0 and m, the densities at s = 0 and inf, meet tol (measured
+        # 0.28 and 0.94 tol); every row meets it up to the ulp of its log
+        assert errs[0] <= tol and errs[m] <= tol
+        for j, err in errs.items():
+            assert err <= tol + np.spacing(abs(logn[j])), j
+
+    def test_budget_exhaustion_now_stalls(self):
+        # eigenfunction bump 0.45 at m = 15000 once spent the whole 4096-panel
+        # budget (11.9 s) before raising; its estimate sits at the rounding
+        # level, so it stalls after a few hundred banded calls instead
+        met = RadialMetric(RadialProfile.eigenfunction_bump(0.45))
+        calls = []
+        quad = density_module.integrate_interval
+
+        def counted(f, *args, **kwargs):
+            def g(x):
+                calls.append(1)
+                return f(x)
+            return quad(g, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(density_module, "integrate_interval", counted)
+            with pytest.raises(QuadratureError, match="stalled"):
+                section_norms(met, 15000, tol=1e-13)
+        assert len(calls) < 1000
+
+    @pytest.mark.parametrize("m,tol,rows,within", [
+        (1060, 1e-12, 4, 1.0), (5000, 1e-12, 4, 1.0), (20000, 1e-12, 4, 1.0),
+        (1060, 1e-13, 4, 1.0), (5000, 1e-13, 4, 1.0), (20000, 1e-13, 4, 1.0),
+        (1060, 1e-14, 1, 2.0), (2000, 1e-14, 1, 2.0), (5000, 1e-14, 1, 2.0)])
+    def test_fs_end_rows_against_mpmath(self, m, tol, rows, within):
+        # rows 0 .. rows-1 and m-rows+1 .. m against 40-digit log Beta values.
+        # Rows 1 .. 3 once carried k (x* + (1 - x*) - 1), m 2^-54, from a
+        # rounded Beta mode: 1.1 to 3.3 tol at tol 1e-13.  At tol 1e-14
+        # rows 0 and m measured at most 1.75 tol (row m, m = 1060)
+        logn = section_norms(RadialMetric.fubini_study(), m, tol)
+        with mpmath.workdps(40):
+            for j in list(range(rows)) + list(range(m - rows + 1, m + 1)):
+                exact = (mpmath.loggamma(j + 1) + mpmath.loggamma(m - j + 1)
+                         - mpmath.loggamma(m + 2))
+                assert abs(float(mpmath.mpf(logn[j]) - exact)) <= within * tol, j
 
     @pytest.mark.parametrize("m", [1060, 2000, 5000])
     def test_fs_log_norms_at_tol_1e14(self, m):

@@ -60,6 +60,24 @@ m = 30 and stayed byte-identical.  The m = 1060 eigenfunction-bump
 density, the first golden of a banded pass, was pinned then, after
 checking it against the one-panel start within 1e-13 relative (measured
 1.5e-14, at s = inf).  Every other file stayed byte-identical.
+When every panel became one (G15, K31) Gauss-Kronrod rule, and the
+Beta modes of the section-norm rows were rounded so that 1 - x* is
+exact, the files that pass through integrate_interval were regenerated
+after checking these bounds: the three density CSVs at m <= 60 moved by
+at most 1e-15 relative (measured 5.7e-16); the m = 1060 eigenfunction
+bump moved by at most 1e-13 relative (measured 1.95e-14, at s = inf),
+and stays within its tol of the exact density there, e^{m eps} / N_m
+with N_m two Kummer functions (2.2e-14, was 2.2e-15; s = 0 is 2.9e-16
+off, as before); the two fit files moved their coefficients by at most
+1e-10 relative (measured 3.9e-12) and their residual by at most 1e-7
+relative (measured 6.1e-10); first-variation kept formula_value 0.0,
+only its step-noise fields fd_value and rel_diff moving; fs-check
+--n 1 kept pass true, its max_density_deviation moving from 3.2e-14 to
+1.8e-14.  Every other file stayed byte-identical.  The Fubini-Study
+density at m = 20000, tol 1e-13, the first golden of a large-m banded
+pass, was pinned then, after checking each value against m + 1 within
+1e-14 relative (measured 7.3e-16 at s = 0, exact at s = 1 and 7.8e-15
+at s = inf).
 """
 
 import subprocess
@@ -86,6 +104,8 @@ CASES = {
     "density_eigenfunction-bump_eps0.1_m1060.csv": ["density", "--metric",
                                                     "eigenfunction-bump", "--eps", "0.1",
                                                     "--m-list", "1060", "--grid", "0,1,inf"],
+    "density_fs_m20000_tol1e-13.csv": ["density", "--metric", "fs", "--m-list", "20000",
+                                       "--grid", "0,1,inf", "--tol", "1e-13"],
     "fs-check_n2_mmax6.json": ["fs-check", "--n", "2", "--m-max", "6"],
     "center_gauge-diag_0.05.json": ["center", "--potential", "gauge-diag", "--scale", "0.05"],
     "center_eigenbasis-diag_0.05.json": ["center", "--potential", "eigenbasis-diag",

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,96 @@ from cpnbergman import (
     monomial_kernel_quadrature,
     section_norms,
 )
+
+
+def _legendre(n):
+    """Exact coefficients of the Legendre polynomial P_n, lowest degree first."""
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for k in range(1, n):
+        nxt = [Fraction(0)] + [Fraction(2 * k + 1, k + 1) * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= Fraction(k, k + 1) * c
+        prev, cur = cur, nxt
+    return cur if n else prev
+
+
+def _solve(rows, rhs):
+    """Gauss-Jordan elimination in Fractions."""
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for i in range(len(a)):
+        piv = next(r for r in range(i, len(a)) if a[r][i] != 0)
+        a[i], a[piv] = a[piv], a[i]
+        a[i] = [c / a[i][i] for c in a[i]]
+        for r in range(len(a)):
+            if r != i and a[r][i] != 0:
+                a[r] = [c - a[r][i] * d for c, d in zip(a[r], a[i])]
+    return [r[-1] for r in a]
+
+
+def _kronrod_rule():
+    """The (G15, K31) pair at 40 digits: nonnegative nodes, K31 and G15 weights.
+
+    The Kronrod nodes are the roots of the Stieltjes polynomial E_16, the
+    monic even polynomial with int E_16 P_15 x^i dx = 0 for i < 16, found
+    exactly in Fractions; the K31 weights make the rule exact on
+    P_0 .. P_30.
+    """
+    p15 = _legendre(15)
+
+    def moment(e):  # int_{-1}^{1} x^e P_15(x) dx
+        return sum(c * Fraction(2, i + e + 1) for i, c in enumerate(p15) if (i + e) % 2 == 0)
+
+    evens, odds = range(0, 16, 2), range(1, 16, 2)
+    lower = _solve([[moment(e + i) for e in evens] for i in odds], [-moment(16 + i) for i in odds])
+    with mpmath.workdps(40):
+        def roots(coeffs):  # positive roots of an even polynomial, by its coefficients in x^2
+            ys = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator for c in coeffs[::-1]],
+                                  maxsteps=200, extraprec=200)
+            return [mpmath.sqrt(mpmath.re(y)) for y in ys]
+
+        gauss = roots(p15[1::2])  # P_15 / x is even
+        nodes = sorted([mpmath.mpf(0)] + gauss + roots(lower + [Fraction(1)]))
+        system = mpmath.matrix([[(1 if x == 0 else 2) * mpmath.legendre(q, x) for x in nodes]
+                                for q in range(0, 31, 2)])
+        kronrod = mpmath.lu_solve(system, mpmath.matrix([2] + [0] * 15))
+        dp15 = [i * c for i, c in enumerate(p15)][1:]
+        gauss_w = [2 / ((1 - x * x) * mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator
+                                                      for c in dp15[::-1]], x) ** 2)
+                   for x in nodes[::2]]
+        return nodes, list(kronrod), gauss_w
+
+
+class TestKronrodRule:
+    """The hard-coded (G15, K31) constants against an independent rebuild."""
+
+    def test_constants_within_one_ulp(self):
+        nodes, kronrod, gauss = _kronrod_rule()
+        stored = (quadrature._KRONROD_NODES, quadrature._KRONROD_WEIGHTS,
+                  quadrature._GAUSS_WEIGHTS)
+        for got, want in zip(stored, (nodes, kronrod, gauss)):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert abs(mpmath.mpf(g) - w) <= math.ulp(g), (g, w)
+
+    def test_exact_on_monomials(self):
+        # K31 integrates x^q exactly up to q = 3 * 15 + 2 = 47, G15 up to 29
+        x, wk = quadrature._X, quadrature._WK
+        wg = wk - quadrature._RULES[:, 1]
+        for q in range(48):
+            want = 2.0 / (q + 1) if q % 2 == 0 else 0.0
+            assert abs(np.dot(wk, x**q) - want) <= 4e-16, q
+            if q < 30:
+                assert abs(np.dot(wg, x**q) - want) <= 4e-16, q
+        # and no further: the 40-digit rules miss x^56 by 8.4e-14 and x^30 by 2.9e-9
+        assert abs(np.dot(wk, x**56) - 2.0 / 57) > 1e-14
+        assert abs(np.dot(wg, x**30) - 2.0 / 31) > 1e-9
+
+    def test_embedded_gauss_rule_is_leggauss(self):
+        x, w = np.polynomial.legendre.leggauss(15)
+        wg = quadrature._WK - quadrature._RULES[:, 1]
+        assert np.array_equal(np.nonzero(wg)[0], np.arange(1, 31, 2))
+        assert np.allclose(quadrature._X[1::2], x, rtol=0, atol=1e-15)
+        assert np.allclose(wg[1::2], w, rtol=0, atol=1e-15)
 
 
 class TestInterval:
@@ -97,7 +188,7 @@ class TestInterval:
 
 
 class TestSchedule:
-    """A dense pass calls f once per refinement step, a banded pass once per rule."""
+    """A dense pass calls f on two panels at a time, a banded pass on one."""
 
     @pytest.fixture
     def splits(self, monkeypatch):
@@ -112,7 +203,7 @@ class TestSchedule:
         return popped
 
     def test_dense_vector_pass(self, splits):
-        # the coarse rule, the first split's two rules, then four rules a split
+        # the initial K31 panel, then each split's two halves in one call
         sizes = []
 
         def f(x):
@@ -121,12 +212,12 @@ class TestSchedule:
 
         integrate_interval(f, 0.0, 1.0, rtol=1e-12)
         assert len(splits) > 0
-        assert sizes == [15, 30] + [60] * len(splits)
-        assert sum(sizes) == 15 * (3 + 4 * len(splits))
+        assert sizes == [31] + [62] * len(splits)
+        assert sum(sizes) == 31 * (1 + 2 * len(splits))
 
     def test_dense_pass_from_a_partition(self, splits):
-        # the initial step evaluates each panel's coarse rule and its two
-        # halves: the first coarse rule alone, then at most four rules a call
+        # the initial step evaluates one K31 rule per panel: the first panel
+        # alone, then two panels a call
         sizes = []
 
         def f(x):
@@ -134,10 +225,10 @@ class TestSchedule:
             return np.stack([np.exp(x), np.exp(-((x - 0.1234567) ** 2) * 1e4)])
 
         got = integrate_interval(f, 0.0, 1.0, rtol=1e-12, edges=np.linspace(0.0, 1.0, 8))
-        assert len(splits) > 0 and max(sizes) == 60
-        # 7 panels: coarse rules 1 + 4 + 2, half rules 4 + 4 + 4 + 2
-        assert sizes == [15, 60, 30, 60, 60, 60, 30] + [60] * len(splits)
-        assert sum(sizes) == 15 * (3 * 7 + 4 * len(splits))
+        assert len(splits) > 0 and max(sizes) == 62
+        # 7 panels: 1 + 2 + 2 + 2
+        assert sizes == [31, 62, 62, 62] + [62] * len(splits)
+        assert sum(sizes) == 31 * (7 + 2 * len(splits))
         assert got == pytest.approx(integrate_interval(f, 0.0, 1.0, rtol=1e-12), rel=2e-12)
 
     def test_breakpoint_at_a_kink(self, splits):
@@ -183,8 +274,8 @@ class TestSchedule:
 
     def test_banded_section_norms(self, splits, monkeypatch):
         # a banded rule's row window is that of its own nodes, so each call
-        # holds one rule: 3 for each of the P initial panels, 4 a split.  At
-        # m = 1060 and tol 1e-12 the partition needs no split at all
+        # holds one panel: one for each of the P initial panels, 2 a split.
+        # At m = 1060 and tol 1e-12 the partition needs no split at all
         sizes, edges = self.banded_pass(monkeypatch, 1060, 1e-12)
         P = int(math.sqrt(1060) / 1.5)
         assert P == 21 and len(edges) == P + 1
@@ -193,12 +284,13 @@ class TestSchedule:
         assert np.allclose(np.diff(theta), np.pi / (2 * P), atol=1e-6)
         assert np.array_equal(np.round(edges * 2.0**24), edges * 2.0**24)
         assert len(splits) == 0
-        assert sizes == [15] * (3 * P + 4 * len(splits))
+        assert sizes == [31] * (P + 2 * len(splits))
 
     def test_banded_refinement_after_the_partition(self, splits, monkeypatch):
-        sizes, edges = self.banded_pass(monkeypatch, 1060, 1e-14)
-        assert len(edges) == 22 and len(splits) > 0
-        assert sizes == [15] * (3 * 21 + 4 * len(splits))
+        # at m = 2000 and tol 1e-14 its 29 panels need 2 splits
+        sizes, edges = self.banded_pass(monkeypatch, 2000, 1e-14)
+        assert len(edges) == 30 and len(splits) > 0
+        assert sizes == [31] * (29 + 2 * len(splits))
 
 
 class TestHalfLine:
@@ -242,8 +334,8 @@ class TestCP1Integral:
 
     def test_angular_refinement_failure(self):
         # discontinuous angular profile never stabilizes under doubling; each
-        # step is abandoned on its first split (3 rules in 2 calls), instead
-        # of spending a radial pass's whole panel budget
+        # step is abandoned on its initial panel (one call), instead of
+        # spending a radial pass's whole panel budget
         calls = []
 
         def F(z):
@@ -252,9 +344,9 @@ class TestCP1Integral:
 
         with pytest.raises(QuadratureError, match="n_theta = 1024, the cap"):
             cp1_integral(F, fs_weight, rtol=1e-12, atol=0.0)
-        assert len(calls) == 8
-        # 12 rules of 15 radial nodes on circles of 128, 256, 512 and 1024 points
-        assert sum(calls) == 3 * 15 * (128 + 256 + 512 + 1024)
+        assert len(calls) == 4
+        # one rule of 31 radial nodes on circles of 128, 256, 512 and 1024 points
+        assert sum(calls) == 31 * (128 + 256 + 512 + 1024)
 
     def test_complex_integrand_rejected(self):
         # its real part used to be integrated with only a ComplexWarning
@@ -311,7 +403,7 @@ class TestCP1Integral:
 
     def test_aliased_first_pair_moves_on(self, radial_passes):
         # cos(64 theta) aliases to 1 on the 64-point circle and averages to 0
-        # on finer ones: the (64, 128) pass is abandoned on its first split
+        # on finer ones: the (64, 128) pass is abandoned on its initial panel
         # and the value comes from the refined (128, 256) pass
         def F(z):
             return 1.0 + np.cos(64.0 * np.angle(z)) + np.abs(z) ** 2 / (1.0 + np.abs(z) ** 4)
