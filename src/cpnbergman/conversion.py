@@ -1,11 +1,11 @@
 """Exact Laplacian combinatorics at the Fubini-Study base point.
 
-Everything in this module is exact, in Python integers that become
-Fractions on return: multi-index monomials, the Laplacian rewrite on
-|z^P|^2, the conversion polynomials f_k relating Fubini-Study Laplacian
-powers at the origin to flat ones, the eigenfunction variation series
-in 1/m, and the polynomiality criterion that singles out the first
-eigenvalue.
+Everything in this module is exact and runs in Python integers: the
+Laplacian rewrite on |z^P|^2, the conversion polynomials f_k relating
+Fubini-Study Laplacian powers at the origin to flat ones (returned as
+ints), the eigenfunction variation series in 1/m and the polynomiality
+criterion that singles out the first eigenvalue.  laplacian_power_at_zero,
+the series and the criterion's remainder become Fractions on return.
 """
 
 from __future__ import annotations
@@ -38,33 +38,38 @@ def _laplacian_rewrite_at_zero(P: Tuple[int, ...], k: int) -> Fraction:
                      + |A|^2 (|z^A|^2 + sum_j |z^{A+e_j}|^2),
     so every coefficient stays a positive integer.  A step moves the
     degree by at most one, so a term whose degree exceeds the steps left
-    cannot reach the constant term and is dropped.  The integer result
-    becomes a Fraction only on return.
+    cannot reach the constant term and is dropped.  No exponent exceeds
+    |P| + k, so A is keyed by its digits in base |P| + k + 1: A - e_i and
+    A + e_j are key - base^i and key + base^j.  Each key is decoded once
+    per call.  The integer result becomes a Fraction only on return.
     """
-    n = len(P)
-    state = {P: 1}
+    base = sum(P) + k + 1
+    units = [base**i for i in range(len(P))]
+    state = {sum(p * u for p, u in zip(P, units)): 1}
+    decoded = {}  # key -> (degree, [(a_i^2, key of A - e_i) for a_i > 0])
     for left in range(k - 1, -1, -1):
-        nxt: Dict[Tuple[int, ...], int] = defaultdict(int)
+        nxt: Dict[int, int] = defaultdict(int)
         for A, c in state.items():
-            d = sum(A)
+            if A not in decoded:
+                digits = [A // u % base for u in units]
+                decoded[A] = sum(digits), [(a * a, A - u) for a, u in zip(digits, units) if a]
+            d, lows = decoded[A]
             if d > left + 1:
                 continue
-            for i, a in enumerate(A):
-                if a:
-                    w = c * a * a
-                    low = A[:i] + (a - 1,) + A[i + 1:]
-                    nxt[low] += w
-                    if d <= left:
-                        for j in range(n):
-                            nxt[low[:j] + (low[j] + 1,) + low[j + 1:]] += w
+            for sq, low in lows:
+                w = c * sq
+                nxt[low] += w
+                if d <= left:
+                    for u in units:
+                        nxt[low + u] += w
             if 0 < d <= left:
                 w = c * d * d
                 nxt[A] += w
                 if d < left:
-                    for j in range(n):
-                        nxt[A[:j] + (A[j] + 1,) + A[j + 1:]] += w
+                    for u in units:
+                        nxt[A + u] += w
         state = nxt
-    return Fraction(state.get((0,) * n, 0))
+    return Fraction(state.get(0, 0))
 
 
 def laplacian_power_at_zero(n: int, P, k: int) -> Fraction:
@@ -116,22 +121,20 @@ def fs_monomial_integral(n: int, m: int, P) -> Fraction:
 
 @dataclass(frozen=True)
 class ConversionTable:
-    """Rows a_{k,l} of the conversion polynomials f_k(t) = sum_l a_{k,l} t^l."""
+    """Integer rows a_{k,l} of the conversion polynomials f_k(t) = sum_l a_{k,l} t^l."""
 
     n: int
-    rows: Tuple[Tuple[Fraction, ...], ...]  # rows[k-1] has entries l=0..k
+    rows: Tuple[Tuple[int, ...], ...]  # rows[k-1] has the ints a_{k,l}, l=0..k
 
     @property
     def max_order(self) -> int:
         return len(self.rows)
 
-    def coefficient(self, k: int, l: int) -> Fraction:
+    def coefficient(self, k: int, l: int) -> int:
         if not (1 <= k <= self.max_order):
             raise ValueError("row %d not computed" % k)
         row = self.rows[k - 1]
-        if 0 <= l < len(row):
-            return row[l]
-        return Fraction(0)
+        return row[l] if 0 <= l < len(row) else 0
 
     def polynomial(self, k: int) -> RationalPolynomial:
         if not (1 <= k <= self.max_order):
@@ -159,13 +162,9 @@ def conversion_polynomials(n: int, K: int) -> ConversionTable:
     """Build rows 1..K of the a_{k,l} recursion.
 
     a_{k+1,l} = a_{k,l-1} + l(2l+n-1) a_{k,l} + l^2 (l+1)(l+n) a_{k,l+1},
-    with a_{k,0} = 0 and a_{k,k} = 1.  The entries are integers; they are
-    computed as such and wrapped as Fractions on return.
+    with a_{k,0} = 0 and a_{k,k} = 1.  The entries are Python ints.
     """
-    rows = _conversion_rows(n, K)
-    return ConversionTable(
-        n=n, rows=tuple(tuple(Fraction(a) for a in row) for row in rows)
-    )
+    return ConversionTable(n=n, rows=tuple(map(tuple, _conversion_rows(n, K))))
 
 
 def eigen_delta_c_values(n: int, K: int) -> List[RationalPolynomial]:

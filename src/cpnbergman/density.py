@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import PositivityError, StepUnderflowError
 from .quadrature import integrate_interval
-from .ratpoly import RationalPolynomial
 
 
 def _horner(coeffs, p):
@@ -29,6 +28,18 @@ def _horner(coeffs, p):
         out = out * p + c
     if out.ndim == 0:
         return float(out)
+    return out
+
+
+def _int_bilinear(a, b, c=(), d=(), t=0):
+    """a b + t c d for integer coefficient lists, low degree first, trimmed."""
+    out = [0] * max(len(a) + len(b) - 1, len(c) + len(d) - 1, 0)
+    for x, y, w in ((a, b, 1), (c, d, t)):
+        for i, f in enumerate(x):
+            for j, g in enumerate(y):
+                out[i + j] += w * f * g
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
@@ -119,14 +130,9 @@ class RadialProfile:
         p(1/s') = 1 - p(s'), so coefficients transform by the signed
         binomial sum.
         """
-        deg = len(self.coeffs) - 1
-        out = [0.0] * (deg + 1)
-        for j in range(deg + 1):
-            acc = 0.0
-            for k in range(j, deg + 1):
-                acc += self.coeffs[k] * math.comb(k, j)
-            out[j] = (-1) ** j * acc
-        return RadialProfile(out)
+        c = self.coeffs
+        return RadialProfile([(-1) ** j * sum(c[k] * math.comb(k, j) for k in range(j, len(c)))
+                              for j in range(len(c))])
 
     def sup_norm(self) -> float:
         """max |u| over s >= 0, i.e. over p in [0, 1], at its critical points."""
@@ -198,20 +204,23 @@ class RadialMetric:
         With E f = d/dp (p(1-p) f_p), (s f')' = p^2 E f and w = p^2 v give
         rho = -E(log w) / v and Delta rho = E(rho) / v.  So with
         N = 2(1-p) v + p(1-p) v', R = N v' - N' v, Q = p(1-p)(R' v - 3 R v')
-        and L = Q' v - 4 Q v'.  Exact in integers: v times 2^e, the common
-        denominator of its dyadic coefficients; R and L, of degree 2 and 4
-        in v, are scaled back by 2^(2e) and 2^(4e).  Built on first use.
+        and L = Q' v - 4 Q v'.  Exact in integer coefficient lists: v times
+        2^e, the common denominator of its dyadic coefficients; R and L, of
+        degree 2 and 4 in v, are scaled back by 2^(2e) and 2^(4e), each
+        coefficient in one correctly rounded division.  Built on first use.
         """
-        scale = max(Fraction(c).denominator for c in self._v_coeffs)
-        v = RationalPolynomial([Fraction(c) * scale for c in self._v_coeffs])
-        dv = v.derivative()
-        pq = RationalPolynomial([0, 1, -1])  # p(1-p)
-        n = RationalPolynomial([2, -2]) * v + pq * dv
-        r = n * dv - n.derivative() * v
-        q = pq * (r.derivative() * v - r * dv * 3)
-        lap = q.derivative() * v - q * dv * 4
-        return (tuple(float(c / scale**2) for c in r.coeffs),
-                tuple(float(c / scale**4) for c in lap.coeffs))
+        ratios = [c.as_integer_ratio() for c in self._v_coeffs]
+        scale = max(den for _, den in ratios)
+        v = [num * (scale // den) for num, den in ratios]
+
+        def der(f):
+            return [k * c for k, c in enumerate(f)][1:]
+
+        n = _int_bilinear([2, -2], v, [0, 1, -1], der(v), 1)  # [0, 1, -1] is p(1-p)
+        r = _int_bilinear(n, der(v), der(n), v, -1)
+        q = _int_bilinear([0, 1, -1], _int_bilinear(der(r), v, r, der(v), -3))
+        lap = _int_bilinear(der(q), v, q, der(v), -4)
+        return tuple(c / scale**2 for c in r), tuple(c / scale**4 for c in lap)
 
 
 # A section-norm row is left out of a quadrature rule where a certified

@@ -30,10 +30,6 @@ class FitResult:
     condition: float
 
 
-def _is_rational(x) -> bool:
-    return isinstance(x, Rational)
-
-
 def fit_expansion(samples: Sequence[Tuple], n: int, K: int) -> FitResult:
     """Fit a_0..a_K of the large-m model to (m, value) samples.
 
@@ -49,7 +45,7 @@ def fit_expansion(samples: Sequence[Tuple], n: int, K: int) -> FitResult:
             f"need at least {K + 1} samples for order {K}, got {len(pairs)}"
         )
 
-    exact = len(pairs) == K + 1 and all(_is_rational(m) and _is_rational(v) for m, v in pairs)
+    exact = len(pairs) == K + 1 and all(isinstance(x, Rational) for pair in pairs for x in pair)
     design = np.array([[float(m) ** (-k) for k in range(K + 1)] for m in ms])
     scale = np.max(np.abs(design), axis=0)
     condition = float(np.linalg.cond(design / scale))
@@ -69,11 +65,7 @@ def fit_expansion(samples: Sequence[Tuple], n: int, K: int) -> FitResult:
             for k, c in enumerate(coeffs))
         for m, _ in pairs
     ]
-    residual = max(abs(pred - v) for pred, (_, v) in zip(model, pairs))
-    if exact and residual == 0:
-        residual = 0.0
-    else:
-        residual = float(residual)
+    residual = float(max(abs(pred - v) for pred, (_, v) in zip(model, pairs)))
     return FitResult(n, K, coeffs, residual, condition)
 
 

@@ -17,6 +17,8 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rewrite_reference import tuple_rewrite_at_zero
+
 from cpnbergman import (
     ConversionTable,
     InverseMSeries,
@@ -148,6 +150,29 @@ class TestLaplacianPowers:
                 ) == laplacian_power_at_zero(2, P, k)
 
 
+class TestRewriteAgainstReference:
+    """The integer-keyed rewrite against the tuple-keyed one in rewrite_reference."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 30, 60])
+    def test_one_variable(self, k):
+        for p in range(4):
+            got = laplacian_power_at_zero(1, (p,), k)
+            assert type(got) is Fraction and got == tuple_rewrite_at_zero((p,), k), (p, k)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_several_variables(self, n):
+        for P in _all_indices(n, 3):
+            for k in range(8):
+                assert laplacian_power_at_zero(n, P, k) == tuple_rewrite_at_zero(P, k), (P, k)
+
+    def test_conversion_identity_at_the_top_row(self):
+        # the row the benchmark's n = 1, K = 60 check reaches
+        t = conversion_polynomials(1, 60)
+        for p in range(4):
+            lhs = sum(t.coefficient(60, l) * delta_c_power_at_zero(l, (p,)) for l in range(61))
+            assert lhs == laplacian_power_at_zero(1, (p,), 60) == tuple_rewrite_at_zero((p,), 60)
+
+
 class TestDeltaCAndIntegrals:
     def test_delta_c_values(self):
         assert delta_c_power_at_zero(2, (1, 1)) == 2
@@ -200,6 +225,47 @@ class TestConversionTable:
         t = conversion_polynomials(1, 2)
         with pytest.raises(ValueError):
             t.polynomial(3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_entries_are_ints(self, n):
+        t = conversion_polynomials(n, 60)
+        assert all(type(a) is int for row in t.rows for a in row)
+        for k in (1, 30, 60):
+            for l in (-1, k + 1, k + 5):
+                c = t.coefficient(k, l)
+                assert type(c) is int and c == 0, (k, l)
+            assert all(type(t.coefficient(k, l)) is int for l in range(k + 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_polynomials_match_a_fraction_recursion(self, n):
+        # a_{k+1,l} = a_{k,l-1} + l(2l+n-1) a_{k,l} + l^2 (l+1)(l+n) a_{k,l+1}, in Fractions
+        t = conversion_polynomials(n, 60)
+        row = [Fraction(0), Fraction(1)]
+        for k in range(1, 61):
+            poly = t.polynomial(k)
+            assert poly == RationalPolynomial(row), k
+            assert all(type(c) is Fraction for c in poly.coeffs)
+            row = row + [Fraction(0), Fraction(0)]
+            row = [Fraction(0)] + [row[l - 1] + l * (2 * l + n - 1) * row[l]
+                                   + l * l * (l + 1) * (l + n) * row[l + 1]
+                                   for l in range(1, k + 2)]
+
+    @pytest.mark.parametrize("n,k,P", [(1, 60, (2,)), (1, 57, (3,)), (2, 5, (1, 1)),
+                                       (3, 4, (0, 2, 1))])
+    def test_corrupted_row_breaks_identity(self, n, k, P):
+        # the benchmark's self-test: a_{k,|P|} + 1 must no longer convert
+        t = conversion_polynomials(n, 60)
+
+        def lhs(table):
+            return sum(table.coefficient(k, l) * delta_c_power_at_zero(l, P)
+                       for l in range(k + 1))
+
+        rows = [list(r) for r in t.rows]
+        rows[k - 1][sum(P)] += 1
+        bad = ConversionTable(n=n, rows=tuple(tuple(r) for r in rows))
+        want = laplacian_power_at_zero(n, P, k)
+        assert lhs(t) == want
+        assert lhs(bad) != want
 
     @given(
         n=st.integers(min_value=1, max_value=2),

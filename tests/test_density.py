@@ -25,6 +25,7 @@ from cpnbergman import (
     QuadratureError,
     RadialMetric,
     RadialProfile,
+    RationalPolynomial,
     StepUnderflowError,
     bergman_density,
     cp1_integral,
@@ -570,6 +571,24 @@ class TestScalarCurvature:
                 assert f.denom.is_ground  # a polynomial in p
                 poly = sp.Poly(f.as_expr(), QP.symbols[0])
                 assert got == tuple(float(c) for c in reversed(poly.all_coeffs())), e
+
+    @pytest.mark.parametrize("profile", [
+        RadialProfile.zero(), RadialProfile.eigenfunction_bump(0.1),
+        RadialProfile.rational_bump(0.15), RadialProfile([0.0, 0.05, -0.02, 0.013]),
+    ], ids=["fs", "eigenfunction-bump", "rational-bump", "phi1-poly-cubic"])
+    def test_numerators_match_a_fraction_construction(self, profile):
+        # the same recursion in RationalPolynomial arithmetic over Fractions,
+        # divided by the scale in Fractions and rounded once: equal bit for bit
+        met = RadialMetric(profile)
+        scale = max(Fraction(c).denominator for c in met._v_coeffs)
+        v = RationalPolynomial([Fraction(c) * scale for c in met._v_coeffs])
+        dv, pq = v.derivative(), RationalPolynomial([0, 1, -1])
+        n = RationalPolynomial([2, -2]) * v + pq * dv
+        r = n * dv - n.derivative() * v
+        q = pq * (r.derivative() * v - r * dv * 3)
+        lap = q.derivative() * v - q * dv * 4
+        for got, want, e in zip(met._curvature_numerators, (r, lap), (2, 4)):
+            assert [c.hex() for c in got] == [float(c / scale**e).hex() for c in want.coeffs]
 
     @pytest.mark.parametrize("u_maker,u_sym", CURVATURE_FAMILIES)
     def test_against_symbolic_oracle(self, u_maker, u_sym):
