@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PositivityError, StepUnderflowError
+from .errors import PositivityError, QuadratureError, StepUnderflowError
 from .quadrature import integrate_interval
 
 
@@ -228,101 +228,133 @@ class RadialMetric:
 _ROW_CUT = 1e-30
 
 
-def _modes(m: int):
-    """j = 0..m, k = m - j, and the Beta modes x* = j/m and p* = 1 - x*.
+class _Rows:
+    """The m+1 section-norm integrand rows of one metric, set up once per pass.
 
-    x* is rounded to a multiple of 2^-53, so p* = 1 - x* holds exactly:
-    k log1p((x* - x) / p*) is then k log((1 - x) / p*), where a rounded
-    x* + p* would add k (x* + p* - 1), about m 2^-54, to every exponent.
+    In x = 1 - p, row j (k = m - j) is x^j (1-x)^k e^{-m u(p)} v(p).  Over
+    x*^j p*^k e^{-m u(p*)}, at the Beta mode x* = j/m and p* = 1 - x*, it
+    is e^{g_j(x)} v(p), with the row exponent
+
+        g_j(x) = j log(x/x*) + k log((1-x)/p*) - m (u(p) - u(p*)),
+
+    the one exponent that both the quadrature integrand (values) and the
+    support search (supports) evaluate.  x* is rounded to a multiple of
+    2^-53, so p* = 1 - x* holds exactly: k log1p((x* - x) / p*) is then
+    k log((1 - x) / p*), where a rounded x* + p* would add
+    k (x* + p* - 1), about m 2^-54, to every exponent.  j, k, x*, p*,
+    -1/x* and 1/p* (the last two zeroed where the matching power
+    vanishes), v(p*) and its log are (m+1, 1) columns, one entry per row.
     """
-    j = np.arange(m + 1, dtype=float)
-    xs = np.round(j / max(m, 1) * 2.0**53) / 2.0**53
-    return j, m - j, xs, 1.0 - xs
 
+    def __init__(self, metric: RadialMetric, m: int):
+        self.m, self.u, self.v = m, metric.profile.coeffs, metric._v_coeffs
+        self.v_min, self.v_max = metric._v_range
+        self.j = j = np.arange(m + 1, dtype=float)[:, None]
+        self.xs = xs = np.round(j / max(m, 1) * 2.0**53) / 2.0**53
+        self.k, self.ps = m - j, 1.0 - xs
+        self.neg_inv_x = np.divide(-1.0, xs, out=np.zeros_like(xs), where=j > 0)
+        self.inv_p = np.divide(1.0, self.ps, out=np.zeros_like(xs), where=self.k > 0)
+        self.v_star = _horner(self.v, self.ps)
+        self.log_v_star = np.log(self.v_star)
 
-def _row_supports(metric: RadialMetric, m: int):
-    """Certified supports (lower_j, upper_j) in x of the section-norm rows.
+    def exponent(self, x, rows=slice(None)):
+        """g_j(x) for the rows in the slice rows, x broadcasting against a column.
 
-    Row j of the shifted integrand is exp(g_j) v(p) / v(p*) e^{-lift_j},
-    g_j = j log(x/x*) + k log((1-x)/(1-x*)) - m (u(p) - u(p*)), x* = j/m.
-    In t = log s, g_j is j t - m psi plus a constant, strictly concave
-    because d/dt (s psi') = s w > 0, so each tangent line bounds it from
-    above: from any t0 where g_j' = j - m mu(x0) > 0 (mu(x) = s psi' =
-    x (1 - p u'(p)), the moment map), g_j <= C_j for all
-    t <= t0 - (g_j(t0) - C_j) / g_j'(t0), and likewise on the right.  As
-    v(p) <= v_max, the row is then below _ROW_CUT times its own scale on
-    [0, lower_j] and on [upper_j, 1], the scale being the larger of its
-    values at x* (e^{-lift_j}) and at an estimate c of its mode.
-
-    The first tangent points lie on either side of the mode mu(x) = j/m:
-    mu' = v >= v_min bounds the distance from the Newton estimate c by
-    |mu(c) - j/m| / v_min, and past that a Gaussian plus exponential
-    width at the cut level puts them near the crossings.  Each further
-    Newton step starts from a certified end and moves it towards its
-    crossing.  A row without a usable tangent point keeps the whole of
-    [0, 1] on that side.  The ends are made monotone in j (cumulative min
-    and max), so the rows kept on any stretch of x form one contiguous
-    window.
-    """
-    u, v = metric.profile.coeffs, metric._v_coeffs
-    v_min, v_max = metric._v_range
-    du = [i * c for i, c in enumerate(u)][1:]
-    j, k, xs, ps = (a[:, None] for a in _modes(m))
-    inv_1mx = np.divide(1.0, ps, out=np.zeros_like(ps), where=k > 0)
-    neg_inv_x = np.divide(-1.0, xs, out=np.zeros_like(xs), where=j > 0)
-
-    def mu(x):
-        return x - x * (1.0 - x) * _horner(du, 1.0 - x) if du else x
-
-    def g(x):
+        log1p of the distance from x* and a divided difference for u keep
+        the rounding error proportional to that distance rather than to m.
+        In place: at most three rows x nodes arrays are alive at once.
+        """
+        j, k, xs, ps = self.j[rows], self.k[rows], self.xs[rows], self.ps[rows]
+        neg_inv_x, inv_p = self.neg_inv_x[rows], self.inv_p[rows]
         dp = xs - x
-        out = k * np.log1p(dp * inv_1mx) + j * np.log1p(dp * neg_inv_x)
-        if u:
-            out -= m * _divided_difference(u, 1.0 - x, ps) * dp
-        return out
+        g = np.multiply(dp, inv_p)
+        np.log1p(g, out=g)
+        g *= k
+        if self.u:
+            d = _divided_difference(self.u, 1.0 - x, ps)
+            d *= dp
+            d *= self.m
+            g -= d
+        dp *= neg_inv_x  # dp is not needed past here: its buffer takes the j term
+        np.log1p(dp, out=dp)
+        dp *= j
+        g += dp
+        return g
 
-    v_star = _horner(v, ps)
-    c, spread, log_scale = xs, 0.0, np.log(v_star)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if du:
-            for _ in range(3):
-                c = np.clip(c - (mu(c) - xs) / _horner(v, 1.0 - c), 0.0, 1.0)
-            spread = np.abs(mu(c) - xs) / v_min
-            log_scale = np.maximum(log_scale, g(c) + np.log(_horner(v, 1.0 - c)))
-        level = math.log(_ROW_CUT / v_max) + log_scale
-        width = math.log(v_max / _ROW_CUT) / (m * v_star)
-        side = np.array([-1.0, 1.0])
-        x = c + side * (spread + np.sqrt(2.0 * width * c * (1.0 - c)) + width)
-        ends = np.array([0.0, 1.0]) + np.zeros_like(x)
-        for _ in range(2):
-            slope = j - m * mu(x)
-            t = np.log(x) - np.log1p(-x) - (g(x) - level) / slope
-            x = 1.0 / (1.0 + np.exp(-t))
-            ok = (side * slope < 0.0) & np.isfinite(t)
-            ends = np.where(ok, x, ends)
-            x = ends
-    lower, upper = ends[:, 0], ends[:, 1]
-    return np.minimum.accumulate(lower[::-1])[::-1], np.maximum.accumulate(upper)
+    def values(self, x, offset, rows=slice(None)):
+        """The rows at nodes x, e^{g_j(x) - offset_j} v(1 - x), in place."""
+        out = self.exponent(x, rows)
+        out += np.log(_horner(self.v, 1.0 - x))
+        out -= offset[rows]
+        return np.exp(out, out=out)
 
+    def supports(self):
+        """Certified supports (lower_j, upper_j) in x of the rows.
 
-def _banding_pays(m: int, xs: np.ndarray, ps: np.ndarray, v_star: np.ndarray,
-                  v_max: float) -> bool:
-    """Whether the cut leaves out at least half of the row x node values.
+        In t = log s, g_j is j t - m psi plus a constant, strictly concave
+        because d/dt (s psi') = s w > 0, so each tangent line bounds it from
+        above: from any t0 where g_j' = j - m mu(x0) > 0 (mu(x) = s psi' =
+        x (1 - p u'(p)), the moment map), g_j <= C_j for all
+        t <= t0 - (g_j(t0) - C_j) / g_j'(t0), and likewise on the right.  As
+        v(p) <= v_max, the row is then below _ROW_CUT times its own scale on
+        [0, lower_j] and on [upper_j, 1], the scale being the larger of its
+        values e^{g_j} v(p) at x* (v(p*)) and at an estimate c of its mode.
 
-    With L = log(1/_ROW_CUT), row j's support is about
-    2 sqrt(2 L x*(1-x*) / (m v*)) wide (its Gaussian width at the cut
-    level), and at least 2 L / (m v*), the width of the exponential peaks
-    of the end rows.  For Fubini-Study the mean width falls below one
-    half from m = 376 on.  Below that the supports and the window lookups
-    cost more than banding saves: forced banding measured 30% slower at
-    m = 100 and 8-13% slower at m = 200, but 10% faster at m = 300.
-    The exponential width alone, at least 2 L / (m v_max), settles small m.
-    """
-    if 4.0 * -math.log(_ROW_CUT) >= max(m, 1) * v_max:
-        return False
-    drop = -math.log(_ROW_CUT) / (max(m, 1) * v_star)
-    width = np.maximum(np.sqrt(8.0 * drop * xs * ps), 2.0 * drop)
-    return bool(np.mean(np.minimum(width, 1.0)) < 0.5)
+        The first tangent points lie on either side of the mode mu(x) = j/m:
+        mu' = v >= v_min bounds the distance from the Newton estimate c by
+        |mu(c) - j/m| / v_min, and past that a Gaussian plus exponential
+        width at the cut level puts them near the crossings.  Each further
+        Newton step starts from a certified end and moves it towards its
+        crossing.  A row without a usable tangent point keeps the whole of
+        [0, 1] on that side.  The ends are made monotone in j (cumulative min
+        and max), so the rows kept on any stretch of x form one contiguous
+        window.
+        """
+        m, v, j, xs, v_star = self.m, self.v, self.j, self.xs, self.v_star
+        du = [i * c for i, c in enumerate(self.u)][1:]
+
+        def mu(x):
+            return x - x * (1.0 - x) * _horner(du, 1.0 - x) if du else x
+
+        c, spread, log_scale = xs, 0.0, self.log_v_star
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if du:
+                for _ in range(3):
+                    c = np.clip(c - (mu(c) - xs) / _horner(v, 1.0 - c), 0.0, 1.0)
+                spread = np.abs(mu(c) - xs) / self.v_min
+                log_scale = np.maximum(log_scale, self.exponent(c) + np.log(_horner(v, 1.0 - c)))
+            level = math.log(_ROW_CUT / self.v_max) + log_scale
+            width = math.log(self.v_max / _ROW_CUT) / (m * v_star)
+            side = np.array([-1.0, 1.0])
+            x = c + side * (spread + np.sqrt(2.0 * width * c * (1.0 - c)) + width)
+            ends = np.array([0.0, 1.0]) + np.zeros_like(x)
+            for _ in range(2):
+                slope = j - m * mu(x)
+                t = np.log(x) - np.log1p(-x) - (self.exponent(x) - level) / slope
+                x = 1.0 / (1.0 + np.exp(-t))
+                ok = (side * slope < 0.0) & np.isfinite(t)
+                ends = np.where(ok, x, ends)
+                x = ends
+        lower, upper = ends[:, 0], ends[:, 1]
+        return np.minimum.accumulate(lower[::-1])[::-1], np.maximum.accumulate(upper)
+
+    def banding_pays(self) -> bool:
+        """Whether the cut leaves out at least half of the row x node values.
+
+        With L = log(1/_ROW_CUT), row j's support is about
+        2 sqrt(2 L x*(1-x*) / (m v*)) wide (its Gaussian width at the cut
+        level), and at least 2 L / (m v*), the width of the exponential peaks
+        of the end rows.  For Fubini-Study the mean width falls below one
+        half from m = 376 on.  Below that the supports and the window lookups
+        cost more than banding saves: forced banding measured 30% slower at
+        m = 100 and 8-13% slower at m = 200, but 10% faster at m = 300.
+        The exponential width alone, at least 2 L / (m v_max), settles small m.
+        """
+        if 4.0 * -math.log(_ROW_CUT) >= max(self.m, 1) * self.v_max:
+            return False
+        drop = -math.log(_ROW_CUT) / (max(self.m, 1) * self.v_star)
+        width = np.maximum(np.sqrt(8.0 * drop * self.xs * self.ps), 2.0 * drop)
+        return bool(np.mean(np.minimum(width, 1.0)) < 0.5)
 
 
 def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarray:
@@ -333,15 +365,13 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     a factor that does not depend on j.  For Fubini-Study (u = 0, v = 1)
     N_j is the Beta value j! (m-j)! / (m+1)!.
 
-    Each exponent is centred at the Beta mode x* = j/m (_modes), with
-    log1p and a divided difference for u, so its rounding error scales
-    with its distance from the peak rather than with m.  A per-j shift (the
-    smooth factor's log at x* plus a second-order estimate of how far it
-    lifts the peak) brings every integrand's maximum near 1.  One
-    vector-valued adaptive pass then integrates all m+1 of them to
-    relative tolerance tol each, and the constants are added back in
-    log space, where nothing underflows however large m is.  A negative
-    m or a tol <= 0 raises ValueError.
+    The m+1 rows are set up once per pass (_Rows), each centred at its
+    Beta mode x* = j/m, where its exponent g_j is defined.  A per-j shift
+    (log v(p*) plus a second-order estimate of how far the smooth factor
+    lifts the peak) brings every row's maximum near 1.  One vector-valued
+    adaptive pass then integrates all m+1 of them to relative tolerance
+    tol each, and the constants are added back in log space, where nothing
+    underflows however large m is.
 
     Every row peaks with a width of about 1/(2 sqrt(m)) in theta, where
     x = sin^2(theta).  So from m = 38 the pass starts from floor(sqrt(m) / 1.5)
@@ -351,19 +381,20 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     bisection from [0, 1] needs at most one split: 3 rules, against the
     partition's 3 or 4 for Fubini-Study at m = 30..37.
 
-    Where that pays (_banding_pays) the pass is banded, for row j only
-    matters near its mode, where s psi'(s) = j/m.  Each row gets a
-    support [lower_j, upper_j] once, from tangent lines of its exponent,
-    which is strictly concave in t = log s, with the factor v(p) bounded
-    by v_max (see _row_supports).  Outside it the row is below _ROW_CUT
-    (1e-30) times its own scale, which is at least e^{-lift_j}, its
-    shifted value at x*.  A rule leaves out the rows whose support misses
-    all its nodes, so a dropped rule value is below the panel width times
-    that, and all the dropped values of a row together below 1e-30 of
-    its scale: a cut relative to each row, not an absolute one, which
-    would drop rows whose shifted totals are tiny (below 1e-40 for an
-    eigenfunction bump 0.45 at m = 5000).  Where every row's support
-    reaches a rule's nodes the pass does the dense arithmetic.
+    Where the cut leaves out at least half of the row x node values
+    (_Rows.banding_pays), the pass is banded: a rule evaluates only the
+    rows whose certified support (_Rows.supports) reaches its nodes, with
+    the dense arithmetic where every row's does.  A dropped rule value is
+    below the panel width times _ROW_CUT (1e-30) of its row's own scale,
+    so all of a row's dropped values together are below 1e-30 of that
+    scale: a cut relative to each row, not an absolute one, which would
+    drop rows whose shifted totals are tiny (below 1e-40 for an
+    eigenfunction bump 0.45 at m = 5000).
+
+    A negative m or a tol <= 0 raises ValueError.  A pass that cannot
+    certify tol, or whose shifted rows overflow (an eigenfunction bump
+    0.45 at m = 26000), raises QuadratureError naming m, tol and the
+    stated domain.
     """
     return _section_norms(metric, m, tol)[0]
 
@@ -372,67 +403,43 @@ def _section_norms(metric: RadialMetric, m: int, tol: float):
     """section_norms, and each integrand row over its integral as a function of x."""
     if m < 0 or not tol > 0:
         raise ValueError(f"section norms need m >= 0 and tol > 0, got m = {m}, tol = {tol}")
-    u, v = metric.profile.coeffs, metric._v_coeffs
-    j, k, xs, ps = _modes(m)
-    # -1/x* and 1/(1-x*), zeroed where the matching power vanishes
-    neg_inv_x = np.divide(-1.0, xs, out=np.zeros_like(xs), where=j > 0)[:, None]
-    inv_1mx = np.divide(1.0, ps, out=np.zeros_like(xs), where=k > 0)[:, None]
-    jc, kc, xc, pc = j[:, None], k[:, None], xs[:, None], ps[:, None]
-    v_star = _horner(v, ps)
-    log_v_star = np.log(v_star)
+    rows = _Rows(metric, m)
+    xs, ps, v_star, log_v_star = rows.xs, rows.ps, rows.v_star, rows.log_v_star
     # d/dx of log(e^{-m u} v) at x*; the Beta part curves by m / (x*(1-x*))
-    slope = m * _divided_difference(u, ps, ps) - _divided_difference(v, ps, ps) / v_star
+    slope = m * _divided_difference(rows.u, ps, ps) - _divided_difference(rows.v, ps, ps) / v_star
     lift = slope * slope * xs * ps / (2 * max(m, 1))
-    offset = (log_v_star + lift)[:, None]
-    rows = (jc, kc, xc, pc, neg_inv_x, inv_1mx, offset)
+    offset = log_v_star + lift
 
-    def evaluate(x, jc, kc, xc, pc, neg_inv_x, inv_1mx, offset):
-        # in place: at most three rows x nodes arrays are alive at once
-        p = 1.0 - x
-        dp = xc - x
-        expo = np.multiply(dp, inv_1mx)
-        np.log1p(expo, out=expo)
-        expo *= kc
-        if u:
-            d = _divided_difference(u, p, pc)
-            d *= dp
-            d *= m
-            expo -= d
-        t = dp  # dp is not needed past here: reuse its buffer for the j term
-        t *= neg_inv_x
-        np.log1p(t, out=t)
-        t *= jc
-        expo += t
-        expo += np.log(_horner(v, p))
-        expo -= offset
-        return np.exp(expo, out=expo)
-
-    if _banding_pays(m, xs, ps, v_star, metric._v_range[1]):
-        lower, upper = _row_supports(metric, m)
+    if rows.banding_pays():
+        lower, upper = rows.supports()
 
         def integrand(x):
             # the rows whose support reaches a rule's nodes (in increasing order)
             j0 = int(np.searchsorted(upper, x[0], "right"))
             j1 = int(np.searchsorted(lower, x[-1], "left"))
-            return m + 1, j0, evaluate(x, *(a[j0:j1] for a in rows))
+            return m + 1, j0, rows.values(x, offset, slice(j0, j1))
     else:
         def integrand(x):
-            return evaluate(x, *rows)
+            return rows.values(x, offset)
 
     # floor(sqrt(m) / 1.5) panels uniform in theta.  Off the dyadic grid a rounded
     # midpoint moves a panel's rule by an ulp, about m ulps of an end row's total
     theta = np.linspace(0.0, 0.5 * np.pi, math.isqrt(4 * m) // 3 + 1) if m >= 38 else None
     edges = None if theta is None else (np.round(np.sin(theta) ** 2 * 2.0**24) / 2.0**24).tolist()
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = integrate_interval(integrand, 0.0, 1.0, rtol=tol, edges=edges)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = integrate_interval(integrand, 0.0, 1.0, rtol=tol, edges=edges)
+    except QuadratureError as err:
+        raise QuadratureError(f"{err} (section norms at m = {m}, tol = {tol:g}; the stated "
+                              "domain for perturbed metrics is m <= 20000 at tol 1e-12 and "
+                              "m <= 5000 at tol 1e-13)") from err
     if np.any(total <= 0.0):
         raise PositivityError("section norm came out nonpositive")
-    log_total = np.log(total)
-    peak = (j * np.log(np.where(j > 0, xs, 1.0))
-            + k * np.log(np.where(k > 0, ps, 1.0)))
+    log_total = np.log(total)[:, None]
+    peak = (rows.j * np.log(np.where(rows.j > 0, xs, 1.0))
+            + rows.k * np.log(np.where(rows.k > 0, ps, 1.0)))
     shift = log_v_star - m * metric.profile.value_p(ps) + lift
-    return (peak + shift + log_total,
-            lambda x: evaluate(x, *rows[:-1], offset + log_total[:, None]))
+    return (peak + shift + log_total).ravel(), lambda x: rows.values(x, offset + log_total)
 
 
 @dataclass

@@ -146,16 +146,13 @@ def integrate_interval(
     leaves out count as exact zeros on those nodes.  This is for rows
     that each matter only near their own peak, and the integrand must
     certify what it leaves out: a row below a cut on every node gives a
-    rule value below the panel width times that cut.  section_norms does
-    so with a cut of 1e-30 of each row's own scale, never an absolute
-    one: its row j is log-concave in t = log s times a factor v(p) <=
-    v_max, so a tangent line in t, with v_max / v, bounds it outside a
-    support computed once per row.  Each panel carries its nodes' row
-    window; its error estimate and its share of the totals are added
-    into the dense (k,) vectors on that window alone, and so is the count
-    of components short of their bound, so a split costs O(window), not
-    O(k).  Panels, priorities and the result are as for the shape
-    (k, len(x)) form.
+    rule value below the panel width times that cut (section_norms is
+    such an integrand, and states its cut).  Each panel carries its
+    nodes' row window; its error estimate and its share of the totals are
+    added into the dense (k,) vectors on that window alone, and so is the
+    count of components short of their bound, so a split costs
+    O(window), not O(k).  Panels, priorities and the result are as for
+    the shape (k, len(x)) form.
 
     When the tolerance sits below the integrand's rounding level,
     splitting no longer lowers the estimate.  So once every component

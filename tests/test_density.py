@@ -10,6 +10,7 @@ exact sum obtained through the inverse Mobius map.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -302,6 +303,16 @@ class TestSectionNorms:
         for j, err in errs.items():
             assert err <= tol + np.spacing(abs(logn[j])), j
 
+    def test_overflow_names_the_domain(self):
+        # the second-order lift misses the rows' maxima of an eigenfunction
+        # bump 0.45 by more than the float range at m = 26000
+        met = RadialMetric(RadialProfile.eigenfunction_bump(0.45))
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError, match="not finite on .* m = 26000, tol = 1e-12; "
+                                                  "the stated domain"):
+            section_norms(met, 26000)
+        assert time.perf_counter() - start < 1.0
+
     def test_budget_exhaustion_now_stalls(self):
         # eigenfunction bump 0.45 at m = 15000 once spent the whole 4096-panel
         # budget (11.9 s) before raising; its estimate sits at the rounding
@@ -358,7 +369,7 @@ BANDED_METRICS = {
 class TestBandedSectionNorms:
     @staticmethod
     def norms(monkeypatch, met, m, banded):
-        monkeypatch.setattr(density_module, "_banding_pays", lambda *args: banded)
+        monkeypatch.setattr(density_module._Rows, "banding_pays", lambda self: banded)
         return section_norms(met, m)
 
     @pytest.mark.parametrize("m", [20, 60, 200, 1060, 5000])
@@ -373,8 +384,8 @@ class TestBandedSectionNorms:
         # the cut leaves out half of the row x node values from m of about 380
         for m, expected in ((0, False), (2, False), (200, False), (370, False),
                             (390, True), (1060, True)):
-            xs = np.arange(m + 1) / max(m, 1)
-            assert density_module._banding_pays(m, xs, 1.0 - xs, np.ones(m + 1), 1.0) is expected
+            rows = density_module._Rows(RadialMetric.fubini_study(), m)
+            assert rows.banding_pays() is expected
 
     def test_cut_is_relative_to_each_row(self, monkeypatch):
         # eigenfunction bump 0.45 at m = 5000: some shifted rows integrate
@@ -393,6 +404,12 @@ class TestBandedSectionNorms:
         assert totals[0].min() < 1e-40
         assert np.max(np.abs(self.norms(monkeypatch, met, m, True) - dense)) <= 1e-12
 
+    @pytest.mark.parametrize("m", [1060, 5000])
+    @pytest.mark.parametrize("name", sorted(BANDED_METRICS))
+    def test_supports_certify_the_cut(self, name, m):
+        # each row is below 1e-30 of its own scale outside its support
+        met = RadialMetric(BANDED_METRICS[name])
+
         # each row over its value at x* = j/m, from u and v directly
         u, v = met.profile, np.polynomial.Polynomial(met._v_coeffs)
 
@@ -404,10 +421,10 @@ class TestBandedSectionNorms:
             return out - m * (u.value_p(1 - x) - u.value_p(1 - xs)) \
                 + np.log(v(1 - x) / v(1 - xs))
 
-        lower, upper = density_module._row_supports(met, m)
+        lower, upper = density_module._Rows(met, m).supports()
         assert np.all(np.diff(lower) >= 0) and np.all(np.diff(upper) >= 0)
         assert np.all(lower < upper)
-        for j in range(0, m + 1, 125):
+        for j in np.linspace(0, m, 41).astype(int):  # rows 0 and m included
             inside = np.append(np.linspace(lower[j], upper[j], 4001), j / m)
             scale = np.max(log_row(j, inside))  # the row's own scale, >= its value at x*
             # an end of 0 or 1 is no cut at all: no node lies beyond it

@@ -78,6 +78,13 @@ density at m = 20000, tol 1e-13, the first golden of a large-m banded
 pass, was pinned then, after checking each value against m + 1 within
 1e-14 relative (measured 7.3e-16 at s = 0, exact at s = 1 and 7.8e-15
 at s = inf).
+Two banded perturbed densities at m = 5000 were pinned before the
+section-norm pass came to build its row setup once, in one row model
+for the integrand and the supports: the eigenfunction bump 0.45, whose
+second-order lift misses its rows' maxima by the most, within 1e-12
+relative of the Kummer form at s = 0 and inf (measured 2.5e-16 and
+1.5e-13), and the rational bump 0.2, whose two poles agree with each
+other within 1e-13 relative (measured 6.4e-14).
 """
 
 import subprocess
@@ -106,6 +113,12 @@ CASES = {
                                                     "--m-list", "1060", "--grid", "0,1,inf"],
     "density_fs_m20000_tol1e-13.csv": ["density", "--metric", "fs", "--m-list", "20000",
                                        "--grid", "0,1,inf", "--tol", "1e-13"],
+    "density_eigenfunction-bump_eps0.45_m5000.csv": ["density", "--metric",
+                                                     "eigenfunction-bump", "--eps", "0.45",
+                                                     "--m-list", "5000", "--grid", "0,1,inf"],
+    "density_rational-bump_eps0.2_m5000.csv": ["density", "--metric", "rational-bump",
+                                               "--eps", "0.2", "--m-list", "5000",
+                                               "--grid", "0,0.5,1,2,inf"],
     "fs-check_n2_mmax6.json": ["fs-check", "--n", "2", "--m-max", "6"],
     "center_gauge-diag_0.05.json": ["center", "--potential", "gauge-diag", "--scale", "0.05"],
     "center_eigenbasis-diag_0.05.json": ["center", "--potential", "eigenbasis-diag",
