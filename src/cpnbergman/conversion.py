@@ -142,113 +142,88 @@ class ConversionTable:
         return RationalPolynomial(self.rows[k - 1])
 
 
-def _conversion_rows(n: int, K: int) -> List[List[int]]:
-    """Integer rows a_{k,l}, l = 0..k, of the conversion recursion, k = 1..K."""
-    if n < 1 or K < 1:
-        raise ValueError("need n >= 1 and K >= 1")
-    rows = [[0, 1]]
-    for k in range(1, K):
-        prev = rows[-1] + [0, 0]
-        rows.append([0] + [
-            prev[l - 1]
-            + l * (2 * l + n - 1) * prev[l]
-            + l * l * (l + 1) * (l + n) * prev[l + 1]
-            for l in range(1, k + 2)
-        ])
-    return rows
-
-
 def conversion_polynomials(n: int, K: int) -> ConversionTable:
     """Build rows 1..K of the a_{k,l} recursion.
 
     a_{k+1,l} = a_{k,l-1} + l(2l+n-1) a_{k,l} + l^2 (l+1)(l+n) a_{k,l+1},
     with a_{k,0} = 0 and a_{k,k} = 1.  The entries are Python ints.
     """
-    return ConversionTable(n=n, rows=tuple(map(tuple, _conversion_rows(n, K))))
+    if n < 1 or K < 1:
+        raise ValueError("need n >= 1 and K >= 1")
+    diag = [l * (2 * l + n - 1) for l in range(1, K + 1)]
+    upper = [l * l * (l + 1) * (l + n) for l in range(1, K + 1)]
+    rows = [(0, 1)]
+    for _ in range(1, K):
+        prev = rows[-1] + (0, 0)
+        rows.append((0,) + tuple(a + d * b + u * c for a, b, c, d, u
+                                 in zip(prev, prev[1:], prev[2:], diag, upper)))
+    return ConversionTable(n=n, rows=tuple(rows))
 
 
 def eigen_delta_c_values(n: int, K: int) -> List[RationalPolynomial]:
     """Flat-Laplacian moments of a Laplace eigenfunction, as polynomials.
 
     For radial phi with Delta phi = -lambda phi and phi(0) = 1, the values
-    delta_l = Delta_c^l phi(0) satisfy (-lambda)^k = sum_l a_{k,l} delta_l.
-    The system is unit triangular (a_{k,k} = 1), so each delta_k is a
-    polynomial in lambda of degree k, with integer coefficients: they are
-    solved for over the integer conversion table and wrapped as
-    RationalPolynomial on return.  Returns [delta_0, ..., delta_K].
-    variation_series_eigen does not use these polynomials; it solves the
-    same system for the values delta_k(lambda) at one lambda.
+    delta_l = Delta_c^l phi(0) satisfy (-lambda)^k = sum_l a_{k,l} delta_l,
+    a unit-triangular system over the conversion table.  Its rows are
+    a_k = M^k e_0, M the tridiagonal matrix of the conversion recursion, so
+    the eigenvector of M^T with eigenvalue -lambda and delta_0 = 1 solves
+    it: a_k . delta = e_0 . (M^T)^k delta = (-lambda)^k.  Row l of
+    M^T delta = -lambda delta is the three-term recurrence
+      delta_{l+1} = -(lambda + l(2l+n-1)) delta_l
+                    - (l-1)^2 l (l+n-1) delta_{l-1},
+    delta_1 = -lambda.  Each delta_k is a polynomial in lambda of degree k
+    with integer coefficients, run through the recurrence as int lists and
+    wrapped as RationalPolynomial on return.  Returns [delta_0, ..., delta_K].
+    _variation_numerators runs the same recurrence on the values at one
+    lambda.
     """
-    rows = _conversion_rows(n, K) if K >= 1 else None
-    deltas = [[1]]  # coefficients in lambda, low degree first
-    for k in range(1, K + 1):
-        acc = [0] * k + [(-1) ** k]
-        for l in range(1, k):
-            a = rows[k - 1][l]
-            for i, c in enumerate(deltas[l]):
-                acc[i] -= a * c
-        deltas.append(acc)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    deltas = [[1], [0, -1]][:K + 1]  # coefficients in lambda, low degree first
+    for l in range(1, K):
+        c, e = l * (2 * l + n - 1), (l - 1) ** 2 * l * (l + n - 1)
+        d = deltas[l]  # -(lambda + c) d - e delta_{l-1}, one coefficient at a time
+        deltas.append([-c * a - b - e * z for a, b, z
+                       in zip(d + [0], [0] + d, deltas[l - 1] + [0, 0])])
     return [RationalPolynomial(d) for d in deltas]
 
 
-class _VariationEngine:
-    """The lambda-independent part of variation_series_eigen at fixed (n, J).
+def _variation_numerators(n: int, lam, J: int, centered: bool = False) -> Tuple[List[int], int]:
+    """Integers U and scale with the variation series m^{n+1} sum_j (U_j / scale) / m^j.
 
-    In x = 1/m, every factorial ratio of the variation is m^d times a
-    power series in x with integer coefficients:
-      1/prod_{i=-k+1}^{n} (m+i) = m^{-(n+k)} R_k(x),
-      (m+n)!/m! = m^n Q(x),  Q(x) = prod_{i=1}^{n} (1 + i x).
-    All are factor_ratio_series: Q and R_0 of 1..n, and R_k is R_{k-1}
-    divided by 1 - (k-1) x, i.e. by m - k + 1, kept to order J - k, all
-    the sum needs.  Building these once lets every lambda share them;
-    only the deltas and one weighted sum depend on lambda.
+    In x = 1/m the kernel moment is m^{-n} S(x), with
+      S(x) = sum_k delta_k/k! x^k R_k(x),  R_k = R_0 / prod_{i<k} (1 - i x),
+    from 1/prod_{i=-k+1}^{n} (m+i) = m^{-(n+k)} R_k(x), and R_0 = 1/Q,
+    Q(x) = prod_{i=1}^{n} (1 + i x), from (m+n)!/m! = m^n Q(x).  For
+    lambda = p/q the integers D_l = q^l delta_l come from the recurrence
+    of eigen_delta_c_values, and H = J! q^J Q S by Horner,
+    H <- W_k + x H / (1 - k x) for k = J down to 0, W_k = D_k q^{J-k} J!/k!:
+    each step is one ascending integer pass, kept to order J - k.  The
+    variation -(Q^2/n!) (m + lambda) S (+ Q m/n! when centered) is then
+    m^{n+1} (Q(x) (-q - p x) H(x) [+ den Q(x)]) / (n! den), den = q J! q^J.
     """
-
-    def __init__(self, n: int, J: int):
-        if J < 1:
-            raise ValueError("J must be >= 1")
-        self.n, self.J = n, J
-        self.rows = _conversion_rows(n, J)
-        self.Q = factor_ratio_series(range(1, n + 1), (), n)
-        self.R = [factor_ratio_series((), range(1, n + 1), J)]
-        for k in range(1, J + 1):
-            self.R.append(factor_ratio_series((), [1 - k], J - k, self.R[-1]))
-
-    def numerators(self, lam, centered: bool = False) -> Tuple[List[int], int]:
-        """Integers U and scale with the series m^{n+1} sum_j (U_j / scale) / m^j."""
-        lam = _frac(lam)
-        p, q = lam.numerator, lam.denominator
-        n, J = self.n, self.J
-        q_pow = [q**i for i in range(J + 1)]
-        # D_k = q^k delta_k(lambda), solved from the unit-triangular system
-        D = [1]
-        for k in range(1, J + 1):
-            row = self.rows[k - 1]
-            D.append((-p) ** k - sum(row[l] * D[l] * q_pow[k - l] for l in range(1, k)))
-        # S(x) = sum_k delta_k/k! x^k R_k(x) = N(x) / (J! q^J)
-        N = [0] * (J + 1)
-        ratio = 1  # J!/k!
-        for k in range(J, -1, -1):
-            w = D[k] * q_pow[J - k] * ratio
-            if w:
-                for j, r in enumerate(self.R[k]):
-                    N[k + j] += w * r
-            ratio *= k
-        # -(Q^2/n!) (m + lambda) S (+ Q m/n! when centered) is m^{n+1} times
-        # (Q(x)^2 (-q - p x) N(x) [+ den Q(x)]) / (n! den), den = q J! q^J
-        den = q * factorial(J) * q_pow[J]
-        U = factor_ratio_series(2 * list(range(1, n + 1)), (), J,
-                                [-q * a - p * b for a, b in zip(N, [0] + N)])
-        if centered:
-            for j, c in enumerate(self.Q[: J + 1]):
-                U[j] += den * c
-        return U, factorial(n) * den
-
-    def series(self, lam, centered: bool = False, normalized: bool = True) -> InverseMSeries:
-        U, scale = self.numerators(lam, centered)
-        if normalized:  # over the first nonzero numerator; the zero series stays zero
-            scale = next((u for u in U if u), scale)
-        return InverseMSeries(self.n + 1, [Fraction(u, scale) for u in U])
+    if n < 1 or J < 1:
+        raise ValueError("need n >= 1 and J >= 1")
+    lam = _frac(lam)
+    p, q = lam.numerator, lam.denominator
+    D = [1, -p]
+    for l in range(1, J):
+        D.append(-(p + l * (2 * l + n - 1) * q) * D[l]
+                 - (l - 1) ** 2 * l * (l + n - 1) * q * q * D[l - 1])
+    H: List[int] = []
+    w = 1  # q^{J-k} J!/k!
+    for k in range(J, -1, -1):
+        acc, H = 0, [D[k] * w] + H
+        for j in range(1, len(H)):  # x H / (1 - k x), one ascending pass
+            acc = H[j] = H[j] + k * acc
+        w *= q * k
+    den = q * factorial(J) * q**J
+    U = factor_ratio_series(range(1, n + 1), (), J, [-q * a - p * b for a, b in zip(H, [0] + H)])
+    if centered:
+        for j, c in enumerate(factor_ratio_series(range(1, n + 1), (), n)[:J + 1]):
+            U[j] += den * c
+    return U, factorial(n) * den
 
 
 def variation_series_eigen(
@@ -267,12 +242,12 @@ def variation_series_eigen(
     together with ((m+n)!/m!)^2 and -1/n!.  All factorial ratios are expanded
     exactly to relative order J.
 
-    The arithmetic is in plain integers: the conversion rows, the series of
-    each factorial ratio in 1/m (see _VariationEngine), and the values
-    q^k delta_k(p/q) from the unit-triangular system; the sum is formed
-    over one common denominator and becomes Fractions only at the end.
-    lambda must be exact (an int, a Fraction, or a string such as "7/3");
-    a float raises TypeError, since Fraction(0.1) is a different eigenvalue.
+    The arithmetic is in plain integers (see _variation_numerators): the
+    values q^k delta_k(p/q) from their three-term recurrence, and the sum
+    by Horner over one common denominator; it becomes Fractions only at
+    the end.  lambda must be exact (an int, a Fraction, or a string such
+    as "7/3"); a float raises TypeError, since Fraction(0.1) is a
+    different eigenvalue.
 
     The raw assembly takes phi itself as the perturbation.  The variation
     formula is stated for potentials vanishing at the base point; passing
@@ -280,7 +255,10 @@ def variation_series_eigen(
     the two leading orders (the returned centered series therefore carries
     relative order J-2).
     """
-    return _VariationEngine(n, J).series(lam, centered, normalized)
+    U, scale = _variation_numerators(n, lam, J, centered)
+    if normalized:  # over the first nonzero numerator; the zero series stays zero
+        scale = next((u for u in U if u), scale)
+    return InverseMSeries(n + 1, [Fraction(u, scale) for u in U])
 
 
 def variation_order1_polynomial(n: int) -> RationalPolynomial:
@@ -290,10 +268,9 @@ def variation_order1_polynomial(n: int) -> RationalPolynomial:
     is its leading behavior.  Only delta_0..delta_2 reach this order, hence
     the degree is at most 2; five interpolation nodes overdetermine it.
     """
-    engine = _VariationEngine(n, 4)
     xs = [Fraction(v) for v in range(5)]
-    ys = [engine.series(lam, centered=True, normalized=False).coefficient_at(n - 1)
-          for lam in xs]
+    ys = [Fraction(U[2], scale)
+          for U, scale in (_variation_numerators(n, lam, 4, centered=True) for lam in xs)]
     return RationalPolynomial.interpolate(xs, ys)
 
 
@@ -321,16 +298,13 @@ def admissible_eigenvalue_scan(n: int, k_max: int, J: int) -> Set[int]:
     """Levels k <= k_max whose variation series is polynomial through order J.
 
     Keeps k when the series for lambda = k(k+n) has coefficient zero at
-    every order j with n < j <= J.  One _VariationEngine is built for the
-    call and shared by every level, so each level costs only its integer
-    deltas and one weighted sum; the test reads its integer numerators.
+    every order j with n < j <= J.  Each level costs its integer moment
+    recurrence and one Horner sum (see _variation_numerators); the test
+    reads the integer numerators and builds no Fraction.
     """
     out: Set[int] = set()
-    if k_max < 1:
-        return out
-    engine = _VariationEngine(n, J)
     for k in range(1, k_max + 1):
-        nonzero = [j for j, u in enumerate(engine.numerators(k * (k + n))[0]) if u]
+        nonzero = [j for j, u in enumerate(_variation_numerators(n, k * (k + n), J)[0]) if u]
         if not nonzero or nonzero[-1] - nonzero[0] <= n:
             out.add(k)
     return out

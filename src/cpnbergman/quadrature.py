@@ -74,11 +74,13 @@ _STALL_SPLITS = 32
 def _rules(f, edges):
     """K31 values and error estimates on the panels between edges, from one call of f.
 
-    Returns (banded, shape, start, values, errors).  shape is that of the
-    integral: () for a 1-D f, else (k,).  values and errors hold one row
-    per panel, over f's rows start .. start + len - 1: all k of a dense f
-    (start 0), or the window of a banded one.  A panel's error estimate
-    is |K31 - G15|, and at least _ROUNDING_ULPS ulps of its sum of w |f|.
+    Returns (banded, shape, start, sums).  shape is that of the integral:
+    () for a 1-D f, else (k,).  sums has shape (panels, 3, rows): each
+    panel's K31 values, error estimates and masses over f's rows
+    start .. start + rows - 1, all k of a dense f (start 0) or the window
+    of a banded one.  A panel's mass is its K31 sum of w |f|, and its
+    error estimate is |K31 - G15|, and at least _ROUNDING_ULPS ulps of its
+    mass.
     """
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     half = 0.5 * (hi - lo)
@@ -91,10 +93,14 @@ def _rules(f, edges):
         shape, start = np.shape(vals)[:-1], 0
     # one row per (integrand row, panel) pair, so one matrix product covers every panel
     vals = np.reshape(vals, (-1, len(_X)))
+    out = np.empty((3, len(vals)))
     sums = vals @ _RULES
-    err = np.maximum(np.abs(sums[:, 1]), _ROUNDING_ULPS * np.finfo(float).eps * (np.abs(vals) @ _WK))
-    return (banded, shape, start, half[:, None] * sums[:, 0].reshape(-1, len(half)).T,
-            half[:, None] * err.reshape(-1, len(half)).T)
+    out[0] = sums[:, 0]
+    out[2] = np.abs(vals) @ _WK
+    np.maximum(np.abs(sums[:, 1]), _ROUNDING_ULPS * np.finfo(float).eps * out[2], out=out[1])
+    out = out.reshape(3, -1, len(half))
+    out *= half
+    return banded, shape, start, out.transpose(2, 0, 1)
 
 
 def integrate_interval(
@@ -157,7 +163,9 @@ def integrate_interval(
     When the tolerance sits below the integrand's rounding level,
     splitting no longer lowers the estimate.  So once every component
     still short of its bound has an error estimate within _FLOOR_ULPS
-    ulps of its total, and _STALL_SPLITS splits in a row (counted from
+    ulps of its summed mass (the sum of w |f| over its panels, which is
+    |total| for a positive integrand and exceeds it where the integrand
+    cancels), and _STALL_SPLITS splits in a row (counted from
     split _STALL_SPLITS after the initial step on) have not halved the
     worst error-to-bound ratio, QuadratureError is raised instead of
     spending the rest of the panel budget.  The check adds no integrand
@@ -174,33 +182,32 @@ def integrate_interval(
     elif edges[0] != a or edges[-1] != b or any(hi <= lo for lo, hi in zip(edges, edges[1:])):
         raise ValueError("edges must increase from a to b")
 
-    banded, shape, start, value, e = _rules(f, edges[:2])
+    banded, shape, start, sums = _rules(f, edges[:2])
     k = shape[0] if shape else 1
     step = 1 if banded else 2  # panels per call of f
 
     def panels(edges):
-        # (lo, hi, start, value, error) of each panel between edges
+        # (lo, hi, start, sums) of each panel between edges, sums as _rules gives them
         out = []
         for i in range(0, len(edges) - 1, step):
             part = edges[i:i + step + 1]
-            _, _, start, values, errors = _rules(f, part)
-            out += zip(part, part[1:], [start] * step, values, errors)
+            _, _, start, sums = _rules(f, part)
+            out += zip(part, part[1:], [start] * step, sums)
         return out
 
-    total, err = np.zeros(k), np.zeros(k)
+    acc = np.zeros((3, k))  # the total, error estimate and mass of every component
+    total, err, mass = acc
 
     def add(panel, sign):
-        _, _, start, value, e = panel
-        window = slice(start, start + len(value))
-        total[window] += sign * value
-        err[window] += sign * e
+        _, _, start, sums = panel
+        acc[:, start:start + sums.shape[1]] += sign * sums
 
     floor = max(atol, np.finfo(float).tiny)
 
     def bound(total):
         return np.maximum(rtol * np.abs(total), floor)
 
-    roots = [(edges[0], edges[1], start, value[0], e[0])] + panels(edges[1:])
+    roots = [(edges[0], edges[1], start, sums[0])] + panels(edges[1:])
     for root in roots:
         add(root, 1.0)
     if screen is not None:
@@ -208,7 +215,8 @@ def integrate_interval(
     rounding = _FLOOR_ULPS * np.finfo(float).eps
 
     def priority(panel):
-        _, _, start, _, e = panel
+        _, _, start, sums = panel
+        e = sums[1]
         return float((e / bound(total[start:start + len(e)])).max(initial=0.0))
 
     above = np.zeros(k, dtype=bool)  # components whose error is above their bound
@@ -226,7 +234,7 @@ def integrate_interval(
     def floor_ratio(err, total):
         ratio = err / bound(total)
         short = ratio > 1.0
-        if not np.any(short) or np.any(err[short] > rounding * np.abs(total[short])):
+        if not np.any(short) or np.any(err[short] > rounding * mass[short]):
             return None
         return float(np.max(ratio))
 
@@ -252,7 +260,7 @@ def integrate_interval(
         for child in children:
             add(child, 1.0)
         n_unmet += unmet(min(p[2] for p in (parent, *children)),
-                         max(p[2] + len(p[3]) for p in (parent, *children)))
+                         max(p[2] + p[3].shape[1] for p in (parent, *children)))
         for child in children:
             heapq.heappush(heap, (-priority(child),) + child)
         count += 1

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rewrite_reference import tuple_rewrite_at_zero
+from variation_reference import TriangularVariationEngine, triangular_delta_polynomials
 
 from cpnbergman import (
     ConversionTable,
@@ -35,6 +36,7 @@ from cpnbergman import (
     variation_order1_polynomial,
     variation_series_eigen,
 )
+from cpnbergman.conversion import _variation_numerators
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -419,6 +421,30 @@ class TestVariationEngine:
         with pytest.raises(TypeError):
             variation_series_eigen(1, 0.1, 4)
         assert variation_series_eigen(1, "1/10", 4) == variation_series_eigen(1, Fraction(1, 10), 4)
+
+
+class TestAgainstTriangularReference:
+    """The moment recurrence and the Horner sum against the triangular-solve engine."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_numerators_series_and_scan(self, n):
+        lams = [0, 1, -5, Fraction(7, 3), Fraction(1, 7)] + [k * (k + n) for k in range(1, 5)]
+        for J in (1, 2, 5, 12, 30, 60):
+            ref = TriangularVariationEngine(n, J)
+            for lam in lams:
+                for centered in (False, True):
+                    assert _variation_numerators(n, lam, J, centered) == \
+                        ref.numerators(lam, centered), (n, J, lam, centered)
+                    for normalized in (False, True):
+                        assert variation_series_eigen(n, lam, J, centered, normalized) == \
+                            ref.series(lam, centered, normalized), (n, J, lam, centered)
+            assert admissible_eigenvalue_scan(n, 6, J) == ref.scan(6), (n, J)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_delta_polynomials_solve_the_triangular_system(self, n):
+        want = [RationalPolynomial(d) for d in triangular_delta_polynomials(n, 60)]
+        for K in (0, 1, 2, 3, 60):
+            assert eigen_delta_c_values(n, K) == want[:K + 1], (n, K)
 
 
 class TestPolynomialityScan:

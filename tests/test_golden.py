@@ -85,6 +85,11 @@ second-order lift misses its rows' maxima by the most, within 1e-12
 relative of the Kummer form at s = 0 and inf (measured 2.5e-16 and
 1.5e-13), and the rational bump 0.2, whose two poles agree with each
 other within 1e-13 relative (measured 6.4e-14).
+Three variation files at J = 40 to 60 were pinned before the moments
+delta_k(lambda) came from their three-term recurrence and the weighted
+sum from a Horner pass: lambda = 15 with the scan to k = 6, and two
+lambdas with q != 1 (7/3 centered, -5/7 unnormalized), whose numerators
+carry the recurrence's q^2 term.
 """
 
 import subprocess
@@ -103,6 +108,13 @@ CASES = {
                                              "--J", "30", "--k-max", "3"],
     "variation_n2_lambda7-3_J12_centered.json": ["variation", "--n", "2", "--lambda", "7/3",
                                                  "--J", "12", "--centered"],
+    "variation_n3_lambda15_J60_kmax6.json": ["variation", "--n", "3", "--lambda", "15",
+                                             "--J", "60", "--k-max", "6"],
+    "variation_n2_lambda7-3_J40_centered.json": ["variation", "--n", "2", "--lambda", "7/3",
+                                                 "--J", "40", "--centered"],
+    "variation_n1_lambda-5-7_J50_unnormalized.json": ["variation", "--n", "1",
+                                                      "--lambda=-5/7", "--J", "50",
+                                                      "--unnormalized"],
     "polynomiality_n1_k0max6.json": ["polynomiality", "--n", "1", "--k0-max", "6"],
     "fs-check_n1_mmax30.json": ["fs-check", "--n", "1", "--m-max", "30"],
     "density_eigenfunction-bump_eps0.1.csv": ["density", "--metric", "eigenfunction-bump",

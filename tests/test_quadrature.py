@@ -151,6 +151,21 @@ class TestInterval:
             integrate_interval(noisy, 0.0, 1.0, rtol=1e-16)
         assert len(calls) < 1000
 
+    def test_cancelling_integrand_stalls_against_its_mass(self):
+        # sin(2000x) on [0, 1] totals 6.8e-4 against a sum of w |f| of 0.64,
+        # so rtol 1e-12 asks for less than the rounding of that mass: the
+        # floor is measured against the mass, and the pass stops within a few
+        # hundred calls (against |total| it crawled on for thousands)
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.sin(2000.0 * x)
+
+        with pytest.raises(QuadratureError, match="stalled"):
+            integrate_interval(f, 0.0, 1.0, rtol=1e-12)
+        assert len(calls) < 400
+
     def test_needle_resolved_with_budget(self):
         c = 0.1234567
 
