@@ -4,8 +4,9 @@
 Emits one convergence-trace CSV per potential (iteration, step norm,
 residual norm) and prints the fixed-point summary.  Exits 1, naming the
 potential, when a solve does not converge, when a step above STEP_FLOOR
-is followed by one more than half its size, or when gauge_diag's fixed
-point misses -B by more than GAUGE_TOL.
+is followed by one more than half its size, when gauge_diag's fixed
+point misses -B by more than GAUGE_TOL, or when eigenbasis_diag's misses
+the closed-form centre A* by more than CENTRE_TOL.
 """
 
 import argparse
@@ -14,11 +15,13 @@ import math
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 
 from cpnbergman import (
     NonConvergenceError,
     TracelessHermitian,
+    build_L,
     center,
     eigenbasis_potential,
     first_eigenbasis,
@@ -31,6 +34,9 @@ STEP_FLOOR = 1e-13
 # Largest accepted max |A + B| for the gauge potential rho_B; the default
 # run measures 1.9e-13.
 GAUGE_TOL = 1e-9
+# Largest accepted max |A - A*| for eigenbasis_diag, A* its closed-form
+# centre; the default run stops at residual 1.3e-12 and measures 1.2e-12.
+CENTRE_TOL = 1e-10
 
 
 def potentials(scale: float):
@@ -45,7 +51,28 @@ def potentials(scale: float):
     ]
 
 
-def gate(state, B) -> str:
+def closed_form_centre(Phi) -> np.ndarray:
+    """A* = (d/4)(I - 2 u u*), the A whose rho_{-A} has centering integrals Phi.
+
+    R(A) = K(d) c(u), with c_i = u* T_i u of norm sqrt(3) and
+    K(d) = (sinh d - d) / (2 (cosh d - 1)) rising from 0 to 1/2, so u is
+    the top eigenvector of sum_i Phi_i T_i and d solves K(d) = |Phi| / sqrt(3),
+    here at 50 digits.  A* exists iff |Phi| < sqrt(3) / 2.
+    """
+    with mpmath.workdps(50):
+        k = mpmath.sqrt(mpmath.fsum(mpmath.mpf(float(x)) ** 2 for x in Phi) / 3)
+
+        def K(d):
+            return (mpmath.sinh(d) - d) / (2 * (mpmath.cosh(d) - 1))
+
+        # K(d) = d/6 + O(d^3), so 6k starts the root search close by
+        d = float(mpmath.findroot(lambda d: K(d) - k, 6 * k)) if k else 0.0
+    _, U = np.linalg.eigh(np.einsum("i,ijk->jk", np.asarray(Phi, dtype=float), build_L(1)))
+    u = U[:, 1]
+    return d / 4.0 * (np.eye(2) - 2.0 * np.outer(u, u.conj()))
+
+
+def gate(state, B, centre=None) -> str:
     """Why a solve fails the contraction checks, or "" when it passes."""
     if not state.converged:
         return "not converged after %d iterations (residual %.3e)" % (
@@ -58,6 +85,10 @@ def gate(state, B) -> str:
         gap = float(np.max(np.abs(state.A.matrix + B.matrix)))
         if not gap <= GAUGE_TOL:
             return "A misses -B by %.3e" % gap
+    if centre is not None:
+        gap = float(np.max(np.abs(state.A.matrix - centre)))
+        if not gap <= CENTRE_TOL:
+            return "A misses the closed-form centre by %.3e" % gap
     return ""
 
 
@@ -70,6 +101,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
+    # eigenbasis_diag is scale times the orthonormal basis function theta_2,
+    # so its centering integrals are Phi = scale e_2
+    centres = {"eigenbasis_diag": closed_form_centre([0.0, 0.0, args.scale])}
     failed = []
     for name, phi, B in potentials(args.scale):
         try:
@@ -92,7 +126,7 @@ def main(argv=None) -> int:
                 path,
             )
         )
-        why = gate(state, B)
+        why = gate(state, B, centres.get(name))
         if why:
             failed.append("%s: %s" % (name, why))
     for line in failed:

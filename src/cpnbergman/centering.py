@@ -13,15 +13,16 @@ coordinates v.  The integrals run against the fixed round measure:
 pulling the defining integral back through the automorphism turns rho_A
 into -rho_{-A} and leaves the measure alone.  So v(A) = Phi - R(A) splits into
 Phi_i = int phi theta_i, which does not depend on A and is computed once
-per solve, and R_i(A) = int rho_{-A} theta_i, which on CP^1 is a closed
-form in the eigenframe W = U* Z of A: by Archimedes' hat-box theorem
-(the n = 1 case of Duistermaat-Heckman) the moment map |W_1|^2 / |W|^2
-is uniform under the round measure.  Phi is exact too for the gauge
-potentials rho_B (Phi = R(-B)) and the Hermitian forms <T Z, Z> / |Z|^2
-(Phi_i = tr(T T_i) / 6); any other callable phi costs one quadrature.
+per solve, and R_i(A) = int rho_{-A} theta_i, a closed form on CP^1 by
+Archimedes' hat-box theorem (the n = 1 case of Duistermaat-Heckman).  Phi
+is exact too for the gauge potentials rho_B (Phi = R(-B)) and the Hermitian
+forms <T Z, Z> / |Z|^2 (Phi_i = tr(T T_i) / 6); other callables cost one quadrature.
 
-Types are dimension-generic; the integrals (and hence t_step/center)
-are implemented for n = 1 only.
+An iterate is a <- a - damping (Phi - R(a)) in the coordinates
+a_i = tr(A T_i) / 6 of A in the basis T_i = build_L(1), R(a) in closed
+form and its step ||Delta A||_F = sqrt(6) |Delta a|, with no matrix
+decomposed or rebuilt.  Types are dimension-generic; the integrals (and
+so t_step/center) are implemented for n = 1 only.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .errors import DivergenceError, NonConvergenceError, UnsupportedDimensionEr
 from .projective import EigenBasisFunction, chart_lift, first_eigenbasis
 from .quadrature import cp1_integral, fs_weight
 
+_SQRT3, _SQRT6 = math.sqrt(3.0), math.sqrt(6.0)
+
 
 class TracelessHermitian:
     """(n+1)x(n+1) traceless Hermitian matrix, projected at construction.
@@ -50,11 +53,9 @@ class TracelessHermitian:
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("matrix must be square")
         M = (M + M.conj().T) / 2.0
-        size = M.shape[0]
         d = M.diagonal().real - M.diagonal().real.mean()
-        for i in range(size):
-            M[i, i] = d[i]
-        M[size - 1, size - 1] = -d[: size - 1].sum()
+        np.fill_diagonal(M, d)
+        M[-1, -1] = -d[:-1].sum()
         self.matrix = M
         self._expm = None
 
@@ -101,8 +102,8 @@ def rho_potential(A: TracelessHermitian, z):
 class GaugePotential:
     """rho_B as a chart potential of z; rho_0 is identically zero.
 
-    rho_B lies between 2 lam_min(B) and 2 lam_max(B), and its moments are
-    R(-B), so both are exact (the moments on CP^1).
+    rho_B lies between 2 lam_min(B) and 2 lam_max(B), +-2 sqrt(3) |b| for
+    the coordinates b of B, and its moments are R(-b): both exact on CP^1.
     """
 
     B: TracelessHermitian
@@ -111,18 +112,18 @@ class GaugePotential:
         return rho_potential(self.B, z)
 
     def sup_norm(self) -> float:
-        return 2.0 * float(np.max(np.abs(np.linalg.eigvalsh(self.B.matrix))))
+        return 2.0 * _SQRT3 * math.hypot(*_coords(self.B.matrix))
 
     def moments(self, L: np.ndarray) -> np.ndarray:
-        return _rho_moments(self.B.scaled(-1.0), L)
+        return _rho_moments(-_coords(self.B.matrix))
 
 
 @dataclass(frozen=True, eq=False)
 class FormPotential:
     """<T Z, Z> / |Z|^2 on CP^1 for a traceless Hermitian 2 x 2 matrix T.
 
-    Its range is [lam_min(T), lam_max(T)], and its centering integrals
-    are the exact pairings tr(T T_i) / 6 with the basis matrices T_i.
+    Its centering integrals are the exact pairings tau_i = tr(T T_i) / 6,
+    the coordinates of T, and its range is [lam_min, lam_max] = +-sqrt(3) |tau|.
     """
 
     matrix: np.ndarray
@@ -131,10 +132,10 @@ class FormPotential:
         return _form_ratio(self.matrix, np.asarray(z))
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
+        return _SQRT3 * math.hypot(*_coords(self.matrix))
 
     def moments(self, L: np.ndarray) -> np.ndarray:
-        return np.einsum("jk,ikj->i", self.matrix, L).real / 6.0
+        return _coords(self.matrix)
 
 
 def _form_ratio(T: np.ndarray, z) -> np.ndarray:
@@ -178,10 +179,20 @@ def build_L(n: int) -> np.ndarray:
     return T
 
 
-def _descend(A: TracelessHermitian, v: np.ndarray, L: np.ndarray,
-             damping: float) -> TracelessHermitian:
-    """A - damping * L^{-1} v = A - damping * sum_i v_i T_i."""
-    return A - TracelessHermitian(np.einsum("i,ijk->jk", damping * v, L))
+def _coords(M: np.ndarray) -> np.ndarray:
+    """a_i = tr(M T_i) / 6 for a traceless Hermitian 2 x 2 M.  The T_i of
+    build_L(1) are sqrt(3) (sigma_x, sigma_y, diag(-1, 1)), so a is read
+    off the entries, divided before any sum: finite for every finite M."""
+    if M.shape != (2, 2):
+        raise UnsupportedDimensionError("centering integrals are implemented for n = 1 only")
+    m01 = M[0, 1]
+    return np.array([m01.real, -m01.imag, 0.5 * M[1, 1].real - 0.5 * M[0, 0].real]) / _SQRT3
+
+
+def _matrix(a: np.ndarray) -> TracelessHermitian:
+    """A = sum_i a_i T_i, the matrix with coordinates a, from the same entries."""
+    a01 = complex(a[0], -a[1])
+    return TracelessHermitian(_SQRT3 * np.array([[-a[2], a01], [a01.conjugate(), a[2]]]))
 
 
 def _hat_box_kernel(d: float) -> float:
@@ -204,20 +215,28 @@ def _hat_box_kernel(d: float) -> float:
     return 0.5 if e == 0.0 else (1.0 - e * (e + 2.0 * d)) / (2.0 * (1.0 - e) ** 2)
 
 
-def _rho_moments(A: TracelessHermitian, L: np.ndarray) -> np.ndarray:
-    """R_i(A) = int rho_{-A} theta_i dV_0 in closed form, for n = 1.
+def _rho_moments(a: np.ndarray) -> np.ndarray:
+    """R_i(A) = int rho_{-A} theta_i dV_0 in closed form at A = sum_i a_i T_i.
 
     With A = U diag(lam_min, lam_max) U* and u the lam_min column,
     rho_{-A} = log(e^{-2 lam_min} t + e^{-2 lam_max} (1 - t)) depends on
     t = |<u, Z>|^2 / |Z|^2 alone.  At fixed t the fibre mean of theta_i is
     (u* T_i u)(2t - 1), since T_i is traceless.  t is uniform under dV_0
     (Archimedes' hat-box theorem), and integrating over t gives K(d) with
-    d = 2 (lam_max - lam_min).
+    d = 2 (lam_max - lam_min).  In coordinates lam = +-sqrt(3) |a|, so
+    d = 4 sqrt(3) |a| and u* T_i u = -sqrt(3) a_i / |a|.  |a| is a hypot,
+    finite where a sum of squares overflows; past 1e308 d = inf, K = 1/2.
     """
-    w, U = np.linalg.eigh(A.matrix)
-    u = U[:, 0]
-    d = 2.0 * (float(w[1]) - float(w[0]))  # Python floats: inf past 1e308, no warning
-    return np.einsum("j,ijk,k->i", u.conj(), L, u).real * _hat_box_kernel(d)
+    r = math.hypot(*a)
+    if r == 0.0:
+        return np.zeros(3)
+    return (-_SQRT3 * _hat_box_kernel(4.0 * _SQRT3 * r) / r) * a
+
+
+def _t_map(a: np.ndarray, Phi: np.ndarray, damping: float):
+    """The centering map in coordinates: (a - damping v(a), v(a)), v = Phi - R."""
+    v = Phi - _rho_moments(a)
+    return a - damping * v, v
 
 
 def _phi_moments(phi: Callable, L: np.ndarray, rtol: float) -> np.ndarray:
@@ -237,19 +256,15 @@ def _phi_moments(phi: Callable, L: np.ndarray, rtol: float) -> np.ndarray:
 
 def centering_residual(A: TracelessHermitian, phi: Callable, L: np.ndarray,
                        rtol: float = 1e-10) -> np.ndarray:
-    """The s centering integrals v_i(A) = int (phi - rho_{-A}) theta_i dV_0.
-
-    v(A) = Phi - R(A): Phi, the phi half, from _phi_moments at this rtol;
-    R(A), the rho_{-A} half, exact (_rho_moments).
-    """
-    return _phi_moments(phi, L, rtol) - _rho_moments(A, L)
+    """The centering integrals v_i(A) = int (phi - rho_{-A}) theta_i dV_0 as
+    Phi - R(A): Phi at this rtol (_phi_moments), R(A) exact (_rho_moments)."""
+    return _phi_moments(phi, L, rtol) - _rho_moments(_coords(A.matrix))
 
 
 def t_step(A: TracelessHermitian, phi: Callable, rtol: float = 1e-10,
            damping: float = 0.5) -> TracelessHermitian:
     """One step of the centering map T(A) = A - damping * sum_i v_i(A) T_i."""
-    L = build_L(A.n)
-    return _descend(A, centering_residual(A, phi, L, rtol), L, damping)
+    return _matrix(_t_map(_coords(A.matrix), _phi_moments(phi, build_L(1), rtol), damping)[0])
 
 
 @dataclass
@@ -263,7 +278,7 @@ class CenteringState:
 
     @property
     def residual_norm(self) -> float:
-        return float(np.linalg.norm(self.residual))
+        return math.hypot(*self.residual)
 
     def trace_csv_rows(self) -> List[tuple]:
         return [("iteration", "step_norm", "residual_norm")] + list(self.trace)
@@ -284,8 +299,8 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *,
     NonConvergenceError past max_iter, with the partial state attached.
 
     Only rho_{-A} changes between iterates, so Phi = int phi theta_i dV_0
-    is computed once (_phi_moments) and every iterate's residual is
-    Phi - R(A) with R(A) exact.
+    is computed once (_phi_moments) and every iterate is one coordinate
+    step (_t_map) along Phi - R(a), with R exact.
     """
     if not (tol > 0 and damping > 0):
         raise ValueError(f"tol and damping must be positive, got {tol} and {damping}")
@@ -294,52 +309,40 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *,
     if sup > eta:
         raise ValueError(f"potential C0 norm {'' if exact else 'estimate '}{sup:.4g} "
                          f"exceeds the contraction threshold {eta}")
-    L = build_L(1)
-    Phi = _phi_moments(phi, L, rtol)
-    A = TracelessHermitian.zero(1)
-    r = Phi - _rho_moments(A, L)
-    rnorm = float(np.linalg.norm(r))
-    trace = [(0, 0.0, rnorm)]
-    if rnorm < tol:
-        return CenteringState(0, A, r, 0.0, True, tuple(trace))
-
-    grow = 0
-    prev_step = None
-    for k in range(1, max_iter + 1):
-        newA = _descend(A, r, L, damping)
-        step = float(np.linalg.norm(newA.matrix - A.matrix))
-        if prev_step is not None and step > prev_step:
-            grow += 1
-        else:
-            grow = 0
-        prev_step = step
-        A = newA
-        r = Phi - _rho_moments(A, L)
-        rnorm = float(np.linalg.norm(r))
+    Phi = _phi_moments(phi, build_L(1), rtol)
+    a = new = np.zeros(3)
+    trace, grow, step = [], 0, 0.0
+    for k in range(max(max_iter, 0) + 1):
+        if k:  # move to the iterate that the previous _t_map gave
+            prev_step, step = step, _SQRT6 * math.hypot(*(new - a))
+            grow = grow + 1 if k > 1 and step > prev_step else 0
+            a = new
+        new, r = _t_map(a, Phi, damping)
+        rnorm = math.hypot(*r)
         trace.append((k, step, rnorm))
-        if grow >= 5:
-            state = CenteringState(k, A, r, step, False, tuple(trace))
-            raise DivergenceError(
-                "step norms grew for 5 consecutive iterations", state=state
-            )
-        if rnorm < tol and step < tol:
-            return CenteringState(k, A, r, step, True, tuple(trace))
-    state = CenteringState(max_iter, A, r, prev_step or 0.0, False, tuple(trace))
-    raise NonConvergenceError(
-        f"no convergence within {max_iter} iterations (residual {rnorm:.3e})", state=state
-    )
+        converged = grow < 5 and rnorm < tol and step < tol
+        if converged or grow >= 5:
+            break
+    else:
+        k = max_iter
+    state = CenteringState(k, _matrix(a), r, step, converged, tuple(trace))
+    if grow >= 5:
+        raise DivergenceError("step norms grew for 5 consecutive iterations", state=state)
+    if not converged:
+        raise NonConvergenceError(f"no convergence within {max_iter} iterations "
+                                  f"(residual {rnorm:.3e})", state=state)
+    return state
+
+
+# _sup_norm_estimate's 81 x 32 chart grid towards both poles, shared read-only
+_C0_GRID = np.outer(np.sqrt(1.0 / np.linspace(1e-4, 1.0, 81, endpoint=False) - 1.0),
+                    np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False))).ravel()
+_C0_GRID.flags.writeable = False
 
 
 def _sup_norm_estimate(phi: Callable) -> float:
-    # max |phi| on an 81 x 32 chart grid reaching towards both poles, which
-    # can fall short of the sup (see center)
-    p = np.linspace(1e-4, 1.0, 81, endpoint=False)
-    s = 1.0 / p - 1.0
-    radius = np.sqrt(s)
-    theta = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
-    z = np.outer(radius, np.exp(1j * theta)).ravel()
-    vals = np.abs(np.asarray(phi(z), dtype=float))
-    return float(np.max(vals)) if vals.size else 0.0
+    # max |phi| on the chart grid, which can fall short of the sup (see center)
+    return float(np.max(np.abs(np.asarray(phi(_C0_GRID), dtype=float))))
 
 
 def estimate_contraction(phi: Callable, n_pairs: int = 5, radius: float = 0.05,
@@ -347,24 +350,21 @@ def estimate_contraction(phi: Callable, n_pairs: int = 5, radius: float = 0.05,
     """Largest observed ||T(B)-T(A)|| / ||B-A|| over random pairs in the ball.
 
     phi is fixed, so Phi = int phi theta_i dV_0 is computed once at this
-    rtol and each of the 2 n_pairs steps descends along Phi - R(A).
+    rtol; each of the 2 n_pairs steps is one coordinate step (_t_map).
     """
-    L = build_L(1)
     rng = np.random.default_rng(seed)
 
-    def sample() -> TracelessHermitian:
+    def sample() -> np.ndarray:
         M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        A = TracelessHermitian(M)
-        return A.scaled(radius * rng.uniform(0.2, 1.0) / max(A.norm, 1e-30))
+        a = _coords(TracelessHermitian(M).matrix)
+        return a * (radius * rng.uniform(0.2, 1.0) / max(_SQRT6 * math.hypot(*a), 1e-30))
 
-    Phi = _phi_moments(phi, L, rtol)
+    Phi = _phi_moments(phi, build_L(1), rtol)
     worst = 0.0
     for _ in range(n_pairs):
-        A, B = sample(), sample()
-        gap = (B - A).norm
-        if gap < 1e-12:
-            continue
-        TA = _descend(A, Phi - _rho_moments(A, L), L, damping)
-        TB = _descend(B, Phi - _rho_moments(B, L), L, damping)
-        worst = max(worst, (TB - TA).norm / gap)
+        a, b = sample(), sample()
+        gap = math.hypot(*(b - a))
+        if _SQRT6 * gap >= 1e-12:
+            step = _t_map(b, Phi, damping)[0] - _t_map(a, Phi, damping)[0]
+            worst = max(worst, math.hypot(*step) / gap)
     return worst

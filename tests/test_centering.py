@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
+import centering_reference
+
 from cpnbergman import centering, quadrature
 from cpnbergman import (
     DivergenceError,
@@ -85,14 +87,23 @@ class TestRhoPotential:
 class TestDescent:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_round_trip(self, n):
-        # D's pairing coordinates v_i = <theta_D, theta_i> descend to -D
+        # D's pairing coordinates v_i = <theta_D, theta_i> descend to -D:
+        # the basis is orthonormal, so L^{-1} v = sum_i v_i T_i is D
         rng = np.random.default_rng(n)
         size = n + 1
         D = TracelessHermitian(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
         T = build_L(n)
         v = np.einsum("jk,ikj->i", D.matrix, T).real / ((n + 1) * (n + 2))
-        got = centering._descend(TracelessHermitian.zero(n), v, T, 1.0)
+        got = TracelessHermitian.zero(n) - TracelessHermitian(np.einsum("i,ijk->jk", v, T))
         assert np.max(np.abs(got.matrix + D.matrix)) <= 1e-15
+        if n == 1:
+            # the solver's coordinates are these pairings, read off the entries
+            assert np.max(np.abs(centering._coords(D.matrix) - v)) <= 1e-15
+            assert np.max(np.abs(centering._matrix(v).matrix - D.matrix)) <= 1e-15
+
+    def test_coordinates_need_n_1(self):
+        with pytest.raises(UnsupportedDimensionError):
+            centering._coords(TracelessHermitian.zero(2).matrix)
 
 
 class TestCachedMaps:
@@ -137,6 +148,11 @@ class TestResidual:
             want = _residual_per_component(A, phi)
             assert np.max(np.abs(got - want)) < 1e-12
             assert np.max(np.abs(want)) > 1e-3
+
+
+def _coordinate_R(A):
+    """The solver's R(A), through the coordinates of A."""
+    return centering._rho_moments(centering._coords(A.matrix))
 
 
 def _uncached_residual(A, phi, L, rtol=1e-10):
@@ -267,15 +283,39 @@ class TestClosedForm:
         cases.append(DIAG.scaled(rng.choice((-3.0, 3.0)) / DIAG.norm))
         for A in cases:
             want = _uncached_residual(A, zero_potential, L, rtol=1e-12)
-            got = -centering._rho_moments(A, L)
+            got = -centering._rho_moments(centering._coords(A.matrix))
             assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_finite_for_any_finite_A(self):
-        L = build_L(1)
-        assert not np.any(centering._rho_moments(TracelessHermitian.zero(1), L))
+        assert not np.any(_coordinate_R(TracelessHermitian.zero(1)))
         for scale in (1e-300, 1e-8, 1e10, 1e200, 8e307):
             A = TracelessHermitian(np.array([[scale, scale / 3], [scale / 3, -scale]]))
-            assert np.all(np.isfinite(centering._rho_moments(A, L)))
+            assert np.all(np.isfinite(_coordinate_R(A)))
+
+    # d = 4 sqrt(3) |a| = 2 sqrt(2) |A|, so the kernel switches at |A| = 1/sqrt(2)
+    REFERENCE_NORMS = (list(np.geomspace(1e-300, 8e307, 60)) + [0.5, 1.0, 3.0]
+                       + [math.sqrt(0.5) * (1.0 + t) for t in (-1e-6, -1e-15, 0.0, 1e-15, 1e-6)])
+
+    def test_matches_the_eigh_reference(self):
+        # R(A) through one eigh of A, u* T_i u and d = 2 (lam_max - lam_min),
+        # as the solver computed it before it moved to coordinates.  These 340
+        # A read at most 9 ulps of max |R| apart (10 over 4,900 more random
+        # A); against mpmath the coordinate form is within 4 ulps, eigh 14
+        L = build_L(1)
+        assert not np.any(_coordinate_R(TracelessHermitian.zero(1)))
+        assert not np.any(centering_reference.rho_moments(TracelessHermitian.zero(1), L))
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for norm in self.REFERENCE_NORMS:
+            for _ in range(5):
+                A = TracelessHermitian(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                A = TracelessHermitian(A.matrix * (norm / A.norm))
+                want = centering_reference.rho_moments(A, L)
+                got = _coordinate_R(A)
+                scale = float(np.max(np.abs(want)))
+                assert 0.0 < scale <= 0.5 * math.sqrt(3.0)
+                worst = max(worst, float(np.max(np.abs(got - want))) / math.ulp(scale))
+        assert worst <= 12.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gauge_potential_centers_at_minus_B(self, seed):
@@ -291,6 +331,44 @@ class TestClosedForm:
         state = center(_callable(gauge_potential(B)))
         assert state.converged
         assert np.max(np.abs(state.A.matrix + B.matrix)) <= 1e-12
+
+
+class TestFixedPoint:
+    """center against the closed-form centre A* = (d/4)(I - 2 u u*) of
+    centering_reference.fixed_point, which is found without iterating."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_oracle_centres_gauge_potentials_at_minus_B(self, seed):
+        # Phi = R(-B) through the eigh reference; measured within 2.8e-17
+        L = build_L(1)
+        B = _random_traceless(np.random.default_rng(seed), 0.05)
+        A = centering_reference.fixed_point(centering_reference.rho_moments(B.scaled(-1.0), L))
+        assert np.max(np.abs(A + B.matrix)) <= 1e-16
+        assert not np.any(centering_reference.fixed_point(np.zeros(3)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_center_reaches_the_oracle(self, seed):
+        # measured over six seeds: gauge within 1.9e-13, form 7.3e-14, and the
+        # mix, whose Phi comes from the quadrature at rtol 1e-10, 1.2e-12
+        rng = np.random.default_rng(seed)
+        L = build_L(1)
+        B = _random_traceless(rng, 0.05)
+        T = _random_traceless(rng, 0.09)
+        w = rng.normal(size=3)
+        w *= 0.05 / np.linalg.norm(w)
+        pots = [eigenbasis_potential(fn, float(wi)) for fn, wi in zip(first_eigenbasis(1), w)]
+        cases = [
+            (gauge_potential(B), centering_reference.rho_moments(B.scaled(-1.0), L), 5e-13),
+            (centering.FormPotential(T.matrix),
+             np.einsum("jk,ikj->i", T.matrix, L).real / 6.0, 5e-13),
+            # the basis is orthonormal, so the mix's exact Phi is w
+            (lambda z: sum(p(z) for p in pots), w, 5e-12),
+        ]
+        for phi, Phi, bound in cases:
+            state = center(phi)
+            assert state.converged and state.iteration == 4
+            want = centering_reference.fixed_point(Phi)
+            assert np.max(np.abs(state.A.matrix - want)) <= bound
 
 
 class TestHermitianPotentials:
@@ -377,6 +455,44 @@ class TestHermitianPotentials:
         assert not passes
         center(_POTENTIALS["gauge-callable"]())
         assert passes
+
+    def test_no_eigendecomposition(self, monkeypatch):
+        # every iterate is three coordinates, and the exact sups and moments
+        # read B's or T's coordinates; only evaluating rho_B decomposes B
+        calls = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            def counted(*args, _f=getattr(np.linalg, name), **kwargs):
+                calls.append(1)
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        for make in ("gauge", "eigenbasis", "zero"):
+            phi = _POTENTIALS[make]()
+            assert center(phi).converged
+            estimate_contraction(phi, n_pairs=2)
+            t_step(DIAG.scaled(0.01), phi)
+            centering_residual(DIAG.scaled(0.01), phi, build_L(1))
+        assert not calls
+        center(_callable(gauge_potential(DIAG.scaled(0.01))))  # a fresh B, whose expm is not cached
+        assert calls
+
+    def test_chart_grid_is_built_once(self):
+        # the grid each plain-callable solve used to build, bit for bit
+        p = np.linspace(1e-4, 1.0, 81, endpoint=False)
+        theta = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
+        z = np.outer(np.sqrt(1.0 / p - 1.0), np.exp(1j * theta)).ravel()
+        seen = []
+
+        def phi(z):
+            seen.append(z)
+            return 0.0 * z.real
+
+        for _ in range(2):
+            assert centering._sup_norm_estimate(phi) == 0.0
+        assert seen[0] is seen[1]
+        assert np.array_equal(seen[0], z) and seen[0].dtype == z.dtype
+        with pytest.raises(ValueError):
+            seen[0][0] = 1.0
 
 
 class TestStepMap:

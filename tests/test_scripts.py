@@ -4,6 +4,8 @@ import importlib.util
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -59,3 +61,13 @@ class TestCenteringTrace:
         slow = replace(state, trace=state.trace[:2] + ((2, 0.6 * state.trace[1][1], 0.0),))
         assert trace.gate(slow, B) == "step ratio 0.600 above 1/2"
         assert trace.gate(state, B.scaled(1.0 + 1e-7)).startswith("A misses -B by 3.5")
+
+    def test_a_state_off_the_closed_form_centre_fails(self):
+        # eigenbasis_diag reaches A* within 1.2e-12; moving A by 1e-6 trips the gate
+        trace = _load("run_centering_trace")
+        _, phi, _ = trace.potentials(0.05)[1]
+        state = trace.center(phi)
+        centre = trace.closed_form_centre([0.0, 0.0, 0.05])
+        assert trace.gate(state, None, centre) == ""
+        moved = replace(state, A=trace.TracelessHermitian(state.A.matrix + np.diag([1e-6, -1e-6])))
+        assert trace.gate(moved, None, centre).startswith("A misses the closed-form centre by 1.0")
