@@ -98,6 +98,12 @@ elementwise (measured 1.4e-17, eigenbasis-diag; 6.9e-18, gauge-diag);
 gauge-diag's A within 2e-13 of -B (measured 1.876e-13); and every trace
 value moved by at most 1e-16 absolute (measured 1.8e-17).  Every other
 file stayed byte-identical.
+Two center runs away from the default damping were pinned before the
+damping came to be checked against (0, 1), the contraction constant
+came to be exact and the growing-step detector was removed:
+eigenbasis-diag at damping 0.25 with its --trace-out CSV (23
+iterations), and gauge-diag at damping 0.9 (72 iterations, near the
+slow end 1 - 2 damping = -0.8 of the step's spectrum).
 """
 
 import subprocess
@@ -143,6 +149,9 @@ CASES = {
     "center_gauge-diag_0.05.json": ["center", "--potential", "gauge-diag", "--scale", "0.05"],
     "center_eigenbasis-diag_0.05.json": ["center", "--potential", "eigenbasis-diag",
                                          "--scale", "0.05"],
+    "center_gauge-diag_0.05_damping0.9.json": ["center", "--potential", "gauge-diag",
+                                               "--scale", "0.05", "--damping", "0.9",
+                                               "--max-iter", "200"],
     "first-variation_eigenfunction-bump_eps1_m20.json": ["first-variation", "--phi",
                                                          "eigenfunction-bump", "--eps", "1.0",
                                                          "--m", "20"],
@@ -182,3 +191,12 @@ def test_center_trace_out_matches_golden(tmp_path):
                    "--trace-out", str(trace)])
     assert stdout == (GOLDEN / "center_gauge-diag_0.05.json").read_bytes()
     assert trace.read_bytes() == (GOLDEN / "center_gauge-diag_0.05_trace.csv").read_bytes()
+
+
+def test_center_damped_trace_out_matches_golden(tmp_path):
+    trace = tmp_path / "trace.csv"
+    stdout = _run(["center", "--potential", "eigenbasis-diag", "--scale", "0.05",
+                   "--damping", "0.25", "--trace-out", str(trace)])
+    name = "center_eigenbasis-diag_0.05_damping0.25"
+    assert stdout == (GOLDEN / f"{name}.json").read_bytes()
+    assert trace.read_bytes() == (GOLDEN / f"{name}_trace.csv").read_bytes()
