@@ -18,9 +18,8 @@ from .centering import (CenteringState, TracelessHermitian, build_L, center,
 from .density import (CurvatureReport, DensityResult, FirstVariationResult,
                       RadialMetric, RadialProfile, bergman_density,
                       first_variation, scalar_curvature, section_norms)
-from .errors import (ComputationError, DivergenceError,
-                     InsufficientSamplesError, NonConvergenceError, PoleError,
-                     PositivityError, QuadratureError, StepUnderflowError,
+from .errors import (ComputationError, InsufficientSamplesError, NonConvergenceError,
+                     PoleError, PositivityError, QuadratureError, StepUnderflowError,
                      UnsupportedDimensionError)
 from .fitting import (FitResult, VanishingReport, fit_expansion, load_samples_csv,
                       vanishing_report)

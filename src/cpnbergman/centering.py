@@ -8,20 +8,17 @@ kills its component along the first Laplace eigenspace.  The step map
 
 fixes exactly the A for which the centering integrals vanish.  The
 theta_i = <T_i Z, Z> / |Z|^2 are an orthonormal basis of the eigenspace,
-so sum_i v_i T_i is the paper's L^{-1} v, the A whose theta_A has
-coordinates v.  The integrals run against the fixed round measure:
-pulling the defining integral back through the automorphism turns rho_A
-into -rho_{-A} and leaves the measure alone.  So v(A) = Phi - R(A) splits into
-Phi_i = int phi theta_i, which does not depend on A and is computed once
-per solve, and R_i(A) = int rho_{-A} theta_i, a closed form on CP^1 by
-Archimedes' hat-box theorem (the n = 1 case of Duistermaat-Heckman).  Phi
-is exact too for the gauge potentials rho_B (Phi = R(-B)) and the Hermitian
-forms <T Z, Z> / |Z|^2 (Phi_i = tr(T T_i) / 6); other callables cost one quadrature.
+so sum_i v_i T_i is the paper's L^{-1} v.  Pulling the integral back
+through the automorphism turns rho_A into -rho_{-A} and leaves the round
+measure alone, so v(A) = Phi - R(A): Phi_i = int phi theta_i, computed
+once per solve (exact for gauge potentials and Hermitian forms, one
+quadrature otherwise), and R_i(A) = int rho_{-A} theta_i, a closed form
+on CP^1 by Archimedes' hat-box theorem (the n = 1 case of
+Duistermaat-Heckman), with |R| < sqrt(3) / 2.
 
-An iterate is a <- a - damping (Phi - R(a)) in the coordinates
-a_i = tr(A T_i) / 6 of A in the basis T_i = build_L(1), R(a) in closed
-form and its step ||Delta A||_F = sqrt(6) |Delta a|, with no matrix
-decomposed or rebuilt.  Types are dimension-generic; the integrals (and
+An iterate is a <- a - damping (Phi - R(a)) on the coordinates
+a_i = tr(A T_i) / 6 of A in the basis T_i = build_L(1), at the exact rate
+of estimate_contraction.  Types are dimension-generic; the integrals (and
 so t_step/center) are implemented for n = 1 only.
 """
 
@@ -34,7 +31,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from .errors import DivergenceError, NonConvergenceError, UnsupportedDimensionError
+from .errors import NonConvergenceError, UnsupportedDimensionError
 from .projective import EigenBasisFunction, chart_lift, first_eigenbasis
 from .quadrature import cp1_integral, fs_weight
 
@@ -114,7 +111,7 @@ class GaugePotential:
     def sup_norm(self) -> float:
         return 2.0 * _SQRT3 * math.hypot(*_coords(self.B.matrix))
 
-    def moments(self, L: np.ndarray) -> np.ndarray:
+    def moments(self) -> np.ndarray:
         return _rho_moments(-_coords(self.B.matrix))
 
 
@@ -134,7 +131,7 @@ class FormPotential:
     def sup_norm(self) -> float:
         return _SQRT3 * math.hypot(*_coords(self.matrix))
 
-    def moments(self, L: np.ndarray) -> np.ndarray:
+    def moments(self) -> np.ndarray:
         return _coords(self.matrix)
 
 
@@ -167,13 +164,9 @@ def eigenbasis_potential(fn: EigenBasisFunction, scale: float) -> FormPotential:
 
 @lru_cache(maxsize=None)
 def build_L(n: int) -> np.ndarray:
-    """L^{-1} as an array: the matrices T_i of the first-eigenspace basis.
-
-    L sends A to the coordinates of theta_A = <A Z, Z> / |Z|^2 in the
-    basis theta_i = <T_i Z, Z> / |Z|^2.  That basis is orthonormal, so
-    L^{-1} v = sum_i v_i T_i.  T depends on n only, so it is built once
-    per n and shared read-only.
-    """
+    """L^{-1} as an array: the matrices T_i of the orthonormal basis
+    theta_i = <T_i Z, Z> / |Z|^2, L sending A to theta_A's coordinates.
+    Built once per n and shared read-only."""
     T = np.array([th.normalization * th._np for th in first_eigenbasis(n)])
     T.flags.writeable = False
     return T
@@ -195,42 +188,46 @@ def _matrix(a: np.ndarray) -> TracelessHermitian:
     return TracelessHermitian(_SQRT3 * np.array([[-a[2], a01], [a01.conjugate(), a[2]]]))
 
 
+_KERNEL_TAYLOR = tuple((1 / math.factorial(j + 1), 1 / math.factorial(j))
+                       for j in range(30, 0, -2))
+
+
 def _hat_box_kernel(d: float) -> float:
     """K(d) = (sinh d - d) / (2 (cosh d - 1)), within 3 ulps for every d >= 0.
 
     Below d = 2, K is d times the ratio of the positive Taylor sums of
-    (sinh d - d) / d^3 and (cosh d - 1) / d^2, so nothing cancels and
-    K(0) = 0.  Past that the form in e^{-d} cancels little and tends to
-    1/2 without overflow.
+    (sinh d - d) / d^3 and (cosh d - 1) / d^2, by Horner in d^2 on their
+    coefficients 1/(j+1)! and 1/j!, j = 30, 28, ..., 2 (_KERNEL_TAYLOR; the
+    first term left out is d^30 / 32! < 1e-26), so nothing cancels and
+    K(0) = 0.  Past that the form in e^{-d} cancels little and tends to 1/2.
     """
     if d < 2.0:
-        d2, t, num, den = d * d, 1.0, [], []
-        for j in range(2, 32, 2):  # the first term left out is d^30 / 32! < 1e-26
-            t /= j * (j - 1)  # d^(j-2) / j!
-            den.append(t)
-            num.append(t / (j + 1))
-            t *= d2
-        return d * math.fsum(num) / (2.0 * math.fsum(den))
+        d2, num, den = d * d, 0.0, 0.0
+        for a, b in _KERNEL_TAYLOR:
+            num, den = num * d2 + a, den * d2 + b
+        return d * num / (2.0 * den)
     e = math.exp(-d)
     return 0.5 if e == 0.0 else (1.0 - e * (e + 2.0 * d)) / (2.0 * (1.0 - e) ** 2)
 
 
 def _rho_moments(a: np.ndarray) -> np.ndarray:
-    """R_i(A) = int rho_{-A} theta_i dV_0 in closed form at A = sum_i a_i T_i.
+    """R_i(A) = int rho_{-A} theta_i dV_0 = (u* T_i u) K(d) at A = sum_i a_i T_i.
 
-    With A = U diag(lam_min, lam_max) U* and u the lam_min column,
-    rho_{-A} = log(e^{-2 lam_min} t + e^{-2 lam_max} (1 - t)) depends on
-    t = |<u, Z>|^2 / |Z|^2 alone.  At fixed t the fibre mean of theta_i is
-    (u* T_i u)(2t - 1), since T_i is traceless.  t is uniform under dV_0
-    (Archimedes' hat-box theorem), and integrating over t gives K(d) with
-    d = 2 (lam_max - lam_min).  In coordinates lam = +-sqrt(3) |a|, so
-    d = 4 sqrt(3) |a| and u* T_i u = -sqrt(3) a_i / |a|.  |a| is a hypot,
-    finite where a sum of squares overflows; past 1e308 d = inf, K = 1/2.
+    u is the lam_min eigenvector of A and d = 2 (lam_max - lam_min): rho_{-A}
+    depends on t = |<u, Z>|^2 / |Z|^2 alone, t is uniform under dV_0 (the
+    hat-box theorem), and the fibre mean of theta_i is (u* T_i u)(2t - 1).
+    In coordinates d = 4 sqrt(3) |a| and u* T_i u = -sqrt(3) a_i / |a|; |a|
+    is a hypot, finite where a sum of squares overflows (past 1e308 K = 1/2).
     """
     r = math.hypot(*a)
     if r == 0.0:
         return np.zeros(3)
     return (-_SQRT3 * _hat_box_kernel(4.0 * _SQRT3 * r) / r) * a
+
+
+def _check_damping(damping: float) -> None:
+    if not 0.0 < damping < 1.0:  # see estimate_contraction
+        raise ValueError(f"damping must lie in (0, 1), got {damping}")
 
 
 def _t_map(a: np.ndarray, Phi: np.ndarray, damping: float):
@@ -239,32 +236,27 @@ def _t_map(a: np.ndarray, Phi: np.ndarray, damping: float):
     return a - damping * v, v
 
 
-def _phi_moments(phi: Callable, L: np.ndarray, rtol: float) -> np.ndarray:
-    """Phi_i = int phi theta_i dV_0: phi.moments(L) where phi has it, else
+def _phi_moments(phi: Callable, rtol: float) -> np.ndarray:
+    """Phi_i = int phi theta_i dV_0: phi.moments() where phi has it, else
     one vector-valued cp1_integral pass, within that function's domain."""
-    if L.shape[1] != 2:
-        raise UnsupportedDimensionError("centering integrals are implemented for n = 1 only")
     if hasattr(phi, "moments"):
-        return phi.moments(L)
-    T = L.transpose(1, 2, 0)
-
-    def F(z):
-        return phi(z) * _form_ratio(T.reshape(T.shape + (1,) * np.ndim(z)), z)
-
-    return cp1_integral(F, fs_weight, rtol=rtol, atol=1e-13)
+        return phi.moments()
+    T = build_L(1).transpose(1, 2, 0)
+    return cp1_integral(lambda z: phi(z) * _form_ratio(T.reshape(T.shape + (1,) * np.ndim(z)), z),
+                        fs_weight, rtol=rtol, atol=1e-13)
 
 
-def centering_residual(A: TracelessHermitian, phi: Callable, L: np.ndarray,
-                       rtol: float = 1e-10) -> np.ndarray:
+def centering_residual(A: TracelessHermitian, phi: Callable, rtol: float = 1e-10) -> np.ndarray:
     """The centering integrals v_i(A) = int (phi - rho_{-A}) theta_i dV_0 as
     Phi - R(A): Phi at this rtol (_phi_moments), R(A) exact (_rho_moments)."""
-    return _phi_moments(phi, L, rtol) - _rho_moments(_coords(A.matrix))
+    return _phi_moments(phi, rtol) - _rho_moments(_coords(A.matrix))
 
 
 def t_step(A: TracelessHermitian, phi: Callable, rtol: float = 1e-10,
            damping: float = 0.5) -> TracelessHermitian:
     """One step of the centering map T(A) = A - damping * sum_i v_i(A) T_i."""
-    return _matrix(_t_map(_coords(A.matrix), _phi_moments(phi, build_L(1), rtol), damping)[0])
+    _check_damping(damping)
+    return _matrix(_t_map(_coords(A.matrix), _phi_moments(phi, rtol), damping)[0])
 
 
 @dataclass
@@ -288,49 +280,45 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *,
            eta: float = 0.1, damping: float = 0.5, rtol: float = 1e-10) -> CenteringState:
     """Iterate the centering map from A = 0 until the integrals vanish.
 
-    tol and damping must be positive (ValueError otherwise).  Requires
-    the C0 norm of phi to sit below eta, the calibrated contraction
-    threshold.  phi.sup_norm() gives it where phi has it; a plain callable
-    is read on an 81 x 32 chart grid, from below and, for forms and gauge
-    potentials, at most 5.3e-3 relative short of the sup (the worst
-    directions read 5.20e-3 and 5.19e-3 at norm 0.05), so a callable whose
-    sup is up to that fraction above eta passes.  The iteration raises
-    DivergenceError after five consecutive growing steps and
-    NonConvergenceError past max_iter, with the partial state attached.
+    tol must be positive and damping lie in (0, 1) (ValueError otherwise),
+    and phi's C0 norm at most eta, the calibrated contraction threshold:
+    phi.sup_norm() where phi has it, else its max on an 81 x 32 chart grid,
+    which reads forms and gauge potentials at most 5.3e-3 relative below
+    the sup, so a callable up to that fraction above eta passes.
 
-    Only rho_{-A} changes between iterates, so Phi = int phi theta_i dV_0
-    is computed once (_phi_moments) and every iterate is one coordinate
-    step (_t_map) along Phi - R(a), with R exact.
+    Phi = int phi theta_i dV_0 is computed once (_phi_moments); each
+    iterate is one coordinate step (_t_map) along Phi - R(a), R exact, and
+    each step is shorter than the one before (estimate_contraction).
+    |R| < sqrt(3) / 2, so for |Phi| >= sqrt(3) / 2 no centre exists and
+    NonConvergenceError is raised before the first step, else past
+    max_iter; either carries the state reached.
     """
-    if not (tol > 0 and damping > 0):
-        raise ValueError(f"tol and damping must be positive, got {tol} and {damping}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    _check_damping(damping)
     exact = hasattr(phi, "sup_norm")
     sup = phi.sup_norm() if exact else _sup_norm_estimate(phi)
     if sup > eta:
         raise ValueError(f"potential C0 norm {'' if exact else 'estimate '}{sup:.4g} "
                          f"exceeds the contraction threshold {eta}")
-    Phi = _phi_moments(phi, build_L(1), rtol)
-    a = new = np.zeros(3)
-    trace, grow, step = [], 0, 0.0
+    Phi = _phi_moments(phi, rtol)
+    size = math.hypot(*Phi)
+    if not size < _SQRT3 / 2:
+        raise NonConvergenceError(f"no centre exists: |Phi| = {size:.6g} is not below sqrt(3)/2",
+                                  state=CenteringState(0, TracelessHermitian.zero(1), Phi, 0.0,
+                                                       False, ((0, 0.0, size),)))
+    a, trace, step = np.zeros(3), [], 0.0
     for k in range(max(max_iter, 0) + 1):
-        if k:  # move to the iterate that the previous _t_map gave
-            prev_step, step = step, _SQRT6 * math.hypot(*(new - a))
-            grow = grow + 1 if k > 1 and step > prev_step else 0
-            a = new
         new, r = _t_map(a, Phi, damping)
-        rnorm = math.hypot(*r)
-        trace.append((k, step, rnorm))
-        converged = grow < 5 and rnorm < tol and step < tol
-        if converged or grow >= 5:
+        trace.append((k, step, math.hypot(*r)))
+        converged = trace[-1][2] < tol and step < tol  # the residual norm just recorded
+        if converged or k >= max_iter:
             break
-    else:
-        k = max_iter
+        step, a = _SQRT6 * math.hypot(*(new - a)), new  # the iterate _t_map gave
     state = CenteringState(k, _matrix(a), r, step, converged, tuple(trace))
-    if grow >= 5:
-        raise DivergenceError("step norms grew for 5 consecutive iterations", state=state)
     if not converged:
         raise NonConvergenceError(f"no convergence within {max_iter} iterations "
-                                  f"(residual {rnorm:.3e})", state=state)
+                                  f"(residual {state.residual_norm:.3e})", state=state)
     return state
 
 
@@ -345,26 +333,20 @@ def _sup_norm_estimate(phi: Callable) -> float:
     return float(np.max(np.abs(np.asarray(phi(_C0_GRID), dtype=float))))
 
 
-def estimate_contraction(phi: Callable, n_pairs: int = 5, radius: float = 0.05,
-                         rtol: float = 1e-9, seed: int = 0, damping: float = 0.5) -> float:
-    """Largest observed ||T(B)-T(A)|| / ||B-A|| over random pairs in the ball.
+def estimate_contraction(radius: float = 0.05, damping: float = 0.5) -> float:
+    """The exact sup of ||T(B) - T(A)||_F / ||B - A||_F over the ball ||A||_F <= radius.
 
-    phi is fixed, so Phi = int phi theta_i dV_0 is computed once at this
-    rtol; each of the 2 n_pairs steps is one coordinate step (_t_map).
+    Phi cancels from T(B) - T(A), so this holds for every potential: it is
+    the largest |eigenvalue| on the ball of the symmetric Jacobian of
+    a + damping R(a), 1 - 12 damping K'(d) and 1 - 12 damping K(d) / d
+    (twice) at d = 4 sqrt(3) |a| <= 2 sqrt(2) radius.  There
+    0 < K' = 1/2 - K coth(d/2) <= K / d <= 1/6, both falling, so for
+    damping in (0, 1) every eigenvalue lies in [1 - 2 damping, 1).
     """
-    rng = np.random.default_rng(seed)
-
-    def sample() -> np.ndarray:
-        M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        a = _coords(TracelessHermitian(M).matrix)
-        return a * (radius * rng.uniform(0.2, 1.0) / max(_SQRT6 * math.hypot(*a), 1e-30))
-
-    Phi = _phi_moments(phi, build_L(1), rtol)
-    worst = 0.0
-    for _ in range(n_pairs):
-        a, b = sample(), sample()
-        gap = math.hypot(*(b - a))
-        if _SQRT6 * gap >= 1e-12:
-            step = _t_map(b, Phi, damping)[0] - _t_map(a, Phi, damping)[0]
-            worst = max(worst, math.hypot(*step) / gap)
-    return worst
+    _check_damping(damping)
+    if not radius >= 0:
+        raise ValueError(f"radius must be at least 0, got {radius}")
+    d = 2.0 * math.sqrt(2.0) * radius
+    # below d = 1e-8, K' = 1/6 - d^2/60 rounds to 1/6
+    slope = 0.5 - _hat_box_kernel(d) / math.tanh(0.5 * d) if d > 1e-8 else 1.0 / 6.0
+    return max(abs(1.0 - 2.0 * damping), abs(1.0 - 12.0 * damping * slope))

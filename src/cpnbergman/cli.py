@@ -297,10 +297,8 @@ def _cmd_center(cfg) -> str:
     state = center(phi, tol=_float(cfg, "tol"), max_iter=_int(cfg, "max_iter"),
                    eta=_float(cfg, "eta"), damping=_float(cfg, "damping"))
     if cfg["trace_out"]:
-        rows = [(str(k), _fmt(sn), _fmt(rn)) for k, sn, rn in state.trace]
-        text = _csv_text(["iteration", "step_norm", "residual_norm"], rows)
-        with open(cfg["trace_out"], "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        rows = state.trace_csv_rows()
+        _write_payload(_csv_text(rows[0], rows[1:]), cfg["trace_out"])
     payload = {
         "potential": kind,
         "scale": scale,

@@ -39,7 +39,3 @@ class NonConvergenceError(ComputationError):
     def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state
-
-
-class DivergenceError(NonConvergenceError):
-    """An iteration produced growing steps and was aborted."""

@@ -10,7 +10,6 @@ import centering_reference
 
 from cpnbergman import centering, quadrature
 from cpnbergman import (
-    DivergenceError,
     NonConvergenceError,
     TracelessHermitian,
     UnsupportedDimensionError,
@@ -143,8 +142,7 @@ class TestResidual:
         A = TracelessHermitian(M)
         A = A.scaled(0.04 / A.norm)
         for phi in (lambda z: sum(p(z) for p in pots), gauge_potential(A.scaled(0.5))):
-            L = build_L(1)
-            got = centering_residual(A, phi, L)
+            got = centering_residual(A, phi)
             want = _residual_per_component(A, phi)
             assert np.max(np.abs(got - want)) < 1e-12
             assert np.max(np.abs(want)) > 1e-3
@@ -231,7 +229,7 @@ class TestNodeCache:
         want = _uncached_residual(state.A, phi, L, rtol=1e-12)
         assert np.max(np.abs(state.residual - want)) <= 1e-12
         A = TracelessHermitian(np.array([[0.02, -0.01 + 0.015j], [-0.01 - 0.015j, -0.02]]))
-        got = centering_residual(A, phi, L)
+        got = centering_residual(A, phi)
         assert np.max(np.abs(got - _uncached_residual(A, phi, L, rtol=1e-12))) <= 1e-12
 
 
@@ -384,10 +382,9 @@ class TestHermitianPotentials:
 
     @pytest.mark.parametrize("kind", ["form", "gauge"])
     def test_moments_match_quadrature(self, kind):
-        L = build_L(1)
         for pot in self._cases(kind):
-            got = pot.moments(L)
-            want = centering._phi_moments(_callable(pot), L, rtol=1e-12)
+            got = pot.moments()
+            want = centering._phi_moments(_callable(pot), rtol=1e-12)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
 
     @pytest.mark.parametrize("kind", ["form", "gauge"])
@@ -450,8 +447,8 @@ class TestHermitianPotentials:
         for make in ("gauge", "eigenbasis", "zero"):
             phi = _POTENTIALS[make]()
             assert center(phi).converged
-            estimate_contraction(phi, n_pairs=2)
-            centering_residual(DIAG.scaled(0.01), phi, build_L(1))
+            centering_residual(DIAG.scaled(0.01), phi)
+        estimate_contraction()
         assert not passes
         center(_POTENTIALS["gauge-callable"]())
         assert passes
@@ -469,9 +466,10 @@ class TestHermitianPotentials:
         for make in ("gauge", "eigenbasis", "zero"):
             phi = _POTENTIALS[make]()
             assert center(phi).converged
-            estimate_contraction(phi, n_pairs=2)
             t_step(DIAG.scaled(0.01), phi)
-            centering_residual(DIAG.scaled(0.01), phi, build_L(1))
+            centering_residual(DIAG.scaled(0.01), phi)
+        for radius in (0.0, 1e-9, 0.05, 2.0, 1e3, math.inf):
+            estimate_contraction(radius, 0.5)
         assert not calls
         center(_callable(gauge_potential(DIAG.scaled(0.01))))  # a fresh B, whose expm is not cached
         assert calls
@@ -513,8 +511,99 @@ class TestStepMap:
 
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_contraction_constant(self, index):
+        # Phi cancels from T(B) - T(A), so one constant bounds every
+        # potential's pairs; 0.0020 at radius 0.05 and damping 0.5
         phi = eigenbasis_potential(first_eigenbasis(1)[index], 0.05)
-        assert estimate_contraction(phi, n_pairs=4) <= 0.5
+        bound = estimate_contraction()
+        assert bound == pytest.approx(0.0020, abs=5e-5) and bound <= 0.5
+        pairs = _ball_pairs(np.random.default_rng(index), 0.05, 100)
+        assert _sampled_rate(pairs, phi.moments(), 0.5) <= bound * (1.0 + 1e-9)
+
+    RATE_GRID = [(radius, damping) for radius in (0.05, 0.5, 2.0, 10.0)
+                 for damping in (0.1, 0.5, 0.9)]
+
+    @pytest.mark.parametrize("radius,damping", RATE_GRID)
+    def test_exact_constant_bounds_and_reaches_sampled_pairs(self, radius, damping):
+        # random pairs, far apart and close together, read 0.65 to 1.0 of it;
+        # a short radial pair at the rim and a short pair at the origin
+        # reach its two candidates 1 - 12 damping K'(d) and 1 - 2 damping
+        bound = estimate_contraction(radius, damping)
+        rng = np.random.default_rng(int(100 * radius) + int(10 * damping))
+        Phi = np.array([0.01, -0.02, 0.03])
+        assert _sampled_rate(_ball_pairs(rng, radius, 200), Phi, damping) <= bound * (1.0 + 1e-9)
+        e = np.array([0.6, 0.0, 0.8]) / math.sqrt(6.0)
+        h = 1e-6 * radius
+        reached = _sampled_rate([((radius - h) * e, radius * e), (-h * e, h * e)], Phi, damping)
+        assert reached == pytest.approx(bound, rel=1e-5)
+
+    @pytest.mark.parametrize("damping", [1e-3, 0.1, 0.5, 0.9, 0.999])
+    def test_exact_constant_matches_mpmath(self, damping):
+        # max(|1 - 2 damping|, |1 - 12 damping K'(2 sqrt(2) radius)|), K' by
+        # mpmath.diff of K at 40 digits.  K' = 1/2 - K coth(d/2) is a
+        # difference of numbers near 1/2, so it carries about 1e-16, and
+        # 12 damping times that (measured 1.17e-15 over 1,500 pairs of
+        # radius in [1e-9, 1e3] and these dampings)
+        with mpmath.workdps(40):
+            def K(d):
+                return (mpmath.sinh(d) - d) / (2 * (mpmath.cosh(d) - 1))
+
+            for radius in (0.0, 1e-12, 1e-6, 1e-3, 0.05, 0.5, 2.0, 10.0, 60.0, 1e3):
+                d = 2 * mpmath.sqrt(2) * mpmath.mpf(radius)
+                slope = mpmath.diff(K, d) if d else mpmath.mpf(1) / 6
+                want = max(abs(1 - 2 * mpmath.mpf(damping)),
+                           abs(1 - 12 * mpmath.mpf(damping) * slope))
+                got = estimate_contraction(radius, damping)
+                assert abs(mpmath.mpf(got) - want) <= 2e-15, (radius, got)
+
+    def test_kernel_slope_ordering(self):
+        # 0 < K' <= K / d <= 1/6, both falling: every eigenvalue of the
+        # step's Jacobian, 1 - 12 damping K' or 1 - 12 damping K / d, lies in
+        # [1 - 2 damping, 1); K' = csch^2(x) (x coth x - 1) / 2 at x = d/2
+        # is K's derivative, K = (coth x - x csch^2 x) / 2, written out
+        with mpmath.workdps(60):
+            prev = (mpmath.mpf(1) / 6, mpmath.mpf(1) / 6)
+            for d in np.geomspace(1e-6, 178.0, 80):
+                x = mpmath.mpf(float(d)) / 2
+                slope = (x * mpmath.coth(x) - 1) / (2 * mpmath.sinh(x) ** 2)
+                ratio = (mpmath.coth(x) - x / mpmath.sinh(x) ** 2) / (4 * x)
+                assert 0 < slope <= ratio <= mpmath.mpf(1) / 6
+                assert slope < prev[0] and ratio < prev[1]
+                prev = (slope, ratio)
+
+    @pytest.mark.parametrize("kwargs", [{"damping": 0.0}, {"damping": 1.0}, {"damping": 1.5},
+                                        {"damping": math.nan}, {"radius": -1e-3},
+                                        {"radius": math.nan}])
+    def test_exact_constant_domain(self, kwargs):
+        with pytest.raises(ValueError):
+            estimate_contraction(**kwargs)
+
+    def test_exact_constant_at_the_extremes(self):
+        assert estimate_contraction(0.0, 0.5) == 0.0
+        assert estimate_contraction(0.0, 0.25) == 0.5
+        assert estimate_contraction(math.inf, 0.5) == 1.0
+        assert estimate_contraction(1e-300, 0.9) == pytest.approx(0.8, rel=1e-15)
+
+    def test_no_step_grows(self):
+        # damping in (0, 1) puts every eigenvalue of the step's Jacobian in
+        # [1 - 2 damping, 1): over 400 seeded (Phi, damping) pairs no step is
+        # longer than the one before it (measured: none grows at all)
+        rng = np.random.default_rng(24)
+        for _ in range(400):
+            Phi = rng.normal(size=3)
+            Phi *= rng.uniform(0.0, 0.85) / np.linalg.norm(Phi)
+            damping = rng.uniform(0.01, 0.99)
+            pot = centering.FormPotential(centering._matrix(Phi).matrix)
+            try:
+                state = center(pot, eta=2.0, damping=damping)
+            except NonConvergenceError as exc:  # damping near 0 is slow
+                state = exc.state
+            steps = [row[1] for row in state.trace[1:]]
+            assert all(cur - prev <= 1e-14 for prev, cur in zip(steps, steps[1:])), damping
+
+    def test_damping_outside_0_1_rejected(self):
+        for damping in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match=r"damping must lie in \(0, 1\)"):
+                t_step(DIAG.scaled(0.01), zero_potential, damping=damping)
 
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
@@ -575,8 +664,7 @@ class TestCenter:
     def test_residual_at_fixed_point(self):
         phi = eigenbasis_potential(first_eigenbasis(1)[2], 0.05)
         state = center(phi)
-        L = build_L(1)
-        r = centering_residual(state.A, phi, L)
+        r = centering_residual(state.A, phi)
         assert np.max(np.abs(r)) < 1e-8
 
     def test_large_potential_rejected(self):
@@ -593,20 +681,30 @@ class TestCenter:
         assert not state.converged
         assert state.iteration == 2
 
-    def test_divergence_detected(self):
-        # near the fixed point a step multiplies the error by 1 - 2 damping,
-        # so damping 1.5 doubles it each step
-        phi = eigenbasis_potential(first_eigenbasis(1)[2], 0.05)
-        with pytest.raises(DivergenceError):
-            center(phi, damping=1.5, max_iter=50)
-
     @pytest.mark.parametrize("kwargs", [{"damping": 0.0}, {"damping": -0.6}, {"tol": 0.0},
-                                        {"tol": -1.0}, {"tol": math.nan}])
+                                        {"tol": -1.0}, {"tol": math.nan}, {"damping": 1.0},
+                                        {"damping": 1.5}])
     def test_nonpositive_tol_or_damping_rejected(self, kwargs):
-        # damping 0 and tol -1 once ran all 50 iterations before raising
+        # damping 0 and tol -1 once ran all 50 iterations before raising;
+        # near the centre a step multiplies the error by 1 - 2 damping, so
+        # damping 1 ran all 50 and damping 1.5 doubled the error each step
         phi = eigenbasis_potential(first_eigenbasis(1)[2], 0.05)
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match=r"tol must be positive|damping must lie in \(0, 1\)"):
             center(phi, **kwargs)
+
+    def test_no_centre_raises_before_the_first_step(self):
+        # |R| < sqrt(3)/2, so at |Phi| = 1 no centre exists: this once ran
+        # all 50 steps to the residual 1 - sqrt(3)/2
+        phi = eigenbasis_potential(first_eigenbasis(1)[2], 1.0)
+        with pytest.raises(NonConvergenceError, match=r"\|Phi\| = 1 is not below sqrt\(3\)/2") as info:
+            center(phi, eta=2.0)
+        state = info.value.state
+        assert state.iteration == 0 and not state.converged and state.A.norm == 0.0
+        assert state.residual_norm == pytest.approx(1.0, rel=1e-15)
+        assert state.trace == ((0, 0.0, state.residual_norm),)
+        # just inside the domain a centre exists, and is reached
+        inside = eigenbasis_potential(first_eigenbasis(1)[2], 0.8)
+        assert center(inside, eta=2.0, max_iter=200).converged
 
     def test_trace_rows_shape(self):
         phi = eigenbasis_potential(first_eigenbasis(1)[2], 0.05)
@@ -615,6 +713,27 @@ class TestCenter:
         assert rows[0] == ("iteration", "step_norm", "residual_norm")
         assert len(rows) == state.iteration + 2
         assert all(len(row) == 3 for row in rows)
+
+
+def _ball_pairs(rng, radius, count):
+    """count random pairs of coordinate vectors in the ball ||A||_F <= radius,
+    half of them far apart and half a short step apart."""
+    def point(scale):
+        a = rng.normal(size=3)
+        return a * (scale * rng.uniform() ** (1 / 3) / (math.sqrt(6.0) * np.linalg.norm(a)))
+
+    pairs = [(point(radius), point(radius)) for _ in range(count // 2)]
+    for _ in range(count - count // 2):
+        a, u = point(0.999 * radius), point(1e-4 * radius)
+        pairs.append((a, a + u))
+    return pairs
+
+
+def _sampled_rate(pairs, Phi, damping):
+    """max ||T(b) - T(a)|| / ||b - a|| over the pairs, through the solver's step."""
+    return max(math.hypot(*(centering._t_map(b, Phi, damping)[0]
+                            - centering._t_map(a, Phi, damping)[0])) / math.hypot(*(b - a))
+               for a, b in pairs)
 
 
 def _lift(z):

@@ -283,6 +283,8 @@ class TestErrorChannels:
         ["center", "--damping", "0"],
         ["center", "--potential", "eigenbasis-diag", "--damping=-0.5"],
         ["center", "--potential", "eigenbasis-diag", "--tol=-1"],
+        ["center", "--damping", "1"],
+        ["center", "--potential", "eigenbasis-diag", "--damping", "1.5"],
     ])
     def test_outside_the_domain_exit_2(self, capsys, args):
         # each once exited 0 with zeros or "pass": true, or ran to exit 3 or 4
@@ -310,3 +312,14 @@ class TestErrorChannels:
         err = json.loads(proc.stdout or proc.stderr)
         assert err["error"]["type"] == "NonConvergenceError"
         assert err["error"]["iterations"] == 2
+
+    def test_no_centre_exit_4_before_the_first_step(self, capsys):
+        # |Phi| = 1 is past sqrt(3)/2 > |R|: this once ran all 50 steps and
+        # stopped at the residual 1 - sqrt(3)/2
+        args = ["center", "--potential", "eigenbasis-diag", "--scale", "1", "--eta", "2"]
+        assert main(args) == 4
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "NonConvergenceError"
+        assert "|Phi| = 1 is not below sqrt(3)/2" in error["message"]
+        assert error["iterations"] == 0
+        assert error["residual_norm"] == pytest.approx(1.0, rel=1e-15)
