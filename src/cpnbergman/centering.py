@@ -16,10 +16,11 @@ quadrature otherwise), and R_i(A) = int rho_{-A} theta_i, a closed form
 on CP^1 by Archimedes' hat-box theorem (the n = 1 case of
 Duistermaat-Heckman), with |R| < sqrt(3) / 2.
 
-An iterate is a <- a - damping (Phi - R(a)) on the coordinates
-a_i = tr(A T_i) / 6 of A in the basis T_i = build_L(1), at the exact rate
-of estimate_contraction.  Types are dimension-generic; the integrals (and
-so t_step/center) are implemented for n = 1 only.
+So a centre exists iff |Phi| < sqrt(3) / 2.  An iterate is
+a <- a - damping (Phi - R(a)) on the coordinates a_i = tr(A T_i) / 6 of A
+in the basis T_i = build_L(1), at the exact rate of estimate_contraction,
+below 1 on bounded balls for damping in (0, 1).  Types are
+dimension-generic; the integrals (and so t_step/center) are n = 1 only.
 """
 
 from __future__ import annotations
@@ -99,17 +100,14 @@ def rho_potential(A: TracelessHermitian, z):
 class GaugePotential:
     """rho_B as a chart potential of z; rho_0 is identically zero.
 
-    rho_B lies between 2 lam_min(B) and 2 lam_max(B), +-2 sqrt(3) |b| for
-    the coordinates b of B, and its moments are R(-b): both exact on CP^1.
+    Its moments are R(-b) for the coordinates b of B, exact on CP^1; as
+    |R| < sqrt(3) / 2 for every B, its centre -B always exists.
     """
 
     B: TracelessHermitian
 
     def __call__(self, z):
         return rho_potential(self.B, z)
-
-    def sup_norm(self) -> float:
-        return 2.0 * _SQRT3 * math.hypot(*_coords(self.B.matrix))
 
     def moments(self) -> np.ndarray:
         return _rho_moments(-_coords(self.B.matrix))
@@ -120,16 +118,13 @@ class FormPotential:
     """<T Z, Z> / |Z|^2 on CP^1 for a traceless Hermitian 2 x 2 matrix T.
 
     Its centering integrals are the exact pairings tau_i = tr(T T_i) / 6,
-    the coordinates of T, and its range is [lam_min, lam_max] = +-sqrt(3) |tau|.
+    the coordinates of T, so its centre exists iff |tau| < sqrt(3) / 2.
     """
 
     matrix: np.ndarray
 
     def __call__(self, z):
         return _form_ratio(self.matrix, np.asarray(z))
-
-    def sup_norm(self) -> float:
-        return _SQRT3 * math.hypot(*_coords(self.matrix))
 
     def moments(self) -> np.ndarray:
         return _coords(self.matrix)
@@ -236,27 +231,27 @@ def _t_map(a: np.ndarray, Phi: np.ndarray, damping: float):
     return a - damping * v, v
 
 
-def _phi_moments(phi: Callable, rtol: float) -> np.ndarray:
+def _phi_moments(phi: Callable) -> np.ndarray:
     """Phi_i = int phi theta_i dV_0: phi.moments() where phi has it, else
-    one vector-valued cp1_integral pass, within that function's domain."""
+    one vector-valued cp1_integral pass at rtol 1e-10, within that
+    function's domain."""
     if hasattr(phi, "moments"):
         return phi.moments()
     T = build_L(1).transpose(1, 2, 0)
     return cp1_integral(lambda z: phi(z) * _form_ratio(T.reshape(T.shape + (1,) * np.ndim(z)), z),
-                        fs_weight, rtol=rtol, atol=1e-13)
+                        fs_weight, rtol=1e-10, atol=1e-13)
 
 
-def centering_residual(A: TracelessHermitian, phi: Callable, rtol: float = 1e-10) -> np.ndarray:
+def centering_residual(A: TracelessHermitian, phi: Callable) -> np.ndarray:
     """The centering integrals v_i(A) = int (phi - rho_{-A}) theta_i dV_0 as
-    Phi - R(A): Phi at this rtol (_phi_moments), R(A) exact (_rho_moments)."""
-    return _phi_moments(phi, rtol) - _rho_moments(_coords(A.matrix))
+    Phi - R(A): Phi by _phi_moments, R(A) exact (_rho_moments)."""
+    return _phi_moments(phi) - _rho_moments(_coords(A.matrix))
 
 
-def t_step(A: TracelessHermitian, phi: Callable, rtol: float = 1e-10,
-           damping: float = 0.5) -> TracelessHermitian:
+def t_step(A: TracelessHermitian, phi: Callable, *, damping: float = 0.5) -> TracelessHermitian:
     """One step of the centering map T(A) = A - damping * sum_i v_i(A) T_i."""
     _check_damping(damping)
-    return _matrix(_t_map(_coords(A.matrix), _phi_moments(phi, rtol), damping)[0])
+    return _matrix(_t_map(_coords(A.matrix), _phi_moments(phi), damping)[0])
 
 
 @dataclass
@@ -277,32 +272,25 @@ class CenteringState:
 
 
 def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *,
-           eta: float = 0.1, damping: float = 0.5, rtol: float = 1e-10) -> CenteringState:
+           damping: float = 0.5) -> CenteringState:
     """Iterate the centering map from A = 0 until the integrals vanish.
 
-    tol must be positive and damping lie in (0, 1) (ValueError otherwise),
-    and phi's C0 norm at most eta, the calibrated contraction threshold:
-    phi.sup_norm() where phi has it, else its max on an 81 x 32 chart grid,
-    which reads forms and gauge potentials at most 5.3e-3 relative below
-    the sup, so a callable up to that fraction above eta passes.
-
-    Phi = int phi theta_i dV_0 is computed once (_phi_moments); each
-    iterate is one coordinate step (_t_map) along Phi - R(a), R exact, and
-    each step is shorter than the one before (estimate_contraction).
+    tol must be positive, damping lie in (0, 1) and Phi finite (ValueError
+    otherwise).  Phi = int phi theta_i dV_0 is computed once (_phi_moments);
     |R| < sqrt(3) / 2, so for |Phi| >= sqrt(3) / 2 no centre exists and
-    NonConvergenceError is raised before the first step, else past
-    max_iter; either carries the state reached.
+    NonConvergenceError is raised before the first step.  Each iterate is
+    one coordinate step (_t_map), shorter than the one before
+    (estimate_contraction), until the residual and the step are below tol,
+    which does not bound the distance to the centre; else past max_iter
+    NonConvergenceError is raised.  Either error carries the state reached.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     _check_damping(damping)
-    exact = hasattr(phi, "sup_norm")
-    sup = phi.sup_norm() if exact else _sup_norm_estimate(phi)
-    if sup > eta:
-        raise ValueError(f"potential C0 norm {'' if exact else 'estimate '}{sup:.4g} "
-                         f"exceeds the contraction threshold {eta}")
-    Phi = _phi_moments(phi, rtol)
+    Phi = _phi_moments(phi)
     size = math.hypot(*Phi)
+    if not math.isfinite(size):
+        raise ValueError(f"the potential's centering integrals Phi = {Phi} are not finite")
     if not size < _SQRT3 / 2:
         raise NonConvergenceError(f"no centre exists: |Phi| = {size:.6g} is not below sqrt(3)/2",
                                   state=CenteringState(0, TracelessHermitian.zero(1), Phi, 0.0,
@@ -320,17 +308,6 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *,
         raise NonConvergenceError(f"no convergence within {max_iter} iterations "
                                   f"(residual {state.residual_norm:.3e})", state=state)
     return state
-
-
-# _sup_norm_estimate's 81 x 32 chart grid towards both poles, shared read-only
-_C0_GRID = np.outer(np.sqrt(1.0 / np.linspace(1e-4, 1.0, 81, endpoint=False) - 1.0),
-                    np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False))).ravel()
-_C0_GRID.flags.writeable = False
-
-
-def _sup_norm_estimate(phi: Callable) -> float:
-    # max |phi| on the chart grid, which can fall short of the sup (see center)
-    return float(np.max(np.abs(np.asarray(phi(_C0_GRID), dtype=float))))
 
 
 def estimate_contraction(radius: float = 0.05, damping: float = 0.5) -> float:

@@ -295,7 +295,7 @@ def _cmd_center(cfg) -> str:
     else:
         raise ValueError(f"unknown potential {kind!r}")
     state = center(phi, tol=_float(cfg, "tol"), max_iter=_int(cfg, "max_iter"),
-                   eta=_float(cfg, "eta"), damping=_float(cfg, "damping"))
+                   damping=_float(cfg, "damping"))
     if cfg["trace_out"]:
         rows = state.trace_csv_rows()
         _write_payload(_csv_text(rows[0], rows[1:]), cfg["trace_out"])
@@ -332,7 +332,7 @@ _COMMANDS = {
                          "s": 0.0, "step": 1e-5}),
     "center": (_cmd_center,
                {"potential": "zero", "scale": 0.05, "tol": 1e-8, "max_iter": 50,
-                "eta": 0.1, "damping": 0.5, "trace_out": None}),
+                "damping": 0.5, "trace_out": None}),
 }
 
 

@@ -76,10 +76,12 @@ def _extremum_candidates(coeffs) -> np.ndarray:
 
 
 class RadialProfile:
-    """Real radial function u(s) = sum_k c_k / (1+s)^k."""
+    """Real radial function u(s) = sum_k c_k / (1+s)^k, with finite c_k."""
 
     def __init__(self, coeffs: Sequence[float] = ()):
         c = [float(v) for v in coeffs]
+        if not all(map(math.isfinite, c)):
+            raise ValueError(f"profile coefficients must be finite, got {c}")
         while c and c[-1] == 0.0:
             c.pop()
         self.coeffs = tuple(c)
@@ -537,6 +539,8 @@ def first_variation(metric: RadialMetric, phi: RadialProfile, m: int, s: float =
     scale, so directions with an exactly vanishing derivative do not
     divide noise by noise.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"difference step {t} is not finite")
     if t < 1e-9:
         raise StepUnderflowError(f"difference step {t:.3e} is below the noise floor")
     if not metric.is_fubini_study:

@@ -36,6 +36,8 @@ def fit_expansion(samples: Sequence[Tuple], n: int, K: int) -> FitResult:
     Ill conditioning is reported through the condition field, never
     raised; the residual is the exact max deviation over the inputs.
     """
+    if K < 0:
+        raise ValueError(f"fit order K = {K} is negative")
     pairs = [(m, v) for m, v in samples]
     ms = [m for m, _ in pairs]
     if len(set(ms)) != len(ms):
@@ -81,6 +83,8 @@ class VanishingReport:
 def vanishing_report(fit: FitResult, n: int, tol: float) -> VanishingReport:
     if fit.K <= n:
         raise ValueError("fit order must exceed the dimension to test vanishing")
+    if not tol > 0:
+        raise ValueError(f"vanishing tol must be positive, got {tol}")
     entries = tuple((k, abs(fit.coeffs[k]) < tol) for k in range(n + 1, fit.K + 1))
     return VanishingReport(entries, fit.residual, float(tol))
 

@@ -109,6 +109,8 @@ def _resonant_ratio(n: int, k0: int) -> Tuple[List[int], List[int]]:
     """Integers i of the factors m + i of the numerator (m+n)...(m-k0+1)
     (m+k0(k0+n)) and the denominator (m+k0+n)...(m+n+1) of the variation
     at lambda = k0(k0+n)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     return list(range(-k0 + 1, n + 1)) + [k0 * (k0 + n)], list(range(n + 1, n + k0 + 1))
 
 

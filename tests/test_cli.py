@@ -208,6 +208,17 @@ class TestConfigMerge:
         golden = GOLDEN / "variation_n2_lambda7-3_J12_centered.json"
         assert proc.stdout == golden.read_text(encoding="utf-8")
 
+    def test_center_has_no_eta(self, tmp_path, capsys):
+        # the C0 threshold is gone: neither the flag nor the config key exists
+        with pytest.raises(SystemExit) as info:
+            main(["center", "--eta", "2"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta": 0.1}))
+        assert main(["center", "--config", str(cfg)]) == 2
+        assert "unknown config key 'eta'" in json.loads(capsys.readouterr().out)["error"]["message"]
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -285,12 +296,36 @@ class TestErrorChannels:
         ["center", "--potential", "eigenbasis-diag", "--tol=-1"],
         ["center", "--damping", "1"],
         ["center", "--potential", "eigenbasis-diag", "--damping", "1.5"],
+        # non-finite inputs: each once exited 3 or 4, or 2 with numpy's message
+        ["center", "--potential", "eigenbasis-diag", "--scale", "nan"],
+        ["density", "--metric", "eigenfunction-bump", "--eps", "inf", "--m-list", "5",
+         "--grid", "0"],
+        ["density", "--metric", "phi1-poly", "--coeffs", "0,0.05,nan", "--m-list", "5",
+         "--grid", "0"],
+        ["first-variation", "--phi", "eigenfunction-bump", "--eps", "1", "--step", "nan"],
+        ["first-variation", "--phi", "eigenfunction-bump", "--eps", "1", "--step", "inf"],
+        ["polynomiality", "--n", "0"],
     ])
     def test_outside_the_domain_exit_2(self, capsys, args):
         # each once exited 0 with zeros or "pass": true, or ran to exit 3 or 4
         assert main(args) == 2
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ValueError"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--K=-1"], "K = -1 is negative"),
+        (["--vanishing-tol", "nan"], "tol must be positive"),
+        (["--vanishing-tol", "0"], "tol must be positive"),
+    ])
+    def test_fit_outside_the_domain_exit_2(self, tmp_path, capsys, flags, message):
+        # --K -1 once exited 2 on numpy's "cond is not defined on empty arrays",
+        # and --vanishing-tol nan exited 0 with "tol": NaN, which is not JSON
+        samples = tmp_path / "samples.csv"
+        samples.write_text("m,value\n20,21\n30,31\n40,41\n")
+        assert main(["fit", "--samples", str(samples)] + flags) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError"
+        assert message in error["message"]
 
     def test_computation_error_exit_3(self):
         proc = run_cli(
@@ -316,7 +351,7 @@ class TestErrorChannels:
     def test_no_centre_exit_4_before_the_first_step(self, capsys):
         # |Phi| = 1 is past sqrt(3)/2 > |R|: this once ran all 50 steps and
         # stopped at the residual 1 - sqrt(3)/2
-        args = ["center", "--potential", "eigenbasis-diag", "--scale", "1", "--eta", "2"]
+        args = ["center", "--potential", "eigenbasis-diag", "--scale", "1"]
         assert main(args) == 4
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "NonConvergenceError"

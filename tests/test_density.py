@@ -74,6 +74,12 @@ class TestRadialProfile:
             assert r.value(s) == pytest.approx(0.1 * s / (1 + s) ** 2, rel=1e-14)
         assert RadialProfile.zero().is_zero
 
+    @pytest.mark.parametrize("coeffs", [[math.nan], [0.0, 0.05, math.nan], [-math.inf, math.inf]])
+    def test_non_finite_coefficients_rejected(self, coeffs):
+        # RadialProfile([nan]) once gave a metric whose scalar curvature read 2
+        with pytest.raises(ValueError, match="must be finite"):
+            RadialProfile(coeffs)
+
     def test_phi1_poly_constructor(self):
         u = RadialProfile([0.0, 0.0, 1.0])
         assert u.value(1.0) == pytest.approx(0.25)
@@ -689,6 +695,12 @@ def _exact_through_the_inverse(phi, m, s):
 
 class TestFirstVariation:
     FS = RadialMetric.fubini_study()
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_step_rejected(self, t):
+        # both once reached the section-norm quadrature and raised QuadratureError
+        with pytest.raises(ValueError, match="is not finite"):
+            first_variation(self.FS, RadialProfile.eigenfunction_bump(1.0), 20, t=t)
 
     def test_zero_potential(self):
         res = first_variation(self.FS, RadialProfile.zero(), 20)

@@ -97,6 +97,11 @@ class TestValidation:
         with pytest.raises(InsufficientSamplesError):
             fit_expansion([(10, 11.0), (10, 11.0), (20, 21.0)], 1, 2)
 
+    def test_negative_order_rejected(self):
+        # K = -1 once reached numpy's "cond is not defined on empty arrays"
+        with pytest.raises(ValueError, match="K = -1 is negative"):
+            fit_expansion([(10, 11.0), (20, 21.0)], 1, -1)
+
 
 class TestVanishingReport:
     def test_fs_cp1(self):
@@ -115,6 +120,13 @@ class TestVanishingReport:
         fit = fit_expansion(model_samples([1, 2, 3], 1, [4, 5, 6]), 1, 2)
         report = vanishing_report(fit, 1, tol=1e-8)
         assert list(report.entries) == [(2, False)]
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+    def test_requires_positive_tol(self, tol):
+        # tol nan once read every entry as not vanishing
+        fit = fit_expansion([(m, Fraction(m + 1)) for m in (10, 20, 30, 40)], 1, 3)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            vanishing_report(fit, 1, tol=tol)
 
     def test_requires_room_above_n(self):
         fit = fit_expansion(model_samples([1, 2], 1, [4, 5]), 1, 1)

@@ -135,6 +135,14 @@ class TestSigmaPrimeClosedForm:
         with pytest.raises(ValueError):
             sigma_prime_closed_form(1, 0, 4)
 
+    def test_rejects_n_below_1(self):
+        # n = 0 once returned a series, and polynomiality --n 0 a table
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="need n >= 1"):
+                sigma_prime_closed_form(n, 1, 4)
+            with pytest.raises(ValueError, match="need n >= 1"):
+                polynomiality_criterion(n, 1)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_polynomial_exactly_when_division_is_exact(self, n):
         # the series has lead n + 1, so index n + 1 holds m^0; a nonzero
