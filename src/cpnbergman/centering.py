@@ -48,8 +48,8 @@ class TracelessHermitian:
 
     def __init__(self, matrix):
         M = np.array(matrix, dtype=complex)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("matrix must be square")
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or not np.all(np.isfinite(M)):
+            raise ValueError("matrix must be square and finite")
         M = (M + M.conj().T) / 2.0
         d = M.diagonal().real - M.diagonal().real.mean()
         np.fill_diagonal(M, d)
@@ -154,6 +154,8 @@ def eigenbasis_potential(fn: EigenBasisFunction, scale: float) -> FormPotential:
     """scale times the basis function fn of the first eigenspace of CP^1."""
     if fn.n != 1:
         raise UnsupportedDimensionError("eigenbasis potentials are implemented for n = 1 only")
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     return FormPotential(scale * fn.normalization * fn._np)
 
 

@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .conversion import _exponents
 from .errors import QuadratureError
 
 # The (G15, K31) Gauss-Kronrod pair on [-1, 1] (Kronrod 1965; Piessens et
@@ -376,43 +377,39 @@ def fs_weight(s: np.ndarray) -> np.ndarray:
     return (1.0 + s) ** (-2)
 
 
-def _power_kernel(p: int, a, e: int) -> Callable[[np.ndarray], np.ndarray]:
-    """t -> t^p (a + t)^(-e), through logs; t > 0, as at every quadrature node."""
+def _power_kernel(p: int, e: int) -> Callable[[np.ndarray], np.ndarray]:
+    """An integrand over t > 0 with the integral of t^p (1 + t)^(-e), e > p + 1.
+
+    t -> 1/t makes p the smaller exponent.  Its value at a dyadic t0 near
+    the peak times exp of log1p terms in t - t0 has a rounding that does
+    not grow with e, unlike logs of t and 1 + t."""
+    p = min(p, e - p - 2)
+    t0 = max(round(2.0**20 * p / (e - p)), 1) / 2.0**20  # t0 and 1 + t0 exact
+    peak = t0**p * (1.0 + t0) ** -e
 
     def kernel(t: np.ndarray) -> np.ndarray:
-        expo = -e * np.log(a + t)
-        if p > 0:
-            expo = expo + p * np.log(t)
-        return np.exp(expo)
+        d = t - t0
+        return peak * np.exp(p * np.log1p(d / t0) - e * np.log1p(d / (1.0 + t0)))
 
     return kernel
 
 
 def monomial_kernel_quadrature(n: int, m: int, P, rtol: float = 1e-10) -> float:
-    """(1/pi^n) int |z^P|^2 (1+|z|^2)^{-(m+n+1)} dV by nested quadrature.
+    """(1/pi^n) int |z^P|^2 (1+|z|^2)^{-(m+n+1)} dV as n half-line passes.
 
-    Radial reduction gives an n-fold iterated integral of the power kernel
-    t^p (a + t)^(-e) (_power_kernel); n = 1 and n = 2 are supported,
-    matching the numeric validation scope.  n = 1 integrates the kernel
-    with a = 1, e = m + 2.  For n = 2 the inner integrals, with a = 1 + s1
-    and e = m + 3, at all nodes of an outer refinement step (up to two
-    panels, 62 nodes) are one vector-valued half-line pass, each row held to
-    0.1 rtol.  The exact rational counterpart is fs_monomial_integral.
-    """
-    P = tuple(int(p) for p in P)
-    if len(P) != n:
-        raise ValueError("multi-index length must equal n")
+    Radial reduction gives int s^P (1 + s_1 + ... + s_n)^(-e) ds, e = m + n + 1,
+    and s_n = (1 + s_1 + ... + s_{n-1}) t splits off the factor
+    int_0^inf t^(p_n) (1 + t)^(-e) dt, leaving the same form with e lowered by
+    p_n + 1.  Each factor is held to rtol / n, so their relative errors sum
+    to at most rtol.  n is 1 or 2, the numeric validation scope; the exact
+    counterpart is fs_monomial_integral."""
+    P = _exponents(P, n)
     if sum(P) > m:
         raise ValueError("requires |P| <= m")
-    if n == 1:
-        return integrate_half_line(_power_kernel(P[0], 1.0, m + 2), rtol=rtol)
-    if n == 2:
-        p1, p2 = P
-
-        def outer(s1: np.ndarray) -> np.ndarray:
-            # one vector pass: row i is int_0^inf t^p2 (1 + s1_i + t)^{-(m+3)} dt
-            inner = _power_kernel(p2, 1.0 + s1[:, None], m + 3)
-            return (s1 ** p1 if p1 else 1.0) * integrate_half_line(inner, rtol=0.1 * rtol)
-
-        return integrate_half_line(outer, rtol=rtol)
-    raise ValueError("nested monomial quadrature implemented for n in {1, 2}")
+    if n not in (1, 2):
+        raise ValueError("monomial quadrature implemented for n in {1, 2}")
+    value, e = 1.0, m + n + 1
+    for p in reversed(P):
+        value *= integrate_half_line(_power_kernel(p, e), rtol=rtol / n)
+        e -= p + 1
+    return value

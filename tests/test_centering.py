@@ -52,6 +52,14 @@ class TestTracelessHermitian:
         # det exp(A) = exp(tr A) = 1 for traceless A
         assert np.linalg.det(E) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("matrix", [np.diag([math.inf, -math.inf]), np.diag([math.nan, 0.0]),
+                                        [[0.0, complex(0.0, math.inf)], [0.0, 0.0]]])
+    def test_non_finite_matrix_rejected(self, matrix):
+        # an infinite entry once gave numpy's "invalid value" warnings, and
+        # a NaN entry a matrix of NaNs
+        with pytest.raises(ValueError, match="matrix must be square and finite"):
+            TracelessHermitian(matrix)
+
     def test_arithmetic(self):
         S = DIAG + DIAG.scaled(-1.0)
         assert S.norm == 0.0
@@ -433,6 +441,12 @@ class TestHermitianPotentials:
             want = 0.07 * fn.evaluate_lifts(chart_lift(1, z))
             np.testing.assert_allclose(eigenbasis_potential(fn, 0.07)(z), want, rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan])
+    def test_eigenbasis_potential_rejects_non_finite_scale(self, scale):
+        # inf once gave numpy's "invalid value" warning, nan a NaN form
+        with pytest.raises(ValueError, match="scale must be finite"):
+            eigenbasis_potential(first_eigenbasis(1)[2], scale)
+
     def test_eigenbasis_potential_needs_n_1(self):
         with pytest.raises(UnsupportedDimensionError):
             eigenbasis_potential(first_eigenbasis(2)[0], 0.05)
@@ -662,7 +676,7 @@ class TestCenter:
 
     def test_non_finite_phi_rejected(self):
         # nan once raised "no centre exists: |Phi| = nan"
-        for phi in (eigenbasis_potential(first_eigenbasis(1)[2], math.nan),
+        for phi in (centering.FormPotential(np.full((2, 2), math.nan)),
                     centering.FormPotential(np.diag([math.inf, -math.inf]))):
             with pytest.raises(ValueError, match="are not finite"):
                 center(phi)

@@ -327,6 +327,17 @@ class TestErrorChannels:
         assert error["type"] == "ValueError"
         assert message in error["message"]
 
+    @pytest.mark.parametrize("potential,message", [("gauge-diag", "matrix must be square and finite"),
+                                                   ("eigenbasis-diag", "scale must be finite")])
+    def test_non_finite_scale_exit_2_with_empty_stderr(self, potential, message):
+        # each once printed numpy's "invalid value" RuntimeWarnings on stderr
+        # before the non-finite Phi was rejected
+        proc = run_cli("center", "--potential", potential, "--scale", "inf")
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "ValueError" and message in error["message"]
+
     def test_computation_error_exit_3(self):
         proc = run_cli(
             "density", "--metric", "eigenfunction-bump", "--eps", "0.9", "--m-list", "5"

@@ -107,6 +107,12 @@ slow end 1 - 2 damping = -0.8 of the step's spectrum).
 gauge-diag at scale 0.5 (C0 norm 0.7071, 11 iterations) was pinned when
 the C0 threshold eta = 0.1 was removed, which had made it exit 2; the
 five other center files and both traces stayed byte-identical.
+When monomial_kernel_quadrature came to factor into one scalar
+half-line pass per coordinate, fs-check --n 2 was to be regenerated
+only if its max_rel_error stayed <= 1e-15 with pass true.  It did not
+change: max_rel_error is still 5.55e-16, where the same passes with
+kernels in logs of t and 1 + t read 7.77e-16 (log1p(t): 6.66e-16), and
+every file stayed byte-identical.
 """
 
 import subprocess

@@ -21,6 +21,7 @@ from cpnbergman import (
     monomial_kernel_quadrature,
     section_norms,
 )
+from monomial_reference import nested_monomial_quadrature
 
 
 def _legendre(n):
@@ -443,7 +444,7 @@ class TestMonomialKernel:
                 assert got == pytest.approx(exact, rel=1e-9), (n, m, P)
 
     def test_n2_matches_exact_over_bench_range(self):
-        # the inner integrals of an outer rule form one vector pass
+        # two scalar half-line passes per index, one per coordinate
         for m in range(4, 32):
             degree = m % 7
             for p1 in range(degree + 1):
@@ -451,9 +452,74 @@ class TestMonomialKernel:
                 exact = float(fs_monomial_integral(2, m, P))
                 assert monomial_kernel_quadrature(2, m, P) == pytest.approx(exact, rel=1e-9), (m, P)
 
+    @pytest.mark.parametrize("n,m,P", [
+        (1, 1000, (0,)), (1, 1000, (1,)), (1, 1000, (250,)), (1, 1000, (400,)),
+        (1, 1000, (999,)), (1, 1000, (1000,)),
+        (1, 5000, (0,)), (1, 5000, (1,)), (1, 5000, (60,)), (1, 5000, (4900,)),
+        (1, 5000, (5000,)),
+        (2, 1000, (0, 0)), (2, 1000, (3, 7)), (2, 1000, (1000, 0)), (2, 1000, (0, 1000)),
+        (2, 1000, (998, 1)), (2, 1000, (120, 40)), (2, 1000, (100, 800)),
+        (2, 5000, (0, 0)), (2, 5000, (3, 7)), (2, 5000, (5000, 0)), (2, 5000, (1, 4999)),
+        (2, 5000, (4998, 1)), (2, 5000, (40, 30)), (2, 5000, (4900, 50)),
+    ])
+    def test_large_m_within_1e_14(self, n, m, P):
+        # kernels in logs of t and 1 + t were up to 4.4e-13 off here, and
+        # the nested pass raised QuadratureError on an overflowing s1^p1
+        # for the larger p1.  Compared with the exact Fraction; every value
+        # is above tiny / rtol, since integrate_interval holds a total only
+        # to tiny absolute
+        exact = fs_monomial_integral(n, m, P)
+        assert float(exact) >= np.finfo(float).tiny / 1e-10
+        got = monomial_kernel_quadrature(n, m, P)
+        assert abs(float(Fraction(got) / exact) - 1.0) <= 1e-14
+
+    def test_one_scalar_pass_per_coordinate(self, monkeypatch):
+        # each coordinate is one scalar half-line pass at rtol / n; on the
+        # bench workload's indices (m = 4, 7, ..., 31, every split of
+        # |P| = m mod 7) each pass is one K31 rule, 2,356 kernel values in
+        # all, where the nested vector passes took 687,332
+        original = quadrature.integrate_interval
+        calls = []  # per pass: its rtol, then the size of each integrand call
+
+        def counted(f, *args, rtol, **kwargs):
+            calls.append([rtol])
+
+            def g(x):
+                out = f(x)
+                assert np.shape(out) == np.shape(x)  # a scalar integrand
+                calls[-1].append(out.size)
+                return out
+
+            return original(g, *args, rtol=rtol, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_interval", counted)
+        ops = [(m, (p1, m % 7 - p1)) for m in range(4, 32, 3) for p1 in range(m % 7 + 1)]
+        for m, P in ops:
+            monomial_kernel_quadrature(2, m, P, rtol=1e-10)
+        assert calls == [[0.5e-10, 31]] * (2 * len(ops))
+        assert sum(call[1] for call in calls) == 2356
+        calls.clear()
+        monomial_kernel_quadrature(1, 9, (4,), rtol=1e-10)
+        assert [call[0] for call in calls] == [1e-10]
+
+    @pytest.mark.parametrize("m,P", [(m, (p1, m % 7 - p1)) for m in range(4, 32)
+                                     for p1 in range(m % 7 + 1)]
+                             + [(m, P) for m in (100, 1000)
+                                for P in [(0, 0), (3, 7), (19, 0), (0, m), (1, m - 1), (19, m - 19)]])
+    def test_matches_the_nested_pass(self, m, P):
+        # the two-dimensional iterated integral, integrated as it stands,
+        # on indices where its s1^p1 stays finite
+        reference = nested_monomial_quadrature(m, P)
+        assert monomial_kernel_quadrature(2, m, P) == pytest.approx(reference, rel=1e-12)
+
     def test_rejects_unsupported_dimension(self):
         with pytest.raises(ValueError):
             monomial_kernel_quadrature(3, 2, (0, 0, 0))
+
+    def test_rejects_negative_component(self):
+        # (-1, 3) once overflowed in s1^-1 instead of being rejected
+        with pytest.raises(ValueError, match="nonnegative"):
+            monomial_kernel_quadrature(2, 2, (-1, 3))
 
     def test_rejects_overweight_index(self):
         with pytest.raises(ValueError):
