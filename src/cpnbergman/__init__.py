@@ -9,8 +9,7 @@ solver.
 from .conversion import (ConversionTable, admissible_eigenvalue_scan,
                          conversion_polynomials, delta_c_power_at_zero,
                          eigen_delta_c_values, fs_monomial_integral,
-                         laplacian_power_at_zero, mixed_laplacian_power_at_zero,
-                         polynomiality_criterion, variation_order1_polynomial,
+                         laplacian_power_at_zero, polynomiality_criterion,
                          variation_series_eigen)
 from .centering import (CenteringState, TracelessHermitian, build_L, center,
                         centering_residual, eigenbasis_potential, estimate_contraction,
@@ -19,15 +18,13 @@ from .density import (CurvatureReport, DensityResult, FirstVariationResult,
                       RadialMetric, RadialProfile, bergman_density,
                       first_variation, scalar_curvature, section_norms)
 from .errors import (ComputationError, InsufficientSamplesError, NonConvergenceError,
-                     PoleError, PositivityError, QuadratureError, StepUnderflowError,
+                     PositivityError, QuadratureError, StepUnderflowError,
                      UnsupportedDimensionError)
 from .fitting import (FitResult, VanishingReport, fit_expansion, load_samples_csv,
                       vanishing_report)
-from .projective import (EigenBasisFunction, HermitianRational, PhiK,
-                         chart_lift, eigenfunction_pairing_closed_form,
-                         eigenfunction_pairing_product, first_eigenbasis,
-                         fs_density_exact, fs_laplacian_radial, hermitian_pairing,
-                         pairing_step, phi_k_laplacian_residual, sigma_prime_closed_form)
+from .projective import (EigenBasisFunction, HermitianRational, chart_lift,
+                         eigenfunction_pairing_closed_form, first_eigenbasis,
+                         hermitian_pairing, sigma_prime_closed_form)
 from .quadrature import (cp1_integral, fs_weight, integrate_half_line,
                          integrate_interval, monomial_kernel_quadrature)
 from .ratpoly import InverseMSeries, RationalPolynomial

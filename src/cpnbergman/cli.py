@@ -248,7 +248,11 @@ def _cmd_fit(cfg) -> str:
 
 
 def _density_csv_samples(path, at_s: float):
-    """Pull (m, value) pairs for one grid point out of a density CSV."""
+    """Pull (m, value) pairs for one grid point out of a density CSV.
+
+    An exact match wins, so at_s = inf selects the s = inf row."""
+    if math.isnan(at_s):
+        raise ValueError("at_s must not be nan")
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "s":
@@ -263,7 +267,7 @@ def _density_csv_samples(path, at_s: float):
             if not line.strip():
                 continue
             cells = [float(c) for c in line.strip().split(",")]
-            gap = abs(cells[0] - at_s)
+            gap = 0.0 if cells[0] == at_s else abs(cells[0] - at_s)
             if best is None or gap < best[0]:
                 best = (gap, cells)
     if best is None:

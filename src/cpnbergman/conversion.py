@@ -30,8 +30,8 @@ def _exponents(P, n: Optional[int] = None) -> Tuple[int, ...]:
     return exps
 
 
-def _laplacian_rewrite_at_zero(P: Tuple[int, ...], k: int) -> Fraction:
-    """Delta^k |z^P|^2 at the origin, computed in integers.
+def laplacian_power_at_zero(n: int, P, k: int) -> Fraction:
+    """Delta^k |z^P|^2 at the origin, exactly, computed in integers.
 
     One step of the rewrite is
       Delta|z^A|^2 = sum_{i: a_i>0} a_i^2 (|z^{A-e_i}|^2 + sum_j |z^{A-e_i+e_j}|^2)
@@ -43,6 +43,9 @@ def _laplacian_rewrite_at_zero(P: Tuple[int, ...], k: int) -> Fraction:
     A + e_j are key - base^i and key + base^j.  Each key is decoded once
     per call.  The integer result becomes a Fraction only on return.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    P = _exponents(P, n)
     base = sum(P) + k + 1
     units = [base**i for i in range(len(P))]
     state = {sum(p * u for p, u in zip(P, units)): 1}
@@ -70,31 +73,6 @@ def _laplacian_rewrite_at_zero(P: Tuple[int, ...], k: int) -> Fraction:
                         nxt[A + u] += w
         state = nxt
     return Fraction(state.get(0, 0))
-
-
-def laplacian_power_at_zero(n: int, P, k: int) -> Fraction:
-    """Delta^k |z^P|^2 evaluated at the origin, exactly."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return _laplacian_rewrite_at_zero(_exponents(P, n), k)
-
-
-def mixed_laplacian_power_at_zero(n: int, P, Q, k: int) -> Fraction:
-    """Delta^k (z^P zbar^Q) at the origin on the extended monomial basis.
-
-    Delta(z^P zbar^Q) = sum_i p_i q_i (z^{P-e_i} zbar^{Q-e_i}
-                        + sum_k z^{P-e_i+e_k} zbar^{Q-e_i+e_k})
-                        + |P||Q| (z^P zbar^Q + sum_k z^{P+e_k} zbar^{Q+e_k}).
-    The rewrite preserves P - Q, so for P != Q the constant term can
-    never appear and the result is 0 for every k; for P = Q it is
-    laplacian_power_at_zero.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    P = _exponents(P, n)
-    if P != _exponents(Q, n):
-        return Fraction(0)
-    return _laplacian_rewrite_at_zero(P, k)
 
 
 def delta_c_power_at_zero(l: int, P) -> Fraction:
@@ -259,19 +237,6 @@ def variation_series_eigen(
     if normalized:  # over the first nonzero numerator; the zero series stays zero
         scale = next((u for u in U if u), scale)
     return InverseMSeries(n + 1, [Fraction(u, scale) for u in U])
-
-
-def variation_order1_polynomial(n: int) -> RationalPolynomial:
-    """Coefficient of m^{n-1} in the centered variation, as a polynomial in lambda.
-
-    The two top orders of the centered series cancel identically, so this
-    is its leading behavior.  Only delta_0..delta_2 reach this order, hence
-    the degree is at most 2; five interpolation nodes overdetermine it.
-    """
-    xs = [Fraction(v) for v in range(5)]
-    ys = [Fraction(U[2], scale)
-          for U, scale in (_variation_numerators(n, lam, 4, centered=True) for lam in xs)]
-    return RationalPolynomial.interpolate(xs, ys)
 
 
 def polynomiality_criterion(n: int, k0: int):

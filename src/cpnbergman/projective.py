@@ -1,15 +1,13 @@
 """Exact Fubini-Study facts on CP^n.
 
-Constant Bergman density, the radial eigenfunction family 1/(1+|z|^2)^k,
-the pairing recursion between its levels, the closed-form variation series,
-and the orthonormal basis of the first Laplace eigenspace used by the
-centering solver.  Volume is normalized to 1, so the Fubini-Study density
-at level m is exactly (m+n)!/m!.
+The closed-form pairing of an eigenfunction with the radial family
+phi_k = 1/(1+|z|^2)^k, the closed-form variation series at the resonant
+eigenvalues, and the orthonormal basis of the first Laplace eigenspace
+used by the centering solver.  Volume is normalized to 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -17,86 +15,16 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import PoleError
 from .ratpoly import InverseMSeries, factor_ratio_series
 
 
-def fs_density_exact(n: int, m: int) -> Fraction:
-    """Constant value of the level-m Bergman density on Fubini-Study CP^n."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return Fraction(factorial(m + n), factorial(m))
-
-
-@dataclass(frozen=True)
-class PhiK:
-    """The radial function phi_k(z) = 1/(1+|z|^2)^k on the standard chart."""
-
-    n: int
-    k: int
-
-    def value(self, s):
-        return (1.0 + s) ** (-self.k)
-
-    def laplacian_value(self, s):
-        # Delta phi_k = -k(k+n) phi_k + k^2 phi_{k-1} = k(ks - n)(1+s)^{-k}
-        k = self.k
-        return k * (k * s - self.n) * (1.0 + s) ** (-k)
-
-
-def fs_laplacian_radial(f1, f2, n: int, s):
-    """Fubini-Study Laplacian of a radial function from f'(s), f''(s)."""
-    return (1.0 + s) * (s * (1.0 + s) * f2 + (n + s) * f1)
-
-
-def phi_k_laplacian_residual(n: int, k: int, s: float) -> float:
-    """Defect of the two-term recursion for Delta phi_k at one point.
-
-    Computes Delta phi_k from the closed-form derivatives of (1+s)^{-k}
-    and subtracts -k(k+n) phi_k + k^2 phi_{k-1}.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    f1 = -k * (1.0 + s) ** (-k - 1)
-    f2 = k * (k + 1) * (1.0 + s) ** (-k - 2)
-    lhs = fs_laplacian_radial(f1, f2, n, s)
-    phi_k = (1.0 + s) ** (-k)
-    phi_km1 = (1.0 + s) ** (-(k - 1))
-    rhs = -k * (k + n) * phi_k + k * k * phi_km1
-    return lhs - rhs
-
-
-def pairing_step(n: int, lam, k: int) -> Fraction:
-    """Factor relating int phi phi_k to int phi phi_{k-1} for Delta phi = -lam phi.
-
-    Equals k^2 / (k(k+n) - lam); lam = k(k+n) is the resonance the
-    eigenvalue criterion exploits and raises a pole error here.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    lam = Fraction(lam)
-    denom = k * (k + n) - lam
-    if denom == 0:
-        raise PoleError(
-            "pairing step has a pole at lam = k(k+n) = %d (k=%d, n=%d)"
-            % (k * (k + n), k, n)
-        )
-    return Fraction(k * k, 1) / denom
-
-
-def eigenfunction_pairing_product(n: int, k0: int, m: int) -> Fraction:
-    """Ratio int phi phi_m / int phi phi_k0 via the step recursion."""
-    if m < k0:
-        raise ValueError("need m >= k0")
-    lam = k0 * (k0 + n)
-    out = Fraction(1)
-    for k in range(k0 + 1, m + 1):
-        out *= pairing_step(n, lam, k)
-    return out
-
-
 def eigenfunction_pairing_closed_form(n: int, k0: int, m: int) -> Fraction:
-    """Telescoped ratio: (m!/k0!)^2 (2k0+n)! / ((m-k0)! (m+k0+n)!)."""
+    """int phi phi_m / int phi phi_k0 for Delta phi = -k0(k0+n) phi, in closed form.
+
+    Delta phi_k = -k(k+n) phi_k + k^2 phi_{k-1} makes each level step a
+    factor k^2 / (k(k+n) - lambda); their product over k0 < k <= m
+    telescopes to (m!/k0!)^2 (2k0+n)! / ((m-k0)! (m+k0+n)!).
+    """
     if m < k0:
         raise ValueError("need m >= k0")
     return Fraction(

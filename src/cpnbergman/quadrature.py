@@ -12,7 +12,8 @@ is doubled until two successive values agree.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional, Sequence, Union
+import math
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -120,9 +121,11 @@ def integrate_interval(
     other node.  Since K and G share their nodes, the estimate is at
     least _ROUNDING_ULPS ulps of the panel's sum of w |f|, the rounding
     that |K - G| cannot see.  The worst panel is halved until the summed
-    error estimate meets max(rtol * |total|, atol), and QuadratureError is
-    raised once _MAX_PANELS panels, the initial ones included, do not.  A
-    split costs two K31 rules, 62 nodes.
+    error estimate meets max(rtol * |total|, atol, tiny), and
+    QuadratureError is raised once _MAX_PANELS panels, the initial ones
+    included, do not.  A split costs two K31 rules, 62 nodes.  The floor
+    at tiny (np.finfo(float).tiny) means that a total below tiny / rtol is
+    held only to tiny absolute: scale such an integrand up.
 
     The initial panels lie between edges, increasing from a to b, by
     default (a, b).  Edges at f's kinks, or spaced like its features,
@@ -377,21 +380,26 @@ def fs_weight(s: np.ndarray) -> np.ndarray:
     return (1.0 + s) ** (-2)
 
 
-def _power_kernel(p: int, e: int) -> Callable[[np.ndarray], np.ndarray]:
-    """An integrand over t > 0 with the integral of t^p (1 + t)^(-e), e > p + 1.
+def _power_kernel(p: int, e: int) -> Tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """An integrand over t > 0 and an exponent E: 2^E times its integral is
+    the integral of t^p (1 + t)^(-e), e > p + 1.
 
     t -> 1/t makes p the smaller exponent.  Its value at a dyadic t0 near
     the peak times exp of log1p terms in t - t0 has a rounding that does
-    not grow with e, unlike logs of t and 1 + t."""
+    not grow with e, unlike logs of t and 1 + t.  The peak's power of two
+    goes to E, so the pass sees a peak in [1/4, 1), out of reach of
+    integrate_interval's floor at tiny, unless t0^p or (1 + t0)^(-e)
+    underflows."""
     p = min(p, e - p - 2)
     t0 = max(round(2.0**20 * p / (e - p)), 1) / 2.0**20  # t0 and 1 + t0 exact
-    peak = t0**p * (1.0 + t0) ** -e
+    (a, ea), (b, eb) = math.frexp(t0**p), math.frexp((1.0 + t0) ** -e)
+    peak = a * b
 
     def kernel(t: np.ndarray) -> np.ndarray:
         d = t - t0
         return peak * np.exp(p * np.log1p(d / t0) - e * np.log1p(d / (1.0 + t0)))
 
-    return kernel
+    return kernel, ea + eb
 
 
 def monomial_kernel_quadrature(n: int, m: int, P, rtol: float = 1e-10) -> float:
@@ -408,8 +416,10 @@ def monomial_kernel_quadrature(n: int, m: int, P, rtol: float = 1e-10) -> float:
         raise ValueError("requires |P| <= m")
     if n not in (1, 2):
         raise ValueError("monomial quadrature implemented for n in {1, 2}")
-    value, e = 1.0, m + n + 1
+    value, scale, e = 1.0, 0, m + n + 1
     for p in reversed(P):
-        value *= integrate_half_line(_power_kernel(p, e), rtol=rtol / n)
+        kernel, exponent = _power_kernel(p, e)
+        value *= integrate_half_line(kernel, rtol=rtol / n)
+        scale += exponent
         e -= p + 1
-    return value
+    return math.ldexp(value, scale)

@@ -50,13 +50,6 @@ class RationalPolynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def from_roots(cls, roots: Iterable) -> "RationalPolynomial":
-        p = cls([1])
-        for r in roots:
-            p = p * cls([-_frac(r), 1])
-        return p
-
-    @classmethod
     def interpolate(cls, xs: Sequence, ys: Sequence) -> "RationalPolynomial":
         """Unique polynomial of degree < len(xs) through the given points.
 
@@ -137,26 +130,6 @@ class RationalPolynomial:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: "RationalPolynomial"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - d, 0)
-        for k in range(len(rem) - 1, d - 1, -1):
-            q = rem[k] / lead
-            quot[k - d] = q
-            if q:
-                for j in range(d + 1):
-                    rem[k - d + j] -= q * other.coeffs[j]
-        return RationalPolynomial(quot), RationalPolynomial(rem[:d])
-
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(
-            [k * c for k, c in enumerate(self.coeffs)][1:]
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
 
@@ -206,16 +179,6 @@ class InverseMSeries:
     @classmethod
     def zero(cls, min_power: int = 0) -> "InverseMSeries":
         return cls(min_power, [0])
-
-    @classmethod
-    def from_polynomial(cls, p: RationalPolynomial, order: int) -> "InverseMSeries":
-        """Exact embedding: trailing 1/m coefficients of a polynomial are 0."""
-        if p.is_zero():
-            return cls.zero(-order)
-        lead = p.degree
-        cs = [p.coefficient(lead - j) for j in range(lead + 1)]
-        cs += [Fraction(0)] * max(order - lead, 0)
-        return cls(lead, cs[: order + 1])
 
     @property
     def order(self) -> int:

@@ -1,6 +1,6 @@
 """Tuple-keyed Laplacian rewrite, a reference for the integer-keyed engine.
 
-This is the rewrite `conversion._laplacian_rewrite_at_zero` ran before its
+This is the rewrite `conversion.laplacian_power_at_zero` ran before its
 multi-indices became mixed-radix integer keys: the same rule and the same
 pruning, with every term keyed by its exponent tuple.
 """

@@ -9,6 +9,8 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import sympy as sp
+from variation_reference import variation_order1_polynomial
 
 from cpnbergman import (
     RadialMetric,
@@ -27,12 +29,10 @@ from cpnbergman import (
     gauge_potential,
     laplacian_power_at_zero,
     monomial_kernel_quadrature,
-    phi_k_laplacian_residual,
     polynomiality_criterion,
     scalar_curvature,
     section_norms,
     sigma_prime_closed_form,
-    variation_order1_polynomial,
     variation_series_eigen,
     zero_potential,
 )
@@ -217,17 +217,26 @@ def test_criterion_8_first_variation():
 
 
 def test_criterion_9_eigen_identity():
-    pts = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 99)])
-    worst = 0.0
-    for n in (1, 2):
+    # Delta phi_k = -k(k+n) phi_k + k^2 phi_{k-1}, phi_k = (1+s)^-k, in sympy; for
+    # n = 1 it is the library's Delta p^k = k^2 p^(k-1) - k(k+1) p^k
+    s = sp.symbols("s", positive=True)
+    nonzero = []
+    for n in (1, 2, 3):
         for k in range(1, 6):
-            for s in pts:
-                worst = max(worst, abs(phi_k_laplacian_residual(n, k, float(s))))
+            f, g = (1 + s) ** (-k), (1 + s) ** (1 - k)
+            lap = (1 + s) * (s * (1 + s) * sp.diff(f, s, 2) + (n + s) * sp.diff(f, s))
+            if sp.simplify(lap + k * (k + n) * f - k * k * g) != 0:
+                nonzero.append((n, k))
+    coeffs_ok = all(
+        RadialProfile([0.0] * k + [1.0]).fs_laplacian_coeffs()
+        == (0.0,) * (k - 1) + (k * k, -k * (k + 1))
+        for k in range(1, 6))
     _report(
         9,
         "eigenfunction recursion identity",
-        worst < 1e-12,
-        "worst residual %.2e at 100 points" % worst,
+        not nonzero and coeffs_ok,
+        "n <= 3, k <= 5, nonzero residuals at %s; n = 1 p-coefficients equal: %s"
+        % (nonzero, coeffs_ok),
     )
 
 

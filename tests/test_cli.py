@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from cpnbergman import RadialMetric, bergman_density
-from cpnbergman.cli import (_COMMANDS, _build_parser, _effective_config, _fs_norm_rel_error,
-                            _max_abs, main)
+from cpnbergman.cli import (_COMMANDS, _build_parser, _density_csv_samples, _effective_config,
+                            _fs_norm_rel_error, _max_abs, main)
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -118,6 +118,28 @@ class TestDensityAndFit:
         payload = json.loads(fit.stdout)
         a1 = float(payload["coeffs"][1])
         assert abs(a1 - 1.0) < 0.1
+
+    def test_fit_at_s_inf_reads_the_inf_row(self, tmp_path, capsys):
+        # abs(inf - inf) is nan, so the s = inf row written by density was
+        # never selected: "no grid row at s = inf (closest is 0.0)", exit 2
+        csv_path = tmp_path / "dens.csv"
+        assert main(["density", "--metric", "eigenfunction-bump", "--eps", "0.1",
+                     "--m-list", "20,30,40,50", "--grid", "0,1,inf", "--out", str(csv_path)]) == 0
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        assert rows[2][0] == "inf"
+        want = list(zip([20, 30, 40, 50], map(float, rows[2][1:])))
+        assert _density_csv_samples(csv_path, math.inf) == want
+        assert main(["fit", "--samples", str(csv_path), "--at-s", "inf", "--K", "2"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["coeffs"]) == 3
+
+    def test_fit_at_s_nan_exit_2(self, tmp_path, capsys):
+        # a nan at_s once fitted the s = 0 row and exited 0
+        csv_path = tmp_path / "dens.csv"
+        assert main(["density", "--metric", "fs", "--m-list", "20,30,40",
+                     "--grid", "0,1", "--out", str(csv_path)]) == 0
+        assert main(["fit", "--samples", str(csv_path), "--at-s", "nan"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError" and "nan" in error["message"]
 
     def test_density_deterministic(self, tmp_path):
         out = []

@@ -18,7 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rewrite_reference import tuple_rewrite_at_zero
-from variation_reference import TriangularVariationEngine, triangular_delta_polynomials
+from series_reference import from_roots, series_from_polynomial
+from variation_reference import (TriangularVariationEngine, triangular_delta_polynomials,
+                                 variation_order1_polynomial)
 
 from cpnbergman import (
     ConversionTable,
@@ -30,10 +32,8 @@ from cpnbergman import (
     eigen_delta_c_values,
     fs_monomial_integral,
     laplacian_power_at_zero,
-    mixed_laplacian_power_at_zero,
     polynomiality_criterion,
     sigma_prime_closed_form,
-    variation_order1_polynomial,
     variation_series_eigen,
 )
 from cpnbergman.conversion import _variation_numerators
@@ -70,12 +70,10 @@ def _all_indices(n, max_degree):
 @pytest.mark.parametrize("call", [
     lambda: laplacian_power_at_zero(2, (1, -1), 1),
     lambda: laplacian_power_at_zero(2, (1,), 1),
-    lambda: mixed_laplacian_power_at_zero(2, (1, 0), (1, 0, 0), 1),
     lambda: fs_monomial_integral(2, 5, (-1, 2)),
     lambda: fs_monomial_integral(2, 5, (0, 0, 1)),
     lambda: delta_c_power_at_zero(0, (1, -1)),
-], ids=["laplacian-negative", "laplacian-short", "mixed-long", "fs-negative", "fs-long",
-        "flat-negative"])
+], ids=["laplacian-negative", "laplacian-short", "fs-negative", "fs-long", "flat-negative"])
 def test_malformed_multi_index_rejected(call):
     with pytest.raises(ValueError):
         call()
@@ -97,6 +95,7 @@ class TestLaplacianPowers:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_mixed_against_symbolic_differentiation(self, n):
+        # Delta^k (z^P zbar^Q)(0) = 0 for P != Q: the premise of rewriting |z^P|^2 alone
         pairs = [
             (P, Q)
             for P in _all_indices(n, 2)
@@ -105,18 +104,7 @@ class TestLaplacianPowers:
         ]
         for P, Q in pairs:
             for k in range(3):
-                assert mixed_laplacian_power_at_zero(
-                    n, P, Q, k
-                ) == _sympy_laplacian_power(n, P, Q, k), (n, P, Q, k)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_mixed_monomials_vanish_at_origin(self, n):
-        for P in _all_indices(n, 2):
-            for Q in _all_indices(n, 2):
-                if P == Q:
-                    continue
-                for k in range(7 if n <= 2 else 5):
-                    assert mixed_laplacian_power_at_zero(n, P, Q, k) == 0
+                assert _sympy_laplacian_power(n, P, Q, k) == 0, (n, P, Q, k)
 
     def test_matches_pinned_values(self):
         # n = 1..4, |P| <= 3, k <= 6 (k <= 4 for n >= 3), pinned from the
@@ -127,29 +115,15 @@ class TestLaplacianPowers:
             n, P = row["n"], tuple(row["P"])
             for k, want in enumerate(row["k_values"]):
                 assert laplacian_power_at_zero(n, P, k) == want, (n, P, k)
-                assert mixed_laplacian_power_at_zero(n, P, P, k) == want, (n, P, k)
 
     @pytest.mark.parametrize("bad", [(1,), (1, 2, 3), (1, -1)])
     def test_rejects_malformed_index(self, bad):
         with pytest.raises(ValueError):
             laplacian_power_at_zero(2, bad, 1)
-        with pytest.raises(ValueError):
-            mixed_laplacian_power_at_zero(2, bad, (0, 0), 1)
-        with pytest.raises(ValueError):
-            mixed_laplacian_power_at_zero(2, (0, 0), bad, 1)
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             laplacian_power_at_zero(2, (1, 0), -1)
-        with pytest.raises(ValueError):
-            mixed_laplacian_power_at_zero(2, (1, 0), (0, 1), -1)
-
-    def test_diagonal_consistency(self):
-        for P in _all_indices(2, 3):
-            for k in range(4):
-                assert mixed_laplacian_power_at_zero(
-                    2, P, P, k
-                ) == laplacian_power_at_zero(2, P, k)
 
 
 class TestRewriteAgainstReference:
@@ -344,7 +318,7 @@ class TestVariationSeries:
         # proportional to lambda * (lambda - (n+1)) with nonzero constant
         c = p.coefficient(2)
         assert c != 0
-        expected = RationalPolynomial.from_roots([0, n + 1]) * RationalPolynomial([c])
+        expected = from_roots([0, n + 1]) * RationalPolynomial([c])
         assert (p - expected).is_zero()
 
 
@@ -359,13 +333,13 @@ def _reference_variation(n, J, lams):
     table = conversion_polynomials(n, J)
 
     def rising(first, last):
-        return RationalPolynomial.from_roots([-i for i in range(first, last + 1)])
+        return from_roots([-i for i in range(first, last + 1)])
 
-    recips = [InverseMSeries.from_polynomial(rising(1 - k, n), J).reciprocal()
+    recips = [series_from_polynomial(rising(1 - k, n), J).reciprocal()
               for k in range(J + 1)]
     Q = rising(1, n)
-    prefactor = InverseMSeries.from_polynomial(Q * Q * Fraction(-1, factorial(n)), J)
-    back = InverseMSeries.from_polynomial(
+    prefactor = series_from_polynomial(Q * Q * Fraction(-1, factorial(n)), J)
+    back = series_from_polynomial(
         Q * RationalPolynomial([0, 1]) * Fraction(1, factorial(n)), J)
     for lam in lams:
         lam = Fraction(lam)
@@ -376,7 +350,7 @@ def _reference_variation(n, J, lams):
         S = InverseMSeries.zero(-n - J)
         for k, d in enumerate(deltas):
             S = S + recips[k] * (d / factorial(k))
-        raw = prefactor * InverseMSeries.from_polynomial(RationalPolynomial([lam, 1]), J) * S
+        raw = prefactor * series_from_polynomial(RationalPolynomial([lam, 1]), J) * S
         for centered in (False, True):
             series = raw + back if centered else raw
             yield lam, centered, series, series.normalized()

@@ -17,11 +17,11 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
+from series_reference import derivative
 
 import cpnbergman.density as density_module
 from cpnbergman import quadrature
 from cpnbergman import (
-    PhiK,
     PositivityError,
     QuadratureError,
     RadialMetric,
@@ -85,13 +85,12 @@ class TestRadialProfile:
         assert u.value(1.0) == pytest.approx(0.25)
 
     def test_laplacian_matches_eigenfunction_family(self):
-        # basis element p^k maps to the closed form of PhiK on CP^1
+        # basis element p^k maps to Delta phi_k = k(ks - 1)(1+s)^-k on CP^1
         for k in range(1, 6):
             u = RadialProfile([0.0] * k + [1.0])
-            f = PhiK(1, k)
             for s in (0.0, 0.4, 2.0, 17.0):
                 assert u.fs_laplacian(s) == pytest.approx(
-                    f.laplacian_value(s), rel=1e-13, abs=1e-13
+                    k * (k * s - 1) * (1.0 + s) ** (-k), rel=1e-13, abs=1e-13
                 )
 
     def test_laplacian_against_finite_differences(self):
@@ -605,11 +604,11 @@ class TestScalarCurvature:
         met = RadialMetric(profile)
         scale = max(Fraction(c).denominator for c in met._v_coeffs)
         v = RationalPolynomial([Fraction(c) * scale for c in met._v_coeffs])
-        dv, pq = v.derivative(), RationalPolynomial([0, 1, -1])
+        dv, pq = derivative(v), RationalPolynomial([0, 1, -1])
         n = RationalPolynomial([2, -2]) * v + pq * dv
-        r = n * dv - n.derivative() * v
-        q = pq * (r.derivative() * v - r * dv * 3)
-        lap = q.derivative() * v - q * dv * 4
+        r = n * dv - derivative(n) * v
+        q = pq * (derivative(r) * v - r * dv * 3)
+        lap = derivative(q) * v - q * dv * 4
         for got, want, e in zip(met._curvature_numerators, (r, lap), (2, 4)):
             assert [c.hex() for c in got] == [float(c / scale**e).hex() for c in want.coeffs]
 

@@ -1,5 +1,6 @@
-"""Fubini-Study eigenfunction family, pairing recursion, first eigenspace."""
+"""Fubini-Study eigenfunction family, pairing closed form, first eigenspace."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,100 +10,66 @@ import sympy as sp
 from cpnbergman import (
     EigenBasisFunction,
     HermitianRational,
-    InverseMSeries,
-    PhiK,
-    PoleError,
-    RationalPolynomial,
+    RadialProfile,
     chart_lift,
     cp1_integral,
     eigenfunction_pairing_closed_form,
-    eigenfunction_pairing_product,
     first_eigenbasis,
-    fs_density_exact,
     fs_weight,
     hermitian_pairing,
-    pairing_step,
-    phi_k_laplacian_residual,
     polynomiality_criterion,
     sigma_prime_closed_form,
     variation_series_eigen,
 )
 from fd_laplacian import numeric_fs_laplacian
+from series_reference import from_roots, poly_divmod, series_from_polynomial
 
 
-class TestDensityConstant:
-    def test_values(self):
-        assert fs_density_exact(1, 0) == 1
-        assert fs_density_exact(1, 3) == 4
-        assert fs_density_exact(2, 2) == 12
-
-    def test_cp1_is_m_plus_one(self):
-        for m in range(12):
-            assert fs_density_exact(1, m) == m + 1
+def _radial_laplacian(f, s, n):
+    """Fubini-Study Laplacian of a radial f(s), s = |z|^2, on the standard chart of CP^n."""
+    return (1 + s) * (s * (1 + s) * sp.diff(f, s, 2) + (n + s) * sp.diff(f, s))
 
 
 class TestPhiK:
-    def test_base_values(self):
-        for k in range(5):
-            f = PhiK(1, k)
-            assert f.value(0.0) == 1.0
-        assert PhiK(2, 0).value(13.7) == 1.0
-
-    def test_range(self):
-        f = PhiK(1, 3)
-        for s in (0.0, 0.5, 10.0, 1e6):
-            assert 0.0 < f.value(s) <= 1.0
+    """The radial family phi_k = (1+s)^-k, s = |z|^2."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_laplacian_closed_form_symbolic(self, n):
-        # radial form of the chart Laplacian applied to (1+s)^-k
         s = sp.symbols("s", positive=True)
         for k in range(1, 5):
-            f = (1 + s) ** (-k)
-            radial = (1 + s) * (s * (1 + s) * sp.diff(f, s, 2) + (n + s) * sp.diff(f, s))
-            expected = sp.simplify(radial)
-            ours = k * (k * s - n) * (1 + s) ** (-k)
-            assert sp.simplify(expected - ours) == 0
-            g = PhiK(n, k)
-            for sv in (0.0, 0.3, 2.0, 50.0):
-                assert g.laplacian_value(sv) == pytest.approx(
-                    float(expected.subs(s, sv)), abs=1e-12, rel=1e-12
-                )
+            radial = _radial_laplacian((1 + s) ** (-k), s, n)
+            assert sp.simplify(radial - k * (k * s - n) * (1 + s) ** (-k)) == 0
 
     def test_recursion_residual_small(self):
+        # Delta phi_k = -k(k+n) phi_k + k^2 phi_{k-1}, exactly; for n = 1 the
+        # library's p-coefficients of Delta p^k are the same two terms
+        s = sp.symbols("s", positive=True)
         for n in (1, 2, 3):
             for k in range(1, 6):
-                for s in (0.0, 0.1, 1.0, 7.0, 1e3, 1e6):
-                    assert abs(phi_k_laplacian_residual(n, k, s)) < 1e-12
+                phi = [(1 + s) ** (-j) for j in (k - 1, k)]
+                residual = _radial_laplacian(phi[1], s, n) + k * (k + n) * phi[1] - k * k * phi[0]
+                assert sp.simplify(residual) == 0, (n, k)
+        for k in range(1, 6):
+            want = (0.0,) * (k - 1) + (k * k, -k * (k + 1))
+            assert RadialProfile([0.0] * k + [1.0]).fs_laplacian_coeffs() == want
 
-    def test_recursion_needs_positive_level(self):
-        with pytest.raises(ValueError):
-            phi_k_laplacian_residual(1, 0, 1.0)
+
+def _pairing_product(n, k0, m):
+    """int phi phi_m / int phi phi_k0 for Delta phi = -lambda phi, lambda = k0(k0+n),
+    as the product of the level steps k^2 / (k(k+n) - lambda)."""
+    lam = k0 * (k0 + n)
+    return math.prod((Fraction(k * k, k * (k + n) - lam) for k in range(k0 + 1, m + 1)),
+                     start=Fraction(1))
 
 
 class TestPairing:
-    def test_step_values(self):
-        # k^2 / (k(k+n) - lambda)
-        assert pairing_step(1, 2, 2) == 1
-        assert pairing_step(2, 3, 2) == Fraction(4, 5)
-
-    def test_step_pole(self):
-        with pytest.raises(PoleError):
-            pairing_step(1, 2, 1)
-        with pytest.raises(PoleError):
-            pairing_step(2, 8, 2)
-
     def test_telescoping_matches_closed_form(self):
         for n in (1, 2):
             for k0 in (1, 2, 3):
                 for m in range(k0, k0 + 7):
-                    assert eigenfunction_pairing_product(
+                    assert _pairing_product(
                         n, k0, m
                     ) == eigenfunction_pairing_closed_form(n, k0, m), (n, k0, m)
-
-    def test_product_rejects_short_range(self):
-        with pytest.raises(ValueError):
-            eigenfunction_pairing_product(1, 3, 2)
 
 
 class TestSigmaPrimeClosedForm:
@@ -156,9 +123,8 @@ class TestSigmaPrimeClosedForm:
 
 def _resonant_polynomials(n, k0):
     """Numerator and denominator of the resonant variation, built from roots in Fractions."""
-    numer = RationalPolynomial.from_roots(
-        [-i for i in range(-k0 + 1, n + 1)] + [-k0 * (k0 + n)])
-    denom = RationalPolynomial.from_roots([-i for i in range(n + 1, n + k0 + 1)])
+    numer = from_roots([-i for i in range(-k0 + 1, n + 1)] + [-k0 * (k0 + n)])
+    denom = from_roots([-i for i in range(n + 1, n + k0 + 1)])
     return numer, denom
 
 
@@ -170,15 +136,15 @@ class TestResonantFractionOracles:
         for k0 in range(1, 7):
             numer, denom = _resonant_polynomials(n, k0)
             for J in range(1, 41):
-                want = (InverseMSeries.from_polynomial(numer, J)
-                        * InverseMSeries.from_polynomial(denom, J).reciprocal()).normalized()
+                want = (series_from_polynomial(numer, J)
+                        * series_from_polynomial(denom, J).reciprocal()).normalized()
                 got = sigma_prime_closed_form(n, k0, J)
                 assert got == want and got.lead == n + 1, (n, k0, J)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_remainder_matches_polynomial_divmod(self, n):
         for k0 in range(1, 7):
-            _, want = divmod(*_resonant_polynomials(n, k0))
+            _, want = poly_divmod(*_resonant_polynomials(n, k0))
             exact, rem = polynomiality_criterion(n, k0)
             assert rem == want and exact == want.is_zero(), (n, k0)
 

@@ -461,17 +461,28 @@ class TestMonomialKernel:
         (2, 1000, (998, 1)), (2, 1000, (120, 40)), (2, 1000, (100, 800)),
         (2, 5000, (0, 0)), (2, 5000, (3, 7)), (2, 5000, (5000, 0)), (2, 5000, (1, 4999)),
         (2, 5000, (4998, 1)), (2, 5000, (40, 30)), (2, 5000, (4900, 50)),
+        (1, 1000, (496,)), (2, 1000, (0, 510)), (2, 1000, (490, 510)), (2, 1000, (510, 0)),
+        (2, 1000, (560, 440)),
     ])
     def test_large_m_within_1e_14(self, n, m, P):
         # kernels in logs of t and 1 + t were up to 4.4e-13 off here, and
         # the nested pass raised QuadratureError on an overflowing s1^p1
         # for the larger p1.  Compared with the exact Fraction; every value
-        # is above tiny / rtol, since integrate_interval holds a total only
-        # to tiny absolute
+        # is a normal float.  The last five lie below tiny / rtol, where
+        # integrate_interval holds a total only to tiny absolute: they were
+        # 5.8e-14 to 3.3e-13 off before each kernel's peak was scaled to [1/4, 1)
         exact = fs_monomial_integral(n, m, P)
-        assert float(exact) >= np.finfo(float).tiny / 1e-10
+        assert float(exact) > np.finfo(float).tiny
         got = monomial_kernel_quadrature(n, m, P)
         assert abs(float(Fraction(got) / exact) - 1.0) <= 1e-14
+
+    def test_every_index_at_m_1000_within_1e_14(self):
+        # n = 1, all 1,001 indices, whose exact values reach down to 3.7e-303;
+        # the worst was 1.0e-11 with the floor at tiny binding
+        worst = max(abs(float(Fraction(monomial_kernel_quadrature(1, 1000, (p,)))
+                              / fs_monomial_integral(1, 1000, (p,))) - 1.0)
+                    for p in range(1001))
+        assert worst <= 1e-14
 
     def test_one_scalar_pass_per_coordinate(self, monkeypatch):
         # each coordinate is one scalar half-line pass at rtol / n; on the

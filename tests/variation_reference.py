@@ -5,14 +5,17 @@ This is the engine `conversion.variation_series_eigen` and
 from their three-term recurrence and the weighted sum from a Horner pass:
 the moments solve the unit-triangular system
 (-lambda)^k = sum_l a_{k,l} delta_l over the conversion table, and the
-sum reads a table of series R_k, one per order.
+sum reads a table of series R_k, one per order.  The module also keeps
+variation_order1_polynomial, the leading centered coefficient as a
+polynomial in lambda, interpolated from the library's numerators.
 """
 
 from fractions import Fraction
 from math import factorial
 from typing import List, Tuple
 
-from cpnbergman import InverseMSeries, conversion_polynomials
+from cpnbergman import InverseMSeries, RationalPolynomial, conversion_polynomials
+from cpnbergman.conversion import _variation_numerators
 from cpnbergman.ratpoly import factor_ratio_series
 
 
@@ -94,3 +97,16 @@ class TriangularVariationEngine:
             if not nonzero or nonzero[-1] - nonzero[0] <= self.n:
                 out.add(k)
         return out
+
+
+def variation_order1_polynomial(n: int) -> RationalPolynomial:
+    """Coefficient of m^{n-1} in the centered variation, as a polynomial in lambda.
+
+    The two top orders of the centered series cancel identically, so this
+    is its leading behavior.  Only delta_0..delta_2 reach this order, hence
+    the degree is at most 2; five interpolation nodes overdetermine it.
+    """
+    xs = [Fraction(v) for v in range(5)]
+    ys = [Fraction(U[2], scale)
+          for U, scale in (_variation_numerators(n, lam, 4, centered=True) for lam in xs)]
+    return RationalPolynomial.interpolate(xs, ys)
