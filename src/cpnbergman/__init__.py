@@ -22,9 +22,8 @@ from .errors import (ComputationError, InsufficientSamplesError, NonConvergenceE
                      UnsupportedDimensionError)
 from .fitting import (FitResult, VanishingReport, fit_expansion, load_samples_csv,
                       vanishing_report)
-from .projective import (EigenBasisFunction, HermitianRational, chart_lift,
-                         eigenfunction_pairing_closed_form, first_eigenbasis,
-                         hermitian_pairing, sigma_prime_closed_form)
+from .projective import (EigenBasisFunction, chart_lift, eigenfunction_pairing_closed_form,
+                         first_eigenbasis, sigma_prime_closed_form)
 from .quadrature import (cp1_integral, fs_weight, integrate_half_line,
                          integrate_interval, monomial_kernel_quadrature)
 from .ratpoly import InverseMSeries, RationalPolynomial

@@ -156,7 +156,7 @@ def eigenbasis_potential(fn: EigenBasisFunction, scale: float) -> FormPotential:
         raise UnsupportedDimensionError("eigenbasis potentials are implemented for n = 1 only")
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale}")
-    return FormPotential(scale * fn.normalization * fn._np)
+    return FormPotential(scale * fn.matrix)
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +164,7 @@ def build_L(n: int) -> np.ndarray:
     """L^{-1} as an array: the matrices T_i of the orthonormal basis
     theta_i = <T_i Z, Z> / |Z|^2, L sending A to theta_A's coordinates.
     Built once per n and shared read-only."""
-    T = np.array([th.normalization * th._np for th in first_eigenbasis(n)])
+    T = np.array([th.matrix for th in first_eigenbasis(n)])
     T.flags.writeable = False
     return T
 

@@ -114,11 +114,6 @@ class ConversionTable:
         row = self.rows[k - 1]
         return row[l] if 0 <= l < len(row) else 0
 
-    def polynomial(self, k: int) -> RationalPolynomial:
-        if not (1 <= k <= self.max_order):
-            raise ValueError("row %d not computed" % k)
-        return RationalPolynomial(self.rows[k - 1])
-
 
 def conversion_polynomials(n: int, K: int) -> ConversionTable:
     """Build rows 1..K of the a_{k,l} recursion.

@@ -123,9 +123,6 @@ class RadialProfile:
             q[k] -= c * k * (k + 1)
         return tuple(q)
 
-    def fs_laplacian(self, s):
-        return _horner(self.fs_laplacian_coeffs(), 1.0 / (1.0 + np.asarray(s, dtype=float)))
-
     def inverted_chart(self) -> "RadialProfile":
         """The same function read in the chart s' = 1/s.
 
@@ -432,9 +429,12 @@ def _section_norms(metric: RadialMetric, m: int, tol: float):
         with np.errstate(over="ignore", invalid="ignore"):
             total = integrate_interval(integrand, 0.0, 1.0, rtol=tol, edges=edges)
     except QuadratureError as err:
+        domain = ("for Fubini-Study is m <= 20000 at tol 1e-13 and m <= 5000 at tol 1e-14"
+                  if metric.is_fubini_study else
+                  "for perturbed metrics is m <= 20000 at tol 1e-12, m <= 5000 at tol 1e-13 "
+                  "and m <= 2000 at tol 1e-14")
         raise QuadratureError(f"{err} (section norms at m = {m}, tol = {tol:g}; the stated "
-                              "domain for perturbed metrics is m <= 20000 at tol 1e-12 and "
-                              "m <= 5000 at tol 1e-13)") from err
+                              f"domain {domain})") from err
     if np.any(total <= 0.0):
         raise PositivityError("section norm came out nonpositive")
     log_total = np.log(total)[:, None]

@@ -40,6 +40,9 @@ def fit_expansion(samples: Sequence[Tuple], n: int, K: int) -> FitResult:
         raise ValueError(f"fit order K = {K} is negative")
     pairs = [(m, v) for m, v in samples]
     ms = [m for m, _ in pairs]
+    bad = [m for m in ms if not m > 0]  # the model's 1/m needs m > 0
+    if bad:
+        raise ValueError(f"sample m must be positive, got {bad[0]}")
     if len(set(ms)) != len(ms):
         raise InsufficientSamplesError("sample m values must be distinct")
     if len(pairs) < K + 1:

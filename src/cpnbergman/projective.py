@@ -3,11 +3,13 @@
 The closed-form pairing of an eigenfunction with the radial family
 phi_k = 1/(1+|z|^2)^k, the closed-form variation series at the resonant
 eigenvalues, and the orthonormal basis of the first Laplace eigenspace
-used by the centering solver.  Volume is normalized to 1.
+used by the centering solver, its matrices and exact norms written down
+in closed form.  Volume is normalized to 1.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -55,88 +57,23 @@ def sigma_prime_closed_form(n: int, k0: int, J: int) -> InverseMSeries:
     return InverseMSeries(n + 1, factor_ratio_series(*_resonant_ratio(n, k0), J))
 
 
-class HermitianRational:
-    """Small Hermitian matrix with exact rational real/imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=None):
-        size = len(re)
-        self.re = tuple(tuple(Fraction(x) for x in row) for row in re)
-        if im is None:
-            im = [[Fraction(0)] * size for _ in range(size)]
-        self.im = tuple(tuple(Fraction(x) for x in row) for row in im)
-        for i in range(size):
-            for j in range(size):
-                if self.re[i][j] != self.re[j][i] or self.im[i][j] != -self.im[j][i]:
-                    raise ValueError("matrix is not Hermitian")
-
-    @property
-    def size(self) -> int:
-        return len(self.re)
-
-    def trace(self) -> Fraction:
-        return sum((self.re[i][i] for i in range(self.size)), Fraction(0))
-
-    def trace_product(self, other: "HermitianRational") -> Fraction:
-        # tr(AB) is real for Hermitian A, B
-        s = Fraction(0)
-        for i in range(self.size):
-            for j in range(self.size):
-                s += self.re[i][j] * other.re[j][i] - self.im[i][j] * other.im[j][i]
-        return s
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array(
-            [
-                [float(self.re[i][j]) + 1j * float(self.im[i][j]) for j in range(self.size)]
-                for i in range(self.size)
-            ],
-            dtype=complex,
-        )
-
-
-def hermitian_pairing(A: HermitianRational, B: HermitianRational, n: int) -> Fraction:
-    """Exact L^2(omega_0^n) pairing of theta_A and theta_B on CP^n.
-
-    theta_A(Z) = sum a_ij Z_i Zbar_j / |Z|^2 integrates against theta_B to
-    (tr(AB) + tr A tr B) / ((n+1)(n+2)).
-    """
-    return (A.trace_product(B) + A.trace() * B.trace()) / ((n + 1) * (n + 2))
-
-
+@dataclass(frozen=True, eq=False)
 class EigenBasisFunction:
-    """One orthonormalized member of the first Laplace eigenspace.
+    """One orthonormalized member theta = <T Z, Z> / |Z|^2 of the first
+    Laplace eigenspace.  matrix is T = A / sqrt(norm_sq), read-only, for a
+    traceless Hermitian A.
 
-    Represents normalization * <A Z, Z> / |Z|^2 = sum_kl a_kl Z_l Zbar_k
-    with an exact traceless Hermitian coefficient matrix.  The index
-    order matches the linearization of the automorphism potentials
+    kind is 're' (A = E_ij + E_ji), 'im' (A = -i E_ij + i E_ji) or 'diag'
+    (member l is A = E_ll - (1/l) sum_{i<l} E_ii).  The index order
+    matches the linearization of the automorphism potentials
     (rho_A ~ 2<A Z, Z>/|Z|^2), which fixes the sign of the 'im' members.
-    kind is one of 're', 'im', 'diag' (member l is
-    (|Z_l|^2 - (1/l) sum_{i<l} |Z_i|^2)/|Z|^2).
     """
 
-    def __init__(self, n: int, kind: str, indices: Tuple[int, ...],
-                 exact: HermitianRational, norm_sq: Fraction):
-        self.n = n
-        self.kind = kind
-        self.indices = indices
-        self.exact = exact
-        self.norm_sq = norm_sq
-        self.normalization = 1.0 / float(norm_sq) ** 0.5
-        self._np = exact.to_numpy()
-        self._np.flags.writeable = False
-
-    def evaluate_lifts(self, Z: np.ndarray) -> np.ndarray:
-        """Value on homogeneous lifts; Z has shape (n+1, ...)."""
-        quad = np.einsum("kl,l...,k...->...", self._np, Z, np.conj(Z))
-        norms = np.sum(np.abs(Z) ** 2, axis=0)
-        return self.normalization * np.real(quad) / norms
-
-    def evaluate(self, z) -> float:
-        """Value at a chart point (complex scalar for n=1, sequence else)."""
-        Z = chart_lift(self.n, z)
-        return float(self.evaluate_lifts(Z))
+    n: int
+    kind: str
+    indices: Tuple[int, ...]
+    norm_sq: Fraction
+    matrix: np.ndarray
 
 
 def chart_lift(n: int, z) -> np.ndarray:
@@ -152,38 +89,32 @@ def chart_lift(n: int, z) -> np.ndarray:
 def first_eigenbasis(n: int) -> Tuple[EigenBasisFunction, ...]:
     """Orthonormal real basis of the first eigenspace, (n+1)^2 - 1 functions.
 
-    Off-diagonal real and imaginary parts are orthogonal as given.
-    Diagonal member l = 1..n is D_l = E_ll - (1/l) sum_{i<l} E_ii, the
-    exact Gram-Schmidt orthogonalization of the E_ii - E_00, with
-    norm_sq (1 + 1/l)/((n+1)(n+2)).  The basis is exact and depends on n
-    only, so it is built once per n and shared: the tuple and the
-    functions' numpy matrices are read-only.
+    theta_A and theta_B pair to (tr(AB) + tr A tr B) / ((n+1)(n+2)) on
+    CP^n, so the off-diagonal members are orthogonal as given, with
+    norm_sq 2/((n+1)(n+2)), and diagonal member l = 1..n, the exact
+    Gram-Schmidt orthogonalization of the E_ii - E_00, has norm_sq
+    (1 + 1/l)/((n+1)(n+2)).  The basis depends on n only, so it is built
+    once per n and shared: the tuple and the matrices are read-only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    size = n + 1
+    size, unit = n + 1, Fraction(1, (n + 1) * (n + 2))
     funcs: List[EigenBasisFunction] = []
-    for kind in ("re", "im"):
+
+    def add(kind, indices, entries, norm_sq):
+        A = np.zeros((size, size), dtype=complex)
+        for ij, a in entries:
+            A[ij] = a
+        T = 1.0 / float(norm_sq) ** 0.5 * A
+        T.flags.writeable = False
+        funcs.append(EigenBasisFunction(n, kind, indices, norm_sq, T))
+
+    # complex(0, -1), not -1j, whose real part is -0.0
+    for kind, a, b in (("re", 1, 1), ("im", complex(0, -1), 1j)):
         for i in range(size):
             for j in range(i + 1, size):
-                unit = [[0] * size for _ in range(size)]
-                if kind == "re":
-                    unit[i][j] = unit[j][i] = 1
-                    A = HermitianRational(unit)
-                else:
-                    unit[i][j], unit[j][i] = -1, 1
-                    A = HermitianRational([[0] * size for _ in range(size)], unit)
-                funcs.append(
-                    EigenBasisFunction(n, kind, (i, j), A, hermitian_pairing(A, A, n))
-                )
+                add(kind, (i, j), [((i, j), a), ((j, i), b)], 2 * unit)
     for l in range(1, size):
-        re = [[0] * size for _ in range(size)]
-        re[l][l] = 1
-        for i in range(l):
-            re[i][i] = Fraction(-1, l)
-        D = HermitianRational(re)
-        funcs.append(
-            EigenBasisFunction(n, "diag", (l,), D, hermitian_pairing(D, D, n))
-        )
+        add("diag", (l,), [((i, i), -1 / l) for i in range(l)] + [((l, l), 1)],
+            (1 + Fraction(1, l)) * unit)
     return tuple(funcs)
-

@@ -181,6 +181,8 @@ def integrate_interval(
     """
     if not b > a:
         raise ValueError("need b > a")
+    if not (rtol >= 0 and atol >= 0):  # a nan bound would meet every estimate
+        raise ValueError(f"need rtol >= 0 and atol >= 0, got {rtol} and {atol}")
     if edges is None:
         edges = (a, b)
     elif edges[0] != a or edges[-1] != b or any(hi <= lo for lo, hi in zip(edges, edges[1:])):

@@ -261,23 +261,6 @@ class InverseMSeries:
             bs.append(-s / c0)
         return InverseMSeries(-self.lead, bs)
 
-    def normalized(self) -> "InverseMSeries":
-        """Divide by the leading coefficient so c0 = 1 (zero stays zero)."""
-        if self.is_zero():
-            return self
-        c0 = self.coeffs[0]
-        return InverseMSeries(self.lead, [c / c0 for c in self.coeffs])
-
-    def evaluate(self, m):
-        """Evaluate at a concrete m; exact when m is int/Fraction."""
-        inv = Fraction(1, 1) / Fraction(m) if not isinstance(m, float) else 1.0 / m
-        acc = 0 if not isinstance(m, float) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * inv + (float(c) if isinstance(m, float) else c)
-        if isinstance(m, float):
-            return acc * m ** self.lead
-        return acc * Fraction(m) ** self.lead
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, InverseMSeries)

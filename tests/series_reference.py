@@ -48,3 +48,8 @@ def series_from_polynomial(p: RationalPolynomial, order: int) -> InverseMSeries:
     cs = [p.coefficient(lead - j) for j in range(lead + 1)]
     cs += [Fraction(0)] * max(order - lead, 0)
     return InverseMSeries(lead, cs[:order + 1])
+
+
+def normalized(s: InverseMSeries) -> InverseMSeries:
+    """s over its leading coefficient, so c0 = 1; the zero series stays zero."""
+    return s if s.is_zero() else InverseMSeries(s.lead, [c / s.coeffs[0] for c in s.coeffs])

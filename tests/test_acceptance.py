@@ -161,7 +161,7 @@ def test_criterion_6_variation_cross_check():
     for n in (1, 2):
         for k0 in (1, 2, 3):
             J = n + 4
-            a = variation_series_eigen(n, k0 * (k0 + n), J).normalized()
+            a = variation_series_eigen(n, k0 * (k0 + n), J, normalized=True)
             b = sigma_prime_closed_form(n, k0, J)
             ok = ok and a.lead == b.lead
             ok = ok and a.leading_coefficients(J + 1) == b.leading_coefficients(J + 1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import centering_reference
+from eigenbasis_reference import exact_member, exact_pairing, rounded, theta
 
 from cpnbergman import centering, quadrature
 from cpnbergman import (
@@ -122,7 +123,15 @@ class TestCachedMaps:
         with pytest.raises(ValueError):
             build_L(1)[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            first_eigenbasis(1)[0]._np[0, 0] = 1.0
+            first_eigenbasis(1)[0].matrix[0, 0] = 1.0
+        with pytest.raises(AttributeError):  # frozen
+            first_eigenbasis(1)[0].matrix = np.zeros((2, 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_build_L_is_the_exact_basis_rounded_once(self, n):
+        members = [exact_member(n, th.kind, th.indices) for th in first_eigenbasis(n)]
+        want = np.array([rounded(A, exact_pairing(A, A, n)) for A in members])
+        assert build_L(n).tobytes() == want.tobytes() and build_L(n).shape == want.shape
 
 
 def _residual_per_component(A, phi, rtol=1e-10):
@@ -132,7 +141,7 @@ def _residual_per_component(A, phi, rtol=1e-10):
     out = np.empty(len(basis))
     for i, th in enumerate(basis):
         def F(z, th=th):
-            return (phi(z) - rho(z)) * th.evaluate_lifts(chart_lift(1, z))
+            return (phi(z) - rho(z)) * theta(th, chart_lift(1, z))
 
         out[i] = cp1_integral(F, fs_weight, rtol=rtol, atol=1e-13)
     return out
@@ -438,7 +447,7 @@ class TestHermitianPotentials:
     def test_eigenbasis_potential_matches_the_basis_function(self):
         z = np.concatenate([[0.0, 1e8], np.geomspace(1e-3, 1e3, 9) * np.exp(2.3j)])
         for fn in first_eigenbasis(1):
-            want = 0.07 * fn.evaluate_lifts(chart_lift(1, z))
+            want = 0.07 * theta(fn, chart_lift(1, z))
             np.testing.assert_allclose(eigenbasis_potential(fn, 0.07)(z), want, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan])
@@ -652,9 +661,8 @@ class TestCenter:
         basis = first_eigenbasis(1)
 
         def phi(z):
-            return 0.03 * basis[0].evaluate_lifts(_lift(z)) + 0.02 * basis[
-                2
-            ].evaluate_lifts(_lift(z))
+            Z = chart_lift(1, z)
+            return 0.03 * theta(basis[0], Z) + 0.02 * theta(basis[2], Z)
 
         state = center(phi)
         assert state.converged
@@ -743,8 +751,3 @@ def _sampled_rate(pairs, Phi, damping):
     return max(math.hypot(*(centering._t_map(b, Phi, damping)[0]
                             - centering._t_map(a, Phi, damping)[0])) / math.hypot(*(b - a))
                for a, b in pairs)
-
-
-def _lift(z):
-    z = np.asarray(z, dtype=complex)
-    return np.stack([np.ones_like(z), z])

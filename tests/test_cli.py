@@ -141,6 +141,21 @@ class TestDensityAndFit:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ValueError" and "nan" in error["message"]
 
+    def test_fit_m_0_sample_exit_2(self, tmp_path, capsys):
+        # m = 0 is in the density's domain, but a fit over it once raised
+        # ZeroDivisionError and exited 1 with a traceback
+        csv_path = tmp_path / "dens.csv"
+        assert main(["density", "--m-list", "0,10,20", "--grid", "0,1",
+                     "--out", str(csv_path)]) == 0
+        capsys.readouterr()
+        two_column = tmp_path / "samples.csv"
+        two_column.write_text("m,value\n0,1.0\n10,11.0\n20,21.0\n")
+        for args in (["--samples", str(csv_path), "--at-s", "1", "--K", "1"],
+                     ["--samples", str(two_column), "--K", "1"]):
+            assert main(["fit", *args]) == 2
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error["type"] == "ValueError" and "m must be positive" in error["message"]
+
     def test_density_deterministic(self, tmp_path):
         out = []
         for name in ("a.csv", "b.csv"):

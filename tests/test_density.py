@@ -64,6 +64,12 @@ def exact_at(f, p):
     return f.numer(p) / f.denom(p)
 
 
+def _fs_laplacian(u, s):
+    """Delta u at s from u.fs_laplacian_coeffs(), its coefficients in p = 1/(1+s)."""
+    p = 1.0 / (1.0 + s)
+    return sum(c * p**k for k, c in enumerate(u.fs_laplacian_coeffs()))
+
+
 class TestRadialProfile:
     def test_catalog_values(self):
         # eigenfunction bump: eps (1-s)/(1+s); rational bump: eps s/(1+s)^2
@@ -89,7 +95,7 @@ class TestRadialProfile:
         for k in range(1, 6):
             u = RadialProfile([0.0] * k + [1.0])
             for s in (0.0, 0.4, 2.0, 17.0):
-                assert u.fs_laplacian(s) == pytest.approx(
+                assert _fs_laplacian(u, s) == pytest.approx(
                     k * (k * s - 1) * (1.0 + s) ** (-k), rel=1e-13, abs=1e-13
                 )
 
@@ -100,7 +106,7 @@ class TestRadialProfile:
             f1 = (u.value(s + h) - u.value(s - h)) / (2 * h)
             f2 = (u.value(s + h) - 2 * u.value(s) + u.value(s - h)) / h**2
             expected = (1 + s) * (s * (1 + s) * f2 + (1 + s) * f1)
-            assert u.fs_laplacian(s) == pytest.approx(expected, rel=1e-5)
+            assert _fs_laplacian(u, s) == pytest.approx(expected, rel=1e-5)
 
     def test_inverted_chart_is_involution(self):
         u = RadialProfile([0.2, -0.4, 0.3, 0.05])
@@ -317,6 +323,16 @@ class TestSectionNorms:
                                                   "the stated domain"):
             section_norms(met, 26000)
         assert time.perf_counter() - start < 1.0
+
+    def test_fubini_study_error_names_its_own_domain(self):
+        # the message once stated the perturbed metrics' domain for every
+        # metric, with no tol 1e-14 cell, so it did not say why this call fails
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError, match="m = 20000, tol = 1e-14; the stated domain "
+                           "for Fubini-Study is m <= 20000 at tol 1e-13 and m <= 5000 at "
+                           r"tol 1e-14\)"):
+            section_norms(RadialMetric.fubini_study(), 20000, tol=1e-14)
+        assert time.perf_counter() - start < 2.0
 
     def test_budget_exhaustion_now_stalls(self):
         # eigenfunction bump 0.45 at m = 15000 once spent the whole 4096-panel

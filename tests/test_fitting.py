@@ -102,6 +102,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="K = -1 is negative"):
             fit_expansion([(10, 11.0), (20, 21.0)], 1, -1)
 
+    @pytest.mark.parametrize("samples", [
+        [(0, 0.0), (10, 11.0), (20, 21.0)],            # float path: 0.0 ** -1 once raised
+        [(0, 0), (10, 11), (20, 21)],                  # exact path: Fraction(1, 0)
+        [(Fraction(-1, 2), 1.0), (10, 11.0), (20, 21.0)],
+        [(float("nan"), 1.0), (10, 11.0), (20, 21.0)],
+    ])
+    def test_non_positive_m_rejected(self, samples):
+        # the model is a series in 1/m; m = 0 once ended in ZeroDivisionError
+        with pytest.raises(ValueError, match="sample m must be positive"):
+            fit_expansion(samples, 1, len(samples) - 1)
+
 
 class TestVanishingReport:
     def test_fs_cp1(self):

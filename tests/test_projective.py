@@ -8,21 +8,19 @@ import pytest
 import sympy as sp
 
 from cpnbergman import (
-    EigenBasisFunction,
-    HermitianRational,
     RadialProfile,
     chart_lift,
     cp1_integral,
     eigenfunction_pairing_closed_form,
     first_eigenbasis,
     fs_weight,
-    hermitian_pairing,
     polynomiality_criterion,
     sigma_prime_closed_form,
     variation_series_eigen,
 )
+from eigenbasis_reference import exact_member, exact_pairing, rounded, theta
 from fd_laplacian import numeric_fs_laplacian
-from series_reference import from_roots, poly_divmod, series_from_polynomial
+from series_reference import from_roots, normalized, poly_divmod, series_from_polynomial
 
 
 def _radial_laplacian(f, s, n):
@@ -92,7 +90,7 @@ class TestSigmaPrimeClosedForm:
             for k0 in (1, 2, 3):
                 J = n + 4
                 closed = sigma_prime_closed_form(n, k0, J)
-                assembled = variation_series_eigen(n, k0 * (k0 + n), J).normalized()
+                assembled = variation_series_eigen(n, k0 * (k0 + n), J, normalized=True)
                 assert assembled.lead == closed.lead
                 assert assembled.leading_coefficients(
                     J + 1
@@ -136,8 +134,8 @@ class TestResonantFractionOracles:
         for k0 in range(1, 7):
             numer, denom = _resonant_polynomials(n, k0)
             for J in range(1, 41):
-                want = (series_from_polynomial(numer, J)
-                        * series_from_polynomial(denom, J).reciprocal()).normalized()
+                want = normalized(series_from_polynomial(numer, J)
+                                  * series_from_polynomial(denom, J).reciprocal())
                 got = sigma_prime_closed_form(n, k0, J)
                 assert got == want and got.lead == n + 1, (n, k0, J)
 
@@ -149,29 +147,6 @@ class TestResonantFractionOracles:
             assert rem == want and exact == want.is_zero(), (n, k0)
 
 
-class TestHermitianRational:
-    def test_requires_square_symmetric(self):
-        with pytest.raises(ValueError):
-            HermitianRational([[0, 1], [0, 0]])
-
-    def test_trace_and_products(self):
-        A = HermitianRational([[1, 0], [0, -1]])
-        assert A.trace() == 0
-        assert A.trace_product(A) == 2
-        M = A.to_numpy()
-        assert np.allclose(M, np.diag([1.0, -1.0]))
-
-    def test_pairing_diagonal_norm(self):
-        # (|Z_1|^2 - |Z_0|^2)/|Z|^2 has squared norm 1/3 on CP^1
-        A = HermitianRational([[-1, 0], [0, 1]])
-        assert hermitian_pairing(A, A, 1) == Fraction(1, 3)
-
-    def test_pairing_traceless_orthogonal_to_identity_part(self):
-        A = HermitianRational([[0, 1], [1, 0]])
-        B = HermitianRational([[-1, 0], [0, 1]])
-        assert hermitian_pairing(A, B, 1) == 0
-
-
 class TestFirstEigenbasis:
     @pytest.mark.parametrize("n,count", [(1, 3), (2, 8), (3, 15)])
     def test_count(self, n, count):
@@ -180,33 +155,39 @@ class TestFirstEigenbasis:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exact_orthonormality(self, n):
         basis = first_eigenbasis(n)
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                pair = hermitian_pairing(a.exact, b.exact, n)
+        exact = [exact_member(n, th.kind, th.indices) for th in basis]
+        for i, (a, A) in enumerate(zip(basis, exact)):
+            for j, B in enumerate(exact):
+                pair = exact_pairing(A, B, n)
                 if i == j:
                     assert pair == a.norm_sq
                     assert a.norm_sq > 0
                 else:
                     assert pair == 0
+            # the library's T_i is that exact matrix rounded once, bit for bit
+            assert a.matrix.tobytes() == rounded(A, a.norm_sq).tobytes(), (n, a.kind, a.indices)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_diagonal_members_closed_form(self, n):
         # member l is E_ll - (1/l) sum_{i<l} E_ii
         diag = [th for th in first_eigenbasis(n) if th.kind == "diag"]
         assert [th.indices for th in diag] == [(l,) for l in range(1, n + 1)]
+        zero = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
         for th in diag:
             l = th.indices[0]
             want = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
             want[l][l] = Fraction(1)
             for i in range(l):
                 want[i][i] = Fraction(-1, l)
-            assert th.exact.re == tuple(map(tuple, want))
-            assert all(x == 0 for row in th.exact.im for x in row)
             assert th.norm_sq == (1 + Fraction(1, l)) / ((n + 1) * (n + 2))
+            assert exact_pairing((want, zero), (want, zero), n) == th.norm_sq
+            assert th.matrix.tobytes() == rounded((want, zero), th.norm_sq).tobytes()
 
     def test_traceless(self):
         for th in first_eigenbasis(2):
-            assert th.exact.trace() == 0
+            re, _ = exact_member(2, th.kind, th.indices)
+            assert sum(re[i][i] for i in range(3)) == 0
+            assert th.matrix.trace() == 0
 
     def test_quadrature_gram_identity(self):
         basis = first_eigenbasis(1)
@@ -214,7 +195,7 @@ class TestFirstEigenbasis:
         def product(i, j):
             def F(z):
                 Z = chart_lift(1, z)
-                return basis[i].evaluate_lifts(Z) * basis[j].evaluate_lifts(Z)
+                return theta(basis[i], Z) * theta(basis[j], Z)
 
             return cp1_integral(F, fs_weight, rtol=1e-10, atol=1e-13)
 
@@ -228,24 +209,18 @@ class TestFirstEigenbasis:
         rng = np.random.default_rng(7)
         basis = first_eigenbasis(n)
         for th in basis:
+            def f(z, th=th):
+                return float(theta(th, chart_lift(n, z)))
+
             for _ in range(50 if n == 1 else 10):
                 pt = rng.uniform(-1.4, 1.4, 2 * n)
                 z = pt[0] + 1j * pt[1] if n == 1 else pt[::2] + 1j * pt[1::2]
-                lap = numeric_fs_laplacian(th.evaluate, z, n)
-                assert abs(lap + (n + 1) * th.evaluate(z)) < 1e-8
+                lap = numeric_fs_laplacian(f, z, n)
+                assert abs(lap + (n + 1) * f(z)) < 1e-8
 
     def test_scale_invariance_on_lifts(self):
         rng = np.random.default_rng(3)
         for th in first_eigenbasis(2):
             Z = rng.normal(size=3) + 1j * rng.normal(size=3)
             c = 0.7 - 2.1j
-            assert th.evaluate_lifts(Z) == pytest.approx(
-                th.evaluate_lifts(c * Z), rel=1e-12
-            )
-
-    def test_evaluate_matches_lifts(self):
-        th = first_eigenbasis(1)[0]
-        z = 0.4 + 0.9j
-        assert th.evaluate(z) == pytest.approx(
-            float(th.evaluate_lifts(chart_lift(1, z))), rel=1e-14
-        )
+            assert theta(th, Z) == pytest.approx(theta(th, c * Z), rel=1e-12)

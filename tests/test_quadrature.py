@@ -127,6 +127,19 @@ class TestInterval:
         with pytest.raises(ValueError):
             integrate_interval(np.exp, 1.0, 1.0)
 
+    @pytest.mark.parametrize("rtol,atol", [(math.nan, 0.0), (1e-12, math.nan),
+                                           (-1e-12, 0.0), (1e-12, -1e-300)])
+    def test_rejects_bad_tolerance(self, rtol, atol):
+        # a nan bound once met every estimate: the first rule, 34 times the
+        # exact (1 - cos 200) / 200, came back with no error
+        with pytest.raises(ValueError, match="rtol >= 0 and atol >= 0"):
+            integrate_interval(lambda x: np.sin(200.0 * x), 0.0, 1.0, rtol=rtol, atol=atol)
+        with pytest.raises(ValueError, match="rtol >= 0 and atol >= 0"):
+            integrate_half_line(fs_weight, rtol=rtol, atol=atol)
+        if atol == 0.0:
+            with pytest.raises(ValueError, match="rtol >= 0 and atol >= 0"):
+                monomial_kernel_quadrature(1, 10, (3,), rtol=rtol)
+
     def test_budget_exhaustion(self, monkeypatch):
         # kink keeps the panel error estimate alive past a tiny budget
         def kink(x):

@@ -150,16 +150,6 @@ class TestInverseMSeries:
         assert r.lead == -2
         assert r.coefficient_at(-2) == Fraction(1, 4)
 
-    def test_normalized_has_unit_lead(self):
-        a = InverseMSeries(3, [Fraction(7), Fraction(14)])
-        n = a.normalized()
-        assert n.coefficient_at(3) == 1
-        assert n.coefficient_at(2) == 2
-
-    def test_evaluate_exact(self):
-        a = InverseMSeries(1, [Fraction(1), Fraction(1)])  # m + 1
-        assert a.evaluate(Fraction(5)) == 6
-
     @given(
         st.lists(rationals, min_size=1, max_size=4),
         st.lists(rationals, min_size=1, max_size=4),

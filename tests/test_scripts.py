@@ -16,6 +16,33 @@ def _load(name):
     return module
 
 
+class TestEigenvalueScan:
+    def test_default_run_passes_its_gate(self, tmp_path, capsys):
+        scan = _load("run_eigenvalue_scan")
+        assert scan.main(["--out-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "n=3 admissible=[1]" in captured.out
+        assert captured.err == ""
+        assert (tmp_path / "eigenvalue_scan_n3.json").exists()
+
+    def test_mismatch_fails_and_names_the_level(self, tmp_path, capsys, monkeypatch):
+        # the checks were bare asserts, which python -O skips
+        scan = _load("run_eigenvalue_scan")
+        closed_form = scan.sigma_prime_closed_form
+
+        def off_at_n2_k3(n, k, J):
+            series = closed_form(n, k, J)
+            return series * 2 if (n, k) == (2, 3) else series
+
+        monkeypatch.setattr(scan, "sigma_prime_closed_form", off_at_n2_k3)
+        monkeypatch.setattr(scan, "admissible_eigenvalue_scan", lambda n, k_max, J: {1, 4})
+        assert scan.main(["--out-dir", str(tmp_path), "--n-max", "2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["eigenvalue scan failed at n=1 k=4: scan and division criterion disagree",
+                       "eigenvalue scan failed at n=2 k=3: series differs from the closed form",
+                       "eigenvalue scan failed at n=2 k=4: scan and division criterion disagree"]
+
+
 class TestPerturbedA1:
     def test_default_run_passes_its_gate(self, tmp_path, capsys):
         a1 = _load("run_perturbed_a1")
