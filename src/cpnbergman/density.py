@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -22,10 +22,11 @@ from .quadrature import integrate_interval
 
 
 def _horner(coeffs, p):
+    # from the top coefficient: a first step from 0 would give it exactly
     p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
-    for c in reversed(coeffs):
-        out = out * p + c
+    out = np.full_like(p, coeffs[-1] if coeffs else 0.0)
+    for c in reversed(coeffs[:-1]):
+        out = out * p + c  # not in place: on a 0-d p, out becomes a float64 scalar
     if out.ndim == 0:
         return float(out)
     return out
@@ -68,11 +69,18 @@ def _extremum_candidates(coeffs) -> np.ndarray:
 
     0, 1, and the real parts of the derivative's roots, clipped to [0, 1];
     real parts of complex roots are kept so that a double critical point
-    split by rounding into a conjugate pair is not lost.
+    split by rounding into a conjugate pair is not lost.  A constant
+    derivative has no root, and a linear one d0 + d1 p has -d0 / d1: what
+    np.roots returns for them, bit for bit.
     """
     deriv = [k * c for k, c in enumerate(coeffs)][1:]
-    roots = np.roots(deriv[::-1])  # np.roots takes the highest degree first
-    return np.concatenate(([0.0, 1.0], np.clip(roots.real, 0.0, 1.0)))
+    if len(deriv) < 2:
+        roots = np.empty(0)
+    elif len(deriv) == 2 and deriv[1] != 0.0:
+        roots = np.array([-deriv[0] / deriv[1] if deriv[0] != 0.0 else 0.0])
+    else:
+        roots = np.roots(deriv[::-1]).real  # np.roots takes the highest degree first
+    return np.concatenate(([0.0, 1.0], np.clip(roots, 0.0, 1.0)))
 
 
 class RadialProfile:
@@ -257,33 +265,43 @@ class _Rows:
         self.log_v_star = np.log(self.v_star)
 
     def exponent(self, x, rows=slice(None)):
-        """g_j(x) for the rows in the slice rows, x broadcasting against a column.
+        """g_j(x) for the rows in the slice rows, at nodes x or a (rows, c) array x.
 
         log1p of the distance from x* and a divided difference for u keep
         the rounding error proportional to that distance rather than to m.
-        In place: at most three rows x nodes arrays are alive at once.
+        Both log1p terms go through one call on a stacked (2, rows, nodes)
+        array, whose first half holds the distance x* - x until the u term
+        has used it, and the result is that first half: at most three
+        rows x nodes arrays are alive at once.  Each element is
+        k L1 - m d dp + j L2 in that order, as from separate calls.
         """
-        j, k, xs, ps = self.j[rows], self.k[rows], self.xs[rows], self.ps[rows]
-        neg_inv_x, inv_p = self.neg_inv_x[rows], self.inv_p[rows]
-        dp = xs - x
-        g = np.multiply(dp, inv_p)
-        np.log1p(g, out=g)
-        g *= k
+        xs = self.xs[rows]
+        logs = np.empty((2, len(xs), np.shape(x)[-1]))
+        dp = np.subtract(xs, x, out=logs[0])
         if self.u:
-            d = _divided_difference(self.u, 1.0 - x, ps)
+            d = _divided_difference(self.u, 1.0 - x, self.ps[rows])
             d *= dp
             d *= self.m
+        np.multiply(dp, self.neg_inv_x[rows], out=logs[1])
+        dp *= self.inv_p[rows]
+        np.log1p(logs, out=logs)
+        g = logs[0]
+        g *= self.k[rows]
+        if self.u:
             g -= d
-        dp *= neg_inv_x  # dp is not needed past here: its buffer takes the j term
-        np.log1p(dp, out=dp)
-        dp *= j
-        g += dp
+        logs[1] *= self.j[rows]
+        g += logs[1]
         return g
+
+    def log_values(self, x, rows=slice(None)):
+        """g_j(x) + log v(1 - x), the rows' logs at nodes x before any shift."""
+        out = self.exponent(x, rows)
+        out += np.log(_horner(self.v, 1.0 - x))
+        return out
 
     def values(self, x, offset, rows=slice(None)):
         """The rows at nodes x, e^{g_j(x) - offset_j} v(1 - x), in place."""
-        out = self.exponent(x, rows)
-        out += np.log(_horner(self.v, 1.0 - x))
+        out = self.log_values(x, rows)
         out -= offset[rows]
         return np.exp(out, out=out)
 
@@ -398,8 +416,26 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     return _section_norms(metric, m, tol)[0]
 
 
-def _section_norms(metric: RadialMetric, m: int, tol: float):
-    """section_norms, and each integrand row over its integral as a function of x."""
+@lru_cache(maxsize=64)
+def _graded_edges(m: int):
+    """The initial partition of a section-norm pass: None (one panel) below m = 38."""
+    if m < 38:
+        return None
+    # floor(sqrt(m) / 1.5) panels uniform in theta.  Off the dyadic grid a rounded
+    # midpoint moves a panel's rule by an ulp, about m ulps of an end row's total
+    theta = np.linspace(0.0, 0.5 * np.pi, math.isqrt(4 * m) // 3 + 1)
+    return tuple((np.round(np.sin(theta) ** 2 * 2.0**24) / 2.0**24).tolist())
+
+
+def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
+    """section_norms, and each integrand row over its integral at the points x in at.
+
+    The second is an (m+1, len(at)) array, or None if at is None.  A dense
+    pass evaluates the rows' logs (_Rows.log_values) at those points in
+    its first integrand call and shifts them once the totals are known,
+    the arithmetic of _Rows.values after the pass, bit for bit, in one
+    call fewer; a banded pass evaluates them after the pass.
+    """
     if m < 0 or not tol > 0:
         raise ValueError(f"section norms need m >= 0 and tol > 0, got m = {m}, tol = {tol}")
     rows = _Rows(metric, m)
@@ -409,6 +445,7 @@ def _section_norms(metric: RadialMetric, m: int, tol: float):
     lift = slope * slope * xs * ps / (2 * max(m, 1))
     offset = log_v_star + lift
 
+    held = []  # the rows' logs at x = at, from the first call of a dense pass
     if rows.banding_pays():
         lower, upper = rows.supports()
 
@@ -419,15 +456,17 @@ def _section_norms(metric: RadialMetric, m: int, tol: float):
             return m + 1, j0, rows.values(x, offset, slice(j0, j1))
     else:
         def integrand(x):
-            return rows.values(x, offset)
+            if at is None or held:
+                return rows.values(x, offset)
+            with np.errstate(divide="ignore"):  # log1p(-1): a power of x or 1-x at a pole
+                logs = rows.log_values(np.concatenate([x, at]))
+            held.append(logs[:, len(x):].copy())
+            out = logs[:, :len(x)] - offset
+            return np.exp(out, out=out)
 
-    # floor(sqrt(m) / 1.5) panels uniform in theta.  Off the dyadic grid a rounded
-    # midpoint moves a panel's rule by an ulp, about m ulps of an end row's total
-    theta = np.linspace(0.0, 0.5 * np.pi, math.isqrt(4 * m) // 3 + 1) if m >= 38 else None
-    edges = None if theta is None else (np.round(np.sin(theta) ** 2 * 2.0**24) / 2.0**24).tolist()
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            total = integrate_interval(integrand, 0.0, 1.0, rtol=tol, edges=edges)
+            total = integrate_interval(integrand, 0.0, 1.0, rtol=tol, edges=_graded_edges(m))
     except QuadratureError as err:
         domain = ("for Fubini-Study is m <= 20000 at tol 1e-13 and m <= 5000 at tol 1e-14"
                   if metric.is_fubini_study else
@@ -441,7 +480,13 @@ def _section_norms(metric: RadialMetric, m: int, tol: float):
     peak = (rows.j * np.log(np.where(rows.j > 0, xs, 1.0))
             + rows.k * np.log(np.where(rows.k > 0, ps, 1.0)))
     shift = log_v_star - m * metric.profile.value_p(ps) + lift
-    return (peak + shift + log_total).ravel(), lambda x: rows.values(x, offset + log_total)
+    terms = None
+    if at is not None:
+        with np.errstate(divide="ignore"):
+            terms = held[0] if held else rows.log_values(at)
+        terms -= offset + log_total
+        np.exp(terms, out=terms)
+    return (peak + shift + log_total).ravel(), terms
 
 
 @dataclass
@@ -473,10 +518,9 @@ def bergman_density(metric: RadialMetric, m: int, grid, tol: float = 1e-12) -> D
     grid = np.asarray(grid, dtype=float)
     if not (grid >= 0.0).all():
         raise ValueError(f"density grid {grid[~(grid >= 0.0)]} is outside [0, inf]")
-    logn, terms = _section_norms(metric, m, tol)
     p = 1.0 / (1.0 + grid)
-    with np.errstate(divide="ignore"):  # log1p(-1): a power of x or 1-x at a pole
-        values = np.sum(terms(1.0 - p), axis=0) / _horner(metric._v_coeffs, p)
+    logn, terms = _section_norms(metric, m, tol, np.ravel(1.0 - p))
+    values = np.sum(terms, axis=0) / _horner(metric._v_coeffs, p)
     return DensityResult(m, grid, values, logn)
 
 

@@ -10,6 +10,7 @@ ranges).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -35,6 +36,8 @@ def fit_expansion(samples: Sequence[Tuple], n: int, K: int) -> FitResult:
 
     Ill conditioning is reported through the condition field, never
     raised; the residual is the exact max deviation over the inputs.
+    A sample m <= 0 (or nan) or a value that is nan or infinite raises
+    ValueError naming the first such sample.
     """
     if K < 0:
         raise ValueError(f"fit order K = {K} is negative")
@@ -43,6 +46,9 @@ def fit_expansion(samples: Sequence[Tuple], n: int, K: int) -> FitResult:
     bad = [m for m in ms if not m > 0]  # the model's 1/m needs m > 0
     if bad:
         raise ValueError(f"sample m must be positive, got {bad[0]}")
+    bad = [(m, v) for m, v in pairs if not (isinstance(v, Rational) or math.isfinite(v))]
+    if bad:  # a nan or infinite value would make every coefficient nan
+        raise ValueError(f"sample value must be finite, got {bad[0][1]} at m = {bad[0][0]}")
     if len(set(ms)) != len(ms):
         raise InsufficientSamplesError("sample m values must be distinct")
     if len(pairs) < K + 1:

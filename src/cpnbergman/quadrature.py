@@ -3,7 +3,7 @@
 Every panel is one 31-node Kronrod rule (K31), whose embedded 15-node
 Gauss rule (G15) gives its error estimate from the same integrand
 values.  Integrands must accept numpy arrays of evaluation points and be
-pointwise in them: one call may hold the nodes of two panels.  The
+pointwise in them: one call may hold the nodes of several panels.  The
 half-line is compactified by s = x/(1-x); integrals over CP^1 combine an
 adaptive radial pass with a trapezoid angular average whose resolution
 is doubled until two successive values agree.
@@ -61,6 +61,9 @@ _RULES = np.stack([_WK, _WK - _mirror(_WG)], axis=1)
 _ROUNDING_ULPS = 2.0
 # the panel budget of one pass
 _MAX_PANELS = 4096
+# the row x node values of one call of a dense f on initial panels past the
+# first: as many panels as fit, and at least two, as a split evaluates
+_MAX_CALL_VALUES = 2**14
 # cp1_integral's angular steps: (64, 128), (128, 256), ... up to 1024 points
 _N_THETA = 64
 _N_THETA_MAX = 1024
@@ -133,13 +136,15 @@ def integrate_interval(
     Dyadic edges keep every panel's midpoint and half-width exact, as
     bisection's are; a rounded one moves the rule off its panel.
 
-    f is called on at most two panels (62 nodes) at a time, in panel
-    order: the first initial panel alone, the others two a call, then
-    once per split on its two halves.  So f must be pointwise in x, its
-    value at a node not depending on the other nodes of the call; each
-    panel's values are then what a call on its own nodes gives, bit for
-    bit.  A banded f (below) is called on one panel at a time, since a
-    call's row window is the hull of its nodes' windows.
+    f is called in panel order: the first initial panel alone, which
+    shows whether f is banded and how many rows it has, then the other
+    initial panels in as few calls as _MAX_CALL_VALUES row x node values
+    allow (at least two panels a call), then once per split on its two
+    halves (62 nodes).  So f must be pointwise in x, its value at a node
+    not depending on the other nodes of the call; each panel's values are
+    then what a call on its own nodes gives, bit for bit.  A banded f
+    (below) is called on one panel at a time, since a call's row window
+    is the hull of its nodes' windows.
 
     f may instead return shape (k, len(x)): k integrands sharing one set
     of panels.  The result is then a (k,) array, and splitting goes on
@@ -190,15 +195,17 @@ def integrate_interval(
 
     banded, shape, start, sums = _rules(f, edges[:2])
     k = shape[0] if shape else 1
-    step = 1 if banded else 2  # panels per call of f
+    # panels per call of f: on a split, and on the initial panels past the first
+    step = 1 if banded else 2
+    group = 1 if banded else max(step, _MAX_CALL_VALUES // (len(_X) * k))
 
-    def panels(edges):
+    def panels(edges, group):
         # (lo, hi, start, sums) of each panel between edges, sums as _rules gives them
         out = []
-        for i in range(0, len(edges) - 1, step):
-            part = edges[i:i + step + 1]
+        for i in range(0, len(edges) - 1, group):
+            part = edges[i:i + group + 1]
             _, _, start, sums = _rules(f, part)
-            out += zip(part, part[1:], [start] * step, sums)
+            out += zip(part, part[1:], [start] * group, sums)
         return out
 
     acc = np.zeros((3, k))  # the total, error estimate and mass of every component
@@ -213,7 +220,7 @@ def integrate_interval(
     def bound(total):
         return np.maximum(rtol * np.abs(total), floor)
 
-    roots = [(edges[0], edges[1], start, sums[0])] + panels(edges[1:])
+    roots = [(edges[0], edges[1], start, sums[0])] + panels(edges[1:], group)
     for root in roots:
         add(root, 1.0)
     if screen is not None:
@@ -230,7 +237,7 @@ def integrate_interval(
     def unmet(start, end):
         # refresh above on components start .. end - 1; the change in its count
         e = err[start:end]
-        if not np.all(np.isfinite(e)):
+        if not np.isfinite(e).all():
             raise QuadratureError("integrand is not finite on [%g, %g]" % (a, b))
         now, was = e > bound(total[start:end]), above[start:end]
         change = int(np.count_nonzero(now)) - int(np.count_nonzero(was))
@@ -249,11 +256,12 @@ def integrate_interval(
         return QuadratureError("%s: %d panels, error estimate %.3e on total %.3e"
                                % (reason, count, err[j], total[j]))
 
-    heap = sorted((-priority(root),) + root for root in roots)  # a sorted list is a heap
-    count = len(roots)
-    stall_from = count - 1 + _STALL_SPLITS  # count > stall_from once _STALL_SPLITS splits are done
     # kept up to date on each split's row window, so a banded split is O(window)
     n_unmet = unmet(0, k)
+    # a sorted list is a heap, built only if some component is short of its bound
+    heap = sorted((-priority(root),) + root for root in roots) if n_unmet else []
+    count = len(roots)
+    stall_from = count - 1 + _STALL_SPLITS  # count > stall_from once _STALL_SPLITS splits are done
     # worst error/bound ratio while stuck at the rounding level, and when it was set
     mark, marked_at = None, count
     while n_unmet:
@@ -261,7 +269,7 @@ def integrate_interval(
             raise fail("quadrature budget exhausted")
         parent = heapq.heappop(heap)[1:]
         lo, hi = parent[:2]
-        children = panels((lo, 0.5 * (lo + hi), hi))
+        children = panels((lo, 0.5 * (lo + hi), hi), step)
         add(parent, -1.0)
         for child in children:
             add(child, 1.0)
@@ -288,9 +296,10 @@ def integrate_half_line(
 ) -> Union[float, np.ndarray]:
     """Integral of f over [0, infinity) via the substitution s = x/(1-x).
 
-    f may return shape (k, len(s)); see integrate_interval.  f gets the
-    nodes of up to two panels (62) per call and must be pointwise in s; a
-    banded f gets one panel per call.
+    f may return shape (k, len(s)); see integrate_interval.  The pass
+    starts from one panel, so f gets the nodes of that panel (31), then
+    of each split's two halves (62), per call, and must be pointwise in
+    s; a banded f gets one panel per call.
     """
 
     def g(x: np.ndarray) -> np.ndarray:

@@ -156,6 +156,15 @@ class TestDensityAndFit:
             error = json.loads(capsys.readouterr().out)["error"]
             assert error["type"] == "ValueError" and "m must be positive" in error["message"]
 
+    def test_fit_non_finite_sample_exit_2(self, tmp_path, capsys):
+        # 1.0e400 reads as inf: the fit once printed NaN, which is not JSON, and exited 0
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text("m,value\n10,1.0e400\n20,21.0\n30,31.0\n")
+        assert main(["fit", "--samples", str(csv_path), "--K", "1"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError"
+        assert "sample value must be finite, got inf at m = 10" in error["message"]
+
     def test_density_deterministic(self, tmp_path):
         out = []
         for name in ("a.csv", "b.csv"):

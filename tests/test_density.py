@@ -128,6 +128,43 @@ class TestRadialProfile:
         assert u.scaled(0.5).value(3.0) == pytest.approx(0.5 * u.value(3.0))
         assert (u - u).is_zero
 
+    @pytest.mark.parametrize("coeffs", [(), (0.3,), (0.3, -0.2), (0.3, 0.0)])
+    def test_constant_derivative_has_no_root(self, coeffs):
+        deriv = [k * c for k, c in enumerate(coeffs)][1:]
+        want = np.concatenate(([0.0, 1.0], np.clip(np.roots(deriv[::-1]).real, 0.0, 1.0)))
+        got = density_module._extremum_candidates(coeffs)
+        assert got.tobytes() == want.tobytes() == np.array([0.0, 1.0]).tobytes()
+
+    def test_linear_derivative_root_matches_np_roots(self):
+        # a linear derivative d0 + d1 p has its root -d0 / d1 in closed form,
+        # bit for bit what np.roots returns, a zero root (d0 = 0) included
+        rng = np.random.default_rng(11)
+        coeffs = rng.normal(size=(5000, 3)) * 10.0 ** rng.uniform(-8, 8, size=(5000, 3))
+        coeffs[:50, 1] = 0.0
+        coeffs[50:100, 1] = -0.0
+        coeffs[100:110, 2] = 0.0  # a constant derivative: no root
+        for c in coeffs:
+            deriv = [c[1], 2.0 * c[2]]
+            want = np.concatenate(([0.0, 1.0], np.clip(np.roots(deriv[::-1]).real, 0.0, 1.0)))
+            got = density_module._extremum_candidates(tuple(c))
+            assert got.tobytes() == want.tobytes(), c
+
+    @pytest.mark.parametrize("degree", range(-1, 6))
+    def test_horner_from_the_top_matches_horner_from_zero(self, degree):
+        # the first step from 0 gives the top coefficient exactly
+        rng = np.random.default_rng(degree + 3)
+        coeffs = tuple(rng.normal(size=degree + 1))
+        p = np.append(rng.uniform(size=50), [0.0, 1.0])
+        want = np.zeros_like(p)
+        for c in reversed(coeffs):
+            want = want * p + c
+        assert density_module._horner(coeffs, p).tobytes() == want.tobytes()
+        scalar = 0.0
+        for c in reversed(coeffs):
+            scalar = scalar * 0.3 + c
+        got = density_module._horner(coeffs, 0.3)
+        assert type(got) is float and got == scalar
+
     @pytest.mark.parametrize("degree", range(-1, 6))
     def test_divided_difference_matches_horner_from_zero(self, degree):
         # started at the top coefficient, the loop skips two steps that
@@ -495,6 +532,70 @@ class TestGradedStart:
             assert np.array_equal(self.run(monkeypatch, met, m, 1e-12, True)[1], one), m
 
 
+class TestGridInTheFirstCall:
+    """A dense pass evaluates the density's grid in its first integrand call."""
+
+    @pytest.mark.parametrize("m", [5, 37, 38, 50, 200])
+    @pytest.mark.parametrize("name", sorted(BANDED_METRICS))
+    def test_terms_equal_a_separate_evaluation(self, monkeypatch, name, m):
+        # the rows at the grid, shifted once the totals are known, are bit for
+        # bit _Rows.values there after the pass; the pass itself is unchanged
+        met = RadialMetric(BANDED_METRICS[name])
+        at = 1.0 - 1.0 / (1.0 + np.array(GRID + [1e3, np.inf]))
+        quad, values = density_module.integrate_interval, density_module._Rows.values
+        seen, totals, calls = [], [], []
+
+        def spy_values(self, x, offset, rows=slice(None)):
+            seen.append((self, offset))
+            return values(self, x, offset, rows)
+
+        def spy(f, *args, **kwargs):
+            calls.append(0)
+
+            def g(x):
+                calls[-1] += 1
+                return f(x)
+
+            totals.append(quad(g, *args, **kwargs))
+            return totals[-1]
+
+        monkeypatch.setattr(density_module._Rows, "values", spy_values)
+        monkeypatch.setattr(density_module, "integrate_interval", spy)
+        logn, none = density_module._section_norms(met, m, 1e-12)
+        assert none is None
+        rows, offset = seen[0]
+        with np.errstate(divide="ignore"):
+            want = rows.values(at, offset + np.log(totals[0])[:, None])
+        fused, terms = density_module._section_norms(met, m, 1e-12, at)
+        assert not rows.banding_pays() and calls[1] == calls[0]
+        assert totals[1].tobytes() == totals[0].tobytes()
+        assert fused.tobytes() == logn.tobytes()
+        assert terms.shape == (m + 1, len(at)) and terms.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [5, 50, 200])
+    def test_no_separate_grid_evaluation(self, monkeypatch, m):
+        # a dense density evaluates the rows once per integrand call, no more
+        log_values, quad = density_module._Rows.log_values, density_module.integrate_interval
+        evaluations, calls = [], []
+
+        def spy_log_values(self, x, rows=slice(None)):
+            evaluations.append(np.size(x))
+            return log_values(self, x, rows)
+
+        def spy(f, *args, **kwargs):
+            def g(x):
+                calls.append(x.size)
+                return f(x)
+
+            return quad(g, *args, **kwargs)
+
+        monkeypatch.setattr(density_module._Rows, "log_values", spy_log_values)
+        monkeypatch.setattr(density_module, "integrate_interval", spy)
+        met = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
+        bergman_density(met, m, GRID)
+        assert evaluations == [calls[0] + len(GRID)] + calls[1:]
+
+
 class TestBergmanDensity:
     def test_fs_constant(self):
         res = bergman_density(RadialMetric.fubini_study(), 3, GRID + [1e4])
@@ -544,6 +645,13 @@ class TestBergmanDensity:
         rep = scalar_curvature(met, 0.0)
         assert abs(value - (m + rep.a1 + rep.a2 / m)) < 1e-2
         assert abs(value - (m + rep.a1)) < 2e-2
+
+    @pytest.mark.parametrize("m", [5, 50, 400])
+    def test_scalar_grid(self, m):
+        # a scalar s gives the one-point grid's values, on the dense and banded paths
+        met = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
+        got = bergman_density(met, m, 2.0).values
+        assert got.shape == (1,) and got.tobytes() == bergman_density(met, m, [2.0]).values.tobytes()
 
     def test_norms_attached_to_result(self):
         res = bergman_density(RadialMetric.fubini_study(), 2, [0.0])

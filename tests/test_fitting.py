@@ -113,6 +113,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="sample m must be positive"):
             fit_expansion(samples, 1, len(samples) - 1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("K", [1, 2])  # the float path, with and without least squares
+    def test_non_finite_value_rejected(self, value, K):
+        # a nan or infinite value once gave nan coefficients and residual
+        samples = [(10, 11.0), (20, value), (30, 31.0)]
+        with pytest.raises(ValueError, match=f"sample value must be finite, got {value} at m = 20"):
+            fit_expansion(samples, 1, K)
+
 
 class TestVanishingReport:
     def test_fs_cp1(self):

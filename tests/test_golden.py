@@ -113,6 +113,12 @@ only if its max_rel_error stayed <= 1e-15 with pass true.  It did not
 change: max_rel_error is still 5.55e-16, where the same passes with
 kernels in logs of t and 1 + t read 7.77e-16 (log1p(t): 6.66e-16), and
 every file stayed byte-identical.
+Two dense densities at m = 40 to 200 were pinned before the dense
+section-norm pass came to group its initial panels under a row x node
+budget and bergman_density to put its grid into the pass's first
+integrand call: the eigenfunction bump 0.1 at m = 50, 100, 200 and a
+four-term phi1-poly at m = 40, 60, 100, 200, each on the grid
+0, 0.3, 1, 4, 1000.
 """
 
 import subprocess
@@ -165,6 +171,12 @@ CASES = {
     "first-variation_eigenfunction-bump_eps1_m20.json": ["first-variation", "--phi",
                                                          "eigenfunction-bump", "--eps", "1.0",
                                                          "--m", "20"],
+    "density_eigenfunction-bump_eps0.1_m50-200.csv": [
+        "density", "--metric", "eigenfunction-bump", "--eps", "0.1",
+        "--m-list", "50,100,200", "--grid", "0,0.3,1,4,1000"],
+    "density_phi1-poly_0.01_-0.03_0.005_0.002_m40-200.csv": [
+        "density", "--metric", "phi1-poly", "--coeffs", "0.01,-0.03,0.005,0.002",
+        "--m-list", "40,60,100,200", "--grid", "0,0.3,1,4,1000"],
     "density_phi1-poly_0_0.05_-0.02.csv": ["density", "--metric", "phi1-poly",
                                            "--coeffs", "0,0.05,-0.02", "--m-list", "20,40",
                                            "--grid", "0,1"],

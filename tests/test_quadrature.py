@@ -217,7 +217,9 @@ class TestInterval:
 
 
 class TestSchedule:
-    """A dense pass calls f on two panels at a time, a banded pass on one."""
+    """A dense pass calls f on the first panel alone, then on the other initial
+    panels in groups under a row x node budget, then on each split's two
+    halves; a banded pass calls f on one panel at a time."""
 
     @pytest.fixture
     def splits(self, monkeypatch):
@@ -244,21 +246,61 @@ class TestSchedule:
         assert sizes == [31] + [62] * len(splits)
         assert sum(sizes) == 31 * (1 + 2 * len(splits))
 
-    def test_dense_pass_from_a_partition(self, splits):
-        # the initial step evaluates one K31 rule per panel: the first panel
-        # alone, then two panels a call
+    @staticmethod
+    def two_rows(x):
+        return np.stack([np.exp(x), np.exp(-((x - 0.1234567) ** 2) * 1e4)])
+
+    def partition_pass(self, monkeypatch, budget):
+        """Node counts per call, and the total, of a 2-row f from 7 panels."""
+        monkeypatch.setattr(quadrature, "_MAX_CALL_VALUES", budget)
         sizes = []
 
         def f(x):
             sizes.append(x.size)
-            return np.stack([np.exp(x), np.exp(-((x - 0.1234567) ** 2) * 1e4)])
+            return self.two_rows(x)
 
-        got = integrate_interval(f, 0.0, 1.0, rtol=1e-12, edges=np.linspace(0.0, 1.0, 8))
-        assert len(splits) > 0 and max(sizes) == 62
-        # 7 panels: 1 + 2 + 2 + 2
-        assert sizes == [31, 62, 62, 62] + [62] * len(splits)
+        return sizes, integrate_interval(f, 0.0, 1.0, rtol=1e-12, edges=np.linspace(0.0, 1.0, 8))
+
+    def test_dense_pass_from_a_partition(self, splits, monkeypatch):
+        # the initial step evaluates one K31 rule per panel: the first panel
+        # alone, then the other 6 in one call, as 2^14 values hold 264 panels
+        # of 2 rows; then each split's two halves in one call
+        sizes, got = self.partition_pass(monkeypatch, quadrature._MAX_CALL_VALUES)
+        assert len(splits) > 0
+        assert sizes == [31, 186] + [62] * len(splits)
         assert sum(sizes) == 31 * (7 + 2 * len(splits))
-        assert got == pytest.approx(integrate_interval(f, 0.0, 1.0, rtol=1e-12), rel=2e-12)
+        assert got == pytest.approx(integrate_interval(self.two_rows, 0.0, 1.0, rtol=1e-12),
+                                    rel=2e-12)
+
+    @pytest.mark.parametrize("budget, initial", [
+        (186, [31, 93, 93]),  # three panels a call
+        (62, [31, 62, 62, 62]),  # one panel's worth: still two a call, as a split
+        (0, [31, 62, 62, 62]),
+    ])
+    def test_partition_under_a_smaller_budget(self, splits, monkeypatch, budget, initial):
+        # groups of floor(budget / (31 * 2)) panels, and at least two
+        sizes, got = self.partition_pass(monkeypatch, budget)
+        assert sizes == initial + [62] * len(splits)
+        # each panel's values are what a call on its own nodes gives: the
+        # grouping moves the totals by no more than the BLAS order of a rule sum
+        splits.clear()
+        sizes, want = self.partition_pass(monkeypatch, quadrature._MAX_CALL_VALUES)
+        assert got == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("m", [38, 100, 375])
+    def test_dense_section_norms_keep_to_the_budget(self, monkeypatch, m):
+        # no call holds more row x node values than the budget or two panels
+        sizes, banded, _ = self.section_pass(monkeypatch, m, 1e-12)
+        assert not any(banded)
+        P = math.isqrt(4 * m) // 3
+        group = max(2, quadrature._MAX_CALL_VALUES // (31 * (m + 1)))
+        assert sizes[0] == 31
+        assert max(sizes) * (m + 1) <= max(quadrature._MAX_CALL_VALUES, 62 * (m + 1))
+        # Fubini-Study meets tol 1e-12 on its initial panels: no split
+        assert sum(sizes) == 31 * P
+        assert len(sizes) == 1 + -(-(P - 1) // group)
+        if m <= 100:
+            assert len(sizes) == 2
 
     def test_breakpoint_at_a_kink(self, splits):
         # |x - 1/3| is linear on either side of its kink: with an edge there
@@ -281,8 +323,8 @@ class TestSchedule:
             integrate_interval(np.exp, 0.0, 1.0, edges=edges)
 
     @staticmethod
-    def banded_pass(monkeypatch, m, tol):
-        """Node counts per call, and the edges, of a section_norms pass."""
+    def section_pass(monkeypatch, m, tol):
+        """Node counts and whether banded per call, and the edges, of a section_norms pass."""
         sizes, banded, starts = [], [], []
 
         def counted(f, *args, edges, **kwargs):
@@ -298,14 +340,14 @@ class TestSchedule:
 
         monkeypatch.setattr(density, "integrate_interval", counted)
         section_norms(RadialMetric.fubini_study(), m, tol)
-        assert all(banded)
-        return sizes, np.array(starts[0])
+        return sizes, banded, np.array(starts[0])
 
     def test_banded_section_norms(self, splits, monkeypatch):
         # a banded rule's row window is that of its own nodes, so each call
         # holds one panel: one for each of the P initial panels, 2 a split.
         # At m = 1060 and tol 1e-12 the partition needs no split at all
-        sizes, edges = self.banded_pass(monkeypatch, 1060, 1e-12)
+        sizes, banded, edges = self.section_pass(monkeypatch, 1060, 1e-12)
+        assert all(banded)
         P = int(math.sqrt(1060) / 1.5)
         assert P == 21 and len(edges) == P + 1
         # uniform in theta, x = sin^2(theta), on the 2^-24 grid
@@ -317,7 +359,8 @@ class TestSchedule:
 
     def test_banded_refinement_after_the_partition(self, splits, monkeypatch):
         # at m = 2000 and tol 1e-14 its 29 panels need 2 splits
-        sizes, edges = self.banded_pass(monkeypatch, 2000, 1e-14)
+        sizes, banded, edges = self.section_pass(monkeypatch, 2000, 1e-14)
+        assert all(banded)
         assert len(edges) == 30 and len(splits) > 0
         assert sizes == [31] * (29 + 2 * len(splits))
 
