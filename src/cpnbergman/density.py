@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -22,14 +21,14 @@ from .quadrature import integrate_interval
 
 
 def _horner(coeffs, p):
-    # from the top coefficient: a first step from 0 would give it exactly
-    p = np.asarray(p, dtype=float)
-    out = np.full_like(p, coeffs[-1] if coeffs else 0.0)
+    # from the top coefficient (a step from 0 gives it exactly); a scalar p in Python floats
+    scalar = np.ndim(p) == 0
+    p = float(p) if scalar else np.asarray(p, dtype=float)
+    out = float(coeffs[-1]) if coeffs else 0.0
+    out = out if scalar else np.full_like(p, out)
     for c in reversed(coeffs[:-1]):
-        out = out * p + c  # not in place: on a 0-d p, out becomes a float64 scalar
-    if out.ndim == 0:
-        return float(out)
-    return out
+        out = out * p + c
+    return float(out) if scalar else out
 
 
 def _int_bilinear(a, b, c=(), d=(), t=0):
@@ -175,11 +174,13 @@ class RadialMetric:
         # w = p^2 (1 + Delta u), Delta the Fubini-Study Laplacian
         v = list(profile.fs_laplacian_coeffs()) or [0.0]
         v[0] += 1.0
+        if not all(map(math.isfinite, v)):
+            raise ValueError(f"metric density coefficients overflow: {v}")
         self._v_coeffs = tuple(v)
-        points = _extremum_candidates(self._v_coeffs)
-        vals = _horner(self._v_coeffs, points)
-        self._v_range = (float(np.min(vals)), float(np.max(vals)))
-        i = int(np.argmin(vals))
+        points = _extremum_candidates(self._v_coeffs).tolist()
+        vals = [_horner(self._v_coeffs, p) for p in points]
+        self._v_range = (min(vals), max(vals))
+        i = vals.index(self._v_range[0])
         if vals[i] <= 0.0:
             s = 1.0 / points[i] - 1.0 if points[i] > 0 else math.inf
             raise PositivityError(
@@ -233,6 +234,24 @@ class RadialMetric:
 # A section-norm row is left out of a quadrature rule where a certified
 # bound puts it below this fraction of its own scale on every node.
 _ROW_CUT = 1e-30
+_GEOMETRY_CACHE_M = 1024  # _row_geometry caches the columns of every m below this
+
+
+@lru_cache(maxsize=16)
+def _row_geometry(m: int):
+    """The columns of _Rows that depend on m alone, read-only: j, k, x*, p*,
+    -1/x*, 1/p* and the Beta peak j log x* + k log p*, each (m+1, 1).  _Rows
+    caches them for m < _GEOMETRY_CACHE_M only: 16 entries of at most 7 x 1024
+    floats, 0.92 MB.  Past that they are under 2% of a pass (1.3 to 1.8% for
+    the standard metrics at m = 1060)."""
+    j = np.arange(m + 1, dtype=float)[:, None]
+    xs = np.round(j / max(m, 1) * 2.0**53) / 2.0**53
+    k, ps = m - j, 1.0 - xs
+    out = np.stack([j, k, xs, ps, np.divide(-1.0, xs, out=np.zeros_like(xs), where=j > 0),
+                    np.divide(1.0, ps, out=np.zeros_like(xs), where=k > 0),
+                    j * np.log(np.where(j > 0, xs, 1.0)) + k * np.log(np.where(k > 0, ps, 1.0))])
+    out.flags.writeable = False
+    return out
 
 
 class _Rows:
@@ -249,18 +268,15 @@ class _Rows:
     2^-53, so p* = 1 - x* holds exactly: k log1p((x* - x) / p*) is then
     k log((1 - x) / p*), where a rounded x* + p* would add
     k (x* + p* - 1), about m 2^-54, to every exponent.  j, k, x*, p*,
-    -1/x* and 1/p* (the last two zeroed where the matching power
-    vanishes), v(p*) and its log are (m+1, 1) columns, one entry per row.
+    -1/x*, 1/p* (zeroed where the matching power vanishes) and the peak
+    j log x* + k log p*, all from _row_geometry, and v(p*) and its log are (m+1, 1) columns.
     """
 
     def __init__(self, metric: RadialMetric, m: int):
         self.m, self.u, self.v = m, metric.profile.coeffs, metric._v_coeffs
         self.v_min, self.v_max = metric._v_range
-        self.j = j = np.arange(m + 1, dtype=float)[:, None]
-        self.xs = xs = np.round(j / max(m, 1) * 2.0**53) / 2.0**53
-        self.k, self.ps = m - j, 1.0 - xs
-        self.neg_inv_x = np.divide(-1.0, xs, out=np.zeros_like(xs), where=j > 0)
-        self.inv_p = np.divide(1.0, self.ps, out=np.zeros_like(xs), where=self.k > 0)
+        geometry = (_row_geometry if m < _GEOMETRY_CACHE_M else _row_geometry.__wrapped__)(m)
+        self.j, self.k, self.xs, self.ps, self.neg_inv_x, self.inv_p, self.peak = geometry
         self.v_star = _horner(self.v, self.ps)
         self.log_v_star = np.log(self.v_star)
 
@@ -434,7 +450,8 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
     pass evaluates the rows' logs (_Rows.log_values) at those points in
     its first integrand call and shifts them once the totals are known,
     the arithmetic of _Rows.values after the pass, bit for bit, in one
-    call fewer; a banded pass evaluates them after the pass.
+    call fewer; a banded pass evaluates them after the pass.  Per call it
+    builds only the metric's columns: v(p*), the slope, lift and offset.
     """
     if m < 0 or not tol > 0:
         raise ValueError(f"section norms need m >= 0 and tol > 0, got m = {m}, tol = {tol}")
@@ -471,14 +488,13 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
         domain = ("for Fubini-Study is m <= 20000 at tol 1e-13 and m <= 5000 at tol 1e-14"
                   if metric.is_fubini_study else
                   "for perturbed metrics is m <= 20000 at tol 1e-12, m <= 5000 at tol 1e-13 "
-                  "and m <= 2000 at tol 1e-14")
+                  "and m <= 2000 at tol 1e-14; the eigenfunction bump 0.1 also m <= 20000 at "
+                  "tol 1e-13")
         raise QuadratureError(f"{err} (section norms at m = {m}, tol = {tol:g}; the stated "
                               f"domain {domain})") from err
     if np.any(total <= 0.0):
         raise PositivityError("section norm came out nonpositive")
     log_total = np.log(total)[:, None]
-    peak = (rows.j * np.log(np.where(rows.j > 0, xs, 1.0))
-            + rows.k * np.log(np.where(rows.k > 0, ps, 1.0)))
     shift = log_v_star - m * metric.profile.value_p(ps) + lift
     terms = None
     if at is not None:
@@ -486,7 +502,7 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
             terms = held[0] if held else rows.log_values(at)
         terms -= offset + log_total
         np.exp(terms, out=terms)
-    return (peak + shift + log_total).ravel(), terms
+    return (rows.peak + shift + log_total).ravel(), terms
 
 
 @dataclass
@@ -563,6 +579,28 @@ class FirstVariationResult:
     rel_diff: float
 
 
+def _variation_formula(coeffs, m: int, s: float) -> float:
+    """first_variation's closed form for the p-coefficients coeffs, rounded once.
+
+    s = a/b and the c_k are integers over powers of two, P = b/(a+b), and r_i =
+    (m+1)...(m+i) gives 1/((m+k+1) C(m+k, l)) = l! r_{k-l} / r_{k+1}: the sum is one
+    integer over scale r_n (a+b)^n, n = len(coeffs), rounded by int / int as by float(Fraction).
+    """
+    a, b = s.as_integer_ratio()
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    top, scale = len(ratios), max((den for _, den in ratios), default=1)
+    r = [math.perm(m + i, i) for i in range(top + 1)]
+    moments = [(a + b) ** (top - k) * (r[top] // r[k + 1])
+               * sum(math.comb(k, l) ** 2 * math.factorial(l) * r[k - l] * a**l * b ** (k - l)
+                     for l in range(k + 1))
+               for k in range(top)]
+    integral = sum(num * (scale // den) * ((m + k * (k + 1)) * moments[k]
+                                           - m * b**k * (a + b) ** (top - k) * (r[top] // r[1])
+                                           - (k * k * moments[k - 1] if k else 0))
+                   for k, (num, den) in enumerate(ratios))
+    return -((m + 1) ** 2) * integral / (scale * r[top] * (a + b) ** top)
+
+
 def first_variation(metric: RadialMetric, phi: RadialProfile, m: int, s: float = 0.0,
                     t: float = 1e-5) -> FirstVariationResult:
     """Derivative of the density at a point along the potential direction phi.
@@ -576,7 +614,7 @@ def first_variation(metric: RadialMetric, phi: RadialProfile, m: int, s: float =
     which preserves the round metric and commutes with its Laplacian.
     p o G = |1 - w z|^2 / ((1+s)(1+|z|^2)), so by Parseval and a Beta
     integral the p^k term is (1+s)^{-k} sum_l C(k,l)^2 s^l / ((m+k+1) C(m+k,l)):
-    the formula is one Fraction sum over the float inputs, rounded once.
+    the formula is one exact integer sum over the float inputs, rounded once.
 
     The check value is a centred difference of the perturbed density at
     +-t.  Its relative gap is floored at m^2 t sup|phi~|, the step-noise
@@ -595,16 +633,7 @@ def first_variation(metric: RadialMetric, phi: RadialProfile, m: int, s: float =
     if not 0.0 <= s < math.inf:
         raise ValueError(f"base point s = {s} is outside [0, inf)")
 
-    S = Fraction(s)
-    P = 1 / (1 + S)
-    moments = [P**k * sum(Fraction(math.comb(k, l) ** 2, (m + k + 1) * math.comb(m + k, l)) * S**l
-                          for l in range(k + 1))
-               for k in range(len(phi.coeffs))]
-    # (m p^k - Delta p^k - m P^k) against the weight, for each coefficient c_k
-    integral = sum(Fraction(c) * ((m + k * (k + 1)) * moments[k] - m * P**k * moments[0]
-                                  - (k * k * moments[k - 1] if k else 0))
-                   for k, c in enumerate(phi.coeffs))
-    formula = float(-((m + 1) ** 2) * integral)
+    formula = _variation_formula(phi.coeffs, m, s)
     phi0 = float(phi.value(s))
 
     plus = bergman_density(metric.with_potential(phi, t), m, [s]).values[0]

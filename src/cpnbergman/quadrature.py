@@ -59,6 +59,7 @@ _RULES = np.stack([_WK, _WK - _mirror(_WG)], axis=1)
 # K and G share their nodes, so |K - G| misses the rounding of f and of the
 # totals: each panel's estimate is at least this many ulps of its sum of w |f|
 _ROUNDING_ULPS = 2.0
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 # the panel budget of one pass
 _MAX_PANELS = 4096
 # the row x node values of one call of a dense f on initial panels past the
@@ -102,7 +103,7 @@ def _rules(f, edges):
     sums = vals @ _RULES
     out[0] = sums[:, 0]
     out[2] = np.abs(vals) @ _WK
-    np.maximum(np.abs(sums[:, 1]), _ROUNDING_ULPS * np.finfo(float).eps * out[2], out=out[1])
+    np.maximum(np.abs(sums[:, 1]), _ROUNDING_ULPS * _EPS * out[2], out=out[1])
     out = out.reshape(3, -1, len(half))
     out *= half
     return banded, shape, start, out.transpose(2, 0, 1)
@@ -211,21 +212,21 @@ def integrate_interval(
     acc = np.zeros((3, k))  # the total, error estimate and mass of every component
     total, err, mass = acc
 
-    def add(panel, sign):
+    def add(panel, ufunc=np.add):
         _, _, start, sums = panel
-        acc[:, start:start + sums.shape[1]] += sign * sums
+        window = acc[:, start:start + sums.shape[1]]
+        ufunc(window, sums, out=window)
 
-    floor = max(atol, np.finfo(float).tiny)
+    floor = max(atol, _TINY)
 
     def bound(total):
         return np.maximum(rtol * np.abs(total), floor)
 
     roots = [(edges[0], edges[1], start, sums[0])] + panels(edges[1:], group)
     for root in roots:
-        add(root, 1.0)
+        add(root)
     if screen is not None:
         screen(total, err)
-    rounding = _FLOOR_ULPS * np.finfo(float).eps
 
     def priority(panel):
         _, _, start, sums = panel
@@ -247,7 +248,7 @@ def integrate_interval(
     def floor_ratio(err, total):
         ratio = err / bound(total)
         short = ratio > 1.0
-        if not np.any(short) or np.any(err[short] > rounding * mass[short]):
+        if not np.any(short) or np.any(err[short] > _FLOOR_ULPS * _EPS * mass[short]):
             return None
         return float(np.max(ratio))
 
@@ -270,9 +271,9 @@ def integrate_interval(
         parent = heapq.heappop(heap)[1:]
         lo, hi = parent[:2]
         children = panels((lo, 0.5 * (lo + hi), hi), step)
-        add(parent, -1.0)
+        add(parent, np.subtract)
         for child in children:
-            add(child, 1.0)
+            add(child)
         n_unmet += unmet(min(p[2] for p in (parent, *children)),
                          max(p[2] + p[3].shape[1] for p in (parent, *children)))
         for child in children:

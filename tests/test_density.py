@@ -17,7 +17,10 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from series_reference import derivative
+from variation_formula_reference import fraction_variation_formula
 
 import cpnbergman.density as density_module
 from cpnbergman import quadrature
@@ -165,6 +168,20 @@ class TestRadialProfile:
         got = density_module._horner(coeffs, 0.3)
         assert type(got) is float and got == scalar
 
+    @pytest.mark.parametrize("degree", range(-1, 7))
+    def test_scalar_horner_matches_the_array_path(self, degree):
+        # Python floats and numpy's elementwise arithmetic round alike, so a
+        # scalar p gives its array value bit for bit, as a Python float
+        rng = np.random.default_rng(degree + 20)
+        drawn = rng.normal(size=degree + 1) * 10.0 ** rng.uniform(-3, 3, degree + 1)
+        ps = np.append(rng.uniform(size=60), [0.0, 1.0, 0.5, 1e-300])
+        for coeffs in (tuple(drawn), tuple(map(float, drawn))):  # np.float64 and float entries
+            want = density_module._horner(coeffs, ps)
+            for p, value in zip(ps, want):
+                for scalar in (float(p), np.float64(p), np.array(p)):
+                    got = density_module._horner(coeffs, scalar)
+                    assert type(got) is float and np.float64(got).tobytes() == value.tobytes()
+
     @pytest.mark.parametrize("degree", range(-1, 6))
     def test_divided_difference_matches_horner_from_zero(self, degree):
         # started at the top coefficient, the loop skips two steps that
@@ -199,6 +216,36 @@ class TestRadialMetric:
     def test_positivity_enforced(self):
         with pytest.raises(PositivityError):
             RadialMetric(RadialProfile.eigenfunction_bump(0.6))
+
+    def test_range_and_error_text_match_the_array_path(self):
+        # the constructor evaluates its candidate points in Python floats; the
+        # range and the PositivityError text are those of the numpy evaluation
+        rng = np.random.default_rng(5)
+        failures = 0
+        for _ in range(300):
+            coeffs = rng.normal(size=int(rng.integers(1, 7))) * 10.0 ** rng.uniform(-3, 0.5)
+            v = list(RadialProfile(coeffs).fs_laplacian_coeffs()) or [0.0]
+            v[0] += 1.0
+            points = density_module._extremum_candidates(tuple(v))
+            vals = density_module._horner(tuple(v), points)
+            i = int(np.argmin(vals))
+            if vals[i] <= 0.0:
+                failures += 1
+                s = 1.0 / points[i] - 1.0 if points[i] > 0 else math.inf
+                text = f"metric density is not positive (min {vals[i]:.3e} near s = {s:.4g})"
+                with pytest.raises(PositivityError) as err:
+                    RadialMetric(RadialProfile(coeffs))
+                assert str(err.value) == text
+            else:
+                got = RadialMetric(RadialProfile(coeffs))._v_range
+                assert all(type(x) is float for x in got)
+                assert got == (float(np.min(vals)), float(np.max(vals)))
+        assert 30 < failures < 270
+
+    def test_overflowing_density_rejected(self):
+        # Delta of 1e308 p is 1e308 - 2e308 p: once a metric with a nan range
+        with pytest.raises(ValueError, match="overflow"):
+            RadialMetric(RadialProfile([0.0, 1e308]))
 
     def test_narrow_dip_rejected(self):
         # v(p) dips to about -1e-9 at p = 0.30001 (s = 2.333), between the
@@ -357,7 +404,9 @@ class TestSectionNorms:
         met = RadialMetric(RadialProfile.eigenfunction_bump(0.45))
         start = time.perf_counter()
         with pytest.raises(QuadratureError, match="not finite on .* m = 26000, tol = 1e-12; "
-                                                  "the stated domain"):
+                           "the stated domain for perturbed metrics is m <= 20000 at tol 1e-12, "
+                           "m <= 5000 at tol 1e-13 and m <= 2000 at tol 1e-14; the eigenfunction "
+                           r"bump 0\.1 also m <= 20000 at tol 1e-13\)$"):
             section_norms(met, 26000)
         assert time.perf_counter() - start < 1.0
 
@@ -422,6 +471,60 @@ BANDED_METRICS = {
     "rational-bump-0.2": RadialProfile.rational_bump(0.2),
     "phi1-poly": RadialProfile([0.0, 0.05, -0.02]),
 }
+
+
+class TestRowGeometry:
+    """The columns of _Rows that depend on m alone come from a per-m cache."""
+
+    M_VALUES = [0, 1, 2, 37, 38, 200, 375, 376, 1060]
+
+    @staticmethod
+    def fresh(m):
+        # the construction _Rows made on every call before the cache
+        j = np.arange(m + 1, dtype=float)[:, None]
+        xs = np.round(j / max(m, 1) * 2.0**53) / 2.0**53
+        k, ps = m - j, 1.0 - xs
+        return (j, k, xs, ps, np.divide(-1.0, xs, out=np.zeros_like(xs), where=j > 0),
+                np.divide(1.0, ps, out=np.zeros_like(xs), where=k > 0),
+                j * np.log(np.where(j > 0, xs, 1.0)) + k * np.log(np.where(k > 0, ps, 1.0)))
+
+    @pytest.mark.parametrize("m", M_VALUES + [1023, 1024])
+    def test_columns_are_read_only_and_fresh(self, m):
+        rows = density_module._Rows(RadialMetric.fubini_study(), m)
+        got = (rows.j, rows.k, rows.xs, rows.ps, rows.neg_inv_x, rows.inv_p, rows.peak)
+        for column, want in zip(got, self.fresh(m)):
+            assert column.shape == (m + 1, 1) and column.tobytes() == want.tobytes()
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+
+    @pytest.mark.parametrize("name", sorted(BANDED_METRICS))
+    def test_cold_and_warm_cache_agree(self, name):
+        met = RadialMetric(BANDED_METRICS[name])
+        grid = GRID + [np.inf]
+        for m in self.M_VALUES:
+            runs = []
+            for warm in (False, True):
+                if not warm:
+                    density_module._row_geometry.cache_clear()
+                res = bergman_density(met, m, grid)
+                if not warm:
+                    density_module._row_geometry.cache_clear()
+                runs.append((section_norms(met, m).tobytes(), res.values.tobytes(),
+                             res.log_norms.tobytes()))
+            assert runs[0] == runs[1], m
+
+    def test_footprint_bound(self):
+        # the worst case fills every entry with the largest cached m
+        cache, top = density_module._row_geometry, density_module._GEOMETRY_CACHE_M
+        assert cache.cache_info().maxsize * 7 * top * 8 <= 2**20
+        cache.cache_clear()
+        met = RadialMetric.fubini_study()
+        entries = [density_module._Rows(met, m).j.base for m in range(top - 20, top)]
+        assert cache.cache_info().currsize == cache.cache_info().maxsize
+        assert sum(e.nbytes for e in entries[-cache.cache_info().maxsize:]) <= 2**20
+        density_module._Rows(met, top)  # past the bound nothing is cached
+        assert cache.cache_info().misses == 20
 
 
 class TestBandedSectionNorms:
@@ -814,6 +917,37 @@ def _exact_through_the_inverse(phi, m, s):
                      for l in range(m + 1))
         total += weight * moment / (1 + S) ** m
     return -((m + 1) ** 2) * total
+
+
+# floats the integer closed form must read exactly: signed zeros, subnormals
+# and the ends of the float range among them
+_EXACT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _outcome(formula, coeffs, m, s):
+    try:
+        return formula(coeffs, m, s).hex()
+    except OverflowError:  # a value past the float range, from either sum
+        return "overflow"
+
+
+class TestVariationFormula:
+    """The closed form in integers equals the Fraction sum bit for bit."""
+
+    @given(coeffs=st.lists(_EXACT_FLOATS, max_size=6),
+           m=st.integers(min_value=0, max_value=200),
+           s=st.one_of(st.sampled_from([0.0, 5e-324, 1e-9, 1e6]),
+                       st.floats(min_value=0.0, max_value=4.0)))
+    @example(coeffs=[], m=20, s=0.5)  # the zero profile
+    @example(coeffs=[1.0, -2.0], m=20, s=3.0)  # the first eigenspace: exactly +0.0
+    @example(coeffs=[1e300, 1e300, -1e300], m=200, s=1e6)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_fraction_sum(self, coeffs, m, s):
+        got = _outcome(density_module._variation_formula, tuple(coeffs), m, s)
+        assert got == _outcome(fraction_variation_formula, tuple(coeffs), m, s)
 
 
 class TestFirstVariation:

@@ -119,6 +119,10 @@ budget and bergman_density to put its grid into the pass's first
 integrand call: the eigenfunction bump 0.1 at m = 50, 100, 200 and a
 four-term phi1-poly at m = 40, 60, 100, 200, each on the grid
 0, 0.3, 1, 4, 1000.
+Two first variations with a nonzero closed form were pinned before that
+form came to be summed in integers rather than Fractions: a phi1-poly
+direction at m = 50, s = 0.735 (a graded pass) and the rational bump 0.5
+at m = 30, s = 2.5 (bisection from one panel).
 """
 
 import subprocess
@@ -171,6 +175,11 @@ CASES = {
     "first-variation_eigenfunction-bump_eps1_m20.json": ["first-variation", "--phi",
                                                          "eigenfunction-bump", "--eps", "1.0",
                                                          "--m", "20"],
+    "first-variation_phi1-poly_0.3_-1.2_1.5_m50_s0.735.json": [
+        "first-variation", "--phi", "phi1-poly", "--coeffs", "0.3,-1.2,1.5", "--m", "50",
+        "--s", "0.735"],
+    "first-variation_rational-bump_eps0.5_m30_s2.5.json": [
+        "first-variation", "--phi", "rational-bump", "--eps", "0.5", "--m", "30", "--s", "2.5"],
     "density_eigenfunction-bump_eps0.1_m50-200.csv": [
         "density", "--metric", "eigenfunction-bump", "--eps", "0.1",
         "--m-list", "50,100,200", "--grid", "0,0.3,1,4,1000"],
