@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PositivityError, QuadratureError, StepUnderflowError
-from .quadrature import integrate_interval
+from .quadrature import _TINY, integrate_interval
 
 
 def _horner(coeffs, p):
@@ -70,14 +70,24 @@ def _extremum_candidates(coeffs) -> np.ndarray:
     real parts of complex roots are kept so that a double critical point
     split by rounding into a conjugate pair is not lost.  A constant
     derivative has no root, and a linear one d0 + d1 p has -d0 / d1: what
-    np.roots returns for them, bit for bit.
+    np.roots returns for them, bit for bit.  A quadratic one has q / d2 and
+    d0 / q, q = -(d1 + sign(d1) sqrt(disc)) / 2, or -d1 / (2 d2) twice for a
+    complex pair: within rounding of np.roots, without its LAPACK call.
+    np.roots gives them where d1^2 or 4 d0 d2 leaves the normal range, and
+    for higher degrees.
     """
     deriv = [k * c for k, c in enumerate(coeffs)][1:]
-    if len(deriv) < 2:
-        roots = np.empty(0)
-    elif len(deriv) == 2 and deriv[1] != 0.0:
-        roots = np.array([-deriv[0] / deriv[1] if deriv[0] != 0.0 else 0.0])
-    else:
+    roots = [] if len(deriv) < 2 else None
+    if len(deriv) == 2 and deriv[1] != 0.0:
+        roots = [-deriv[0] / deriv[1] if deriv[0] != 0.0 else 0.0]
+    elif len(deriv) == 3 and deriv[2] != 0.0:
+        d0, d1, d2 = deriv
+        square, product = d1 * d1, 4.0 * d0 * d2
+        if _TINY <= max(square, abs(product)) < math.inf:
+            disc = square - product
+            q = -0.5 * (d1 + math.copysign(math.sqrt(max(disc, 0.0)), d1))
+            roots = [q / d2, d0 / q] if disc >= 0.0 else [-d1 / (2.0 * d2)] * 2
+    if roots is None:
         roots = np.roots(deriv[::-1]).real  # np.roots takes the highest degree first
     return np.concatenate(([0.0, 1.0], np.clip(roots, 0.0, 1.0)))
 
@@ -411,8 +421,9 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     panels uniform in theta, with edges on the 2^-24 grid: each spans about
     4.8 widths, where one Gauss-Kronrod rule meets the default tol.  Below
     that, rows near Fubini-Study are close to polynomials of degree m, and
-    bisection from [0, 1] needs at most one split: 3 rules, against the
-    partition's 3 or 4 for Fubini-Study at m = 30..37.
+    the pass starts from the halves of [0, 1], which settle Fubini-Study up
+    to m = 37.  A dense pass states its row count, so that its initial
+    panels take one integrand call up to about m = 85.
 
     Where the cut leaves out at least half of the row x node values
     (_Rows.banding_pays), the pass is banded: a rule evaluates only the
@@ -424,7 +435,8 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     drop rows whose shifted totals are tiny (below 1e-40 for an
     eigenfunction bump 0.45 at m = 5000).
 
-    A negative m or a tol <= 0 raises ValueError.  A pass that cannot
+    An m that is not a nonnegative integer (an int or a numpy integer, not
+    a bool) or a tol <= 0 raises ValueError.  A pass that cannot
     certify tol, or whose shifted rows overflow (an eigenfunction bump
     0.45 at m = 26000), raises QuadratureError naming m, tol and the
     stated domain.
@@ -434,13 +446,21 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
 
 @lru_cache(maxsize=64)
 def _graded_edges(m: int):
-    """The initial partition of a section-norm pass: None (one panel) below m = 38."""
+    """The initial partition of a section-norm pass.  Below m = 38 it is the halves
+    of [0, 1]: where a one-panel start splits at 1/2 they give its totals bit for bit."""
     if m < 38:
-        return None
+        return (0.0, 0.5, 1.0)
     # floor(sqrt(m) / 1.5) panels uniform in theta.  Off the dyadic grid a rounded
     # midpoint moves a panel's rule by an ulp, about m ulps of an end row's total
     theta = np.linspace(0.0, 0.5 * np.pi, math.isqrt(4 * m) // 3 + 1)
     return tuple((np.round(np.sin(theta) ** 2 * 2.0**24) / 2.0**24).tolist())
+
+
+def _integer_m(m) -> int:
+    """m as an int; ValueError naming m unless it is an int or a numpy integer (not a bool)."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise ValueError(f"m = {m!r} is not an integer")
+    return int(m)
 
 
 def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
@@ -453,6 +473,7 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
     call fewer; a banded pass evaluates them after the pass.  Per call it
     builds only the metric's columns: v(p*), the slope, lift and offset.
     """
+    m = _integer_m(m)
     if m < 0 or not tol > 0:
         raise ValueError(f"section norms need m >= 0 and tol > 0, got m = {m}, tol = {tol}")
     rows = _Rows(metric, m)
@@ -463,7 +484,8 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
     offset = log_v_star + lift
 
     held = []  # the rows' logs at x = at, from the first call of a dense pass
-    if rows.banding_pays():
+    banded = rows.banding_pays()
+    if banded:
         lower, upper = rows.supports()
 
         def integrand(x):
@@ -483,7 +505,8 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            total = integrate_interval(integrand, 0.0, 1.0, rtol=tol, edges=_graded_edges(m))
+            total = integrate_interval(integrand, 0.0, 1.0, rtol=tol, edges=_graded_edges(m),
+                                       rows=None if banded else m + 1)
     except QuadratureError as err:
         domain = ("for Fubini-Study is m <= 20000 at tol 1e-13 and m <= 5000 at tol 1e-14"
                   if metric.is_fubini_study else
@@ -528,16 +551,17 @@ def bergman_density(metric: RadialMetric, m: int, grid, tol: float = 1e-12) -> D
     so Pi_m(s) = (1/v(p)) sum_j f_j(x) / T_j: each section-norm integrand row,
     centred and shifted as section_norms integrates it, over its integral.  No
     exponent grows with m or s, and s = inf is x = 1; a negative s or nan
-    raises ValueError.  tol is the relative tolerance of each section norm;
-    m and tol are checked as in section_norms.
+    raises ValueError.  values has the grid's shape, whatever its ndim.  tol
+    is the relative tolerance of each section norm; m and tol are checked as
+    in section_norms.
     """
     grid = np.asarray(grid, dtype=float)
     if not (grid >= 0.0).all():
         raise ValueError(f"density grid {grid[~(grid >= 0.0)]} is outside [0, inf]")
-    p = 1.0 / (1.0 + grid)
-    logn, terms = _section_norms(metric, m, tol, np.ravel(1.0 - p))
+    p = np.ravel(1.0 / (1.0 + grid))
+    logn, terms = _section_norms(metric, m, tol, 1.0 - p)
     values = np.sum(terms, axis=0) / _horner(metric._v_coeffs, p)
-    return DensityResult(m, grid, values, logn)
+    return DensityResult(int(m), grid, values.reshape(grid.shape), logn)
 
 
 @dataclass
@@ -627,6 +651,7 @@ def first_variation(metric: RadialMetric, phi: RadialProfile, m: int, s: float =
         raise StepUnderflowError(f"difference step {t:.3e} is below the noise floor")
     if not metric.is_fubini_study:
         raise ValueError("closed-form first variation requires the Fubini-Study background")
+    m = _integer_m(m)
     if m < 0:
         raise ValueError(f"m = {m} is negative")
     s = float(s)
@@ -638,7 +663,7 @@ def first_variation(metric: RadialMetric, phi: RadialProfile, m: int, s: float =
 
     plus = bergman_density(metric.with_potential(phi, t), m, [s]).values[0]
     minus = bergman_density(metric.with_potential(phi, -t), m, [s]).values[0]
-    fd = (plus - minus) / (2.0 * t)
+    fd = float((plus - minus) / (2.0 * t))
 
     floor = m * m * t * (phi - RadialProfile([phi0])).sup_norm()
     den = max(abs(formula), abs(fd), floor)

@@ -62,8 +62,8 @@ _ROUNDING_ULPS = 2.0
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 # the panel budget of one pass
 _MAX_PANELS = 4096
-# the row x node values of one call of a dense f on initial panels past the
-# first: as many panels as fit, and at least two, as a split evaluates
+# the row x node values of one call of a dense f on initial panels: as many
+# panels as fit, and at least two, as a split evaluates
 _MAX_CALL_VALUES = 2**14
 # cp1_integral's angular steps: (64, 128), (128, 256), ... up to 1024 points
 _N_THETA = 64
@@ -117,6 +117,7 @@ def integrate_interval(
     atol: float = 0.0,
     screen: Optional[Callable] = None,
     edges: Optional[Sequence[float]] = None,
+    rows: Optional[int] = None,
 ) -> Union[float, np.ndarray]:
     """Adaptive panel integration of f over [a, b].
 
@@ -137,12 +138,14 @@ def integrate_interval(
     Dyadic edges keep every panel's midpoint and half-width exact, as
     bisection's are; a rounded one moves the rule off its panel.
 
-    f is called in panel order: the first initial panel alone, which
-    shows whether f is banded and how many rows it has, then the other
-    initial panels in as few calls as _MAX_CALL_VALUES row x node values
-    allow (at least two panels a call), then once per split on its two
-    halves (62 nodes).  So f must be pointwise in x, its value at a node
-    not depending on the other nodes of the call; each panel's values are
+    f is called in panel order: the initial panels in as few calls as
+    _MAX_CALL_VALUES row x node values allow (at least two panels a call),
+    then once per split on its two halves (62 nodes).  Unless rows states
+    that f is dense with that many rows (returns shape (rows, len(x))), the
+    first initial panel goes alone, to show whether f is banded and how
+    many rows it has; a first return of another shape then raises
+    ValueError.  So f must be pointwise in x, its value at a node not
+    depending on the other nodes of the call; each panel's values are
     then what a call on its own nodes gives, bit for bit.  A banded f
     (below) is called on one panel at a time, since a call's row window
     is the hull of its nodes' windows.
@@ -194,11 +197,17 @@ def integrate_interval(
     elif edges[0] != a or edges[-1] != b or any(hi <= lo for lo, hi in zip(edges, edges[1:])):
         raise ValueError("edges must increase from a to b")
 
-    banded, shape, start, sums = _rules(f, edges[:2])
+    def fit(k):  # dense initial panels per call: as many as the budget allows, at least two
+        return max(2, _MAX_CALL_VALUES // (len(_X) * k))
+
+    # the first panel alone shows whether f is banded and its rows, unless rows states them
+    banded, shape, start, sums = _rules(f, edges[:2 if rows is None else fit(rows) + 1])
+    if rows is not None and (banded or shape != (rows,)):
+        raise ValueError(f"rows = {rows} was stated, but f "
+                         + ("is banded" if banded else f"gives an integral of shape {shape}"))
     k = shape[0] if shape else 1
-    # panels per call of f: on a split, and on the initial panels past the first
-    step = 1 if banded else 2
-    group = 1 if banded else max(step, _MAX_CALL_VALUES // (len(_X) * k))
+    # panels per call of f: on a split, and on the initial panels
+    step, group = (1, 1) if banded else (2, fit(k))
 
     def panels(edges, group):
         # (lo, hi, start, sums) of each panel between edges, sums as _rules gives them
@@ -222,7 +231,8 @@ def integrate_interval(
     def bound(total):
         return np.maximum(rtol * np.abs(total), floor)
 
-    roots = [(edges[0], edges[1], start, sums[0])] + panels(edges[1:], group)
+    first = len(sums)  # initial panels in the first call
+    roots = list(zip(edges, edges[1:], [start] * first, sums)) + panels(edges[first:], group)
     for root in roots:
         add(root)
     if screen is not None:

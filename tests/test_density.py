@@ -152,6 +152,53 @@ class TestRadialProfile:
             got = density_module._extremum_candidates(tuple(c))
             assert got.tobytes() == want.tobytes(), c
 
+    @staticmethod
+    def np_roots_candidates(coeffs):
+        deriv = [k * c for k, c in enumerate(coeffs)][1:]
+        return np.concatenate(([0.0, 1.0], np.clip(np.roots(deriv[::-1]).real, 0.0, 1.0)))
+
+    def test_quadratic_derivative_roots_match_np_roots(self):
+        # a cubic's critical points by the cancellation-free quadratic formula
+        # lie within 2e-14 of np.roots' (measured 7.0e-15, where np.roots
+        # loses digits to a small d2), over coefficients of independent
+        # scales 1e-8 to 1e8, zeros of both signs, a tiny d2 and complex pairs
+        rng = np.random.default_rng(17)
+        coeffs = rng.normal(size=(20000, 4)) * 10.0 ** rng.uniform(-8, 8, size=(20000, 4))
+        coeffs[:50, 1] = 0.0  # d0 = 0: a root at 0
+        coeffs[50:100, 1] = -0.0
+        coeffs[100:150, 2] = 0.0  # d1 = 0: a real or imaginary pair
+        coeffs[150:200, 2] = -0.0
+        coeffs[200:250, 3] *= 1e-12  # a tiny d2
+        complex_pairs = 0
+        for c in map(tuple, coeffs):
+            got, want = self.np_roots_candidates(c), density_module._extremum_candidates(c)
+            assert np.max(np.abs(np.sort(got) - np.sort(want))) <= 2e-14, c
+            complex_pairs += c[2] ** 2 < 3.0 * c[1] * c[3]
+        assert 1000 < complex_pairs < 19000
+
+    @pytest.mark.parametrize("coeffs, roots", [
+        ((0.1, 0.75, -1.5, 1.0), [0.5, 0.5]),  # v' = 3 (p - 1/2)^2: a double root
+        ((0.0, 1.0, 0.0, 1.0 / 3.0), [0.0, 0.0]),  # v' = 1 + p^2: real parts of +-i
+        ((0.0, 0.3, -0.0, 0.1), [0.0, 0.0]),
+        ((0.2, -0.0, -0.6, 1.0), [0.4, 0.0]),  # d0 = -0.0
+        ((0.0, 1.0, -1.0, 1e-300), [1.0, 0.5]),  # a tiny d2: the far root clips to 1
+    ])
+    def test_quadratic_derivative_special_cases(self, coeffs, roots):
+        got = density_module._extremum_candidates(coeffs)
+        assert got.tolist() == pytest.approx([0.0, 1.0] + roots, abs=1e-15)
+        assert np.sort(got) == pytest.approx(np.sort(self.np_roots_candidates(coeffs)), abs=1e-7)
+
+    @pytest.mark.parametrize("coeffs", [
+        (0.0, 1e200, 1e200, 1e200),  # d1^2 overflows
+        (0.0, -1e300, 1e-300, 1e300),  # 4 d0 d2 overflows
+        (0.0, 1e-170, -1e-170, 1e-170),  # both below the normal range
+    ])
+    def test_quadratic_derivative_out_of_range_falls_back(self, coeffs):
+        # where the discriminant's terms leave the normal range, np.roots
+        # gives the roots, bit for bit
+        got = density_module._extremum_candidates(coeffs)
+        assert got.tobytes() == self.np_roots_candidates(coeffs).tobytes()
+
     @pytest.mark.parametrize("degree", range(-1, 6))
     def test_horner_from_the_top_matches_horner_from_zero(self, degree):
         # the first step from 0 gives the top coefficient exactly
@@ -242,6 +289,32 @@ class TestRadialMetric:
                 assert got == (float(np.min(vals)), float(np.max(vals)))
         assert 30 < failures < 270
 
+    def test_cubic_range_and_error_text_match_np_roots(self):
+        # a cubic v takes its critical points from the closed form: its range
+        # is within 2 ulps of the sum of |v_k| of v at np.roots' points (measured
+        # 0.43), and the PositivityError verdict and text are theirs
+        rng = np.random.default_rng(31)
+        failures = 0
+        for _ in range(3000):
+            coeffs = rng.normal(size=4) * 10.0 ** rng.uniform(-3, 0.5)
+            v = list(RadialProfile(coeffs).fs_laplacian_coeffs())
+            v[0] += 1.0
+            points = TestRadialProfile.np_roots_candidates(v)
+            vals = density_module._horner(tuple(v), points)
+            i = int(np.argmin(vals))
+            if vals[i] <= 0.0:
+                failures += 1
+                s = 1.0 / points[i] - 1.0 if points[i] > 0 else math.inf
+                text = f"metric density is not positive (min {vals[i]:.3e} near s = {s:.4g})"
+                with pytest.raises(PositivityError) as err:
+                    RadialMetric(RadialProfile(coeffs))
+                assert str(err.value) == text
+            else:
+                got = RadialMetric(RadialProfile(coeffs))._v_range
+                bound = 2.0 * np.finfo(float).eps * sum(map(abs, v))
+                assert abs(got[0] - np.min(vals)) <= bound and abs(got[1] - np.max(vals)) <= bound
+        assert 300 < failures < 2700
+
     def test_overflowing_density_rejected(self):
         # Delta of 1e308 p is 1e308 - 2e308 p: once a metric with a nan range
         with pytest.raises(ValueError, match="overflow"):
@@ -279,6 +352,24 @@ class TestSectionNorms:
             section_norms(met, m, tol=tol)
         with pytest.raises(ValueError, match="m >= 0 and tol > 0"):
             bergman_density(met, m, [0.0, 1.0], tol=tol)
+
+    @pytest.mark.parametrize("m", [20.5, 2.5, 20.0, np.float64(3.0), True, False, "20"])
+    def test_non_integral_m(self, m):
+        # m = 20.5 once gave 22 rows and densities 21.5 to 22 for Fubini-Study
+        met = RadialMetric.fubini_study()
+        with pytest.raises(ValueError, match=r"m = .* is not an integer"):
+            section_norms(met, m)
+        with pytest.raises(ValueError, match=r"m = .* is not an integer"):
+            bergman_density(met, m, [0.0, 1.0, math.inf])
+
+    @pytest.mark.parametrize("m", [np.int64(20), np.int32(50), np.uint16(400)])
+    def test_numpy_integer_m(self, m):
+        met = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
+        res = bergman_density(met, m, GRID)
+        want = bergman_density(met, int(m), GRID)
+        assert type(res.m) is int and res.m == want.m
+        assert res.values.tobytes() == want.values.tobytes()
+        assert section_norms(met, m).tobytes() == want.log_norms.tobytes()
 
     def test_fs_m30_stress(self):
         norms = np.exp(section_norms(RadialMetric.fubini_study(), 30))
@@ -627,12 +718,63 @@ class TestGradedStart:
         # log N_j adds log T_j to its Beta peak and shift, rounded at |log N_j|
         assert np.all(np.abs(logn - one) <= 2 * tol + 2 * np.spacing(np.abs(one)))
 
+    @staticmethod
+    def schedules(monkeypatch, met, m, tol, one_panel=False, stated=True):
+        """T_j, integrand calls and density values of a pass: from its own start
+        or one panel [0, 1], with its row count stated or the first panel alone."""
+        quad, out = quadrature.integrate_interval, []
+
+        def spy(f, a, b, edges, rows, **kwargs):
+            calls = []
+
+            def g(x):
+                calls.append(x.size)
+                return f(x)
+
+            out.append((quad(g, a, b, edges=None if one_panel else edges,
+                             rows=rows if stated else None, **kwargs), calls))
+            return out[-1][0]
+
+        monkeypatch.setattr(density_module, "integrate_interval", spy)
+        values = bergman_density(met, m, [0.0, 0.3, 1.0, 4.0, 1e3, np.inf], tol).values
+        return out[0][0], len(out[0][1]), values
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13])
     @pytest.mark.parametrize("name", sorted(BANDED_METRICS))
-    def test_one_panel_below_m_38(self, monkeypatch, name):
+    def test_halves_below_m_38(self, monkeypatch, name, tol):
+        # below m = 38 the pass starts from the halves of [0, 1] in one call:
+        # where the one-panel start splits at 1/2 they are its panels, and its
+        # totals and density bit for bit (the root's K - K is exactly 0);
+        # where one panel settles the pass, both are certified and differ by
+        # rounding (measured at most 5 ulps in T_j and 6 in the density)
         met = RadialMetric(BANDED_METRICS[name])
+        assert density_module._graded_edges(37) == (0.0, 0.5, 1.0)
+        split = 0
         for m in range(38):
-            _, one = self.run(monkeypatch, met, m, 1e-12, False)
-            assert np.array_equal(self.run(monkeypatch, met, m, 1e-12, True)[1], one), m
+            one_total, one_calls, one = self.schedules(monkeypatch, met, m, tol, True, False)
+            total, calls, values = self.schedules(monkeypatch, met, m, tol)
+            assert calls == max(one_calls - 1, 1), m
+            if one_calls > 1:
+                split += 1
+                assert total.tobytes() == one_total.tobytes(), m
+                assert values.tobytes() == one.tobytes(), m
+            else:
+                assert np.all(np.abs(total - one_total) <= 8 * np.spacing(one_total)), m
+                assert np.all(np.abs(values - one) <= 8 * np.spacing(one)), m
+        assert split > 0
+
+    @pytest.mark.parametrize("m", [38, 50, 85, 86, 100, 200, 300, 375])
+    @pytest.mark.parametrize("name", sorted(BANDED_METRICS))
+    def test_stated_rows_match_first_panel_alone(self, monkeypatch, name, m):
+        # the same panels in fewer calls: only the BLAS products that sum a
+        # call's rules group their rows by call, so T_j and the density move
+        # by at most 4 ulps against the first panel evaluated alone
+        met = RadialMetric(BANDED_METRICS[name])
+        alone_total, alone_calls, alone = self.schedules(monkeypatch, met, m, 1e-12, stated=False)
+        total, calls, values = self.schedules(monkeypatch, met, m, 1e-12)
+        assert calls <= alone_calls - (m <= 85)
+        assert np.all(np.abs(total - alone_total) <= 4 * np.spacing(alone_total))
+        assert np.all(np.abs(values - alone) <= 4 * np.spacing(alone))
 
 
 class TestGridInTheFirstCall:
@@ -751,10 +893,23 @@ class TestBergmanDensity:
 
     @pytest.mark.parametrize("m", [5, 50, 400])
     def test_scalar_grid(self, m):
-        # a scalar s gives the one-point grid's values, on the dense and banded paths
+        # a scalar s gives the one-point grid's value as a 0-d array, on the
+        # dense and banded paths (it was a one-element array beside a 0-d grid)
         met = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
-        got = bergman_density(met, m, 2.0).values
-        assert got.shape == (1,) and got.tobytes() == bergman_density(met, m, [2.0]).values.tobytes()
+        res = bergman_density(met, m, 2.0)
+        assert res.grid.shape == res.values.shape == ()
+        assert res.values.tobytes() == bergman_density(met, m, [2.0]).values.tobytes()
+
+    @pytest.mark.parametrize("m", [5, 50, 400])
+    def test_grid_of_any_shape(self, m):
+        # values take the grid's shape: a 2-D grid once raised numpy's
+        # "operands could not be broadcast together"
+        met = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
+        grid = [[0.0, 0.3, 1.0], [4.0, 1e3, math.inf]]
+        res = bergman_density(met, m, grid)
+        assert res.grid.shape == res.values.shape == (2, 3)
+        flat = bergman_density(met, m, np.ravel(grid)).values
+        assert res.values.tobytes() == flat.tobytes()
 
     def test_norms_attached_to_result(self):
         res = bergman_density(RadialMetric.fubini_study(), 2, [0.0])
@@ -1036,6 +1191,18 @@ class TestFirstVariation:
         # the zero direction once returned zeros at m = -3
         with pytest.raises(ValueError, match="m = -3 is negative"):
             first_variation(self.FS, phi, -3)
+
+    @pytest.mark.parametrize("m", [20.5, 2.5, 20.0, np.float64(3.0), True, "20", Fraction(20)])
+    def test_non_integral_m(self, m):
+        # math.perm once raised a bare TypeError here
+        with pytest.raises(ValueError, match=r"m = .* is not an integer"):
+            first_variation(self.FS, RadialProfile([1.0, -6.0, 6.0]), m)
+
+    def test_result_fields_are_floats(self):
+        # fd_value and rel_diff were np.float64 beside a float formula_value
+        res = first_variation(self.FS, RadialProfile([0.3, -1.2, 1.5]), np.int64(20), s=0.5)
+        assert type(res.m) is int
+        assert all(type(x) is float for x in (res.formula_value, res.fd_value, res.rel_diff))
 
     def test_step_underflow(self):
         with pytest.raises(StepUnderflowError):

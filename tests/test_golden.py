@@ -123,6 +123,21 @@ Two first variations with a nonzero closed form were pinned before that
 form came to be summed in integers rather than Fractions: a phi1-poly
 direction at m = 50, s = 0.735 (a graded pass) and the rational bump 0.5
 at m = 30, s = 2.5 (bisection from one panel).
+Two dense densities below m = 38 were pinned before the section-norm
+pass came to state its row count, so that its initial panels take its
+first integrand call, to start from the halves of [0, 1] there, and a
+cubic v to take its critical points in closed form: the rational bump
+0.2 at m = 20, 25, 30, 34, 37 (m = 34 splits three times) and the
+four-term phi1-poly at m = 20 and 30, a cubic v.  Four files were then
+regenerated after checking these bounds: the two phi1-poly density CSVs
+(the new one and 0, 0.05, -0.02) moved by at most 4 ulps (measured 1
+ulp, 1.7e-16 relative, at m = 20, a pass one panel used to settle);
+fs-check --n 1 kept pass true and max_norm_rel_error byte for byte
+(1.78e-14), its max_density_deviation moving from 1.78e-14 to 2.49e-14
+(from 5 to 7 ulps of m + 1, at m = 28 and 29, passes that one panel
+used to settle); and the first-variation file kept formula_value 0.0,
+only its step-noise fields fd_value and rel_diff moving.  Every other
+file, the rational-bump CSV below m = 38 included, stayed byte-identical.
 """
 
 import subprocess
@@ -189,6 +204,12 @@ CASES = {
     "density_phi1-poly_0_0.05_-0.02.csv": ["density", "--metric", "phi1-poly",
                                            "--coeffs", "0,0.05,-0.02", "--m-list", "20,40",
                                            "--grid", "0,1"],
+    "density_rational-bump_eps0.2_m20-37.csv": [
+        "density", "--metric", "rational-bump", "--eps", "0.2",
+        "--m-list", "20,25,30,34,37", "--grid", "0,0.5,1,2,inf"],
+    "density_phi1-poly_0.01_-0.03_0.005_0.002_m20-30.csv": [
+        "density", "--metric", "phi1-poly", "--coeffs", "0.01,-0.03,0.005,0.002",
+        "--m-list", "20,30", "--grid", "0,0.3,1,4,1000"],
     "density_rational-bump_eps0.2.csv": ["density", "--metric", "rational-bump",
                                          "--eps", "0.2", "--m-list", "20,40,60",
                                          "--grid", "0,0.5,1,2"],

@@ -217,9 +217,10 @@ class TestInterval:
 
 
 class TestSchedule:
-    """A dense pass calls f on the first panel alone, then on the other initial
-    panels in groups under a row x node budget, then on each split's two
-    halves; a banded pass calls f on one panel at a time."""
+    """A dense pass calls f on its initial panels in groups under a row x node
+    budget, the first panel alone unless the caller states f's row count,
+    then on each split's two halves; a banded pass calls f on one panel at
+    a time."""
 
     @pytest.fixture
     def splits(self, monkeypatch):
@@ -289,18 +290,63 @@ class TestSchedule:
 
     @pytest.mark.parametrize("m", [38, 100, 375])
     def test_dense_section_norms_keep_to_the_budget(self, monkeypatch, m):
-        # no call holds more row x node values than the budget or two panels
+        # no call holds more row x node values than the budget or two panels;
+        # the pass states its m + 1 rows, so the first call is a full group
+        # (it held the first panel alone while the rows were learnt from it)
         sizes, banded, _ = self.section_pass(monkeypatch, m, 1e-12)
         assert not any(banded)
         P = math.isqrt(4 * m) // 3
         group = max(2, quadrature._MAX_CALL_VALUES // (31 * (m + 1)))
-        assert sizes[0] == 31
+        assert sizes[0] == 31 * min(group, P)
         assert max(sizes) * (m + 1) <= max(quadrature._MAX_CALL_VALUES, 62 * (m + 1))
         # Fubini-Study meets tol 1e-12 on its initial panels: no split
         assert sum(sizes) == 31 * P
-        assert len(sizes) == 1 + -(-(P - 1) // group)
-        if m <= 100:
-            assert len(sizes) == 2
+        assert len(sizes) == -(-P // group)
+
+    @pytest.mark.parametrize("m", [0, 1, 30, 37, 38, 60, 85])
+    def test_dense_initial_step_in_one_call(self, splits, monkeypatch, m):
+        # Fubini-Study settles on its initial panels, the two halves of [0, 1]
+        # below m = 38 and the graded partition from there, all in one call
+        sizes, banded, edges = self.section_pass(monkeypatch, m, 1e-12)
+        assert not any(banded) and len(splits) == 0
+        assert sizes == [31 * (len(edges) - 1)]
+        if m < 38:
+            assert edges.tolist() == [0.0, 0.5, 1.0]
+
+    def test_scalar_first_panel_alone(self, splits):
+        # with no rows stated, the first call shows whether f is banded and
+        # how many rows it has, for a 1-D f as for a vector one (above);
+        # then the other 6 panels in one call
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(x)
+
+        integrate_interval(f, 0.0, 1.0, rtol=1e-12, edges=np.linspace(0.0, 1.0, 8))
+        assert sizes == [31, 186] + [62] * len(splits)
+
+    def test_stated_rows_take_the_first_call(self, splits):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return self.two_rows(x)
+
+        got = integrate_interval(f, 0.0, 1.0, rtol=1e-12, edges=np.linspace(0.0, 1.0, 8), rows=2)
+        assert sizes == [217] + [62] * len(splits)
+        assert got == pytest.approx(integrate_interval(self.two_rows, 0.0, 1.0, rtol=1e-12),
+                                    rel=2e-12)
+
+    @pytest.mark.parametrize("f, rows, match", [
+        (two_rows, 3, r"rows = 3 was stated, but f gives an integral of shape \(2,\)"),
+        (two_rows, 1, r"shape \(2,\)"),
+        (np.exp, 1, r"rows = 1 was stated, but f gives an integral of shape \(\)"),
+        (lambda x: (4, 1, np.stack([x, x])), 4, "rows = 4 was stated, but f is banded"),
+    ])
+    def test_wrong_row_count_raises(self, f, rows, match):
+        with pytest.raises(ValueError, match=match):
+            integrate_interval(f, 0.0, 1.0, edges=(0.0, 0.5, 1.0), rows=rows)
 
     def test_breakpoint_at_a_kink(self, splits):
         # |x - 1/3| is linear on either side of its kink: with an edge there
@@ -342,14 +388,14 @@ class TestSchedule:
         section_norms(RadialMetric.fubini_study(), m, tol)
         return sizes, banded, np.array(starts[0])
 
-    def test_banded_section_norms(self, splits, monkeypatch):
+    @pytest.mark.parametrize("m, P", [(1060, 21), (5000, 47)])
+    def test_banded_section_norms(self, splits, monkeypatch, m, P):
         # a banded rule's row window is that of its own nodes, so each call
         # holds one panel: one for each of the P initial panels, 2 a split.
-        # At m = 1060 and tol 1e-12 the partition needs no split at all
-        sizes, banded, edges = self.section_pass(monkeypatch, 1060, 1e-12)
+        # At m = 1060 and 5000 and tol 1e-12 the partition needs no split at all
+        sizes, banded, edges = self.section_pass(monkeypatch, m, 1e-12)
         assert all(banded)
-        P = int(math.sqrt(1060) / 1.5)
-        assert P == 21 and len(edges) == P + 1
+        assert P == int(math.sqrt(m) / 1.5) and len(edges) == P + 1
         # uniform in theta, x = sin^2(theta), on the 2^-24 grid
         theta = np.arcsin(np.sqrt(edges))
         assert np.allclose(np.diff(theta), np.pi / (2 * P), atol=1e-6)
