@@ -245,6 +245,25 @@ class RadialMetric:
 # bound puts it below this fraction of its own scale on every node.
 _ROW_CUT = 1e-30
 _GEOMETRY_CACHE_M = 1024  # _row_geometry caches the columns of every m below this
+# The stated section-norm domain, one corner per row: family, tol, largest m, the metrics
+# (CLI --metric with --eps or --coeffs) that tests/test_density.py runs there, and oracle.
+_FULL = ("eigenfunction-bump 0.1 0.2 0.3 0.4 0.45", "rational-bump 0.2 0.24 0.5 1",
+         "phi1-poly 0,0.05,-0.02")
+_DOMAIN = (("Fubini-Study", 1e-13, 20000, ("fs",), "log Beta"),
+           ("Fubini-Study", 1e-14, 5000, ("fs",), "log Beta"),
+           ("perturbed metrics", 1e-12, 20000, _FULL, "Kummer, a3 band"),
+           ("perturbed metrics", 1e-13, 5000, _FULL, "Kummer, a3 band"),
+           ("perturbed metrics", 1e-13, 20000,
+            ("eigenfunction-bump 0.1", "rational-bump 0.2 0.24", _FULL[2]), "Kummer, a3 band"),
+           ("perturbed metrics", 1e-14, 1000, _FULL, "Kummer, a3 band"),
+           ("perturbed metrics", 1e-14, 2000,
+            ("eigenfunction-bump 0.1", "rational-bump 0.2 0.24 0.5", _FULL[2]), "Kummer, a3 band"))
+
+
+def _domain(family: str) -> str:
+    """The rows of _DOMAIN for family, as a section-norm QuadratureError states them."""
+    return "; ".join(f"m <= {m} at tol {tol:g} ({', '.join(metrics)})"
+                     for name, tol, m, metrics, _ in _DOMAIN if name == family)
 
 
 @lru_cache(maxsize=16)
@@ -417,29 +436,23 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     underflows however large m is.
 
     Every row peaks with a width of about 1/(2 sqrt(m)) in theta, where
-    x = sin^2(theta).  So from m = 38 the pass starts from floor(sqrt(m) / 1.5)
-    panels uniform in theta, with edges on the 2^-24 grid: each spans about
-    4.8 widths, where one Gauss-Kronrod rule meets the default tol.  Below
-    that, rows near Fubini-Study are close to polynomials of degree m, and
-    the pass starts from the halves of [0, 1], which settle Fubini-Study up
-    to m = 37.  A dense pass states its row count, so that its initial
-    panels take one integrand call up to about m = 85.
+    x = sin^2(theta), so the pass starts from panels uniform in theta
+    (_graded_edges), each about 4.8 widths, where one Gauss-Kronrod rule
+    meets the default tol.  A dense pass states its row count, so that its
+    initial panels take one integrand call up to about m = 85.
 
     Where the cut leaves out at least half of the row x node values
     (_Rows.banding_pays), the pass is banded: a rule evaluates only the
-    rows whose certified support (_Rows.supports) reaches its nodes, with
-    the dense arithmetic where every row's does.  A dropped rule value is
-    below the panel width times _ROW_CUT (1e-30) of its row's own scale,
-    so all of a row's dropped values together are below 1e-30 of that
-    scale: a cut relative to each row, not an absolute one, which would
+    rows whose certified support (_Rows.supports) reaches its nodes.  A
+    dropped rule value is below the panel width times _ROW_CUT of its row's
+    own scale, so the cut is relative to each row; an absolute one would
     drop rows whose shifted totals are tiny (below 1e-40 for an
     eigenfunction bump 0.45 at m = 5000).
 
     An m that is not a nonnegative integer (an int or a numpy integer, not
-    a bool) or a tol <= 0 raises ValueError.  A pass that cannot
-    certify tol, or whose shifted rows overflow (an eigenfunction bump
-    0.45 at m = 26000), raises QuadratureError naming m, tol and the
-    stated domain.
+    a bool) or a tol <= 0 raises ValueError.  A pass that cannot certify
+    tol, or whose shifted rows overflow, raises QuadratureError naming m,
+    tol and the rows of _DOMAIN for the metric's family.
     """
     return _section_norms(metric, m, tol)[0]
 
@@ -508,13 +521,9 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
             total = integrate_interval(integrand, 0.0, 1.0, rtol=tol, edges=_graded_edges(m),
                                        rows=None if banded else m + 1)
     except QuadratureError as err:
-        domain = ("for Fubini-Study is m <= 20000 at tol 1e-13 and m <= 5000 at tol 1e-14"
-                  if metric.is_fubini_study else
-                  "for perturbed metrics is m <= 20000 at tol 1e-12, m <= 5000 at tol 1e-13 "
-                  "and m <= 2000 at tol 1e-14; the eigenfunction bump 0.1 also m <= 20000 at "
-                  "tol 1e-13")
+        family = "Fubini-Study" if metric.is_fubini_study else "perturbed metrics"
         raise QuadratureError(f"{err} (section norms at m = {m}, tol = {tol:g}; the stated "
-                              f"domain {domain})") from err
+                              f"domain for {family} is {_domain(family)})") from err
     if np.any(total <= 0.0):
         raise PositivityError("section norm came out nonpositive")
     log_total = np.log(total)[:, None]

@@ -150,8 +150,8 @@ def integrate_interval(
     (below) is called on one panel at a time, since a call's row window
     is the hull of its nodes' windows.
 
-    f may instead return shape (k, len(x)): k integrands sharing one set
-    of panels.  The result is then a (k,) array, and splitting goes on
+    f may instead return shape (k, len(x)): k >= 0 integrands sharing one
+    set of panels.  The result is then a (k,) array, and splitting goes on
     until every component j meets max(rtol * |total_j|, atol).  A panel's
     priority is its largest error across components, each relative to
     that component's bound at the time the panel is made: a scale fixed
@@ -198,7 +198,7 @@ def integrate_interval(
         raise ValueError("edges must increase from a to b")
 
     def fit(k):  # dense initial panels per call: as many as the budget allows, at least two
-        return max(2, _MAX_CALL_VALUES // (len(_X) * k))
+        return max(2, _MAX_CALL_VALUES // (len(_X) * max(k, 1)))
 
     # the first panel alone shows whether f is banded and its rows, unless rows states them
     banded, shape, start, sums = _rules(f, edges[:2 if rows is None else fit(rows) + 1])
@@ -262,10 +262,10 @@ def integrate_interval(
             return None
         return float(np.max(ratio))
 
-    def fail(reason):
+    def fail(reason):  # naming the worst component j of a vector integrand
         j = int(np.argmax(err / bound(total)))
-        return QuadratureError("%s: %d panels, error estimate %.3e on total %.3e"
-                               % (reason, count, err[j], total[j]))
+        return QuadratureError("%s: %d panels, error estimate %.3e on total %.3e%s" % (
+            reason, count, err[j], total[j], " of component %d of %d" % (j, k) if shape else ""))
 
     # kept up to date on each split's row window, so a banded split is O(window)
     n_unmet = unmet(0, k)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cpnbergman import RadialMetric, bergman_density
+from cpnbergman.density import _domain
 from cpnbergman.cli import (_COMMANDS, _build_parser, _density_csv_samples, _effective_config,
                             _fs_norm_rel_error, _max_abs, main)
 
@@ -391,6 +392,17 @@ class TestErrorChannels:
         assert proc.returncode == 3
         err = json.loads(proc.stdout or proc.stderr)
         assert err["error"]["type"] == "PositivityError"
+
+    def test_quadrature_error_exit_3_with_empty_stderr(self):
+        # the shifted rows of this bump overflow past the stated domain
+        proc = run_cli("density", "--metric", "eigenfunction-bump", "--eps", "0.45",
+                       "--m-list", "26000", "--grid", "0")
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "QuadratureError"
+        assert error["message"].endswith("; the stated domain for perturbed metrics is "
+                                         + _domain("perturbed metrics") + ")")
 
     def test_nonconvergence_exit_4(self):
         proc = run_cli(

@@ -10,7 +10,9 @@ exact sum obtained through the inverse Mobius map.
 """
 
 import math
+import re
 import time
+from pathlib import Path
 from fractions import Fraction
 
 import mpmath
@@ -24,6 +26,7 @@ from variation_formula_reference import fraction_variation_formula
 
 import cpnbergman.density as density_module
 from cpnbergman import quadrature
+from cpnbergman.cli import _profile_from
 from cpnbergman import (
     PositivityError,
     QuadratureError,
@@ -431,36 +434,28 @@ class TestSectionNorms:
         with pytest.raises(QuadratureError, match="stalled"):
             section_norms(met, 5000, tol=1e-14)
 
-    def test_eigenfunction_bump_past_underflow(self):
+    @pytest.mark.parametrize("m,bound", [(1060, 32.0), (20000, 3.0)])
+    def test_eigenfunction_bump_past_underflow(self, m, bound):
         # m + a1 + a2/m predicts the density to O(1/m^2) at m = 1060, where
-        # linear-space norms gave m^2 residuals near 3e4
-        met = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
-        m = 1060
-        grid = [0.0, 0.25, 1.0, 3.0, 1e3]
-        res = bergman_density(met, m, grid)
-        reps = [scalar_curvature(met, s) for s in grid]
-        model = np.array([m + r.a1 + r.a2 / m for r in reps])
-        assert m * m * np.max(np.abs(res.values - model)) <= 32.0
-
-
-    @pytest.mark.parametrize("m", [10000, 20000])
-    def test_fs_log_norms_at_large_m(self, m):
-        # past the dense pass's reach (4 s at m = 20000): the banded pass
-        # meets lgamma's own rounding, 3.4e-11 and 6.0e-11 in log
-        res = bergman_density(RadialMetric.fubini_study(), m, GRID + [1e4], tol=1e-13)
-        assert np.max(np.abs(res.log_norms - lgamma_log_beta(m))) < 1e-10
-        assert np.max(np.abs(res.values - (m + 1))) < 1e-12 * (m + 1)
-
-    def test_eigenfunction_bump_at_m_20000(self):
+        # linear-space norms gave m^2 residuals near 3e4.  At m = 20000 the
         # m^2 residuals measured -2.38, 0.40, 0.11, -0.09 and -0.17 on this
         # grid: the a3 term, which is -4875/2048 = -2.38 at s = 0
         met = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
-        m = 20000
         grid = [0.0, 0.25, 1.0, 3.0, 1e3]
         res = bergman_density(met, m, grid, tol=1e-12)
         reps = [scalar_curvature(met, s) for s in grid]
         model = np.array([m + r.a1 + r.a2 / m for r in reps])
-        assert m * m * np.max(np.abs(res.values - model)) <= 3.0
+        assert m * m * np.max(np.abs(res.values - model)) <= bound
+
+
+    @pytest.mark.parametrize("m", [10000])
+    def test_fs_log_norms_at_large_m(self, m):
+        # past the dense pass's reach (4 s at m = 20000): the banded pass
+        # meets lgamma's own rounding, 3.4e-11 in log (m = 20000, a corner
+        # of _DOMAIN, is in TestDomain)
+        res = bergman_density(RadialMetric.fubini_study(), m, GRID + [1e4], tol=1e-13)
+        assert np.max(np.abs(res.log_norms - lgamma_log_beta(m))) < 1e-10
+        assert np.max(np.abs(res.values - (m + 1))) < 1e-12 * (m + 1)
 
     def test_tolerance_below_rounding_fails_fast_at_m_20000(self):
         # tol 1e-13 converges here (test_eigenfunction_bump_end_rows_at_m_20000)
@@ -494,22 +489,26 @@ class TestSectionNorms:
         # bump 0.45 by more than the float range at m = 26000
         met = RadialMetric(RadialProfile.eigenfunction_bump(0.45))
         start = time.perf_counter()
-        with pytest.raises(QuadratureError, match="not finite on .* m = 26000, tol = 1e-12; "
-                           "the stated domain for perturbed metrics is m <= 20000 at tol 1e-12, "
-                           "m <= 5000 at tol 1e-13 and m <= 2000 at tol 1e-14; the eigenfunction "
-                           r"bump 0\.1 also m <= 20000 at tol 1e-13\)$"):
+        with pytest.raises(QuadratureError) as info:
             section_norms(met, 26000)
         assert time.perf_counter() - start < 1.0
+        domain = density_module._domain("perturbed metrics")
+        assert re.fullmatch(r"integrand is not finite on \[0, 1\] \(section norms at m = 26000, "
+                            r"tol = 1e-12; the stated domain for perturbed metrics is "
+                            + re.escape(domain) + r"\)", str(info.value))
 
     def test_fubini_study_error_names_its_own_domain(self):
         # the message once stated the perturbed metrics' domain for every
         # metric, with no tol 1e-14 cell, so it did not say why this call fails
         start = time.perf_counter()
-        with pytest.raises(QuadratureError, match="m = 20000, tol = 1e-14; the stated domain "
-                           "for Fubini-Study is m <= 20000 at tol 1e-13 and m <= 5000 at "
-                           r"tol 1e-14\)"):
+        with pytest.raises(QuadratureError) as info:
             section_norms(RadialMetric.fubini_study(), 20000, tol=1e-14)
         assert time.perf_counter() - start < 2.0
+        domain = density_module._domain("Fubini-Study")
+        assert re.fullmatch(r"error estimate stalled at the rounding level for 32 splits: \d+ "
+                            r"panels, error estimate \S+ on total \S+ of component \d+ of 20001 "
+                            r"\(section norms at m = 20000, tol = 1e-14; the stated domain for "
+                            r"Fubini-Study is " + re.escape(domain) + r"\)", str(info.value))
 
     def test_budget_exhaustion_now_stalls(self):
         # eigenfunction bump 0.45 at m = 15000 once spent the whole 4096-panel
@@ -547,12 +546,111 @@ class TestSectionNorms:
                          - mpmath.loggamma(m + 2))
                 assert abs(float(mpmath.mpf(logn[j]) - exact)) <= within * tol, j
 
-    @pytest.mark.parametrize("m", [1060, 2000, 5000])
+    @pytest.mark.parametrize("m", [1060, 2000])
     def test_fs_log_norms_at_tol_1e14(self, m):
-        # the edge of the Fubini-Study domain; a start from sin^2 edges off the
-        # dyadic grid stalled here, its end rows m ulps off at x = 0 and 1
+        # towards the edge of the Fubini-Study domain (m = 5000, in TestDomain); a
+        # start from sin^2 edges off the dyadic grid stalled here, its end rows
+        # m ulps off at x = 0 and 1
         logn = section_norms(RadialMetric.fubini_study(), m, tol=1e-14)
         assert np.max(np.abs(logn - lgamma_log_beta(m))) < 5e-11
+
+
+def domain_corners():
+    """(family, tol, m, CLI metric name, its --eps or --coeffs value, oracle) for each
+    metric of each row of density._DOMAIN."""
+    return [(family, tol, m, spec.split()[0], value, oracle)
+            for family, tol, m, metrics, oracle in density_module._DOMAIN
+            for spec in metrics for value in spec.split()[1:] or [None]]
+
+
+def kummer_log_norm(eps, m, j):
+    """log N_j for the eigenfunction bump eps, from two Kummer functions at 50 digits.
+
+    u = eps (2p - 1) and v = 1 + 2 eps - 4 eps p give N_j = e^{m eps} sum_l c_l
+    B(j+1, k+1) e^{-a} 1F1(j+1; m+l+2; a) with k = m - j + l, a = 2 m eps and
+    c = (1 + 2 eps, -4 eps), each series of positive terms.  Past the middle
+    row Kummer's transformation, e^{-a} 1F1(j+1; b; a) = 1F1(k+1; b; -a), sums
+    far fewer terms: about k instead of a, for rows m-1 and m.
+    """
+    with mpmath.workdps(50):
+        e, a = mpmath.mpf(eps), 2 * m * mpmath.mpf(eps)
+        total = 0
+        for l, c in enumerate((1 + 2 * e, -4 * e)):
+            k = m - j + l
+            series = (mpmath.exp(-a) * mpmath.hyp1f1(j + 1, m + l + 2, a, maxterms=10**6)
+                      if 2 * j <= m else mpmath.hyp1f1(k + 1, m + l + 2, -a))
+            total += c * mpmath.beta(j + 1, k + 1) * series
+        return mpmath.log(mpmath.exp(m * e) * total)
+
+
+A3_GRID = [0.0, 0.25, 1.0, 3.0, 1e3]
+
+
+def a3_residual(met, m, tol):
+    """m^2 (Pi_m - m - a1 - a2/m) on A3_GRID: the a3 term, flat in m up to a4/m.
+
+    Section norms to relative tol move Pi_m by at most (m+1) tol, this by m^2 (m+1) tol."""
+    res = bergman_density(met, m, A3_GRID, tol=tol)
+    reps = [scalar_curvature(met, s) for s in A3_GRID]
+    return m * m * (res.values - np.array([m + r.a1 + r.a2 / m for r in reps]))
+
+
+class TestDomain:
+    """Each corner of the stated section-norm domain (density._DOMAIN) on each of its metrics."""
+
+    @pytest.mark.parametrize("family,tol,m,name,value,oracle", domain_corners(),
+                             ids=[f"{n}-{v or ''}-m{m}-tol{t:g}" for _, t, m, n, v, _ in
+                                  domain_corners()])
+    def test_corner(self, family, tol, m, name, value, oracle):
+        met = RadialMetric(_profile_from(name, {"eps": value, "coeffs": value}))
+        if name == "fs":
+            # log Beta values: lgamma over every row, 40-digit mpmath at the end
+            # rows (measured at most 1.75 tol at tol 1e-14), and density m + 1
+            assert family == "Fubini-Study" and "log Beta" in oracle
+            res = bergman_density(met, m, GRID + [1e4, math.inf], tol=tol)
+            bound = 5e-11 if m <= 5000 else 1e-10  # lgamma's own rounding, 6.0e-11 at m = 20000
+            assert np.max(np.abs(res.log_norms - lgamma_log_beta(m))) < bound
+            with mpmath.workdps(40):
+                for j in (0, m):
+                    exact = (mpmath.loggamma(j + 1) + mpmath.loggamma(m - j + 1)
+                             - mpmath.loggamma(m + 2))
+                    assert abs(float(mpmath.mpf(res.log_norms[j]) - exact)) <= 2.0 * tol, j
+            assert np.max(np.abs(res.values - (m + 1))) < 1e-12 * (m + 1)
+        elif name == "eigenfunction-bump":
+            # each checked row within tol plus m eps: log N_j adds log-space terms of
+            # up to about m in size (measured at most 0.67 m eps, at tol 1e-14)
+            assert family == "perturbed metrics" and "Kummer" in oracle
+            logn = section_norms(met, m, tol)
+            for j in (0, 1, m // 2, m - 1, m):
+                err = abs(float(mpmath.mpf(logn[j]) - kummer_log_norm(float(value), m, j)))
+                assert err <= tol + m * np.finfo(float).eps, j
+        else:
+            # within a tenth of its value at m = 2000 (the a4/m drift measured at most
+            # 4.3% between m = 1000 and 20000), plus what tol allows at both m
+            assert family == "perturbed metrics" and "a3 band" in oracle
+            ref = a3_residual(met, 2000, 1e-13)
+            band = 0.1 * np.max(np.abs(ref)) + m * m * (m + 1) * tol + 2000**2 * 2001 * 1e-13
+            assert np.max(np.abs(a3_residual(met, m, tol) - ref)) <= band
+
+    def test_readme_table_is_rendered_from_the_rows(self):
+        rows = ["| family | tol | largest m | metrics the corner test runs | oracle |",
+                "|---|---|---|---|---|"]
+        rows += [f"| {family} | {tol:g} | {m} | {', '.join(metrics)} | {oracle} |"
+                 for family, tol, m, metrics, oracle in density_module._DOMAIN]
+        table = "\n".join(rows) + "\n"
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        assert table in readme, "README's domain table should read:\n" + table
+
+    def test_outside_every_row(self):
+        # eigenfunction bump 0.2 at m = 2000, tol 1e-14 stalls; the domain once
+        # claimed every perturbed metric up to m = 2000 at that tol
+        corners = domain_corners()
+        assert not any(t <= 1e-14 and m >= 2000 and (n, v) == ("eigenfunction-bump", "0.2")
+                       for _, t, m, n, v, _ in corners)
+        # the message names the row (component) furthest from its bound
+        with pytest.raises(QuadratureError, match=r"stalled .* of component \d+ of 2001 "
+                           r"\(section norms at m = 2000, tol = 1e-14; "):
+            section_norms(RadialMetric(RadialProfile.eigenfunction_bump(0.2)), 2000, tol=1e-14)
 
 
 BANDED_METRICS = {

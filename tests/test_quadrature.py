@@ -206,6 +206,28 @@ class TestInterval:
             assert isinstance(want, float)
             assert got == pytest.approx(want, rel=1e-11)
 
+    @pytest.mark.parametrize("f, rows", [
+        (lambda x: np.zeros((0, x.size)), None),
+        (lambda x: np.zeros((0, x.size)), 0),
+        (lambda x: (0, 0, np.zeros((0, x.size))), None),
+    ], ids=["dense", "dense-rows-0", "banded"])
+    def test_zero_rows(self, f, rows):
+        # the dense forms once raised ZeroDivisionError from the call budget
+        for edges in [None, np.linspace(0.0, 1.0, 9)]:
+            got = integrate_interval(f, 0.0, 1.0, edges=edges, rows=rows)
+            assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    def test_failure_names_the_worst_component(self):
+        # the ripple row is the one that cannot meet rtol 1e-16; a 1-D pass has
+        # no component to name
+        def noisy(x):
+            return np.stack([np.exp(x), 1.0 + 1e-14 * np.sin(1e7 * x), np.exp(-x)])
+
+        with pytest.raises(QuadratureError, match=r"on total 1\.000e\+00 of component 1 of 3$"):
+            integrate_interval(noisy, 0.0, 1.0, rtol=1e-16)
+        with pytest.raises(QuadratureError, match=r"on total 1\.000e\+00$"):
+            integrate_interval(lambda x: noisy(x)[1], 0.0, 1.0, rtol=1e-16)
+
     @pytest.mark.parametrize("vector", [False, True])
     def test_vector_nonfinite_raises(self, vector):
         def f(x):
