@@ -18,8 +18,7 @@ from .density import (CurvatureReport, DensityResult, FirstVariationResult,
                       RadialMetric, RadialProfile, bergman_density,
                       first_variation, scalar_curvature, section_norms)
 from .errors import (ComputationError, InsufficientSamplesError, NonConvergenceError,
-                     PositivityError, QuadratureError, StepUnderflowError,
-                     UnsupportedDimensionError)
+                     PositivityError, QuadratureError, UnsupportedDimensionError)
 from .fitting import (FitResult, VanishingReport, fit_expansion, load_samples_csv,
                       vanishing_report)
 from .projective import (EigenBasisFunction, chart_lift, eigenfunction_pairing_closed_form,

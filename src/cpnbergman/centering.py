@@ -277,8 +277,8 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *,
            damping: float = 0.5) -> CenteringState:
     """Iterate the centering map from A = 0 until the integrals vanish.
 
-    tol must be positive, damping lie in (0, 1) and Phi finite (ValueError
-    otherwise).  Phi = int phi theta_i dV_0 is computed once (_phi_moments);
+    tol must be positive and finite, damping lie in (0, 1) and Phi finite
+    (ValueError otherwise).  Phi = int phi theta_i dV_0 is computed once (_phi_moments);
     |R| < sqrt(3) / 2, so for |Phi| >= sqrt(3) / 2 no centre exists and
     NonConvergenceError is raised before the first step.  Each iterate is
     one coordinate step (_t_map), shorter than the one before
@@ -286,8 +286,8 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *,
     which does not bound the distance to the centre; else past max_iter
     NonConvergenceError is raised.  Either error carries the state reached.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     _check_damping(damping)
     Phi = _phi_moments(phi)
     size = math.hypot(*Phi)

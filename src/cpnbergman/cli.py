@@ -280,8 +280,7 @@ def _density_csv_samples(path, at_s: float):
 def _cmd_first_variation(cfg) -> str:
     metric = RadialMetric.fubini_study()
     phi = _profile_from(_need(cfg["phi"], "phi"), cfg)
-    res = first_variation(metric, phi, _int(cfg, "m"), s=_float(cfg, "s"),
-                          t=_float(cfg, "step"))
+    res = first_variation(metric, phi, _int(cfg, "m"), s=_float(cfg, "s"))
     return _json_payload(dataclasses.asdict(res))
 
 
@@ -333,7 +332,7 @@ _COMMANDS = {
             {"samples": None, "n": 1, "K": 2, "at_s": None, "vanishing_tol": None}),
     "first-variation": (_cmd_first_variation,
                         {"phi": None, "eps": None, "coeffs": None, "m": 20,
-                         "s": 0.0, "step": 1e-5}),
+                         "s": 0.0}),
     "center": (_cmd_center,
                {"potential": "zero", "scale": 0.05, "tol": 1e-8, "max_iter": 50,
                 "damping": 0.5, "trace_out": None}),

@@ -13,10 +13,6 @@ class PositivityError(ComputationError):
     """A quantity that must be positive (metric form, section norm) is not."""
 
 
-class StepUnderflowError(ComputationError):
-    """Finite-difference step too small for the working precision."""
-
-
 class UnsupportedDimensionError(ComputationError):
     """Operation is only implemented for specific dimensions."""
 

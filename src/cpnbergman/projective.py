@@ -27,6 +27,8 @@ def eigenfunction_pairing_closed_form(n: int, k0: int, m: int) -> Fraction:
     factor k^2 / (k(k+n) - lambda); their product over k0 < k <= m
     telescopes to (m!/k0!)^2 (2k0+n)! / ((m-k0)! (m+k0+n)!).
     """
+    if n < 1 or k0 < 0:
+        raise ValueError("need n >= 1 and k0 >= 0")
     if m < k0:
         raise ValueError("need m >= k0")
     return Fraction(

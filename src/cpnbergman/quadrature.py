@@ -132,9 +132,11 @@ def integrate_interval(
     at tiny (np.finfo(float).tiny) means that a total below tiny / rtol is
     held only to tiny absolute: scale such an integrand up.
 
-    The initial panels lie between edges, increasing from a to b, by
-    default (a, b).  Edges at f's kinks, or spaced like its features,
-    spare the splits that bisection from [a, b] would spend finding them.
+    a < b must be finite, and rtol and atol finite and at least 0
+    (ValueError otherwise).  The initial panels lie between edges,
+    increasing from a to b, by default (a, b).  Edges at f's kinks, or
+    spaced like its features, spare the splits that bisection from [a, b]
+    would spend finding them.
     Dyadic edges keep every panel's midpoint and half-width exact, as
     bisection's are; a rounded one moves the rule off its panel.
 
@@ -188,13 +190,13 @@ def integrate_interval(
     initial step's total and error estimate, before any refinement; it
     may raise to abandon the pass.
     """
-    if not b > a:
-        raise ValueError("need b > a")
-    if not (rtol >= 0 and atol >= 0):  # a nan bound would meet every estimate
-        raise ValueError(f"need rtol >= 0 and atol >= 0, got {rtol} and {atol}")
+    if not -math.inf < a < b < math.inf:
+        raise ValueError(f"need finite a < b, got a = {a} and b = {b}")
+    if not (0 <= rtol < math.inf and 0 <= atol < math.inf):  # a nan bound meets every estimate
+        raise ValueError(f"need finite rtol >= 0 and atol >= 0, got {rtol} and {atol}")
     if edges is None:
         edges = (a, b)
-    elif edges[0] != a or edges[-1] != b or any(hi <= lo for lo, hi in zip(edges, edges[1:])):
+    elif edges[0] != a or edges[-1] != b or any(not hi > lo for lo, hi in zip(edges, edges[1:])):
         raise ValueError("edges must increase from a to b")
 
     def fit(k):  # dense initial panels per call: as many as the budget allows, at least two

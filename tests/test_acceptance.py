@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import sympy as sp
+from centred_difference_reference import centred_difference
 from variation_reference import variation_order1_polynomial
 
 from cpnbergman import (
@@ -207,12 +208,15 @@ def test_criterion_8_first_variation():
     mix = RadialProfile([-1.0 / 3.0, 0.0, 1.0])  # phi_2 minus a constant
     r1 = first_variation(fs, eigen, m)
     r2 = first_variation(fs, mix, m)
-    ok = r1.rel_diff < 1e-3 and r2.rel_diff < 1e-3
+    fd = [abs(centred_difference(fs, phi, m, 0.0) / r.formula_value - 1.0)
+          for phi, r in ((eigen, r1), (mix, r2))]
+    ok = r1.rel_diff < 1e-10 and r2.rel_diff < 1e-10 and max(fd) < 1e-6
     _report(
         8,
-        "first variation formula vs finite differences",
+        "first variation formula vs linearised density and finite differences",
         ok,
-        "eigen rel %.2e, mix rel %.2e" % (r1.rel_diff, r2.rel_diff),
+        "eigen rel %.2e, mix rel %.2e; differences %.2e, %.2e"
+        % (r1.rel_diff, r2.rel_diff, *fd),
     )
 
 

@@ -699,10 +699,11 @@ class TestCenter:
         assert state.iteration == 2
 
     @pytest.mark.parametrize("kwargs", [{"damping": 0.0}, {"damping": -0.6}, {"tol": 0.0},
-                                        {"tol": -1.0}, {"tol": math.nan}, {"damping": 1.0},
-                                        {"damping": 1.5}])
+                                        {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+                                        {"damping": 1.0}, {"damping": 1.5}])
     def test_nonpositive_tol_or_damping_rejected(self, kwargs):
         # damping 0 and tol -1 once ran all 50 iterations before raising;
+        # tol inf reported converged at iteration 0, with A = 0;
         # near the centre a step multiplies the error by 1 - 2 damping, so
         # damping 1 ran all 50 and damping 1.5 doubled the error each step
         phi = eigenbasis_potential(first_eigenbasis(1)[2], 0.05)

@@ -138,6 +138,17 @@ fs-check --n 1 kept pass true and max_norm_rel_error byte for byte
 used to settle); and the first-variation file kept formula_value 0.0,
 only its step-noise fields fd_value and rel_diff moving.  Every other
 file, the rational-bump CSV below m = 38 included, stayed byte-identical.
+When first_variation came to check its closed form against the density's
+exact linearisation at Fubini-Study, with no difference step, the three
+first-variation files were regenerated: the step key is gone, and
+formula_value stayed byte-identical in each.  fd_value, now the
+linearised value, moved from 8.9e-10 to 4.4e-300 for the eigenfunction
+bump (its rel_diff from 1.1e-7 to 2.5e-291; the only nonzero term at
+s = 0 is row 19's 1.2e-301), from -1.2907481057311543 to
+-1.2907481058658925 for the phi1-poly direction (rel_diff 1.0e-10 to
+2.5e-13), and from 0.1977040815503983 to 0.19770408163266703 for the
+rational bump (rel_diff 4.2e-10 to 7.1e-14).  Every other file stayed
+byte-identical.
 """
 
 import subprocess

@@ -69,6 +69,12 @@ class TestPairing:
                         n, k0, m
                     ) == eigenfunction_pairing_closed_form(n, k0, m), (n, k0, m)
 
+    @pytest.mark.parametrize("n,k0,m", [(0, 1, 2), (1, -1, 2)])
+    def test_outside_the_domain(self, n, k0, m):
+        # n = 0 once returned 4/3, and k0 < 0 raised factorial's own message
+        with pytest.raises(ValueError, match="need n >= 1 and k0 >= 0"):
+            eigenfunction_pairing_closed_form(n, k0, m)
+
 
 class TestSigmaPrimeClosedForm:
     def test_first_level_is_polynomial(self):

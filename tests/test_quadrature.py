@@ -127,8 +127,15 @@ class TestInterval:
         with pytest.raises(ValueError):
             integrate_interval(np.exp, 1.0, 1.0)
 
+    @pytest.mark.parametrize("a,b", [(-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_rejects_infinite_interval(self, a, b):
+        # an infinite end once ran to "integrand is not finite" (QuadratureError)
+        with pytest.raises(ValueError, match="need finite a < b"):
+            integrate_interval(lambda x: np.exp(-x * x), a, b)
+
     @pytest.mark.parametrize("rtol,atol", [(math.nan, 0.0), (1e-12, math.nan),
-                                           (-1e-12, 0.0), (1e-12, -1e-300)])
+                                           (-1e-12, 0.0), (1e-12, -1e-300),
+                                           (math.inf, 0.0), (1e-12, math.inf)])
     def test_rejects_bad_tolerance(self, rtol, atol):
         # a nan bound once met every estimate: the first rule, 34 times the
         # exact (1 - cos 200) / 200, came back with no error
@@ -385,8 +392,9 @@ class TestSchedule:
         assert 2 + len(splits) < bisected
 
     @pytest.mark.parametrize("edges", [(0.5, 1.0), (0.0, 0.5), (0.0, 0.5, 0.5, 1.0),
-                                       (0.0, 0.7, 0.5, 1.0)])
+                                       (0.0, 0.7, 0.5, 1.0), (0.0, math.nan, 1.0)])
     def test_rejects_bad_partition(self, edges):
+        # a nan edge once passed and ran to QuadratureError after RuntimeWarnings
         with pytest.raises(ValueError, match="edges"):
             integrate_interval(np.exp, 0.0, 1.0, edges=edges)
 
