@@ -19,7 +19,6 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import InsufficientSamplesError
-from .ratpoly import RationalPolynomial
 
 
 @dataclass(frozen=True)
@@ -29,6 +28,22 @@ class FitResult:
     coeffs: tuple
     residual: float
     condition: float
+
+
+def _interpolate(xs: list, ys: list) -> list:
+    """Coefficients, low degree first, of the polynomial through distinct (xs, ys).
+
+    Newton divided differences, exact over Q, then the Newton form
+    d0 + (x - x0)(d1 + (x - x1)(d2 + ...)) expanded by Horner.
+    """
+    d = list(ys)
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
+            d[i] = (d[i] - d[i - 1]) / (xs[i] - xs[i - level])
+    c = [d[-1]]
+    for xk, dk in zip(xs[-2::-1], d[-2::-1]):  # c <- c (x - xk) + dk
+        c = [dk - xk * c[0]] + [a - xk * b for a, b in zip(c, c[1:])] + [c[-1]]
+    return c
 
 
 def fit_expansion(samples: Sequence[Tuple], n: int, K: int) -> FitResult:
@@ -64,8 +79,7 @@ def fit_expansion(samples: Sequence[Tuple], n: int, K: int) -> FitResult:
     if exact:
         xs = [Fraction(1, 1) / Fraction(m) for m, _ in pairs]
         ys = [Fraction(v) / Fraction(m) ** n for m, v in pairs]
-        poly = RationalPolynomial.interpolate(xs, ys)
-        coeffs = tuple(poly.coefficient(k) for k in range(K + 1))
+        coeffs = tuple(_interpolate(xs, ys))
     else:
         y = np.array([float(v) / float(m) ** n for m, v in pairs])
         sol, *_ = np.linalg.lstsq(design / scale, y, rcond=None)

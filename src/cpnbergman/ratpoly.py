@@ -1,15 +1,16 @@
-"""Exact univariate polynomials over Q and truncated series in 1/m.
+"""Exact results as univariate polynomials over Q and truncated series in 1/m.
 
-Both types are immutable.  Polynomials store coefficients low degree
-first; the series type represents  m^lead * (c0 + c1/m + ... ) with a
-finite number of known coefficients and tracks how far down in powers
-of m its values are trustworthy, so that arithmetic never silently
-promotes garbage coefficients to "known".
+The library computes its exact results in plain integers (see
+factor_ratio_series) and wraps them in these two immutable types on
+return.  Polynomials store coefficients low degree first; the series
+type represents  m^lead * (c0 + c1/m + ...)  with a finite number of
+known coefficients.  Each type has one canonical form, so equal results
+compare equal.  Neither carries polynomial arithmetic; the series keeps
+a product and a reciprocal only for the benchmark (see InverseMSeries).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence
 
@@ -49,36 +50,6 @@ class RationalPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def interpolate(cls, xs: Sequence, ys: Sequence) -> "RationalPolynomial":
-        """Unique polynomial of degree < len(xs) through the given points.
-
-        Newton divided differences; exact over Q.  Nodes must be distinct.
-        """
-        if len(xs) != len(ys):
-            raise ValueError("xs and ys must have equal length")
-        n = len(xs)
-        if n == 0:
-            return cls()
-        xs = [_frac(x) for x in xs]
-        table = [_frac(y) for y in ys]
-        # table[i] holds the divided difference f[x_i..x_{i+level}]
-        coeffs = [table[0]]
-        for level in range(1, n):
-            for i in range(n - level):
-                dx = xs[i + level] - xs[i]
-                if dx == 0:
-                    raise ValueError("interpolation nodes must be distinct")
-                table[i] = (table[i + 1] - table[i]) / dx
-            coeffs.append(table[0])
-        # expand Newton form sum_k coeffs[k] * prod_{i<k} (x - x_i)
-        result = cls()
-        basis = cls([1])
-        for k, c in enumerate(coeffs):
-            result = result + basis * cls([c])
-            basis = basis * cls([-xs[k], 1])
-        return result
-
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
@@ -92,49 +63,8 @@ class RationalPolynomial:
             return self.coeffs[k]
         return Fraction(0)
 
-    def __call__(self, x):
-        # Horner; exact for Fraction/int inputs, float for float input
-        acc = 0 if not isinstance(x, float) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + (float(c) if isinstance(x, float) else c)
-        return acc
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPolynomial([c * other for c in self.coeffs])
-        # integer convolution over common denominators, one reduction per coefficient
-        da = math.lcm(*(c.denominator for c in self.coeffs))
-        db = math.lcm(*(c.denominator for c in other.coeffs))
-        bs = [b.numerator * (db // b.denominator) for b in other.coeffs]
-        out = [0] * (len(self.coeffs) + len(bs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            a = a.numerator * (da // a.denominator)
-            for j, b in enumerate(bs):
-                out[i + j] += a * b
-        return RationalPolynomial([Fraction(c, da * db) for c in out])
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         if self.is_zero():
@@ -156,9 +86,9 @@ class InverseMSeries:
     """Truncated expansion  m^lead * (c[0] + c[1]/m + ... + c[order]/m^order).
 
     min_power = lead - order is the lowest power of m whose coefficient
-    is known.  Addition keeps only powers known on both sides;
-    multiplication keeps the smaller relative order.  Canonical form has
-    c[0] != 0, except for the zero series (single zero coefficient).
+    is known.  Canonical form has c[0] != 0, except for the zero series
+    (single zero coefficient), whose lead is its min_power.  The
+    coefficient of m^p, for min_power <= p <= lead, is coeffs[lead - p].
     """
 
     __slots__ = ("lead", "coeffs")
@@ -191,43 +121,18 @@ class InverseMSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def coefficient_at(self, power: int) -> Fraction:
-        """Exact coefficient of m^power; powers above lead are zero."""
-        if power > self.lead:
-            return Fraction(0)
-        if power < self.min_power:
-            raise ValueError(
-                "coefficient of m^%d not known (series truncated at m^%d)"
-                % (power, self.min_power)
-            )
-        return self.coeffs[self.lead - power]
-
     def leading_coefficients(self, k: int):
         """First k coefficients c0..c_{k-1}; pads with zeros past the order."""
         out = list(self.coeffs[:k])
         out += [Fraction(0)] * (k - len(out))
         return out
 
-    def __add__(self, other: "InverseMSeries") -> "InverseMSeries":
-        mp = max(self.min_power, other.min_power)
-        lead = max(self.lead, other.lead)
-        if lead < mp:
-            # both zero on the window
-            return InverseMSeries.zero(mp)
-        cs = [
-            (self.coefficient_at(p) if p >= self.min_power else Fraction(0))
-            + (other.coefficient_at(p) if p >= other.min_power else Fraction(0))
-            for p in range(lead, mp - 1, -1)
-        ]
-        return InverseMSeries(lead, cs)
-
-    def __neg__(self):
-        return InverseMSeries(self.lead, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
+    # The product and the reciprocal have no caller in the library.  They
+    # stay because the traced benchmark wraps them by name on this class
+    # (bench/tracing.py METHODS); they leave together with those entries.
 
     def __mul__(self, other):
+        """Product to the smaller relative order of the two factors."""
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return InverseMSeries.zero(self.min_power)
@@ -250,6 +155,7 @@ class InverseMSeries:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "InverseMSeries":
+        """1 / self to the same relative order; the leading power changes sign."""
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("reciprocal of a zero series")
@@ -267,9 +173,6 @@ class InverseMSeries:
             and self.lead == other.lead
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.lead, self.coeffs))
 
     def __repr__(self):
         body = ", ".join(str(c) for c in self.coeffs)

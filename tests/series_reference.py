@@ -1,53 +1,55 @@
-"""Fraction-arithmetic polynomial and series constructions, references for the integer paths.
+"""Polynomials over sympy and 1/m-series helpers, references for the integer paths.
 
-These are the constructors and operations `RationalPolynomial` and
-`InverseMSeries` carried before the library came to compute its closed
-forms, remainders and curvature numerators in plain integers.  They
-build the same objects the slow way, so the tests compare the integer
-results against them.
+The library computes its closed forms, remainders and curvature
+numerators in plain integers and only wraps the results in
+`RationalPolynomial` and `InverseMSeries`.  The tests build the same
+objects independently: polynomials are sympy Polys over QQ in `x`, with
+sympy's product, division and derivative, and enter the series type
+through `series_from_polynomial`.  `add` is the one series operation
+the library does not carry.
 """
 
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable
 
-from cpnbergman import InverseMSeries, RationalPolynomial
+import sympy as sp
+
+from cpnbergman import InverseMSeries
+
+x = sp.Symbol("x")
 
 
-def from_roots(roots: Iterable) -> RationalPolynomial:
+def poly(cs: Iterable) -> sp.Poly:
+    """The Poly over QQ with coefficients cs, low degree first."""
+    return sp.Poly(list(cs)[::-1] or [0], x, domain=sp.QQ)
+
+
+def coeffs(p: sp.Poly) -> list:
+    """p's coefficients as Fractions, low degree first, none for 0: RationalPolynomial's form."""
+    return [] if p.is_zero else [Fraction(c) for c in reversed(p.all_coeffs())]
+
+
+def from_roots(roots: Iterable) -> sp.Poly:
     """The monic polynomial prod (x - r) over the given roots."""
-    p = RationalPolynomial([1])
-    for r in roots:
-        p = p * RationalPolynomial([-Fraction(r), 1])
-    return p
+    return sp.Poly(sp.prod([x - sp.Rational(Fraction(r)) for r in roots]), x, domain=sp.QQ)
 
 
-def poly_divmod(p: RationalPolynomial,
-                d: RationalPolynomial) -> Tuple[RationalPolynomial, RationalPolynomial]:
-    """Quotient and remainder of p by d, by long division over Q."""
-    if d.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p.coeffs)
-    deg, lead = d.degree, d.coeffs[-1]
-    quot = [Fraction(0)] * max(len(rem) - deg, 0)
-    for k in range(len(rem) - 1, deg - 1, -1):
-        q = quot[k - deg] = rem[k] / lead
-        for j in range(deg + 1):
-            rem[k - deg + j] -= q * d.coeffs[j]
-    return RationalPolynomial(quot), RationalPolynomial(rem[:deg])
-
-
-def derivative(p: RationalPolynomial) -> RationalPolynomial:
-    return RationalPolynomial([k * c for k, c in enumerate(p.coeffs)][1:])
-
-
-def series_from_polynomial(p: RationalPolynomial, order: int) -> InverseMSeries:
+def series_from_polynomial(p: sp.Poly, order: int) -> InverseMSeries:
     """p(m) as an InverseMSeries of relative order `order`: its trailing 1/m terms are 0."""
-    if p.is_zero():
+    if p.is_zero:
         return InverseMSeries.zero(-order)
-    lead = p.degree
-    cs = [p.coefficient(lead - j) for j in range(lead + 1)]
-    cs += [Fraction(0)] * max(order - lead, 0)
-    return InverseMSeries(lead, cs[:order + 1])
+    return InverseMSeries(p.degree(), (p.all_coeffs() + [0] * order)[:order + 1])
+
+
+def add(a: InverseMSeries, b: InverseMSeries) -> InverseMSeries:
+    """a + b on the powers of m known in both, down to the larger min_power."""
+    low = max(a.min_power, b.min_power)
+    lead = max(a.lead, b.lead, low)
+
+    def at(s, p):  # the coefficient of m^p, zero above the lead
+        return s.coeffs[s.lead - p] if p <= s.lead else 0
+
+    return InverseMSeries(lead, [at(a, p) + at(b, p) for p in range(lead, low - 1, -1)])
 
 
 def normalized(s: InverseMSeries) -> InverseMSeries:

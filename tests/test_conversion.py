@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rewrite_reference import tuple_rewrite_at_zero
-from series_reference import from_roots, normalized, series_from_polynomial
+from series_reference import add, from_roots, normalized, poly, series_from_polynomial, x
 from variation_reference import (TriangularVariationEngine, triangular_delta_polynomials,
                                  variation_order1_polynomial)
 
@@ -218,9 +218,9 @@ class TestConversionTable:
         t = conversion_polynomials(n, 60)
         row = [Fraction(0), Fraction(1)]
         for k in range(1, 61):
-            poly = RationalPolynomial(t.rows[k - 1])
-            assert poly == RationalPolynomial(row), k
-            assert all(type(c) is Fraction for c in poly.coeffs)
+            got = RationalPolynomial(t.rows[k - 1])
+            assert got == RationalPolynomial(row), k
+            assert all(type(c) is Fraction for c in got.coeffs)
             row = row + [Fraction(0), Fraction(0)]
             row = [Fraction(0)] + [row[l - 1] + l * (2 * l + n - 1) * row[l]
                                    + l * l * (l + 1) * (l + n) * row[l + 1]
@@ -265,9 +265,9 @@ class TestConversionTable:
 
 class TestEigenDeltaC:
     def test_low_order(self):
-        d = eigen_delta_c_values(1, 2)
-        lam = RationalPolynomial([0, 1])
-        assert d[0] == RationalPolynomial([1])
+        d = [poly(p.coeffs) for p in eigen_delta_c_values(1, 2)]
+        lam = poly([0, 1])
+        assert d[0] == poly([1])
         assert d[1] == -lam
         assert d[2] == lam * lam + 2 * lam
 
@@ -275,16 +275,11 @@ class TestEigenDeltaC:
     def test_solves_triangular_system(self, n):
         K = 5
         t = conversion_polynomials(n, K)
-        d = eigen_delta_c_values(n, K)
-        lam = RationalPolynomial([0, 1])
+        d = [poly(p.coeffs) for p in eigen_delta_c_values(n, K)]
+        lam = poly([0, 1])
         for k in range(1, K + 1):
-            total = RationalPolynomial()
-            for l in range(k + 1):
-                total = total + d[l] * RationalPolynomial([t.coefficient(k, l)])
-            power = RationalPolynomial([1])
-            for _ in range(k):
-                power = power * (-lam)
-            assert (total - power).is_zero(), (n, k)
+            total = sum((d[l] * t.coefficient(k, l) for l in range(k + 1)), poly([]))
+            assert total == (-lam) ** k, (n, k)
 
 
 class TestVariationSeries:
@@ -312,21 +307,20 @@ class TestVariationSeries:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_order_one_polynomial_roots(self, n):
         p = variation_order1_polynomial(n)
-        assert p.degree == 2
-        assert p(Fraction(0)) == 0
-        assert p(Fraction(n + 1)) == 0
+        assert p.degree() == 2
+        assert p.eval(0) == 0
+        assert p.eval(n + 1) == 0
         # proportional to lambda * (lambda - (n+1)) with nonzero constant
-        c = p.coefficient(2)
+        c = p.LC()
         assert c != 0
-        expected = from_roots([0, n + 1]) * RationalPolynomial([c])
-        assert (p - expected).is_zero()
+        assert p == from_roots([0, n + 1]) * c
 
 
 def _reference_variation(n, J, lams):
     """variation_series_eigen built straight from its definition.
 
     -((m+n)!/m!)^2/n! (m + lambda) sum_k delta_k/k! (m-k)!/(m+n)!, plus
-    (m+n)!/m! m/n! when centered, in RationalPolynomial/InverseMSeries
+    (m+n)!/m! m/n! when centered, in sympy polynomial and InverseMSeries
     arithmetic; delta_k solves (-lambda)^k = sum_l a_{k,l} delta_l.
     Yields (lambda, centered, series, normalized series).
     """
@@ -338,9 +332,8 @@ def _reference_variation(n, J, lams):
     recips = [series_from_polynomial(rising(1 - k, n), J).reciprocal()
               for k in range(J + 1)]
     Q = rising(1, n)
-    prefactor = series_from_polynomial(Q * Q * Fraction(-1, factorial(n)), J)
-    back = series_from_polynomial(
-        Q * RationalPolynomial([0, 1]) * Fraction(1, factorial(n)), J)
+    prefactor = series_from_polynomial(Q * Q * sp.Rational(-1, factorial(n)), J)
+    back = series_from_polynomial(Q * x * sp.Rational(1, factorial(n)), J)
     for lam in lams:
         lam = Fraction(lam)
         deltas = [Fraction(1)]
@@ -349,10 +342,10 @@ def _reference_variation(n, J, lams):
                                             for l in range(1, k)))
         S = InverseMSeries.zero(-n - J)
         for k, d in enumerate(deltas):
-            S = S + recips[k] * (d / factorial(k))
-        raw = prefactor * series_from_polynomial(RationalPolynomial([lam, 1]), J) * S
+            S = add(S, recips[k] * (d / factorial(k)))
+        raw = prefactor * series_from_polynomial(poly([lam, 1]), J) * S
         for centered in (False, True):
-            series = raw + back if centered else raw
+            series = add(raw, back) if centered else raw
             yield lam, centered, series, normalized(series)
 
 

@@ -24,7 +24,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from centred_difference_reference import centred_difference, perturbed
-from series_reference import derivative
+from series_reference import coeffs, poly
 from variation_formula_reference import fraction_variation_formula
 
 import cpnbergman
@@ -36,7 +36,6 @@ from cpnbergman import (
     QuadratureError,
     RadialMetric,
     RadialProfile,
-    RationalPolynomial,
     bergman_density,
     cp1_integral,
     first_variation,
@@ -1065,26 +1064,26 @@ class TestScalarCurvature:
             rho, lap_rho = exact_curvature(P**2 * v)
             for got, f in zip(met._curvature_numerators, (rho * v**3, lap_rho * v**6)):
                 assert f.denom.is_ground  # a polynomial in p
-                poly = sp.Poly(f.as_expr(), QP.symbols[0])
-                assert got == tuple(float(c) for c in reversed(poly.all_coeffs())), e
+                expanded = sp.Poly(f.as_expr(), QP.symbols[0])
+                assert got == tuple(float(c) for c in reversed(expanded.all_coeffs())), e
 
     @pytest.mark.parametrize("profile", [
         RadialProfile.zero(), RadialProfile.eigenfunction_bump(0.1),
         RadialProfile.rational_bump(0.15), RadialProfile([0.0, 0.05, -0.02, 0.013]),
     ], ids=["fs", "eigenfunction-bump", "rational-bump", "phi1-poly-cubic"])
     def test_numerators_match_a_fraction_construction(self, profile):
-        # the same recursion in RationalPolynomial arithmetic over Fractions,
+        # the same recursion in sympy polynomial arithmetic over QQ,
         # divided by the scale in Fractions and rounded once: equal bit for bit
         met = RadialMetric(profile)
         scale = max(Fraction(c).denominator for c in met._v_coeffs)
-        v = RationalPolynomial([Fraction(c) * scale for c in met._v_coeffs])
-        dv, pq = derivative(v), RationalPolynomial([0, 1, -1])
-        n = RationalPolynomial([2, -2]) * v + pq * dv
-        r = n * dv - derivative(n) * v
-        q = pq * (derivative(r) * v - r * dv * 3)
-        lap = derivative(q) * v - q * dv * 4
+        v = poly([Fraction(c) * scale for c in met._v_coeffs])
+        dv, pq = v.diff(), poly([0, 1, -1])
+        n = poly([2, -2]) * v + pq * dv
+        r = n * dv - n.diff() * v
+        q = pq * (r.diff() * v - r * dv * 3)
+        lap = q.diff() * v - q * dv * 4
         for got, want, e in zip(met._curvature_numerators, (r, lap), (2, 4)):
-            assert [c.hex() for c in got] == [float(c / scale**e).hex() for c in want.coeffs]
+            assert [c.hex() for c in got] == [float(c / scale**e).hex() for c in coeffs(want)]
 
     @pytest.mark.parametrize("u_maker,u_sym", CURVATURE_FAMILIES)
     def test_against_symbolic_oracle(self, u_maker, u_sym):

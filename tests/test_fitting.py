@@ -47,15 +47,21 @@ class TestExactPath:
         assert fit.coeffs == (1, 1, 0)
 
     @given(
-        coeffs=st.lists(rationals, min_size=2, max_size=5),
+        coeffs=st.lists(rationals, min_size=1, max_size=6),
         n=st.integers(min_value=1, max_value=3),
+        data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_exact_recovery(self, coeffs, n):
+    def test_exact_recovery(self, coeffs, n, data):
+        # K + 1 exact samples (m, m^n p(1/m)) at distinct positive rational m
+        # give back p's coefficients exactly: the exact branch interpolates
         K = len(coeffs) - 1
-        ms = [K + 2 + 3 * i for i in range(K + 1)]
+        ms = data.draw(st.lists(st.fractions(min_value=Fraction(1, 6), max_value=60,
+                                             max_denominator=6),
+                                min_size=K + 1, max_size=K + 1, unique=True))
         fit = fit_expansion(model_samples(coeffs, n, ms), n, K)
         assert list(fit.coeffs) == coeffs
+        assert all(type(c) is Fraction for c in fit.coeffs)
         assert fit.residual == 0
 
 
@@ -96,6 +102,10 @@ class TestValidation:
     def test_duplicate_m_rejected(self):
         with pytest.raises(InsufficientSamplesError):
             fit_expansion([(10, 11.0), (10, 11.0), (20, 21.0)], 1, 2)
+        # K + 1 exact samples take the interpolating branch, which needs distinct nodes
+        with pytest.raises(InsufficientSamplesError):
+            fit_expansion([(Fraction(1, 3), Fraction(0)), (Fraction(1, 3), Fraction(1)),
+                           (2, Fraction(5))], 1, 2)
 
     def test_negative_order_rejected(self):
         # K = -1 once reached numpy's "cond is not defined on empty arrays"

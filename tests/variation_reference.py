@@ -7,14 +7,17 @@ the moments solve the unit-triangular system
 (-lambda)^k = sum_l a_{k,l} delta_l over the conversion table, and the
 sum reads a table of series R_k, one per order.  The module also keeps
 variation_order1_polynomial, the leading centered coefficient as a
-polynomial in lambda, interpolated from the library's numerators.
+polynomial in lambda, interpolated by sympy from the library's numerators.
 """
 
 from fractions import Fraction
 from math import factorial
 from typing import List, Tuple
 
-from cpnbergman import InverseMSeries, RationalPolynomial, conversion_polynomials
+import sympy as sp
+from series_reference import x
+
+from cpnbergman import InverseMSeries, conversion_polynomials
 from cpnbergman.conversion import _variation_numerators
 from cpnbergman.ratpoly import factor_ratio_series
 
@@ -99,14 +102,15 @@ class TriangularVariationEngine:
         return out
 
 
-def variation_order1_polynomial(n: int) -> RationalPolynomial:
+def variation_order1_polynomial(n: int) -> sp.Poly:
     """Coefficient of m^{n-1} in the centered variation, as a polynomial in lambda.
 
     The two top orders of the centered series cancel identically, so this
     is its leading behavior.  Only delta_0..delta_2 reach this order, hence
     the degree is at most 2; five interpolation nodes overdetermine it.
     """
-    xs = [Fraction(v) for v in range(5)]
-    ys = [Fraction(U[2], scale)
-          for U, scale in (_variation_numerators(n, lam, 4, centered=True) for lam in xs)]
-    return RationalPolynomial.interpolate(xs, ys)
+    points = []
+    for lam in range(5):
+        U, scale = _variation_numerators(n, lam, 4, centered=True)
+        points.append((lam, sp.Rational(U[2], scale)))
+    return sp.Poly(sp.interpolate(points, x), x, domain=sp.QQ)
