@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, UnsupportedDimensionError
 from .projective import EigenBasisFunction, chart_lift, first_eigenbasis
-from .quadrature import cp1_integral, fs_weight
+from .quadrature import cp1_integral
 
 _SQRT3, _SQRT6 = math.sqrt(3.0), math.sqrt(6.0)
 
@@ -241,7 +241,7 @@ def _phi_moments(phi: Callable) -> np.ndarray:
         return phi.moments()
     T = build_L(1).transpose(1, 2, 0)
     return cp1_integral(lambda z: phi(z) * _form_ratio(T.reshape(T.shape + (1,) * np.ndim(z)), z),
-                        fs_weight, rtol=1e-10, atol=1e-13)
+                        rtol=1e-10, atol=1e-13)
 
 
 def centering_residual(A: TracelessHermitian, phi: Callable) -> np.ndarray:

@@ -267,6 +267,8 @@ def _density_csv_samples(path, at_s: float):
             if not line.strip():
                 continue
             cells = [float(c) for c in line.strip().split(",")]
+            if math.isnan(cells[0]):  # its gap would compare false both ways
+                raise ValueError("density CSV has a row with s = nan")
             gap = 0.0 if cells[0] == at_s else abs(cells[0] - at_s)
             if best is None or gap < best[0]:
                 best = (gap, cells)

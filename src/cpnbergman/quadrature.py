@@ -1,12 +1,13 @@
-"""Adaptive Gauss-Kronrod quadrature on intervals, half-lines and CP^1.
+"""Adaptive Gauss-Kronrod quadrature on intervals and CP^1.
 
 Every panel is one 31-node Kronrod rule (K31), whose embedded 15-node
 Gauss rule (G15) gives its error estimate from the same integrand
 values.  Integrands must accept numpy arrays of evaluation points and be
-pointwise in them: one call may hold the nodes of several panels.  The
-half-line is compactified by s = x/(1-x); integrals over CP^1 combine an
-adaptive radial pass with a trapezoid angular average whose resolution
-is doubled until two successive values agree.
+pointwise in them: one call may hold the nodes of several panels.  Every
+pass runs on a finite interval.  Integrals over CP^1 combine an adaptive
+radial pass in x = |z|^2 / (1 + |z|^2) on [0, 1], where the Fubini-Study
+form is dx dtheta / 2 pi, with a trapezoid angular average whose
+resolution is doubled until two successive values agree.
 """
 
 from __future__ import annotations
@@ -301,47 +302,27 @@ def integrate_interval(
     return total if shape else float(total[0])
 
 
-def integrate_half_line(
-    f: Callable[[np.ndarray], np.ndarray],
-    rtol: float = 1e-12,
-    atol: float = 0.0,
-    screen: Optional[Callable] = None,
-) -> Union[float, np.ndarray]:
-    """Integral of f over [0, infinity) via the substitution s = x/(1-x).
-
-    f may return shape (k, len(s)); see integrate_interval.  The pass
-    starts from one panel, so f gets the nodes of that panel (31), then
-    of each split's two halves (62), per call, and must be pointwise in
-    s; a banded f gets one panel per call.
-    """
-
-    def g(x: np.ndarray) -> np.ndarray:
-        om = 1.0 - x
-        return f(x / om) / om**2
-
-    return integrate_interval(g, 0.0, 1.0, rtol=rtol, atol=atol, screen=screen)
-
-
 class _Unsettled(Exception):
     """Raised by cp1_integral's screen to abandon a doubling step early."""
 
 
 def cp1_integral(
     F: Callable[[np.ndarray], np.ndarray],
-    radial_weight: Callable[[np.ndarray], np.ndarray],
     rtol: float = 1e-10,
     atol: float = 1e-13,
 ) -> Union[float, np.ndarray]:
-    """Integral over CP^1 of F against radial_weight(s) ds after averaging.
+    """Integral of F over CP^1 against the unit-volume Fubini-Study form.
 
-    Computes int_0^inf radial_weight(s) * mean_theta F(sqrt(s) e^{i theta}) ds.
-    With radial_weight = (1+s)^{-2} this is the integral against the
-    unit-volume Fubini-Study form.  F must broadcast over complex arrays
-    and return real values (a complex dtype raises ValueError); it may
-    return shape (k,) + z.shape for k integrands, and the result is then
-    a (k,) array instead of a float.  One call of F covers the circles at
-    the nodes of up to two radial panels, z of shape (31 r, 2 nt) for r
-    panels, so F must be pointwise in z.
+    In x = |z|^2 / (1 + |z|^2) that form is dx dtheta / 2 pi (Archimedes'
+    hat-box theorem), so this is the integral over [0, 1] of
+    mean_theta F(sqrt(x/(1-x)) e^{i theta}) dx: no weight and no
+    Jacobian.  A form w(|z|^2) dA / pi is F times w(s) (1+s)^2.  F must
+    broadcast over complex arrays and return real values (a complex dtype
+    raises ValueError); it may return shape (k,) + z.shape for k
+    integrands, and the result is then a (k,) array instead of a float.
+    One call of F covers the circles at the nodes of up to two radial
+    panels, z of shape (31 r, 2 nt) for r panels, so F must be pointwise
+    in z.
 
     The trapezoid angular rule is spectrally accurate for smooth F.  Each
     doubling step is one adaptive radial pass that evaluates F once on a
@@ -374,19 +355,19 @@ def cp1_integral(
     while 2 * nt <= _N_THETA_MAX:
         circle = np.exp(1j * np.pi / nt * np.arange(2 * nt))
 
-        def radial(s: np.ndarray) -> np.ndarray:
+        def radial(x: np.ndarray) -> np.ndarray:
             nonlocal vector
-            vals = F(np.sqrt(s)[:, None] * circle)
+            vals = F(np.sqrt(x / (1.0 - x))[:, None] * circle)
             if np.iscomplexobj(vals):
                 raise ValueError("cp1_integral needs a real-valued F, got %s values" % vals.dtype)
             vector = vals.ndim > 2
-            coarse = vals[..., ::2].mean(axis=-1).reshape(-1, len(s))
-            fine = vals.mean(axis=-1).reshape(-1, len(s))
-            return radial_weight(s) * np.concatenate([coarse, fine])
+            coarse = vals[..., ::2].mean(axis=-1).reshape(-1, len(x))
+            fine = vals.mean(axis=-1).reshape(-1, len(x))
+            return np.concatenate([coarse, fine])
 
         nt *= 2
         try:
-            total = integrate_half_line(radial, rtol=rtol, atol=atol, screen=screen)
+            total = integrate_interval(radial, 0.0, 1.0, rtol=rtol, atol=atol, screen=screen)
         except _Unsettled:
             continue
         k = len(total) // 2
@@ -397,11 +378,6 @@ def cp1_integral(
         "angular refinement did not stabilize: n_theta = %d, the cap of cp1_integral, "
         "is too few angles for this integrand" % _N_THETA_MAX
     )
-
-
-def fs_weight(s: np.ndarray) -> np.ndarray:
-    """Radial density of the unit-volume Fubini-Study form on CP^1."""
-    return (1.0 + s) ** (-2)
 
 
 def _power_kernel(p: int, e: int) -> Tuple[Callable[[np.ndarray], np.ndarray], int]:
@@ -427,14 +403,15 @@ def _power_kernel(p: int, e: int) -> Tuple[Callable[[np.ndarray], np.ndarray], i
 
 
 def monomial_kernel_quadrature(n: int, m: int, P, rtol: float = 1e-10) -> float:
-    """(1/pi^n) int |z^P|^2 (1+|z|^2)^{-(m+n+1)} dV as n half-line passes.
+    """(1/pi^n) int |z^P|^2 (1+|z|^2)^{-(m+n+1)} dV as n passes on [0, 1].
 
     Radial reduction gives int s^P (1 + s_1 + ... + s_n)^(-e) ds, e = m + n + 1,
     and s_n = (1 + s_1 + ... + s_{n-1}) t splits off the factor
     int_0^inf t^(p_n) (1 + t)^(-e) dt, leaving the same form with e lowered by
-    p_n + 1.  Each factor is held to rtol / n, so their relative errors sum
-    to at most rtol.  n is 1 or 2, the numeric validation scope; the exact
-    counterpart is fs_monomial_integral."""
+    p_n + 1.  Each factor is one integrate_interval pass in x = t/(1+t),
+    held to rtol / n, so their relative errors sum to at most rtol.  n is
+    1 or 2, the numeric validation scope; the exact counterpart is
+    fs_monomial_integral."""
     P = _exponents(P, n)
     if sum(P) > m:
         raise ValueError("requires |P| <= m")
@@ -443,7 +420,8 @@ def monomial_kernel_quadrature(n: int, m: int, P, rtol: float = 1e-10) -> float:
     value, scale, e = 1.0, 0, m + n + 1
     for p in reversed(P):
         kernel, exponent = _power_kernel(p, e)
-        value *= integrate_half_line(kernel, rtol=rtol / n)
+        value *= integrate_interval(lambda x: kernel(x / (1 - x)) / (1 - x) ** 2, 0.0, 1.0,
+                                    rtol=rtol / n)
         scale += exponent
         e -= p + 1
     return math.ldexp(value, scale)

@@ -13,7 +13,12 @@ QuadratureError there.
 
 import numpy as np
 
-from cpnbergman import integrate_half_line
+from cpnbergman import integrate_interval
+
+
+def half_line(f, rtol):
+    """int_0^inf f(s) ds as one integrate_interval pass in x = s/(1+s)."""
+    return integrate_interval(lambda x: f(x / (1 - x)) / (1 - x) ** 2, 0.0, 1.0, rtol=rtol)
 
 
 def shifted_power_kernel(p, a, e):
@@ -35,6 +40,6 @@ def nested_monomial_quadrature(m, P, rtol=1e-10):
     def outer(s1):
         # one vector pass: row i is int_0^inf t^p2 (1 + s1_i + t)^{-(m+3)} dt
         inner = shifted_power_kernel(p2, 1.0 + s1[:, None], m + 3)
-        return (s1 ** p1 if p1 else 1.0) * integrate_half_line(inner, rtol=0.1 * rtol)
+        return (s1 ** p1 if p1 else 1.0) * half_line(inner, rtol=0.1 * rtol)
 
-    return integrate_half_line(outer, rtol=rtol)
+    return half_line(outer, rtol=rtol)

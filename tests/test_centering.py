@@ -22,7 +22,6 @@ from cpnbergman import (
     eigenbasis_potential,
     estimate_contraction,
     first_eigenbasis,
-    fs_weight,
     gauge_potential,
     rho_potential,
     t_step,
@@ -143,7 +142,7 @@ def _residual_per_component(A, phi, rtol=1e-10):
         def F(z, th=th):
             return (phi(z) - rho(z)) * theta(th, chart_lift(1, z))
 
-        out[i] = cp1_integral(F, fs_weight, rtol=rtol, atol=1e-13)
+        out[i] = cp1_integral(F, rtol=rtol, atol=1e-13)
     return out
 
 
@@ -188,7 +187,7 @@ def _uncached_residual(A, phi, L, rtol=1e-10):
         den = np.sum(np.abs(Z) ** 2, axis=0)
         return (phi(z) - np.log(num / den)) * quad / (1.0 + s)
 
-    return cp1_integral(F, fs_weight, rtol=rtol, atol=1e-13)
+    return cp1_integral(F, rtol=rtol, atol=1e-13)
 
 
 def _mix_potential():
@@ -441,8 +440,17 @@ class TestHermitianPotentials:
         for pot in self._cases(kind):
             got = pot.moments()
             want = cp1_integral(lambda z: pot(z) * centering._form_ratio(
-                T.reshape(T.shape + (1,) * np.ndim(z)), z), fs_weight, rtol=1e-12, atol=1e-13)
+                T.reshape(T.shape + (1,) * np.ndim(z)), z), rtol=1e-12, atol=1e-13)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_quadrature_branch_on_eigenbasis_sums(self, seed):
+        # _phi_moments of a plain callable runs one cp1_integral pass in
+        # x = s/(1+s); on sums of eigenbasis potentials (the bench's
+        # center_mix inputs) it reads at most 7e-18 from the exact moments
+        for norm in (0.04, 0.045, 0.05):
+            phi, w = _mix_case(seed, norm)
+            assert np.max(np.abs(centering._phi_moments(phi) - w)) <= 2e-16
 
     def test_eigenbasis_potential_matches_the_basis_function(self):
         z = np.concatenate([[0.0, 1e8], np.geomspace(1e-3, 1e3, 9) * np.exp(2.3j)])
@@ -461,14 +469,15 @@ class TestHermitianPotentials:
             eigenbasis_potential(first_eigenbasis(2)[0], 0.05)
 
     def test_no_cp1_pass(self, monkeypatch):
+        # cp1_integral's radial passes are its integrate_interval calls
         passes = []
-        half_line = quadrature.integrate_half_line
+        original = quadrature.integrate_interval
 
         def counted(*args, **kwargs):
             passes.append(1)
-            return half_line(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(quadrature, "integrate_half_line", counted)
+        monkeypatch.setattr(quadrature, "integrate_interval", counted)
         for make in ("gauge", "eigenbasis", "zero"):
             phi = _POTENTIALS[make]()
             assert center(phi).converged

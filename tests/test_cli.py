@@ -142,6 +142,18 @@ class TestDensityAndFit:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ValueError" and "nan" in error["message"]
 
+    @pytest.mark.parametrize("at_s", ["0.5", "7.0"])
+    def test_fit_nan_s_row_exit_2(self, tmp_path, capsys, at_s):
+        # a first row at s = nan was never replaced (gap < nan is false) and
+        # passed the 1e-9 check, so every at_s fitted that row
+        csv_path = tmp_path / "dens.csv"
+        csv_path.write_text("s,Pi_m10,Pi_m20\nnan,1,2\n0.5,3,4\n")
+        with pytest.raises(ValueError, match="s = nan"):
+            _density_csv_samples(csv_path, float(at_s))
+        assert main(["fit", "--samples", str(csv_path), "--at-s", at_s, "--K", "1"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError" and "s = nan" in error["message"]
+
     def test_fit_m_0_sample_exit_2(self, tmp_path, capsys):
         # m = 0 is in the density's domain, but a fit over it once raised
         # ZeroDivisionError and exited 1 with a traceback

@@ -79,6 +79,22 @@ def test_malformed_multi_index_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: conversion_polynomials(0, 3), "need n >= 1 and K >= 1"),
+    (lambda: conversion_polynomials(1, 0), "need n >= 1 and K >= 1"),
+    (lambda: eigen_delta_c_values(0, 3), "need n >= 1"),
+    (lambda: variation_series_eigen(0, 2, 4), "need n >= 1 and J >= 1"),
+    (lambda: variation_series_eigen(1, 2, 0), "need n >= 1 and J >= 1"),
+    (lambda: admissible_eigenvalue_scan(0, 3, 4), "need n >= 1 and J >= 1"),
+    (lambda: admissible_eigenvalue_scan(1, 3, 0), "need n >= 1 and J >= 1"),
+    (lambda: delta_c_power_at_zero(-1, (1,)), "l must be >= 0"),
+], ids=["table-n", "table-K", "deltas-n", "series-n", "series-J", "scan-n", "scan-J",
+        "flat-negative-order"])
+def test_outside_the_exact_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestLaplacianPowers:
     def test_stated_values(self):
         assert laplacian_power_at_zero(1, (0,), 1) == 0

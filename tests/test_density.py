@@ -88,6 +88,12 @@ class TestRadialProfile:
             assert r.value(s) == pytest.approx(0.1 * s / (1 + s) ** 2, rel=1e-14)
         assert RadialProfile.zero().is_zero
 
+    def test_trailing_zeros_trimmed(self):
+        assert RadialProfile([0.1, 0.0]).coeffs == (0.1,)
+        zero = RadialProfile([0.0, 0.0])
+        assert zero.coeffs == () and zero.is_zero
+        assert RadialMetric(zero).is_fubini_study
+
     @pytest.mark.parametrize("coeffs", [[math.nan], [0.0, 0.05, math.nan], [-math.inf, math.inf]])
     def test_non_finite_coefficients_rejected(self, coeffs):
         # RadialProfile([nan]) once gave a metric whose scalar curvature read 2
@@ -1127,7 +1133,8 @@ class TestScalarCurvature:
 
 def _pulled_back_quadrature(phi, m, s):
     """The first-variation integral with the Mobius-pulled-back integrand
-    averaged by cp1_integral: (1/pi) int (m phi~ - Delta phi~) o G (1+|z|^2)^{-(m+2)} dA."""
+    averaged by cp1_integral: (1/pi) int (m phi~ - Delta phi~) o G (1+|z|^2)^{-(m+2)} dA,
+    the weight's (1+|z|^2)^{-m} folded into the integrand."""
     w = math.sqrt(s)
     phi0 = float(phi.value(s))
     lap = RadialProfile(phi.fs_laplacian_coeffs())
@@ -1136,9 +1143,9 @@ def _pulled_back_quadrature(phi, m, s):
         # p o G = |1 - w z|^2 / (|1 - w z|^2 + |z + w|^2)
         d2 = np.abs(1.0 - w * z) ** 2
         p = d2 / (d2 + np.abs(z + w) ** 2)
-        return m * (phi.value_p(p) - phi0) - lap.value_p(p)
+        return (m * (phi.value_p(p) - phi0) - lap.value_p(p)) * (1.0 + np.abs(z) ** 2) ** (-m)
 
-    return cp1_integral(integrand, lambda sv: (1.0 + sv) ** (-(m + 2)), rtol=1e-13, atol=1e-15)
+    return cp1_integral(integrand, rtol=1e-13, atol=1e-15)
 
 
 def _exact_through_the_inverse(phi, m, s):
@@ -1258,15 +1265,16 @@ class TestFirstVariation:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_no_cp1_pass(self, monkeypatch):
-        # every cp1_integral pass is a half-line pass; section norms are not
+        # cp1_integral's radial passes are the integrate_interval calls made
+        # inside quadrature; section norms call it through density's own name
         passes = []
-        half_line = quadrature.integrate_half_line
+        original = quadrature.integrate_interval
 
         def counted(*args, **kwargs):
             passes.append(1)
-            return half_line(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(quadrature, "integrate_half_line", counted)
+        monkeypatch.setattr(quadrature, "integrate_interval", counted)
         phi = RadialProfile([1.0, -6.0, 6.0])
         first_variation(self.FS, phi, 20, s=0.5)
         assert not passes

@@ -166,13 +166,17 @@ class TestVanishingReport:
 class TestCsvLoading:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "samples.csv"
-        path.write_text("m,value\n10,11.0\n20,21.0\n30,31.0\n")
+        path.write_text("m,value\n10,11.0\n\n20,21.0\n30,31.0\n")  # a blank row is skipped
         samples = load_samples_csv(path)
+        assert samples == [(10, 11.0), (20, 21.0), (30, 31.0)]
         fit = fit_expansion(samples, 1, 2)
         assert fit.coeffs == pytest.approx([1.0, 1.0, 0.0], abs=1e-10)
 
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("m,value\n10\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="two columns per row"):
+            load_samples_csv(path)
+        path.write_text("m\n10\n")
+        with pytest.raises(ValueError, match="at least two columns: m, value"):
             load_samples_csv(path)

@@ -13,7 +13,6 @@ from cpnbergman import (
     cp1_integral,
     eigenfunction_pairing_closed_form,
     first_eigenbasis,
-    fs_weight,
     polynomiality_criterion,
     sigma_prime_closed_form,
     variation_series_eigen,
@@ -69,10 +68,14 @@ class TestPairing:
                         n, k0, m
                     ) == eigenfunction_pairing_closed_form(n, k0, m), (n, k0, m)
 
-    @pytest.mark.parametrize("n,k0,m", [(0, 1, 2), (1, -1, 2)])
-    def test_outside_the_domain(self, n, k0, m):
+    @pytest.mark.parametrize("n,k0,m,message", [
+        pytest.param(0, 1, 2, "need n >= 1 and k0 >= 0", id="0-1-2"),
+        pytest.param(1, -1, 2, "need n >= 1 and k0 >= 0", id="1--1-2"),
+        pytest.param(1, 3, 2, "need m >= k0", id="1-3-2"),
+    ])
+    def test_outside_the_domain(self, n, k0, m, message):
         # n = 0 once returned 4/3, and k0 < 0 raised factorial's own message
-        with pytest.raises(ValueError, match="need n >= 1 and k0 >= 0"):
+        with pytest.raises(ValueError, match=message):
             eigenfunction_pairing_closed_form(n, k0, m)
 
 
@@ -113,6 +116,8 @@ class TestSigmaPrimeClosedForm:
                 sigma_prime_closed_form(n, 1, 4)
             with pytest.raises(ValueError, match="need n >= 1"):
                 polynomiality_criterion(n, 1)
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                first_eigenbasis(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_polynomial_exactly_when_division_is_exact(self, n):
@@ -203,7 +208,7 @@ class TestFirstEigenbasis:
                 Z = chart_lift(1, z)
                 return theta(basis[i], Z) * theta(basis[j], Z)
 
-            return cp1_integral(F, fs_weight, rtol=1e-10, atol=1e-13)
+            return cp1_integral(F, rtol=1e-10, atol=1e-13)
 
         for i in range(3):
             for j in range(i, 3):

@@ -1,6 +1,7 @@
-"""Adaptive quadrature on intervals, the half-line, and CP^1."""
+"""Adaptive quadrature on intervals and CP^1."""
 
 import heapq
+import inspect
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -15,8 +16,6 @@ from cpnbergman import (
     RadialMetric,
     cp1_integral,
     fs_monomial_integral,
-    fs_weight,
-    integrate_half_line,
     integrate_interval,
     monomial_kernel_quadrature,
     section_norms,
@@ -81,6 +80,15 @@ def _kronrod_rule():
         return nodes, list(kronrod), gauss_w
 
 
+def test_three_public_integrators():
+    # every pass is on a finite interval; CP^1 integrals need no weight
+    public = {name for name, value in vars(quadrature).items()
+              if callable(value) and not name.startswith("_")
+              and getattr(value, "__module__", None) == quadrature.__name__}
+    assert public == {"integrate_interval", "cp1_integral", "monomial_kernel_quadrature"}
+    assert list(inspect.signature(cp1_integral).parameters) == ["F", "rtol", "atol"]
+
+
 class TestKronrodRule:
     """The hard-coded (G15, K31) constants against an independent rebuild."""
 
@@ -142,7 +150,7 @@ class TestInterval:
         with pytest.raises(ValueError, match="rtol >= 0 and atol >= 0"):
             integrate_interval(lambda x: np.sin(200.0 * x), 0.0, 1.0, rtol=rtol, atol=atol)
         with pytest.raises(ValueError, match="rtol >= 0 and atol >= 0"):
-            integrate_half_line(fs_weight, rtol=rtol, atol=atol)
+            cp1_integral(lambda z: np.abs(z), rtol=rtol, atol=atol)
         if atol == 0.0:
             with pytest.raises(ValueError, match="rtol >= 0 and atol >= 0"):
                 monomial_kernel_quadrature(1, 10, (3,), rtol=rtol)
@@ -441,44 +449,46 @@ class TestSchedule:
         assert sizes == [31] * (29 + 2 * len(splits))
 
 
-class TestHalfLine:
-    def test_unit_volume_weight(self):
-        assert integrate_half_line(fs_weight) == pytest.approx(1.0, abs=1e-13)
+class TestCP1Integral:
+    def test_unit_volume(self):
+        # the Fubini-Study form is dx dtheta / 2 pi on [0, 1]: the constant 1
+        # integrates to 1 within the rounding of its K31 weights
+        got = cp1_integral(lambda z: np.ones(z.shape))
+        assert abs(got - 1.0) <= 2 * math.ulp(1.0)
 
     def test_gamma_integral(self):
-        val = integrate_half_line(lambda s: s * np.exp(-s))
-        assert val == pytest.approx(1.0, rel=1e-12)
+        # int_0^inf s e^{-s} ds, its weight folded into F with (1+s)^2
+        def F(z):
+            s = np.abs(z) ** 2
+            return s * np.exp(-s) * (1.0 + s) ** 2
 
+        assert cp1_integral(F, rtol=1e-12, atol=0.0) == pytest.approx(1.0, rel=1e-12)
 
-class TestCP1Integral:
     def test_beta_moments(self):
-        # (1/pi) int s^j (1+s)^{-(m+2)} dA = j! (m-j)! / (m+1)!
+        # (1/pi) int s^j (1+s)^{-(m+2)} dA = j! (m-j)! / (m+1)!; in the
+        # Fubini-Study form the weight (1+s)^{-(m+2)} is F's factor (1+s)^{-m}
         for m in (0, 1, 3, 8, 12):
             for j in range(0, m + 1, max(1, m // 3)):
-                def F(z, j=j):
-                    return np.abs(z) ** (2 * j)
-
-                def w(s, m=m):
-                    return (1.0 + s) ** (-(m + 2))
+                def F(z, j=j, m=m):
+                    s = np.abs(z) ** 2
+                    return s**j * (1.0 + s) ** (-m)
 
                 exact = Fraction(
                     math.factorial(j) * math.factorial(m - j), math.factorial(m + 1)
                 )
-                got = cp1_integral(F, w)
+                got = cp1_integral(F)
                 assert got == pytest.approx(float(exact), rel=1e-10), (m, j)
 
     def test_angular_dependence(self):
-        # Re(z^2)^2 averages to s^2/2 on each circle
+        # Re(z^2)^2 averages to s^2/2 on each circle; (1/pi) int of that
+        # times (1+s)^{-5} dA is 1/24
         def F(z):
-            return np.real(z**2) ** 2
+            return np.real(z**2) ** 2 * (1.0 + np.abs(z) ** 2) ** (-3)
 
-        def w(s):
-            return (1.0 + s) ** (-5)
-
-        assert cp1_integral(F, w) == pytest.approx(1.0 / 24.0, rel=1e-10)
+        assert cp1_integral(F) == pytest.approx(1.0 / 24.0, rel=1e-10)
 
     def test_zero_integrand(self):
-        assert cp1_integral(lambda z: np.zeros_like(z, dtype=float), fs_weight) == 0.0
+        assert cp1_integral(lambda z: np.zeros_like(z, dtype=float)) == 0.0
 
     def test_angular_refinement_failure(self):
         # discontinuous angular profile never stabilizes under doubling; each
@@ -491,7 +501,7 @@ class TestCP1Integral:
             return (np.cos(np.angle(z)) ** 2 > 0.5).astype(float)
 
         with pytest.raises(QuadratureError, match="n_theta = 1024, the cap"):
-            cp1_integral(F, fs_weight, rtol=1e-12, atol=0.0)
+            cp1_integral(F, rtol=1e-12, atol=0.0)
         assert len(calls) == 4
         # one rule of 31 radial nodes on circles of 128, 256, 512 and 1024 points
         assert sum(calls) == 31 * (128 + 256 + 512 + 1024)
@@ -499,38 +509,38 @@ class TestCP1Integral:
     def test_complex_integrand_rejected(self):
         # its real part used to be integrated with only a ComplexWarning
         with pytest.raises(ValueError, match="real-valued"):
-            cp1_integral(lambda z: z, fs_weight)
+            cp1_integral(lambda z: z)
         with pytest.raises(ValueError, match="real-valued"):
-            cp1_integral(lambda z: np.stack([np.abs(z), z * 0]), fs_weight)
+            cp1_integral(lambda z: np.stack([np.abs(z), z * 0]))
 
     def test_vector_matches_scalar_calls(self):
+        # each against (1+s)^{-6} dA / pi, that is F's factor (1+s)^{-4}
         parts = [
             lambda z: np.abs(z) ** 2,
             lambda z: np.real(z**2) ** 2,
             lambda z: np.imag(z) / (1.0 + np.abs(z) ** 2),
             lambda z: np.exp(-np.abs(z - 0.5) ** 2),
         ]
+        parts = [lambda z, f=f: f(z) * (1.0 + np.abs(z) ** 2) ** (-4) for f in parts]
 
-        def w(s):
-            return (1.0 + s) ** (-6)
-
-        vec = cp1_integral(lambda z: np.stack([f(z) for f in parts]), w)
+        vec = cp1_integral(lambda z: np.stack([f(z) for f in parts]))
         assert vec.shape == (len(parts),)
         for f, got in zip(parts, vec):
-            want = cp1_integral(f, w)
+            want = cp1_integral(f)
             assert isinstance(want, float)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
 
     @pytest.fixture
     def radial_passes(self, monkeypatch):
+        # cp1_integral's integrate_interval calls, one per radial pass
         passes = []
-        half_line = quadrature.integrate_half_line
+        original = quadrature.integrate_interval
 
         def counted(*args, **kwargs):
             passes.append(1)
-            return half_line(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(quadrature, "integrate_half_line", counted)
+        monkeypatch.setattr(quadrature, "integrate_interval", counted)
         return passes
 
     def test_vector_oracles_in_one_radial_pass(self, radial_passes):
@@ -539,10 +549,12 @@ class TestCP1Integral:
         m = 8
 
         def F(z):
-            moments = [np.abs(z) ** (2 * j) for j in range(m + 1)]
-            return np.stack(moments + [np.real(z**2) ** 2 * (1.0 + np.abs(z) ** 2) ** (m - 3)])
+            # against (1+s)^{-(m+2)} dA / pi, that is F's factor (1+s)^{-m}
+            s = np.abs(z) ** 2
+            rows = [s**j for j in range(m + 1)] + [np.real(z**2) ** 2 * (1.0 + s) ** (m - 3)]
+            return np.stack(rows) * (1.0 + s) ** (-m)
 
-        got = cp1_integral(F, lambda s: (1.0 + s) ** (-(m + 2)))
+        got = cp1_integral(F)
         exact = [math.factorial(j) * math.factorial(m - j) / math.factorial(m + 1)
                  for j in range(m + 1)]
         assert got[:-1] == pytest.approx(exact, rel=1e-10)
@@ -556,7 +568,7 @@ class TestCP1Integral:
         def F(z):
             return 1.0 + np.cos(64.0 * np.angle(z)) + np.abs(z) ** 2 / (1.0 + np.abs(z) ** 4)
 
-        got = cp1_integral(F, fs_weight)
+        got = cp1_integral(F)
         # int_0^inf s/(1+s^2) (1+s)^-2 ds = (pi/2 - 1)/2
         assert got == pytest.approx(1.0 + (math.pi / 2.0 - 1.0) / 2.0, rel=1e-10)
         assert len(radial_passes) == 2
@@ -576,7 +588,7 @@ class TestMonomialKernel:
                 assert got == pytest.approx(exact, rel=1e-9), (n, m, P)
 
     def test_n2_matches_exact_over_bench_range(self):
-        # two scalar half-line passes per index, one per coordinate
+        # two scalar passes per index, one per coordinate
         for m in range(4, 32):
             degree = m % 7
             for p1 in range(degree + 1):
@@ -617,7 +629,7 @@ class TestMonomialKernel:
         assert worst <= 1e-14
 
     def test_one_scalar_pass_per_coordinate(self, monkeypatch):
-        # each coordinate is one scalar half-line pass at rtol / n; on the
+        # each coordinate is one scalar pass at rtol / n; on the
         # bench workload's indices (m = 4, 7, ..., 31, every split of
         # |P| = m mod 7) each pass is one K31 rule, 2,356 kernel values in
         # all, where the nested vector passes took 687,332
