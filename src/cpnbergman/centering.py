@@ -277,17 +277,20 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *,
            damping: float = 0.5) -> CenteringState:
     """Iterate the centering map from A = 0 until the integrals vanish.
 
-    tol must be positive and finite, damping lie in (0, 1) and Phi finite
-    (ValueError otherwise).  Phi = int phi theta_i dV_0 is computed once (_phi_moments);
-    |R| < sqrt(3) / 2, so for |Phi| >= sqrt(3) / 2 no centre exists and
-    NonConvergenceError is raised before the first step.  Each iterate is
-    one coordinate step (_t_map), shorter than the one before
-    (estimate_contraction), until the residual and the step are below tol,
-    which does not bound the distance to the centre; else past max_iter
-    NonConvergenceError is raised.  Either error carries the state reached.
+    tol must be positive and finite, max_iter at least 0, damping lie in
+    (0, 1) and Phi finite (ValueError otherwise).  Phi = int phi theta_i
+    dV_0 is computed once (_phi_moments); |R| < sqrt(3) / 2, so for
+    |Phi| >= sqrt(3) / 2 no centre exists and NonConvergenceError is
+    raised before the first step.  Each iterate is one coordinate step
+    (_t_map), shorter than the one before (estimate_contraction), until
+    the residual and the step are below tol, which does not bound the
+    distance to the centre; else past max_iter NonConvergenceError is
+    raised.  Either error carries the state reached.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter = {max_iter} is negative")
     _check_damping(damping)
     Phi = _phi_moments(phi)
     size = math.hypot(*Phi)
@@ -298,7 +301,7 @@ def center(phi: Callable, tol: float = 1e-8, max_iter: int = 50, *,
                                   state=CenteringState(0, TracelessHermitian.zero(1), Phi, 0.0,
                                                        False, ((0, 0.0, size),)))
     a, trace, step = np.zeros(3), [], 0.0
-    for k in range(max(max_iter, 0) + 1):
+    for k in range(max_iter + 1):
         new, r = _t_map(a, Phi, damping)
         trace.append((k, step, math.hypot(*r)))
         converged = trace[-1][2] < tol and step < tol  # the residual norm just recorded

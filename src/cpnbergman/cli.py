@@ -95,13 +95,16 @@ def _need(value, name):
 
 
 def _int(cfg, key) -> int:
-    """cfg[key] as an integer: text goes through int(), which rejects "1.7"
-    from a flag, and a config number must be integral, not 1.7 or true."""
+    """cfg[key] as a count: text goes through int(), which rejects "1.7"
+    from a flag, and a config number must be integral, not 1.7 or true.
+    Every integer parameter counts something, so none may be negative."""
     value = cfg[key]
-    if isinstance(value, str) or type(value) is int or (
-            type(value) is float and value.is_integer()):
-        return int(value)
-    raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
+    if not (isinstance(value, str) or type(value) is int or (
+            type(value) is float and value.is_integer())):
+        raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
+    if int(value) < 0:
+        raise ValueError(f"{key} = {int(value)} is negative")
+    return int(value)
 
 
 def _float(cfg, key) -> float:
@@ -141,16 +144,16 @@ def _cmd_variation(cfg) -> str:
 
 
 def _cmd_polynomiality(cfg) -> str:
-    n = _int(cfg, "n")
+    n, k0_max = _int(cfg, "n"), _int(cfg, "k0_max")
     rows = []
-    for k0 in range(1, _int(cfg, "k0_max") + 1):
+    for k0 in range(1, k0_max + 1):
         ok, remainder = polynomiality_criterion(n, k0)
         rows.append({
             "k0": k0,
             "polynomial": bool(ok),
             "remainder": _poly_dict(remainder),
         })
-    return _json_payload({"n": n, "k0_max": _int(cfg, "k0_max"), "table": rows})
+    return _json_payload({"n": n, "k0_max": k0_max, "table": rows})
 
 
 def _max_abs(err) -> float:
@@ -172,8 +175,6 @@ def _fs_norm_rel_error(log_norms, m: int) -> float:
 def _cmd_fs_check(cfg) -> str:
     n = _int(cfg, "n")
     m_max = _int(cfg, "m_max")
-    if m_max < 0:
-        raise ValueError(f"m_max = {m_max} is negative")
     if n == 1:
         grid = [0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1e4]
         fs = RadialMetric.fubini_study()

@@ -261,7 +261,10 @@ def admissible_eigenvalue_scan(n: int, k_max: int, J: int) -> Set[int]:
     every order j with n < j <= J.  Each level costs its integer moment
     recurrence and one Horner sum (see _variation_numerators); the test
     reads the integer numerators and builds no Fraction.
+    k_max must be at least 0 (ValueError otherwise).
     """
+    if k_max < 0:
+        raise ValueError(f"k_max = {k_max} is negative")
     out: Set[int] = set()
     for k in range(1, k_max + 1):
         nonzero = [j for j, u in enumerate(_variation_numerators(n, k * (k + n), J)[0]) if u]

@@ -106,8 +106,8 @@ class VanishingReport:
 def vanishing_report(fit: FitResult, n: int, tol: float) -> VanishingReport:
     if fit.K <= n:
         raise ValueError("fit order must exceed the dimension to test vanishing")
-    if not tol > 0:
-        raise ValueError(f"vanishing tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"vanishing tol must be positive and finite, got {tol}")
     entries = tuple((k, abs(fit.coeffs[k]) < tol) for k in range(n + 1, fit.K + 1))
     return VanishingReport(entries, fit.residual, float(tol))
 
@@ -117,7 +117,9 @@ def load_samples_csv(path) -> list:
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("samples CSV is empty")
         if len(header) < 2:
             raise ValueError("expected at least two columns: m, value")
         for row in reader:

@@ -4,10 +4,10 @@ Every panel is one 31-node Kronrod rule (K31), whose embedded 15-node
 Gauss rule (G15) gives its error estimate from the same integrand
 values.  Integrands must accept numpy arrays of evaluation points and be
 pointwise in them: one call may hold the nodes of several panels.  Every
-pass runs on a finite interval.  Integrals over CP^1 combine an adaptive
+pass runs on a finite interval.  An integral over CP^1 is one adaptive
 radial pass in x = |z|^2 / (1 + |z|^2) on [0, 1], where the Fubini-Study
-form is dx dtheta / 2 pi, with a trapezoid angular average whose
-resolution is doubled until two successive values agree.
+form is dx dtheta / 2 pi, of trapezoid circle means: each radial node
+doubles its own circle until two successive means agree.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ _MAX_PANELS = 4096
 # the row x node values of one call of a dense f on initial panels: as many
 # panels as fit, and at least two, as a split evaluates
 _MAX_CALL_VALUES = 2**14
-# cp1_integral's angular steps: (64, 128), (128, 256), ... up to 1024 points
+# cp1_integral's angular steps per radial node: (64, 128), (128, 256), ... up to 1024 points
 _N_THETA = 64
 _N_THETA_MAX = 1024
 # Stall test of integrate_interval.  Converging section-norm passes halve
@@ -116,7 +116,6 @@ def integrate_interval(
     b: float,
     rtol: float = 1e-12,
     atol: float = 0.0,
-    screen: Optional[Callable] = None,
     edges: Optional[Sequence[float]] = None,
     rows: Optional[int] = None,
 ) -> Union[float, np.ndarray]:
@@ -186,10 +185,6 @@ def integrate_interval(
     worst error-to-bound ratio, QuadratureError is raised instead of
     spending the rest of the panel budget.  The check adds no integrand
     evaluations and does not change which panels are split.
-
-    screen, if given, is called once as screen(total, err) with the
-    initial step's total and error estimate, before any refinement; it
-    may raise to abandon the pass.
     """
     if not -math.inf < a < b < math.inf:
         raise ValueError(f"need finite a < b, got a = {a} and b = {b}")
@@ -238,8 +233,6 @@ def integrate_interval(
     roots = list(zip(edges, edges[1:], [start] * first, sums)) + panels(edges[first:], group)
     for root in roots:
         add(root)
-    if screen is not None:
-        screen(total, err)
 
     def priority(panel):
         _, _, start, sums = panel
@@ -302,10 +295,6 @@ def integrate_interval(
     return total if shape else float(total[0])
 
 
-class _Unsettled(Exception):
-    """Raised by cp1_integral's screen to abandon a doubling step early."""
-
-
 def cp1_integral(
     F: Callable[[np.ndarray], np.ndarray],
     rtol: float = 1e-10,
@@ -320,64 +309,38 @@ def cp1_integral(
     broadcast over complex arrays and return real values (a complex dtype
     raises ValueError); it may return shape (k,) + z.shape for k
     integrands, and the result is then a (k,) array instead of a float.
-    One call of F covers the circles at the nodes of up to two radial
-    panels, z of shape (31 r, 2 nt) for r panels, so F must be pointwise
-    in z.
+    F is called on the circles of several radial nodes at once, so it
+    must be pointwise in z.
 
-    The trapezoid angular rule is spectrally accurate for smooth F.  Each
-    doubling step is one adaptive radial pass that evaluates F once on a
-    2 nt-point circle and integrates two rows per component: the nt-point
-    mean (the even nodes) and the 2 nt-point mean.  The 2 nt value is
-    returned once every component's two rows agree within
-    max(rtol |I|, atol); otherwise nt doubles, so the steps are (64, 128),
-    (128, 256), ... up to (512, 1024), after which QuadratureError is
+    This is one radial pass, whose integrand settles each node's angular
+    mean on its own, the trapezoid rule converging geometrically on each
+    circle for smooth F (Trefethen and Weideman, SIAM Review 56, 2014).
+    F is evaluated on the node's 2 nt-point circle, from 2 nt = 128, until
+    every component's nt-point mean (the even points) and 2 nt-point mean
+    agree within max(rtol * mean |F| on that circle, atol); the node then
+    gives its 2 nt-point mean.  Past 1024 points QuadratureError is
     raised, naming n_theta and its cap: the domain is an F whose angular
-    means settle within 1024 nodes.  A step whose initial radial panel
-    already shows a gap beyond the tolerance plus both rows' error
-    estimates moves on without refining, since it would fail even if
-    those estimates were exact bounds.
+    means settle within 1024 points at every node.  Non-finite values are
+    passed on, for the radial pass to reject.
     """
-    vector = False  # whether F returns k stacked integrands; set by radial
 
-    def bound(value):
-        return np.maximum(rtol * np.abs(value), atol)
+    def radial(x: np.ndarray, nt: int = _N_THETA) -> np.ndarray:
+        vals = F(np.sqrt(x / (1.0 - x))[:, None] * np.exp(1j * np.pi / nt * np.arange(2 * nt)))
+        if np.iscomplexobj(vals):
+            raise ValueError("cp1_integral needs a real-valued F, got %s values" % vals.dtype)
+        fine = vals.mean(axis=-1)
+        unsettled = (np.abs(vals[..., ::2].mean(axis=-1) - fine)
+                     > np.maximum(rtol * np.abs(vals).mean(axis=-1), atol))
+        unsettled = unsettled.reshape(-1, len(x)).any(axis=0)
+        if unsettled.any():  # those nodes alone go on to the doubled circle
+            if 2 * nt == _N_THETA_MAX:
+                raise QuadratureError(
+                    "angular refinement did not stabilize: n_theta = %d, the cap of "
+                    "cp1_integral, is too few angles for this integrand" % _N_THETA_MAX)
+            fine[..., unsettled] = radial(x[unsettled], 2 * nt)
+        return fine
 
-    def screen(total, err):
-        # a gap past the bound plus both rows' estimates fails even if the
-        # estimates bound the errors; a discontinuous angular profile shows
-        # 2.18 times that at every step, steps that settle at most 0.019
-        k = len(total) // 2
-        gap = np.abs(total[k:] - total[:k])
-        if np.any(gap > bound(total[k:]) + err[:k] + err[k:]):
-            raise _Unsettled
-
-    nt = _N_THETA
-    while 2 * nt <= _N_THETA_MAX:
-        circle = np.exp(1j * np.pi / nt * np.arange(2 * nt))
-
-        def radial(x: np.ndarray) -> np.ndarray:
-            nonlocal vector
-            vals = F(np.sqrt(x / (1.0 - x))[:, None] * circle)
-            if np.iscomplexobj(vals):
-                raise ValueError("cp1_integral needs a real-valued F, got %s values" % vals.dtype)
-            vector = vals.ndim > 2
-            coarse = vals[..., ::2].mean(axis=-1).reshape(-1, len(x))
-            fine = vals.mean(axis=-1).reshape(-1, len(x))
-            return np.concatenate([coarse, fine])
-
-        nt *= 2
-        try:
-            total = integrate_interval(radial, 0.0, 1.0, rtol=rtol, atol=atol, screen=screen)
-        except _Unsettled:
-            continue
-        k = len(total) // 2
-        coarse, fine = total[:k], total[k:]
-        if np.all(np.abs(fine - coarse) <= bound(fine)):
-            return fine if vector else float(fine[0])
-    raise QuadratureError(
-        "angular refinement did not stabilize: n_theta = %d, the cap of cp1_integral, "
-        "is too few angles for this integrand" % _N_THETA_MAX
-    )
+    return integrate_interval(radial, 0.0, 1.0, rtol=rtol, atol=atol)
 
 
 def _power_kernel(p: int, e: int) -> Tuple[Callable[[np.ndarray], np.ndarray], int]:

@@ -719,6 +719,14 @@ class TestCenter:
         with pytest.raises(ValueError, match=r"tol must be positive|damping must lie in \(0, 1\)"):
             center(phi, **kwargs)
 
+    def test_negative_max_iter_rejected(self):
+        # max_iter -1 was once clamped to 0: the zero potential converged
+        # and the others reported "no convergence within -1 iterations"
+        for phi in (zero_potential, eigenbasis_potential(first_eigenbasis(1)[2], 0.05)):
+            with pytest.raises(ValueError, match="max_iter = -1 is negative"):
+                center(phi, max_iter=-1)
+        assert center(zero_potential, max_iter=0).iteration == 0
+
     def test_no_centre_raises_before_the_first_step(self):
         # |R| < sqrt(3)/2, so at |Phi| = 1 no centre exists: this once ran
         # all 50 steps to the residual 1 - sqrt(3)/2

@@ -169,6 +169,14 @@ class TestDensityAndFit:
             error = json.loads(capsys.readouterr().out)["error"]
             assert error["type"] == "ValueError" and "m must be positive" in error["message"]
 
+    def test_fit_empty_samples_exit_2(self, tmp_path, capsys):
+        # an empty file once exited 1 with a StopIteration traceback
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text("")
+        assert main(["fit", "--samples", str(csv_path)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError" and error["message"] == "samples CSV is empty"
+
     def test_fit_non_finite_sample_exit_2(self, tmp_path, capsys):
         # 1.0e400 reads as inf: the fit once printed NaN, which is not JSON, and exited 0
         csv_path = tmp_path / "samples.csv"
@@ -366,6 +374,12 @@ class TestErrorChannels:
         ["center", "--potential", "eigenbasis-diag", "--tol", "inf"],
         ["density", "--m-list", "5", "--grid", "0", "--tol", "inf"],
         ["polynomiality", "--n", "0"],
+        # negative counts: each once exited 0 with an empty table, or with
+        # no iteration at all for the zero potential
+        ["center", "--potential", "zero", "--max-iter=-1"],
+        ["center", "--potential", "eigenbasis-diag", "--max-iter=-1"],
+        ["polynomiality", "--k0-max=-1"],
+        ["variation", "--k-max=-3"],
     ])
     def test_outside_the_domain_exit_2(self, capsys, args):
         # each once exited 0 with zeros or "pass": true, or ran to exit 3 or 4
@@ -377,10 +391,12 @@ class TestErrorChannels:
         (["--K=-1"], "K = -1 is negative"),
         (["--vanishing-tol", "nan"], "tol must be positive"),
         (["--vanishing-tol", "0"], "tol must be positive"),
+        (["--vanishing-tol", "inf"], "tol must be positive and finite"),
     ])
     def test_fit_outside_the_domain_exit_2(self, tmp_path, capsys, flags, message):
         # --K -1 once exited 2 on numpy's "cond is not defined on empty arrays",
-        # and --vanishing-tol nan exited 0 with "tol": NaN, which is not JSON
+        # and --vanishing-tol nan or inf exited 0 with "tol": NaN or Infinity,
+        # which is not JSON
         samples = tmp_path / "samples.csv"
         samples.write_text("m,value\n20,21\n30,31\n40,41\n")
         assert main(["fit", "--samples", str(samples)] + flags) == 2

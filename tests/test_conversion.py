@@ -87,9 +87,10 @@ def test_malformed_multi_index_rejected(call):
     (lambda: variation_series_eigen(1, 2, 0), "need n >= 1 and J >= 1"),
     (lambda: admissible_eigenvalue_scan(0, 3, 4), "need n >= 1 and J >= 1"),
     (lambda: admissible_eigenvalue_scan(1, 3, 0), "need n >= 1 and J >= 1"),
+    (lambda: admissible_eigenvalue_scan(1, -1, 6), "k_max = -1 is negative"),
     (lambda: delta_c_power_at_zero(-1, (1,)), "l must be >= 0"),
 ], ids=["table-n", "table-K", "deltas-n", "series-n", "series-J", "scan-n", "scan-J",
-        "flat-negative-order"])
+        "scan-negative-k_max", "flat-negative-order"])
 def test_outside_the_exact_domain(call, message):
     with pytest.raises(ValueError, match=message):
         call()

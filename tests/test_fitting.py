@@ -150,9 +150,10 @@ class TestVanishingReport:
         report = vanishing_report(fit, 1, tol=1e-8)
         assert list(report.entries) == [(2, False)]
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
     def test_requires_positive_tol(self, tol):
-        # tol nan once read every entry as not vanishing
+        # tol nan once read every entry as not vanishing, and tol inf every
+        # entry as vanishing
         fit = fit_expansion([(m, Fraction(m + 1)) for m in (10, 20, 30, 40)], 1, 3)
         with pytest.raises(ValueError, match="tol must be positive"):
             vanishing_report(fit, 1, tol=tol)
@@ -179,4 +180,8 @@ class TestCsvLoading:
             load_samples_csv(path)
         path.write_text("m\n10\n")
         with pytest.raises(ValueError, match="at least two columns: m, value"):
+            load_samples_csv(path)
+        # an empty file once raised StopIteration
+        path.write_text("")
+        with pytest.raises(ValueError, match="samples CSV is empty"):
             load_samples_csv(path)

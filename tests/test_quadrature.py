@@ -491,20 +491,22 @@ class TestCP1Integral:
         assert cp1_integral(lambda z: np.zeros_like(z, dtype=float)) == 0.0
 
     def test_angular_refinement_failure(self):
-        # discontinuous angular profile never stabilizes under doubling; each
-        # step is abandoned on its initial panel (one call), instead of
+        # an angular profile that is discontinuous for |z|^2 > 1.5 never
+        # settles under doubling there: the first radial integrand call
+        # raises, its F calls shrinking to the unsettled nodes, instead of
         # spending a radial pass's whole panel budget
         calls = []
 
         def F(z):
-            calls.append(z.size)
-            return (np.cos(np.angle(z)) ** 2 > 0.5).astype(float)
+            calls.append(z.shape)
+            step = (np.cos(np.angle(z)) ** 2 > 0.5).astype(float)
+            return np.where(np.abs(z) ** 2 > 1.5, step, 1.0)
 
         with pytest.raises(QuadratureError, match="n_theta = 1024, the cap"):
             cp1_integral(F, rtol=1e-12, atol=0.0)
-        assert len(calls) == 4
-        # one rule of 31 radial nodes on circles of 128, 256, 512 and 1024 points
-        assert sum(calls) == 31 * (128 + 256 + 512 + 1024)
+        # the 31 nodes of one K31 rule on 128 points, then on 256, 512 and
+        # 1024 the 12 of the outer 14 (x > 0.6) whose 128-point gap is not 0
+        assert calls == [(31, 128), (12, 256), (12, 512), (12, 1024)]
 
     def test_complex_integrand_rejected(self):
         # its real part used to be integrated with only a ComplexWarning
@@ -563,15 +565,52 @@ class TestCP1Integral:
 
     def test_aliased_first_pair_moves_on(self, radial_passes):
         # cos(64 theta) aliases to 1 on the 64-point circle and averages to 0
-        # on finer ones: the (64, 128) pass is abandoned on its initial panel
-        # and the value comes from the refined (128, 256) pass
+        # on finer ones, at every radius: each node's (64, 128) pair is
+        # unsettled and its value comes from the (128, 256) pair, all in
+        # one radial pass
+        calls = []
+
         def F(z):
+            calls.append(z.shape)
             return 1.0 + np.cos(64.0 * np.angle(z)) + np.abs(z) ** 2 / (1.0 + np.abs(z) ** 4)
 
         got = cp1_integral(F)
         # int_0^inf s/(1+s^2) (1+s)^-2 ds = (pi/2 - 1)/2
         assert got == pytest.approx(1.0 + (math.pi / 2.0 - 1.0) / 2.0, rel=1e-10)
-        assert len(radial_passes) == 2
+        assert len(radial_passes) == 1
+        # the aliased nodes, here all of them, go on to the 256-point circle
+        assert calls == [(n, size) for n, _ in calls[::2] for size in (128, 256)]
+
+    def test_frequency_growing_with_radius(self, radial_passes):
+        # Re e^{w (z - |z|)} has modes up to about w |z| on the circle |z|,
+        # and its circle mean is e^{-w |z|} (the mean value property); the
+        # Gaussian keeps the integral finite
+        w = 8.0
+        calls = []
+
+        def F(z):
+            calls.append((z.shape[1], np.abs(z[:, 0])))
+            return np.real(np.exp(w * (z - np.abs(z)))) * np.exp(-np.abs(z) ** 2)
+
+        got = cp1_integral(F, rtol=1e-12, atol=0.0)
+        assert len(radial_passes) == 1
+        want = integrate_interval(lambda x: np.exp(-w * np.sqrt(x / (1 - x)) - x / (1 - x)),
+                                  0.0, 1.0, rtol=1e-13)
+        assert got == pytest.approx(want, rel=1e-12)
+        radii = {n: np.concatenate([r for size, r in calls if size == n] or [[]])
+                 for n in (128, 256, 512, 1024)}
+        # each node is evaluated once per circle it reaches
+        assert all(len(np.unique(r)) == len(r) for r in radii.values())
+        # nodes at small radius once, on 128 points; outer ones go on to 512
+        assert radii[256].min() > 2.0 and len(radii[512]) > 0 and len(radii[1024]) == 0
+        assert np.all(np.isin(radii[256], radii[128]))
+        assert np.count_nonzero(radii[128] <= 2.0) > 100
+
+    def test_screen_removed(self):
+        # cp1_integral no longer abandons passes from outside the integrand
+        assert "screen" not in inspect.signature(integrate_interval).parameters
+        with pytest.raises(TypeError):
+            integrate_interval(lambda x: x, 0.0, 1.0, screen=lambda total, err: None)
 
 
 class TestMonomialKernel:
