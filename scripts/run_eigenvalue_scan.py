@@ -40,7 +40,7 @@ def scan_dimension(n: int, k_max: int, J: int):
                 "k": k,
                 "lambda": lam,
                 "polynomial": is_poly,
-                "remainder_degree": rem.degree,
+                "remainder_degree": len(rem) - 1,
                 "coeffs": [frac(c) for c in series.leading_coefficients(J + 1)],
             }
         )

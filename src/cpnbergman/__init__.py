@@ -24,6 +24,6 @@ from .fitting import (FitResult, VanishingReport, fit_expansion, load_samples_cs
 from .projective import (EigenBasisFunction, chart_lift, eigenfunction_pairing_closed_form,
                          first_eigenbasis, sigma_prime_closed_form)
 from .quadrature import cp1_integral, integrate_interval, monomial_kernel_quadrature
-from .ratpoly import InverseMSeries, RationalPolynomial
+from .ratpoly import InverseMSeries
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ def _series_dict(s: InverseMSeries) -> dict:
 
 
 def _poly_dict(p) -> dict:
-    return {"coeffs": [_frac_str(p.coefficient(k)) for k in range(p.degree + 1)]}
+    return {"coeffs": [_frac_str(c) for c in p]}
 
 
 def _fmt(x: float) -> str:

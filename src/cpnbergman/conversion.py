@@ -2,10 +2,11 @@
 
 Everything in this module is exact and runs in Python integers: the
 Laplacian rewrite on |z^P|^2, the conversion polynomials f_k relating
-Fubini-Study Laplacian powers at the origin to flat ones (returned as
-ints), the eigenfunction variation series in 1/m and the polynomiality
-criterion that singles out the first eigenvalue.  laplacian_power_at_zero,
-the series and the criterion's remainder become Fractions on return.
+Fubini-Study Laplacian powers at the origin to flat ones, the moments
+delta_k(lambda), the eigenfunction variation series in 1/m and the
+polynomiality criterion that singles out the first eigenvalue.  f_k,
+delta_k and the criterion's remainder are returned as int tuples, low
+degree first, trimmed; the Laplacian powers and the series as Fractions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import factorial, prod
 from typing import Dict, List, Optional, Set, Tuple
 
 from .projective import _resonant_ratio
-from .ratpoly import InverseMSeries, RationalPolynomial, _frac, factor_ratio_series
+from .ratpoly import InverseMSeries, _frac, factor_ratio_series
 
 
 def _exponents(P, n: Optional[int] = None) -> Tuple[int, ...]:
@@ -133,8 +134,8 @@ def conversion_polynomials(n: int, K: int) -> ConversionTable:
     return ConversionTable(n=n, rows=tuple(rows))
 
 
-def eigen_delta_c_values(n: int, K: int) -> List[RationalPolynomial]:
-    """Flat-Laplacian moments of a Laplace eigenfunction, as polynomials.
+def eigen_delta_c_values(n: int, K: int) -> List[Tuple[int, ...]]:
+    """Flat-Laplacian moments of a Laplace eigenfunction, as polynomials in lambda.
 
     For radial phi with Delta phi = -lambda phi and phi(0) = 1, the values
     delta_l = Delta_c^l phi(0) satisfy (-lambda)^k = sum_l a_{k,l} delta_l,
@@ -146,20 +147,20 @@ def eigen_delta_c_values(n: int, K: int) -> List[RationalPolynomial]:
       delta_{l+1} = -(lambda + l(2l+n-1)) delta_l
                     - (l-1)^2 l (l+n-1) delta_{l-1},
     delta_1 = -lambda.  Each delta_k is a polynomial in lambda of degree k
-    with integer coefficients, run through the recurrence as int lists and
-    wrapped as RationalPolynomial on return.  Returns [delta_0, ..., delta_K].
+    with integer coefficients and lead (-1)^k, a tuple of k + 1 ints, low
+    degree first.  Returns [delta_0, ..., delta_K] for K >= 0.
     _variation_numerators runs the same recurrence on the values at one
     lambda.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if n < 1 or K < 0:
+        raise ValueError("need n >= 1 and K >= 0")
     deltas = [[1], [0, -1]][:K + 1]  # coefficients in lambda, low degree first
     for l in range(1, K):
         c, e = l * (2 * l + n - 1), (l - 1) ** 2 * l * (l + n - 1)
         d = deltas[l]  # -(lambda + c) d - e delta_{l-1}, one coefficient at a time
         deltas.append([-c * a - b - e * z for a, b, z
                        in zip(d + [0], [0] + d, deltas[l - 1] + [0, 0])])
-    return [RationalPolynomial(d) for d in deltas]
+    return [tuple(d) for d in deltas]
 
 
 def _variation_numerators(n: int, lam, J: int, centered: bool = False) -> Tuple[List[int], int]:
@@ -239,7 +240,8 @@ def polynomiality_criterion(n: int, k0: int):
 
     Numerator (m+n)...(m-k0+1) (m + k0(k0+n)), denominator
     (m+k0+n)...(m+n+1): monic, with integer roots, so the division is
-    synthetic and in integers.  Returns (remainder is zero, remainder).
+    synthetic and in integers.  Returns (remainder is zero, remainder), the
+    remainder a tuple of ints, low degree first, trimmed: () if exact.
     """
     if k0 < 1:
         raise ValueError("k0 must be >= 1")
@@ -250,8 +252,10 @@ def polynomiality_criterion(n: int, k0: int):
     for k in range(len(rem) - d):
         for j in range(1, d + 1):
             rem[k + j] -= rem[k] * denom[j]
-    rem = RationalPolynomial(rem[::-1][:d])
-    return rem.is_zero(), rem
+    rem = rem[::-1][:d]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return not rem, tuple(rem)
 
 
 def admissible_eigenvalue_scan(n: int, k_max: int, J: int) -> Set[int]:

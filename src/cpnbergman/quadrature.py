@@ -101,12 +101,13 @@ def _rules(f, edges):
     # one row per (integrand row, panel) pair, so one matrix product covers every panel
     vals = np.reshape(vals, (-1, len(_X)))
     out = np.empty((3, len(vals)))
-    sums = vals @ _RULES
-    out[0] = sums[:, 0]
-    out[2] = np.abs(vals) @ _WK
-    np.maximum(np.abs(sums[:, 1]), _ROUNDING_ULPS * _EPS * out[2], out=out[1])
-    out = out.reshape(3, -1, len(half))
-    out *= half
+    with np.errstate(invalid="ignore", over="ignore"):  # inf gives nan: rejected as not finite
+        sums = vals @ _RULES
+        out[0] = sums[:, 0]
+        out[2] = np.abs(vals) @ _WK
+        np.maximum(np.abs(sums[:, 1]), _ROUNDING_ULPS * _EPS * out[2], out=out[1])
+        out = out.reshape(3, -1, len(half))
+        out *= half
     return banded, shape, start, out.transpose(2, 0, 1)
 
 
@@ -328,9 +329,10 @@ def cp1_integral(
         vals = F(np.sqrt(x / (1.0 - x))[:, None] * np.exp(1j * np.pi / nt * np.arange(2 * nt)))
         if np.iscomplexobj(vals):
             raise ValueError("cp1_integral needs a real-valued F, got %s values" % vals.dtype)
-        fine = vals.mean(axis=-1)
-        unsettled = (np.abs(vals[..., ::2].mean(axis=-1) - fine)
-                     > np.maximum(rtol * np.abs(vals).mean(axis=-1), atol))
+        with np.errstate(invalid="ignore", over="ignore"):  # as in _rules
+            fine = vals.mean(axis=-1)
+            unsettled = (np.abs(vals[..., ::2].mean(axis=-1) - fine)
+                         > np.maximum(rtol * np.abs(vals).mean(axis=-1), atol))
         unsettled = unsettled.reshape(-1, len(x)).any(axis=0)
         if unsettled.any():  # those nodes alone go on to the doubled circle
             if 2 * nt == _N_THETA_MAX:

@@ -1,12 +1,11 @@
-"""Exact results as univariate polynomials over Q and truncated series in 1/m.
+"""Integer series passes and the exact truncated series type in 1/m.
 
 The library computes its exact results in plain integers (see
-factor_ratio_series) and wraps them in these two immutable types on
-return.  Polynomials store coefficients low degree first; the series
-type represents  m^lead * (c0 + c1/m + ...)  with a finite number of
-known coefficients.  Each type has one canonical form, so equal results
-compare equal.  Neither carries polynomial arithmetic; the series keeps
-a product and a reciprocal only for the benchmark (see InverseMSeries).
+factor_ratio_series).  Exact polynomials stay tuples of ints, low degree
+first, trimmed.  Series in 1/m become InverseMSeries on return:
+m^lead * (c0 + c1/m + ...)  with a finite number of known Fraction
+coefficients, in one canonical form, so equal results compare equal.  It
+keeps a product and a reciprocal only for the benchmark (see below).
 """
 
 from __future__ import annotations
@@ -37,49 +36,6 @@ def factor_ratio_series(up: Iterable[int], down: Iterable[int], J: int,
         for j in range(1, J + 1):
             c[j] -= i * c[j - 1]
     return c
-
-
-class RationalPolynomial:
-    """Polynomial with Fraction coefficients, low degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if self.is_zero():
-            return "RationalPolynomial(0)"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append("%s*m" % c)
-            else:
-                parts.append("%s*m^%d" % (c, k))
-        return "RationalPolynomial(%s)" % " + ".join(parts)
 
 
 class InverseMSeries:

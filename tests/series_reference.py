@@ -1,12 +1,13 @@
 """Polynomials over sympy and 1/m-series helpers, references for the integer paths.
 
 The library computes its closed forms, remainders and curvature
-numerators in plain integers and only wraps the results in
-`RationalPolynomial` and `InverseMSeries`.  The tests build the same
-objects independently: polynomials are sympy Polys over QQ in `x`, with
-sympy's product, division and derivative, and enter the series type
-through `series_from_polynomial`.  `add` is the one series operation
-the library does not carry.
+numerators in plain integers.  It returns exact polynomials as tuples
+of ints, lowest degree first, and wraps series in `InverseMSeries`.
+The tests build the same objects independently: polynomials are sympy
+Polys over QQ in `x` (`poly` reads such a tuple), with sympy's product,
+division and derivative, and enter the series type through
+`series_from_polynomial`.  `add` is the one series operation the
+library does not carry.
 """
 
 from fractions import Fraction
@@ -25,7 +26,7 @@ def poly(cs: Iterable) -> sp.Poly:
 
 
 def coeffs(p: sp.Poly) -> list:
-    """p's coefficients as Fractions, low degree first, none for 0: RationalPolynomial's form."""
+    """p's coefficients as Fractions, low degree first, none for 0."""
     return [] if p.is_zero else [Fraction(c) for c in reversed(p.all_coeffs())]
 
 

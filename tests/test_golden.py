@@ -123,6 +123,9 @@ Two first variations with a nonzero closed form were pinned before that
 form came to be summed in integers rather than Fractions: a phi1-poly
 direction at m = 50, s = 0.735 (a graded pass) and the rational bump 0.5
 at m = 30, s = 2.5 (bisection from one panel).
+The polynomiality table at n = 3, k0 <= 5 (remainders of degree 1 to 4)
+was pinned before the remainder and the moments delta_k came to be
+returned as tuples of ints rather than a polynomial type.
 Two dense densities below m = 38 were pinned before the section-norm
 pass came to state its row count, so that its initial panels take its
 first integrand call, to start from the halves of [0, 1] there, and a
@@ -175,6 +178,7 @@ CASES = {
                                                       "--lambda=-5/7", "--J", "50",
                                                       "--unnormalized"],
     "polynomiality_n1_k0max6.json": ["polynomiality", "--n", "1", "--k0-max", "6"],
+    "polynomiality_n3_k0max5.json": ["polynomiality", "--n", "3", "--k0-max", "5"],
     "fs-check_n1_mmax30.json": ["fs-check", "--n", "1", "--m-max", "30"],
     "density_eigenfunction-bump_eps0.1.csv": ["density", "--metric", "eigenfunction-bump",
                                               "--eps", "0.1", "--m-list", "20,30,40,50,60",

@@ -155,7 +155,9 @@ class TestResonantFractionOracles:
         for k0 in range(1, 7):
             _, want = sp.div(*_resonant_polynomials(n, k0))
             exact, rem = polynomiality_criterion(n, k0)
-            assert poly(rem.coeffs) == want and exact == want.is_zero, (n, k0)
+            # ints, low degree first, trimmed: () iff the division is exact
+            assert poly(rem) == want and exact == want.is_zero == (rem == ()), (n, k0)
+            assert all(type(c) is int for c in rem) and rem[-1:] != (0,), (n, k0)
 
 
 class TestFirstEigenbasis:

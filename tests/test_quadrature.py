@@ -243,13 +243,16 @@ class TestInterval:
         with pytest.raises(QuadratureError, match=r"on total 1\.000e\+00$"):
             integrate_interval(lambda x: noisy(x)[1], 0.0, 1.0, rtol=1e-16)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("vector", [False, True])
-    def test_vector_nonfinite_raises(self, vector):
+    def test_vector_nonfinite_raises(self, vector, value):
+        # RuntimeWarnings are errors here: an infinite value once raised numpy's
+        # "invalid value encountered in matmul" before the finiteness check
         def f(x):
-            bad = np.where(x > 0.5, np.inf, 1.0)
+            bad = np.where(x > 0.5, value, 1.0)
             return np.stack([np.ones_like(x), bad]) if vector else bad
 
-        with np.errstate(invalid="ignore"), pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match="integrand is not finite on"):
             integrate_interval(f, 0.0, 1.0)
 
 
@@ -450,6 +453,13 @@ class TestSchedule:
 
 
 class TestCP1Integral:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_raises(self, value):
+        # an infinite value once raised numpy's "invalid value encountered in
+        # subtract" from the settle test, RuntimeWarnings being errors here
+        with pytest.raises(QuadratureError, match="integrand is not finite on"):
+            cp1_integral(lambda z: np.where(abs(z) > 2, value, 1.0))
+
     def test_unit_volume(self):
         # the Fubini-Study form is dx dtheta / 2 pi on [0, 1]: the constant 1
         # integrates to 1 within the rounding of its K31 weights

@@ -1,7 +1,9 @@
-"""The exact result types: canonical forms, the series product and reciprocal.
+"""The exact series type and the integer series pass: canonical forms, the
+series product and reciprocal, and factor_ratio_series.
 
-Polynomial arithmetic is sympy's (see series_reference); the library's
-types only hold results, so these tests check what they hold.
+Polynomial arithmetic is sympy's (see series_reference); the library
+returns exact polynomials as tuples of ints and its series type only
+holds results, so these tests check what it holds.
 """
 
 from fractions import Fraction
@@ -11,49 +13,13 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpnbergman import InverseMSeries, RationalPolynomial
+from cpnbergman import InverseMSeries, ratpoly
 from cpnbergman.ratpoly import factor_ratio_series
 from series_reference import add, from_roots, poly, series_from_polynomial, x
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
 )
-
-
-class TestRationalPolynomial:
-    def test_trailing_zeros_stripped(self):
-        p = RationalPolynomial([1, 2, 0, 0])
-        assert p.coeffs == (1, 2)
-        assert p.degree == 1
-        assert p.coefficient(5) == 0
-
-    def test_zero_polynomial(self):
-        z = RationalPolynomial([0, 0])
-        assert z.is_zero()
-        assert z.degree == -1
-        assert z.coeffs == ()
-        assert z == RationalPolynomial()
-
-    def test_coefficients_are_fractions(self):
-        p = RationalPolynomial([1, Fraction(2, 4)])
-        assert p.coeffs == (1, Fraction(1, 2))
-        assert all(type(c) is Fraction for c in p.coeffs)
-        with pytest.raises(TypeError):
-            RationalPolynomial([0.5])
-
-    def test_equality_and_repr(self):
-        p = RationalPolynomial([Fraction(1, 2), 0, -3])
-        assert p == RationalPolynomial([Fraction(1, 2), 0, -3, 0])
-        assert p != RationalPolynomial([-3, 0, Fraction(1, 2)])
-        assert p != p.coeffs
-        assert repr(p) == "RationalPolynomial(1/2 + -3*m^2)"
-        assert repr(RationalPolynomial()) == "RationalPolynomial(0)"
-
-    def test_from_roots(self):
-        p = from_roots([Fraction(0), Fraction(2)])
-        assert p.eval(0) == 0
-        assert p.eval(2) == 0
-        assert p.eval(1) == -1  # monic (x)(x-2)
 
 
 class TestInverseMSeries:
@@ -168,3 +134,15 @@ class TestFactorRatioSeries:
     def test_lists_polynomial_coefficients(self, up):
         coeffs = factor_ratio_series(up, (), len(up))
         assert sp.Poly(coeffs, x, domain=sp.QQ) == from_roots([-i for i in up])
+
+    def test_from_roots(self):
+        # the oracle above: monic, with the given roots
+        p = from_roots([Fraction(0), Fraction(2)])
+        assert p.eval(0) == 0
+        assert p.eval(2) == 0
+        assert p.eval(1) == -1  # monic (x)(x-2)
+
+
+def test_no_polynomial_type():
+    # exact polynomials are tuples of ints, low degree first (see conversion)
+    assert not hasattr(ratpoly, "RationalPolynomial")
