@@ -75,15 +75,6 @@ class TracelessHermitian:
             self._expm = (U * np.exp(w)) @ U.conj().T
         return self._expm
 
-    def scaled(self, t: float) -> "TracelessHermitian":
-        return TracelessHermitian(t * self.matrix)
-
-    def __add__(self, other: "TracelessHermitian") -> "TracelessHermitian":
-        return TracelessHermitian(self.matrix + other.matrix)
-
-    def __sub__(self, other: "TracelessHermitian") -> "TracelessHermitian":
-        return TracelessHermitian(self.matrix - other.matrix)
-
     def __repr__(self):
         return f"TracelessHermitian({self.matrix.tolist()!r})"
 

@@ -409,15 +409,20 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     N_j is the Beta value j! (m-j)! / (m+1)!.
 
     The m+1 rows are set up once per pass (_Rows), each centred at its
-    Beta mode x* = j/m, where its exponent g_j is defined.  A per-j shift
-    (log v(p*) plus a second-order estimate of how far the smooth factor
-    lifts the peak) brings every row's maximum near 1.  One vector-valued
-    adaptive pass then integrates all m+1 of them to relative tolerance
-    tol each, and the constants are added back in log space, where nothing
-    underflows however large m is.  Those log-space terms are up to about
-    m in size, so the returned log N_j also carry their rounding, about
-    m eps absolute beyond tol: against the Kummer form, at most 0.67 m eps,
-    and 28 tol at m = 2000, tol 1e-14, row 500.
+    Beta mode x* = j/m, where its exponent g_j is defined, and shifted
+    by log v(p*) plus a second-order estimate of how far the smooth factor
+    lifts the peak.  That shift aims at a maximum near 1 for every row,
+    and the estimate misses strong bumps: at tol 1e-12 the shifted totals
+    of an eigenfunction bump 0.1 lie within 1.7e-4 to 9.1e-2 for
+    m = 200-5000, but those of bump 0.45 span 2.4e-11 to 4.6e11 at
+    m = 1060 and 8.3e-45 to 2.6e59 at m = 5000, and at m = 26000 its
+    rows overflow.  A shift by each row's Laplace mode is ROADMAP item 2.
+    One vector-valued adaptive pass then integrates all m+1 rows to
+    relative tolerance tol each, and the constants are added back in log
+    space, where nothing underflows however large m is.  Those log-space
+    terms are up to about m in size, so the returned log N_j also carry
+    their rounding, about m eps absolute beyond tol: against the Kummer
+    form, at most 0.67 m eps, and 28 tol at m = 2000, tol 1e-14, row 500.
 
     Every row peaks with a width of about 1/(2 sqrt(m)) in theta, where
     x = sin^2(theta), so the pass starts from panels uniform in theta
@@ -469,7 +474,8 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
     its first integrand call and shifts them once the totals are known,
     the arithmetic of _Rows.values after the pass, bit for bit, in one
     call fewer; a banded pass evaluates them after the pass.  Per call it
-    builds only the metric's columns: v(p*), the slope, lift and offset.
+    builds only the metric's columns: v(p*), the slope, lift and offset,
+    the per-row shift whose misses section_norms states.
     """
     m = _integer_m(m)
     if m < 0 or not 0 < tol < math.inf:

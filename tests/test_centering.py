@@ -47,7 +47,7 @@ class TestTracelessHermitian:
     def test_expm_consistency(self):
         A = TracelessHermitian(np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, -0.3]]))
         E = A.expm()
-        Eneg = A.scaled(-1.0).expm()
+        Eneg = TracelessHermitian(-A.matrix).expm()
         assert np.allclose(E @ Eneg, np.eye(2), atol=1e-14)
         # det exp(A) = exp(tr A) = 1 for traceless A
         assert np.linalg.det(E) == pytest.approx(1.0, abs=1e-14)
@@ -59,11 +59,6 @@ class TestTracelessHermitian:
         # a NaN entry a matrix of NaNs
         with pytest.raises(ValueError, match="matrix must be square and finite"):
             TracelessHermitian(matrix)
-
-    def test_arithmetic(self):
-        S = DIAG + DIAG.scaled(-1.0)
-        assert S.norm == 0.0
-        assert (DIAG - DIAG.scaled(0.5)).norm == pytest.approx(DIAG.norm / 2)
 
 
 class TestRhoPotential:
@@ -84,11 +79,11 @@ class TestRhoPotential:
         assert rho_potential(A, 1.0) == pytest.approx(expected, rel=1e-13)
 
     def test_potential_object_broadcasts(self):
-        pot = gauge_potential(DIAG.scaled(0.1))
+        pot = gauge_potential(TracelessHermitian(0.1 * DIAG.matrix))
         z = np.array([0.0 + 0j, 1.0 + 0j, 2.0 + 1j])
         vals = pot(z)
         assert vals.shape == (3,)
-        assert vals[0] == pytest.approx(rho_potential(DIAG.scaled(0.1), 0.0))
+        assert vals[0] == pytest.approx(rho_potential(TracelessHermitian(0.1 * DIAG.matrix), 0.0))
 
 
 class TestDescent:
@@ -101,7 +96,7 @@ class TestDescent:
         D = TracelessHermitian(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
         T = build_L(n)
         v = np.einsum("jk,ikj->i", D.matrix, T).real / ((n + 1) * (n + 2))
-        got = TracelessHermitian.zero(n) - TracelessHermitian(np.einsum("i,ijk->jk", v, T))
+        got = TracelessHermitian(-np.einsum("i,ijk->jk", v, T))
         assert np.max(np.abs(got.matrix + D.matrix)) <= 1e-15
         if n == 1:
             # the solver's coordinates are these pairings, read off the entries
@@ -135,7 +130,7 @@ class TestCachedMaps:
 
 def _residual_per_component(A, phi, rtol=1e-10):
     """The centering integrals as one scalar cp1_integral call per basis function."""
-    rho = gauge_potential(A.scaled(-1.0))
+    rho = gauge_potential(TracelessHermitian(-A.matrix))
     basis = first_eigenbasis(1)
     out = np.empty(len(basis))
     for i, th in enumerate(basis):
@@ -156,8 +151,9 @@ class TestResidual:
         pots = [eigenbasis_potential(fn, float(wi)) for fn, wi in zip(basis, w)]
         M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         A = TracelessHermitian(M)
-        A = A.scaled(0.04 / A.norm)
-        for phi in (lambda z: sum(p(z) for p in pots), gauge_potential(A.scaled(0.5))):
+        A = TracelessHermitian((0.04 / A.norm) * A.matrix)
+        half = gauge_potential(TracelessHermitian(0.5 * A.matrix))
+        for phi in (lambda z: sum(p(z) for p in pots), half):
             got = centering_residual(A, phi)
             want = _residual_per_component(A, phi)
             assert np.max(np.abs(got - want)) < 1e-12
@@ -175,7 +171,7 @@ def _uncached_residual(A, phi, L, rtol=1e-10):
     The reference that the closed form R(A) and the once-integrated Phi
     are checked against.
     """
-    E = A.scaled(-1.0).expm()
+    E = TracelessHermitian(-A.matrix).expm()
 
     def F(z):
         T = L.reshape((len(L), 4) + (1,) * np.ndim(z))
@@ -215,7 +211,7 @@ _POTENTIALS = {
 
 def _random_traceless(rng, norm):
     A = TracelessHermitian(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    return A.scaled(norm / A.norm)
+    return TracelessHermitian((norm / A.norm) * A.matrix)
 
 
 class TestNodeCache:
@@ -223,7 +219,7 @@ class TestNodeCache:
 
     def test_phi_once_per_node_set(self):
         nodes = []
-        gauge = gauge_potential(DIAG.scaled(0.05 / math.sqrt(2)))
+        gauge = gauge_potential(TracelessHermitian((0.05 / math.sqrt(2)) * DIAG.matrix))
 
         def phi(z):
             nodes.append(z.tobytes())
@@ -292,7 +288,7 @@ class TestClosedForm:
         # 1024 angular nodes of cp1_integral, so that norm is checked on a
         # diagonal A, where rho_{-A} is radial
         cases = [_random_traceless(rng, norm) for norm in np.geomspace(1e-8, 2.5, 12)]
-        cases.append(DIAG.scaled(rng.choice((-3.0, 3.0)) / DIAG.norm))
+        cases.append(TracelessHermitian((rng.choice((-3.0, 3.0)) / DIAG.norm) * DIAG.matrix))
         for A in cases:
             want = _uncached_residual(A, zero_potential, L, rtol=1e-12)
             got = -centering._rho_moments(centering._coords(A.matrix))
@@ -354,7 +350,8 @@ class TestFixedPoint:
         # Phi = R(-B) through the eigh reference; measured within 2.8e-17
         L = build_L(1)
         B = _random_traceless(np.random.default_rng(seed), 0.05)
-        A = centering_reference.fixed_point(centering_reference.rho_moments(B.scaled(-1.0), L))
+        moments = centering_reference.rho_moments(TracelessHermitian(-B.matrix), L)
+        A = centering_reference.fixed_point(moments)
         assert np.max(np.abs(A + B.matrix)) <= 1e-16
         assert not np.any(centering_reference.fixed_point(np.zeros(3)))
 
@@ -370,7 +367,8 @@ class TestFixedPoint:
         w *= 0.05 / np.linalg.norm(w)
         pots = [eigenbasis_potential(fn, float(wi)) for fn, wi in zip(first_eigenbasis(1), w)]
         cases = [
-            (gauge_potential(B), centering_reference.rho_moments(B.scaled(-1.0), L), 5e-13),
+            (gauge_potential(B),
+             centering_reference.rho_moments(TracelessHermitian(-B.matrix), L), 5e-13),
             (centering.FormPotential(T.matrix),
              np.einsum("jk,ikj->i", T.matrix, L).real / 6.0, 5e-13),
             # the basis is orthonormal, so the mix's exact Phi is w
@@ -481,7 +479,7 @@ class TestHermitianPotentials:
         for make in ("gauge", "eigenbasis", "zero"):
             phi = _POTENTIALS[make]()
             assert center(phi).converged
-            centering_residual(DIAG.scaled(0.01), phi)
+            centering_residual(TracelessHermitian(0.01 * DIAG.matrix), phi)
         estimate_contraction()
         assert not passes
         center(_POTENTIALS["gauge-callable"]())
@@ -500,12 +498,13 @@ class TestHermitianPotentials:
         for make in ("gauge", "eigenbasis", "zero"):
             phi = _POTENTIALS[make]()
             assert center(phi).converged
-            t_step(DIAG.scaled(0.01), phi)
-            centering_residual(DIAG.scaled(0.01), phi)
+            t_step(TracelessHermitian(0.01 * DIAG.matrix), phi)
+            centering_residual(TracelessHermitian(0.01 * DIAG.matrix), phi)
         for radius in (0.0, 1e-9, 0.05, 2.0, 1e3, math.inf):
             estimate_contraction(radius, 0.5)
         assert not calls
-        center(_callable(gauge_potential(DIAG.scaled(0.01))))  # a fresh B, whose expm is not cached
+        # a fresh B, whose expm is not cached
+        center(_callable(gauge_potential(TracelessHermitian(0.01 * DIAG.matrix))))
         assert calls
 
 
@@ -619,16 +618,16 @@ class TestStepMap:
     def test_rtol_is_gone_and_damping_keyword_only(self):
         # an old positional rtol must not become a damping
         with pytest.raises(TypeError):
-            t_step(DIAG.scaled(0.01), zero_potential, 1e-10)
+            t_step(TracelessHermitian(0.01 * DIAG.matrix), zero_potential, 1e-10)
         with pytest.raises(TypeError):
-            centering_residual(DIAG.scaled(0.01), zero_potential, 1e-10)
+            centering_residual(TracelessHermitian(0.01 * DIAG.matrix), zero_potential, 1e-10)
         with pytest.raises(TypeError):
             center(zero_potential, eta=0.1)
 
     def test_damping_outside_0_1_rejected(self):
         for damping in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError, match=r"damping must lie in \(0, 1\)"):
-                t_step(DIAG.scaled(0.01), zero_potential, damping=damping)
+                t_step(TracelessHermitian(0.01 * DIAG.matrix), zero_potential, damping=damping)
 
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
@@ -664,7 +663,7 @@ class TestCenter:
             state = center(phi)
             assert state.converged
             assert state.residual_norm < 1e-8
-            assert (state.A + B).norm < 1e-6
+            assert TracelessHermitian(state.A.matrix + B.matrix).norm < 1e-6
 
     def test_mixed_potential(self):
         basis = first_eigenbasis(1)

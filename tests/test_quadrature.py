@@ -14,6 +14,7 @@ from cpnbergman import density, quadrature
 from cpnbergman import (
     QuadratureError,
     RadialMetric,
+    RadialProfile,
     cp1_integral,
     fs_monomial_integral,
     integrate_interval,
@@ -291,6 +292,37 @@ class TestSchedule:
     def two_rows(x):
         return np.stack([np.exp(x), np.exp(-((x - 0.1234567) ** 2) * 1e4)])
 
+    def test_nonfinite_value_at_a_split_raises(self, splits):
+        # 0.25 is the centre node of [0, 1/2], not a K31 node of [0, 1]: the
+        # value is seen only once the first split evaluates its halves
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            rows = self.two_rows(x)
+            rows[0] = np.where(x == 0.25, np.inf, rows[0])
+            return rows
+
+        with pytest.raises(QuadratureError, match=r"^integrand is not finite on \[0, 1\]$"):
+            integrate_interval(f, 0.0, 1.0, rtol=1e-12)
+        assert sizes == [31, 62] and len(splits) == 1
+
+    def test_banded_nonfinite_value_at_a_split_raises(self, splits):
+        # as above, where the split's left half gives a window of two rows
+        # of three, rows 0 and 1
+        windows = []
+
+        def f(x):
+            rows = np.concatenate([self.two_rows(x), [np.exp(-x)]])
+            rows[0] = np.where(x == 0.25, np.inf, rows[0])
+            window = rows[:2] if x.max() <= 0.5 else rows
+            windows.append(len(window))
+            return 3, 0, window
+
+        with pytest.raises(QuadratureError, match=r"^integrand is not finite on \[0, 1\]$"):
+            integrate_interval(f, 0.0, 1.0, rtol=1e-12)
+        assert windows == [3, 2, 3] and len(splits) == 1
+
     def partition_pass(self, monkeypatch, budget):
         """Node counts per call, and the total, of a 2-row f from 7 panels."""
         monkeypatch.setattr(quadrature, "_MAX_CALL_VALUES", budget)
@@ -410,8 +442,9 @@ class TestSchedule:
             integrate_interval(np.exp, 0.0, 1.0, edges=edges)
 
     @staticmethod
-    def section_pass(monkeypatch, m, tol):
-        """Node counts and whether banded per call, and the edges, of a section_norms pass."""
+    def section_pass(monkeypatch, m, tol, metric=None):
+        """Node counts and whether banded per call, and the edges, of a section_norms
+        pass, on Fubini-Study unless metric is given."""
         sizes, banded, starts = [], [], []
 
         def counted(f, *args, edges, **kwargs):
@@ -426,8 +459,23 @@ class TestSchedule:
             return integrate_interval(g, *args, edges=edges, **kwargs)
 
         monkeypatch.setattr(density, "integrate_interval", counted)
-        section_norms(RadialMetric.fubini_study(), m, tol)
+        section_norms(metric or RadialMetric.fubini_study(), m, tol)
         return sizes, banded, np.array(starts[0])
+
+    @pytest.mark.parametrize("m", [0, 1, 5, 20, 25, 28, *range(29, 38),
+                                   38, 40, 50, 60, 100, 200, 375, 1060, 5000])
+    @pytest.mark.parametrize("profile", [RadialProfile.eigenfunction_bump(0.1),
+                                         RadialProfile.rational_bump(0.2),
+                                         RadialProfile((0.0, 0.05, -0.02))],
+                             ids=["eigenfunction-bump-0.1", "rational-bump-0.2", "phi1-poly"])
+    def test_perturbed_passes_settle_on_their_initial_panels(self, splits, monkeypatch,
+                                                             profile, m):
+        # at tol 1e-12 a perturbed pass splits only where it starts from the
+        # halves of [0, 1], at most twice: measured, rational bump 0.2 splits
+        # twice at m = 29-37, bump 0.1 once at m = 31-37 and the phi1-poly
+        # once at m = 36-37
+        self.section_pass(monkeypatch, m, 1e-12, RadialMetric(profile))
+        assert len(splits) <= (2 if 29 <= m <= 37 else 0)
 
     @pytest.mark.parametrize("m, P", [(1060, 21), (5000, 47)])
     def test_banded_section_norms(self, splits, monkeypatch, m, P):

@@ -87,7 +87,8 @@ class TestCenteringTrace:
         assert trace.gate(state, B) == ""
         slow = replace(state, trace=state.trace[:2] + ((2, 0.6 * state.trace[1][1], 0.0),))
         assert trace.gate(slow, B) == "step ratio 0.600 above 1/2"
-        assert trace.gate(state, B.scaled(1.0 + 1e-7)).startswith("A misses -B by 3.5")
+        near = trace.TracelessHermitian((1.0 + 1e-7) * B.matrix)
+        assert trace.gate(state, near).startswith("A misses -B by 3.5")
 
     def test_a_state_off_the_closed_form_centre_fails(self):
         # eigenbasis_diag reaches A* within 1.2e-12; moving A by 1e-6 trips the gate
