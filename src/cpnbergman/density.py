@@ -43,6 +43,13 @@ def _int_bilinear(a, b, c=(), d=(), t=0):
     return out
 
 
+def _dyadic_integers(coeffs):
+    """Float coefficients times 2^e, their common dyadic denominator, as ints; and 2^e."""
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    scale = max((den for _, den in ratios), default=1)
+    return [num * (scale // den) for num, den in ratios], scale
+
+
 def _divided_difference(coeffs, p, q):
     """D(p, q) with P(p) - P(q) = (p - q) D(p, q), so D(q, q) = P'(q).
 
@@ -196,6 +203,26 @@ class RadialMetric:
     def inverted_chart(self) -> "RadialMetric":
         return RadialMetric(self.profile.inverted_chart())
 
+    @property
+    def is_chart_symmetric(self) -> bool:
+        """Whether u(p) = u(1-p) exactly: the chart swap s -> 1/s is then an
+        isometry, and the section norms satisfy N_j = N_{m-j}.  p -> 1-p
+        turns the top coefficient c_d into (-1)^d c_d, so an odd degree is
+        asymmetric.  An even one is decided in integers, u times the common
+        denominator of its dyadic coefficients against u(1-p) by Horner's
+        rule: the rounding of inverted_chart's float sums can hide an
+        asymmetry of an ulp.
+        """
+        if len(self.profile.coeffs) % 2 == 0:
+            return self.profile.is_zero  # Fubini-Study, u = 0, has no coefficients
+        u, _ = _dyadic_integers(self.profile.coeffs)
+        flipped = [0] * len(u)
+        for c in reversed(u):  # flipped <- flipped (1 - p) + c
+            for i in range(len(u) - 1, 0, -1):
+                flipped[i] -= flipped[i - 1]
+            flipped[0] += c
+        return flipped == u
+
     @cached_property
     def _curvature_numerators(self):
         """p-coefficients of R and L: rho = R / v^3, Delta rho = L / v^6.
@@ -208,9 +235,7 @@ class RadialMetric:
         degree 2 and 4 in v, are scaled back by 2^(2e) and 2^(4e), each
         coefficient in one correctly rounded division.  Built on first use.
         """
-        ratios = [c.as_integer_ratio() for c in self._v_coeffs]
-        scale = max(den for _, den in ratios)
-        v = [num * (scale // den) for num, den in ratios]
+        v, scale = _dyadic_integers(self._v_coeffs)
 
         def der(f):
             return [k * c for k, c in enumerate(f)][1:]
@@ -231,7 +256,7 @@ _GEOMETRY_CACHE_M = 1024  # _row_geometry caches the columns of every m below th
 _FULL = ("eigenfunction-bump 0.1 0.2 0.3 0.4 0.45", "rational-bump 0.2 0.24 0.5 1",
          "phi1-poly 0,0.05,-0.02")
 _DOMAIN = (("Fubini-Study", 1e-13, 20000, ("fs",), "log Beta"),
-           ("Fubini-Study", 1e-14, 5000, ("fs",), "log Beta"),
+           ("Fubini-Study", 1e-14, 20000, ("fs",), "log Beta"),
            ("perturbed metrics", 1e-12, 20000, _FULL, "Kummer, a3 band"),
            ("perturbed metrics", 1e-13, 5000, _FULL, "Kummer, a3 band"),
            ("perturbed metrics", 1e-13, 20000,
@@ -265,7 +290,8 @@ def _row_geometry(m: int):
 
 
 class _Rows:
-    """The m+1 section-norm integrand rows of one metric, set up once per pass.
+    """The section-norm integrand rows of one metric, set up once per pass: all
+    m+1 of them, or with half set rows 0 .. m//2 only.
 
     In x = 1 - p, row j (k = m - j) is x^j (1-x)^k e^{-m u(p)} v(p).  Over
     x*^j p*^k e^{-m u(p*)}, at the Beta mode x* = j/m and p* = 1 - x*, it
@@ -279,13 +305,16 @@ class _Rows:
     k log((1 - x) / p*), where a rounded x* + p* would add
     k (x* + p* - 1), about m 2^-54, to every exponent.  j, k, x*, p*,
     -1/x*, 1/p* (zeroed where the matching power vanishes) and the peak
-    j log x* + k log p*, all from _row_geometry, and v(p*) and its log are (m+1, 1) columns.
+    j log x* + k log p*, all from _row_geometry, and v(p*) and its log are
+    (rows, 1) columns.
     """
 
-    def __init__(self, metric: RadialMetric, m: int):
+    def __init__(self, metric: RadialMetric, m: int, half: bool = False):
         self.m, self.u, self.v = m, metric.profile.coeffs, metric._v_coeffs
         self.v_min, self.v_max = metric._v_range
         geometry = (_row_geometry if m < _GEOMETRY_CACHE_M else _row_geometry.__wrapped__)(m)
+        if half:
+            geometry = geometry[:, :m // 2 + 1]
         self.j, self.k, self.xs, self.ps, self.neg_inv_x, self.inv_p, self.peak = geometry
         self.v_star = _horner(self.v, self.ps)
         self.log_v_star = np.log(self.v_star)
@@ -408,7 +437,7 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     a factor that does not depend on j.  For Fubini-Study (u = 0, v = 1)
     N_j is the Beta value j! (m-j)! / (m+1)!.
 
-    The m+1 rows are set up once per pass (_Rows), each centred at its
+    The rows are set up once per pass (_Rows), each centred at its
     Beta mode x* = j/m, where its exponent g_j is defined, and shifted
     by log v(p*) plus a second-order estimate of how far the smooth factor
     lifts the peak.  That shift aims at a maximum near 1 for every row,
@@ -417,7 +446,7 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     m = 200-5000, but those of bump 0.45 span 2.4e-11 to 4.6e11 at
     m = 1060 and 8.3e-45 to 2.6e59 at m = 5000, and at m = 26000 its
     rows overflow.  A shift by each row's Laplace mode is ROADMAP item 2.
-    One vector-valued adaptive pass then integrates all m+1 rows to
+    One vector-valued adaptive pass then integrates the rows to
     relative tolerance tol each, and the constants are added back in log
     space, where nothing underflows however large m is.  Those log-space
     terms are up to about m in size, so the returned log N_j also carry
@@ -428,7 +457,8 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     x = sin^2(theta), so the pass starts from panels uniform in theta
     (_graded_edges), each about 4.8 widths, where one Gauss-Kronrod rule
     meets the default tol.  A dense pass states its row count, so that its
-    initial panels take one integrand call up to about m = 85.
+    initial panels take one integrand call up to about m = 85 (143 for a
+    pass over half the rows, below).
 
     Where the cut leaves out at least half of the row x node values
     (_Rows.banding_pays), the pass is banded: a rule evaluates only the
@@ -438,11 +468,27 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     drop rows whose shifted totals are tiny (below 1e-40 for an
     eigenfunction bump 0.45 at m = 5000).
 
+    A chart-symmetric metric (RadialMetric.is_chart_symmetric: u(p) =
+    u(1-p) exactly, so that s -> 1/s is an isometry; Fubini-Study and the
+    rational bumps) has N_j = N_{m-j}.  Its pass integrates rows
+    0 .. m//2 only, and a banded one stops at the first initial edge past
+    row m//2's upper support, beyond which the cut drops every kept row:
+    13 of 21 panels at m = 1060.  Rows past m/2 are then read off rows
+    that peak at x <= 1/2, where the nodes hold x to relative rounding,
+    not from nodes near x = 1, which hold 1 - x only to absolute rounding,
+    about m eps relative in x^m: integrated there, Fubini-Study's row m
+    was 1.6e-13 off at m = 10000, tol 1e-13, and at tol 1e-14 the pass
+    stalled at 10 of m = 5000, 5500, ..., 20000 (from m = 9500 on).
+    bergman_density on Fubini-Study and the rational bump 0.2 measured
+    0.51 to 0.70 of the full pass's time from m = 100 to 20000, the same
+    at m = 40, and up to 5% more at m = 20 to 30, where the pass is one
+    integrand call.  Any other metric gets the full pass.
+
     An m that is not a nonnegative integer (an int or a numpy integer, not
     a bool) or a tol that is not positive and finite raises ValueError.  A
     pass that cannot certify tol, or whose shifted rows overflow, raises
-    QuadratureError naming m, tol and the rows of _DOMAIN for the metric's
-    family.
+    QuadratureError naming m, tol, the rows a half pass covered and the
+    rows of _DOMAIN for the metric's family.
     """
     return _section_norms(metric, m, tol)[0]
 
@@ -467,65 +513,83 @@ def _integer_m(m) -> int:
 
 
 def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
-    """section_norms, and each integrand row over its integral at the points x in at.
+    """section_norms, and each integrand row over its integral at the points p in at.
 
-    The second is an (m+1, len(at)) array, or None if at is None.  A dense
-    pass evaluates the rows' logs (_Rows.log_values) at those points in
-    its first integrand call and shifts them once the totals are known,
-    the arithmetic of _Rows.values after the pass, bit for bit, in one
-    call fewer; a banded pass evaluates them after the pass.  Per call it
-    builds only the metric's columns: v(p*), the slope, lift and offset,
-    the per-row shift whose misses section_norms states.
+    The second is an (m+1, len(at)) array, or None if at is None: row j at
+    x = 1 - p, or for a chart-symmetric metric, whose pass integrates rows
+    0 .. m//2 only, row j > m//2 as row m - j at x = p, p itself rather than
+    1 - (1 - p).  A dense pass evaluates the rows' logs (_Rows.log_values)
+    at those points in its first integrand call and shifts them once the
+    totals are known, the arithmetic of _Rows.values after the pass, bit
+    for bit, in one call fewer; a banded pass evaluates them after the
+    pass.  Per call it builds only the metric's columns: v(p*), the slope,
+    lift and offset, the per-row shift whose misses section_norms states.
     """
     m = _integer_m(m)
     if m < 0 or not 0 < tol < math.inf:
         raise ValueError(f"section norms need m >= 0 and tol > 0 finite, got m = {m}, tol = {tol}")
-    rows = _Rows(metric, m)
+    half = metric.is_chart_symmetric
+    rows = _Rows(metric, m, half)
+    kept = len(rows.j)
     xs, ps, v_star, log_v_star = rows.xs, rows.ps, rows.v_star, rows.log_v_star
     # d/dx of log(e^{-m u} v) at x*; the Beta part curves by m / (x*(1-x*))
     slope = m * _divided_difference(rows.u, ps, ps) - _divided_difference(rows.v, ps, ps) / v_star
     lift = slope * slope * xs * ps / (2 * max(m, 1))
     offset = log_v_star + lift
+    if at is not None:
+        at = np.asarray(at, dtype=float)
+        points = np.concatenate([1.0 - at, at]) if half else 1.0 - at
 
-    held = []  # the rows' logs at x = at, from the first call of a dense pass
+    held = []  # the rows' logs at the points, from the first call of a dense pass
+    edges = _graded_edges(m)
     banded = rows.banding_pays()
     if banded:
         lower, upper = rows.supports()
+        # past the last row's upper support every row is below the cut: stop at the
+        # first edge there (1 unless the pass keeps only rows 0 .. m//2)
+        edges = edges[:int(np.searchsorted(edges, upper[-1])) + 1]
 
         def integrand(x):
             # the rows whose support reaches a rule's nodes (in increasing order)
             j0 = int(np.searchsorted(upper, x[0], "right"))
             j1 = int(np.searchsorted(lower, x[-1], "left"))
-            return m + 1, j0, rows.values(x, offset, slice(j0, j1))
+            return kept, j0, rows.values(x, offset, slice(j0, j1))
     else:
         def integrand(x):
             if at is None or held:
                 return rows.values(x, offset)
             with np.errstate(divide="ignore"):  # log1p(-1): a power of x or 1-x at a pole
-                logs = rows.log_values(np.concatenate([x, at]))
+                logs = rows.log_values(np.concatenate([x, points]))
             held.append(logs[:, len(x):].copy())
             out = logs[:, :len(x)] - offset
             return np.exp(out, out=out)
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            total = integrate_interval(integrand, 0.0, 1.0, rtol=tol, edges=_graded_edges(m),
-                                       rows=None if banded else m + 1)
+            total = integrate_interval(integrand, 0.0, edges[-1], rtol=tol, edges=edges,
+                                       rows=None if banded else kept)
     except QuadratureError as err:
         family = "Fubini-Study" if metric.is_fubini_study else "perturbed metrics"
-        raise QuadratureError(f"{err} (section norms at m = {m}, tol = {tol:g}; the stated "
-                              f"domain for {family} is {_domain(family)})") from err
+        cover = f", a half pass over rows 0..{kept - 1}" if half else ""
+        raise QuadratureError(f"{err} (section norms at m = {m}, tol = {tol:g}{cover}; the "
+                              f"stated domain for {family} is {_domain(family)})") from err
     if np.any(total <= 0.0):
         raise PositivityError("section norm came out nonpositive")
     log_total = np.log(total)[:, None]
     shift = log_v_star - m * metric.profile.value_p(ps) + lift
+    logn = (rows.peak + shift + log_total).ravel()
     terms = None
     if at is not None:
         with np.errstate(divide="ignore"):
-            terms = held[0] if held else rows.log_values(at)
+            terms = held[0] if held else rows.log_values(points)
         terms -= offset + log_total
         np.exp(terms, out=terms)
-    return (rows.peak + shift + log_total).ravel(), terms
+    if half:  # N_j = N_{m-j}: rows kept .. m are rows m - kept .. 0
+        mirrored = m + 1 - kept
+        logn = np.concatenate([logn, logn[:mirrored][::-1]])
+        if at is not None:
+            terms = np.concatenate([terms[:, :len(at)], terms[:mirrored, len(at):][::-1]])
+    return logn, terms
 
 
 @dataclass
@@ -549,7 +613,8 @@ def bergman_density(metric: RadialMetric, m: int, grid, tol: float = 1e-12) -> D
 
     In x = s/(1+s) = 1 - p, w ds = v(p) dx and s^j h^m = x^j (1-x)^(m-j) e^{-m u(p)},
     so Pi_m(s) = (1/v(p)) sum_j f_j(x) / T_j: each section-norm integrand row,
-    centred and shifted as section_norms integrates it, over its integral.  No
+    centred and shifted as section_norms integrates it, over its integral (for a
+    chart-symmetric metric, f_j(x) / T_j = f_{m-j}(p) / T_{m-j} past j = m/2).  No
     exponent grows with m or s, and s = inf is x = 1; a negative s or nan
     raises ValueError.  values has the grid's shape, whatever its ndim.  tol
     is the relative tolerance of each section norm; m and tol are checked as
@@ -559,7 +624,7 @@ def bergman_density(metric: RadialMetric, m: int, grid, tol: float = 1e-12) -> D
     if not (grid >= 0.0).all():
         raise ValueError(f"density grid {grid[~(grid >= 0.0)]} is outside [0, inf]")
     p = np.ravel(1.0 / (1.0 + grid))
-    logn, terms = _section_norms(metric, m, tol, 1.0 - p)
+    logn, terms = _section_norms(metric, m, tol, p)
     values = np.sum(terms, axis=0) / _horner(metric._v_coeffs, p)
     return DensityResult(int(m), grid, values.reshape(grid.shape), logn)
 
@@ -668,7 +733,7 @@ def first_variation(metric: RadialMetric, phi: RadialProfile, m: int,
 
     formula = _variation_formula(phi.coeffs, m, s)
     tol, p = 1e-12, 1.0 / (1.0 + s)
-    tau = _section_norms(metric, m, tol, [1.0 - p])[1][:, 0]
+    tau = _section_norms(metric, m, tol, [p])[1][:, 0]
     j = np.arange(m + 1.0)
     moment, mean, size = np.ones(m + 1), np.zeros(m + 1), np.zeros(m + 1)
     for k, (c, d) in enumerate(zip(phi.coeffs, phi.fs_laplacian_coeffs())):

@@ -498,16 +498,19 @@ class TestSectionNorms:
 
     def test_fubini_study_error_names_its_own_domain(self):
         # the message once stated the perturbed metrics' domain for every
-        # metric, with no tol 1e-14 cell, so it did not say why this call fails
+        # metric, with no tol 1e-14 cell, so it did not say why this call
+        # fails.  tol 1e-15 stalls at m = 20000 (measured 0.17 s); the pass
+        # keeps rows 0 .. 10000 of the chart-symmetric metric, and says so
         start = time.perf_counter()
         with pytest.raises(QuadratureError) as info:
-            section_norms(RadialMetric.fubini_study(), 20000, tol=1e-14)
+            section_norms(RadialMetric.fubini_study(), 20000, tol=1e-15)
         assert time.perf_counter() - start < 2.0
         domain = density_module._domain("Fubini-Study")
         assert re.fullmatch(r"error estimate stalled at the rounding level for 32 splits: \d+ "
-                            r"panels, error estimate \S+ on total \S+ of component \d+ of 20001 "
-                            r"\(section norms at m = 20000, tol = 1e-14; the stated domain for "
-                            r"Fubini-Study is " + re.escape(domain) + r"\)", str(info.value))
+                            r"panels, error estimate \S+ on total \S+ of component \d+ of 10001 "
+                            r"\(section norms at m = 20000, tol = 1e-15, a half pass over rows "
+                            r"0\.\.10000; the stated domain for Fubini-Study is "
+                            + re.escape(domain) + r"\)", str(info.value))
 
     def test_budget_exhaustion_now_stalls(self):
         # eigenfunction bump 0.45 at m = 15000 once spent the whole 4096-panel
@@ -531,13 +534,20 @@ class TestSectionNorms:
 
     @pytest.mark.parametrize("m,tol,rows,within", [
         (1060, 1e-12, 4, 1.0), (5000, 1e-12, 4, 1.0), (20000, 1e-12, 4, 1.0),
-        (1060, 1e-13, 4, 1.0), (5000, 1e-13, 4, 1.0), (20000, 1e-13, 4, 1.0),
-        (1060, 1e-14, 1, 2.0), (2000, 1e-14, 1, 2.0), (5000, 1e-14, 1, 2.0)])
+        (1060, 1e-13, 4, 1.0), (5000, 1e-13, 4, 1.0), (10000, 1e-13, 4, 1.0),
+        (20000, 1e-13, 4, 1.0), (1060, 1e-14, 1, 2.0), (2000, 1e-14, 1, 2.0),
+        (5000, 1e-14, 1, 2.0), (10000, 1e-14, 4, 1.0), (20000, 1e-14, 4, 1.0)])
     def test_fs_end_rows_against_mpmath(self, m, tol, rows, within):
         # rows 0 .. rows-1 and m-rows+1 .. m against 40-digit log Beta values.
         # Rows 1 .. 3 once carried k (x* + (1 - x*) - 1), m 2^-54, from a
-        # rounded Beta mode: 1.1 to 3.3 tol at tol 1e-13.  At tol 1e-14
-        # rows 0 and m measured at most 1.75 tol (row m, m = 1060)
+        # rounded Beta mode: 1.1 to 3.3 tol at tol 1e-13.  Row m peaks at
+        # x = 1, where quadrature nodes hold 1 - x only to absolute rounding,
+        # about m eps relative in each node value of x^m: integrated there it
+        # measured 1.75 tol at m = 1060, tol 1e-14, 1.6 tol at m = 10000,
+        # tol 1e-13 and 15.9 tol at m = 10000, tol 1e-14, and m = 20000,
+        # tol 1e-14 stalled.  Fubini-Study is chart-symmetric, so rows past m/2
+        # are now read off rows 0 .. m/2: at most 0.38 tol (rows 2 and m-2,
+        # m = 5000, tol 1e-14)
         logn = section_norms(RadialMetric.fubini_study(), m, tol)
         with mpmath.workdps(40):
             for j in list(range(rows)) + list(range(m - rows + 1, m + 1)):
@@ -547,7 +557,7 @@ class TestSectionNorms:
 
     @pytest.mark.parametrize("m", [1060, 2000])
     def test_fs_log_norms_at_tol_1e14(self, m):
-        # towards the edge of the Fubini-Study domain (m = 5000, in TestDomain); a
+        # towards the edge of the Fubini-Study domain (m = 20000, in TestDomain); a
         # start from sin^2 edges off the dyadic grid stalled here, its end rows
         # m ulps off at x = 0 and 1
         logn = section_norms(RadialMetric.fubini_study(), m, tol=1e-14)
@@ -783,6 +793,70 @@ class TestBandedSectionNorms:
                 assert np.max(log_row(j, outside)) <= math.log(1e-30) + scale, j
 
 
+class TestChartSymmetry:
+    """RadialMetric.is_chart_symmetric, u(p) = u(1-p) exactly, and the half pass it selects."""
+
+    @pytest.mark.parametrize("profile", [
+        RadialProfile.zero(), RadialProfile.rational_bump(0.2), RadialProfile.rational_bump(1.0),
+        RadialProfile.rational_bump(-0.5), RadialProfile((0.3, 0.1, -0.1)),
+        RadialProfile((-1.5, 0.07, -0.07)),
+        RadialProfile((0.0, 0.0, 0.01, -0.02, 0.01)),  # 0.01 (p(1-p))^2
+    ], ids=repr)
+    def test_symmetric(self, profile):
+        # Fubini-Study, rational bumps eps p(1-p) and c0 + c p(1-p) (+ c q^2)
+        assert RadialMetric(profile).is_chart_symmetric
+
+    @pytest.mark.parametrize("profile", [
+        RadialProfile.eigenfunction_bump(0.1), RadialProfile.eigenfunction_bump(0.45),
+        RadialProfile((0.0, 0.05, -0.02)), RadialProfile((0.01, -0.03, 0.005, 0.002)),
+        RadialProfile((0.0, 0.0, 0.01)),
+    ], ids=repr)
+    def test_asymmetric(self, profile):
+        assert not RadialMetric(profile).is_chart_symmetric
+
+    def test_an_ulp_off_symmetric_is_asymmetric(self):
+        # c2 = -0.03 is an ulp from 0.02 - 0.05 in floats, the value that makes
+        # 1 + 0.05 q + 0.02 q^2 (q = p(1-p)) symmetric.  The float signed binomial
+        # sums of inverted_chart() round the difference away, the integers do not
+        prof = RadialProfile((1.0, 0.05, -0.03, -0.04, 0.02))
+        assert 0.02 - 0.05 == np.nextafter(-0.03, -1.0)
+        assert prof.inverted_chart().coeffs == prof.coeffs
+        assert not RadialMetric(prof).is_chart_symmetric
+        symmetric = RadialProfile((1.0, 0.05, 0.02 - 0.05, -0.04, 0.02))
+        assert RadialMetric(symmetric).is_chart_symmetric
+
+    @staticmethod
+    def passes(monkeypatch, met, m, banded, tol=1e-12):
+        """Log norms and densities of the half pass, then of the full pass (flag off)."""
+        monkeypatch.setattr(density_module._Rows, "banding_pays", lambda self: banded)
+        out = []
+        for half in (True, False):
+            if not half:
+                monkeypatch.setattr(RadialMetric, "is_chart_symmetric", property(lambda s: False))
+            res = bergman_density(met, m, GRID + [1e4, np.inf], tol)
+            assert np.array_equal(section_norms(met, m, tol), res.log_norms)
+            out.append(res)
+        return out
+
+    @pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
+    @pytest.mark.parametrize("m", [0, 1, 20, 37, 38, 200, 1060, 5000])
+    @pytest.mark.parametrize("name", ["fs", "rational-bump-0.2"])
+    def test_half_pass_agrees_with_the_full_pass(self, monkeypatch, name, m, banded):
+        # each pass holds every row within tol of its integral, so the two may
+        # differ by 2 tol, plus the rounding of log N_j at |log N_j|: measured
+        # at most 0.23 tol beyond 2 ulps of it (0.91 tol in all, row 2678 of the
+        # rational bump at m = 5000, |log N_j| = 3706), and the densities at
+        # most 0.064 tol.  N_j = N_{m-j} holds exactly in the half pass
+        tol = 1e-12
+        met = RadialMetric(BANDED_METRICS[name])
+        half, full = self.passes(monkeypatch, met, m, banded, tol)
+        assert np.array_equal(half.log_norms, half.log_norms[::-1])
+        gap = np.abs(half.log_norms - full.log_norms)
+        assert np.all(gap <= 2 * tol + 2 * np.spacing(np.abs(full.log_norms)))
+        # the density moves by at most 2 tol relative, as each of its terms does
+        assert np.all(np.abs(half.values - full.values) <= 2 * tol * full.values)
+
+
 class TestGradedStart:
     """From m = 38 the pass starts from panels uniform in theta, x = sin^2(theta)."""
 
@@ -881,9 +955,12 @@ class TestGridInTheFirstCall:
     @pytest.mark.parametrize("name", sorted(BANDED_METRICS))
     def test_terms_equal_a_separate_evaluation(self, monkeypatch, name, m):
         # the rows at the grid, shifted once the totals are known, are bit for
-        # bit _Rows.values there after the pass; the pass itself is unchanged
+        # bit _Rows.values there after the pass; the pass itself is unchanged.
+        # The grid goes in as p: row j is read at x = 1 - p, or for a
+        # chart-symmetric metric, whose pass keeps rows 0 .. m//2, row j > m//2
+        # as row m - j at x = p
         met = RadialMetric(BANDED_METRICS[name])
-        at = 1.0 - 1.0 / (1.0 + np.array(GRID + [1e3, np.inf]))
+        at = 1.0 / (1.0 + np.array(GRID + [1e3, np.inf]))
         quad, values = density_module.integrate_interval, density_module._Rows.values
         seen, totals, calls = [], [], []
 
@@ -907,7 +984,11 @@ class TestGridInTheFirstCall:
         assert none is None
         rows, offset = seen[0]
         with np.errstate(divide="ignore"):
-            want = rows.values(at, offset + np.log(totals[0])[:, None])
+            shifted = offset + np.log(totals[0])[:, None]
+            want = rows.values(1.0 - at, shifted)
+            if met.is_chart_symmetric:
+                assert len(want) == m // 2 + 1
+                want = np.concatenate([want, rows.values(at, shifted)[:m + 1 - len(want)][::-1]])
         fused, terms = density_module._section_norms(met, m, 1e-12, at)
         assert not rows.banding_pays() and calls[1] == calls[0]
         assert totals[1].tobytes() == totals[0].tobytes()

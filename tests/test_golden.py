@@ -152,6 +152,26 @@ s = 0 is row 19's 1.2e-301), from -1.2907481057311543 to
 2.5e-13), and from 0.1977040815503983 to 0.19770408163266703 for the
 rational bump (rel_diff 4.2e-10 to 7.1e-14).  Every other file stayed
 byte-identical.
+When a chart-symmetric metric (u(p) = u(1-p): Fubini-Study, rational
+bumps) came to integrate its section-norm rows 0 .. m//2 only and take
+N_j = N_{m-j}, reading row j > m//2 at p as row m - j at x = p, the seven
+files whose passes are symmetric were regenerated after checking these
+bounds: the four density CSVs moved by at most 1e-13 relative, the
+Fubini-Study m = 20000, tol 1e-13 one by 7.1e-15 at s = inf (now
+7.5e-16 from m + 1 at both poles, where s = inf was 7.8e-15 off), the
+rational-bump ones by at most 6.4e-14 (at s = inf, m = 5000, whose two
+poles now agree bit for bit), 1.0e-15 (m = 20-37) and 3.5e-16 (m = 20,
+40, 60); the two first variations with a nonzero closed form (their
+background is Fubini-Study) kept formula_value byte for byte, fd_value
+moving by at most 1e-14 relative (measured 1.4e-15 and 2.2e-15) and
+rel_diff from 2.51e-13 to 2.53e-13 and from 7.06e-14 to 6.84e-14;
+fs-check --n 1 kept pass true and max_norm_rel_error byte for byte,
+its max_density_deviation moving from 2.49e-14 to 1.07e-14.  Every
+eigenfunction-bump and asymmetric phi1-poly file stayed byte-identical.
+The Fubini-Study density at m = 20000, tol 1e-14, which the full pass
+could not certify (its error estimate stalled), was pinned then, after
+checking each value against m + 1 within 1e-14 relative (measured
+7.5e-16 at both poles, exact at s = 1).
 """
 
 import subprocess
@@ -188,6 +208,8 @@ CASES = {
                                                     "--m-list", "1060", "--grid", "0,1,inf"],
     "density_fs_m20000_tol1e-13.csv": ["density", "--metric", "fs", "--m-list", "20000",
                                        "--grid", "0,1,inf", "--tol", "1e-13"],
+    "density_fs_m20000_tol1e-14.csv": ["density", "--metric", "fs", "--m-list", "20000",
+                                       "--grid", "0,1,inf", "--tol", "1e-14"],
     "density_eigenfunction-bump_eps0.45_m5000.csv": ["density", "--metric",
                                                      "eigenfunction-bump", "--eps", "0.45",
                                                      "--m-list", "5000", "--grid", "0,1,inf"],

@@ -363,14 +363,15 @@ class TestSchedule:
     @pytest.mark.parametrize("m", [38, 100, 375])
     def test_dense_section_norms_keep_to_the_budget(self, monkeypatch, m):
         # no call holds more row x node values than the budget or two panels;
-        # the pass states its m + 1 rows, so the first call is a full group
-        # (it held the first panel alone while the rows were learnt from it)
+        # the pass states its rows, so the first call is a full group (it
+        # held the first panel alone while the rows were learnt from it).
+        # Fubini-Study is chart-symmetric: its pass keeps rows 0 .. m//2
         sizes, banded, _ = self.section_pass(monkeypatch, m, 1e-12)
         assert not any(banded)
-        P = math.isqrt(4 * m) // 3
-        group = max(2, quadrature._MAX_CALL_VALUES // (31 * (m + 1)))
+        P, rows = math.isqrt(4 * m) // 3, m // 2 + 1
+        group = max(2, quadrature._MAX_CALL_VALUES // (31 * rows))
         assert sizes[0] == 31 * min(group, P)
-        assert max(sizes) * (m + 1) <= max(quadrature._MAX_CALL_VALUES, 62 * (m + 1))
+        assert max(sizes) * rows <= max(quadrature._MAX_CALL_VALUES, 62 * rows)
         # Fubini-Study meets tol 1e-12 on its initial panels: no split
         assert sum(sizes) == 31 * P
         assert len(sizes) == -(-P // group)
@@ -477,24 +478,32 @@ class TestSchedule:
         self.section_pass(monkeypatch, m, 1e-12, RadialMetric(profile))
         assert len(splits) <= (2 if 29 <= m <= 37 else 0)
 
-    @pytest.mark.parametrize("m, P", [(1060, 21), (5000, 47)])
-    def test_banded_section_norms(self, splits, monkeypatch, m, P):
+    @pytest.mark.parametrize("m, P, kept", [(1060, 21, 13), (5000, 47, 26)])
+    def test_banded_section_norms(self, splits, monkeypatch, m, P, kept):
         # a banded rule's row window is that of its own nodes, so each call
-        # holds one panel: one for each of the P initial panels, 2 a split.
-        # At m = 1060 and 5000 and tol 1e-12 the partition needs no split at all
+        # holds one panel: one for each initial panel, 2 a split.  The
+        # partition has P panels; Fubini-Study's pass keeps rows 0 .. m//2 and
+        # the first kept panels, up to the first edge past row m//2's upper
+        # support.  At m = 1060 and 5000 and tol 1e-12 they need no split at all
         sizes, banded, edges = self.section_pass(monkeypatch, m, 1e-12)
         assert all(banded)
-        assert P == int(math.sqrt(m) / 1.5) and len(edges) == P + 1
+        full = np.array(density._graded_edges(m))
+        assert P == int(math.sqrt(m) / 1.5) and len(full) == P + 1
+        assert len(edges) == kept + 1 and np.array_equal(edges, full[:kept + 1])
+        upper = density._Rows(RadialMetric.fubini_study(), m, True).supports()[1]
+        assert edges[-2] < upper[-1] <= edges[-1]
         # uniform in theta, x = sin^2(theta), on the 2^-24 grid
-        theta = np.arcsin(np.sqrt(edges))
+        theta = np.arcsin(np.sqrt(full))
         assert np.allclose(np.diff(theta), np.pi / (2 * P), atol=1e-6)
-        assert np.array_equal(np.round(edges * 2.0**24), edges * 2.0**24)
+        assert np.array_equal(np.round(full * 2.0**24), full * 2.0**24)
         assert len(splits) == 0
-        assert sizes == [31] * (P + 2 * len(splits))
+        assert sizes == [31] * (kept + 2 * len(splits))
 
     def test_banded_refinement_after_the_partition(self, splits, monkeypatch):
-        # at m = 2000 and tol 1e-14 its 29 panels need 2 splits
-        sizes, banded, edges = self.section_pass(monkeypatch, 2000, 1e-14)
+        # at m = 2000 and tol 1e-14 the eigenfunction bump 0.1's 29 panels
+        # need 16 splits (Fubini-Study's half pass needs none there)
+        metric = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
+        sizes, banded, edges = self.section_pass(monkeypatch, 2000, 1e-14, metric)
         assert all(banded)
         assert len(edges) == 30 and len(splits) > 0
         assert sizes == [31] * (29 + 2 * len(splits))
