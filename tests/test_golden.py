@@ -172,6 +172,11 @@ The Fubini-Study density at m = 20000, tol 1e-14, which the full pass
 could not certify (its error estimate stalled), was pinned then, after
 checking each value against m + 1 within 1e-14 relative (measured
 7.5e-16 at both poles, exact at s = 1).
+Two densities at the shape of the benchmark's probes were pinned before
+the section-norm pass came to take its row cut from tol and the metric's
+range of v, and to drop its no-op array passes: Fubini-Study at m = 1060
+and 1120 (a banded half pass) and the rational bump 0.2 at m = 1060,
+each on the grid 0, 0.3, 1, 4, 1000.
 """
 
 import subprocess
@@ -216,6 +221,11 @@ CASES = {
     "density_rational-bump_eps0.2_m5000.csv": ["density", "--metric", "rational-bump",
                                                "--eps", "0.2", "--m-list", "5000",
                                                "--grid", "0,0.5,1,2,inf"],
+    "density_fs_m1060-1120.csv": ["density", "--metric", "fs", "--m-list", "1060,1120",
+                                  "--grid", "0,0.3,1,4,1000"],
+    "density_rational-bump_eps0.2_m1060.csv": ["density", "--metric", "rational-bump",
+                                               "--eps", "0.2", "--m-list", "1060",
+                                               "--grid", "0,0.3,1,4,1000"],
     "fs-check_n2_mmax6.json": ["fs-check", "--n", "2", "--m-max", "6"],
     "center_gauge-diag_0.05.json": ["center", "--potential", "gauge-diag", "--scale", "0.05"],
     "center_eigenbasis-diag_0.05.json": ["center", "--potential", "eigenbasis-diag",
