@@ -21,14 +21,22 @@ from .quadrature import _TINY, integrate_interval
 
 
 def _horner(coeffs, p):
-    # from the top coefficient (a step from 0 gives it exactly); a scalar p in Python floats
-    scalar = np.ndim(p) == 0
-    p = float(p) if scalar else np.asarray(p, dtype=float)
-    out = float(coeffs[-1]) if coeffs else 0.0
-    out = out if scalar else np.full_like(p, out)
-    for c in reversed(coeffs[:-1]):
-        out = out * p + c
-    return float(out) if scalar else out
+    # from the top coefficient (a step from 0 gives it exactly); a scalar p in Python
+    # floats, an array p in place in one new array, from c_top * p
+    if np.ndim(p) == 0:
+        p, out = float(p), float(coeffs[-1]) if coeffs else 0.0
+        for c in reversed(coeffs[:-1]):
+            out = out * p + c
+        return float(out)
+    p = np.asarray(p, dtype=float)
+    if len(coeffs) < 2:
+        return np.full_like(p, float(coeffs[-1]) if coeffs else 0.0)
+    out = coeffs[-1] * p
+    out += coeffs[-2]
+    for c in reversed(coeffs[:-2]):
+        out *= p
+        out += c
+    return out
 
 
 def _int_bilinear(a, b, c=(), d=(), t=0):
@@ -247,9 +255,10 @@ class RadialMetric:
         return tuple(c / scale**2 for c in r), tuple(c / scale**4 for c in lap)
 
 
-# A section-norm row is left out of a quadrature rule where a certified
-# bound puts it below this fraction of its own scale on every node.
-_ROW_CUT = 1e-30
+# The row cut at which _Rows.banding_pays's switch was measured.  A banded pass cuts its
+# rows higher, at _Rows.cut(tol), but the switch keeps this level, so that no pass
+# moves between dense and banded.
+_BANDING_CUT = 1e-30
 _GEOMETRY_CACHE_M = 1024  # _row_geometry caches the columns of every m below this
 # The stated section-norm domain, one corner per row: family, tol, largest m, the metrics
 # (CLI --metric with --eps or --coeffs) that tests/test_density.py runs there, and oracle.
@@ -277,8 +286,8 @@ def _row_geometry(m: int):
     """The columns of _Rows that depend on m alone, read-only: j, k, x*, p*,
     -1/x*, 1/p* and the Beta peak j log x* + k log p*, each (m+1, 1).  _Rows
     caches them for m < _GEOMETRY_CACHE_M only: 16 entries of at most 7 x 1024
-    floats, 0.92 MB.  Past that they are under 2% of a pass (1.3 to 1.8% for
-    the standard metrics at m = 1060)."""
+    floats, 0.92 MB.  Past that they are 1 to 2% of a pass (0.9 to 2.2% for
+    the standard metrics at m = 1060, the most for Fubini-Study's half pass)."""
     j = np.arange(m + 1, dtype=float)[:, None]
     xs = np.round(j / max(m, 1) * 2.0**53) / 2.0**53
     k, ps = m - j, 1.0 - xs
@@ -349,28 +358,40 @@ class _Rows:
         return g
 
     def log_values(self, x, rows=slice(None)):
-        """g_j(x) + log v(1 - x), the rows' logs at nodes x before any shift."""
+        """g_j(x) + log v(1 - x), the rows' logs at nodes x before any shift.
+
+        A constant v is 1 (the volume is 1: Fubini-Study, a constant u), and
+        adds nothing."""
         out = self.exponent(x, rows)
-        out += np.log(_horner(self.v, 1.0 - x))
+        if len(self.v) > 1:
+            out += np.log(_horner(self.v, 1.0 - x))
         return out
 
     def values(self, x, offset, rows=slice(None)):
-        """The rows at nodes x, e^{g_j(x) - offset_j} v(1 - x), in place."""
+        """The rows at nodes x, e^{g_j(x) - offset_j} v(1 - x), in place; offset
+        None stands for offsets that are all 0, and subtracts nothing."""
         out = self.log_values(x, rows)
-        out -= offset[rows]
+        if offset is not None:
+            out -= offset[rows]
         return np.exp(out, out=out)
 
-    def supports(self):
-        """Certified supports (lower_j, upper_j) in x of the rows.
+    def cut(self, tol):
+        """The row cut of a banded pass to relative tolerance tol (section_norms),
+        1e-3 tol v_min / ((m + 1) v_max); at least tiny, where a log of it is finite."""
+        return max(1e-3 * tol * self.v_min / ((self.m + 1) * self.v_max), _TINY)
+
+    def supports(self, cut):
+        """Certified supports (lower_j, upper_j) in x of the rows, cut at cut.
 
         In t = log s, g_j is j t - m psi plus a constant, strictly concave
         because d/dt (s psi') = s w > 0, so each tangent line bounds it from
         above: from any t0 where g_j' = j - m mu(x0) > 0 (mu(x) = s psi' =
         x (1 - p u'(p)), the moment map), g_j <= C_j for all
         t <= t0 - (g_j(t0) - C_j) / g_j'(t0), and likewise on the right.  As
-        v(p) <= v_max, the row is then below _ROW_CUT times its own scale on
+        v(p) <= v_max, the row is then below cut times its own scale on
         [0, lower_j] and on [upper_j, 1], the scale being the larger of its
-        values e^{g_j} v(p) at x* (v(p*)) and at an estimate c of its mode.
+        values e^{g_j} v(p) at x* (v(p*)) and at an estimate c of its mode,
+        so at most its maximum.  A pass cuts at cut(tol).
 
         The first tangent points lie on either side of the mode mu(x) = j/m:
         mu' = v >= v_min bounds the distance from the Newton estimate c by
@@ -395,8 +416,8 @@ class _Rows:
                     c = np.clip(c - (mu(c) - xs) / _horner(v, 1.0 - c), 0.0, 1.0)
                 spread = np.abs(mu(c) - xs) / self.v_min
                 log_scale = np.maximum(log_scale, self.exponent(c) + np.log(_horner(v, 1.0 - c)))
-            level = math.log(_ROW_CUT / self.v_max) + log_scale
-            width = math.log(self.v_max / _ROW_CUT) / (m * v_star)
+            level = math.log(cut / self.v_max) + log_scale
+            width = math.log(self.v_max / cut) / (m * v_star)
             side = np.array([-1.0, 1.0])
             x = c + side * (spread + np.sqrt(2.0 * width * c * (1.0 - c)) + width)
             ends = np.array([0.0, 1.0]) + np.zeros_like(x)
@@ -411,9 +432,9 @@ class _Rows:
         return np.minimum.accumulate(lower[::-1])[::-1], np.maximum.accumulate(upper)
 
     def banding_pays(self) -> bool:
-        """Whether the cut leaves out at least half of the row x node values.
+        """Whether a cut at _BANDING_CUT leaves out at least half of the row x node values.
 
-        With L = log(1/_ROW_CUT), row j's support is about
+        With L = log(1/_BANDING_CUT) = 69, row j's support is about
         2 sqrt(2 L x*(1-x*) / (m v*)) wide (its Gaussian width at the cut
         level), and at least 2 L / (m v*), the width of the exponential peaks
         of the end rows.  For Fubini-Study the mean width falls below one
@@ -421,10 +442,14 @@ class _Rows:
         cost more than banding saves: forced banding measured 30% slower at
         m = 100 and 8-13% slower at m = 200, but 10% faster at m = 300.
         The exponential width alone, at least 2 L / (m v_max), settles small m.
+        A pass cuts its rows higher, at a level derived from its tol (about
+        1e-18, L = 41, at tol 1e-12 and m = 1060), which narrows the supports,
+        but the switch keeps the L it was measured with, so that no pass
+        moves between dense and banded.
         """
-        if 4.0 * -math.log(_ROW_CUT) >= max(self.m, 1) * self.v_max:
+        if 4.0 * -math.log(_BANDING_CUT) >= max(self.m, 1) * self.v_max:
             return False
-        drop = -math.log(_ROW_CUT) / (max(self.m, 1) * self.v_star)
+        drop = -math.log(_BANDING_CUT) / (max(self.m, 1) * self.v_star)
         width = np.maximum(np.sqrt(8.0 * drop * self.xs * self.ps), 2.0 * drop)
         return bool(np.mean(np.minimum(width, 1.0)) < 0.5)
 
@@ -460,13 +485,30 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     initial panels take one integrand call up to about m = 85 (143 for a
     pass over half the rows, below).
 
-    Where the cut leaves out at least half of the row x node values
+    Where a cut leaves out at least half of the row x node values
     (_Rows.banding_pays), the pass is banded: a rule evaluates only the
     rows whose certified support (_Rows.supports) reaches its nodes.  A
-    dropped rule value is below the panel width times _ROW_CUT of its row's
+    dropped rule value is below the panel width times the cut of its row's
     own scale, so the cut is relative to each row; an absolute one would
     drop rows whose shifted totals are tiny (below 1e-40 for an
-    eigenfunction bump 0.45 at m = 5000).
+    eigenfunction bump 0.45 at m = 5000).  Over [0, 1] the dropped values
+    of row j, f_j, add up to at most cut max_x f_j / T_j of its total T_j.
+    The cut, _Rows.cut(tol), is 1e-3 tol v_min / ((m + 1) v_max), so that
+    this share is at most 1e-3 tol wherever max_x f_j <= (m + 1) (v_max /
+    v_min) T_j.  For Fubini-Study (v = 1) f_j / T_j is a Beta density,
+    (m + 1) times a binomial pmf, which is at most 1.  For a perturbed
+    metric the bound is not proved: tests/test_density.py checks it on
+    the first and last 50 rows, and every (m // 200)-th between, of each
+    metric at each _DOMAIN corner.  The end rows come nearest there, at
+    about (m + 1) v at their pole: 0.5 of the bound for the rational bump
+    1, 0.8 for the eigenfunction bump 0.1, 0.9 for the rational bump 0.2,
+    0.98 for phi1-poly 0, 0.05, -0.02.  Past the bound the share grows
+    only in proportion.  At tol 1e-12 and m = 1060 the
+    cut is about 1e-18, and Fubini-Study's pass evaluates 82,584 row x
+    node values, where a fixed cut at 1e-30 took 105,586.  Against that
+    fixed cut the totals of a pass agree bit for bit but for one to two
+    end rows, by up to 3 ulps: a window with another row count can move a
+    row's BLAS product by an ulp (ROADMAP item 15).
 
     A chart-symmetric metric (RadialMetric.is_chart_symmetric: u(p) =
     u(1-p) exactly, so that s -> 1/s is an isometry; Fubini-Study and the
@@ -536,6 +578,7 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
     slope = m * _divided_difference(rows.u, ps, ps) - _divided_difference(rows.v, ps, ps) / v_star
     lift = slope * slope * xs * ps / (2 * max(m, 1))
     offset = log_v_star + lift
+    offset = offset if offset.any() else None  # None: every row's offset is 0, as for Fubini-Study
     if at is not None:
         at = np.asarray(at, dtype=float)
         points = np.concatenate([1.0 - at, at]) if half else 1.0 - at
@@ -544,7 +587,7 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
     edges = _graded_edges(m)
     banded = rows.banding_pays()
     if banded:
-        lower, upper = rows.supports()
+        lower, upper = rows.supports(rows.cut(tol))
         # past the last row's upper support every row is below the cut: stop at the
         # first edge there (1 unless the pass keeps only rows 0 .. m//2)
         edges = edges[:int(np.searchsorted(edges, upper[-1])) + 1]
@@ -558,14 +601,16 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
         def integrand(x):
             if at is None or held:
                 return rows.values(x, offset)
-            with np.errstate(divide="ignore"):  # log1p(-1): a power of x or 1-x at a pole
-                logs = rows.log_values(np.concatenate([x, points]))
+            logs = rows.log_values(np.concatenate([x, points]))
             held.append(logs[:, len(x):].copy())
+            if offset is None:
+                return np.exp(logs[:, :len(x)])
             out = logs[:, :len(x)] - offset
             return np.exp(out, out=out)
 
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        # divide: log1p(-1), a power of x or 1-x at a pole among the density's points
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             total = integrate_interval(integrand, 0.0, edges[-1], rtol=tol, edges=edges,
                                        rows=None if banded else kept)
     except QuadratureError as err:
@@ -582,7 +627,7 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
     if at is not None:
         with np.errstate(divide="ignore"):
             terms = held[0] if held else rows.log_values(points)
-        terms -= offset + log_total
+        terms -= log_total if offset is None else offset + log_total
         np.exp(terms, out=terms)
     if half:  # N_j = N_{m-j}: rows kept .. m are rows m - kept .. 0
         mirrored = m + 1 - kept
@@ -720,7 +765,9 @@ def first_variation(metric: RadialMetric, phi: RadialProfile, m: int,
     relative gap is floored at tol S, S = sum_j tau_j (|m phi(p_s)| +
     sum_k |m c_k - d_k| E_j[p^k]) (Delta phi = sum_k d_k p^k), the size of
     the terms before they cancel, so an exact 0 does not divide rounding
-    by rounding.
+    by rounding.  At m = 0 the one row's mean is its exact sum, 0, as
+    Pi_0 = 1: the float sum over rounded d_k and moments read up to
+    8.9e-16, and rel_diff up to 1.1e-4.
     """
     if not metric.is_fubini_study:
         raise ValueError("closed-form first variation requires the Fubini-Study background")
@@ -741,6 +788,10 @@ def first_variation(metric: RadialMetric, phi: RadialProfile, m: int,
             moment *= (m - j + k) / (m + 1 + k)
         mean += (m * c - d) * moment
         size += abs(m * c - d) * moment
+    if m == 0:
+        # the one row's moments are 1/(k+1), so its mean is -sum_k d_k / (k+1); summed
+        # exactly over d_k = (k+1)^2 c_{k+1} - k (k+1) c_k, it telescopes to 0
+        mean[0] = 0.0
     m_phi = m * phi.value_p(p)
     lin = float(tau @ (m_phi - mean))
     den = max(abs(formula), abs(lin), tol * float(tau @ (abs(m_phi) + size)))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -76,6 +77,22 @@ _N_THETA_MAX = 1024
 # tol 1e-13 and 1e-14).
 _FLOOR_ULPS = 1000
 _STALL_SPLITS = 32
+# _rules keeps the nodes of up to _NODE_CACHE_SIZE edges tuples of at most
+# _NODE_CACHE_PANELS panels: 128 x 16 x 32 floats, 512 KiB at most.  A tyz_sweep
+# pass of the benchmark calls f on 47 or 48 distinct tuples, a cp1_quad pass on 4
+_NODE_CACHE_SIZE = 128
+_NODE_CACHE_PANELS = 16
+
+
+@lru_cache(maxsize=_NODE_CACHE_SIZE)
+def _panel_nodes(edges: tuple):
+    """The K31 nodes of the panels between edges, increasing, and the panels'
+    half-widths: both read-only, built once per edges tuple."""
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi)[:, None] + half[:, None] * _X).ravel()
+    x.flags.writeable = half.flags.writeable = False
+    return x, half
 
 
 def _rules(f, edges):
@@ -89,9 +106,10 @@ def _rules(f, edges):
     error estimate is |K31 - G15|, and at least _ROUNDING_ULPS ulps of its
     mass.
     """
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-    half = 0.5 * (hi - lo)
-    vals = f((0.5 * (lo + hi)[:, None] + half[:, None] * _X).ravel())
+    edges = tuple(edges)
+    cached = len(edges) <= _NODE_CACHE_PANELS + 1
+    x, half = (_panel_nodes if cached else _panel_nodes.__wrapped__)(edges)
+    vals = f(x)
     banded = isinstance(vals, tuple)
     if banded:
         k, start, vals = vals
@@ -151,7 +169,9 @@ def integrate_interval(
     depending on the other nodes of the call; each panel's values are
     then what a call on its own nodes gives, bit for bit.  A banded f
     (below) is called on one panel at a time, since a call's row window
-    is the hull of its nodes' windows.
+    is the hull of its nodes' windows.  The node array f receives is
+    shared, read-only: the same edges give the same array on every call
+    and pass.  f must not write into it (numpy raises ValueError).
 
     f may instead return shape (k, len(x)): k >= 0 integrands sharing one
     set of panels.  The result is then a (k,) array, and splitting goes on
@@ -236,9 +256,12 @@ def integrate_interval(
         return np.maximum(rtol * np.abs(total), floor)
 
     first = len(sums)  # initial panels in the first call
-    roots = list(zip(edges, edges[1:], [start] * first, sums)) + panels(edges[first:], group)
-    for root in roots:
+    # their sums in one reduction, in panel order as a loop adds them: a sum may pair them
+    add((None, None, start, np.add.accumulate(sums)[-1]))
+    rest = panels(edges[first:], group)
+    for root in rest:
         add(root)
+    roots = list(zip(edges, edges[1:], [start] * first, sums)) + rest
 
     def priority(panel):
         _, _, start, sums = panel

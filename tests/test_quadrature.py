@@ -411,6 +411,58 @@ class TestSchedule:
         assert got == pytest.approx(integrate_interval(self.two_rows, 0.0, 1.0, rtol=1e-12),
                                     rel=2e-12)
 
+    def test_first_call_adds_its_panels_in_order(self, splits):
+        # the first call's panels enter the totals in one reduction, bit for bit
+        # the running sum of its panel sums in panel order: 20 panels of one row
+        # are past the 8 terms from which a numpy sum pairs them
+        def f(x):  # on these panels, a numpy sum of its panel sums rounds otherwise
+            return np.cos(7.0 * x)[None]
+
+        edges = tuple(np.linspace(0.0, 1.0, 21))
+        _, _, _, sums = quadrature._rules(f, edges)
+        want = 0.0
+        for panel in sums:
+            want += panel[0, 0]
+        assert sums.sum(axis=0)[0, 0] != want
+        got = integrate_interval(f, 0.0, 1.0, rtol=1e-10, edges=edges, rows=1)
+        assert len(splits) == 0 and got[0] == want
+
+    def test_nodes_are_shared_and_read_only(self):
+        # f receives one read-only node array per edges tuple, on every call: a
+        # write into it raises ValueError and leaves the nodes of later calls intact
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return np.exp(x)
+
+        want = integrate_interval(f, 0.0, 1.0)
+        integrate_interval(f, 0.0, 1.0)
+        assert seen[0] is seen[1] and not seen[0].flags.writeable
+        nodes = seen[0].copy()
+
+        def writer(x):
+            x *= 2.0
+            return np.exp(x)
+
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_interval(writer, 0.0, 1.0)
+        assert seen[0].tobytes() == nodes.tobytes()
+        assert integrate_interval(f, 0.0, 1.0) == want
+
+    def test_node_cache_is_bounded(self):
+        # at most _NODE_CACHE_SIZE tuples of at most _NODE_CACHE_PANELS panels each
+        # (32 floats a panel, its nodes and half-width): 512 KiB; a longer
+        # tuple's nodes are built for the call and not kept
+        cache, panels = quadrature._panel_nodes, quadrature._NODE_CACHE_PANELS
+        assert cache.cache_info().maxsize * panels * 32 * 8 <= 2**19
+        cache.cache_clear()
+        for n in (panels, panels + 1):
+            got = integrate_interval(lambda x: np.exp(x)[None], 0.0, 1.0,
+                                     edges=tuple(np.linspace(0.0, 1.0, n + 1)), rows=1)
+            assert got[0] == pytest.approx(math.e - 1.0, rel=1e-14)
+        assert cache.cache_info().currsize == 1
+
     @pytest.mark.parametrize("f, rows, match", [
         (two_rows, 3, r"rows = 3 was stated, but f gives an integral of shape \(2,\)"),
         (two_rows, 1, r"shape \(2,\)"),
@@ -484,13 +536,17 @@ class TestSchedule:
         # holds one panel: one for each initial panel, 2 a split.  The
         # partition has P panels; Fubini-Study's pass keeps rows 0 .. m//2 and
         # the first kept panels, up to the first edge past row m//2's upper
-        # support.  At m = 1060 and 5000 and tol 1e-12 they need no split at all
+        # support, the support the pass itself found at its cut.  At m = 1060
+        # and 5000 and tol 1e-12 they need no split at all
+        supports, found = density._Rows.supports, []
+        monkeypatch.setattr(density._Rows, "supports",
+                            lambda self, cut: found.append(supports(self, cut)) or found[-1])
         sizes, banded, edges = self.section_pass(monkeypatch, m, 1e-12)
         assert all(banded)
         full = np.array(density._graded_edges(m))
         assert P == int(math.sqrt(m) / 1.5) and len(full) == P + 1
         assert len(edges) == kept + 1 and np.array_equal(edges, full[:kept + 1])
-        upper = density._Rows(RadialMetric.fubini_study(), m, True).supports()[1]
+        [(_, upper)] = found
         assert edges[-2] < upper[-1] <= edges[-1]
         # uniform in theta, x = sin^2(theta), on the 2^-24 grid
         theta = np.arcsin(np.sqrt(full))
