@@ -264,10 +264,13 @@ def _density_csv_samples(path, at_s: float):
                 raise ValueError(f"unexpected column {col!r}")
             ms.append(int(col[len("Pi_m"):]))
         best = None
-        for line in fh:
+        for number, line in enumerate(fh, 2):
             if not line.strip():
                 continue
             cells = [float(c) for c in line.strip().split(",")]
+            if len(cells) != len(header):  # zip would fit the m values the row has
+                raise ValueError(f"density CSV line {number} has {len(cells)} cells, "
+                                 f"its header {len(header)}")
             if math.isnan(cells[0]):  # its gap would compare false both ways
                 raise ValueError("density CSV has a row with s = nan")
             gap = 0.0 if cells[0] == at_s else abs(cells[0] - at_s)

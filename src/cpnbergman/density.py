@@ -532,7 +532,7 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     QuadratureError naming m, tol, the rows a half pass covered and the
     rows of _DOMAIN for the metric's family.
     """
-    return _section_norms(metric, m, tol)[0]
+    return _section_norms(metric, m, tol, ())[0]
 
 
 @lru_cache(maxsize=64)
@@ -554,13 +554,13 @@ def _integer_m(m) -> int:
     return int(m)
 
 
-def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
+def _section_norms(metric: RadialMetric, m: int, tol: float, at):
     """section_norms, and each integrand row over its integral at the points p in at.
 
-    The second is an (m+1, len(at)) array, or None if at is None: row j at
-    x = 1 - p, or for a chart-symmetric metric, whose pass integrates rows
-    0 .. m//2 only, row j > m//2 as row m - j at x = p, p itself rather than
-    1 - (1 - p).  A dense pass evaluates the rows' logs (_Rows.log_values)
+    The second is an (m+1, len(at)) array, (m+1, 0) for section_norms' at = ():
+    row j at x = 1 - p, or for a chart-symmetric metric, whose pass integrates
+    rows 0 .. m//2 only, row j > m//2 as row m - j at x = p, p itself rather
+    than 1 - (1 - p).  A dense pass evaluates the rows' logs (_Rows.log_values)
     at those points in its first integrand call and shifts them once the
     totals are known, the arithmetic of _Rows.values after the pass, bit
     for bit, in one call fewer; a banded pass evaluates them after the
@@ -579,9 +579,8 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
     lift = slope * slope * xs * ps / (2 * max(m, 1))
     offset = log_v_star + lift
     offset = offset if offset.any() else None  # None: every row's offset is 0, as for Fubini-Study
-    if at is not None:
-        at = np.asarray(at, dtype=float)
-        points = np.concatenate([1.0 - at, at]) if half else 1.0 - at
+    at = np.asarray(at, dtype=float)
+    points = np.concatenate([1.0 - at, at]) if half else 1.0 - at
 
     held = []  # the rows' logs at the points, from the first call of a dense pass
     edges = _graded_edges(m)
@@ -599,7 +598,7 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
             return kept, j0, rows.values(x, offset, slice(j0, j1))
     else:
         def integrand(x):
-            if at is None or held:
+            if held:
                 return rows.values(x, offset)
             logs = rows.log_values(np.concatenate([x, points]))
             held.append(logs[:, len(x):].copy())
@@ -623,17 +622,14 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at=None):
     log_total = np.log(total)[:, None]
     shift = log_v_star - m * metric.profile.value_p(ps) + lift
     logn = (rows.peak + shift + log_total).ravel()
-    terms = None
-    if at is not None:
-        with np.errstate(divide="ignore"):
-            terms = held[0] if held else rows.log_values(points)
-        terms -= log_total if offset is None else offset + log_total
-        np.exp(terms, out=terms)
+    with np.errstate(divide="ignore"):
+        terms = held[0] if held else rows.log_values(points)
+    terms -= log_total if offset is None else offset + log_total
+    np.exp(terms, out=terms)
     if half:  # N_j = N_{m-j}: rows kept .. m are rows m - kept .. 0
         mirrored = m + 1 - kept
         logn = np.concatenate([logn, logn[:mirrored][::-1]])
-        if at is not None:
-            terms = np.concatenate([terms[:, :len(at)], terms[:mirrored, len(at):][::-1]])
+        terms = np.concatenate([terms[:, :len(at)], terms[:mirrored, len(at):][::-1]])
     return logn, terms
 
 

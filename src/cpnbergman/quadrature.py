@@ -64,17 +64,20 @@ _ROUNDING_ULPS = 2.0
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 # the panel budget of one pass
 _MAX_PANELS = 4096
-# the row x node values of one call of a dense f on initial panels: as many
-# panels as fit, and at least two, as a split evaluates
+# the row x node values of one call on the initial panels of an f whose rows
+# are stated: as many panels as fit, and at least two, as a split evaluates
 _MAX_CALL_VALUES = 2**14
 # cp1_integral's angular steps per radial node: (64, 128), (128, 256), ... up to 1024 points
 _N_THETA = 64
 _N_THETA_MAX = 1024
-# Stall test of integrate_interval.  Converging section-norm passes halve
-# their worst error/bound ratio at least every 5 splits; passes whose tol
-# is below the rounding level stall with error estimates of 60 to 930
-# ulps of their totals (eigenfunction bumps 0.1-0.45, m = 5000 to 20000,
-# tol 1e-13 and 1e-14).
+# Stall test of integrate_interval.  Passes whose tol is below the rounding
+# level stall with error estimates of 60 to 930 ulps of their totals
+# (eigenfunction bumps 0.1-0.45, m = 5000 to 20000, tol 1e-13 and 1e-14).
+# Converging passes too can spend long runs at that floor without halving
+# their worst error/bound ratio (tol 1e-14: eigenfunction bump 0.45 at
+# m = 1000, up to 35 of its 54 splits in a row; phi1-poly 0, 0.05, -0.02 at
+# m = 10000, up to 50 of 55).  Tracking only from split _STALL_SPLITS on
+# lets them converge; tracked from split 21 on, both would fail.
 _FLOOR_ULPS = 1000
 _STALL_SPLITS = 32
 # _rules keeps the nodes of up to _NODE_CACHE_SIZE edges tuples of at most
@@ -159,19 +162,17 @@ def integrate_interval(
     Dyadic edges keep every panel's midpoint and half-width exact, as
     bisection's are; a rounded one moves the rule off its panel.
 
-    f is called in panel order: the initial panels in as few calls as
-    _MAX_CALL_VALUES row x node values allow (at least two panels a call),
-    then once per split on its two halves (62 nodes).  Unless rows states
-    that f is dense with that many rows (returns shape (rows, len(x))), the
-    first initial panel goes alone, to show whether f is banded and how
-    many rows it has; a first return of another shape then raises
-    ValueError.  So f must be pointwise in x, its value at a node not
-    depending on the other nodes of the call; each panel's values are
-    then what a call on its own nodes gives, bit for bit.  A banded f
-    (below) is called on one panel at a time, since a call's row window
-    is the hull of its nodes' windows.  The node array f receives is
-    shared, read-only: the same edges give the same array on every call
-    and pass.  f must not write into it (numpy raises ValueError).
+    edges and rows alone fix the calls of f, in panel order: one per
+    initial panel, or, if rows states that f is dense with that many rows
+    (returns shape (rows, len(x))), as many initial panels a call as
+    _MAX_CALL_VALUES row x node values allow, at least two; then one per
+    split, on both its halves (62 nodes).  A first return of another
+    shape than rows states raises ValueError.  f must be pointwise in x,
+    its value at a node not depending on the other nodes of the call;
+    each panel's values are then what a call on its own nodes gives, bit
+    for bit.  The node array f receives is shared, read-only: the same
+    edges give the same array on every call and pass.  f must not write
+    into it (numpy raises ValueError).
 
     f may instead return shape (k, len(x)): k >= 0 integrands sharing one
     set of panels.  The result is then a (k,) array, and splitting goes on
@@ -189,10 +190,11 @@ def integrate_interval(
     that each matter only near their own peak, and the integrand must
     certify what it leaves out: a row below a cut on every node gives a
     rule value below the panel width times that cut (section_norms is
-    such an integrand, and states its cut).  Each panel carries its
-    nodes' row window; its error estimate and its share of the totals are
-    added into the dense (k,) vectors on that window alone.  Panels,
-    priorities and the result are as for the shape (k, len(x)) form.
+    such an integrand, and states its cut).  Each panel carries its call's
+    row window, for a split's halves the hull of theirs; its error estimate
+    and its share of the totals are added into the dense (k,) vectors on
+    that window alone.  Panels, priorities and the result are as for the
+    shape (k, len(x)) form.
 
     After the initial step and after each split, one array of
     error/bound ratios over all k components decides whether to split
@@ -221,17 +223,13 @@ def integrate_interval(
     elif edges[0] != a or edges[-1] != b or any(not hi > lo for lo, hi in zip(edges, edges[1:])):
         raise ValueError("edges must increase from a to b")
 
-    def fit(k):  # dense initial panels per call: as many as the budget allows, at least two
-        return max(2, _MAX_CALL_VALUES // (len(_X) * max(k, 1)))
-
-    # the first panel alone shows whether f is banded and its rows, unless rows states them
-    banded, shape, start, sums = _rules(f, edges[:2 if rows is None else fit(rows) + 1])
+    # initial panels per call: one, or as many of the stated rows as the budget allows
+    group = 1 if rows is None else max(2, _MAX_CALL_VALUES // (len(_X) * max(rows, 1)))
+    banded, shape, start, sums = _rules(f, edges[:group + 1])
     if rows is not None and (banded or shape != (rows,)):
         raise ValueError(f"rows = {rows} was stated, but f "
                          + ("is banded" if banded else f"gives an integral of shape {shape}"))
     k = shape[0] if shape else 1
-    # panels per call of f: on a split, and on the initial panels
-    step, group = (1, 1) if banded else (2, fit(k))
 
     def panels(edges, group):
         # (lo, hi, start, sums) of each panel between edges, sums as _rules gives them
@@ -292,7 +290,7 @@ def integrate_interval(
             raise fail("quadrature budget exhausted")
         parent = heapq.heappop(heap)[1:]
         lo, hi = parent[:2]
-        children = panels((lo, 0.5 * (lo + hi), hi), step)
+        children = panels((lo, 0.5 * (lo + hi), hi), 2)
         add(parent, np.subtract)
         for child in children:
             add(child)

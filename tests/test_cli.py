@@ -154,6 +154,20 @@ class TestDensityAndFit:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ValueError" and "s = nan" in error["message"]
 
+    @pytest.mark.parametrize("row", ["0.5,11.0,21.0", "0.5,11.0,21.0,31.0,41.0"],
+                             ids=["short", "long"])
+    def test_fit_ragged_row_exit_2(self, tmp_path, capsys, row):
+        # a row with fewer or more cells than its header once fitted the m
+        # values it had in common with it (K = 1 on two samples) and exited 0
+        csv_path = tmp_path / "dens.csv"
+        csv_path.write_text(f"s,Pi_m10,Pi_m20,Pi_m30\n0.0,1.0,2.0,3.0\n{row}\n")
+        message = f"line 3 has {row.count(',') + 1} cells, its header 4"
+        with pytest.raises(ValueError, match=message):
+            _density_csv_samples(csv_path, 0.5)
+        assert main(["fit", "--samples", str(csv_path), "--at-s", "0.5", "--K", "1"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError" and message in error["message"]
+
     def test_fit_m_0_sample_exit_2(self, tmp_path, capsys):
         # m = 0 is in the density's domain, but a fit over it once raised
         # ZeroDivisionError and exited 1 with a traceback

@@ -986,7 +986,7 @@ class TestGradedStart:
     @staticmethod
     def schedules(monkeypatch, met, m, tol, one_panel=False, stated=True):
         """T_j, integrand calls and density values of a pass: from its own start
-        or one panel [0, 1], with its row count stated or the first panel alone."""
+        or one panel [0, 1], with its row count stated or one initial panel a call."""
         quad, out = quadrature.integrate_interval, []
 
         def spy(f, a, b, edges, rows, **kwargs):
@@ -1033,7 +1033,7 @@ class TestGradedStart:
     def test_stated_rows_match_first_panel_alone(self, monkeypatch, name, m):
         # the same panels in fewer calls: only the BLAS products that sum a
         # call's rules group their rows by call, so T_j and the density move
-        # by at most 4 ulps against the first panel evaluated alone
+        # by at most 4 ulps against each initial panel evaluated alone
         met = RadialMetric(BANDED_METRICS[name])
         alone_total, alone_calls, alone = self.schedules(monkeypatch, met, m, 1e-12, stated=False)
         total, calls, values = self.schedules(monkeypatch, met, m, 1e-12)
@@ -1070,13 +1070,15 @@ class TestGridInTheFirstCall:
                 return f(x)
 
             totals.append(quad(g, *args, **kwargs))
+            # a call past the first goes through _Rows.values, which shows the offset
+            f(np.array([0.5]))
             return totals[-1]
 
         monkeypatch.setattr(density_module._Rows, "values", spy_values)
         monkeypatch.setattr(density_module, "integrate_interval", spy)
-        logn, none = density_module._section_norms(met, m, 1e-12)
-        assert none is None
-        rows, offset = seen[0]
+        logn, empty = density_module._section_norms(met, m, 1e-12, ())
+        assert empty.shape == (m + 1, 0)
+        rows, offset = seen[-1]
         # offset None: every row's offset is 0 (Fubini-Study), and values subtracts none
         assert (offset is None) == met.is_fubini_study
         with np.errstate(divide="ignore"):

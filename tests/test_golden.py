@@ -181,6 +181,7 @@ each on the grid 0, 0.3, 1, 4, 1000.
 
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,16 @@ CASES = {
         "fit", "--samples", str(GOLDEN / "fit_samples_m10-30_exact.csv"),
         "--n", "1", "--K", "2", "--vanishing-tol", "1e-8"],
 }
+
+
+def test_readme_table_counts_the_cases():
+    counts = Counter(args[0] for args in CASES.values())
+    rows = ["| command | cases |", "|---|---|"]
+    rows += [f"| `{command}` | {n} |"
+             for command, n in sorted(counts.items(), key=lambda item: (-item[1], item[0]))]
+    table = "\n".join(rows + [f"| all | {len(CASES)} |"]) + "\n"
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert table in readme, "README's golden-case table should read:\n" + table
 
 
 def _run(args):

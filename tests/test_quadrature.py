@@ -258,10 +258,10 @@ class TestInterval:
 
 
 class TestSchedule:
-    """A dense pass calls f on its initial panels in groups under a row x node
-    budget, the first panel alone unless the caller states f's row count,
-    then on each split's two halves; a banded pass calls f on one panel at
-    a time."""
+    """edges and rows alone fix the calls of f: one per initial panel, or,
+    where the caller states f's row count, groups of initial panels under a
+    row x node budget; then one per split, on both its halves, for dense
+    and banded f alike."""
 
     @pytest.fixture
     def splits(self, monkeypatch):
@@ -308,8 +308,9 @@ class TestSchedule:
         assert sizes == [31, 62] and len(splits) == 1
 
     def test_banded_nonfinite_value_at_a_split_raises(self, splits):
-        # as above, where the split's left half gives a window of two rows
-        # of three, rows 0 and 1
+        # as above, for a banded f whose window is rows 0 and 1 of three on
+        # [0, 1/2]: the split's call holds both halves, and its window, the
+        # hull of theirs, is all three rows
         windows = []
 
         def f(x):
@@ -321,9 +322,9 @@ class TestSchedule:
 
         with pytest.raises(QuadratureError, match=r"^integrand is not finite on \[0, 1\]$"):
             integrate_interval(f, 0.0, 1.0, rtol=1e-12)
-        assert windows == [3, 2, 3] and len(splits) == 1
+        assert windows == [3, 3] and len(splits) == 1
 
-    def partition_pass(self, monkeypatch, budget):
+    def partition_pass(self, monkeypatch, budget, rows=None):
         """Node counts per call, and the total, of a 2-row f from 7 panels."""
         monkeypatch.setattr(quadrature, "_MAX_CALL_VALUES", budget)
         sizes = []
@@ -332,39 +333,41 @@ class TestSchedule:
             sizes.append(x.size)
             return self.two_rows(x)
 
-        return sizes, integrate_interval(f, 0.0, 1.0, rtol=1e-12, edges=np.linspace(0.0, 1.0, 8))
+        return sizes, integrate_interval(f, 0.0, 1.0, rtol=1e-12, edges=np.linspace(0.0, 1.0, 8),
+                                         rows=rows)
 
     def test_dense_pass_from_a_partition(self, splits, monkeypatch):
-        # the initial step evaluates one K31 rule per panel: the first panel
-        # alone, then the other 6 in one call, as 2^14 values hold 264 panels
-        # of 2 rows; then each split's two halves in one call
+        # the initial step evaluates one K31 rule per panel, each in a call of
+        # its own as no rows are stated, though 2^14 values would hold 264
+        # panels of 2 rows; then each split's two halves in one call
         sizes, got = self.partition_pass(monkeypatch, quadrature._MAX_CALL_VALUES)
         assert len(splits) > 0
-        assert sizes == [31, 186] + [62] * len(splits)
+        assert sizes == [31] * 7 + [62] * len(splits)
         assert sum(sizes) == 31 * (7 + 2 * len(splits))
         assert got == pytest.approx(integrate_interval(self.two_rows, 0.0, 1.0, rtol=1e-12),
                                     rel=2e-12)
 
     @pytest.mark.parametrize("budget, initial", [
-        (186, [31, 93, 93]),  # three panels a call
-        (62, [31, 62, 62, 62]),  # one panel's worth: still two a call, as a split
-        (0, [31, 62, 62, 62]),
+        (186, [93, 93, 31]),  # three panels a call
+        (62, [62, 62, 62, 31]),  # one panel's worth: still two a call, as a split
+        (0, [62, 62, 62, 31]),
     ])
     def test_partition_under_a_smaller_budget(self, splits, monkeypatch, budget, initial):
-        # groups of floor(budget / (31 * 2)) panels, and at least two
-        sizes, got = self.partition_pass(monkeypatch, budget)
+        # with rows = 2 stated, groups of floor(budget / (31 * 2)) panels, and at least two
+        full = quadrature._MAX_CALL_VALUES
+        sizes, got = self.partition_pass(monkeypatch, budget, rows=2)
         assert sizes == initial + [62] * len(splits)
         # each panel's values are what a call on its own nodes gives: the
         # grouping moves the totals by no more than the BLAS order of a rule sum
         splits.clear()
-        sizes, want = self.partition_pass(monkeypatch, quadrature._MAX_CALL_VALUES)
+        sizes, want = self.partition_pass(monkeypatch, full, rows=2)
+        assert sizes == [217] + [62] * len(splits)
         assert got == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("m", [38, 100, 375])
     def test_dense_section_norms_keep_to_the_budget(self, monkeypatch, m):
         # no call holds more row x node values than the budget or two panels;
-        # the pass states its rows, so the first call is a full group (it
-        # held the first panel alone while the rows were learnt from it).
+        # the pass states its rows, so the first call is a full group.
         # Fubini-Study is chart-symmetric: its pass keeps rows 0 .. m//2
         sizes, banded, _ = self.section_pass(monkeypatch, m, 1e-12)
         assert not any(banded)
@@ -387,9 +390,8 @@ class TestSchedule:
             assert edges.tolist() == [0.0, 0.5, 1.0]
 
     def test_scalar_first_panel_alone(self, splits):
-        # with no rows stated, the first call shows whether f is banded and
-        # how many rows it has, for a 1-D f as for a vector one (above);
-        # then the other 6 panels in one call
+        # with no rows stated, each initial panel goes in a call of its own,
+        # the first as the other 6, for a 1-D f as for a vector one (above)
         sizes = []
 
         def f(x):
@@ -397,7 +399,7 @@ class TestSchedule:
             return np.exp(x)
 
         integrate_interval(f, 0.0, 1.0, rtol=1e-12, edges=np.linspace(0.0, 1.0, 8))
-        assert sizes == [31, 186] + [62] * len(splits)
+        assert sizes == [31] * 7 + [62] * len(splits)
 
     def test_stated_rows_take_the_first_call(self, splits):
         sizes = []
@@ -532,9 +534,9 @@ class TestSchedule:
 
     @pytest.mark.parametrize("m, P, kept", [(1060, 21, 13), (5000, 47, 26)])
     def test_banded_section_norms(self, splits, monkeypatch, m, P, kept):
-        # a banded rule's row window is that of its own nodes, so each call
-        # holds one panel: one for each initial panel, 2 a split.  The
-        # partition has P panels; Fubini-Study's pass keeps rows 0 .. m//2 and
+        # a banded pass states no rows, so each initial panel goes in a call
+        # of its own, and each split's halves in one call.  The partition
+        # has P panels; Fubini-Study's pass keeps rows 0 .. m//2 and
         # the first kept panels, up to the first edge past row m//2's upper
         # support, the support the pass itself found at its cut.  At m = 1060
         # and 5000 and tol 1e-12 they need no split at all
@@ -553,16 +555,17 @@ class TestSchedule:
         assert np.allclose(np.diff(theta), np.pi / (2 * P), atol=1e-6)
         assert np.array_equal(np.round(full * 2.0**24), full * 2.0**24)
         assert len(splits) == 0
-        assert sizes == [31] * (kept + 2 * len(splits))
+        assert sizes == [31] * kept + [62] * len(splits)
 
     def test_banded_refinement_after_the_partition(self, splits, monkeypatch):
         # at m = 2000 and tol 1e-14 the eigenfunction bump 0.1's 29 panels
-        # need 16 splits (Fubini-Study's half pass needs none there)
+        # need 16 splits (Fubini-Study's half pass needs none there), each one
+        # 62-node call on both its halves
         metric = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
         sizes, banded, edges = self.section_pass(monkeypatch, 2000, 1e-14, metric)
         assert all(banded)
         assert len(edges) == 30 and len(splits) > 0
-        assert sizes == [31] * (29 + 2 * len(splits))
+        assert sizes == [31] * 29 + [62] * len(splits)
 
 
 class TestCP1Integral:
