@@ -537,13 +537,10 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
 
 @lru_cache(maxsize=64)
 def _graded_edges(m: int):
-    """The initial partition of a section-norm pass.  Below m = 38 it is the halves
-    of [0, 1]: where a one-panel start splits at 1/2 they give its totals bit for bit."""
-    if m < 38:
-        return (0.0, 0.5, 1.0)
-    # floor(sqrt(m) / 1.5) panels uniform in theta.  Off the dyadic grid a rounded
-    # midpoint moves a panel's rule by an ulp, about m ulps of an end row's total
-    theta = np.linspace(0.0, 0.5 * np.pi, math.isqrt(4 * m) // 3 + 1)
+    """The initial partition of a section-norm pass: floor(sqrt(m) / 1.5) panels,
+    and at least two, uniform in theta, x = sin^2(theta).  Off the dyadic grid a
+    rounded midpoint moves a panel's rule by an ulp, about m ulps of an end row's total."""
+    theta = np.linspace(0.0, 0.5 * np.pi, max(math.isqrt(4 * m) // 3, 2) + 1)
     return tuple((np.round(np.sin(theta) ** 2 * 2.0**24) / 2.0**24).tolist())
 
 

@@ -113,20 +113,23 @@ def vanishing_report(fit: FitResult, n: int, tol: float) -> VanishingReport:
 
 
 def load_samples_csv(path) -> list:
-    """Read (m, value) rows from a density CSV (header row required)."""
+    """Read (m, value) rows from a CSV of exactly two columns (header row required)."""
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError("samples CSV is empty")
-        if len(header) < 2:
-            raise ValueError("expected at least two columns: m, value")
+        if len(header) != 2:
+            bound = "at least" if len(header) < 2 else "at most"
+            raise ValueError(f"samples CSV line 1 has {len(header)} cells: "
+                             f"expected {bound} two columns: m, value")
         for row in reader:
             if not row:
                 continue
-            if len(row) < 2:
-                raise ValueError("expected two columns per row, got %r" % (row,))
+            if len(row) != 2:
+                raise ValueError(f"samples CSV line {reader.line_num} has {len(row)} cells: "
+                                 f"expected two columns per row, m and value")
             m = Fraction(row[0])
             v = Fraction(row[1]) if "/" in row[1] or "." not in row[1] else float(row[1])
             m = int(m) if m.denominator == 1 else m

@@ -82,7 +82,7 @@ _FLOOR_ULPS = 1000
 _STALL_SPLITS = 32
 # _rules keeps the nodes of up to _NODE_CACHE_SIZE edges tuples of at most
 # _NODE_CACHE_PANELS panels: 128 x 16 x 32 floats, 512 KiB at most.  A tyz_sweep
-# pass of the benchmark calls f on 47 or 48 distinct tuples, a cp1_quad pass on 4
+# pass of the benchmark calls f on 48 distinct tuples, a cp1_quad pass on 5
 _NODE_CACHE_SIZE = 128
 _NODE_CACHE_PANELS = 16
 
@@ -166,7 +166,7 @@ def integrate_interval(
     initial panel, or, if rows states that f is dense with that many rows
     (returns shape (rows, len(x))), as many initial panels a call as
     _MAX_CALL_VALUES row x node values allow, at least two; then one per
-    split, on both its halves (62 nodes).  A first return of another
+    split, on both its halves (62 nodes).  An initial return of another
     shape than rows states raises ValueError.  f must be pointwise in x,
     its value at a node not depending on the other nodes of the call;
     each panel's values are then what a call on its own nodes gives, bit
@@ -200,8 +200,8 @@ def integrate_interval(
     error/bound ratios over all k components decides whether to split
     on, the stall test below and the component a failure names.  Its
     O(k) scan runs once a split, and splits are rare: one pass of each
-    benchmark seed 1-10 makes 11 splits in the 360 passes of tyz_sweep,
-    all at m = 30, and none in the 350 of cp1_quad.
+    benchmark seed 1-10 makes none in the 360 passes of tyz_sweep or the
+    350 of cp1_quad.
 
     When the tolerance sits below the integrand's rounding level,
     splitting no longer lowers the estimate.  So once every component
@@ -225,21 +225,22 @@ def integrate_interval(
 
     # initial panels per call: one, or as many of the stated rows as the budget allows
     group = 1 if rows is None else max(2, _MAX_CALL_VALUES // (len(_X) * max(rows, 1)))
-    banded, shape, start, sums = _rules(f, edges[:group + 1])
+
+    def panels(edges, group):
+        # banded and shape of f's last call, and (lo, hi, start, sums) of each
+        # panel between edges, as _rules gives them
+        out = []
+        for i in range(0, len(edges) - 1, group):
+            part = edges[i:i + group + 1]
+            banded, shape, start, sums = _rules(f, part)
+            out += zip(part, part[1:], [start] * group, sums)
+        return banded, shape, out
+
+    banded, shape, roots = panels(edges, group)
     if rows is not None and (banded or shape != (rows,)):
         raise ValueError(f"rows = {rows} was stated, but f "
                          + ("is banded" if banded else f"gives an integral of shape {shape}"))
     k = shape[0] if shape else 1
-
-    def panels(edges, group):
-        # (lo, hi, start, sums) of each panel between edges, sums as _rules gives them
-        out = []
-        for i in range(0, len(edges) - 1, group):
-            part = edges[i:i + group + 1]
-            _, _, start, sums = _rules(f, part)
-            out += zip(part, part[1:], [start] * group, sums)
-        return out
-
     acc = np.zeros((3, k))  # the total, error estimate and mass of every component
     total, err, mass = acc
 
@@ -248,18 +249,13 @@ def integrate_interval(
         window = acc[:, start:start + sums.shape[1]]
         ufunc(window, sums, out=window)
 
+    for root in roots:
+        add(root)
+
     floor = max(atol, _TINY)
 
     def bound(total):
         return np.maximum(rtol * np.abs(total), floor)
-
-    first = len(sums)  # initial panels in the first call
-    # their sums in one reduction, in panel order as a loop adds them: a sum may pair them
-    add((None, None, start, np.add.accumulate(sums)[-1]))
-    rest = panels(edges[first:], group)
-    for root in rest:
-        add(root)
-    roots = list(zip(edges, edges[1:], [start] * first, sums)) + rest
 
     def priority(panel):
         _, _, start, sums = panel
@@ -290,7 +286,7 @@ def integrate_interval(
             raise fail("quadrature budget exhausted")
         parent = heapq.heappop(heap)[1:]
         lo, hi = parent[:2]
-        children = panels((lo, 0.5 * (lo + hi), hi), 2)
+        children = panels((lo, 0.5 * (lo + hi), hi), 2)[2]
         add(parent, np.subtract)
         for child in children:
             add(child)

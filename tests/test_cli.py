@@ -191,6 +191,17 @@ class TestDensityAndFit:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ValueError" and error["message"] == "samples CSV is empty"
 
+    def test_fit_density_csv_without_at_s_exit_2(self, tmp_path, capsys):
+        # without --at-s the file is read as m, value rows: a density CSV once
+        # exited 0 there, its s column fitted as m
+        csv_path = tmp_path / "dens.csv"
+        assert main(["density", "--m-list", "10,20,30", "--grid", "0.5,1,2",
+                     "--out", str(csv_path)]) == 0
+        capsys.readouterr()
+        assert main(["fit", "--samples", str(csv_path)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError" and "line 1 has 4 cells" in error["message"]
+
     def test_fit_non_finite_sample_exit_2(self, tmp_path, capsys):
         # 1.0e400 reads as inf: the fit once printed NaN, which is not JSON, and exited 0
         csv_path = tmp_path / "samples.csv"

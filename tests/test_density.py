@@ -952,7 +952,8 @@ class TestChartSymmetry:
 
 
 class TestGradedStart:
-    """From m = 38 the pass starts from panels uniform in theta, x = sin^2(theta)."""
+    """Every pass starts from max(floor(sqrt(m) / 1.5), 2) panels uniform in
+    theta, x = sin^2(theta): the halves of [0, 1] up to m = 20."""
 
     @staticmethod
     def run(monkeypatch, met, m, tol, graded):
@@ -968,7 +969,7 @@ class TestGradedStart:
         return totals[0], logn
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-13])
-    @pytest.mark.parametrize("m", [30, 38, 60, 200, 1060, 5000])
+    @pytest.mark.parametrize("m", [21, 30, 37, 38, 60, 200, 1060, 5000])
     @pytest.mark.parametrize("name", ["fs", "eigenfunction-bump-0.1", "rational-bump-0.2",
                                       "phi1-poly"])
     def test_agrees_with_one_panel_start(self, monkeypatch, name, m, tol):
@@ -984,9 +985,9 @@ class TestGradedStart:
         assert np.all(np.abs(logn - one) <= 2 * tol + 2 * np.spacing(np.abs(one)))
 
     @staticmethod
-    def schedules(monkeypatch, met, m, tol, one_panel=False, stated=True):
+    def schedules(monkeypatch, met, m, tol, start=None, stated=True):
         """T_j, integrand calls and density values of a pass: from its own start
-        or one panel [0, 1], with its row count stated or one initial panel a call."""
+        or from the edges start, with its row count stated or one initial panel a call."""
         quad, out = quadrature.integrate_interval, []
 
         def spy(f, a, b, edges, rows, **kwargs):
@@ -996,7 +997,7 @@ class TestGradedStart:
                 calls.append(x.size)
                 return f(x)
 
-            out.append((quad(g, a, b, edges=None if one_panel else edges,
+            out.append((quad(g, a, b, edges=edges if start is None else start,
                              rows=rows if stated else None, **kwargs), calls))
             return out[-1][0]
 
@@ -1006,27 +1007,20 @@ class TestGradedStart:
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-13])
     @pytest.mark.parametrize("name", sorted(BANDED_METRICS))
-    def test_halves_below_m_38(self, monkeypatch, name, tol):
-        # below m = 38 the pass starts from the halves of [0, 1] in one call:
-        # where the one-panel start splits at 1/2 they are its panels, and its
-        # totals and density bit for bit (the root's K - K is exactly 0);
-        # where one panel settles the pass, both are certified and differ by
-        # rounding (measured at most 5 ulps in T_j and 6 in the density)
+    def test_no_more_calls_than_the_halves(self, monkeypatch, name, tol):
+        # from m = 21 on the start has three or four panels, in one call as the
+        # halves of [0, 1] are.  From the halves, at tol 1e-12 and 1e-13, the
+        # rational bump 0.2 splits at m = 29-37 and 27-37, the eigenfunction
+        # bump 0.1 at 31-37 and 29-37, the phi1-poly at 36-37 and 34-37 and
+        # Fubini-Study at 36-37 at 1e-13; from its own start only the bump
+        # 0.45 splits (m = 34-35 and 30-35), where the halves split at every m
         met = RadialMetric(BANDED_METRICS[name])
-        assert density_module._graded_edges(37) == (0.0, 0.5, 1.0)
-        split = 0
-        for m in range(38):
-            one_total, one_calls, one = self.schedules(monkeypatch, met, m, tol, True, False)
-            total, calls, values = self.schedules(monkeypatch, met, m, tol)
-            assert calls == max(one_calls - 1, 1), m
-            if one_calls > 1:
-                split += 1
-                assert total.tobytes() == one_total.tobytes(), m
-                assert values.tobytes() == one.tobytes(), m
-            else:
-                assert np.all(np.abs(total - one_total) <= 8 * np.spacing(one_total)), m
-                assert np.all(np.abs(values - one) <= 8 * np.spacing(one)), m
-        assert split > 0
+        for m in range(21, 38):
+            _, halves, _ = self.schedules(monkeypatch, met, m, tol, (0.0, 0.5, 1.0))
+            _, calls, _ = self.schedules(monkeypatch, met, m, tol)
+            assert calls <= halves, m
+            if name != "eigenfunction-bump-0.45":
+                assert calls == 1, m
 
     @pytest.mark.parametrize("m", [38, 50, 85, 86, 100, 200, 300, 375])
     @pytest.mark.parametrize("name", sorted(BANDED_METRICS))

@@ -185,3 +185,10 @@ class TestCsvLoading:
         path.write_text("")
         with pytest.raises(ValueError, match="samples CSV is empty"):
             load_samples_csv(path)
+        # a density CSV once passed, its s column read as m, and so did a row's third cell
+        path.write_text("s,Pi_m10,Pi_m20,Pi_m30\n0.5,11.0,21.0,31.0\n")
+        with pytest.raises(ValueError, match="line 1 has 4 cells: expected at most two columns"):
+            load_samples_csv(path)
+        path.write_text("m,value\n10,11.0\n\n10,11.0,99\n")
+        with pytest.raises(ValueError, match="line 4 has 3 cells: expected two columns per row"):
+            load_samples_csv(path)

@@ -177,6 +177,19 @@ the section-norm pass came to take its row cut from tol and the metric's
 range of v, and to drop its no-op array passes: Fubini-Study at m = 1060
 and 1120 (a banded half pass) and the rational bump 0.2 at m = 1060,
 each on the grid 0, 0.3, 1, 4, 1000.
+When section_norms came to start every m from panels uniform in theta,
+max(floor(sqrt(m) / 1.5), 2) of them, the halves of [0, 1] below m = 38
+gone, the five files whose passes run at m = 21 to 37 were regenerated
+after checking these bounds: the three density CSVs moved by at most
+1e-15 relative, the eigenfunction bump 0.1 in 1 of 20 cells (2.3e-16,
+m = 30), the four-term phi1-poly in 5 of 10 (at most 8.0e-16, all at
+m = 30) and the rational bump 0.2 in 9 of 25 (at most 6.0e-16); the
+first-variation file at m = 30 kept formula_value byte for byte,
+fd_value moving by 1.1e-14 relative and rel_diff from 6.84e-14 to
+5.73e-14; fs-check --n 1 kept pass true, its max_density_deviation
+moving from 1.07e-14 to 1.42e-14 and max_norm_rel_error from 1.78e-14
+to 1.69e-14.  The two fit files, which read the eigenfunction-bump CSV
+at s = 0.5, and every other file stayed byte-identical.
 """
 
 import subprocess

@@ -381,12 +381,18 @@ class TestSchedule:
 
     @pytest.mark.parametrize("m", [0, 1, 30, 37, 38, 60, 85])
     def test_dense_initial_step_in_one_call(self, splits, monkeypatch, m):
-        # Fubini-Study settles on its initial panels, the two halves of [0, 1]
-        # below m = 38 and the graded partition from there, all in one call
+        # Fubini-Study settles on its initial panels, all in one call:
+        # max(floor(sqrt(m) / 1.5), 2) uniform in theta, x = sin^2(theta), on
+        # the 2^-24 grid, which up to m = 20 are the two halves of [0, 1]
         sizes, banded, edges = self.section_pass(monkeypatch, m, 1e-12)
         assert not any(banded) and len(splits) == 0
         assert sizes == [31 * (len(edges) - 1)]
-        if m < 38:
+        P = max(math.isqrt(4 * m) // 3, 2)
+        assert len(edges) == P + 1 and edges[0] == 0.0 and edges[-1] == 1.0
+        theta = np.linspace(0.0, 0.5 * np.pi, P + 1)
+        assert np.abs(edges - np.sin(theta) ** 2).max() <= 2.0**-25
+        assert np.array_equal(np.round(edges * 2.0**24), edges * 2.0**24)
+        if m <= 20:
             assert edges.tolist() == [0.0, 0.5, 1.0]
 
     def test_scalar_first_panel_alone(self, splits):
@@ -414,9 +420,9 @@ class TestSchedule:
                                     rel=2e-12)
 
     def test_first_call_adds_its_panels_in_order(self, splits):
-        # the first call's panels enter the totals in one reduction, bit for bit
-        # the running sum of its panel sums in panel order: 20 panels of one row
-        # are past the 8 terms from which a numpy sum pairs them
+        # the first call's panels enter the totals one by one, in panel order,
+        # as every other panel does: 20 panels of one row are past the 8 terms
+        # from which a numpy sum pairs them
         def f(x):  # on these panels, a numpy sum of its panel sums rounds otherwise
             return np.cos(7.0 * x)[None]
 
@@ -525,12 +531,12 @@ class TestSchedule:
                              ids=["eigenfunction-bump-0.1", "rational-bump-0.2", "phi1-poly"])
     def test_perturbed_passes_settle_on_their_initial_panels(self, splits, monkeypatch,
                                                              profile, m):
-        # at tol 1e-12 a perturbed pass splits only where it starts from the
-        # halves of [0, 1], at most twice: measured, rational bump 0.2 splits
-        # twice at m = 29-37, bump 0.1 once at m = 31-37 and the phi1-poly
-        # once at m = 36-37
+        # at tol 1e-12 no perturbed pass splits.  From the halves of [0, 1],
+        # where passes below m = 38 once started, the rational bump 0.2 split
+        # once at m = 29-37, the bump 0.1 at m = 31-37 and the phi1-poly at
+        # m = 36-37
         self.section_pass(monkeypatch, m, 1e-12, RadialMetric(profile))
-        assert len(splits) <= (2 if 29 <= m <= 37 else 0)
+        assert len(splits) == 0
 
     @pytest.mark.parametrize("m, P, kept", [(1060, 21, 13), (5000, 47, 26)])
     def test_banded_section_norms(self, splits, monkeypatch, m, P, kept):
