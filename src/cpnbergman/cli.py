@@ -126,7 +126,10 @@ def _cmd_convert_poly(cfg) -> str:
 def _cmd_variation(cfg) -> str:
     n = _int(cfg, "n")
     J = _int(cfg, "J") if cfg["J"] is not None else n + 4
-    lam = Fraction(str(cfg["lambda"]))
+    try:
+        lam = Fraction(str(cfg["lambda"]))
+    except ZeroDivisionError as err:  # Fraction("1/0")
+        raise ValueError(f"lambda = {cfg['lambda']} has a zero denominator") from err
     series = variation_series_eigen(n, lam, J,
                                     centered=cfg["centered"],
                                     normalized=not cfg["unnormalized"])
@@ -293,6 +296,8 @@ def _cmd_first_variation(cfg) -> str:
 def _cmd_center(cfg) -> str:
     kind = cfg["potential"]
     scale = _float(cfg, "scale")
+    if not math.isfinite(scale):  # the payload prints it, and NaN is not JSON
+        raise ValueError(f"scale must be finite, got {scale}")
     if kind == "zero":
         phi = zero_potential
     elif kind == "eigenbasis-diag":

@@ -255,10 +255,7 @@ class RadialMetric:
         return tuple(c / scale**2 for c in r), tuple(c / scale**4 for c in lap)
 
 
-# The row cut at which _Rows.banding_pays's switch was measured.  A banded pass cuts its
-# rows higher, at _Rows.cut(tol), but the switch keeps this level, so that no pass
-# moves between dense and banded.
-_BANDING_CUT = 1e-30
+_BANDED_FROM_M = 376  # section-norm passes from this m on are banded (section_norms)
 _GEOMETRY_CACHE_M = 1024  # _row_geometry caches the columns of every m below this
 # The stated section-norm domain, one corner per row: family, tol, largest m, the metrics
 # (CLI --metric with --eps or --coeffs) that tests/test_density.py runs there, and oracle.
@@ -431,28 +428,6 @@ class _Rows:
         lower, upper = ends[:, 0], ends[:, 1]
         return np.minimum.accumulate(lower[::-1])[::-1], np.maximum.accumulate(upper)
 
-    def banding_pays(self) -> bool:
-        """Whether a cut at _BANDING_CUT leaves out at least half of the row x node values.
-
-        With L = log(1/_BANDING_CUT) = 69, row j's support is about
-        2 sqrt(2 L x*(1-x*) / (m v*)) wide (its Gaussian width at the cut
-        level), and at least 2 L / (m v*), the width of the exponential peaks
-        of the end rows.  For Fubini-Study the mean width falls below one
-        half from m = 376 on.  Below that the supports and the window lookups
-        cost more than banding saves: forced banding measured 30% slower at
-        m = 100 and 8-13% slower at m = 200, but 10% faster at m = 300.
-        The exponential width alone, at least 2 L / (m v_max), settles small m.
-        A pass cuts its rows higher, at a level derived from its tol (about
-        1e-18, L = 41, at tol 1e-12 and m = 1060), which narrows the supports,
-        but the switch keeps the L it was measured with, so that no pass
-        moves between dense and banded.
-        """
-        if 4.0 * -math.log(_BANDING_CUT) >= max(self.m, 1) * self.v_max:
-            return False
-        drop = -math.log(_BANDING_CUT) / (max(self.m, 1) * self.v_star)
-        width = np.maximum(np.sqrt(8.0 * drop * self.xs * self.ps), 2.0 * drop)
-        return bool(np.mean(np.minimum(width, 1.0)) < 0.5)
-
 
 def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarray:
     """Logs of the squared L^2 norms of the monomial sections 1, z, ..., z^m.
@@ -485,9 +460,14 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     initial panels take one integrand call up to about m = 85 (143 for a
     pass over half the rows, below).
 
-    Where a cut leaves out at least half of the row x node values
-    (_Rows.banding_pays), the pass is banded: a rule evaluates only the
-    rows whose certified support (_Rows.supports) reaches its nodes.  A
+    From m = 376 on (_BANDED_FROM_M) the pass is banded: a rule evaluates
+    only the rows whose certified support (_Rows.supports) reaches its
+    nodes.  Forced banding took 1.05 to 1.66 times the dense pass's time at
+    m = 200, and banded over dense measured 0.77 to 1.07 at m = 376 to 814
+    (eigenfunction bump 0.45, rational bumps 1 and 1.9).  376 is where a
+    rule on the supports' mean width banded Fubini-Study, and that rule
+    banded no metric earlier: on 344 swept metrics it switched between
+    m = 376 and 819, so one threshold bands every pass it banded.  A
     dropped rule value is below the panel width times the cut of its row's
     own scale, so the cut is relative to each row; an absolute one would
     drop rows whose shifted totals are tiny (below 1e-40 for an
@@ -581,7 +561,7 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at):
 
     held = []  # the rows' logs at the points, from the first call of a dense pass
     edges = _graded_edges(m)
-    banded = rows.banding_pays()
+    banded = m >= _BANDED_FROM_M
     if banded:
         lower, upper = rows.supports(rows.cut(tol))
         # past the last row's upper support every row is below the cut: stop at the

@@ -113,17 +113,17 @@ def vanishing_report(fit: FitResult, n: int, tol: float) -> VanishingReport:
 
 
 def load_samples_csv(path) -> list:
-    """Read (m, value) rows from a CSV of exactly two columns (header row required)."""
+    """Read (m, value) rows from a CSV of exactly two columns under the header m,value."""
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError("samples CSV is empty")
-        if len(header) != 2:
-            bound = "at least" if len(header) < 2 else "at most"
-            raise ValueError(f"samples CSV line 1 has {len(header)} cells: "
-                             f"expected {bound} two columns: m, value")
+        if header != ["m", "value"]:
+            hint = " (a density CSV needs --at-s)" if header[:1] == ["s"] else ""
+            raise ValueError(f"samples CSV line 1 is {','.join(header)!r}: "
+                             f"expected the header m,value{hint}")
         for row in reader:
             if not row:
                 continue

@@ -191,16 +191,20 @@ class TestDensityAndFit:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ValueError" and error["message"] == "samples CSV is empty"
 
-    def test_fit_density_csv_without_at_s_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("m_list,header", [("10,20,30", "s,Pi_m10,Pi_m20,Pi_m30"),
+                                               ("10", "s,Pi_m10")])
+    def test_fit_density_csv_without_at_s_exit_2(self, tmp_path, capsys, m_list, header):
         # without --at-s the file is read as m, value rows: a density CSV once
-        # exited 0 there, its s column fitted as m
+        # exited 0 there, its s column fitted as m, and with one m column it still did
         csv_path = tmp_path / "dens.csv"
-        assert main(["density", "--m-list", "10,20,30", "--grid", "0.5,1,2",
+        assert main(["density", "--m-list", m_list, "--grid", "0.5,1,2",
                      "--out", str(csv_path)]) == 0
         capsys.readouterr()
         assert main(["fit", "--samples", str(csv_path)]) == 2
         error = json.loads(capsys.readouterr().out)["error"]
-        assert error["type"] == "ValueError" and "line 1 has 4 cells" in error["message"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == (f"samples CSV line 1 is '{header}': expected the header "
+                                    "m,value (a density CSV needs --at-s)")
 
     def test_fit_non_finite_sample_exit_2(self, tmp_path, capsys):
         # 1.0e400 reads as inf: the fit once printed NaN, which is not JSON, and exited 0
@@ -429,16 +433,27 @@ class TestErrorChannels:
         assert error["type"] == "ValueError"
         assert message in error["message"]
 
-    @pytest.mark.parametrize("potential,message", [("gauge-diag", "matrix must be square and finite"),
-                                                   ("eigenbasis-diag", "scale must be finite")])
-    def test_non_finite_scale_exit_2_with_empty_stderr(self, potential, message):
-        # each once printed numpy's "invalid value" RuntimeWarnings on stderr
-        # before the non-finite Phi was rejected
-        proc = run_cli("center", "--potential", potential, "--scale", "inf")
+    @pytest.mark.parametrize("scale", ["inf", "nan"])
+    @pytest.mark.parametrize("potential", ["zero", "gauge-diag", "eigenbasis-diag"])
+    def test_non_finite_scale_exit_2_with_empty_stderr(self, potential, scale):
+        # the diagonal potentials once printed numpy's "invalid value"
+        # RuntimeWarnings on stderr before the non-finite Phi was rejected, and
+        # the zero potential, which never reads scale, exited 0 with "scale": NaN
+        proc = run_cli("center", "--potential", potential, "--scale", scale)
         assert proc.returncode == 2
         assert proc.stderr == ""
         error = json.loads(proc.stdout)["error"]
-        assert error["type"] == "ValueError" and message in error["message"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == f"scale must be finite, got {scale}"
+
+    def test_lambda_zero_denominator_exit_2(self):
+        # Fraction("1/0") once escaped as a ZeroDivisionError traceback, exit 1
+        proc = run_cli("variation", "--lambda", "1/0")
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == "lambda = 1/0 has a zero denominator"
 
     def test_computation_error_exit_3(self):
         proc = run_cli(

@@ -728,10 +728,10 @@ class TestRowGeometry:
 class TestBandedSectionNorms:
     @staticmethod
     def norms(monkeypatch, met, m, banded):
-        monkeypatch.setattr(density_module._Rows, "banding_pays", lambda self: banded)
+        monkeypatch.setattr(density_module, "_BANDED_FROM_M", 0 if banded else math.inf)
         return section_norms(met, m)
 
-    @pytest.mark.parametrize("m", [20, 60, 200, 1060, 5000])
+    @pytest.mark.parametrize("m", [20, 60, 200, 376, 1060, 5000])
     @pytest.mark.parametrize("name", sorted(BANDED_METRICS))
     def test_banded_equals_dense(self, monkeypatch, name, m):
         met = RadialMetric(BANDED_METRICS[name])
@@ -739,12 +739,26 @@ class TestBandedSectionNorms:
         banded = self.norms(monkeypatch, met, m, True)
         assert np.max(np.abs(banded - dense)) <= 1e-12
 
-    def test_banding_switches_on_with_m(self):
-        # the cut leaves out half of the row x node values from m of about 380
-        for m, expected in ((0, False), (2, False), (200, False), (370, False),
-                            (390, True), (1060, True)):
-            rows = density_module._Rows(RadialMetric.fubini_study(), m)
-            assert rows.banding_pays() is expected
+    SWITCH_METRICS = {**BANDED_METRICS, "rational-bump-1": RadialProfile.rational_bump(1.0)}
+
+    @pytest.mark.parametrize("name", sorted(SWITCH_METRICS))
+    def test_banded_exactly_from_m_376(self, monkeypatch, name):
+        # every metric alike: a dense pass states its row count to the quadrature,
+        # a banded one states none.  A switch on the supports' mean width once kept
+        # the stronger metrics dense up to m = 446 (rational bump 1) and 564
+        # (eigenfunction bump 0.45)
+        met = RadialMetric(self.SWITCH_METRICS[name])
+        quad, stated = density_module.integrate_interval, []
+
+        def spy(f, a, b, rows, **kwargs):
+            stated.append(rows)
+            return quad(f, a, b, rows=rows, **kwargs)
+
+        monkeypatch.setattr(density_module, "integrate_interval", spy)
+        for m in (0, 2, 200, 375, 376, 1060):
+            section_norms(met, m)
+        dense = [m // 2 + 1 if met.is_chart_symmetric else m + 1 for m in (0, 2, 200, 375)]
+        assert stated == dense + [None, None]
 
     def test_cut_is_relative_to_each_row(self, monkeypatch):
         # eigenfunction bump 0.45 at m = 5000: some shifted rows integrate
@@ -784,10 +798,10 @@ class TestBandedSectionNorms:
     @pytest.mark.parametrize("name,m,tol", CUT_CASES,
                              ids=[f"{n}-m{m}-tol{t:g}" for n, m, t in CUT_CASES])
     def test_derived_cut_moves_no_number(self, monkeypatch, name, m, tol):
-        # the pass at its own cut against the same pass cut at 1e-30 (at m = 376 a
-        # perturbed metric's pass is dense, and cuts nothing): its totals agree
-        # bit for bit on every row but the last eight, and there within 4 ulps,
-        # as do the log norms and the densities.  Where a window's row count
+        # the pass at its own cut against the same pass cut at 1e-30 (from m = 376
+        # on every pass is banded): its totals agree bit for bit on every row but
+        # the last eight, and there within 4 ulps, as do the log norms and the
+        # densities.  Where a window's row count
         # changes, BLAS can move the rule sums of the rows in its last, partial tile
         # by an ulp (ROADMAP item 15): measured, one or two end rows by 1 to 3 ulps
         met = RadialMetric(self.CUT_METRICS[name][0])
@@ -813,9 +827,17 @@ class TestBandedSectionNorms:
         assert ulps(logn, logn30) <= 4
         assert ulps(terms.sum(axis=0), terms30.sum(axis=0)) <= 4
 
-    @pytest.mark.parametrize("family,tol,m,name,value,oracle", domain_corners(),
+    # each _DOMAIN corner, and the first banded m of the metrics whose passes were
+    # dense there before every pass from m = 376 on was banded (measured, 0.10 of
+    # the bound for the eigenfunction bumps +-0.45, 0.50 for the rational bump 1)
+    SHARE_CASES = domain_corners() + [
+        ("perturbed metrics", 1e-12, 376, name, value, None)
+        for name, value in (("eigenfunction-bump", "0.45"), ("eigenfunction-bump", "-0.45"),
+                            ("rational-bump", "1"))]
+
+    @pytest.mark.parametrize("family,tol,m,name,value,oracle", SHARE_CASES,
                              ids=[f"{n}-{v or ''}-m{m}-tol{t:g}" for _, t, m, n, v, _ in
-                                  domain_corners()])
+                                  SHARE_CASES])
     def test_dropped_share_at_the_domain_corners(self, family, tol, m, name, value, oracle):
         # the cut leaves out at most cut max_x f_j / T_j of row j's total, at most
         # 1e-3 tol where max_x f_j <= (m + 1) (v_max / v_min) T_j.  For
@@ -851,7 +873,7 @@ class TestBandedSectionNorms:
         assert worst <= bound + 1e-9
         assert math.log(rows.cut(tol)) + worst <= math.log(1e-3 * tol) + 1e-9
 
-    # the cut of a pass to tol, or 1e-30 (tol None), the cut banding_pays was measured with
+    # the cut of a pass to tol, or 1e-30 (tol None), the fixed cut of banded passes before
     CUTS = [(m, tol) for tol in (None, 1e-12, 1e-14) for m in (1060, 5000)]
 
     @pytest.mark.parametrize("m, tol", CUTS,
@@ -922,7 +944,7 @@ class TestChartSymmetry:
     @staticmethod
     def passes(monkeypatch, met, m, banded, tol=1e-12):
         """Log norms and densities of the half pass, then of the full pass (flag off)."""
-        monkeypatch.setattr(density_module._Rows, "banding_pays", lambda self: banded)
+        monkeypatch.setattr(density_module, "_BANDED_FROM_M", 0 if banded else math.inf)
         out = []
         for half in (True, False):
             if not half:
@@ -1068,6 +1090,7 @@ class TestGridInTheFirstCall:
             f(np.array([0.5]))
             return totals[-1]
 
+        monkeypatch.setattr(density_module, "_BANDED_FROM_M", math.inf)  # dense at every m
         monkeypatch.setattr(density_module._Rows, "values", spy_values)
         monkeypatch.setattr(density_module, "integrate_interval", spy)
         logn, empty = density_module._section_norms(met, m, 1e-12, ())
@@ -1084,7 +1107,7 @@ class TestGridInTheFirstCall:
                 assert len(want) == m // 2 + 1
                 want = np.concatenate([want, rows.values(at, shifted)[:m + 1 - len(want)][::-1]])
         fused, terms = density_module._section_norms(met, m, 1e-12, at)
-        assert not rows.banding_pays() and calls[1] == calls[0]
+        assert calls[1] == calls[0]
         assert totals[1].tobytes() == totals[0].tobytes()
         assert fused.tobytes() == logn.tobytes()
         assert terms.shape == (m + 1, len(at)) and terms.tobytes() == want.tobytes()

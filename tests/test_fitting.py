@@ -179,15 +179,22 @@ class TestCsvLoading:
         with pytest.raises(ValueError, match="two columns per row"):
             load_samples_csv(path)
         path.write_text("m\n10\n")
-        with pytest.raises(ValueError, match="at least two columns: m, value"):
+        with pytest.raises(ValueError, match="line 1 is 'm': expected the header m,value$"):
             load_samples_csv(path)
         # an empty file once raised StopIteration
         path.write_text("")
         with pytest.raises(ValueError, match="samples CSV is empty"):
             load_samples_csv(path)
-        # a density CSV once passed, its s column read as m, and so did a row's third cell
-        path.write_text("s,Pi_m10,Pi_m20,Pi_m30\n0.5,11.0,21.0,31.0\n")
-        with pytest.raises(ValueError, match="line 1 has 4 cells: expected at most two columns"):
+        # a density CSV once passed, its s column read as m, with one m column as with
+        # three, and so did a row's third cell
+        for header, row in (("s,Pi_m10,Pi_m20,Pi_m30", "0.5,11.0,21.0,31.0"),
+                            ("s,Pi_m10", "0.5,11.0")):
+            path.write_text(f"{header}\n{row}\n")
+            with pytest.raises(ValueError, match=f"line 1 is '{header}': expected the header "
+                               r"m,value \(a density CSV needs --at-s\)"):
+                load_samples_csv(path)
+        path.write_text("n,value\n10,11.0\n")
+        with pytest.raises(ValueError, match="line 1 is 'n,value': expected the header m,value$"):
             load_samples_csv(path)
         path.write_text("m,value\n10,11.0\n\n10,11.0,99\n")
         with pytest.raises(ValueError, match="line 4 has 3 cells: expected two columns per row"):
