@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -231,28 +231,39 @@ class RadialMetric:
             flipped[0] += c
         return flipped == u
 
-    @cached_property
+    @property
     def _curvature_numerators(self):
-        """p-coefficients of R and L: rho = R / v^3, Delta rho = L / v^6.
+        """R and L of this metric's v (_curvature_numerators_of), computed once
+        for every metric with the same v."""
+        return _curvature_numerators_of(self._v_coeffs)
 
-        With E f = d/dp (p(1-p) f_p), (s f')' = p^2 E f and w = p^2 v give
-        rho = -E(log w) / v and Delta rho = E(rho) / v.  So with
-        N = 2(1-p) v + p(1-p) v', R = N v' - N' v, Q = p(1-p)(R' v - 3 R v')
-        and L = Q' v - 4 Q v'.  Exact in integer coefficient lists: v times
-        2^e, the common denominator of its dyadic coefficients; R and L, of
-        degree 2 and 4 in v, are scaled back by 2^(2e) and 2^(4e), each
-        coefficient in one correctly rounded division.  Built on first use.
-        """
-        v, scale = _dyadic_integers(self._v_coeffs)
 
-        def der(f):
-            return [k * c for k, c in enumerate(f)][1:]
+_CURVATURE_CACHE_SIZE = 64  # _curvature_numerators_of keeps this many v
 
-        n = _int_bilinear([2, -2], v, [0, 1, -1], der(v), 1)  # [0, 1, -1] is p(1-p)
-        r = _int_bilinear(n, der(v), der(n), v, -1)
-        q = _int_bilinear([0, 1, -1], _int_bilinear(der(r), v, r, der(v), -3))
-        lap = _int_bilinear(der(q), v, q, der(v), -4)
-        return tuple(c / scale**2 for c in r), tuple(c / scale**4 for c in lap)
+
+@lru_cache(maxsize=_CURVATURE_CACHE_SIZE)
+def _curvature_numerators_of(v_coeffs: tuple):
+    """p-coefficients of R and L: rho = R / v^3, Delta rho = L / v^6.
+
+    With E f = d/dp (p(1-p) f_p), (s f')' = p^2 E f and w = p^2 v give
+    rho = -E(log w) / v and Delta rho = E(rho) / v.  So with
+    N = 2(1-p) v + p(1-p) v', R = N v' - N' v, Q = p(1-p)(R' v - 3 R v')
+    and L = Q' v - 4 Q v'.  Exact in integer coefficient lists: v times
+    2^e, the common denominator of its dyadic coefficients; R and L, of
+    degree 2 and 4 in v, are scaled back by 2^(2e) and 2^(4e), each
+    coefficient in one correctly rounded division.  Built once per v: equal
+    float coefficients (0.0 and -0.0 alike) give equal integers.
+    """
+    v, scale = _dyadic_integers(v_coeffs)
+
+    def der(f):
+        return [k * c for k, c in enumerate(f)][1:]
+
+    n = _int_bilinear([2, -2], v, [0, 1, -1], der(v), 1)  # [0, 1, -1] is p(1-p)
+    r = _int_bilinear(n, der(v), der(n), v, -1)
+    q = _int_bilinear([0, 1, -1], _int_bilinear(der(r), v, r, der(v), -3))
+    lap = _int_bilinear(der(q), v, q, der(v), -4)
+    return tuple(c / scale**2 for c in r), tuple(c / scale**4 for c in lap)
 
 
 _BANDED_FROM_M = 376  # section-norm passes from this m on are banded (section_norms)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
 from typing import Sequence, Tuple
 
@@ -46,13 +48,48 @@ def _interpolate(xs: list, ys: list) -> list:
     return c
 
 
+_DESIGN_CACHE_SIZE = 32  # _design keeps the designs of this many (ms, n, K)
+_DESIGN_CACHE_VALUES = 128  # and only those of at most this many samples x orders
+
+
+@lru_cache(maxsize=_DESIGN_CACHE_SIZE)
+def _design(ms: tuple, n, K: int):
+    """The fit data of the float sample points ms, read-only: the design
+    m^-k (k = 0..K) over its column scale, that scale, the scaled design's
+    condition number, and for n not None the least-squares model's powers
+    m^(n-k), all in Python float powers (the exact path passes None: its
+    model is in Fractions, where m^n cannot overflow).  fit_expansion caches
+    it while len(ms) (K + 1) is at most _DESIGN_CACHE_VALUES: 32 entries of
+    at most 3 x 128 floats, 96 KiB."""
+    design = np.array([[m ** (-k) for k in range(K + 1)] for m in ms])
+    scale = np.max(np.abs(design), axis=0)
+    scaled = design / scale
+    powers = None if n is None else np.array([[m ** (n - k) for k in range(K + 1)] for m in ms])
+    for a in (scaled, scale, powers):
+        if a is not None:
+            a.flags.writeable = False
+    return scaled, scale, float(np.linalg.cond(scaled)), powers
+
+
+def _shown(m) -> str:
+    # a sample past float range has no float to print: six digits of it in decimal
+    if isinstance(m, Rational):
+        m = (Decimal(int(m.numerator)) / Decimal(int(m.denominator))).normalize()
+    return f"{m:.6g}"
+
+
 def fit_expansion(samples: Sequence[Tuple], n: int, K: int) -> FitResult:
     """Fit a_0..a_K of the large-m model to (m, value) samples.
 
     Ill conditioning is reported through the condition field, never
-    raised; the residual is the exact max deviation over the inputs.
-    A sample m <= 0 (or nan) or a value that is nan or infinite raises
-    ValueError naming the first such sample.
+    raised.  The residual is the max deviation of the model from the
+    inputs: exact on the exact path (K + 1 rational samples), and on the
+    least-squares path in floats, each model value summed over k from
+    float(c_k) float(m)^(n-k).  A sample m <= 0 (or nan), one whose m or
+    m^-K is not a finite float (or on the least-squares path whose m^n is
+    not a finite nonzero one), or a value that is nan or infinite raises
+    ValueError naming the first such sample.  Designs are cached (_design),
+    at most 32 of them, each of at most 128 samples x orders.
     """
     if K < 0:
         raise ValueError(f"fit order K = {K} is negative")
@@ -70,27 +107,38 @@ def fit_expansion(samples: Sequence[Tuple], n: int, K: int) -> FitResult:
         raise InsufficientSamplesError(
             f"need at least {K + 1} samples for order {K}, got {len(pairs)}"
         )
-
     exact = len(pairs) == K + 1 and all(isinstance(x, Rational) for pair in pairs for x in pair)
-    design = np.array([[float(m) ** (-k) for k in range(K + 1)] for m in ms])
-    scale = np.max(np.abs(design), axis=0)
-    condition = float(np.linalg.cond(design / scale))
-
+    fms = []
+    for m in ms:  # the design needs m and m^-K as finite floats, the float model m^n too
+        try:
+            fm = float(m)
+            ok = (math.isfinite(fm) and math.isfinite(fm ** -K)
+                  and (exact or 0.0 < fm ** n < math.inf))
+        except OverflowError:
+            ok = False
+        if not ok:
+            need = "" if exact else f", and m^{n} finite and nonzero"
+            raise ValueError(f"sample m = {_shown(m)} is outside float range: "
+                             f"m and m^-{K} must be finite{need}")
+        fms.append(fm)
+    cached = len(fms) * (K + 1) <= _DESIGN_CACHE_VALUES
+    scaled, scale, condition, powers = (_design if cached else _design.__wrapped__)(
+        tuple(fms), None if exact else n, K)
     if exact:
         xs = [Fraction(1, 1) / Fraction(m) for m, _ in pairs]
         ys = [Fraction(v) / Fraction(m) ** n for m, v in pairs]
         coeffs = tuple(_interpolate(xs, ys))
+        model = [sum(Fraction(c) * Fraction(m) ** (n - k) for k, c in enumerate(coeffs))
+                 for m in ms]
+        residual = float(max(abs(pred - v) for pred, (_, v) in zip(model, pairs)))
     else:
-        y = np.array([float(v) / float(m) ** n for m, v in pairs])
-        sol, *_ = np.linalg.lstsq(design / scale, y, rcond=None)
-        coeffs = tuple(float(c) for c in sol / scale)
-
-    model = [
-        sum(Fraction(c) * Fraction(m) ** (n - k) if exact else float(c) * float(m) ** (n - k)
-            for k, c in enumerate(coeffs))
-        for m, _ in pairs
-    ]
-    residual = float(max(abs(pred - v) for pred, (_, v) in zip(model, pairs)))
+        values = np.array([float(v) for _, v in pairs])
+        sol, *_ = np.linalg.lstsq(scaled, values / powers[:, 0], rcond=None)
+        coeffs = tuple((sol / scale).tolist())
+        # each sample's terms c_k m^(n-k) added one after another from k = 0 up
+        # (np.sum adds them pairwise, which rounds differently)
+        model = np.add.accumulate(powers * coeffs, axis=1)[:, -1]
+        residual = float(np.max(np.abs(model - values)))
     return FitResult(n, K, coeffs, residual, condition)
 
 

@@ -215,6 +215,18 @@ class TestDensityAndFit:
         assert error["type"] == "ValueError"
         assert "sample value must be finite, got inf at m = 10" in error["message"]
 
+    @pytest.mark.parametrize("m, shown", [("1e400", "1e+400"), ("1e-320", "1e-320")])
+    def test_fit_m_past_float_range_exit_2(self, tmp_path, capsys, m, shown):
+        # m reads exactly: 1e400 once exited 1 with an OverflowError traceback at
+        # float(m), and 1e-320 at m ** -1
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text(f"m,value\n{m},2.0\n20,21.0\n30,31.0\n")
+        assert main(["fit", "--samples", str(csv_path), "--K", "1"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == (f"sample m = {shown} is outside float range: "
+                                    "m and m^-1 must be finite, and m^1 finite and nonzero")
+
     def test_density_deterministic(self, tmp_path):
         out = []
         for name in ("a.csv", "b.csv"):

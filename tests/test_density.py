@@ -1328,6 +1328,34 @@ class TestScalarCurvature:
             rep = scalar_curvature(met, sv)
             assert rep.a2 == pytest.approx(rep.lap_rho / 3.0, rel=1e-12, abs=1e-14)
 
+    @pytest.mark.parametrize("name", sorted(BANDED_METRICS))
+    def test_cold_and_warm_cache_agree(self, name):
+        # each run builds its own metric, as a bench or CLI op does; the warm one
+        # reads the numerators the cold one left in the cache
+        cache = density_module._curvature_numerators_of
+        runs = []
+        for warm in (False, True):
+            if not warm:
+                cache.cache_clear()
+            met = RadialMetric(BANDED_METRICS[name])
+            reports = [scalar_curvature(met, s) for s in GRID + [math.inf]]
+            runs.append(([[c.hex() for c in f] for f in met._curvature_numerators],
+                         [(r.rho.hex(), r.lap_rho.hex()) for r in reports]))
+        assert runs[0] == runs[1]
+        assert cache.cache_info().misses == 1 and cache.cache_info().hits > 0
+        # the cached function is the construction itself, called once per v
+        fresh = cache.__wrapped__(RadialMetric(BANDED_METRICS[name])._v_coeffs)
+        assert [[c.hex() for c in f] for f in fresh] == runs[0][0]
+
+    def test_equal_metrics_share_the_numerators(self):
+        density_module._curvature_numerators_of.cache_clear()
+        a = RadialMetric(RadialProfile.rational_bump(0.2))._curvature_numerators
+        assert RadialMetric(RadialProfile.rational_bump(0.2))._curvature_numerators is a
+        assert RadialMetric(RadialProfile.rational_bump(0.3))._curvature_numerators is not a
+        cache = density_module._curvature_numerators_of
+        assert cache.cache_info().maxsize == density_module._CURVATURE_CACHE_SIZE
+        assert cache.cache_info().currsize == 2
+
 
 def _pulled_back_quadrature(phi, m, s):
     """The first-variation integral with the Mobius-pulled-back integrand

@@ -1,7 +1,10 @@
 """Expansion-coefficient fitting and vanishing diagnostics."""
 
 import io
+import math
+import re
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from cpnbergman import (
     InsufficientSamplesError,
     fit_expansion,
+    fitting,
     load_samples_csv,
     vanishing_report,
 )
@@ -27,6 +31,30 @@ def model_samples(coeffs, n, ms):
         v = sum(c * m ** (n - k) for k, c in enumerate(coeffs))
         out.append((m, v))
     return out
+
+
+def per_call_fit(samples, n, K):
+    """fit_expansion's arithmetic with the design built for the call: the
+    cached design, and the residual on arrays, must equal it bit for bit."""
+    pairs = list(samples)
+    exact = len(pairs) == K + 1 and all(isinstance(x, Rational) for p in pairs for x in p)
+    design = np.array([[float(m) ** (-k) for k in range(K + 1)] for m, _ in pairs])
+    scale = np.max(np.abs(design), axis=0)
+    condition = float(np.linalg.cond(design / scale))
+    if exact:
+        return fit_expansion(pairs, n, K).coeffs, condition
+    y = np.array([float(v) / float(m) ** n for m, v in pairs])
+    sol, *_ = np.linalg.lstsq(design / scale, y, rcond=None)
+    coeffs = tuple(float(c) for c in sol / scale)
+    model = [sum(float(c) * float(m) ** (n - k) for k, c in enumerate(coeffs)) for m, _ in pairs]
+    residual = float(max(abs(pred - v) for pred, (_, v) in zip(model, pairs)))
+    return coeffs, residual, condition
+
+
+def bits(fit):
+    # every number of a FitResult, floats in hex, Fractions as they are
+    return [x.hex() if isinstance(x, float) else x
+            for x in (*fit.coeffs, fit.residual, fit.condition)]
 
 
 class TestExactPath:
@@ -130,6 +158,113 @@ class TestValidation:
         samples = [(10, 11.0), (20, value), (30, 31.0)]
         with pytest.raises(ValueError, match=f"sample value must be finite, got {value} at m = 20"):
             fit_expansion(samples, 1, K)
+
+    @pytest.mark.parametrize("m, shown", [("1e400", "1e+400"), ("1e-320", "1e-320")])
+    @pytest.mark.parametrize("rows, tail", [("2\n20,21\n", ""),
+                                            ("2.0\n20,21.0\n30,31.0\n",
+                                             ", and m^1 finite and nonzero")],
+                             ids=["exact", "least-squares"])
+    def test_m_past_float_range_rejected(self, tmp_path, m, shown, rows, tail):
+        # read exactly (1e400 as an int), 1e400 once raised OverflowError at
+        # float(m) and 1e-320 at m ** -1
+        path = tmp_path / "samples.csv"
+        path.write_text(f"m,value\n{m},{rows}")
+        with pytest.raises(ValueError, match=f"sample m = {re.escape(shown)} is outside "
+                           f"float range: m and m\\^-1 must be finite{re.escape(tail)}$"):
+            fit_expansion(load_samples_csv(path), 1, 1)
+
+    @pytest.mark.parametrize("m, n", [(1e200, 2), (1e-120, 3), (math.inf, 1)])
+    def test_float_model_power_past_float_range_rejected(self, m, n):
+        # the least-squares path divides by m^n, which overflowed (OverflowError)
+        # or underflowed to 0 (ZeroDivisionError); an infinite m gave an infinite residual
+        samples = [(m, 1.0), (10.0, 11.0), (20.0, 21.0)]
+        with pytest.raises(ValueError, match=f"sample m = {re.escape(f'{m:.6g}')} is outside "
+                           f"float range: m and m\\^-1 must be finite, and m\\^{n} finite "
+                           "and nonzero$"):
+            fit_expansion(samples, n, 1)
+        if math.isfinite(m):  # the exact path works in Fractions, where m^n is exact
+            exact = [(Fraction(x), Fraction(v)) for x, v in samples[:2]]
+            assert fit_expansion(exact, n, 1).residual == 0
+
+
+class TestDesignCache:
+    """Each (m values, n, K) design is built once, in a bounded cache."""
+
+    LADDER = (20, 25, 30, 40, 50, 60, 100, 200)
+
+    @staticmethod
+    def samples(path, kind):
+        if path == "exact":  # K + 1 = 4 rational samples
+            return [(kind(m), Fraction(m + 1) + Fraction(1, 3 * m)) for m in (20, 25, 30, 40)]
+        return [(kind(m), m + 0.5 + 0.3 / m - 0.07 / m**2) for m in TestDesignCache.LADDER]
+
+    @pytest.mark.parametrize("path, kinds", [("exact", (int, Fraction)),
+                                             ("least-squares", (int, float, Fraction))])
+    def test_cold_and_warm_cache_agree(self, path, kinds):
+        runs = []
+        for kind in kinds:
+            fitting._design.cache_clear()
+            runs += [bits(fit_expansion(self.samples(path, kind), 1, 3)) for _ in range(2)]
+        assert all(run == runs[0] for run in runs)
+        # equal m given as int, float or Fraction share one entry
+        fitting._design.cache_clear()
+        for kind in kinds:
+            fit_expansion(self.samples(path, kind), 1, 3)
+        info = fitting._design.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, len(kinds) - 1)
+
+    @given(ms=st.lists(st.floats(min_value=0.5, max_value=1e4), min_size=2, max_size=12,
+                       unique=True),
+           n=st.integers(min_value=0, max_value=3), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_a_per_call_design(self, ms, n, data):
+        K = data.draw(st.integers(min_value=0, max_value=len(ms) - 1))
+        values = data.draw(st.lists(st.floats(min_value=-1e6, max_value=1e6),
+                                    min_size=len(ms), max_size=len(ms)))
+        samples = list(zip(ms, values))
+        coeffs, *rest = per_call_fit(samples, n, K)
+        assert bits(fit_expansion(samples, n, K)) == [x.hex() for x in (*coeffs, *rest)]
+        exact = [(Fraction(m), Fraction(v)) for m, v in samples[:K + 1]]
+        fit = fit_expansion(exact, n, K)
+        assert (fit.coeffs, fit.condition) == per_call_fit(exact, n, K)
+
+    @pytest.mark.parametrize("N", [8, 10, 12])
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_square_fits_sum_the_model_in_order(self, N, n):
+        # K + 1 = N float samples leave a residual at rounding level, where the
+        # order of the model's sum over k shows in its bits
+        rng = np.random.default_rng(N + 10 * n)
+        ms = np.sort(rng.uniform(0.5, 500.0, size=N)).tolist()
+        for K in (N - 2, N - 1):
+            samples = list(zip(ms, rng.normal(size=N).tolist()))
+            coeffs, *rest = per_call_fit(samples, n, K)
+            assert bits(fit_expansion(samples, n, K)) == [x.hex() for x in (*coeffs, *rest)]
+
+    def test_entries_are_read_only(self):
+        scaled, scale, condition, powers = fitting._design(tuple(map(float, self.LADDER)), 1, 3)
+        assert type(condition) is float
+        for a in (scaled, scale, powers):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        assert fitting._design((20.0, 25.0), None, 1)[3] is None  # the exact path's entry
+
+    def test_footprint_bound(self):
+        # the worst case fills every entry with the largest cached design: three
+        # arrays of _DESIGN_CACHE_VALUES floats (the scale is one row of them)
+        cache, top = fitting._design, fitting._DESIGN_CACHE_VALUES
+        size = cache.cache_info().maxsize
+        assert size == fitting._DESIGN_CACHE_SIZE and size * 3 * top * 8 <= 2**17
+        cache.cache_clear()
+        for i in range(size + 4):
+            fit_expansion([(m + i, 1.0 + 1.0 / m) for m in range(1, top // 4 + 1)], 1, 3)
+        assert cache.cache_info().currsize == size
+        ms = tuple(float(m + size + 3) for m in range(1, top // 4 + 1))
+        assert sum(a.nbytes for a in cache(ms, 1, 3) if isinstance(a, np.ndarray)) <= 3 * top * 8
+        # one more sample x order past the bound is built for the call and not kept
+        misses = cache.cache_info().misses
+        fit_expansion([(m, 1.0 + 1.0 / m) for m in range(1, top + 2)], 1, 0)
+        assert cache.cache_info().misses == misses and cache.cache_info().currsize == size
 
 
 class TestVanishingReport:
