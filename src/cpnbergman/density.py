@@ -365,20 +365,15 @@ class _Rows:
         g += logs[1]
         return g
 
-    def log_values(self, x, rows=slice(None)):
-        """g_j(x) + log v(1 - x), the rows' logs at nodes x before any shift.
+    def values(self, x, offset, rows=slice(None)):
+        """The rows at nodes x, e^{g_j(x) + log v(1 - x) - offset_j}, in place.
 
-        A constant v is 1 (the volume is 1: Fubini-Study, a constant u), and
+        offset None stands for offsets that are all 0, and subtracts nothing;
+        a constant v is 1 (the volume is 1: Fubini-Study, a constant u), and
         adds nothing."""
         out = self.exponent(x, rows)
         if len(self.v) > 1:
             out += np.log(_horner(self.v, 1.0 - x))
-        return out
-
-    def values(self, x, offset, rows=slice(None)):
-        """The rows at nodes x, e^{g_j(x) - offset_j} v(1 - x), in place; offset
-        None stands for offsets that are all 0, and subtracts nothing."""
-        out = self.log_values(x, rows)
         if offset is not None:
             out -= offset[rows]
         return np.exp(out, out=out)
@@ -448,74 +443,53 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     a factor that does not depend on j.  For Fubini-Study (u = 0, v = 1)
     N_j is the Beta value j! (m-j)! / (m+1)!.
 
-    The rows are set up once per pass (_Rows), each centred at its
-    Beta mode x* = j/m, where its exponent g_j is defined, and shifted
-    by log v(p*) plus a second-order estimate of how far the smooth factor
-    lifts the peak.  That shift aims at a maximum near 1 for every row,
-    and the estimate misses strong bumps: at tol 1e-12 the shifted totals
-    of an eigenfunction bump 0.1 lie within 1.7e-4 to 9.1e-2 for
-    m = 200-5000, but those of bump 0.45 span 2.4e-11 to 4.6e11 at
-    m = 1060 and 8.3e-45 to 2.6e59 at m = 5000, and at m = 26000 its
-    rows overflow.  A shift by each row's Laplace mode is ROADMAP item 2.
-    One vector-valued adaptive pass then integrates the rows to
-    relative tolerance tol each, and the constants are added back in log
-    space, where nothing underflows however large m is.  Those log-space
-    terms are up to about m in size, so the returned log N_j also carry
-    their rounding, about m eps absolute beyond tol: against the Kummer
-    form, at most 0.67 m eps, and 28 tol at m = 2000, tol 1e-14, row 500.
+    The rows are set up once per pass (_Rows), each centred at its Beta
+    mode x* = j/m, where its exponent g_j is defined, and shifted by
+    log v(p*) plus a second-order estimate of how far the smooth factor
+    lifts the peak.  That shift aims at a maximum near 1 for every row;
+    it misses strong bumps, whose shifted totals spread further from 1 as
+    m grows, until past the stated domain the rows overflow (a shift by
+    each row's Laplace mode is ROADMAP item 2).  One vector-valued
+    adaptive pass integrates the rows to relative tolerance tol each, and
+    the constants are added back in log space, where nothing underflows
+    however large m is.  Those log-space constants are up to about m in
+    size, so the returned log N_j also carry their rounding, about m eps
+    absolute beyond tol.
 
     Every row peaks with a width of about 1/(2 sqrt(m)) in theta, where
     x = sin^2(theta), so the pass starts from panels uniform in theta
     (_graded_edges), each about 4.8 widths, where one Gauss-Kronrod rule
-    meets the default tol.  A dense pass states its row count, so that its
-    initial panels take one integrand call up to about m = 85 (143 for a
-    pass over half the rows, below).
+    meets the default tol.  A dense pass states its row count, so that
+    its initial panels share as few integrand calls as the quadrature's
+    budget allows.
 
     From m = 376 on (_BANDED_FROM_M) the pass is banded: a rule evaluates
     only the rows whose certified support (_Rows.supports) reaches its
-    nodes.  Forced banding took 1.05 to 1.66 times the dense pass's time at
-    m = 200, and banded over dense measured 0.77 to 1.07 at m = 376 to 814
-    (eigenfunction bump 0.45, rational bumps 1 and 1.9).  376 is where a
-    rule on the supports' mean width banded Fubini-Study, and that rule
-    banded no metric earlier: on 344 swept metrics it switched between
-    m = 376 and 819, so one threshold bands every pass it banded.  A
-    dropped rule value is below the panel width times the cut of its row's
-    own scale, so the cut is relative to each row; an absolute one would
-    drop rows whose shifted totals are tiny (below 1e-40 for an
-    eigenfunction bump 0.45 at m = 5000).  Over [0, 1] the dropped values
-    of row j, f_j, add up to at most cut max_x f_j / T_j of its total T_j.
-    The cut, _Rows.cut(tol), is 1e-3 tol v_min / ((m + 1) v_max), so that
+    nodes.  376 is the first m at which the support-width rule this
+    threshold replaced banded any metric (Fubini-Study), so one threshold
+    bands every pass that rule banded.  A dropped rule value is below the
+    panel width times the cut of its row's own scale, so the cut is
+    relative to each row: an absolute one would drop rows whose shifted
+    totals are tiny.  Over [0, 1] the dropped values of row j, f_j, add
+    up to at most cut max_x f_j / T_j of its total T_j.  The cut,
+    _Rows.cut(tol), is 1e-3 tol v_min / ((m + 1) v_max), so that
     this share is at most 1e-3 tol wherever max_x f_j <= (m + 1) (v_max /
     v_min) T_j.  For Fubini-Study (v = 1) f_j / T_j is a Beta density,
     (m + 1) times a binomial pmf, which is at most 1.  For a perturbed
     metric the bound is not proved: tests/test_density.py checks it on
     the first and last 50 rows, and every (m // 200)-th between, of each
-    metric at each _DOMAIN corner.  The end rows come nearest there, at
-    about (m + 1) v at their pole: 0.5 of the bound for the rational bump
-    1, 0.8 for the eigenfunction bump 0.1, 0.9 for the rational bump 0.2,
-    0.98 for phi1-poly 0, 0.05, -0.02.  Past the bound the share grows
-    only in proportion.  At tol 1e-12 and m = 1060 the
-    cut is about 1e-18, and Fubini-Study's pass evaluates 82,584 row x
-    node values, where a fixed cut at 1e-30 took 105,586.  Against that
-    fixed cut the totals of a pass agree bit for bit but for one to two
-    end rows, by up to 3 ulps: a window with another row count can move a
-    row's BLAS product by an ulp (ROADMAP item 15).
+    metric at each _DOMAIN corner.  Past the bound the share grows only
+    in proportion.
 
     A chart-symmetric metric (RadialMetric.is_chart_symmetric: u(p) =
     u(1-p) exactly, so that s -> 1/s is an isometry; Fubini-Study and the
     rational bumps) has N_j = N_{m-j}.  Its pass integrates rows
     0 .. m//2 only, and a banded one stops at the first initial edge past
-    row m//2's upper support, beyond which the cut drops every kept row:
-    13 of 21 panels at m = 1060.  Rows past m/2 are then read off rows
-    that peak at x <= 1/2, where the nodes hold x to relative rounding,
-    not from nodes near x = 1, which hold 1 - x only to absolute rounding,
-    about m eps relative in x^m: integrated there, Fubini-Study's row m
-    was 1.6e-13 off at m = 10000, tol 1e-13, and at tol 1e-14 the pass
-    stalled at 10 of m = 5000, 5500, ..., 20000 (from m = 9500 on).
-    bergman_density on Fubini-Study and the rational bump 0.2 measured
-    0.51 to 0.70 of the full pass's time from m = 100 to 20000, the same
-    at m = 40, and up to 5% more at m = 20 to 30, where the pass is one
-    integrand call.  Any other metric gets the full pass.
+    row m//2's upper support, beyond which the cut drops every kept row.
+    Rows past m/2 are then read off rows that peak at x <= 1/2, where the
+    nodes hold x to relative rounding, not from nodes near x = 1, which
+    hold 1 - x only to absolute rounding, about m eps relative in x^m.
+    Any other metric gets the full pass.
 
     An m that is not a nonnegative integer (an int or a numpy integer, not
     a bool) or a tol that is not positive and finite raises ValueError.  A
@@ -548,12 +522,14 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at):
     The second is an (m+1, len(at)) array, (m+1, 0) for section_norms' at = ():
     row j at x = 1 - p, or for a chart-symmetric metric, whose pass integrates
     rows 0 .. m//2 only, row j > m//2 as row m - j at x = p, p itself rather
-    than 1 - (1 - p).  A dense pass evaluates the rows' logs (_Rows.log_values)
-    at those points in its first integrand call and shifts them once the
-    totals are known, the arithmetic of _Rows.values after the pass, bit
-    for bit, in one call fewer; a banded pass evaluates them after the
-    pass.  Per call it builds only the metric's columns: v(p*), the slope,
-    lift and offset, the per-row shift whose misses section_norms states.
+    than 1 - (1 - p).  Each term is the shifted row there over its shifted
+    total, one division, so an ulp in a total moves its term by about an
+    ulp.  A dense pass evaluates the rows at those points (_Rows.values) in
+    its first integrand call and keeps those columns, in one call fewer
+    than after the pass and bit for bit the same; a banded pass evaluates
+    them after the pass.  Per call it builds only the metric's columns:
+    v(p*), the slope, lift and offset, the per-row shift whose misses
+    section_norms states.
     """
     m = _integer_m(m)
     if m < 0 or not 0 < tol < math.inf:
@@ -570,7 +546,7 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at):
     at = np.asarray(at, dtype=float)
     points = np.concatenate([1.0 - at, at]) if half else 1.0 - at
 
-    held = []  # the rows' logs at the points, from the first call of a dense pass
+    held = []  # the rows at the points, from the first call of a dense pass
     edges = _graded_edges(m)
     banded = m >= _BANDED_FROM_M
     if banded:
@@ -588,12 +564,9 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at):
         def integrand(x):
             if held:
                 return rows.values(x, offset)
-            logs = rows.log_values(np.concatenate([x, points]))
-            held.append(logs[:, len(x):].copy())
-            if offset is None:
-                return np.exp(logs[:, :len(x)])
-            out = logs[:, :len(x)] - offset
-            return np.exp(out, out=out)
+            out = rows.values(np.concatenate([x, points]), offset)
+            held.append(out[:, len(x):])
+            return out[:, :len(x)]
 
     try:
         # divide: log1p(-1), a power of x or 1-x at a pole among the density's points
@@ -607,13 +580,10 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at):
                               f"stated domain for {family} is {_domain(family)})") from err
     if np.any(total <= 0.0):
         raise PositivityError("section norm came out nonpositive")
-    log_total = np.log(total)[:, None]
     shift = log_v_star - m * metric.profile.value_p(ps) + lift
-    logn = (rows.peak + shift + log_total).ravel()
+    logn = (rows.peak + shift + np.log(total)[:, None]).ravel()
     with np.errstate(divide="ignore"):
-        terms = held[0] if held else rows.log_values(points)
-    terms -= log_total if offset is None else offset + log_total
-    np.exp(terms, out=terms)
+        terms = (held[0] if held else rows.values(points, offset)) / total[:, None]
     if half:  # N_j = N_{m-j}: rows kept .. m are rows m - kept .. 0
         mirrored = m + 1 - kept
         logn = np.concatenate([logn, logn[:mirrored][::-1]])
@@ -710,17 +680,17 @@ def _variation_formula(coeffs, m: int, s: float) -> float:
     integer over scale r_n (a+b)^n, n = len(coeffs), rounded by int / int as by float(Fraction).
     """
     a, b = s.as_integer_ratio()
-    ratios = [c.as_integer_ratio() for c in coeffs]
-    top, scale = len(ratios), max((den for _, den in ratios), default=1)
+    nums, scale = _dyadic_integers(coeffs)
+    top = len(nums)
     r = [math.perm(m + i, i) for i in range(top + 1)]
     moments = [(a + b) ** (top - k) * (r[top] // r[k + 1])
                * sum(math.comb(k, l) ** 2 * math.factorial(l) * r[k - l] * a**l * b ** (k - l)
                      for l in range(k + 1))
                for k in range(top)]
-    integral = sum(num * (scale // den) * ((m + k * (k + 1)) * moments[k]
-                                           - m * b**k * (a + b) ** (top - k) * (r[top] // r[1])
-                                           - (k * k * moments[k - 1] if k else 0))
-                   for k, (num, den) in enumerate(ratios))
+    integral = sum(num * ((m + k * (k + 1)) * moments[k]
+                          - m * b**k * (a + b) ** (top - k) * (r[top] // r[1])
+                          - (k * k * moments[k - 1] if k else 0))
+                   for k, num in enumerate(nums))
     return -((m + 1) ** 2) * integral / (scale * r[top] * (a + b) ** top)
 
 

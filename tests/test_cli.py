@@ -92,6 +92,14 @@ class TestFsCheck:
         payload = json.loads(proc.stdout)
         assert payload["pass"] is True
 
+    def test_cp2_checks_every_index_up_to_m_max(self):
+        # --n 2 once checked m <= 6 only, whatever --m-max said, and printed "m_max": 6
+        proc = run_cli("fs-check", "--n", "2", "--m-max", "9")
+        payload = json.loads(proc.stdout)
+        assert proc.returncode == 0
+        assert payload["m_max"] == 9
+        assert payload["pass"] is True
+
 
 class TestDensityAndFit:
     def test_density_csv_then_fit(self, tmp_path):

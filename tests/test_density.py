@@ -739,6 +739,30 @@ class TestBandedSectionNorms:
         banded = self.norms(monkeypatch, met, m, True)
         assert np.max(np.abs(banded - dense)) <= 1e-12
 
+    @pytest.mark.parametrize("m", [200, 375, 379, 500])
+    @pytest.mark.parametrize("name", sorted(BANDED_METRICS))
+    def test_banded_density_moves_as_its_totals(self, monkeypatch, name, m):
+        # each term is its row over its total, so the densities of the two passes
+        # differ by no more than their totals do, plus the rounding of the two
+        # divisions (2 eps; measured at most 1.0 eps, every third m from 200 to
+        # 518).  Built as
+        # exp(log f - log T), a term moved by up to |log T| ulps of a total:
+        # 3.2 eps past the totals for the eigenfunction bump 0.1 at m = 379
+        met, grid = RadialMetric(BANDED_METRICS[name]), GRID + [1e3, np.inf]
+        quad, totals, values = density_module.integrate_interval, [], []
+
+        def spy(f, *args, **kwargs):
+            totals.append(quad(f, *args, **kwargs))
+            return totals[-1]
+
+        monkeypatch.setattr(density_module, "integrate_interval", spy)
+        for banded in (False, True):
+            monkeypatch.setattr(density_module, "_BANDED_FROM_M", 0 if banded else math.inf)
+            values.append(bergman_density(met, m, grid).values)
+        moved = np.max(np.abs(totals[1] - totals[0]) / totals[0])
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(values[1] - values[0]) <= (moved + 2 * eps) * values[0])
+
     SWITCH_METRICS = {**BANDED_METRICS, "rational-bump-1": RadialProfile.rational_bump(1.0)}
 
     @pytest.mark.parametrize("name", sorted(SWITCH_METRICS))
@@ -1064,11 +1088,10 @@ class TestGridInTheFirstCall:
     @pytest.mark.parametrize("m", [5, 37, 38, 50, 200])
     @pytest.mark.parametrize("name", sorted(BANDED_METRICS))
     def test_terms_equal_a_separate_evaluation(self, monkeypatch, name, m):
-        # the rows at the grid, shifted once the totals are known, are bit for
-        # bit _Rows.values there after the pass; the pass itself is unchanged.
-        # The grid goes in as p: row j is read at x = 1 - p, or for a
-        # chart-symmetric metric, whose pass keeps rows 0 .. m//2, row j > m//2
-        # as row m - j at x = p
+        # each term is bit for bit _Rows.values at the grid, evaluated after the
+        # pass, over the row's total; the pass itself is unchanged.  The grid goes
+        # in as p: row j is read at x = 1 - p, or for a chart-symmetric metric,
+        # whose pass keeps rows 0 .. m//2, row j > m//2 as row m - j at x = p
         met = RadialMetric(BANDED_METRICS[name])
         at = 1.0 / (1.0 + np.array(GRID + [1e3, np.inf]))
         quad, values = density_module.integrate_interval, density_module._Rows.values
@@ -1086,8 +1109,6 @@ class TestGridInTheFirstCall:
                 return f(x)
 
             totals.append(quad(g, *args, **kwargs))
-            # a call past the first goes through _Rows.values, which shows the offset
-            f(np.array([0.5]))
             return totals[-1]
 
         monkeypatch.setattr(density_module, "_BANDED_FROM_M", math.inf)  # dense at every m
@@ -1098,14 +1119,13 @@ class TestGridInTheFirstCall:
         rows, offset = seen[-1]
         # offset None: every row's offset is 0 (Fubini-Study), and values subtracts none
         assert (offset is None) == met.is_fubini_study
+        total = totals[0][:, None]
         with np.errstate(divide="ignore"):
-            shifted = np.log(totals[0])[:, None]
-            if offset is not None:
-                shifted = offset + shifted
-            want = rows.values(1.0 - at, shifted)
+            want = rows.values(1.0 - at, offset) / total
             if met.is_chart_symmetric:
                 assert len(want) == m // 2 + 1
-                want = np.concatenate([want, rows.values(at, shifted)[:m + 1 - len(want)][::-1]])
+                mirrored = (rows.values(at, offset) / total)[:m + 1 - len(want)]
+                want = np.concatenate([want, mirrored[::-1]])
         fused, terms = density_module._section_norms(met, m, 1e-12, at)
         assert calls[1] == calls[0]
         assert totals[1].tobytes() == totals[0].tobytes()
@@ -1115,12 +1135,12 @@ class TestGridInTheFirstCall:
     @pytest.mark.parametrize("m", [5, 50, 200])
     def test_no_separate_grid_evaluation(self, monkeypatch, m):
         # a dense density evaluates the rows once per integrand call, no more
-        log_values, quad = density_module._Rows.log_values, density_module.integrate_interval
+        values, quad = density_module._Rows.values, density_module.integrate_interval
         evaluations, calls = [], []
 
-        def spy_log_values(self, x, rows=slice(None)):
+        def spy_values(self, x, offset, rows=slice(None)):
             evaluations.append(np.size(x))
-            return log_values(self, x, rows)
+            return values(self, x, offset, rows)
 
         def spy(f, *args, **kwargs):
             def g(x):
@@ -1129,7 +1149,7 @@ class TestGridInTheFirstCall:
 
             return quad(g, *args, **kwargs)
 
-        monkeypatch.setattr(density_module._Rows, "log_values", spy_log_values)
+        monkeypatch.setattr(density_module._Rows, "values", spy_values)
         monkeypatch.setattr(density_module, "integrate_interval", spy)
         met = RadialMetric(RadialProfile.eigenfunction_bump(0.1))
         bergman_density(met, m, GRID)

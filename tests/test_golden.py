@@ -190,8 +190,22 @@ fd_value moving by 1.1e-14 relative and rel_diff from 6.84e-14 to
 moving from 1.07e-14 to 1.42e-14 and max_norm_rel_error from 1.78e-14
 to 1.69e-14.  The two fit files, which read the eigenfunction-bump CSV
 at s = 0.5, and every other file stayed byte-identical.
+When each density term came to be its shifted row over its shifted
+total, not exp(log f - offset - log T), the files that read densities
+were regenerated after checking these bounds: the fourteen density
+CSVs moved by at most 2e-15 relative (measured 7.3e-16, Fubini-Study
+at m = 20000, whose poles now read m + 1 exactly; 75 of 138 cells
+moved); the three first-variation files kept formula_value byte for
+byte, fd_value moving by 3.1e-15 and 8.4e-16 relative where the closed
+form is nonzero, and the eigenfunction bump's 4.4e-300, rounding of an
+exact 0, by 2.3e-14; fs-check --n 1 kept pass true and
+max_norm_rel_error byte for byte, its max_density_deviation moving
+from 1.42e-14 to 1.07e-14.  Every log norm stayed byte-identical.  The
+two fit files, which read the eigenfunction-bump CSV at s = 0.5, and
+every other file stayed byte-identical.
 """
 
+import json
 import subprocess
 import sys
 from collections import Counter
@@ -285,6 +299,68 @@ CASES = {
         "--n", "1", "--K", "2", "--vanishing-tol", "1e-8"],
 }
 
+# Console-script failure cases.  name: (args, contents of the file that "{file}" in
+# args names, or None, exit code, error type).  Each exits with its code, its error
+# JSON on stdout naming the error's type, and nothing on stderr.
+FAILURES = {
+    # a non-finite scale
+    "center_scale_inf": (["center", "--potential", "gauge-diag", "--scale", "inf"],
+                         None, 2, "ValueError"),
+    # an infinite tol (it once reported convergence at iteration 0)
+    "center_tol_inf": (["center", "--potential", "eigenbasis-diag", "--tol", "inf"],
+                       None, 2, "ValueError"),
+    # a sample value past float range (read as inf)
+    "fit_inf": (["fit", "--samples", "{file}", "--K", "1"],
+                "m,value\n10,1.0e400\n20,21.0\n30,31.0\n", 2, "ValueError"),
+    # a sample m past float range, read exactly (each once exited 1 with an
+    # OverflowError traceback, at float(m) and at m ** -1)
+    "fit_m_1e400": (["fit", "--samples", "{file}", "--K", "1"],
+                    "m,value\n1e400,2.0\n20,21.0\n30,31.0\n", 2, "ValueError"),
+    "fit_m_1e-320": (["fit", "--samples", "{file}", "--K", "1"],
+                     "m,value\n1e-320,2.0\n20,21.0\n30,31.0\n", 2, "ValueError"),
+    # an empty samples CSV (it once exited 1 with a StopIteration traceback)
+    "fit_empty": (["fit", "--samples", "{file}"], "", 2, "ValueError"),
+    # a density CSV row shorter than its header (it once fitted the m values it had)
+    "fit_ragged": (["fit", "--samples", "{file}", "--at-s", "0.5", "--K", "1"],
+                   "s,Pi_m10,Pi_m20,Pi_m30\n0.5,11.0,21.0\n", 2, "ValueError"),
+    # a density CSV without --at-s (it once exited 0, its s column fitted as m)
+    "fit_wide": (["fit", "--samples", "{file}"],
+                 "s,Pi_m10,Pi_m20,Pi_m30\n0.5,11.0,21.0,31.0\n1,11.5,21.0,31.0\n"
+                 "2,12.0,21.0,31.0\n", 2, "ValueError"),
+    # a one-m density CSV without --at-s (it once exited 0, its s column fitted as m)
+    "fit_one_m": (["fit", "--samples", "{file}"],
+                  "s,Pi_m10\n0.5,11.0\n1,11.5\n2,12.0\n", 2, "ValueError"),
+    # a zero denominator (it once exited 1 with a ZeroDivisionError traceback)
+    "variation_lambda_1_0": (["variation", "--lambda", "1/0"], None, 2, "ValueError"),
+    # a NaN scale for the zero potential, which never reads it (it once exited 0
+    # and printed "scale": NaN, which is not JSON)
+    "center_zero_scale_nan": (["center", "--potential", "zero", "--scale", "nan"],
+                              None, 2, "ValueError"),
+    # section norms past the stated domain (shifted rows overflow)
+    "density_26000": (["density", "--metric", "eigenfunction-bump", "--eps", "0.45",
+                       "--m-list", "26000", "--grid", "0"], None, 3, "QuadratureError"),
+    # the centering solver out of iterations
+    "center_max_iter": (["center", "--potential", "eigenbasis-diag", "--scale", "0.05",
+                         "--max-iter", "1"], None, 4, "NonConvergenceError"),
+}
+
+
+def failure_outcome(command, name, directory):
+    """(exit code, stderr, error type) of FAILURES[name] run as command + args, its
+    "{file}" written under directory; the error type is None unless stdout is an
+    error JSON."""
+    args, text, _, _ = FAILURES[name]
+    path = Path(directory) / f"{name}.csv"
+    if text is not None:
+        path.write_text(text)
+    proc = subprocess.run([*command, *(a.replace("{file}", str(path)) for a in args)],
+                          capture_output=True, timeout=300)
+    try:
+        kind = json.loads(proc.stdout)["error"]["type"]
+    except (ValueError, KeyError, TypeError):
+        kind = None
+    return proc.returncode, proc.stderr, kind
+
 
 def test_readme_table_counts_the_cases():
     counts = Counter(args[0] for args in CASES.values())
@@ -323,3 +399,10 @@ def test_center_damped_trace_out_matches_golden(tmp_path):
     name = "center_eigenbasis-diag_0.05_damping0.25"
     assert stdout == (GOLDEN / f"{name}.json").read_bytes()
     assert trace.read_bytes() == (GOLDEN / f"{name}_trace.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(FAILURES))
+def test_failure_exits_with_its_code_and_type(name, tmp_path):
+    _, _, code, kind = FAILURES[name]
+    outcome = failure_outcome([sys.executable, "-m", "cpnbergman"], name, tmp_path)
+    assert outcome == (code, b"", kind)
