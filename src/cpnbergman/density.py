@@ -58,6 +58,16 @@ def _dyadic_integers(coeffs):
     return [num * (scale // den) for num, den in ratios], scale
 
 
+def _flip(u):
+    """The integer coefficients of u(1 - p) from those of u(p), low degree first."""
+    flipped = [0] * len(u)
+    for c in reversed(u):  # flipped <- flipped (1 - p) + c
+        for i in range(len(u) - 1, 0, -1):
+            flipped[i] -= flipped[i - 1]
+        flipped[0] += c
+    return flipped
+
+
 def _divided_difference(coeffs, p, q):
     """D(p, q) with P(p) - P(q) = (p - q) D(p, q), so D(q, q) = P'(q).
 
@@ -156,14 +166,13 @@ class RadialProfile:
         return tuple(q)
 
     def inverted_chart(self) -> "RadialProfile":
-        """The same function read in the chart s' = 1/s.
-
-        p(1/s') = 1 - p(s'), so coefficients transform by the signed
-        binomial sum.
-        """
-        c = self.coeffs
-        return RadialProfile([(-1) ** j * sum(c[k] * math.comb(k, j) for k in range(j, len(c)))
-                              for j in range(len(c))])
+        """The same function read in the chart s' = 1/s: p(1/s') = 1 - p(s'), so
+        u(1 - p), flipped exactly in integers (_flip) and each coefficient rounded once."""
+        u, scale = _dyadic_integers(self.coeffs)
+        try:
+            return RadialProfile([c / scale for c in _flip(u)])
+        except OverflowError as err:  # int / int past float range
+            raise ValueError(f"inverted chart coefficients overflow: {list(self.coeffs)}") from err
 
     def __repr__(self):
         return f"RadialProfile({list(self.coeffs)!r})"
@@ -216,20 +225,12 @@ class RadialMetric:
         """Whether u(p) = u(1-p) exactly: the chart swap s -> 1/s is then an
         isometry, and the section norms satisfy N_j = N_{m-j}.  p -> 1-p
         turns the top coefficient c_d into (-1)^d c_d, so an odd degree is
-        asymmetric.  An even one is decided in integers, u times the common
-        denominator of its dyadic coefficients against u(1-p) by Horner's
-        rule: the rounding of inverted_chart's float sums can hide an
-        asymmetry of an ulp.
-        """
+        asymmetric.  An even one compares u, in the integers of its common
+        dyadic denominator, with their exact flip (_flip)."""
         if len(self.profile.coeffs) % 2 == 0:
             return self.profile.is_zero  # Fubini-Study, u = 0, has no coefficients
         u, _ = _dyadic_integers(self.profile.coeffs)
-        flipped = [0] * len(u)
-        for c in reversed(u):  # flipped <- flipped (1 - p) + c
-            for i in range(len(u) - 1, 0, -1):
-                flipped[i] -= flipped[i - 1]
-            flipped[0] += c
-        return flipped == u
+        return _flip(u) == u
 
     @property
     def _curvature_numerators(self):
@@ -294,8 +295,7 @@ def _row_geometry(m: int):
     """The columns of _Rows that depend on m alone, read-only: j, k, x*, p*,
     -1/x*, 1/p* and the Beta peak j log x* + k log p*, each (m+1, 1).  _Rows
     caches them for m < _GEOMETRY_CACHE_M only: 16 entries of at most 7 x 1024
-    floats, 0.92 MB.  Past that they are 1 to 2% of a pass (0.9 to 2.2% for
-    the standard metrics at m = 1060, the most for Fubini-Study's half pass)."""
+    floats, 0.92 MB.  Past that they are 1 to 2% of a pass."""
     j = np.arange(m + 1, dtype=float)[:, None]
     xs = np.round(j / max(m, 1) * 2.0**53) / 2.0**53
     k, ps = m - j, 1.0 - xs
@@ -368,9 +368,8 @@ class _Rows:
     def values(self, x, offset, rows=slice(None)):
         """The rows at nodes x, e^{g_j(x) + log v(1 - x) - offset_j}, in place.
 
-        offset None stands for offsets that are all 0, and subtracts nothing;
-        a constant v is 1 (the volume is 1: Fubini-Study, a constant u), and
-        adds nothing."""
+        offset None (offsets all 0) subtracts nothing, and a constant v, which is
+        1 (the volume is 1: Fubini-Study, a constant u), adds nothing."""
         out = self.exponent(x, rows)
         if len(self.v) > 1:
             out += np.log(_horner(self.v, 1.0 - x))
@@ -463,17 +462,15 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     its initial panels share as few integrand calls as the quadrature's
     budget allows.
 
-    From m = 376 on (_BANDED_FROM_M) the pass is banded: a rule evaluates
-    only the rows whose certified support (_Rows.supports) reaches its
-    nodes.  376 is the first m at which the support-width rule this
-    threshold replaced banded any metric (Fubini-Study), so one threshold
-    bands every pass that rule banded.  A dropped rule value is below the
-    panel width times the cut of its row's own scale, so the cut is
-    relative to each row: an absolute one would drop rows whose shifted
-    totals are tiny.  Over [0, 1] the dropped values of row j, f_j, add
-    up to at most cut max_x f_j / T_j of its total T_j.  The cut,
-    _Rows.cut(tol), is 1e-3 tol v_min / ((m + 1) v_max), so that
-    this share is at most 1e-3 tol wherever max_x f_j <= (m + 1) (v_max /
+    From m = 376 on (_BANDED_FROM_M, the first m an earlier support-width
+    rule banded) the pass is banded: a rule evaluates only the rows whose
+    certified support (_Rows.supports) reaches its nodes.  A dropped rule
+    value is below the panel width times the cut of its row's own scale,
+    so the cut is relative to each row: an absolute one would drop rows
+    whose shifted totals are tiny.  Over [0, 1] the dropped values of row
+    j, f_j, add up to at most cut max_x f_j / T_j of its total T_j.  The
+    cut, _Rows.cut(tol), is 1e-3 tol v_min / ((m + 1) v_max), so that this
+    share is at most 1e-3 tol wherever max_x f_j <= (m + 1) (v_max /
     v_min) T_j.  For Fubini-Study (v = 1) f_j / T_j is a Beta density,
     (m + 1) times a binomial pmf, which is at most 1.  For a perturbed
     metric the bound is not proved: tests/test_density.py checks it on
@@ -527,9 +524,7 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at):
     ulp.  A dense pass evaluates the rows at those points (_Rows.values) in
     its first integrand call and keeps those columns, in one call fewer
     than after the pass and bit for bit the same; a banded pass evaluates
-    them after the pass.  Per call it builds only the metric's columns:
-    v(p*), the slope, lift and offset, the per-row shift whose misses
-    section_norms states.
+    them after the pass.
     """
     m = _integer_m(m)
     if m < 0 or not 0 < tol < math.inf:
@@ -644,8 +639,8 @@ def scalar_curvature(metric: RadialMetric, s: float) -> CurvatureReport:
     L exact per metric (RadialMetric._curvature_numerators).  Horner on
     p in [0, 1] loses no accuracy as s grows: the domain is every s in
     [0, inf], the pole (p = 0) included; any other s (negative, nan)
-    raises ValueError.  a1 = rho/2 and
-    a2 = (Delta rho)/3; the round metric gives exactly (2, 0, 1, 0).
+    raises ValueError.  a1 = rho/2 and a2 = (Delta rho)/3; the round
+    metric gives exactly (2, 0, 1, 0).
     """
     s = float(s)
     if not 0.0 <= s <= math.inf:
@@ -720,8 +715,7 @@ def first_variation(metric: RadialMetric, phi: RadialProfile, m: int,
     sum_k |m c_k - d_k| E_j[p^k]) (Delta phi = sum_k d_k p^k), the size of
     the terms before they cancel, so an exact 0 does not divide rounding
     by rounding.  At m = 0 the one row's mean is its exact sum, 0, as
-    Pi_0 = 1: the float sum over rounded d_k and moments read up to
-    8.9e-16, and rel_diff up to 1.1e-4.
+    Pi_0 = 1.  A formula, term or gap past float range raises ValueError.
     """
     if not metric.is_fubini_study:
         raise ValueError("closed-form first variation requires the Fubini-Study background")
@@ -732,22 +726,28 @@ def first_variation(metric: RadialMetric, phi: RadialProfile, m: int,
     if not 0.0 <= s < math.inf:
         raise ValueError(f"base point s = {s} is outside [0, inf)")
 
-    formula = _variation_formula(phi.coeffs, m, s)
+    try:
+        formula = _variation_formula(phi.coeffs, m, s)
+    except OverflowError:  # its int / int past float range, raised below
+        formula = math.inf
     tol, p = 1e-12, 1.0 / (1.0 + s)
     tau = _section_norms(metric, m, tol, [p])[1][:, 0]
     j = np.arange(m + 1.0)
     moment, mean, size = np.ones(m + 1), np.zeros(m + 1), np.zeros(m + 1)
-    for k, (c, d) in enumerate(zip(phi.coeffs, phi.fs_laplacian_coeffs())):
-        if k:
-            moment *= (m - j + k) / (m + 1 + k)
-        mean += (m * c - d) * moment
-        size += abs(m * c - d) * moment
-    if m == 0:
-        # the one row's moments are 1/(k+1), so its mean is -sum_k d_k / (k+1); summed
-        # exactly over d_k = (k+1)^2 c_{k+1} - k (k+1) c_k, it telescopes to 0
-        mean[0] = 0.0
-    m_phi = m * phi.value_p(p)
-    lin = float(tau @ (m_phi - mean))
-    den = max(abs(formula), abs(lin), tol * float(tau @ (abs(m_phi) + size)))
+    with np.errstate(over="ignore", invalid="ignore"):  # terms past float range, raised below
+        for k, (c, d) in enumerate(zip(phi.coeffs, phi.fs_laplacian_coeffs())):
+            if k:
+                moment *= (m - j + k) / (m + 1 + k)
+            mean += (m * c - d) * moment
+            size += abs(m * c - d) * moment
+        if m == 0:
+            # the one row's moments are 1/(k+1), so its mean is -sum_k d_k / (k+1); summed
+            # exactly over d_k = (k+1)^2 c_{k+1} - k (k+1) c_k, it telescopes to 0
+            mean[0] = 0.0
+        m_phi = m * phi.value_p(p)
+        lin, floor = float(tau @ (m_phi - mean)), tol * float(tau @ (abs(m_phi) + size))
+    den = max(abs(formula), abs(lin), floor)
     rel = abs(formula - lin) / den if den > 0 else 0.0
+    if not all(map(math.isfinite, (formula, lin, floor, rel))):
+        raise ValueError(f"first variation overflows (phi = {list(phi.coeffs)}, m = {m})")
     return FirstVariationResult(m, s, formula, lin, rel)

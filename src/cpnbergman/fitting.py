@@ -88,7 +88,8 @@ def fit_expansion(samples: Sequence[Tuple], n: int, K: int) -> FitResult:
     float(c_k) float(m)^(n-k).  A sample m <= 0 (or nan), one whose m or
     m^-K is not a finite float (or on the least-squares path whose m^n is
     not a finite nonzero one), or a value that is nan or infinite raises
-    ValueError naming the first such sample.  Designs are cached (_design),
+    ValueError naming the first such sample; so does a least-squares
+    coefficient or residual past float range.  Designs are cached (_design),
     at most 32 of them, each of at most 128 samples x orders.
     """
     if K < 0:
@@ -132,13 +133,21 @@ def fit_expansion(samples: Sequence[Tuple], n: int, K: int) -> FitResult:
                  for m in ms]
         residual = float(max(abs(pred - v) for pred, (_, v) in zip(model, pairs)))
     else:
-        values = np.array([float(v) for _, v in pairs])
-        sol, *_ = np.linalg.lstsq(scaled, values / powers[:, 0], rcond=None)
-        coeffs = tuple((sol / scale).tolist())
+        # in Python floats, which overflow to inf or nan without a RuntimeWarning;
         # each sample's terms c_k m^(n-k) added one after another from k = 0 up
-        # (np.sum adds them pairwise, which rounds differently)
-        model = np.add.accumulate(powers * coeffs, axis=1)[:, -1]
-        residual = float(np.max(np.abs(model - values)))
+        values = [float(v) for _, v in pairs]
+        rhs = [v / p for v, p in zip(values, powers[:, 0].tolist())]
+        sol, *_ = np.linalg.lstsq(scaled, rhs, rcond=None)
+        coeffs = tuple(c / d for c, d in zip(sol.tolist(), scale.tolist()))
+        gaps = []
+        for row, v in zip(powers.tolist(), values):
+            model = 0.0
+            for p, c in zip(row, coeffs):
+                model += p * c
+            gaps.append(abs(model - v))
+        if not all(map(math.isfinite, gaps)):  # so are the coefficients: m^(n-k) > 0 is finite
+            raise ValueError(f"least-squares fit overflows: coefficients {list(coeffs)}")
+        residual = max(gaps)
     return FitResult(n, K, coeffs, residual, condition)
 
 

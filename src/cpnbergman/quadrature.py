@@ -70,14 +70,11 @@ _MAX_CALL_VALUES = 2**14
 # cp1_integral's angular steps per radial node: (64, 128), (128, 256), ... up to 1024 points
 _N_THETA = 64
 _N_THETA_MAX = 1024
-# Stall test of integrate_interval.  Passes whose tol is below the rounding
-# level stall with error estimates of 60 to 930 ulps of their totals
-# (eigenfunction bumps 0.1-0.45, m = 5000 to 20000, tol 1e-13 and 1e-14).
-# Converging passes too can spend long runs at that floor without halving
-# their worst error/bound ratio (tol 1e-14: eigenfunction bump 0.45 at
-# m = 1000, up to 35 of its 54 splits in a row; phi1-poly 0, 0.05, -0.02 at
-# m = 10000, up to 50 of 55).  Tracking only from split _STALL_SPLITS on
-# lets them converge; tracked from split 21 on, both would fail.
+# Stall test of integrate_interval.  A pass whose tol is below the rounding
+# level stalls with error estimates of hundreds of ulps of its totals, within
+# _FLOOR_ULPS.  Converging passes too can spend long runs at that floor without
+# halving their worst error/bound ratio, so the test tracks only from split
+# _STALL_SPLITS on (CHANGES.md has the measured runs).
 _FLOOR_ULPS = 1000
 _STALL_SPLITS = 32
 # _rules keeps the nodes of up to _NODE_CACHE_SIZE edges tuples of at most
@@ -199,9 +196,8 @@ def integrate_interval(
     After the initial step and after each split, one array of
     error/bound ratios over all k components decides whether to split
     on, the stall test below and the component a failure names.  Its
-    O(k) scan runs once a split, and splits are rare: one pass of each
-    benchmark seed 1-10 makes none in the 360 passes of tyz_sweep or the
-    350 of cp1_quad.
+    O(k) scan runs once a split, and splits are rare where the initial
+    panels fit the integrand's features.
 
     When the tolerance sits below the integrand's rounding level,
     splitting no longer lowers the estimate.  So once every component

@@ -933,6 +933,13 @@ class TestBandedSectionNorms:
                 assert np.max(log_row(j, outside)) <= math.log(cut) + scale, j
 
 
+def _fraction_flip(coeffs):
+    """The coefficients of u(1-p) in Fractions, from the float coefficients of u(p)."""
+    c = [Fraction(x) for x in coeffs]
+    return [(-1) ** j * sum(math.comb(k, j) * c[k] for k in range(j, len(c)))
+            for j in range(len(c))]
+
+
 class TestChartSymmetry:
     """RadialMetric.is_chart_symmetric, u(p) = u(1-p) exactly, and the half pass it selects."""
 
@@ -956,14 +963,54 @@ class TestChartSymmetry:
 
     def test_an_ulp_off_symmetric_is_asymmetric(self):
         # c2 = -0.03 is an ulp from 0.02 - 0.05 in floats, the value that makes
-        # 1 + 0.05 q + 0.02 q^2 (q = p(1-p)) symmetric.  The float signed binomial
-        # sums of inverted_chart() round the difference away, the integers do not
+        # 1 + 0.05 q + 0.02 q^2 (q = p(1-p)) symmetric.  The exact flip of
+        # inverted_chart() keeps the ulp (in c1), and the integers reject the profile
         prof = RadialProfile((1.0, 0.05, -0.03, -0.04, 0.02))
         assert 0.02 - 0.05 == np.nextafter(-0.03, -1.0)
-        assert prof.inverted_chart().coeffs == prof.coeffs
+        assert prof.inverted_chart().coeffs == (1.0, np.nextafter(0.05, 0.0)) + prof.coeffs[2:]
         assert not RadialMetric(prof).is_chart_symmetric
         symmetric = RadialProfile((1.0, 0.05, 0.02 - 0.05, -0.04, 0.02))
+        assert symmetric.inverted_chart().coeffs == symmetric.coeffs
         assert RadialMetric(symmetric).is_chart_symmetric
+
+    @given(coeffs=st.lists(st.one_of(
+        st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=-1e3, max_value=-1e-3),
+        st.floats(allow_nan=False, allow_infinity=False)), max_size=8))
+    @example(coeffs=[1.0, 0.05, -0.03, -0.04, 0.02])
+    @example(coeffs=[0.0, 0.0, 1.7e308])  # -2 c2 past float range
+    @example(coeffs=[5e-324, -5e-324, 2.0**-1000])
+    @settings(max_examples=300, deadline=None)
+    def test_inverted_chart_is_the_fraction_flip_rounded_once(self, coeffs):
+        # u(1-p) = sum_j (-1)^j sum_{k >= j} C(k, j) c_k p^j, each sum exact in
+        # Fractions and rounded once; past float range a ValueError
+        try:
+            want = RadialProfile([float(c) for c in _fraction_flip(coeffs)]).coeffs
+        except OverflowError:
+            with pytest.raises(ValueError, match="inverted chart coefficients overflow"):
+                RadialProfile(coeffs).inverted_chart()
+            return
+        got = RadialProfile(coeffs).inverted_chart().coeffs
+        assert [c.hex() for c in got] == [c.hex() for c in want]
+
+    def test_is_chart_symmetric_is_exact_symmetry(self):
+        # u = a0 + a1 q + a2 q^2 + a3 q^3 (q = p(1-p)) in float coefficients of p:
+        # dyadic a_i (exact, so symmetric), random ones (rounded), and each of
+        # those with one coefficient an ulp off
+        rng = np.random.default_rng(48)
+        seen = {True: 0, False: 0}
+        for trial in range(400):
+            dyadic = trial % 2 == 0
+            a = (rng.integers(-16, 17, 4) / 2.0**14 if dyadic
+                 else rng.uniform(-1e-3, 1e-3, 4)).tolist()
+            c = [a[0], a[1], a[2] - a[1], a[3] - 2 * a[2], a[2] - 3 * a[3], 3 * a[3], -a[3]]
+            if trial % 4 >= 2:  # a nonzero coefficient, so that the degree stays
+                i = int(rng.choice(np.flatnonzero(c)))
+                c[i] = float(np.nextafter(c[i], rng.choice([-1.0, 1.0]) * math.inf))
+            prof = RadialProfile(c)
+            exact = _fraction_flip(prof.coeffs) == [Fraction(x) for x in prof.coeffs]
+            assert RadialMetric(prof).is_chart_symmetric == exact, prof
+            seen[exact] += 1
+        assert seen[True] >= 100 and seen[False] >= 100, seen
 
     @staticmethod
     def passes(monkeypatch, met, m, banded, tol=1e-12):
@@ -1463,6 +1510,18 @@ class TestFirstVariation:
         res = first_variation(self.FS, RadialProfile.zero(), 20)
         assert res.formula_value == 0.0
         assert res.fd_value == pytest.approx(0.0, abs=1e-7)
+
+    @pytest.mark.parametrize("coeffs, m", [
+        ((0.0, 1e308, -1e308), 5),  # Delta phi's coefficients overflow
+        ((0.0, 0.0, 1e308), 1000),  # the closed form's int / int overflows
+        ((1e308,), 5),  # m phi overflows
+        ((1e307, -1e307), 100),
+    ])
+    def test_past_float_range_raises(self, coeffs, m):
+        # each once returned nan (with RuntimeWarnings) or raised OverflowError
+        with pytest.raises(ValueError, match=re.escape(
+                f"first variation overflows (phi = {list(coeffs)}, m = {m})")):
+            first_variation(self.FS, RadialProfile(coeffs), m)
 
     def test_level_two_eigenfunction(self):
         # zonal eigenfunction 1 - 6p + 6p^2: exact value 12 m(m+1)/((m+2)(m+3))

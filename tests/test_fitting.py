@@ -186,6 +186,16 @@ class TestValidation:
             exact = [(Fraction(x), Fraction(v)) for x, v in samples[:2]]
             assert fit_expansion(exact, n, 1).residual == 0
 
+    @pytest.mark.parametrize("samples", [
+        [(10.0, 1e308), (20.0, -1e308), (30.0, 1e308), (40.0, -1e308)],
+        [(0.5, 1e308), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)],  # value / m past float range
+    ], ids=["coefficients", "value-over-m"])
+    def test_least_squares_past_float_range_rejected(self, samples):
+        # each once gave infinite or nan coefficients and a nan residual, with
+        # RuntimeWarnings (errors in this suite)
+        with pytest.raises(ValueError, match="least-squares fit overflows: coefficients"):
+            fit_expansion(samples, 1, 2)
+
 
 class TestDesignCache:
     """Each (m values, n, K) design is built once, in a bounded cache."""

@@ -330,6 +330,18 @@ FAILURES = {
     # a one-m density CSV without --at-s (it once exited 0, its s column fitted as m)
     "fit_one_m": (["fit", "--samples", "{file}"],
                   "s,Pi_m10\n0.5,11.0\n1,11.5\n2,12.0\n", 2, "ValueError"),
+    # a least-squares fit past float range (it once exited 0 and printed coefficients
+    # -Infinity and Infinity and "residual": NaN, which is not JSON, with RuntimeWarnings)
+    "fit_lstsq_overflow": (["fit", "--samples", "{file}", "--K", "2"],
+                           "m,value\n10,1e308\n20,-1e308\n30,1e308\n40,-1e308\n",
+                           2, "ValueError"),
+    # a first variation whose Laplacian terms overflow (it once exited 0 and printed NaN)
+    "first_variation_eps_1e308": (["first-variation", "--phi", "rational-bump",
+                                   "--eps", "1e308", "--m", "5"], None, 2, "ValueError"),
+    # a closed form past float range (it once exited 1 with an OverflowError traceback)
+    "first_variation_coeffs_1e308": (["first-variation", "--phi", "phi1-poly",
+                                      "--coeffs", "0,0,1e308", "--m", "1000"],
+                                     None, 2, "ValueError"),
     # a zero denominator (it once exited 1 with a ZeroDivisionError traceback)
     "variation_lambda_1_0": (["variation", "--lambda", "1/0"], None, 2, "ValueError"),
     # a NaN scale for the zero potential, which never reads it (it once exited 0
