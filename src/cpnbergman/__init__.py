@@ -19,8 +19,7 @@ from .density import (CurvatureReport, DensityResult, FirstVariationResult,
                       first_variation, scalar_curvature, section_norms)
 from .errors import (ComputationError, InsufficientSamplesError, NonConvergenceError,
                      PositivityError, QuadratureError, UnsupportedDimensionError)
-from .fitting import (FitResult, VanishingReport, fit_expansion, load_samples_csv,
-                      vanishing_report)
+from .fitting import FitResult, VanishingReport, fit_expansion, vanishing_report
 from .projective import (EigenBasisFunction, chart_lift, eigenfunction_pairing_closed_form,
                          first_eigenbasis, sigma_prime_closed_form)
 from .quadrature import cp1_integral, integrate_interval, monomial_kernel_quadrature

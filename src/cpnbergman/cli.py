@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 computation error,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -27,7 +28,7 @@ from .conversion import (conversion_polynomials, fs_monomial_integral,
                          variation_series_eigen)
 from .density import RadialMetric, RadialProfile, bergman_density, first_variation
 from .errors import ComputationError, NonConvergenceError
-from .fitting import fit_expansion, load_samples_csv, vanishing_report
+from .fitting import fit_expansion, vanishing_report
 from .projective import first_eigenbasis
 from .quadrature import monomial_kernel_quadrature
 from .ratpoly import InverseMSeries
@@ -228,11 +229,8 @@ def _cmd_density(cfg) -> str:
 
 
 def _cmd_fit(cfg) -> str:
-    path = _need(cfg["samples"], "samples")
-    if cfg["at_s"] is not None:
-        samples = _density_csv_samples(path, _float(cfg, "at_s"))
-    else:
-        samples = load_samples_csv(path)
+    at_s = None if cfg["at_s"] is None else _float(cfg, "at_s")
+    samples = _fit_samples(_need(cfg["samples"], "samples"), at_s)
     fit = fit_expansion(samples, _int(cfg, "n"), _int(cfg, "K"))
     payload = {
         "n": fit.n,
@@ -251,39 +249,53 @@ def _cmd_fit(cfg) -> str:
     return _json_payload(payload)
 
 
-def _density_csv_samples(path, at_s: float):
-    """Pull (m, value) pairs for one grid point out of a density CSV.
+def _fit_samples(path, at_s):
+    """The (m, value) pairs fit reads from path: its rows under the header
+    m,value, or for an at_s the row at s = at_s of a density CSV (header
+    s,Pi_m...), where an exact s wins, so at_s = inf selects the s = inf
+    row, and otherwise the closest s within 1e-9.
 
-    An exact match wins, so at_s = inf selects the s = inf row."""
-    if math.isnan(at_s):
+    Both formats skip rows of nothing but commas and whitespace, and every
+    other row must have as many cells as its header.  An m,value row reads
+    m exactly, and its value exactly unless it has a decimal point and no
+    "/"; density CSV cells are floats."""
+    if at_s is not None and math.isnan(at_s):
         raise ValueError("at_s must not be nan")
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "s":
-            raise ValueError("expected a density CSV with header s,Pi_m...")
-        ms = []
-        for col in header[1:]:
-            if not col.startswith("Pi_m"):
-                raise ValueError(f"unexpected column {col!r}")
-            ms.append(int(col[len("Pi_m"):]))
-        best = None
-        for number, line in enumerate(fh, 2):
-            if not line.strip():
-                continue
-            cells = [float(c) for c in line.strip().split(",")]
-            if len(cells) != len(header):  # zip would fit the m values the row has
-                raise ValueError(f"density CSV line {number} has {len(cells)} cells, "
-                                 f"its header {len(header)}")
-            if math.isnan(cells[0]):  # its gap would compare false both ways
-                raise ValueError("density CSV has a row with s = nan")
-            gap = 0.0 if cells[0] == at_s else abs(cells[0] - at_s)
-            if best is None or gap < best[0]:
-                best = (gap, cells)
-    if best is None:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if "".join(row).strip()]
+    if not rows:
+        raise ValueError("samples CSV is empty")
+    (number, header), rows = rows[0], rows[1:]
+    if header != ["m", "value"] if at_s is None else header[0] != "s":
+        want = "m,value" if at_s is None else "s,Pi_m..."
+        hint = " (a density CSV needs --at-s)" if header[0] == "s" else ""
+        raise ValueError(f"samples CSV line {number} is {','.join(header)!r}: "
+                         f"expected the header {want}{hint}")
+    for number, row in rows:
+        if len(row) != len(header):  # zip would fit the m values the row has
+            raise ValueError(f"samples CSV line {number} has {len(row)} cells, "
+                             f"its header {len(header)}")
+    if at_s is None:
+        try:
+            return [(Fraction(m), Fraction(v) if "/" in v or "." not in v else float(v))
+                    for _, (m, v) in rows]
+        except ZeroDivisionError as err:  # Fraction("1/0")
+            raise ValueError(f"samples CSV has a zero denominator: {err}") from err
+    bad = [col for col in header[1:] if not col.startswith("Pi_m")]
+    if bad:
+        raise ValueError(f"unexpected column {bad[0]!r}")
+    cells = [[float(c) for c in row] for _, row in rows]
+    # 0 for an exact match, as abs(inf - inf) is nan; a row at s = nan has gap nan
+    gaps = [0.0 if row[0] == at_s else abs(row[0] - at_s) for row in cells]
+    if any(map(math.isnan, gaps)):  # min would compare it false both ways
+        raise ValueError("density CSV has a row with s = nan")
+    if not gaps:
         raise ValueError("density CSV has no data rows")
-    if best[0] > 1e-9:
-        raise ValueError(f"no grid row at s = {at_s} (closest is {best[1][0]})")
-    return list(zip(ms, best[1][1:]))
+    best = cells[gaps.index(min(gaps))]
+    if min(gaps) > 1e-9:
+        raise ValueError(f"no grid row at s = {at_s} (closest is {best[0]})")
+    return list(zip([int(col[len("Pi_m"):]) for col in header[1:]], best[1:]))
 
 
 def _cmd_first_variation(cfg) -> str:

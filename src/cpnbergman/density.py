@@ -99,7 +99,9 @@ def _extremum_candidates(coeffs) -> np.ndarray:
     d0 / q, q = -(d1 + sign(d1) sqrt(disc)) / 2, or -d1 / (2 d2) twice for a
     complex pair: within rounding of np.roots, without its LAPACK call.
     np.roots gives them where d1^2 or 4 d0 d2 leaves the normal range, and
-    for higher degrees.
+    for higher degrees, whose top coefficients below eps times the largest
+    are dropped first: on [0, 1] they move the derivative by less than its
+    rounding, and np.roots would divide by them.
     """
     deriv = [k * c for k, c in enumerate(coeffs)][1:]
     roots = [] if len(deriv) < 2 else None
@@ -113,6 +115,10 @@ def _extremum_candidates(coeffs) -> np.ndarray:
             q = -0.5 * (d1 + math.copysign(math.sqrt(max(disc, 0.0)), d1))
             roots = [q / d2, d0 / q] if disc >= 0.0 else [-d1 / (2.0 * d2)] * 2
     if roots is None:
+        if len(deriv) > 3:
+            small = np.finfo(float).eps * max(map(abs, deriv))
+            while abs(deriv[-1]) < small:
+                deriv.pop()
         roots = np.roots(deriv[::-1]).real  # np.roots takes the highest degree first
     return np.concatenate(([0.0, 1.0], np.clip(roots, 0.0, 1.0)))
 
@@ -489,8 +495,9 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     Any other metric gets the full pass.
 
     An m that is not a nonnegative integer (an int or a numpy integer, not
-    a bool) or a tol that is not positive and finite raises ValueError.  A
-    pass that cannot certify tol, or whose shifted rows overflow, raises
+    a bool), a tol that is not positive and finite, or a row shift past
+    float range (m times a large constant in u) raises ValueError.  A pass
+    that cannot certify tol, or whose shifted rows overflow, raises
     QuadratureError naming m, tol, the rows a half pass covered and the
     rows of _DOMAIN for the metric's family.
     """
@@ -566,6 +573,10 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at):
     try:
         # divide: log1p(-1), a power of x or 1-x at a pole among the density's points
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            shift = log_v_star - m * metric.profile.value_p(ps) + lift
+            if not np.isfinite(shift).all():
+                raise ValueError(f"section norms at m = {m} leave float range: the rows' "
+                                 "log shifts log v - m u + lift are not all finite")
             total = integrate_interval(integrand, 0.0, edges[-1], rtol=tol, edges=edges,
                                        rows=None if banded else kept)
     except QuadratureError as err:
@@ -575,7 +586,6 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at):
                               f"stated domain for {family} is {_domain(family)})") from err
     if np.any(total <= 0.0):
         raise PositivityError("section norm came out nonpositive")
-    shift = log_v_star - m * metric.profile.value_p(ps) + lift
     logn = (rows.peak + shift + np.log(total)[:, None]).ravel()
     with np.errstate(divide="ignore"):
         terms = (held[0] if held else rows.values(points, offset)) / total[:, None]

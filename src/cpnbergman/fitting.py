@@ -9,7 +9,6 @@ ranges).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -167,28 +166,3 @@ def vanishing_report(fit: FitResult, n: int, tol: float) -> VanishingReport:
         raise ValueError(f"vanishing tol must be positive and finite, got {tol}")
     entries = tuple((k, abs(fit.coeffs[k]) < tol) for k in range(n + 1, fit.K + 1))
     return VanishingReport(entries, fit.residual, float(tol))
-
-
-def load_samples_csv(path) -> list:
-    """Read (m, value) rows from a CSV of exactly two columns under the header m,value."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("samples CSV is empty")
-        if header != ["m", "value"]:
-            hint = " (a density CSV needs --at-s)" if header[:1] == ["s"] else ""
-            raise ValueError(f"samples CSV line 1 is {','.join(header)!r}: "
-                             f"expected the header m,value{hint}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"samples CSV line {reader.line_num} has {len(row)} cells: "
-                                 f"expected two columns per row, m and value")
-            m = Fraction(row[0])
-            v = Fraction(row[1]) if "/" in row[1] or "." not in row[1] else float(row[1])
-            m = int(m) if m.denominator == 1 else m
-            out.append((m, v))
-    return out

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpnbergman import RadialMetric, bergman_density
+from cpnbergman import RadialMetric, bergman_density, fit_expansion
 from cpnbergman.density import _domain
-from cpnbergman.cli import (_COMMANDS, _build_parser, _density_csv_samples, _effective_config,
+from cpnbergman.cli import (_COMMANDS, _build_parser, _effective_config, _fit_samples,
                             _fs_norm_rel_error, _max_abs, main)
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -137,7 +137,7 @@ class TestDensityAndFit:
         rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
         assert rows[2][0] == "inf"
         want = list(zip([20, 30, 40, 50], map(float, rows[2][1:])))
-        assert _density_csv_samples(csv_path, math.inf) == want
+        assert _fit_samples(csv_path, math.inf) == want
         assert main(["fit", "--samples", str(csv_path), "--at-s", "inf", "--K", "2"]) == 0
         assert len(json.loads(capsys.readouterr().out)["coeffs"]) == 3
 
@@ -157,7 +157,7 @@ class TestDensityAndFit:
         csv_path = tmp_path / "dens.csv"
         csv_path.write_text("s,Pi_m10,Pi_m20\nnan,1,2\n0.5,3,4\n")
         with pytest.raises(ValueError, match="s = nan"):
-            _density_csv_samples(csv_path, float(at_s))
+            _fit_samples(csv_path, float(at_s))
         assert main(["fit", "--samples", str(csv_path), "--at-s", at_s, "--K", "1"]) == 2
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ValueError" and "s = nan" in error["message"]
@@ -171,7 +171,7 @@ class TestDensityAndFit:
         csv_path.write_text(f"s,Pi_m10,Pi_m20,Pi_m30\n0.0,1.0,2.0,3.0\n{row}\n")
         message = f"line 3 has {row.count(',') + 1} cells, its header 4"
         with pytest.raises(ValueError, match=message):
-            _density_csv_samples(csv_path, 0.5)
+            _fit_samples(csv_path, 0.5)
         assert main(["fit", "--samples", str(csv_path), "--at-s", "0.5", "--K", "1"]) == 2
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ValueError" and message in error["message"]
@@ -250,6 +250,60 @@ class TestDensityAndFit:
             assert proc.returncode == 0
             out.append(path.read_bytes())
         assert out[0] == out[1]
+
+
+class TestSamplesReader:
+    """_fit_samples, the one reader of fit's m,value files and density CSVs."""
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("m,value\n10,11.0\n\n20,21.0\n30,31.0\n")  # a blank row is skipped
+        samples = _fit_samples(path, None)
+        assert samples == [(10, 11.0), (20, 21.0), (30, 31.0)]
+        fit = fit_expansion(samples, 1, 2)
+        assert fit.coeffs == pytest.approx([1.0, 1.0, 0.0], abs=1e-10)
+
+    def test_rejects_malformed(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("m,value\n10\n")
+        with pytest.raises(ValueError, match="line 2 has 1 cells, its header 2$"):
+            _fit_samples(path, None)
+        path.write_text("m\n10\n")
+        with pytest.raises(ValueError, match="line 1 is 'm': expected the header m,value$"):
+            _fit_samples(path, None)
+        # an empty file once raised StopIteration
+        path.write_text("")
+        with pytest.raises(ValueError, match="samples CSV is empty"):
+            _fit_samples(path, None)
+        # a density CSV once passed, its s column read as m, with one m column as with
+        # three, and so did a row's third cell
+        for header, row in (("s,Pi_m10,Pi_m20,Pi_m30", "0.5,11.0,21.0,31.0"),
+                            ("s,Pi_m10", "0.5,11.0")):
+            path.write_text(f"{header}\n{row}\n")
+            with pytest.raises(ValueError, match=f"line 1 is '{header}': expected the header "
+                               r"m,value \(a density CSV needs --at-s\)"):
+                _fit_samples(path, None)
+        path.write_text("n,value\n10,11.0\n")
+        with pytest.raises(ValueError, match="line 1 is 'n,value': expected the header m,value$"):
+            _fit_samples(path, None)
+        path.write_text("m,value\n10,1/0\n")  # once a ZeroDivisionError
+        with pytest.raises(ValueError, match=r"zero denominator: Fraction\(1, 0\)$"):
+            _fit_samples(path, None)
+        path.write_text("m,value\n10,11.0\n\n10,11.0,99\n")
+        with pytest.raises(ValueError, match="line 4 has 3 cells, its header 2$"):
+            _fit_samples(path, None)
+
+    @pytest.mark.parametrize("header, row, at_s", [("m,value", "10,11.0", None),
+                                                   ("s,Pi_m10", "0.5,11.0", 0.5)],
+                             ids=["m-value", "density"])
+    def test_one_row_rule_for_both_formats(self, tmp_path, header, row, at_s):
+        # a whitespace-only row was an error in m,value files and skipped in density CSVs
+        path = tmp_path / "samples.csv"
+        path.write_bytes(f"{header}\r\n   \r\n{row}\r\n,\t\r\n".encode())
+        assert _fit_samples(path, at_s) == [(10, 11.0)]
+        path.write_text(f"{header}\n\n{row},99\n")
+        with pytest.raises(ValueError, match="samples CSV line 3 has 3 cells, its header 2$"):
+            _fit_samples(path, at_s)
 
 
 class TestFirstVariationCommand:

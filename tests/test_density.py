@@ -200,6 +200,38 @@ class TestRadialProfile:
         got = density_module._extremum_candidates(coeffs)
         assert got.tobytes() == self.np_roots_candidates(coeffs).tobytes()
 
+    @pytest.mark.parametrize("degree", [4, 5, 6])
+    def test_higher_degree_candidates_match_np_roots(self, degree):
+        # np.roots on the whole derivative, bit for bit, wherever its top
+        # coefficient is at least eps times its largest; past that the top
+        # coefficients below it are dropped (a RuntimeWarning is an error
+        # here) and the rest match
+        rng = np.random.default_rng(degree + 30)
+        shape = (3000, degree + 1)
+        coeffs = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        coeffs[:300, -1] *= 1e-30
+        coeffs[300:310, -1] = 5e-324
+        dropped = 0
+        for c in map(tuple, coeffs):
+            deriv = [k * x for k, x in enumerate(c)][1:]
+            small = np.finfo(float).eps * max(map(abs, deriv))
+            top = max(k for k, d in enumerate(deriv) if abs(d) >= small)
+            dropped += top < len(deriv) - 1
+            want = self.np_roots_candidates(c[:top + 2])
+            assert density_module._extremum_candidates(c).tobytes() == want.tobytes(), c
+        assert 310 <= dropped < 400
+
+    def test_negligible_top_coefficient(self):
+        # a subnormal top coefficient once made np.roots overflow (a RuntimeWarning)
+        # and raise LinAlgError: on [0, 1] it moves v by less than its rounding
+        tiny = RadialMetric(RadialProfile((0.0, 1e-3, -1e-3, 0.0, 0.0, 0.0, 5e-324)))
+        plain = RadialMetric(RadialProfile((0.0, 1e-3, -1e-3)))
+        assert tiny._v_range == plain._v_range
+        got = bergman_density(tiny, 20, [0.0, 1.0, math.inf]).values
+        want = bergman_density(plain, 20, [0.0, 1.0, math.inf]).values
+        assert got[:2].tobytes() == want[:2].tobytes()
+        assert got[2] == pytest.approx(want[2], rel=1e-15)
+
     @pytest.mark.parametrize("degree", range(-1, 6))
     def test_horner_from_the_top_matches_horner_from_zero(self, degree):
         # the first step from 0 gives the top coefficient exactly
@@ -354,6 +386,15 @@ class TestSectionNorms:
             section_norms(met, m, tol=tol)
         with pytest.raises(ValueError, match="m >= 0 and tol > 0"):
             bergman_density(met, m, [0.0, 1.0], tol=tol)
+
+    def test_row_shift_past_float_range(self):
+        # m u = 20e308 once overflowed with a RuntimeWarning to log norms of -inf
+        met = RadialMetric(RadialProfile((1e308,)))
+        with pytest.raises(ValueError, match="section norms at m = 20 leave float range"):
+            section_norms(met, 20)
+        with pytest.raises(ValueError, match="section norms at m = 20 leave float range"):
+            bergman_density(met, 20, [0.0, 1.0])
+        assert section_norms(met, 0).tolist() == [0.0]  # 0 u is 0
 
     @pytest.mark.parametrize("m", [20.5, 2.5, 20.0, np.float64(3.0), True, False, "20"])
     def test_non_integral_m(self, m):

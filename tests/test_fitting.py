@@ -15,7 +15,6 @@ from cpnbergman import (
     InsufficientSamplesError,
     fit_expansion,
     fitting,
-    load_samples_csv,
     vanishing_report,
 )
 
@@ -159,19 +158,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"sample value must be finite, got {value} at m = 20"):
             fit_expansion(samples, 1, K)
 
-    @pytest.mark.parametrize("m, shown", [("1e400", "1e+400"), ("1e-320", "1e-320")])
-    @pytest.mark.parametrize("rows, tail", [("2\n20,21\n", ""),
-                                            ("2.0\n20,21.0\n30,31.0\n",
-                                             ", and m^1 finite and nonzero")],
+    @pytest.mark.parametrize("m, shown", [(10**400, "1e+400"),
+                                          (Fraction(1, 10**320), "1e-320")])
+    @pytest.mark.parametrize("samples, tail", [([(2,), (20, 21)], ""),
+                                               ([(2.0,), (20, 21.0), (30, 31.0)],
+                                                ", and m^1 finite and nonzero")],
                              ids=["exact", "least-squares"])
-    def test_m_past_float_range_rejected(self, tmp_path, m, shown, rows, tail):
-        # read exactly (1e400 as an int), 1e400 once raised OverflowError at
-        # float(m) and 1e-320 at m ** -1
-        path = tmp_path / "samples.csv"
-        path.write_text(f"m,value\n{m},{rows}")
+    def test_m_past_float_range_rejected(self, m, shown, samples, tail):
+        # exact m: 1e400 once raised OverflowError at float(m) and 1e-320 at m ** -1
+        samples = [(m, *samples[0])] + samples[1:]
         with pytest.raises(ValueError, match=f"sample m = {re.escape(shown)} is outside "
                            f"float range: m and m\\^-1 must be finite{re.escape(tail)}$"):
-            fit_expansion(load_samples_csv(path), 1, 1)
+            fit_expansion(samples, 1, 1)
 
     @pytest.mark.parametrize("m, n", [(1e200, 2), (1e-120, 3), (math.inf, 1)])
     def test_float_model_power_past_float_range_rejected(self, m, n):
@@ -307,40 +305,3 @@ class TestVanishingReport:
         fit = fit_expansion(model_samples([1, 2], 1, [4, 5]), 1, 1)
         with pytest.raises(ValueError):
             vanishing_report(fit, 1, tol=1e-8)
-
-
-class TestCsvLoading:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "samples.csv"
-        path.write_text("m,value\n10,11.0\n\n20,21.0\n30,31.0\n")  # a blank row is skipped
-        samples = load_samples_csv(path)
-        assert samples == [(10, 11.0), (20, 21.0), (30, 31.0)]
-        fit = fit_expansion(samples, 1, 2)
-        assert fit.coeffs == pytest.approx([1.0, 1.0, 0.0], abs=1e-10)
-
-    def test_rejects_malformed(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("m,value\n10\n")
-        with pytest.raises(ValueError, match="two columns per row"):
-            load_samples_csv(path)
-        path.write_text("m\n10\n")
-        with pytest.raises(ValueError, match="line 1 is 'm': expected the header m,value$"):
-            load_samples_csv(path)
-        # an empty file once raised StopIteration
-        path.write_text("")
-        with pytest.raises(ValueError, match="samples CSV is empty"):
-            load_samples_csv(path)
-        # a density CSV once passed, its s column read as m, with one m column as with
-        # three, and so did a row's third cell
-        for header, row in (("s,Pi_m10,Pi_m20,Pi_m30", "0.5,11.0,21.0,31.0"),
-                            ("s,Pi_m10", "0.5,11.0")):
-            path.write_text(f"{header}\n{row}\n")
-            with pytest.raises(ValueError, match=f"line 1 is '{header}': expected the header "
-                               r"m,value \(a density CSV needs --at-s\)"):
-                load_samples_csv(path)
-        path.write_text("n,value\n10,11.0\n")
-        with pytest.raises(ValueError, match="line 1 is 'n,value': expected the header m,value$"):
-            load_samples_csv(path)
-        path.write_text("m,value\n10,11.0\n\n10,11.0,99\n")
-        with pytest.raises(ValueError, match="line 4 has 3 cells: expected two columns per row"):
-            load_samples_csv(path)

@@ -318,6 +318,9 @@ FAILURES = {
                     "m,value\n1e400,2.0\n20,21.0\n30,31.0\n", 2, "ValueError"),
     "fit_m_1e-320": (["fit", "--samples", "{file}", "--K", "1"],
                      "m,value\n1e-320,2.0\n20,21.0\n30,31.0\n", 2, "ValueError"),
+    # a sample with a zero denominator (it once exited 1 with a ZeroDivisionError traceback)
+    "fit_zero_denominator": (["fit", "--samples", "{file}", "--K", "1"],
+                             "m,value\n10,1/0\n20,21\n", 2, "ValueError"),
     # an empty samples CSV (it once exited 1 with a StopIteration traceback)
     "fit_empty": (["fit", "--samples", "{file}"], "", 2, "ValueError"),
     # a density CSV row shorter than its header (it once fitted the m values it had)
@@ -348,6 +351,10 @@ FAILURES = {
     # and printed "scale": NaN, which is not JSON)
     "center_zero_scale_nan": (["center", "--potential", "zero", "--scale", "nan"],
                               None, 2, "ValueError"),
+    # a row shift m u past float range (it once exited 0 with a RuntimeWarning, its
+    # log norms -inf)
+    "density_shift_overflow": (["density", "--metric", "phi1-poly", "--coeffs", "1e308",
+                                "--m-list", "20", "--grid", "0,1"], None, 2, "ValueError"),
     # section norms past the stated domain (shifted rows overflow)
     "density_26000": (["density", "--metric", "eigenfunction-bump", "--eps", "0.45",
                        "--m-list", "26000", "--grid", "0"], None, 3, "QuadratureError"),
