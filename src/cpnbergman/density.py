@@ -9,6 +9,7 @@ Laplacian needs no differencing.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -88,39 +89,39 @@ def _divided_difference(coeffs, p, q):
     return d
 
 
-def _extremum_candidates(coeffs) -> np.ndarray:
-    """Points of [0, 1] among which a polynomial in p attains its extrema.
+_RANGE_BITS = 52  # _v_range_of encloses each extremum of v to 2^-52 of its size
+_RANGE_DEPTH = 64  # halvings of [0, 1] after which a v not yet shown positive is rejected
 
-    0, 1, and the real parts of the derivative's roots, clipped to [0, 1];
-    real parts of complex roots are kept so that a double critical point
-    split by rounding into a conjugate pair is not lost.  A constant
-    derivative has no root, and a linear one d0 + d1 p has -d0 / d1: what
-    np.roots returns for them, bit for bit.  A quadratic one has q / d2 and
-    d0 / q, q = -(d1 + sign(d1) sqrt(disc)) / 2, or -d1 / (2 d2) twice for a
-    complex pair: within rounding of np.roots, without its LAPACK call.
-    np.roots gives them where d1^2 or 4 d0 d2 leaves the normal range, and
-    for higher degrees, whose top coefficients below eps times the largest
-    are dropped first: on [0, 1] they move the derivative by less than its
-    rounding, and np.roots would divide by them.
+
+def _least(b):
+    """Bounds on the least value over [0, 1] of the polynomial with integer Bernstein
+    coefficients b: (lower, (upper, level, k)), upper its value at p = k / 2^level.
+
+    b is a multiple of 2^(d _RANGE_DEPTH), so that every halving down to that depth
+    (de Casteljau at 1/2) is exact.  A piece's values lie between its least and
+    largest coefficient, and its end coefficients are its values at its ends.  Best
+    first, the piece of least lower bound is halved until that bound is within
+    2^-_RANGE_BITS of the least value found, or the piece is _RANGE_DEPTH halvings deep.
     """
-    deriv = [k * c for k, c in enumerate(coeffs)][1:]
-    roots = [] if len(deriv) < 2 else None
-    if len(deriv) == 2 and deriv[1] != 0.0:
-        roots = [-deriv[0] / deriv[1] if deriv[0] != 0.0 else 0.0]
-    elif len(deriv) == 3 and deriv[2] != 0.0:
-        d0, d1, d2 = deriv
-        square, product = d1 * d1, 4.0 * d0 * d2
-        if _TINY <= max(square, abs(product)) < math.inf:
-            disc = square - product
-            q = -0.5 * (d1 + math.copysign(math.sqrt(max(disc, 0.0)), d1))
-            roots = [q / d2, d0 / q] if disc >= 0.0 else [-d1 / (2.0 * d2)] * 2
-    if roots is None:
-        if len(deriv) > 3:
-            small = np.finfo(float).eps * max(map(abs, deriv))
-            while abs(deriv[-1]) < small:
-                deriv.pop()
-        roots = np.roots(deriv[::-1]).real  # np.roots takes the highest degree first
-    return np.concatenate(([0.0, 1.0], np.clip(roots, 0.0, 1.0)))
+    heap, best = [(min(b), 0, 0, b)], min((b[0], 0, 0), (b[-1], 0, 1))
+    while True:
+        low, level, k, c = heapq.heappop(heap)
+        if level == _RANGE_DEPTH or (best[0] - low) << _RANGE_BITS <= abs(best[0]):
+            return low, best
+        rows = [c]
+        for _ in c[1:]:  # de Casteljau's triangle, whose two edges are the halves
+            rows.append([(x + y) >> 1 for x, y in zip(rows[-1], rows[-1][1:])])
+        left, right = [r[0] for r in rows], [r[-1] for r in reversed(rows)]
+        best = min(best, (left[-1], level + 1, 2 * k + 1))
+        heapq.heappush(heap, (min(left), level + 1, 2 * k, left))
+        heapq.heappush(heap, (min(right), level + 1, 2 * k + 1, right))
+
+
+def _floor(a: int, q: int) -> float:
+    """The largest float at most a / q, for q > 0 and a / q within float range."""
+    x = a / q
+    n, r = x.as_integer_ratio()
+    return math.nextafter(x, -math.inf) if n * q > a * r else x
 
 
 class RadialProfile:
@@ -189,8 +190,12 @@ class RadialMetric:
 
     The density in the chart is w = psi' + s psi'' = p^2 * v(p) with
     v a polynomial; positivity of v on [0, 1] is the metric condition.
-    It is checked at construction where v can attain its minimum: the
-    endpoints and the critical points of v.
+    It is decided at construction in exact integers (_v_range_of): a
+    certificate that v > 0, which also gives _v_range, v's least and
+    greatest value rounded outward; or PositivityError naming a dyadic p
+    where v(p) <= 0 exactly; or, for a v not shown positive in
+    _RANGE_DEPTH halvings of [0, 1], PositivityError saying so.  The
+    range is computed once for every metric with the same v.
     """
 
     def __init__(self, profile: RadialProfile):
@@ -198,18 +203,10 @@ class RadialMetric:
         # w = p^2 (1 + Delta u), Delta the Fubini-Study Laplacian
         v = list(profile.fs_laplacian_coeffs()) or [0.0]
         v[0] += 1.0
-        if not all(map(math.isfinite, v)):
+        if not math.isfinite(sum(map(abs, v))):  # then so is every value of v on [0, 1]
             raise ValueError(f"metric density coefficients overflow: {v}")
         self._v_coeffs = tuple(v)
-        points = _extremum_candidates(self._v_coeffs).tolist()
-        vals = [_horner(self._v_coeffs, p) for p in points]
-        self._v_range = (min(vals), max(vals))
-        i = vals.index(self._v_range[0])
-        if vals[i] <= 0.0:
-            s = 1.0 / points[i] - 1.0 if points[i] > 0 else math.inf
-            raise PositivityError(
-                f"metric density is not positive (min {vals[i]:.3e} near s = {s:.4g})"
-            )
+        self._v_range = _v_range_of(self._v_coeffs)
 
     @classmethod
     def fubini_study(cls) -> "RadialMetric":
@@ -245,7 +242,7 @@ class RadialMetric:
         return _curvature_numerators_of(self._v_coeffs)
 
 
-_CURVATURE_CACHE_SIZE = 64  # _curvature_numerators_of keeps this many v
+_CURVATURE_CACHE_SIZE = 64  # _curvature_numerators_of and _v_range_of keep this many v
 
 
 @lru_cache(maxsize=_CURVATURE_CACHE_SIZE)
@@ -273,7 +270,34 @@ def _curvature_numerators_of(v_coeffs: tuple):
     return tuple(c / scale**2 for c in r), tuple(c / scale**4 for c in lap)
 
 
+@lru_cache(maxsize=_CURVATURE_CACHE_SIZE)
+def _v_range_of(v_coeffs: tuple):
+    """(v_min, v_max) of v over [0, 1], rounded outward; PositivityError unless v > 0.
+
+    In the integers of v's dyadic coefficients (_dyadic_integers) its Bernstein
+    coefficients times d! are B_i = sum_k i! / (i - k)! (d - k)! v_k, and _least
+    bounds the least value of B and of -B.  A dyadic p with v(p) <= 0 is a
+    counterexample; a lower bound still <= 0 after _RANGE_DEPTH halvings (a zero of
+    v at a p that is not dyadic, say) leaves v not certified positive.  Computed
+    once for every metric with the same v.
+    """
+    v, scale = _dyadic_integers(v_coeffs)
+    d = len(v) - 1
+    b = [sum(math.perm(i, k) * math.factorial(d - k) * c for k, c in enumerate(v[:i + 1]))
+         << d * _RANGE_DEPTH for i in range(d + 1)]
+    den = scale * math.factorial(d) << d * _RANGE_DEPTH
+    low, (value, level, k) = _least(b)
+    if low <= 0:
+        kind = "positive (min" if value <= 0 else \
+            f"certified positive in {_RANGE_DEPTH} halvings (v ="
+        raise PositivityError(f"metric density is not {kind} {_floor(value, den):.3e} near "
+                              f"s = {(2**level - k) / k if k else math.inf:.4g})")
+    high, _ = _least([-c for c in b])
+    return _floor(low, den), -_floor(high, den)
+
+
 _BANDED_FROM_M = 376  # section-norm passes from this m on are banded (section_norms)
+_SHARE_MARGIN = 1e-13  # rounding allowed in a banded row's log dropped share over 1e-3 tol
 _GEOMETRY_CACHE_M = 1024  # _row_geometry caches the columns of every m below this
 # The stated section-norm domain, one corner per row: family, tol, largest m, the metrics
 # (CLI --metric with --eps or --coeffs) that tests/test_density.py runs there, and oracle.
@@ -389,7 +413,8 @@ class _Rows:
         return max(1e-3 * tol * self.v_min / ((self.m + 1) * self.v_max), _TINY)
 
     def supports(self, cut):
-        """Certified supports (lower_j, upper_j) in x of the rows, cut at cut.
+        """Certified supports (lower_j, upper_j) in x of the rows, cut at cut, and
+        each row's log scale, log_scale_j.
 
         In t = log s, g_j is j t - m psi plus a constant, strictly concave
         because d/dt (s psi') = s w > 0, so each tangent line bounds it from
@@ -437,7 +462,8 @@ class _Rows:
                 ends = np.where(ok, x, ends)
                 x = ends
         lower, upper = ends[:, 0], ends[:, 1]
-        return np.minimum.accumulate(lower[::-1])[::-1], np.maximum.accumulate(upper)
+        return (np.minimum.accumulate(lower[::-1])[::-1], np.maximum.accumulate(upper),
+                log_scale.ravel())
 
 
 def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarray:
@@ -474,15 +500,15 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     value is below the panel width times the cut of its row's own scale,
     so the cut is relative to each row: an absolute one would drop rows
     whose shifted totals are tiny.  Over [0, 1] the dropped values of row
-    j, f_j, add up to at most cut max_x f_j / T_j of its total T_j.  The
-    cut, _Rows.cut(tol), is 1e-3 tol v_min / ((m + 1) v_max), so that this
-    share is at most 1e-3 tol wherever max_x f_j <= (m + 1) (v_max /
-    v_min) T_j.  For Fubini-Study (v = 1) f_j / T_j is a Beta density,
-    (m + 1) times a binomial pmf, which is at most 1.  For a perturbed
-    metric the bound is not proved: tests/test_density.py checks it on
-    the first and last 50 rows, and every (m // 200)-th between, of each
-    metric at each _DOMAIN corner.  Past the bound the share grows only
-    in proportion.
+    j add up to at most cut e^{log_scale_j} / T_j of its total T_j, its
+    scale from the supports.  The cut, _Rows.cut(tol), is 1e-3 tol v_min /
+    ((m + 1) v_max), so that this share is at most 1e-3 tol wherever the
+    row's maximum is at most (m + 1) (v_max / v_min) T_j: for Fubini-Study
+    (v = 1) f_j / T_j is a Beta density, (m + 1) times a binomial pmf,
+    which is at most 1, with equality at rows 0 and m.  Every banded pass
+    checks the share of each row it integrated once it has the totals,
+    and raises QuadratureError naming the worst row where one exceeds
+    1e-3 tol by more than the rounding margin _SHARE_MARGIN (in its log).
 
     A chart-symmetric metric (RadialMetric.is_chart_symmetric: u(p) =
     u(1-p) exactly, so that s -> 1/s is an isometry; Fubini-Study and the
@@ -497,9 +523,10 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     An m that is not a nonnegative integer (an int or a numpy integer, not
     a bool), a tol that is not positive and finite, or a row shift past
     float range (m times a large constant in u) raises ValueError.  A pass
-    that cannot certify tol, or whose shifted rows overflow, raises
-    QuadratureError naming m, tol, the rows a half pass covered and the
-    rows of _DOMAIN for the metric's family.
+    that cannot certify tol, whose shifted rows overflow, or whose banded
+    rows may drop too large a share, raises QuadratureError naming m, tol,
+    the rows a half pass covered and the rows of _DOMAIN for the metric's
+    family.
     """
     return _section_norms(metric, m, tol, ())[0]
 
@@ -552,7 +579,8 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at):
     edges = _graded_edges(m)
     banded = m >= _BANDED_FROM_M
     if banded:
-        lower, upper = rows.supports(rows.cut(tol))
+        cut = rows.cut(tol)
+        lower, upper, log_scale = rows.supports(cut)
         # past the last row's upper support every row is below the cut: stop at the
         # first edge there (1 unless the pass keeps only rows 0 .. m//2)
         edges = edges[:int(np.searchsorted(edges, upper[-1])) + 1]
@@ -579,13 +607,20 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at):
                                  "log shifts log v - m u + lift are not all finite")
             total = integrate_interval(integrand, 0.0, edges[-1], rtol=tol, edges=edges,
                                        rows=None if banded else kept)
+            if np.any(total <= 0.0):
+                raise PositivityError("section norm came out nonpositive")
+            if banded:  # log of each row's dropped share over 1e-3 tol, at most
+                share = math.log(cut / (1e-3 * tol)) + log_scale - np.log(total)
+                share -= 0.0 if offset is None else offset.ravel()
+                j = int(np.argmax(share))
+                if share[j] > _SHARE_MARGIN:
+                    raise QuadratureError(f"the banded rows may drop {np.exp(share[j]):.3g} "
+                                          f"times 1e-3 tol of row {j}'s total")
     except QuadratureError as err:
         family = "Fubini-Study" if metric.is_fubini_study else "perturbed metrics"
         cover = f", a half pass over rows 0..{kept - 1}" if half else ""
         raise QuadratureError(f"{err} (section norms at m = {m}, tol = {tol:g}{cover}; the "
                               f"stated domain for {family} is {_domain(family)})") from err
-    if np.any(total <= 0.0):
-        raise PositivityError("section norm came out nonpositive")
     logn = (rows.peak + shift + np.log(total)[:, None]).ravel()
     with np.errstate(divide="ignore"):
         terms = (held[0] if held else rows.values(points, offset)) / total[:, None]

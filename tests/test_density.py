@@ -132,106 +132,6 @@ class TestRadialProfile:
         for s in (0.1, 0.7, 2.0, 40.0):
             assert v.value(1.0 / s) == pytest.approx(u.value(s), rel=1e-13, abs=1e-15)
 
-    @pytest.mark.parametrize("coeffs", [(), (0.3,), (0.3, -0.2), (0.3, 0.0)])
-    def test_constant_derivative_has_no_root(self, coeffs):
-        deriv = [k * c for k, c in enumerate(coeffs)][1:]
-        want = np.concatenate(([0.0, 1.0], np.clip(np.roots(deriv[::-1]).real, 0.0, 1.0)))
-        got = density_module._extremum_candidates(coeffs)
-        assert got.tobytes() == want.tobytes() == np.array([0.0, 1.0]).tobytes()
-
-    def test_linear_derivative_root_matches_np_roots(self):
-        # a linear derivative d0 + d1 p has its root -d0 / d1 in closed form,
-        # bit for bit what np.roots returns, a zero root (d0 = 0) included
-        rng = np.random.default_rng(11)
-        coeffs = rng.normal(size=(5000, 3)) * 10.0 ** rng.uniform(-8, 8, size=(5000, 3))
-        coeffs[:50, 1] = 0.0
-        coeffs[50:100, 1] = -0.0
-        coeffs[100:110, 2] = 0.0  # a constant derivative: no root
-        for c in coeffs:
-            deriv = [c[1], 2.0 * c[2]]
-            want = np.concatenate(([0.0, 1.0], np.clip(np.roots(deriv[::-1]).real, 0.0, 1.0)))
-            got = density_module._extremum_candidates(tuple(c))
-            assert got.tobytes() == want.tobytes(), c
-
-    @staticmethod
-    def np_roots_candidates(coeffs):
-        deriv = [k * c for k, c in enumerate(coeffs)][1:]
-        return np.concatenate(([0.0, 1.0], np.clip(np.roots(deriv[::-1]).real, 0.0, 1.0)))
-
-    def test_quadratic_derivative_roots_match_np_roots(self):
-        # a cubic's critical points by the cancellation-free quadratic formula
-        # lie within 2e-14 of np.roots' (measured 7.0e-15, where np.roots
-        # loses digits to a small d2), over coefficients of independent
-        # scales 1e-8 to 1e8, zeros of both signs, a tiny d2 and complex pairs
-        rng = np.random.default_rng(17)
-        coeffs = rng.normal(size=(20000, 4)) * 10.0 ** rng.uniform(-8, 8, size=(20000, 4))
-        coeffs[:50, 1] = 0.0  # d0 = 0: a root at 0
-        coeffs[50:100, 1] = -0.0
-        coeffs[100:150, 2] = 0.0  # d1 = 0: a real or imaginary pair
-        coeffs[150:200, 2] = -0.0
-        coeffs[200:250, 3] *= 1e-12  # a tiny d2
-        complex_pairs = 0
-        for c in map(tuple, coeffs):
-            got, want = self.np_roots_candidates(c), density_module._extremum_candidates(c)
-            assert np.max(np.abs(np.sort(got) - np.sort(want))) <= 2e-14, c
-            complex_pairs += c[2] ** 2 < 3.0 * c[1] * c[3]
-        assert 1000 < complex_pairs < 19000
-
-    @pytest.mark.parametrize("coeffs, roots", [
-        ((0.1, 0.75, -1.5, 1.0), [0.5, 0.5]),  # v' = 3 (p - 1/2)^2: a double root
-        ((0.0, 1.0, 0.0, 1.0 / 3.0), [0.0, 0.0]),  # v' = 1 + p^2: real parts of +-i
-        ((0.0, 0.3, -0.0, 0.1), [0.0, 0.0]),
-        ((0.2, -0.0, -0.6, 1.0), [0.4, 0.0]),  # d0 = -0.0
-        ((0.0, 1.0, -1.0, 1e-300), [1.0, 0.5]),  # a tiny d2: the far root clips to 1
-    ])
-    def test_quadratic_derivative_special_cases(self, coeffs, roots):
-        got = density_module._extremum_candidates(coeffs)
-        assert got.tolist() == pytest.approx([0.0, 1.0] + roots, abs=1e-15)
-        assert np.sort(got) == pytest.approx(np.sort(self.np_roots_candidates(coeffs)), abs=1e-7)
-
-    @pytest.mark.parametrize("coeffs", [
-        (0.0, 1e200, 1e200, 1e200),  # d1^2 overflows
-        (0.0, -1e300, 1e-300, 1e300),  # 4 d0 d2 overflows
-        (0.0, 1e-170, -1e-170, 1e-170),  # both below the normal range
-    ])
-    def test_quadratic_derivative_out_of_range_falls_back(self, coeffs):
-        # where the discriminant's terms leave the normal range, np.roots
-        # gives the roots, bit for bit
-        got = density_module._extremum_candidates(coeffs)
-        assert got.tobytes() == self.np_roots_candidates(coeffs).tobytes()
-
-    @pytest.mark.parametrize("degree", [4, 5, 6])
-    def test_higher_degree_candidates_match_np_roots(self, degree):
-        # np.roots on the whole derivative, bit for bit, wherever its top
-        # coefficient is at least eps times its largest; past that the top
-        # coefficients below it are dropped (a RuntimeWarning is an error
-        # here) and the rest match
-        rng = np.random.default_rng(degree + 30)
-        shape = (3000, degree + 1)
-        coeffs = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, shape)
-        coeffs[:300, -1] *= 1e-30
-        coeffs[300:310, -1] = 5e-324
-        dropped = 0
-        for c in map(tuple, coeffs):
-            deriv = [k * x for k, x in enumerate(c)][1:]
-            small = np.finfo(float).eps * max(map(abs, deriv))
-            top = max(k for k, d in enumerate(deriv) if abs(d) >= small)
-            dropped += top < len(deriv) - 1
-            want = self.np_roots_candidates(c[:top + 2])
-            assert density_module._extremum_candidates(c).tobytes() == want.tobytes(), c
-        assert 310 <= dropped < 400
-
-    def test_negligible_top_coefficient(self):
-        # a subnormal top coefficient once made np.roots overflow (a RuntimeWarning)
-        # and raise LinAlgError: on [0, 1] it moves v by less than its rounding
-        tiny = RadialMetric(RadialProfile((0.0, 1e-3, -1e-3, 0.0, 0.0, 0.0, 5e-324)))
-        plain = RadialMetric(RadialProfile((0.0, 1e-3, -1e-3)))
-        assert tiny._v_range == plain._v_range
-        got = bergman_density(tiny, 20, [0.0, 1.0, math.inf]).values
-        want = bergman_density(plain, 20, [0.0, 1.0, math.inf]).values
-        assert got[:2].tobytes() == want[:2].tobytes()
-        assert got[2] == pytest.approx(want[2], rel=1e-15)
-
     @pytest.mark.parametrize("degree", range(-1, 6))
     def test_horner_from_the_top_matches_horner_from_zero(self, degree):
         # the first step from 0 gives the top coefficient exactly
@@ -297,57 +197,6 @@ class TestRadialMetric:
         with pytest.raises(PositivityError):
             RadialMetric(RadialProfile.eigenfunction_bump(0.6))
 
-    def test_range_and_error_text_match_the_array_path(self):
-        # the constructor evaluates its candidate points in Python floats; the
-        # range and the PositivityError text are those of the numpy evaluation
-        rng = np.random.default_rng(5)
-        failures = 0
-        for _ in range(300):
-            coeffs = rng.normal(size=int(rng.integers(1, 7))) * 10.0 ** rng.uniform(-3, 0.5)
-            v = list(RadialProfile(coeffs).fs_laplacian_coeffs()) or [0.0]
-            v[0] += 1.0
-            points = density_module._extremum_candidates(tuple(v))
-            vals = density_module._horner(tuple(v), points)
-            i = int(np.argmin(vals))
-            if vals[i] <= 0.0:
-                failures += 1
-                s = 1.0 / points[i] - 1.0 if points[i] > 0 else math.inf
-                text = f"metric density is not positive (min {vals[i]:.3e} near s = {s:.4g})"
-                with pytest.raises(PositivityError) as err:
-                    RadialMetric(RadialProfile(coeffs))
-                assert str(err.value) == text
-            else:
-                got = RadialMetric(RadialProfile(coeffs))._v_range
-                assert all(type(x) is float for x in got)
-                assert got == (float(np.min(vals)), float(np.max(vals)))
-        assert 30 < failures < 270
-
-    def test_cubic_range_and_error_text_match_np_roots(self):
-        # a cubic v takes its critical points from the closed form: its range
-        # is within 2 ulps of the sum of |v_k| of v at np.roots' points (measured
-        # 0.43), and the PositivityError verdict and text are theirs
-        rng = np.random.default_rng(31)
-        failures = 0
-        for _ in range(3000):
-            coeffs = rng.normal(size=4) * 10.0 ** rng.uniform(-3, 0.5)
-            v = list(RadialProfile(coeffs).fs_laplacian_coeffs())
-            v[0] += 1.0
-            points = TestRadialProfile.np_roots_candidates(v)
-            vals = density_module._horner(tuple(v), points)
-            i = int(np.argmin(vals))
-            if vals[i] <= 0.0:
-                failures += 1
-                s = 1.0 / points[i] - 1.0 if points[i] > 0 else math.inf
-                text = f"metric density is not positive (min {vals[i]:.3e} near s = {s:.4g})"
-                with pytest.raises(PositivityError) as err:
-                    RadialMetric(RadialProfile(coeffs))
-                assert str(err.value) == text
-            else:
-                got = RadialMetric(RadialProfile(coeffs))._v_range
-                bound = 2.0 * np.finfo(float).eps * sum(map(abs, v))
-                assert abs(got[0] - np.min(vals)) <= bound and abs(got[1] - np.max(vals)) <= bound
-        assert 300 < failures < 2700
-
     def test_overflowing_density_rejected(self):
         # Delta of 1e308 p is 1e308 - 2e308 p: once a metric with a nan range
         with pytest.raises(ValueError, match="overflow"):
@@ -359,6 +208,126 @@ class TestRadialMetric:
         prof = RadialProfile([0.0, -0.27019795241713407, -1.3513951806398625])
         with pytest.raises(PositivityError, match=r"near s = 2\.333"):
             RadialMetric(prof)
+
+    # v = 3 (2p - 1)^2 is 0 at p = 1/2, the midpoint of the first halving, and
+    # v = 2 - 2p at p = 1, an end coefficient of [0, 1]: exact zeros, found exactly
+    @pytest.mark.parametrize("profile, s", [(RadialProfile.rational_bump(2.0), "1"),
+                                            (RadialProfile.eigenfunction_bump(0.5), "0")])
+    def test_zero_at_a_dyadic_point(self, profile, s):
+        with pytest.raises(PositivityError, match=rf"min 0\.000e\+00 near s = {s}\)"):
+            RadialMetric(profile)
+
+    def test_double_zero_off_the_dyadic_grid_is_not_certified(self):
+        # v = (p^2 - 1/2)^2 >= 0 vanishes at p = 1/sqrt(2) (s = 0.4142): no dyadic p
+        # has v(p) <= 0, and no depth of halving gives a positive lower bound.  The
+        # error names the least value found, v = 7.2e-40 at the 64th halving
+        with pytest.raises(PositivityError, match=r"not certified positive in 64 halvings "
+                                                  r"\(v = 7\.182e-40 near s = 0\.4142\)"):
+            density_module._v_range_of((0.25, 0.0, -1.0, 0.0, 1.0))
+
+    def test_negligible_top_coefficient(self):
+        # a subnormal top coefficient once made np.roots overflow (a RuntimeWarning, an
+        # error here) and raise LinAlgError: on [0, 1] it moves v by about 2e-322
+        tiny = RadialMetric(RadialProfile((0.0, 1e-3, -1e-3, 0.0, 0.0, 0.0, 5e-324)))
+        plain = RadialMetric(RadialProfile((0.0, 1e-3, -1e-3)))
+        assert tiny._v_range == plain._v_range
+        got = bergman_density(tiny, 20, [0.0, 1.0, math.inf]).values
+        want = bergman_density(plain, 20, [0.0, 1.0, math.inf]).values
+        assert got[:2].tobytes() == want[:2].tobytes()
+        assert got[2] == pytest.approx(want[2], rel=1e-15)
+
+    def test_no_linear_algebra(self, monkeypatch):
+        # the range is exact integer arithmetic: no root finder, no eigenvalue solve
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy linear algebra called")
+
+        monkeypatch.setattr(np, "roots", forbidden)
+        for name in ("eig", "eigvals", "lstsq", "solve"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        density_module._v_range_of.cache_clear()
+        for coeffs in ((0.01, -0.03, 0.005, 0.002), (0.0, 0.05, -0.02),
+                       (0.1, 0.0, 0.0, 0.0, -0.01)):
+            assert RadialMetric(RadialProfile(coeffs))._v_range[0] > 0.0
+
+
+def exact_polynomial(coeffs):
+    """A float polynomial in p, low degree first, as an exact sympy polynomial."""
+    return sp.Poly([sp.Rational(*c.as_integer_ratio()) for c in coeffs[::-1]], sp.Symbol("p"),
+                   domain=sp.QQ)
+
+
+def exact_extrema(coeffs):
+    """Bounds on the least and the greatest value of the polynomial over [0, 1]:
+    ((lower, upper), (lower, upper)).
+
+    From its values at 0, 1 and each root of its derivative in [0, 1], the irrational
+    ones at the midpoint of a sympy isolating interval of width w <= 2^-40: v' = 0
+    at the root, so the value there is off by at most max |v''| w^2 / 8.
+    """
+    v = exact_polynomial(coeffs)
+    curvature = sum(abs(c) for c in v.diff().diff().all_coeffs())
+    values = [(v.eval(0), 0), (v.eval(1), 0)]
+    for (a, b), _ in v.diff().intervals(inf=0, sup=1, eps=sp.Rational(1, 2**40)):
+        values.append((v.eval((a + b) / 2), curvature * (b - a) ** 2 / 8))
+    return ((min(x - e for x, e in values), min(x for x, _ in values)),
+            (max(x for x, _ in values), max(x + e for x, e in values)))
+
+
+def bernstein_integers(coeffs):
+    """The Bernstein coefficients on [0, 1] of the float polynomial, b_i = sum_k
+    C(i, k) / C(d, k) c_k, times the least positive integer that makes them all
+    integers and times 2^(d _RANGE_DEPTH), as density._least takes them."""
+    d = len(coeffs) - 1
+    b = [sum(Fraction(math.comb(i, k), math.comb(d, k)) * Fraction(coeffs[k])
+             for k in range(i + 1)) for i in range(d + 1)]
+    scale = math.lcm(*(x.denominator for x in b)) << d * density_module._RANGE_DEPTH
+    return [int(x * scale) for x in b]
+
+
+class TestExactRange:
+    """v's range from its exact Bernstein coefficients (density._v_range_of), against
+    the exact critical values of v."""
+
+    # every metric of density._DOMAIN, the bump -0.45 and a four-term phi1-poly
+    NAMED = {"fs": (), "eigenfunction-bump--0.45": (0.45, -0.9),
+             **{f"eigenfunction-bump-{eps}": (-eps, 2 * eps) for eps in (0.1, 0.2, 0.3, 0.4, 0.45)},
+             **{f"rational-bump-{eps}": (0.0, eps, -eps) for eps in (0.2, 0.24, 0.5, 1.0)},
+             "phi1-poly": (0.0, 0.05, -0.02), "phi1-poly-4": (0.01, -0.03, 0.005, 0.002)}
+
+    @staticmethod
+    def check(coeffs):
+        """True when the metric of profile coeffs builds, False when it is rejected:
+        a range that encloses the exact one to 2^-50 of its size, or a PositivityError
+        exactly when the least value of v is not positive, at a p where v <= 0."""
+        metric_v = list(RadialProfile(coeffs).fs_laplacian_coeffs()) or [0.0]
+        metric_v[0] += 1.0
+        (least, least_above), (greatest_below, greatest) = exact_extrema(metric_v)
+        try:
+            v_min, v_max = RadialMetric(RadialProfile(coeffs))._v_range
+        except PositivityError:
+            assert least <= 0, coeffs
+            lower, (value, level, k) = density_module._least(bernstein_integers(metric_v))
+            p = sp.Rational(k, 2**level)
+            assert value <= 0 and exact_polynomial(metric_v).eval(p) <= 0, coeffs
+            return False
+        assert 0 < sp.Rational(v_min) <= least, coeffs
+        assert least_above - sp.Rational(v_min) <= least_above / 2**50, coeffs
+        assert sp.Rational(v_max) >= greatest, coeffs
+        assert sp.Rational(v_max) - greatest_below <= greatest_below / 2**50, coeffs
+        return True
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_named_metrics(self, name):
+        assert self.check(self.NAMED[name])
+
+    def test_random_metrics(self):
+        # u of degree 3 to 7 with coefficients of scales 1e-3 to 3
+        rng = np.random.default_rng(28)
+        built = 0
+        for _ in range(1000):
+            coeffs = rng.normal(size=int(rng.integers(4, 9))) * 10.0 ** rng.uniform(-3, 0.5)
+            built += self.check(tuple(coeffs))
+        assert 500 < built < 900  # 764 of them build
 
 
 def lgamma_log_beta(m):
@@ -907,14 +876,15 @@ class TestBandedSectionNorms:
         # the cut leaves out at most cut max_x f_j / T_j of row j's total, at most
         # 1e-3 tol where max_x f_j <= (m + 1) (v_max / v_min) T_j.  For
         # Fubini-Study that bound is exact (a binomial pmf is at most 1), reached
-        # at rows 0 and m; for the perturbed metrics it is checked here, on the
+        # at rows 0 and m; for the perturbed metrics it is sampled here, on the
         # first and last 50 rows and every (m // 200)-th between.  The row's
         # maximum is taken on its support at 1e-30, then around the best node.
-        # Measured, the end rows come nearest, at about (m + 1) v at their pole
+        # Measured, the end rows come nearest, at about (m + 1) v at their pole.
+        # Every banded pass checks its own bound, cut e^{log_scale_j} / T_j
         met = RadialMetric(_profile_from(name, {"eps": value, "coeffs": value}))
         rows = density_module._Rows(met, m)
         logn = section_norms(met, m, tol)
-        lower, upper = rows.supports(1e-30)
+        lower, upper, _ = rows.supports(1e-30)
         u, v = met.profile, met._v_coeffs
         js = np.unique(np.concatenate([np.arange(50), np.arange(0, m + 1, max(m // 200, 1)),
                                        np.arange(m - 49, m + 1)]))
@@ -936,7 +906,24 @@ class TestBandedSectionNorms:
             worst = max(worst, float(np.max(log_row(j, fine))) - logn[j])
         bound = math.log((m + 1) * rows.v_max / rows.v_min)
         assert worst <= bound + 1e-9
-        assert math.log(rows.cut(tol)) + worst <= math.log(1e-3 * tol) + 1e-9
+        sampled = math.log(rows.cut(tol) / (1e-3 * tol)) + worst
+        assert sampled <= 1e-9
+        # the pass's own bound on the log share over 1e-3 tol: the row's scale from
+        # its supports, e^{log_scale_j} times its peak e^{-m u(p*)} x*^j p*^k, over N_j
+        _, _, log_scale = rows.supports(rows.cut(tol))
+        scale = log_scale + (rows.peak - m * u.value_p(rows.ps)).ravel()
+        runtime = math.log(rows.cut(tol) / (1e-3 * tol)) + float(np.max(scale - logn))
+        # measured equal: the worst row is an end row, whose scale is its value at its pole
+        assert runtime == pytest.approx(sampled, abs=1e-12)
+        assert runtime <= density_module._SHARE_MARGIN
+
+    def test_too_coarse_a_cut_raises(self, monkeypatch):
+        # a cut 1e6 times the pass's own lets the end rows drop 1e6 times 1e-3 tol
+        cut = density_module._Rows.cut
+        monkeypatch.setattr(density_module._Rows, "cut", lambda self, tol: 1e6 * cut(self, tol))
+        text = r"may drop 1e\+06 times 1e-3 tol of row 0's total \(section norms at m = 1060, "
+        with pytest.raises(QuadratureError, match=text + r"tol = 1e-12"):
+            section_norms(RadialMetric.fubini_study(), 1060)
 
     # the cut of a pass to tol, or 1e-30 (tol None), the fixed cut of banded passes before
     CUTS = [(m, tol) for tol in (None, 1e-12, 1e-14) for m in (1060, 5000)]
@@ -961,7 +948,7 @@ class TestBandedSectionNorms:
             return out - m * (u.value_p(1 - x) - u.value_p(1 - xs)) \
                 + np.log(v(1 - x) / v(1 - xs))
 
-        lower, upper = rows.supports(cut)
+        lower, upper, _ = rows.supports(cut)
         assert np.all(np.diff(lower) >= 0) and np.all(np.diff(upper) >= 0)
         assert np.all(lower < upper)
         for j in np.linspace(0, m, 41).astype(int):  # rows 0 and m included

@@ -212,6 +212,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from cli_runner import run_in_process
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -355,6 +356,13 @@ FAILURES = {
     # log norms -inf)
     "density_shift_overflow": (["density", "--metric", "phi1-poly", "--coeffs", "1e308",
                                 "--m-list", "20", "--grid", "0,1"], None, 2, "ValueError"),
+    # a metric density with a double zero at p = 1/2 (s = 1), found exactly
+    "density_rational_bump_2": (["density", "--metric", "rational-bump", "--eps", "2"],
+                                None, 3, "PositivityError"),
+    # a metric density that dips to -1e-9 near s = 2.333, between the nodes of a fine grid
+    "density_narrow_dip": (["density", "--metric", "phi1-poly", "--coeffs",
+                            "0,-0.27019795241713407,-1.3513951806398625"],
+                           None, 3, "PositivityError"),
     # section norms past the stated domain (shifted rows overflow)
     "density_26000": (["density", "--metric", "eigenfunction-bump", "--eps", "0.45",
                        "--m-list", "26000", "--grid", "0"], None, 3, "QuadratureError"),
@@ -400,6 +408,16 @@ def _run(args):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name):
+    # in this process, twice: the second run, and every case after the first,
+    # meets the library's caches warm, and must print the same bytes
+    for _ in range(2):
+        assert run_in_process(CASES[name]) == (0, (GOLDEN / name).read_bytes(), "")
+
+
+def test_entry_point_matches_golden():
+    # python -m cpnbergman, in a process of its own (CI runs every case through the
+    # installed cpnbergman script, each in a fresh process with cold caches)
+    name = "density_rational-bump_eps0.2.csv"
     assert _run(CASES[name]) == (GOLDEN / name).read_bytes()
 
 

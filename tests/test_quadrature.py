@@ -554,7 +554,7 @@ class TestSchedule:
         full = np.array(density._graded_edges(m))
         assert P == int(math.sqrt(m) / 1.5) and len(full) == P + 1
         assert len(edges) == kept + 1 and np.array_equal(edges, full[:kept + 1])
-        [(_, upper)] = found
+        [(_, upper, _)] = found
         assert edges[-2] < upper[-1] <= edges[-1]
         # uniform in theta, x = sin^2(theta), on the 2^-24 grid
         theta = np.arcsin(np.sqrt(full))
