@@ -402,7 +402,9 @@ def _effective_config(ns: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _error_payload(exc: Exception, command: str, cfg: dict) -> str:
-    params = {k: (v if isinstance(v, (int, float, bool, str, type(None))) else str(v))
+    # a config file may hold NaN or Infinity, which JSON cannot carry: shown as "nan", "inf"
+    params = {k: (v if isinstance(v, (int, bool, str, type(None)))
+                  or isinstance(v, float) and math.isfinite(v) else str(v))
               for k, v in (cfg or {}).items()}
     detail = {
         "type": type(exc).__name__,

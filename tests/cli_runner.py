@@ -1,4 +1,4 @@
-"""The command line run in this process, for tests that need no process of their own."""
+"""The command line run in this process: how the tests run the CLI where no process is checked."""
 
 import io
 import warnings
@@ -12,11 +12,15 @@ def run_in_process(argv):
 
     stdout is a UTF-8 text stream over bytes that writes "\\n" as it is (newline=""),
     as the stdout of a process does on POSIX, so its bytes compare with a process's.
+    A usage error exits as argparse exits it: its code, its message on stderr.
     """
     out, err = io.BytesIO(), io.StringIO()
     stream = io.TextIOWrapper(out, encoding="utf-8", newline="")
     with warnings.catch_warnings(), redirect_stdout(stream), redirect_stderr(err):
         warnings.simplefilter("error", RuntimeWarning)
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
         stream.flush()
     return code, out.getvalue(), err.getvalue()

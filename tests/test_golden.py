@@ -300,9 +300,9 @@ CASES = {
         "--n", "1", "--K", "2", "--vanishing-tol", "1e-8"],
 }
 
-# Console-script failure cases.  name: (args, contents of the file that "{file}" in
-# args names, or None, exit code, error type).  Each exits with its code, its error
-# JSON on stdout naming the error's type, and nothing on stderr.
+# CLI failure cases.  name: (args, contents of the file that "{file}" in args names,
+# or None, exit code, error type).  Each exits with its code, its error JSON on
+# stdout (strict JSON) naming the error's type, and nothing on stderr.
 FAILURES = {
     # a non-finite scale
     "center_scale_inf": (["center", "--potential", "gauge-diag", "--scale", "inf"],
@@ -369,24 +369,43 @@ FAILURES = {
     # the centering solver out of iterations
     "center_max_iter": (["center", "--potential", "eigenbasis-diag", "--scale", "0.05",
                          "--max-iter", "1"], None, 4, "NonConvergenceError"),
+    # non-finite config numbers, which json.load reads (their params were once
+    # printed as NaN and Infinity, which is not JSON)
+    "density_config_tol_nan": (["density", "--config", "{file}"],
+                               '{"tol": NaN, "m_list": "5", "grid": "0,1"}', 2, "ValueError"),
+    "center_config_scale_1e999": (["center", "--config", "{file}"], '{"scale": 1e999}',
+                                  2, "ValueError"),
 }
 
 
-def failure_outcome(command, name, directory):
-    """(exit code, stderr, error type) of FAILURES[name] run as command + args, its
-    "{file}" written under directory; the error type is None unless stdout is an
-    error JSON."""
+def in_a_process(*command):
+    """A runner like run_in_process whose every run is command + argv, a process of its own."""
+    def run(argv):
+        proc = subprocess.run([*command, *argv], capture_output=True, timeout=300)
+        return proc.returncode, proc.stdout, proc.stderr.decode()
+    return run
+
+
+def strict_json(text):
+    """json.loads(text), refusing NaN, Infinity and -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def failure_outcome(run, name, directory):
+    """(exit code, stderr, error type) of FAILURES[name] run by run(argv), its "{file}"
+    written under directory; the error type is None unless stdout is a strict error JSON."""
     args, text, _, _ = FAILURES[name]
     path = Path(directory) / f"{name}.csv"
     if text is not None:
         path.write_text(text)
-    proc = subprocess.run([*command, *(a.replace("{file}", str(path)) for a in args)],
-                          capture_output=True, timeout=300)
+    code, stdout, stderr = run([a.replace("{file}", str(path)) for a in args])
     try:
-        kind = json.loads(proc.stdout)["error"]["type"]
+        kind = strict_json(stdout)["error"]["type"]
     except (ValueError, KeyError, TypeError):
         kind = None
-    return proc.returncode, proc.stderr, kind
+    return code, stderr, kind
 
 
 def test_readme_table_counts_the_cases():
@@ -399,11 +418,7 @@ def test_readme_table_counts_the_cases():
     assert table in readme, "README's golden-case table should read:\n" + table
 
 
-def _run(args):
-    proc = subprocess.run([sys.executable, "-m", "cpnbergman", *args],
-                          capture_output=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+python_m = in_a_process(sys.executable, "-m", "cpnbergman")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -418,28 +433,40 @@ def test_entry_point_matches_golden():
     # python -m cpnbergman, in a process of its own (CI runs every case through the
     # installed cpnbergman script, each in a fresh process with cold caches)
     name = "density_rational-bump_eps0.2.csv"
-    assert _run(CASES[name]) == (GOLDEN / name).read_bytes()
+    assert python_m(CASES[name]) == (0, (GOLDEN / name).read_bytes(), "")
 
 
 def test_center_trace_out_matches_golden(tmp_path):
     trace = tmp_path / "trace.csv"
-    stdout = _run(["center", "--potential", "gauge-diag", "--scale", "0.05",
-                   "--trace-out", str(trace)])
-    assert stdout == (GOLDEN / "center_gauge-diag_0.05.json").read_bytes()
+    assert python_m(["center", "--potential", "gauge-diag", "--scale", "0.05",
+                     "--trace-out", str(trace)]) == (
+        0, (GOLDEN / "center_gauge-diag_0.05.json").read_bytes(), "")
     assert trace.read_bytes() == (GOLDEN / "center_gauge-diag_0.05_trace.csv").read_bytes()
 
 
 def test_center_damped_trace_out_matches_golden(tmp_path):
     trace = tmp_path / "trace.csv"
-    stdout = _run(["center", "--potential", "eigenbasis-diag", "--scale", "0.05",
-                   "--damping", "0.25", "--trace-out", str(trace)])
     name = "center_eigenbasis-diag_0.05_damping0.25"
-    assert stdout == (GOLDEN / f"{name}.json").read_bytes()
+    assert python_m(["center", "--potential", "eigenbasis-diag", "--scale", "0.05",
+                     "--damping", "0.25", "--trace-out", str(trace)]) == (
+        0, (GOLDEN / f"{name}.json").read_bytes(), "")
     assert trace.read_bytes() == (GOLDEN / f"{name}_trace.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(FAILURES))
 def test_failure_exits_with_its_code_and_type(name, tmp_path):
+    # in this process, twice, as for CASES (CI runs every row in a process of its own)
     _, _, code, kind = FAILURES[name]
-    outcome = failure_outcome([sys.executable, "-m", "cpnbergman"], name, tmp_path)
-    assert outcome == (code, b"", kind)
+    for _ in range(2):
+        assert failure_outcome(run_in_process, name, tmp_path) == (code, "", kind)
+
+
+def test_failure_exit_status_of_a_process(tmp_path):
+    # python -m cpnbergman: the exit status the process returns, and its empty stderr
+    _, _, code, kind = FAILURES["density_26000"]
+    assert failure_outcome(python_m, "density_26000", tmp_path) == (code, "", kind)
+
+
+def test_golden_json_is_strict():
+    for path in sorted(GOLDEN.glob("*.json")):
+        strict_json(path.read_text(encoding="utf-8"))
