@@ -108,6 +108,13 @@ def _int(cfg, key) -> int:
     return int(value)
 
 
+def _path(cfg, key):
+    """cfg[key] as a file path: text or None, not a number (open() reads one as a descriptor)."""
+    if cfg[key] is None or isinstance(cfg[key], str):
+        return cfg[key]
+    raise ValueError(f"parameter {key!r} must be a path, got {cfg[key]!r}")
+
+
 def _float(cfg, key) -> float:
     """cfg[key] as a float: text or a number, not true or null."""
     value = _need(cfg[key], key)
@@ -230,7 +237,7 @@ def _cmd_density(cfg) -> str:
 
 def _cmd_fit(cfg) -> str:
     at_s = None if cfg["at_s"] is None else _float(cfg, "at_s")
-    samples = _fit_samples(_need(cfg["samples"], "samples"), at_s)
+    samples = _fit_samples(_need(_path(cfg, "samples"), "samples"), at_s)
     fit = fit_expansion(samples, _int(cfg, "n"), _int(cfg, "K"))
     payload = {
         "n": fit.n,
@@ -306,7 +313,7 @@ def _cmd_first_variation(cfg) -> str:
 
 
 def _cmd_center(cfg) -> str:
-    kind = cfg["potential"]
+    kind, trace_out = cfg["potential"], _path(cfg, "trace_out")
     scale = _float(cfg, "scale")
     if not math.isfinite(scale):  # the payload prints it, and NaN is not JSON
         raise ValueError(f"scale must be finite, got {scale}")
@@ -322,9 +329,9 @@ def _cmd_center(cfg) -> str:
         raise ValueError(f"unknown potential {kind!r}")
     state = center(phi, tol=_float(cfg, "tol"), max_iter=_int(cfg, "max_iter"),
                    damping=_float(cfg, "damping"))
-    if cfg["trace_out"]:
+    if trace_out:
         rows = state.trace_csv_rows()
-        _write_payload(_csv_text(rows[0], rows[1:]), cfg["trace_out"])
+        _write_payload(_csv_text(rows[0], rows[1:]), trace_out)
     payload = {
         "potential": kind,
         "scale": scale,

@@ -414,7 +414,7 @@ class _Rows:
 
     def supports(self, cut):
         """Certified supports (lower_j, upper_j) in x of the rows, cut at cut, and
-        each row's log scale, log_scale_j.
+        each row's log scale, log_scale_j, as a (rows, 1) column.
 
         In t = log s, g_j is j t - m psi plus a constant, strictly concave
         because d/dt (s psi') = s w > 0, so each tangent line bounds it from
@@ -424,7 +424,7 @@ class _Rows:
         v(p) <= v_max, the row is then below cut times its own scale on
         [0, lower_j] and on [upper_j, 1], the scale being the larger of its
         values e^{g_j} v(p) at x* (v(p*)) and at an estimate c of its mode,
-        so at most its maximum.  A pass cuts at cut(tol).
+        so at most its maximum.  A banded pass shifts each row by it and cuts at cut(tol).
 
         The first tangent points lie on either side of the mode mu(x) = j/m:
         mu' = v >= v_min bounds the distance from the Newton estimate c by
@@ -455,15 +455,14 @@ class _Rows:
             x = c + side * (spread + np.sqrt(2.0 * width * c * (1.0 - c)) + width)
             ends = np.array([0.0, 1.0]) + np.zeros_like(x)
             for _ in range(2):
-                slope = j - m * mu(x)
-                t = np.log(x) - np.log1p(-x) - (self.exponent(x) - level) / slope
+                dg = j - m * mu(x)  # g_j' in t
+                t = np.log(x) - np.log1p(-x) - (self.exponent(x) - level) / dg
                 x = 1.0 / (1.0 + np.exp(-t))
-                ok = (side * slope < 0.0) & np.isfinite(t)
+                ok = (side * dg < 0.0) & np.isfinite(t)
                 ends = np.where(ok, x, ends)
                 x = ends
         lower, upper = ends[:, 0], ends[:, 1]
-        return (np.minimum.accumulate(lower[::-1])[::-1], np.maximum.accumulate(upper),
-                log_scale.ravel())
+        return np.minimum.accumulate(lower[::-1])[::-1], np.maximum.accumulate(upper), log_scale
 
 
 def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarray:
@@ -475,12 +474,10 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     N_j is the Beta value j! (m-j)! / (m+1)!.
 
     The rows are set up once per pass (_Rows), each centred at its Beta
-    mode x* = j/m, where its exponent g_j is defined, and shifted by
-    log v(p*) plus a second-order estimate of how far the smooth factor
-    lifts the peak.  That shift aims at a maximum near 1 for every row;
-    it misses strong bumps, whose shifted totals spread further from 1 as
-    m grows, until past the stated domain the rows overflow (a shift by
-    each row's Laplace mode is ROADMAP item 2).  One vector-valued
+    mode x* = j/m, where its exponent g_j is defined, and divided by a
+    scale at most its maximum: its value at x*, v(p*), in a dense pass,
+    and in a banded pass the larger of that and its value at the
+    supports' estimate of its mode (_Rows.supports).  One vector-valued
     adaptive pass integrates the rows to relative tolerance tol each, and
     the constants are added back in log space, where nothing underflows
     however large m is.  Those log-space constants are up to about m in
@@ -498,10 +495,9 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     rule banded) the pass is banded: a rule evaluates only the rows whose
     certified support (_Rows.supports) reaches its nodes.  A dropped rule
     value is below the panel width times the cut of its row's own scale,
-    so the cut is relative to each row: an absolute one would drop rows
-    whose shifted totals are tiny.  Over [0, 1] the dropped values of row
-    j add up to at most cut e^{log_scale_j} / T_j of its total T_j, its
-    scale from the supports.  The cut, _Rows.cut(tol), is 1e-3 tol v_min /
+    so the cut is relative to each row.  Over [0, 1] the dropped values
+    of row j, shifted by that scale, add up to at most cut / T_j of its
+    shifted total T_j.  The cut, _Rows.cut(tol), is 1e-3 tol v_min /
     ((m + 1) v_max), so that this share is at most 1e-3 tol wherever the
     row's maximum is at most (m + 1) (v_max / v_min) T_j: for Fubini-Study
     (v = 1) f_j / T_j is a Beta density, (m + 1) times a binomial pmf,
@@ -566,21 +562,16 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at):
     half = metric.is_chart_symmetric
     rows = _Rows(metric, m, half)
     kept = len(rows.j)
-    xs, ps, v_star, log_v_star = rows.xs, rows.ps, rows.v_star, rows.log_v_star
-    # d/dx of log(e^{-m u} v) at x*; the Beta part curves by m / (x*(1-x*))
-    slope = m * _divided_difference(rows.u, ps, ps) - _divided_difference(rows.v, ps, ps) / v_star
-    lift = slope * slope * xs * ps / (2 * max(m, 1))
-    offset = log_v_star + lift
-    offset = offset if offset.any() else None  # None: every row's offset is 0, as for Fubini-Study
     at = np.asarray(at, dtype=float)
     points = np.concatenate([1.0 - at, at]) if half else 1.0 - at
 
     held = []  # the rows at the points, from the first call of a dense pass
     edges = _graded_edges(m)
     banded = m >= _BANDED_FROM_M
+    scale = rows.log_v_star  # each row's log scale: log v(p*), or its supports' in a banded pass
     if banded:
         cut = rows.cut(tol)
-        lower, upper, log_scale = rows.supports(cut)
+        lower, upper, scale = rows.supports(cut)
         # past the last row's upper support every row is below the cut: stop at the
         # first edge there (1 unless the pass keeps only rows 0 .. m//2)
         edges = edges[:int(np.searchsorted(edges, upper[-1])) + 1]
@@ -598,20 +589,20 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at):
             held.append(out[:, len(x):])
             return out[:, :len(x)]
 
+    offset = scale if scale.any() else None  # None: every row's scale is 0, as for Fubini-Study
     try:
         # divide: log1p(-1), a power of x or 1-x at a pole among the density's points
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            shift = log_v_star - m * metric.profile.value_p(ps) + lift
+            shift = scale - m * metric.profile.value_p(rows.ps)
             if not np.isfinite(shift).all():
                 raise ValueError(f"section norms at m = {m} leave float range: the rows' "
-                                 "log shifts log v - m u + lift are not all finite")
+                                 "log shifts, log scale - m u, are not all finite")
             total = integrate_interval(integrand, 0.0, edges[-1], rtol=tol, edges=edges,
                                        rows=None if banded else kept)
             if np.any(total <= 0.0):
                 raise PositivityError("section norm came out nonpositive")
             if banded:  # log of each row's dropped share over 1e-3 tol, at most
-                share = math.log(cut / (1e-3 * tol)) + log_scale - np.log(total)
-                share -= 0.0 if offset is None else offset.ravel()
+                share = math.log(cut / (1e-3 * tol)) - np.log(total)
                 j = int(np.argmax(share))
                 if share[j] > _SHARE_MARGIN:
                     raise QuadratureError(f"the banded rows may drop {np.exp(share[j]):.3g} "

@@ -468,9 +468,9 @@ class TestErrorChannels:
         assert err["error"]["type"] == "PositivityError"
 
     def test_quadrature_error_exit_3_with_empty_stderr(self):
-        # the shifted rows of this bump overflow past the stated domain
-        error = cli_json(["density", "--metric", "eigenfunction-bump", "--eps", "0.45",
-                          "--m-list", "26000", "--grid", "0"], 3)["error"]
+        # tol 1e-14 is past the stated domain at m = 20000: the pass stalls
+        error = cli_json(["density", "--metric", "eigenfunction-bump", "--eps", "0.1",
+                          "--m-list", "20000", "--grid", "0", "--tol", "1e-14"], 3)["error"]
         assert error["type"] == "QuadratureError"
         assert error["message"].endswith("; the stated domain for perturbed metrics is "
                                          + _domain("perturbed metrics") + ")")

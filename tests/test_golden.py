@@ -203,6 +203,21 @@ max_norm_rel_error byte for byte, its max_density_deviation moving
 from 1.42e-14 to 1.07e-14.  Every log norm stayed byte-identical.  The
 two fit files, which read the eigenfunction-bump CSV at s = 0.5, and
 every other file stayed byte-identical.
+When each section-norm row came to be shifted by its scale alone (log
+v(p*) in a dense pass, the supports' log scale in a banded one), with
+no second-order lift, ten files were regenerated after checking these
+bounds: eight density CSVs moved by at most 1e-15 relative (measured
+5.6e-16, 4 ulps, the eigenfunction bump 0.1 at m = 100, s = 0.3; 32 of
+112 cells moved: 4 of 20 in the eigenfunction bump 0.1 at m = 20 to 60,
+3 of 15 at m = 50 to 200, 3 of 10 and 7 of 20 in the four-term
+phi1-poly, 6 of 12, 6 of 25, 1 of 5 and 2 of 5 in the rational bump 0.2
+at m = 20 to 60, 20 to 37, 1060 and 5000); the two fit files, which
+read the eigenfunction-bump CSV at s = 0.5, where m = 50 and 60 moved
+by 1 ulp, moved their coefficients by at most 1e-10 relative (measured
+5.7e-12) and their residual by at most 1e-7 relative (measured
+6.1e-10). The Fubini-Study files, the eigenfunction bumps 0.1 at m =
+1060 and 0.45 at m = 5000, the phi1-poly 0, 0.05, -0.02 and every exact
+and first-variation file stayed byte-identical.
 """
 
 import json
@@ -363,9 +378,9 @@ FAILURES = {
     "density_narrow_dip": (["density", "--metric", "phi1-poly", "--coeffs",
                             "0,-0.27019795241713407,-1.3513951806398625"],
                            None, 3, "PositivityError"),
-    # section norms past the stated domain (shifted rows overflow)
-    "density_26000": (["density", "--metric", "eigenfunction-bump", "--eps", "0.45",
-                       "--m-list", "26000", "--grid", "0"], None, 3, "QuadratureError"),
+    # section norms past the stated domain (the pass stalls at the rounding level)
+    "density_fs_tol_1e-15": (["density", "--m-list", "20000", "--grid", "0", "--tol", "1e-15"],
+                             None, 3, "QuadratureError"),
     # the centering solver out of iterations
     "center_max_iter": (["center", "--potential", "eigenbasis-diag", "--scale", "0.05",
                          "--max-iter", "1"], None, 4, "NonConvergenceError"),
@@ -375,6 +390,12 @@ FAILURES = {
                                '{"tol": NaN, "m_list": "5", "grid": "0,1"}', 2, "ValueError"),
     "center_config_scale_1e999": (["center", "--config", "{file}"], '{"scale": 1e999}',
                                   2, "ValueError"),
+    # config paths that are numbers, which open() takes for file descriptors (the trace
+    # once went to stdout, closing it, and exited 1 with an OSError traceback; the
+    # samples were read from stdin)
+    "center_config_trace_out_1": (["center", "--config", "{file}"], '{"trace_out": 1}',
+                                  2, "ValueError"),
+    "fit_config_samples_0": (["fit", "--config", "{file}"], '{"samples": 0}', 2, "ValueError"),
 }
 
 
@@ -463,8 +484,8 @@ def test_failure_exits_with_its_code_and_type(name, tmp_path):
 
 def test_failure_exit_status_of_a_process(tmp_path):
     # python -m cpnbergman: the exit status the process returns, and its empty stderr
-    _, _, code, kind = FAILURES["density_26000"]
-    assert failure_outcome(python_m, "density_26000", tmp_path) == (code, "", kind)
+    _, _, code, kind = FAILURES["density_fs_tol_1e-15"]
+    assert failure_outcome(python_m, "density_fs_tol_1e-15", tmp_path) == (code, "", kind)
 
 
 def test_golden_json_is_strict():
