@@ -262,7 +262,8 @@ def admissible_eigenvalue_scan(n: int, k_max: int, J: int) -> Set[int]:
     """Levels k <= k_max whose variation series is polynomial through order J.
 
     Keeps k when the series for lambda = k(k+n) has coefficient zero at
-    every order j with n < j <= J.  Each level costs its integer moment
+    every order j with n < j <= J; with J <= n there is no such order, and
+    every level is kept.  Each level costs its integer moment
     recurrence and one Horner sum (see _variation_numerators); the test
     reads the integer numerators and builds no Fraction.
     k_max must be at least 0 (ValueError otherwise).

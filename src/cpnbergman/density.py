@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PositivityError, QuadratureError
-from .quadrature import _TINY, integrate_interval
+from .quadrature import _EPS, _TINY, integrate_interval
 
 
 def _horner(coeffs, p):
@@ -412,50 +412,52 @@ class _Rows:
         1e-3 tol v_min / ((m + 1) v_max); at least tiny, where a log of it is finite."""
         return max(1e-3 * tol * self.v_min / ((self.m + 1) * self.v_max), _TINY)
 
+    def moment(self, x):
+        """The moment map mu(x) = s psi' = x (1 - p u'(p)), p = 1 - x; mu' = v in x."""
+        du = [i * c for i, c in enumerate(self.u)][1:]
+        return x - x * (1.0 - x) * _horner(du, 1.0 - x) if du else x
+
+    def mode(self):
+        """Each row's mode c, mu(c) = j/m, as a (rows, 1) column: Newton steps from x*
+        until no row's residual |mu(c) - j/m| exceeds 4 eps (the steps themselves can
+        oscillate at rounding level where v is small).  A constant u takes none."""
+        c = self.xs
+        # 16 steps, twice the most any row has needed (CHANGES.md); c short of its mode
+        # is still a point of its row, so supports' scale and ends stay certified
+        for _ in range(16):
+            r = self.moment(c) - self.xs
+            if np.max(np.abs(r)) <= 4.0 * _EPS:
+                break
+            c = np.clip(c - r / _horner(self.v, 1.0 - c), 0.0, 1.0)
+        return c
+
     def supports(self, cut):
         """Certified supports (lower_j, upper_j) in x of the rows, cut at cut, and
-        each row's log scale, log_scale_j, as a (rows, 1) column.
+        each row's log scale, log_scale_j: its value e^{g_j} v(p) at its mode c
+        (mode), so at most its maximum, as a (rows, 1) column.
 
         In t = log s, g_j is j t - m psi plus a constant, strictly concave
         because d/dt (s psi') = s w > 0, so each tangent line bounds it from
-        above: from any t0 where g_j' = j - m mu(x0) > 0 (mu(x) = s psi' =
-        x (1 - p u'(p)), the moment map), g_j <= C_j for all
-        t <= t0 - (g_j(t0) - C_j) / g_j'(t0), and likewise on the right.  As
-        v(p) <= v_max, the row is then below cut times its own scale on
-        [0, lower_j] and on [upper_j, 1], the scale being the larger of its
-        values e^{g_j} v(p) at x* (v(p*)) and at an estimate c of its mode,
-        so at most its maximum.  A banded pass shifts each row by it and cuts at cut(tol).
-
-        The first tangent points lie on either side of the mode mu(x) = j/m:
-        mu' = v >= v_min bounds the distance from the Newton estimate c by
-        |mu(c) - j/m| / v_min, and past that a Gaussian plus exponential
-        width at the cut level puts them near the crossings.  Each further
-        Newton step starts from a certified end and moves it towards its
-        crossing.  A row without a usable tangent point keeps the whole of
-        [0, 1] on that side.  The ends are made monotone in j (cumulative min
-        and max), so the rows kept on any stretch of x form one contiguous
-        window.
+        above: from any t0 where g_j' = j - m mu(x0) > 0 (moment), g_j <= C_j
+        for all t <= t0 - (g_j(t0) - C_j) / g_j'(t0), and likewise on the
+        right.  As v(p) <= v_max, the row is then below cut times its scale on
+        [0, lower_j] and on [upper_j, 1].  The first tangent points lie a
+        Gaussian plus exponential width at the cut level either side of c;
+        each further Newton step moves a certified end towards its crossing.
+        A row without a usable tangent point keeps the whole of [0, 1] on
+        that side.  The ends are made monotone in j (cumulative min and max),
+        so the rows kept on any stretch of x form one contiguous window.
         """
-        m, v, j, xs, v_star = self.m, self.v, self.j, self.xs, self.v_star
-        du = [i * c for i, c in enumerate(self.u)][1:]
-
-        def mu(x):
-            return x - x * (1.0 - x) * _horner(du, 1.0 - x) if du else x
-
-        c, spread, log_scale = xs, 0.0, self.log_v_star
+        m, j, v_star, c = self.m, self.j, self.v_star, self.mode()
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if du:
-                for _ in range(3):
-                    c = np.clip(c - (mu(c) - xs) / _horner(v, 1.0 - c), 0.0, 1.0)
-                spread = np.abs(mu(c) - xs) / self.v_min
-                log_scale = np.maximum(log_scale, self.exponent(c) + np.log(_horner(v, 1.0 - c)))
+            log_scale = self.exponent(c) + np.log(_horner(self.v, 1.0 - c))
             level = math.log(cut / self.v_max) + log_scale
             width = math.log(self.v_max / cut) / (m * v_star)
             side = np.array([-1.0, 1.0])
-            x = c + side * (spread + np.sqrt(2.0 * width * c * (1.0 - c)) + width)
+            x = c + side * (np.sqrt(2.0 * width * c * (1.0 - c)) + width)
             ends = np.array([0.0, 1.0]) + np.zeros_like(x)
             for _ in range(2):
-                dg = j - m * mu(x)  # g_j' in t
+                dg = j - m * self.moment(x)  # g_j' in t
                 t = np.log(x) - np.log1p(-x) - (self.exponent(x) - level) / dg
                 x = 1.0 / (1.0 + np.exp(-t))
                 ok = (side * dg < 0.0) & np.isfinite(t)
@@ -475,14 +477,14 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
 
     The rows are set up once per pass (_Rows), each centred at its Beta
     mode x* = j/m, where its exponent g_j is defined, and divided by a
-    scale at most its maximum: its value at x*, v(p*), in a dense pass,
-    and in a banded pass the larger of that and its value at the
-    supports' estimate of its mode (_Rows.supports).  One vector-valued
-    adaptive pass integrates the rows to relative tolerance tol each, and
-    the constants are added back in log space, where nothing underflows
-    however large m is.  Those log-space constants are up to about m in
-    size, so the returned log N_j also carry their rounding, about m eps
-    absolute beyond tol.
+    scale at most its maximum: in a banded pass its value at its mode, to
+    which Newton's method is run until converged (_Rows.mode); in a dense
+    pass its value at x*, v(p*), since those steps would cost about half a
+    dense density (README).  One vector-valued adaptive pass integrates the
+    rows to relative tolerance tol each, and the constants are added back in
+    log space, where nothing underflows however large m is.  Those constants
+    are up to about m in size, so the returned log N_j also carry their
+    rounding, about m eps absolute beyond tol.
 
     Every row peaks with a width of about 1/(2 sqrt(m)) in theta, where
     x = sin^2(theta), so the pass starts from panels uniform in theta
@@ -491,20 +493,18 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     its initial panels share as few integrand calls as the quadrature's
     budget allows.
 
-    From m = 376 on (_BANDED_FROM_M, the first m an earlier support-width
-    rule banded) the pass is banded: a rule evaluates only the rows whose
-    certified support (_Rows.supports) reaches its nodes.  A dropped rule
-    value is below the panel width times the cut of its row's own scale,
-    so the cut is relative to each row.  Over [0, 1] the dropped values
-    of row j, shifted by that scale, add up to at most cut / T_j of its
-    shifted total T_j.  The cut, _Rows.cut(tol), is 1e-3 tol v_min /
-    ((m + 1) v_max), so that this share is at most 1e-3 tol wherever the
-    row's maximum is at most (m + 1) (v_max / v_min) T_j: for Fubini-Study
-    (v = 1) f_j / T_j is a Beta density, (m + 1) times a binomial pmf,
-    which is at most 1, with equality at rows 0 and m.  Every banded pass
-    checks the share of each row it integrated once it has the totals,
-    and raises QuadratureError naming the worst row where one exceeds
-    1e-3 tol by more than the rounding margin _SHARE_MARGIN (in its log).
+    From m = 376 on (_BANDED_FROM_M) the pass is banded: a rule evaluates
+    only the rows whose certified support (_Rows.supports) reaches its
+    nodes.  Row j's dropped values, shifted by its own scale, are below the
+    cut, so over [0, 1] they add up to at most cut / T_j of its shifted
+    total T_j.  The cut, _Rows.cut(tol), is 1e-3 tol v_min / ((m + 1)
+    v_max), so that this share is at most 1e-3 tol wherever the row's
+    maximum is at most (m + 1) (v_max / v_min) T_j: for Fubini-Study (v = 1)
+    f_j / T_j is a Beta density, (m + 1) times a binomial pmf, which is at
+    most 1, with equality at rows 0 and m.  Every banded pass checks the
+    share of each row it integrated once it has the totals, and raises
+    QuadratureError naming the worst row where one exceeds 1e-3 tol by more
+    than the rounding margin _SHARE_MARGIN (in its log).
 
     A chart-symmetric metric (RadialMetric.is_chart_symmetric: u(p) =
     u(1-p) exactly, so that s -> 1/s is an isometry; Fubini-Study and the

@@ -52,6 +52,13 @@ class TestTracelessHermitian:
         # det exp(A) = exp(tr A) = 1 for traceless A
         assert np.linalg.det(E) == pytest.approx(1.0, abs=1e-14)
 
+    def test_repr_round_trips(self):
+        # eval of the repr projects the matrix again, and gives it back unchanged
+        A = TracelessHermitian([[0.3, 0.1 + 0.2j, -1.5], [0.1 - 0.2j, -0.7, 2j], [-1.5, -2j, 0.1]])
+        B = eval(repr(A), {"TracelessHermitian": TracelessHermitian})
+        assert repr(A).startswith("TracelessHermitian([[")
+        assert np.array_equal(B.matrix, A.matrix)
+
     @pytest.mark.parametrize("matrix", [np.diag([math.inf, -math.inf]), np.diag([math.nan, 0.0]),
                                         [[0.0, complex(0.0, math.inf)], [0.0, 0.0]]])
     def test_non_finite_matrix_rejected(self, matrix):

@@ -463,6 +463,14 @@ class TestPolynomialityScan:
         assert admissible_eigenvalue_scan(1, 0, 6) == set()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_scan_at_J_at_most_n_tests_no_order(self, n):
+        # the orders n < j <= J are empty, so every level is kept; one order more
+        # already leaves the first level only
+        for J in range(1, n + 1):
+            assert admissible_eigenvalue_scan(n, 6, J) == set(range(1, 7)), J
+        assert admissible_eigenvalue_scan(n, 6, n + 1) == {1}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_scan_matches_series_zero_test(self, n):
         for J in range(1, 41):
             want = {k for k in range(1, 7)

@@ -600,6 +600,29 @@ def kummer_log_norm(eps, m, j):
         return mpmath.log(mpmath.exp(m * e) * total)
 
 
+def quadrature_log_norm(profile, v_coeffs, m, j):
+    """log N_j = log int_0^1 x^j (1-x)^(m-j) e^{-m u(p)} v(p) dx, p = 1 - x, by 40-digit
+    tanh-sinh quadrature of the row over its value at its peak on a grid of 1e5 + 1
+    points, split there and at 1, 4, 16 and 64 times 1/sqrt(m) on either side."""
+    k = m - j
+    x = np.linspace(0.0, 1.0, 100001)
+    with np.errstate(divide="ignore"):
+        log_row = (j * np.log(x) if j else 0.0) + (k * np.log1p(-x) if k else 0.0) \
+            - m * profile.value_p(1.0 - x)
+    c, w = float(x[int(np.argmax(log_row))]), 1.0 / math.sqrt(m)
+    cuts = sorted({0.0, 1.0, c} | {min(max(c + side * w * 4.0**i, 0.0), 1.0)
+                                   for side in (-1, 1) for i in range(4)})
+    with mpmath.workdps(40):
+        u, v = ([mpmath.mpf(a) for a in reversed(cs)] for cs in (profile.coeffs, v_coeffs))
+
+        def log_f(x):
+            return ((j * mpmath.log(x) if j else 0) + (k * mpmath.log(1 - x) if k else 0)
+                    - m * mpmath.polyval(u, 1 - x) + mpmath.log(mpmath.polyval(v, 1 - x)))
+
+        peak = log_f(mpmath.mpf(c))
+        return peak + mpmath.log(mpmath.quad(lambda x: mpmath.exp(log_f(x) - peak), cuts))
+
+
 A3_GRID = [0.0, 0.25, 1.0, 3.0, 1e3]
 
 
@@ -804,6 +827,49 @@ class TestBandedSectionNorms:
         assert np.ptp(scale) > 1000.0
         dense = self.norms(monkeypatch, met, m, False)
         assert np.max(np.abs(self.norms(monkeypatch, met, m, True) - dense)) <= 1e-12
+
+    # every _DOMAIN corner metric, and the strongest bumps of each family
+    MODE_METRICS = sorted({(n, v) for _, _, _, n, v, _ in domain_corners()}
+                          | {("eigenfunction-bump", "0.495"), ("eigenfunction-bump", "-0.495"),
+                             ("rational-bump", "1.96")}, key=str)
+
+    @pytest.mark.parametrize("name,value", MODE_METRICS,
+                             ids=[f"{n}-{v or ''}" for n, v in MODE_METRICS])
+    def test_every_row_mode_converges(self, name, value):
+        # within mode's step bound every row's residual |mu(c) - j/m| is at most
+        # 4 eps, mu read off u directly as x (1 - p u'(p)); measured, at most 9
+        # Newton steps on these metrics
+        met = RadialMetric(_profile_from(name, {"eps": value, "coeffs": value}))
+        du = np.polynomial.Polynomial(met.profile.coeffs or [0.0]).deriv()
+        eps = np.finfo(float).eps
+        for m in (376, 1060, 5000, 20000, 100000):
+            rows = density_module._Rows(met, m, met.is_chart_symmetric)
+            c = rows.mode()
+            assert c.shape == rows.xs.shape and np.all((0.0 <= c) & (c <= 1.0))
+            assert np.max(np.abs(rows.moment(c) - rows.xs)) <= 4 * eps, m
+            assert np.allclose(rows.moment(c), c * (1.0 - (1.0 - c) * du(1.0 - c)),
+                               rtol=0.0, atol=16 * eps)
+
+    def test_strongest_rational_bump_rows_stay_small(self, monkeypatch):
+        # rational bump 1.9 (v_min 0.05): three Newton steps from x* once left its
+        # scale far below the row's maximum, and the shifted totals reached 3.1e8 at
+        # m = 5000 and 1.8e39 (row 9402) at m = 20000.  Scaled at the converged mode
+        # each total is at most 1, and the rows meet a 40-digit quadrature of their
+        # own within tol plus m eps
+        met, tol = RadialMetric(RadialProfile.rational_bump(1.9)), 1e-12
+        quad, totals = density_module.integrate_interval, []
+
+        def spy(f, *args, **kwargs):
+            totals.append(quad(f, *args, **kwargs))
+            return totals[-1]
+
+        monkeypatch.setattr(density_module, "integrate_interval", spy)
+        for m in (5000, 20000):
+            logn = section_norms(met, m, tol)
+            assert np.max(totals[-1]) <= 1.0, m
+            for j in sorted({0, 1, m // 2, m} | ({9402} if m > 9402 else set())):
+                exact = quadrature_log_norm(met.profile, met._v_coeffs, m, j)
+                assert abs(float(mpmath.mpf(logn[j]) - exact)) <= tol + m * np.finfo(float).eps, j
 
     # the metrics the derived cut is compared on, each with the _DOMAIN corner whose
     # tols and largest m it takes (the bump -0.45 is the bump 0.45 in the other chart)

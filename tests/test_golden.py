@@ -396,6 +396,22 @@ FAILURES = {
     "center_config_trace_out_1": (["center", "--config", "{file}"], '{"trace_out": 1}',
                                   2, "ValueError"),
     "fit_config_samples_0": (["fit", "--config", "{file}"], '{"samples": 0}', 2, "ValueError"),
+    # a config file that holds JSON but not an object
+    "density_config_list": (["density", "--config", "{file}"], "[1, 2]", 2, "ValueError"),
+    # an --m-list with no number in it
+    "density_m_list_comma": (["density", "--m-list", ",", "--grid", "0"], None, 2, "ValueError"),
+    # fs-check at an n it has no check for
+    "fs_check_n_3": (["fs-check", "--n", "3"], None, 2, "ValueError"),
+    # a potential center does not know
+    "center_potential_foo": (["center", "--potential", "foo"], None, 2, "ValueError"),
+    # density CSVs read with --at-s: a column that is not Pi_m..., a header and no
+    # rows, and no row at the s asked for
+    "fit_at_s_column_x": (["fit", "--samples", "{file}", "--at-s", "0.5"],
+                          "s,Pi_m10,x\n0.5,11.0,21.0\n", 2, "ValueError"),
+    "fit_at_s_header_only": (["fit", "--samples", "{file}", "--at-s", "0.5"],
+                             "s,Pi_m10,Pi_m20,Pi_m30\n", 2, "ValueError"),
+    "fit_at_s_0.7_absent": (["fit", "--samples", "{file}", "--at-s", "0.7"],
+                            "s,Pi_m10,Pi_m20,Pi_m30\n0.5,11.0,21.0,31.0\n", 2, "ValueError"),
 }
 
 

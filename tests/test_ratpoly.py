@@ -41,6 +41,10 @@ class TestInverseMSeries:
         with pytest.raises(TypeError):
             InverseMSeries(0, [0.5])
 
+    def test_repr_names_the_lead_and_the_coefficients(self):
+        assert repr(InverseMSeries(3, [2, Fraction(-1, 3)])) == "InverseMSeries(lead=3, [2, -1/3])"
+        assert repr(InverseMSeries.zero(-2)) == "InverseMSeries(lead=-2, [0])"
+
     def test_leading_coefficients_pads(self):
         s = InverseMSeries(3, [2, Fraction(1, 3)])
         assert s.leading_coefficients(1) == [2]
@@ -76,7 +80,7 @@ class TestInverseMSeries:
         assert a * Fraction(1, 3) == InverseMSeries(1, [Fraction(1, 3), 1])
         assert 0 * a == InverseMSeries.zero(a.min_power)
         # a zero factor known down to m^-3 leaves the product known down to m^-3 * m^1
-        assert InverseMSeries.zero(-3) * a == InverseMSeries.zero(-2)
+        assert InverseMSeries.zero(-3) * a == a * InverseMSeries.zero(-3) == InverseMSeries.zero(-2)
 
     def test_reciprocal_shifts_lead(self):
         r = InverseMSeries(2, [Fraction(4), Fraction(1)]).reciprocal()
