@@ -352,8 +352,7 @@ class _Rows:
     k log((1 - x) / p*), where a rounded x* + p* would add
     k (x* + p* - 1), about m 2^-54, to every exponent.  j, k, x*, p*,
     -1/x*, 1/p* (zeroed where the matching power vanishes) and the peak
-    j log x* + k log p*, all from _row_geometry, and v(p*) and its log are
-    (rows, 1) columns.
+    j log x* + k log p*, all from _row_geometry, are (rows, 1) columns.
     """
 
     def __init__(self, metric: RadialMetric, m: int, half: bool = False):
@@ -363,8 +362,6 @@ class _Rows:
         if half:
             geometry = geometry[:, :m // 2 + 1]
         self.j, self.k, self.xs, self.ps, self.neg_inv_x, self.inv_p, self.peak = geometry
-        self.v_star = _horner(self.v, self.ps)
-        self.log_v_star = np.log(self.v_star)
 
     def exponent(self, x, rows=slice(None)):
         """g_j(x) for the rows in the slice rows, at nodes x or a (rows, c) array x.
@@ -448,11 +445,12 @@ class _Rows:
         that side.  The ends are made monotone in j (cumulative min and max),
         so the rows kept on any stretch of x form one contiguous window.
         """
-        m, j, v_star, c = self.m, self.j, self.v_star, self.mode()
+        m, j, c = self.m, self.j, self.mode()
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_scale = self.exponent(c) + np.log(_horner(self.v, 1.0 - c))
+            v_c = _horner(self.v, 1.0 - c)
+            log_scale = self.exponent(c) + np.log(v_c)
             level = math.log(cut / self.v_max) + log_scale
-            width = math.log(self.v_max / cut) / (m * v_star)
+            width = math.log(self.v_max / cut) / (m * v_c)
             side = np.array([-1.0, 1.0])
             x = c + side * (np.sqrt(2.0 * width * c * (1.0 - c)) + width)
             ends = np.array([0.0, 1.0]) + np.zeros_like(x)
@@ -476,15 +474,16 @@ def section_norms(metric: RadialMetric, m: int, tol: float = 1e-12) -> np.ndarra
     N_j is the Beta value j! (m-j)! / (m+1)!.
 
     The rows are set up once per pass (_Rows), each centred at its Beta
-    mode x* = j/m, where its exponent g_j is defined, and divided by a
-    scale at most its maximum: in a banded pass its value at its mode, to
-    which Newton's method is run until converged (_Rows.mode); in a dense
-    pass its value at x*, v(p*), since those steps would cost about half a
-    dense density (README).  One vector-valued adaptive pass integrates the
-    rows to relative tolerance tol each, and the constants are added back in
-    log space, where nothing underflows however large m is.  Those constants
-    are up to about m in size, so the returned log N_j also carry their
-    rounding, about m eps absolute beyond tol.
+    mode x* = j/m, where its exponent g_j is defined.  A banded pass
+    divides each row by its maximum, its value at its mode, to which
+    Newton's method is run until converged (_Rows.mode), because its cut
+    is relative to that maximum and m (u(p*) - min u) can pass float range
+    there.  A dense pass divides by nothing: its row is at most
+    e^{m (u(p*) - min u)} v_max.  One vector-valued adaptive pass
+    integrates the rows to relative tolerance tol each, and the constants
+    are added back in log space, where nothing underflows however large m
+    is.  Those constants are up to about m in size, so the returned log
+    N_j also carry their rounding, about m eps absolute beyond tol.
 
     Every row peaks with a width of about 1/(2 sqrt(m)) in theta, where
     x = sin^2(theta), so the pass starts from panels uniform in theta
@@ -568,7 +567,7 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at):
     held = []  # the rows at the points, from the first call of a dense pass
     edges = _graded_edges(m)
     banded = m >= _BANDED_FROM_M
-    scale = rows.log_v_star  # each row's log scale: log v(p*), or its supports' in a banded pass
+    scale = 0.0  # each row's log scale: none in a dense pass, its supports' in a banded one
     if banded:
         cut = rows.cut(tol)
         lower, upper, scale = rows.supports(cut)
@@ -589,7 +588,7 @@ def _section_norms(metric: RadialMetric, m: int, tol: float, at):
             held.append(out[:, len(x):])
             return out[:, :len(x)]
 
-    offset = scale if scale.any() else None  # None: every row's scale is 0, as for Fubini-Study
+    offset = scale if np.any(scale) else None  # None: every scale is 0 (a dense pass, Fubini-Study)
     try:
         # divide: log1p(-1), a power of x or 1-x at a pole among the density's points
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -396,40 +396,6 @@ class TestErrorChannels:
         error = cli_json(args, 2)["error"]
         assert error["type"] == "ValueError" and "outside [0, inf]" in error["message"]
 
-    @pytest.mark.parametrize("args", [
-        ["density", "--m-list", "-1", "--grid", "0"],
-        ["density", "--m-list", "5", "--grid", "0", "--tol", "0"],
-        ["density", "--m-list", "5", "--grid", "0", "--tol=-1"],
-        ["first-variation", "--phi", "fs", "--m=-3"],
-        ["fs-check", "--m-max=-1"],
-        ["fs-check", "--n", "2", "--m-max=-1"],
-        ["center", "--damping", "0"],
-        ["center", "--potential", "eigenbasis-diag", "--damping=-0.5"],
-        ["center", "--potential", "eigenbasis-diag", "--tol=-1"],
-        ["center", "--damping", "1"],
-        ["center", "--potential", "eigenbasis-diag", "--damping", "1.5"],
-        # non-finite inputs: each once exited 3 or 4, or 2 with numpy's message
-        ["center", "--potential", "eigenbasis-diag", "--scale", "nan"],
-        ["density", "--metric", "eigenfunction-bump", "--eps", "inf", "--m-list", "5",
-         "--grid", "0"],
-        ["density", "--metric", "phi1-poly", "--coeffs", "0,0.05,nan", "--m-list", "5",
-         "--grid", "0"],
-        # an infinite tol: center once reported converged at iteration 0, with A = 0,
-        # and density returned an unrefined pass
-        ["center", "--potential", "eigenbasis-diag", "--tol", "inf"],
-        ["density", "--m-list", "5", "--grid", "0", "--tol", "inf"],
-        ["polynomiality", "--n", "0"],
-        # negative counts: each once exited 0 with an empty table, or with
-        # no iteration at all for the zero potential
-        ["center", "--potential", "zero", "--max-iter=-1"],
-        ["center", "--potential", "eigenbasis-diag", "--max-iter=-1"],
-        ["polynomiality", "--k0-max=-1"],
-        ["variation", "--k-max=-3"],
-    ])
-    def test_outside_the_domain_exit_2(self, args):
-        # each once exited 0 with zeros or "pass": true, or ran to exit 3 or 4
-        assert cli_json(args, 2)["error"]["type"] == "ValueError"
-
     @pytest.mark.parametrize("flags,message", [
         (["--K=-1"], "K = -1 is negative"),
         (["--vanishing-tol", "nan"], "tol must be positive"),
